@@ -159,6 +159,7 @@ void DeepRestEstimator::Learn(const TraceCollector& traces, const MetricsStore& 
   synthesizer_ = TraceSynthesizer();
   extractor_.LearnRange(traces, from, to);
   synthesizer_.LearnRange(traces, from, to);
+  synthesizer_.CompileFeatures(extractor_);
 
   // Phase 2: feature extraction (Alg. 2) and scaling statistics.
   learn_features_ = extractor_.ExtractSeries(traces, from, to);
@@ -263,8 +264,10 @@ void DeepRestEstimator::ContinueLearning(const TraceCollector& traces,
 
   // New telemetry drives sampling statistics too: the synthesizer keeps
   // adapting Prob(P | API) to the drifted behaviour. The feature space and
-  // topology stay frozen (unknown paths are ignored by ExtractSeries).
+  // topology stay frozen (unknown paths are ignored by ExtractSeries and by
+  // the new shapes' compiled counts).
   synthesizer_.LearnRange(traces, from, to);
+  synthesizer_.CompileFeatures(extractor_);
 
   const std::vector<std::vector<float>> features = extractor_.ExtractSeries(traces, from, to);
   std::vector<std::vector<float>> targets(experts_.size());
@@ -615,9 +618,7 @@ EstimateMap DeepRestEstimator::EstimateFromTraces(const TraceCollector& traces, 
 EstimateMap DeepRestEstimator::EstimateFromTraffic(const TrafficSeries& traffic,
                                                    uint64_t seed) const {
   Rng rng(seed);
-  TraceCollector synthetic;
-  synthesizer_.SynthesizeSeries(traffic, 0, rng, synthetic);
-  return EstimateFromTraces(synthetic, 0, traffic.windows());
+  return EstimateFromFeatures(synthesizer_.SynthesizeFeatures(traffic, rng));
 }
 
 std::vector<MetricKey> DeepRestEstimator::resources() const {
@@ -950,6 +951,7 @@ bool DeepRestEstimator::LoadFromStream(std::istream& in) {
   if (!extractor_.Load(in) || !synthesizer_.Load(in)) {
     return false;
   }
+  synthesizer_.CompileFeatures(extractor_);
   uint64_t dim = 0;
   if (!read_u64(dim) || dim != extractor_.dimension()) {
     return false;

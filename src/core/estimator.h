@@ -126,7 +126,10 @@ class DeepRestEstimator {
   EstimateMap EstimateFromTraces(const TraceCollector& traces, size_t from, size_t to) const;
 
   // Mode 1 (resource allocation): hypothetical traffic -> synthetic traces ->
-  // estimate. `seed` controls the synthesizer's sampling.
+  // estimate. `seed` controls the synthesizer's sampling. The traces are
+  // never built: the synthesizer sums its shapes' compiled feature counts
+  // (TraceSynthesizer::SynthesizeFeatures), bit-identical to synthesizing
+  // and extracting.
   EstimateMap EstimateFromTraffic(const TrafficSeries& traffic, uint64_t seed) const;
 
   // Direct estimation from an already-built feature series (advanced use).

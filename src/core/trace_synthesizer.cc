@@ -1,9 +1,13 @@
 #include "src/core/trace_synthesizer.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
+
+#include "src/core/feature_extractor.h"
 
 namespace deeprest {
 
@@ -28,10 +32,14 @@ void TraceSynthesizer::LearnTrace(const Trace& trace) {
     shape.count = 1;
     table.index_by_key.emplace(key, table.shapes.size());
     table.shapes.push_back(std::move(shape));
+    table.cumulative.push_back(table.cumulative.empty() ? 1 : table.cumulative.back() + 1);
+    compiled_ = false;
   } else {
     ++table.shapes[it->second].count;
+    for (size_t k = it->second; k < table.cumulative.size(); ++k) {
+      ++table.cumulative[k];
+    }
   }
-  ++table.total;
 }
 
 void TraceSynthesizer::LearnRange(const TraceCollector& traces, size_t from, size_t to) {
@@ -48,46 +56,115 @@ size_t TraceSynthesizer::ShapeCountFor(const std::string& api) const {
 }
 
 size_t TraceSynthesizer::TraceCountFor(const std::string& api) const {
-  auto it = tables_.find(api);
-  return it == tables_.end() ? 0 : it->second.total;
+  const ApiTable* table = FindTable(api);
+  return table == nullptr ? 0 : table->cumulative.back();
 }
 
-Trace TraceSynthesizer::Synthesize(const std::string& api, Rng& rng) const {
+const TraceSynthesizer::ApiTable* TraceSynthesizer::FindTable(const std::string& api) const {
   auto it = tables_.find(api);
-  if (it == tables_.end() || it->second.total == 0) {
-    return Trace(0, api);
+  if (it == tables_.end() || it->second.cumulative.empty() ||
+      it->second.cumulative.back() == 0) {
+    return nullptr;
   }
-  const ApiTable& table = it->second;
-  // Multinomial draw over shapes by observed frequency.
-  uint64_t target = rng.NextBelow(table.total);
-  const Shape* chosen = &table.shapes.back();
-  for (const Shape& shape : table.shapes) {
-    if (target < shape.count) {
-      chosen = &shape;
-      break;
-    }
-    target -= shape.count;
-  }
-  Trace trace(rng.NextU64(), api);
-  for (const Span& s : chosen->spans) {
+  return &it->second;
+}
+
+Trace TraceSynthesizer::MakeTrace(const Shape& shape, uint64_t id, const std::string& api) {
+  Trace trace(id, api);
+  for (const Span& s : shape.spans) {
     trace.AddSpan(s.component, s.operation, s.parent);
   }
   return trace;
 }
 
-void TraceSynthesizer::SynthesizeSeries(const TrafficSeries& traffic, size_t offset, Rng& rng,
-                                        TraceCollector& out) const {
+const TraceSynthesizer::Shape& TraceSynthesizer::PickShape(const ApiTable& table, Rng& rng) {
+  // The first shape whose cumulative count exceeds the target: the same
+  // shape a linear scan subtracting each count in turn would stop at.
+  const uint64_t target = rng.NextBelow(table.cumulative.back());
+  const auto it = std::upper_bound(table.cumulative.begin(), table.cumulative.end(), target);
+  return table.shapes[static_cast<size_t>(it - table.cumulative.begin())];
+}
+
+template <typename Emit>
+void TraceSynthesizer::ForEachDraw(const TrafficSeries& traffic, Rng& rng, Emit&& emit) const {
+  // One table lookup per API per series, not per synthesized trace.
+  std::vector<const ApiTable*> tables(traffic.api_count());
+  for (size_t a = 0; a < traffic.api_count(); ++a) {
+    tables[a] = FindTable(traffic.apis()[a]);
+  }
   for (size_t t = 0; t < traffic.windows(); ++t) {
     for (size_t a = 0; a < traffic.api_count(); ++a) {
       const int count = rng.NextPoisson(traffic.rate(t, a));
+      if (tables[a] == nullptr) {
+        continue;
+      }
       for (int i = 0; i < count; ++i) {
-        Trace trace = Synthesize(traffic.apis()[a], rng);
-        if (!trace.empty()) {
-          out.Collect(offset + t, std::move(trace));
+        const Shape& shape = PickShape(*tables[a], rng);
+        emit(t, a, shape, rng.NextU64());
+      }
+    }
+  }
+}
+
+Trace TraceSynthesizer::Synthesize(const std::string& api, Rng& rng) const {
+  const ApiTable* table = FindTable(api);
+  if (table == nullptr) {
+    return Trace(0, api);
+  }
+  const Shape& shape = PickShape(*table, rng);
+  return MakeTrace(shape, rng.NextU64(), api);
+}
+
+void TraceSynthesizer::SynthesizeSeries(const TrafficSeries& traffic, size_t offset, Rng& rng,
+                                        TraceCollector& out) const {
+  ForEachDraw(traffic, rng, [&](size_t t, size_t a, const Shape& shape, uint64_t id) {
+    Trace trace = MakeTrace(shape, id, traffic.apis()[a]);
+    if (!trace.empty()) {
+      out.Collect(offset + t, std::move(trace));
+    }
+  });
+}
+
+void TraceSynthesizer::CompileFeatures(const FeatureExtractor& extractor) {
+  feature_dim_ = extractor.dimension();
+  std::vector<float> dense;
+  for (auto& [api, table] : tables_) {
+    for (Shape& shape : table.shapes) {
+      const Trace trace = MakeTrace(shape, 0, api);
+      extractor.ExtractInto({&trace}, dense);
+      shape.features.clear();
+      for (size_t f = 0; f < dense.size(); ++f) {
+        if (dense[f] != 0.0f) {
+          shape.features.push_back(
+              {static_cast<uint32_t>(f), static_cast<uint32_t>(dense[f])});
         }
       }
     }
   }
+  compiled_ = true;
+}
+
+std::vector<std::vector<float>> TraceSynthesizer::SynthesizeFeatures(
+    const TrafficSeries& traffic, Rng& rng) const {
+  assert(compiled_ && "SynthesizeFeatures needs CompileFeatures after the last new shape");
+  // Integer counters, converted once: the trace path adds 1.0f per prefix
+  // occurrence, which sums integer counts exactly while they stay below
+  // 2^24, so both paths give the same floats.
+  const size_t dim = feature_dim_;
+  std::vector<uint64_t> counts(traffic.windows() * dim, 0);
+  ForEachDraw(traffic, rng, [&](size_t t, size_t, const Shape& shape, uint64_t) {
+    uint64_t* row = counts.data() + t * dim;
+    for (const FeatureCount& fc : shape.features) {
+      row[fc.feature] += fc.count;
+    }
+  });
+  std::vector<std::vector<float>> series(traffic.windows(), std::vector<float>(dim));
+  for (size_t t = 0; t < series.size(); ++t) {
+    for (size_t f = 0; f < dim; ++f) {
+      series[t][f] = static_cast<float>(counts[t * dim + f]);
+    }
+  }
+  return series;
 }
 
 void TraceSynthesizer::Save(std::ostream& out) const {
@@ -128,6 +205,7 @@ bool TraceSynthesizer::Load(std::istream& in) {
   };
 
   tables_.clear();
+  compiled_ = false;
   uint64_t api_count = 0;
   if (!read_u64(api_count)) {
     return false;
@@ -153,13 +231,10 @@ bool TraceSynthesizer::Load(std::istream& in) {
         }
         span.parent = static_cast<SpanIndex>(parent);
       }
-      table.total += shape.count;
+      table.cumulative.push_back((table.cumulative.empty() ? 0 : table.cumulative.back()) +
+                                 shape.count);
       // Rebuild the dedup key from a temporary trace.
-      Trace tmp(0, api);
-      for (const Span& span : shape.spans) {
-        tmp.AddSpan(span.component, span.operation, span.parent);
-      }
-      table.index_by_key.emplace(ShapeKey(tmp), table.shapes.size());
+      table.index_by_key.emplace(ShapeKey(MakeTrace(shape, 0, api)), table.shapes.size());
       table.shapes.push_back(std::move(shape));
     }
   }

@@ -31,6 +31,8 @@ class Matrix {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t size() const { return data_.size(); }
+  // Allocated entries, which SetShape keeps when it shrinks the matrix.
+  size_t capacity() const { return data_.capacity(); }
   bool empty() const { return data_.empty(); }
 
   float& At(size_t r, size_t c) {

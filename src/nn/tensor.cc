@@ -11,17 +11,41 @@ std::atomic<uint64_t> g_sequence{0};
 
 // Freelist of recycled nodes, one per thread. Nodes keep the capacity of
 // their value/grad/saved matrices across lives, so steady-state training
-// performs no allocator calls for graph construction. The cap bounds how
-// much matrix capacity an idle thread can pin.
+// performs no allocator calls for graph construction.
+//
+// The pool is bounded by the bytes it pins, not by its node count. A pooled
+// node keeps the largest matrices it ever held, so under a count cap the
+// nodes of a long-lived thread creep up to the biggest value ever recycled
+// through them (attention matrices, a destroyed model's weights): four
+// Learn + destroy cycles of the paper-size model (hidden 12, 76 experts, 69
+// features) on one thread pool 350 MB that way. A node above
+// kMaxPooledNodeBytes is freed instead of pooled, and kMaxTensorPoolBytes
+// (tensor.h) still holds one training chunk's graph of that model (48
+// steps, about 14k nodes and 20 MB), so training keeps reusing every node of
+// its graph.
 //
 // This file is the ONLY translation unit allowed to `new`/`delete` a
 // TensorNode (tools/lint rule no-raw-tensor-node-new, allowlisted here):
 // a node allocated anywhere else would skip the freelist accounting and
 // break the O(1)-allocations-per-step guarantee.
-constexpr size_t kMaxPooledNodes = size_t{1} << 15;
+constexpr size_t kMaxPooledNodeBytes = size_t{16} << 10;
+
+// Heap bytes a node pins while pooled: the node itself plus the capacity of
+// everything it owns. Capacities do not change while a node sits in the
+// pool, so acquire subtracts exactly what release added.
+size_t NodeBytes(const TensorNode& node) {
+  size_t bytes = sizeof(TensorNode) + node.parents.capacity() * sizeof(Tensor) +
+                 node.saved.capacity() * sizeof(Matrix) +
+                 (node.value.capacity() + node.grad.capacity()) * sizeof(float);
+  for (const Matrix& m : node.saved) {
+    bytes += m.capacity() * sizeof(float);
+  }
+  return bytes;
+}
 
 struct NodePool {
   std::vector<TensorNode*> free;
+  size_t bytes = 0;  // NodeBytes summed over `free`
   ~NodePool();
 };
 
@@ -53,6 +77,7 @@ TensorNode* AcquireNode() {
   if (!pool.free.empty()) {
     node = pool.free.back();
     pool.free.pop_back();
+    pool.bytes -= NodeBytes(*node);
     node->grad.SetShape(0, 0);  // A recycled grad must not leak into this life.
     node->backward = nullptr;
     node->op_name = "leaf";
@@ -90,8 +115,10 @@ void RecycleTree(TensorNode* root) {
       continue;
     }
     NodePool& pool = Pool();
-    if (pool.free.size() < kMaxPooledNodes) {
+    const size_t bytes = NodeBytes(*n);
+    if (bytes <= kMaxPooledNodeBytes && pool.bytes + bytes <= kMaxTensorPoolBytes) {
       pool.free.push_back(n);
+      pool.bytes += bytes;
     } else {
       delete n;
     }
@@ -101,6 +128,8 @@ void RecycleTree(TensorNode* root) {
 }  // namespace detail
 
 uint64_t TensorNodesCreated() { return g_sequence.load(std::memory_order_relaxed); }
+
+size_t TensorPoolBytes() { return g_pool_destroyed ? 0 : Pool().bytes; }
 
 namespace {
 thread_local bool g_grad_enabled = true;

@@ -216,6 +216,11 @@ inline void Tensor::Release(TensorNode* node) {
 // Number of nodes created since process start; useful for graph-size tests.
 uint64_t TensorNodesCreated();
 
+// Heap bytes the calling thread's node freelist pins: the nodes plus the
+// capacity of their matrices. Never above kMaxTensorPoolBytes (see tensor.cc).
+size_t TensorPoolBytes();
+constexpr size_t kMaxTensorPoolBytes = size_t{32} << 20;
+
 // RAII guard that disables gradient tracking on the current thread. Ops
 // executed under the guard produce constant tensors with no parent links,
 // which keeps long inference runs O(1) in graph memory.

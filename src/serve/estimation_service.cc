@@ -626,10 +626,7 @@ void EstimationService::ServeBatch(std::vector<Request> batch) {
         break;
       case RequestKind::kTraffic: {
         Rng rng(request.seed);
-        TraceCollector synthetic;
-        snapshot.model->synthesizer().SynthesizeSeries(request.traffic, 0, rng, synthetic);
-        series[i] =
-            snapshot.model->features().ExtractSeries(synthetic, 0, request.traffic.windows());
+        series[i] = snapshot.model->synthesizer().SynthesizeFeatures(request.traffic, rng);
         break;
       }
       case RequestKind::kSanity: {

@@ -203,8 +203,9 @@ class EstimationService {
   // A nonzero `deadline` overrides config.default_deadline for this request;
   // it is a budget measured from submission.
 
-  // Mode 1 (resource allocation): hypothetical traffic, synthesized into
-  // traces by the serving snapshot's synthesizer.
+  // Mode 1 (resource allocation): hypothetical traffic, turned into features
+  // by the serving snapshot's synthesizer from its compiled shape counts
+  // (bit-identical to synthesizing traces and extracting them).
   std::future<EstimateResult> SubmitTraffic(TrafficSeries traffic, uint64_t seed,
                                             std::chrono::milliseconds deadline = {});
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +196,213 @@ TEST(DeepRestEstimatorTest, EstimateFromTrafficUsesSynthesizer) {
       SeriesMape(estimates.at(worker_cpu).expected,
                  s.metrics.Series(worker_cpu, s.learn_windows, s.learn_windows + s.query_windows));
   EXPECT_LT(mape, 25.0);
+}
+
+// --- Mode 1: compiled shape counts against the trace path ---
+//
+// SynthesizeFeatures must produce exactly what synthesizing traces and
+// extracting them produces (sections 4.4 and 4.1), with the same RNG draws.
+// The trace path stays public and is the oracle here.
+
+std::vector<std::vector<float>> TracePathSeries(const DeepRestEstimator& model,
+                                                const TrafficSeries& traffic, Rng& rng) {
+  TraceCollector synthetic;
+  model.synthesizer().SynthesizeSeries(traffic, 0, rng, synthetic);
+  return model.features().ExtractSeries(synthetic, 0, traffic.windows());
+}
+
+void ExpectSameBits(const std::vector<std::vector<float>>& a,
+                    const std::vector<std::vector<float>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t t = 0; t < a.size(); ++t) {
+    ASSERT_EQ(a[t].size(), b[t].size()) << "window " << t;
+    EXPECT_EQ(std::memcmp(a[t].data(), b[t].data(), a[t].size() * sizeof(float)), 0)
+        << "window " << t;
+  }
+}
+
+void ExpectSameEstimates(const EstimateMap& a, const EstimateMap& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [key, estimate] : a) {
+    ASSERT_TRUE(b.count(key)) << key.ToString();
+    EXPECT_EQ(estimate.expected, b.at(key).expected) << key.ToString();
+    EXPECT_EQ(estimate.lower, b.at(key).lower) << key.ToString();
+    EXPECT_EQ(estimate.upper, b.at(key).upper) << key.ToString();
+  }
+}
+
+// Same features bit for bit, same next draw afterwards, and
+// EstimateFromTraffic answers from exactly the oracle's series.
+void ExpectMode1Exact(const DeepRestEstimator& model, const TrafficSeries& traffic,
+                      uint64_t seed) {
+  Rng fast_rng(seed);
+  Rng oracle_rng(seed);
+  const auto fast = model.synthesizer().SynthesizeFeatures(traffic, fast_rng);
+  const auto oracle = TracePathSeries(model, traffic, oracle_rng);
+  ExpectSameBits(fast, oracle);
+  EXPECT_EQ(fast_rng.NextU64(), oracle_rng.NextU64()) << "seed " << seed;
+  ExpectSameEstimates(model.EstimateFromTraffic(traffic, seed),
+                      model.EstimateFromFeaturesBatch({&oracle})[0]);
+}
+
+TrafficSeries ScaledTraffic(const TrafficSeries& base, double scale) {
+  TrafficSeries scaled = base;
+  for (size_t w = 0; w < base.windows(); ++w) {
+    for (size_t a = 0; a < base.api_count(); ++a) {
+      scaled.set_rate(w, a, base.rate(w, a) * scale);
+    }
+  }
+  return scaled;
+}
+
+// The query-phase traces with shapes the learning phase never produced: half
+// the /read traces gain a Cache:lookup child of the root, a quarter call
+// Worker:get twice, and every third /write trace reaches the Worker through
+// an unknown Proxy. The frozen extractor ignores every prefix through Cache
+// or Proxy but still counts the root prefix, and counts the repeated
+// Frontend > Worker prefix twice, so the new shapes carry counts a stale
+// table would miss.
+TraceCollector DriftedQueryTraces(const TinySetup& s) {
+  TraceCollector drifted;
+  for (size_t w = s.learn_windows; w < s.learn_windows + s.query_windows; ++w) {
+    const std::vector<Trace>& traces = s.traces.TracesAt(w);
+    for (size_t i = 0; i < traces.size(); ++i) {
+      const Trace& original = traces[i];
+      if (original.api_name() == "/read" && i % 2 == 0) {
+        Trace cached = original;
+        cached.AddSpan("Cache", "lookup", 0);
+        drifted.Collect(w, std::move(cached));
+      } else if (original.api_name() == "/read" && i % 4 == 1) {
+        Trace retried = original;
+        retried.AddSpan("Worker", "get", 0);
+        drifted.Collect(w, std::move(retried));
+      } else if (original.api_name() == "/write" && i % 3 == 0) {
+        Trace proxied(original.trace_id(), original.api_name());
+        proxied.AddSpan(original.root().component, original.root().operation, kNoParent);
+        const SpanIndex proxy = proxied.AddSpan("Proxy", "relay", 0);
+        for (size_t k = 1; k < original.size(); ++k) {
+          const SpanIndex parent = original.spans()[k].parent;
+          proxied.AddSpan(original.spans()[k].component, original.spans()[k].operation,
+                          parent == 0 ? proxy : parent + 1);
+        }
+        drifted.Collect(w, std::move(proxied));
+      } else {
+        drifted.Collect(w, original);
+      }
+    }
+  }
+  return drifted;
+}
+
+TEST(Mode1ExactnessTest, MatchesTracePathAcrossSeedsAndUserScales) {
+  TinySetup s = MakeSetup();
+  DeepRestEstimator model(FastConfig());
+  model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+  // 0.5-3x users puts rates on both sides of NextPoisson's lambda = 30
+  // switch from the product method to the normal approximation.
+  bool small_rate = false;
+  bool large_rate = false;
+  for (double scale : {0.5, 1.0, 2.0, 3.0}) {
+    const TrafficSeries traffic = ScaledTraffic(s.query_traffic, scale);
+    for (size_t w = 0; w < traffic.windows(); ++w) {
+      for (size_t a = 0; a < traffic.api_count(); ++a) {
+        small_rate |= traffic.rate(w, a) < 30.0;
+        large_rate |= traffic.rate(w, a) >= 30.0;
+      }
+    }
+    for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
+      ExpectMode1Exact(model, traffic, seed);
+    }
+  }
+  EXPECT_TRUE(small_rate);
+  EXPECT_TRUE(large_rate);
+}
+
+TEST(Mode1ExactnessTest, UnknownApisAndZeroRateWindows) {
+  TinySetup s = MakeSetup();
+  DeepRestEstimator model(FastConfig());
+  model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+
+  TrafficSeries traffic({"/read", "/missing", "/write"}, 8);
+  for (size_t w = 0; w < 8; ++w) {
+    if (w == 0 || w == 3 || w == 7) {
+      continue;  // every API idle
+    }
+    traffic.set_rate(w, 0, 15.0 * static_cast<double>(w));
+    traffic.set_rate(w, 1, 50.0);
+    traffic.set_rate(w, 2, w == 5 ? 0.0 : 40.0);
+  }
+  for (uint64_t seed : {3u, 11u}) {
+    ExpectMode1Exact(model, traffic, seed);
+  }
+  Rng rng(3);
+  const auto series = model.synthesizer().SynthesizeFeatures(traffic, rng);
+  for (size_t w : {0u, 3u, 7u}) {
+    for (float v : series[w]) {
+      EXPECT_EQ(v, 0.0f) << "window " << w;
+    }
+  }
+
+  // An API the synthesizer never saw draws its Poisson counts and nothing
+  // else, and contributes no features.
+  TrafficSeries missing({"/missing"}, 4);
+  missing.set_rate(1, 0, 12.0);
+  missing.set_rate(2, 0, 40.0);
+  Rng fast_rng(5);
+  Rng poisson_rng(5);
+  const auto idle = model.synthesizer().SynthesizeFeatures(missing, fast_rng);
+  for (size_t w = 0; w < missing.windows(); ++w) {
+    poisson_rng.NextPoisson(missing.rate(w, 0));
+    for (float v : idle[w]) {
+      EXPECT_EQ(v, 0.0f) << "window " << w;
+    }
+  }
+  EXPECT_EQ(fast_rng.NextU64(), poisson_rng.NextU64());
+}
+
+TEST(Mode1ExactnessTest, TableRebuiltAfterContinueLearningOnDriftedShapes) {
+  TinySetup s = MakeSetup();
+  DeepRestEstimator model(FastConfig());
+  model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+  const size_t read_shapes = model.synthesizer().ShapeCountFor("/read");
+  const size_t write_shapes = model.synthesizer().ShapeCountFor("/write");
+  const size_t dim = model.features().dimension();
+
+  const TraceCollector drifted = DriftedQueryTraces(s);
+  model.ContinueLearning(drifted, s.metrics, s.learn_windows, s.learn_windows + s.query_windows,
+                         2);
+  EXPECT_GT(model.synthesizer().ShapeCountFor("/read"), read_shapes);
+  EXPECT_GT(model.synthesizer().ShapeCountFor("/write"), write_shapes);
+  EXPECT_EQ(model.features().dimension(), dim);
+  for (double scale : {0.5, 3.0}) {
+    for (uint64_t seed : {2u, 99u}) {
+      ExpectMode1Exact(model, ScaledTraffic(s.query_traffic, scale), seed);
+    }
+  }
+}
+
+TEST(Mode1ExactnessTest, TableRebuiltOnLoadAndClone) {
+  TinySetup s = MakeSetup();
+  DeepRestEstimator model(FastConfig());
+  model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+  model.ContinueLearning(DriftedQueryTraces(s), s.metrics, s.learn_windows,
+                         s.learn_windows + s.query_windows, 1);
+
+  std::stringstream buffer;
+  ASSERT_TRUE(model.SaveToStream(buffer));
+  DeepRestEstimator loaded;
+  ASSERT_TRUE(loaded.LoadFromStream(buffer));
+  std::unique_ptr<DeepRestEstimator> clone = model.Clone();
+  ASSERT_NE(clone, nullptr);
+
+  const TrafficSeries traffic = ScaledTraffic(s.query_traffic, 2.0);
+  for (const DeepRestEstimator* copy : {&loaded, clone.get()}) {
+    ExpectMode1Exact(*copy, traffic, 17);
+    Rng original_rng(17);
+    Rng copy_rng(17);
+    ExpectSameBits(copy->synthesizer().SynthesizeFeatures(traffic, copy_rng),
+                   model.synthesizer().SynthesizeFeatures(traffic, original_rng));
+  }
 }
 
 TEST(DeepRestEstimatorTest, MaskIdentifiesResponsibleApi) {

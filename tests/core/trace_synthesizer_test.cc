@@ -1,6 +1,8 @@
 #include "src/core/trace_synthesizer.h"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,37 @@ TEST(TraceSynthesizerTest, DeterministicForSeed) {
   Rng rng_b(4);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(synth.Synthesize("/api", rng_a).size(), synth.Synthesize("/api", rng_b).size());
+  }
+}
+
+// A chain of `length` spans: one distinct shape per length.
+Trace ChainTrace(uint64_t id, size_t length) {
+  Trace t(id, "/api");
+  SpanIndex parent = kNoParent;
+  for (size_t i = 0; i < length; ++i) {
+    parent = t.AddSpan("S" + std::to_string(i), "op", parent);
+  }
+  return t;
+}
+
+TEST(TraceSynthesizerTest, PicksTheShapeALinearScanOverCountsPicks) {
+  const std::vector<uint64_t> counts = {3, 1, 2, 5, 1};
+  TraceSynthesizer synth;
+  for (size_t k = 0; k < counts.size(); ++k) {
+    for (uint64_t c = 0; c < counts[k]; ++c) {
+      synth.LearnTrace(ChainTrace(c, k + 1));
+    }
+  }
+  Rng rng(8);
+  Rng scan_rng(8);
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t target = scan_rng.NextBelow(12);
+    size_t expected = 0;
+    while (target >= counts[expected]) {
+      target -= counts[expected++];
+    }
+    scan_rng.NextU64();  // the trace id
+    ASSERT_EQ(synth.Synthesize("/api", rng).size(), expected + 1) << "draw " << i;
   }
 }
 

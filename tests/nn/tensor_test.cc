@@ -1,8 +1,14 @@
 #include "src/nn/tensor.h"
 
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/nn/layers.h"
 #include "src/nn/ops.h"
+#include "src/nn/optimizer.h"
+#include "src/nn/rng.h"
 
 namespace deeprest {
 namespace {
@@ -140,6 +146,52 @@ TEST(TensorTest, BackwardTwiceOnSameGraphResetsVisitedFlags) {
   loss.Backward();
   EXPECT_FLOAT_EQ(a.grad().At(0, 0), 2.0f);
   EXPECT_FLOAT_EQ(b.grad().At(0, 0), 1.0f);
+}
+
+// One model's life on a long-lived thread: build it, train it over a few
+// truncated-BPTT chunks, drop it. The wide input projection stands in for
+// the weight and attention matrices whose nodes, pooled and then reused by
+// small ops, kept their capacity and let a node-count cap pin more memory
+// every cycle.
+void LearnAndDestroyModel(uint64_t seed) {
+  ParameterStore store;
+  Rng rng(seed);
+  Linear wide(store, "wide", 4096, 32, rng);
+  GruCell gru(store, "gru", 32, 16, rng);
+  Linear head(store, "head", 16, 1, rng);
+  AdamOptimizer optimizer(store, 0.01f);
+  Tensor h = gru.InitialState();
+  for (int chunk = 0; chunk < 3; ++chunk) {
+    optimizer.ZeroGrad();
+    std::vector<Tensor> losses;
+    for (int t = 0; t < 24; ++t) {
+      Matrix x(4096, 1);
+      x.FillUniform(rng, 1.0f);
+      h = gru.Step(wide.Forward(Tensor::Constant(std::move(x))), h);
+      losses.push_back(SquaredError(head.Forward(h), Matrix(1, 1, 0.5f)));
+    }
+    AddN(losses).Backward();
+    optimizer.Step();
+    h = h.Detach();
+  }
+}
+
+TEST(TensorTest, FreelistStaysUnderByteCapAcrossLearnDestroyCycles) {
+  // A fresh thread starts with an empty freelist, like a learner thread.
+  std::thread([] {
+    LearnAndDestroyModel(1);
+    // The last chunk's graph stays pooled for reuse, but the destroyed
+    // model's 512 KB wide weight does not: an oversized node is freed. (A
+    // node-count cap pins 2.2 MB here and 4.2 MB by cycle 8.)
+    const size_t first = TensorPoolBytes();
+    EXPECT_GT(first, 0u);
+    EXPECT_LT(first, 4096 * 32 * sizeof(float));
+    for (uint64_t cycle = 2; cycle <= 8; ++cycle) {
+      LearnAndDestroyModel(cycle);
+      EXPECT_LE(TensorPoolBytes(), kMaxTensorPoolBytes) << "cycle " << cycle;
+      EXPECT_LT(TensorPoolBytes(), 4096 * 32 * sizeof(float)) << "cycle " << cycle;
+    }
+  }).join();
 }
 
 }  // namespace

@@ -347,6 +347,102 @@ TEST(EstimationServiceTest, ConcurrentRequestsNeverMixModelVersions) {
   EXPECT_EQ(counters.model_version, 2u);
 }
 
+// Mode-1 requests are answered from the synthesizer's compiled shape counts.
+// Two clients and two workers run while a fine-tuned Clone is published:
+// every result must equal, bit for bit, the trace-path oracle (synthesize,
+// extract, batched forward) of the model version that served it.
+TEST(EstimationServiceTest, ServedTrafficMatchesTraceOracleAcrossHotSwap) {
+  TinySetup s = MakeSetup();
+  auto v1_model = TrainModel(s);
+  std::unique_ptr<DeepRestEstimator> v2_model = v1_model->Clone();
+  ASSERT_NE(v2_model, nullptr);
+  v2_model->ContinueLearning(s.traces, s.metrics, s.learn_windows, s.total(), 2);
+
+  constexpr size_t kClients = 2;
+  constexpr size_t kPerClient = 10;
+  struct Query {
+    TrafficSeries traffic;
+    uint64_t seed = 0;
+    EstimateMap oracle[2];  // per model version
+  };
+  std::vector<Query> queries(kClients * kPerClient);
+  const DeepRestEstimator* versions[2] = {v1_model.get(), v2_model.get()};
+  Rng rng(21);
+  for (size_t r = 0; r < queries.size(); ++r) {
+    // 0.5-3x the usual rates.
+    const double scale = 0.5 + 0.5 * static_cast<double>(r % 6);
+    TrafficSeries traffic = RandomTraffic(6, rng.NextU64());
+    for (size_t w = 0; w < traffic.windows(); ++w) {
+      for (size_t a = 0; a < traffic.api_count(); ++a) {
+        traffic.set_rate(w, a, traffic.rate(w, a) * scale);
+      }
+    }
+    queries[r].traffic = std::move(traffic);
+    queries[r].seed = rng.NextU64();
+    for (size_t v = 0; v < 2; ++v) {
+      Rng oracle_rng(queries[r].seed);
+      TraceCollector synthetic;
+      versions[v]->synthesizer().SynthesizeSeries(queries[r].traffic, 0, oracle_rng, synthetic);
+      const auto series =
+          versions[v]->features().ExtractSeries(synthetic, 0, queries[r].traffic.windows());
+      queries[r].oracle[v] = versions[v]->EstimateFromFeaturesBatch({&series})[0];
+    }
+  }
+
+  ModelRegistry registry;
+  IngestPipeline pipeline(v1_model->features(), {.shards = 2});
+  registry.Publish(std::move(v1_model));
+  EstimationServiceConfig config;
+  config.workers = 2;
+  config.max_batch = 4;
+  EstimationService service(registry, pipeline, config);
+
+  std::atomic<size_t> submitted{0};
+  std::atomic<bool> published{false};
+  std::vector<std::future<EstimationService::EstimateResult>> futures(queries.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = 0; i < kPerClient; ++i) {
+        if (i + 1 == kPerClient) {
+          // Each client's last request goes in after the publish: v2 serves it.
+          while (!published.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        }
+        const size_t r = c * kPerClient + i;
+        futures[r] = service.SubmitTraffic(queries[r].traffic, queries[r].seed);
+        if (r == 0) {
+          futures[r].wait();
+        }
+        submitted.fetch_add(1, std::memory_order_release);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  // Publish mid-run, once half the requests are in. Client 1 alone stops one
+  // short of that, so request 0 is in and already answered by v1.
+  while (submitted.load(std::memory_order_acquire) < kPerClient) {
+    std::this_thread::yield();
+  }
+  registry.Publish(std::move(v2_model));
+  published.store(true, std::memory_order_release);
+  for (auto& client : clients) {
+    client.join();
+  }
+
+  size_t served[2] = {0, 0};
+  for (size_t r = 0; r < queries.size(); ++r) {
+    const auto result = futures[r].get();
+    ASSERT_EQ(result.status, RequestStatus::kOk);
+    ASSERT_TRUE(result.model_version == 1 || result.model_version == 2);
+    ++served[result.model_version - 1];
+    ExpectSameEstimates(result.estimates, queries[r].oracle[result.model_version - 1]);
+  }
+  EXPECT_GE(served[0], 1u);
+  EXPECT_GE(served[1], kClients);
+}
+
 TEST(EstimationServiceTest, MicroBatchingCoalescesBackedUpQueue) {
   TinySetup s = MakeSetup();
   ModelRegistry registry;

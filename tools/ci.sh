@@ -2,19 +2,23 @@
 # DeepRest CI: every enforcement layer in one script, fastest legs first.
 #
 #   1. tier-1      — default build, full test suite (the gate every PR must hold)
-#   2. simd-off    — kernel + quantization suites with SIMD force-disabled
+#   2. e2e-gates   — one short run of the end-to-end benchmark's traffic_plan
+#                    and learn_estimate workloads: their correctness gates
+#                    (served and mode-1 answers bit-identical to the trace-path
+#                    replay) must pass; SKIP on a host with fewer than 4 CPUs
+#   3. simd-off    — kernel + quantization suites with SIMD force-disabled
 #                    (DEEPREST_SIMD=scalar): the portable fallback path can't rot
-#   3. resilience  — self-healing suite by label (ctest -L resilience: health
+#   4. resilience  — self-healing suite by label (ctest -L resilience: health
 #                    registry, watchdog restarts, breakers, hedging, chaos
 #                    schedules; rides the chaos label into the sanitizer legs)
-#   4. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
+#   5. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
 #                    fixtures (ctest -L lint)
-#   5. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
+#   6. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
 #                    into build/, plus a warm-cache rerun assertion
-#   6. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
-#   7. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
-#   8. asan        — chaos suite + the quantization accuracy budget under ASan+UBSan
-#   9. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
+#   7. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
+#   8. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
+#   9. asan        — chaos suite + the quantization accuracy budget under ASan+UBSan
+#  10. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
 #                    budget (DEEPREST_STATECACHE_STRESS=1): concurrent leases
 #                    vs CLOCK eviction, fp16 demotion, and budget pressure
 #
@@ -29,7 +33,7 @@ QUICK=0
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "==> [1/9] tier-1: default build + full test suite"
+echo "==> [1/10] tier-1: default build + full test suite"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -38,7 +42,23 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 # ASan legs below).
 ctest --test-dir build --output-on-failure -L autoscale
 
-echo "==> [2/9] simd-off: kernel + quantization suites on the portable fallback"
+echo "==> [2/10] e2e-gates: end-to-end benchmark correctness gates"
+# e2ebench builds its own copy of src/ and checks its results before printing
+# any: exit 0 means every gate passed, 3 means SKIP (the host has fewer CPUs
+# than the workload runs threads), anything else is a failure. Seed 7919 is
+# the benchmark's held-out seed.
+for workload in traffic_plan learn_estimate; do
+  status=0
+  python3 e2ebench/run.py --workload "$workload" --seed 7919 --seconds 1 --trace 0 || status=$?
+  if [[ "$status" == "3" ]]; then
+    echo "    $workload: SKIP (fewer CPUs than the workload's threads)"
+  elif [[ "$status" != "0" ]]; then
+    echo "    $workload: e2ebench exited $status"
+    exit 1
+  fi
+done
+
+echo "==> [3/10] simd-off: kernel + quantization suites on the portable fallback"
 # DEEPREST_SIMD=scalar pins the dispatch ladder to the portable rung, so the
 # scalar kernel table (the path every non-x86/pre-AVX2 host runs) is executed
 # by the same tests that gate the vector paths. The simd tests themselves
@@ -46,17 +66,17 @@ echo "==> [2/9] simd-off: kernel + quantization suites on the portable fallback"
 DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
   -R 'nn_tests|quantized_tests|core_tests|property_tests'
 
-echo "==> [3/9] resilience: self-healing suite by label"
+echo "==> [4/10] resilience: self-healing suite by label"
 # Supported entry point for the supervision layer (watchdog restarts, hedged
 # requests, chaos schedules, the resilience bench smoke); the same tests also
 # carry the chaos label, so the sanitizer legs below re-run them under TSan
 # and ASan.
 ctest --test-dir build --output-on-failure -L resilience
 
-echo "==> [4/9] lint: flow-aware analyzer over the tree + rule fixtures"
+echo "==> [5/10] lint: flow-aware analyzer over the tree + rule fixtures"
 ctest --preset lint -j "$JOBS"
 
-echo "==> [5/9] analyze: SARIF + lock-graph artifacts, warm-cache assertion"
+echo "==> [6/10] analyze: SARIF + lock-graph artifacts, warm-cache assertion"
 ANALYZE_BIN=build/tools/deeprest_analyze
 ANALYZE_CACHE=build/deeprest_analyze_ci_cache.txt
 # Cold (or incremental) pass: fails the build on any violation and writes
@@ -72,7 +92,7 @@ ANALYZE_CACHE=build/deeprest_analyze_ci_cache.txt
   || { echo "analyzer cache did not warm on a no-op rerun"; exit 1; }
 echo "    artifacts: build/analysis.sarif, build/lock_graph.dot"
 
-echo "==> [6/9] tsa: Clang thread-safety analysis (compile-only gate)"
+echo "==> [7/10] tsa: Clang thread-safety analysis (compile-only gate)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake --preset lint >/dev/null
   cmake --build --preset lint -j "$JOBS"
@@ -85,12 +105,12 @@ if [[ "$QUICK" == "1" ]]; then
   exit 0
 fi
 
-echo "==> [7/9] tsan: chaos suite under ThreadSanitizer"
+echo "==> [8/10] tsan: chaos suite under ThreadSanitizer"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset chaos-tsan -j "$JOBS"
 
-echo "==> [8/9] asan: chaos suite + quantization accuracy budget under ASan+UBSan"
+echo "==> [9/10] asan: chaos suite + quantization accuracy budget under ASan+UBSan"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
 ctest --preset chaos-asan -j "$JOBS"
@@ -99,7 +119,7 @@ ctest --preset chaos-asan -j "$JOBS"
 # tables, exactly where an out-of-bounds pack/load would hide.
 ctest --test-dir build-asan --output-on-failure -R 'quantized_tests|nn_tests'
 
-echo "==> [9/9] asan-storm: state-cache eviction storm under ASan+UBSan"
+echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"
 # The stress flag multiplies the storm test's iteration count; the tiny
 # budget in the test forces constant eviction/demotion/promotion churn while
 # four threads hold exclusive leases — the exact interleavings where a
