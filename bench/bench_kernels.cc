@@ -170,9 +170,12 @@ BatchMajorResult BenchBatchMajor(size_t h, size_t b, int iters, Rng& rng) {
 // ---- SIMD dispatch micro-benchmarks ----
 
 // One shape, four kernel paths: dispatch-selected SIMD, forced-scalar SIMD
-// (the portable fallback the ci.sh simd-off leg pins), the tiled default,
-// and the preserved reference. All timed through the SAME Matrix-level entry
-// points so the numbers include dispatch overhead.
+// (the portable fallback the ci.sh simd-off leg pins), the default (kTiled)
+// mode, and the preserved reference. All timed through the SAME Matrix-level
+// entry points so the numbers include dispatch overhead. The default mode's
+// mat-mat MatMulInto already runs the dispatch-selected kernel, so on
+// mat-mat rows `speedup` (vs the default) reads ~1x; `vs_scalar` compares
+// against the kScalar rung, the plain C++ loop.
 struct SimdResult {
   std::string name;
   double simd_ns = 0;
@@ -180,6 +183,7 @@ struct SimdResult {
   double tiled_ns = 0;
   double reference_ns = 0;
   double speedup() const { return simd_ns > 0 ? tiled_ns / simd_ns : 0; }
+  double vs_scalar() const { return simd_ns > 0 ? scalar_ns / simd_ns : 0; }
 };
 
 template <typename Fn>
@@ -227,11 +231,12 @@ SimdResult BenchSimdAccABT(size_t m, size_t k, size_t n, int iters, Rng& rng) {
                      iters, [&] { AccumulateABTranspose(a, b, out); });
 }
 
-// The ISSUE acceptance gate: on AVX2-capable hardware the dispatch-selected
-// GEMM must be at least 2x faster than tiled on the representative mat-mat
-// shapes. Measured as the MINIMUM speedup across those shapes — the honest
-// (weakest) claim. On hosts without AVX2 the check is an explicit SKIP, not
-// a vacuous pass.
+// On AVX2-capable hardware the dispatch-selected GEMM must be at least 2x
+// faster than the kScalar rung (the plain C++ tiled loop) on the
+// representative mat-mat shapes. The baseline is the scalar rung, not the
+// default mode: default-mode mat-mat runs the same vector kernel. Measured
+// as the MINIMUM speedup across those shapes — the honest (weakest) claim.
+// On hosts without AVX2 the check is an explicit SKIP, not a vacuous pass.
 struct SimdGemmCheck {
   double required = 2.0;
   double measured_min = 0;
@@ -249,7 +254,7 @@ SimdGemmCheck CheckSimdGemm(const std::vector<SimdResult>& rows,
   for (const SimdResult& row : rows) {
     for (const std::string& name : representative) {
       if (row.name == name) {
-        check.measured_min = std::min(check.measured_min, row.speedup());
+        check.measured_min = std::min(check.measured_min, row.vs_scalar());
       }
     }
   }
@@ -268,18 +273,21 @@ struct QuantBenchResult {
 };
 
 QuantBenchResult BenchQuantized(int iters, Rng& rng) {
-  // The shape quantization serves in production: the batch-major GRU input
-  // projection, w(16 x 256) @ x(256 x 16). The int8 timing includes dynamic
-  // per-column activation quantization, exactly as the estimator pays it.
-  Matrix w(16, 256), x(256, 16), fp32_out, int8_out;
+  // The shape quantization serves in production: the packed step's input
+  // projection, x(16 x 256) · w(16 x 256)^T for 16 batched queries. The
+  // fp32 side multiplies by the pre-transposed weights, as the packed
+  // weights hold them; the int8 timing includes dynamic per-row activation
+  // quantization, exactly as the estimator pays it.
+  Matrix w(16, 256), x(16, 256), fp32_out, int8_out;
   w.FillUniform(rng, 1.0f);
   x.FillUniform(rng, 1.0f);
+  const Matrix wt = w.Transposed();
   const QuantizedMatrix q = QuantizeRowwise(w);
   QuantScratch scratch;
   SetKernelMode(KernelMode::kSimd);
   simd::ResetIsa();
   QuantBenchResult result;
-  result.fp32_ns = TimeNs(iters, [&] { MatMulInto(w, x, fp32_out); });
+  result.fp32_ns = TimeNs(iters, [&] { MatMulInto(x, wt, fp32_out); });
   result.int8_ns = TimeNs(iters, [&] { QuantizedMatMul(q, x, int8_out, scratch); });
   SetKernelMode(KernelMode::kTiled);
   float max_abs = 0.0f, max_err = 0.0f;
@@ -491,9 +499,10 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
     const SimdResult& r = simd_rows[i];
     std::fprintf(f,
                  "      {\"name\": \"%s\", \"simd_ns\": %.1f, \"scalar_ns\": %.1f, "
-                 "\"tiled_ns\": %.1f, \"reference_ns\": %.1f, \"speedup\": %.3f}%s\n",
+                 "\"tiled_ns\": %.1f, \"reference_ns\": %.1f, \"speedup\": %.3f, "
+                 "\"vs_scalar\": %.3f}%s\n",
                  r.name.c_str(), r.simd_ns, r.scalar_ns, r.tiled_ns, r.reference_ns,
-                 r.speedup(), i + 1 < simd_rows.size() ? "," : "");
+                 r.speedup(), r.vs_scalar(), i + 1 < simd_rows.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
@@ -592,27 +601,29 @@ int Run(const BenchOptions& options) {
   simd_rows.push_back(BenchSimdAccABT(16, 256, 1, small, rng));
   std::printf("\nSIMD dispatch (host best: %s, active: %s):\n",
               simd::IsaName(simd::BestSupportedIsa()), simd::IsaName(simd::ActiveIsa()));
-  std::printf("%-44s %10s %10s %10s %10s %8s\n", "kernel", "simd ns", "scalar ns",
-              "tiled ns", "ref ns", "vs tiled");
+  std::printf("%-44s %10s %10s %10s %10s %8s %9s\n", "kernel", "simd ns", "scalar ns",
+              "tiled ns", "ref ns", "vs tiled", "vs scalar");
   for (const SimdResult& r : simd_rows) {
-    std::printf("%-44s %10.1f %10.1f %10.1f %10.1f %7.2fx\n", r.name.c_str(), r.simd_ns,
-                r.scalar_ns, r.tiled_ns, r.reference_ns, r.speedup());
+    std::printf("%-44s %10.1f %10.1f %10.1f %10.1f %7.2fx %8.2fx\n", r.name.c_str(),
+                r.simd_ns, r.scalar_ns, r.tiled_ns, r.reference_ns, r.speedup(),
+                r.vs_scalar());
   }
   const SimdGemmCheck simd_check = CheckSimdGemm(
       simd_rows, {"MatMulInto 16x256*256x16", "MatMulInto 64x64*64x64"});
   if (simd_check.verdict == "SKIP (no avx2)") {
-    std::printf("  gemm >=2x check: SKIP (no avx2 on this host)\n");
+    std::printf("  gemm >=2x vs scalar check: SKIP (no avx2 on this host)\n");
   } else {
-    std::printf("  gemm >=2x check: %s (min %.2fx over representative mat-mat shapes)\n",
+    std::printf("  gemm >=2x vs scalar check: %s (min %.2fx over representative mat-mat "
+                "shapes)\n",
                 simd_check.verdict.c_str(), simd_check.measured_min);
   }
 
   const QuantBenchResult quant = BenchQuantized(medium, rng);
-  std::printf("\nQuantized GEMM (16x256 @ 256x16, incl. activation quantization):\n");
+  std::printf("\nQuantized GEMM (16x256 · (16x256)^T, incl. activation quantization):\n");
   std::printf("  fp32 %10.1f ns    int8 %10.1f ns    speedup %5.2fx    max rel err %.4f\n",
               quant.fp32_ns, quant.int8_ns, quant.speedup(), quant.max_rel_error);
-  std::printf("  weight memory %.2fx smaller (int8's win at this shape: the per-call\n"
-              "  activation packing outweighs the kernel saving vs peak fp32 simd)\n",
+  std::printf("  weight memory %.2fx smaller (int8's win at this shape: the int8 kernel\n"
+              "  plus per-call activation quantization is slower than peak fp32 simd)\n",
               quant.weight_mem_ratio);
 
   const StepResult step =

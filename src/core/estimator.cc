@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/nn/batched.h"
 #include "src/nn/optimizer.h"
 #include "src/nn/ops.h"
 #include "src/nn/serialize.h"
@@ -313,10 +312,14 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   assert(warm_hidden_.size() == experts_.size());
   assert(cursors.empty() || cursors.size() == batch.size());
 
+  const size_t e = experts_.size();
   std::vector<EstimateMap> results(batch.size());
+  // Each query's estimate series, resolved once per call: slots[q * e + i] is
+  // expert i's series in results[q].
+  std::vector<ResourceEstimate*> slots(batch.size() * e);
   // Live queries, longest first: as shorter queries finish, the still-active
-  // ones always occupy a prefix of the batch columns and the activation
-  // matrices just shrink column-wise.
+  // ones always occupy a prefix of the batch rows and the activation
+  // matrices just shrink.
   std::vector<size_t> order;
   order.reserve(batch.size());
   for (size_t q = 0; q < batch.size(); ++q) {
@@ -324,13 +327,12 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
       continue;
     }
     order.push_back(q);
-    EstimateMap& out = results[q];
-    for (const auto& expert : experts_) {
+    for (size_t i = 0; i < e; ++i) {
       ResourceEstimate estimate;
       estimate.expected.reserve(batch[q]->size());
       estimate.lower.reserve(batch[q]->size());
       estimate.upper.reserve(batch[q]->size());
-      out.emplace(expert.key, std::move(estimate));
+      slots[q * e + i] = &results[q].emplace(experts_[i].key, std::move(estimate)).first->second;
     }
   }
   std::stable_sort(order.begin(), order.end(),
@@ -343,62 +345,50 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     return results;
   }
 
-  const size_t e = experts_.size();
   const size_t hd = config_.hidden_dim;
   const size_t dim = feature_scale_.size();
   const size_t max_len = batch[order[0]]->size();
 
-  // Every column starts from the warm-start hidden state cached at train /
-  // load time — no per-call replay of learn_features_ — unless the query
-  // carries a continuation cursor, which seeds the column with the stream's
+  // The stacked hidden state: state(i, b*hd + r) is row r of expert i's
+  // state for batch row b, so expert i's B x H block is row i and attention
+  // is one GEMM. Every row starts from the warm-start hidden state cached at
+  // train / load time — no per-call replay of learn_features_ — unless the
+  // query carries a continuation cursor, which seeds it with the stream's
   // saved hidden state instead (raw float bits, so a resumed series is
   // bit-identical to an unsplit one).
   auto cursor_for = [&](size_t b) -> StreamCursor* {
     return cursors.empty() ? nullptr : cursors[order[b]];
   };
-  std::vector<Matrix> hidden(e);
-  std::vector<Matrix> hidden_next(e);
-  for (size_t i = 0; i < e; ++i) {
-    hidden[i].SetShape(hd, active);
-    for (size_t r = 0; r < hd; ++r) {
-      const float warm = warm_hidden_[i][r];
-      float* row = hidden[i].data() + r * active;
-      for (size_t b = 0; b < active; ++b) {
-        const StreamCursor* cursor = cursor_for(b);
-        row[b] = (cursor != nullptr && cursor->hidden.size() == e * hd)
-                     ? cursor->hidden[i * hd + r]
-                     : warm;
-      }
+  Matrix state(e, active * hd);
+  for (size_t b = 0; b < active; ++b) {
+    const StreamCursor* cursor = cursor_for(b);
+    const bool resume = cursor != nullptr && cursor->hidden.size() == e * hd;
+    for (size_t i = 0; i < e; ++i) {
+      const float* seed = resume ? cursor->hidden.data() + i * hd : warm_hidden_[i].data();
+      std::copy(seed, seed + hd, state.data() + i * active * hd + b * hd);
     }
   }
-  // Writes column b's final hidden state back into its cursor. Called once
-  // per cursor-carrying column, at retirement or at end of pass — always
-  // AFTER the column's last GRU step and BEFORE ShrinkColumns discards it.
-  auto export_column = [&](size_t b) {
+  // Writes batch row b's final hidden state back into its cursor. Called once
+  // per cursor-carrying row, at retirement or at end of pass — always AFTER
+  // the row's last step and BEFORE ShrinkColumns discards it.
+  auto export_row = [&](size_t b) {
     StreamCursor* cursor = cursor_for(b);
     if (cursor == nullptr) {
       return;
     }
     cursor->hidden.resize(e * hd);
     for (size_t i = 0; i < e; ++i) {
-      for (size_t r = 0; r < hd; ++r) {
-        cursor->hidden[i * hd + r] = hidden[i].At(r, b);
-      }
+      const float* row = state.data() + i * state.cols() + b * hd;
+      std::copy(row, row + hd, cursor->hidden.data() + i * hd);
     }
     cursor->steps += batch[order[b]]->size();
   };
 
-  Matrix masked_alpha;  // alpha . diag mask, constant across steps
-  if (config_.use_attention) {
-    HadamardInto(alpha_.value(), diag_zero_mask_, masked_alpha);
-  }
-
-  BatchedScratch scratch;
-  Matrix x;                      // dim x active scaled inputs
-  Matrix y;                      // 3 x active head outputs
-  std::vector<Matrix> sigs(e);   // per-expert sigmoid(mask) columns
-  std::vector<Matrix> xms(e);    // per-expert masked inputs
-  std::vector<Matrix> attended;  // per-expert attended states
+  const bool bypass = config_.use_linear_bypass;
+  PackedScratch scratch;
+  Matrix x;         // active x dim scaled inputs
+  Matrix attended;  // e x (active * hd), like state
+  Matrix skip;      // e x (active * 3) bypass terms (skip x~ + sb)
 
   for (size_t t = 0; t < max_len; ++t) {
     // Retire queries whose series ended (a suffix, since sorted by length).
@@ -408,90 +398,61 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     }
     if (still != active) {
       for (size_t b = still; b < active; ++b) {
-        export_column(b);
+        export_row(b);
       }
       if (still == 0) {
         active = 0;
         break;
       }
-      for (size_t i = 0; i < e; ++i) {
-        ShrinkColumns(hidden[i], still);
-      }
+      ShrinkColumns(state, still * hd);
       active = still;
     }
-    x.SetShape(dim, active);
+    x.SetShape(active, dim);
     for (size_t b = 0; b < active; ++b) {
       const std::vector<float>& raw = (*batch[order[b]])[t];
       const size_t n = std::min(raw.size(), dim);
+      float* row = x.data() + b * dim;
       for (size_t d = 0; d < n; ++d) {
-        x.At(d, b) = raw[d] / feature_scale_[d];
+        row[d] = raw[d] / feature_scale_[d];
       }
-      for (size_t d = n; d < dim; ++d) {
-        x.At(d, b) = 0.0f;
-      }
+      std::fill(row + n, row + dim, 0.0f);
     }
-    // quant_ is non-empty exactly when quantized inference is on (rebuilt at
-    // every mutation point); the int8 shadow replaces the GEMV-heavy weight
-    // operands and everything else stays fp32.
-    const bool quantized = !quant_.empty();
+    const size_t block = active * hd;
+    if (bypass) {
+      skip.SetShape(e, active * 3);
+    }
     for (size_t i = 0; i < e; ++i) {
-      const Expert& expert = experts_[i];
-      const Matrix* xm = &x;
-      if (config_.use_api_mask) {
-        BatchedSigmoidMaskMul(expert.mask.value(), x, sigs[i], xms[i]);
-        xm = &xms[i];
-      }
-      if (config_.use_recurrence) {
-        const GruCell& gru = expert.gru;
-        const WeightView wz = quantized ? WeightView(quant_[i].wz) : WeightView(gru.wz().value());
-        const WeightView wk = quantized ? WeightView(quant_[i].wk) : WeightView(gru.wk().value());
-        const WeightView wh = quantized ? WeightView(quant_[i].wh) : WeightView(gru.wh().value());
-        BatchedGruStep(*xm, hidden[i], wz, gru.uz().value(), gru.bz().value(), wk,
-                       gru.uk().value(), gru.bk().value(), wh, gru.uh().value(), gru.bh().value(),
-                       scratch, hidden_next[i]);
-      } else {
-        const WeightView ff =
-            quantized ? WeightView(quant_[i].ff) : WeightView(expert.ff.weight().value());
-        BatchedLinearTanh(ff, expert.ff.bias().value(), *xm, scratch, hidden_next[i]);
-      }
+      PackedExpertStep(packed_[i], x, state.data() + i * block,
+                       bypass ? skip.data() + i * active * 3 : nullptr, scratch);
     }
-    hidden.swap(hidden_next);
     if (config_.use_attention) {
-      BatchedAttention(masked_alpha, hidden, attended);
+      MatMulInto(packed_attention_, state, attended);
     }
     for (size_t i = 0; i < e; ++i) {
-      const Expert& expert = experts_[i];
-      const bool bypass = config_.use_linear_bypass;
-      const Matrix* xm = config_.use_api_mask ? &xms[i] : &x;
-      const WeightView head_w =
-          quantized ? WeightView(quant_[i].head) : WeightView(expert.head.weight().value());
-      WeightView skip_w;  // invalid = no bypass
-      if (bypass) {
-        skip_w = quantized ? WeightView(quant_[i].skip) : WeightView(expert.skip.weight().value());
-      }
-      BatchedExpertHead(config_.use_attention ? &attended[i] : nullptr, hidden[i], head_w,
-                        expert.head.bias().value(), bypass ? xm : nullptr, skip_w,
-                        bypass ? &expert.skip.bias().value() : nullptr, scratch, y);
-      const double scale = expert.y_scale;
+      PackedExpertHead(packed_[i], config_.use_attention ? attended.data() + i * block : nullptr,
+                       state.data() + i * block, bypass ? skip.data() + i * active * 3 : nullptr,
+                       active, scratch);
+      const Matrix& y = scratch.y;
+      const double scale = experts_[i].y_scale;
       for (size_t b = 0; b < active; ++b) {
-        double expected = std::max(0.0, static_cast<double>(y.At(0, b)) * scale);
-        double lower = std::max(0.0, static_cast<double>(y.At(1, b)) * scale);
-        double upper = std::max(0.0, static_cast<double>(y.At(2, b)) * scale);
+        double expected = std::max(0.0, static_cast<double>(y.At(b, 0)) * scale);
+        double lower = std::max(0.0, static_cast<double>(y.At(b, 1)) * scale);
+        double upper = std::max(0.0, static_cast<double>(y.At(b, 2)) * scale);
         // Quantile heads are trained independently and can cross on rare
         // inputs; enforce lower <= expected <= upper on output.
         lower = std::min(lower, expected);
         upper = std::max(upper, expected);
-        ResourceEstimate& estimate = results[order[b]].at(expert.key);
+        ResourceEstimate& estimate = *slots[order[b] * e + i];
         estimate.expected.push_back(expected);
         estimate.lower.push_back(lower);
         estimate.upper.push_back(upper);
       }
     }
   }
-  // Columns that ran the full max_len retire here rather than through the
+  // Rows that ran the full max_len retire here rather than through the
   // shrink path above.
   for (size_t b = 0; b < active; ++b) {
-    export_column(b);
+    export_row(b);
   }
   return results;
 }
@@ -565,31 +526,76 @@ std::vector<Matrix> DeepRestEstimator::ReplayWarmStart() const {
 void DeepRestEstimator::RefreshWarmStartCache() {
   warm_hidden_ = ReplayWarmStart();
   // Same lifecycle as the warm-start cache: every mutation point funnels
-  // through here, so the int8 shadow can never go stale against the fp32
+  // through here, so the packed weights can never go stale against the
   // parameters.
-  RefreshQuantCache();
+  RefreshInferencePack();
 }
 
-void DeepRestEstimator::RefreshQuantCache() {
-  if (!config_.quantized_inference) {
-    quant_.clear();
-    return;
+namespace {
+
+// Rows of every block, top to bottom: [b0; b1; ...]. Blocks share a width.
+Matrix StackRows(const std::vector<const Matrix*>& blocks) {
+  size_t rows = 0;
+  for (const Matrix* block : blocks) {
+    rows += block->rows();
   }
-  quant_.resize(experts_.size());
+  Matrix out(rows, blocks.front()->cols());
+  float* dst = out.data();
+  for (const Matrix* block : blocks) {
+    dst = std::copy(block->data(), block->data() + block->size(), dst);
+  }
+  return out;
+}
+
+}  // namespace
+
+void DeepRestEstimator::RefreshInferencePack() {
+  const bool quantized = config_.quantized_inference;
+  packed_.assign(experts_.size(), PackedExpert());
   for (size_t i = 0; i < experts_.size(); ++i) {
     const Expert& expert = experts_[i];
-    QuantizedExpert& q = quant_[i];
+    PackedExpert& p = packed_[i];
+    p.hidden = config_.hidden_dim;
+    p.recurrent = config_.use_recurrence;
+    if (config_.use_api_mask) {
+      const Matrix& logits = expert.mask.value();
+      p.mask.SetShape(1, logits.size());
+      for (size_t d = 0; d < logits.size(); ++d) {
+        p.mask[d] = 1.0f / (1.0f + std::exp(-logits[d]));
+      }
+    }
+    std::vector<const Matrix*> in_blocks;
+    std::vector<const Matrix*> biases;
     if (config_.use_recurrence) {
-      q.wz = QuantizeRowwise(expert.gru.wz().value());
-      q.wk = QuantizeRowwise(expert.gru.wk().value());
-      q.wh = QuantizeRowwise(expert.gru.wh().value());
+      const GruCell& gru = expert.gru;
+      in_blocks = {&gru.wz().value(), &gru.wk().value(), &gru.wh().value()};
+      biases = {&gru.bz().value(), &gru.bk().value(), &gru.bh().value()};
+      p.u_zk = StackRows({&gru.uz().value(), &gru.uk().value()}).Transposed();
+      p.u_h = gru.uh().value().Transposed();
     } else {
-      q.ff = QuantizeRowwise(expert.ff.weight().value());
+      in_blocks = {&expert.ff.weight().value()};
+      biases = {&expert.ff.bias().value()};
     }
-    q.head = QuantizeRowwise(expert.head.weight().value());
     if (config_.use_linear_bypass) {
-      q.skip = QuantizeRowwise(expert.skip.weight().value());
+      in_blocks.push_back(&expert.skip.weight().value());
+      p.skip_b = expert.skip.bias().value();
     }
+    p.bias = StackRows(biases);
+    p.head_b = expert.head.bias().value();
+    const Matrix w_in = StackRows(in_blocks);
+    if (quantized) {
+      // Per-row quantization, so stacking quantizes each block as it would
+      // alone.
+      p.w_in_q = QuantizeRowwise(w_in);
+      p.head_q = QuantizeRowwise(expert.head.weight().value());
+    } else {
+      p.w_in = w_in.Transposed();
+      p.head = expert.head.weight().value().Transposed();
+    }
+  }
+  packed_attention_ = Matrix();
+  if (config_.use_attention && !experts_.empty()) {
+    HadamardInto(alpha_.value(), diag_zero_mask_, packed_attention_);
   }
 }
 
@@ -598,15 +604,15 @@ void DeepRestEstimator::SetQuantizedInference(bool enabled) {
     return;
   }
   config_.quantized_inference = enabled;
-  RefreshQuantCache();
+  RefreshInferencePack();
 }
 
 void DeepRestEstimator::CompressParametersToFp16() {
   for (auto& e : store_.entries()) {
     RoundMatrixToHalf(e.tensor.mutable_value());
   }
-  // The rounded weights shift the warm-start trajectory and the int8 shadow;
-  // rebuild both so inference sees a consistent model.
+  // The rounded weights shift the warm-start trajectory and the packed
+  // weights; rebuild both so inference sees a consistent model.
   RefreshWarmStartCache();
 }
 

@@ -18,8 +18,8 @@
 
 #include "src/core/feature_extractor.h"
 #include "src/core/trace_synthesizer.h"
+#include "src/nn/batched.h"
 #include "src/nn/layers.h"
-#include "src/nn/quant.h"
 #include "src/nn/rng.h"
 #include "src/telemetry/metrics.h"
 #include "src/trace/collector.h"
@@ -65,7 +65,7 @@ struct EstimatorConfig {
   bool use_fused_graph = true;
   // Run the batch-major inference path (EstimateFromFeaturesBatch and
   // everything built on it) with int8 per-row-quantized weights for the
-  // GEMV-heavy input projections and output heads (src/nn/quant.h). The
+  // input projections and output heads (src/nn/quant.h). The
   // recurrent U matrices stay fp32 — error fed back through the hidden
   // state compounds step over step. Training, the tensor-graph reference
   // path, and the warm-start replay always run fp32, so
@@ -136,17 +136,20 @@ class DeepRestEstimator {
   EstimateMap EstimateFromFeatures(const std::vector<std::vector<float>>& features) const;
 
   // Batch-major micro-batched estimation: answers several feature-series
-  // queries in one pass by stacking them as the columns of one activation
-  // matrix, so every GRU / attention / head step is a (H x D) * (D x B) GEMM
-  // instead of B GEMVs (src/nn/batched.h). Queries are grouped longest-first
-  // so mixed-length batches shrink column-wise as short queries finish, and
-  // every column starts from the warm-start hidden state cached at train /
-  // load time (no per-call replay of learn_features_). Per query, results
-  // are bit-identical to EstimateFromFeaturesReference — the GEMM kernels
-  // keep each output element's reduction order, so a GEMM column equals the
-  // corresponding GEMV bit for bit. Results are index-aligned with `batch`;
-  // null entries are skipped and yield an empty map. This is the forward
-  // path behind EstimationService's request coalescing (src/serve).
+  // queries in one pass. Each query is one row of every activation matrix
+  // and each expert's weights are packed transposed and stacked, so one
+  // expert's window is four mat-mat GEMMs — (B x D) * (D x 3H+3) for the
+  // gates plus bypass, then [Uz;Uk], Uh and the head — and cross-expert
+  // attention is a single (E x E) * (E x B·H) GEMM over the stacked hidden
+  // state (src/nn/batched.h). Queries are grouped longest-first so
+  // mixed-length batches shrink as short queries finish, and every query
+  // starts from the warm-start hidden state cached at train / load time (no
+  // per-call replay of learn_features_). Per query, results are
+  // bit-identical to EstimateFromFeaturesReference — every GEMM output
+  // element keeps the ascending-k reduction of the GEMV it replaces.
+  // Results are index-aligned with `batch`; null entries are skipped and
+  // yield an empty map. This is the forward path behind EstimationService's
+  // request coalescing (src/serve).
   std::vector<EstimateMap> EstimateFromFeaturesBatch(
       const std::vector<const std::vector<std::vector<float>>*>& batch) const;
 
@@ -168,7 +171,7 @@ class DeepRestEstimator {
   // hidden state (plus the consumed window count) back when the query
   // retires. Splitting one feature series across successive resumed calls is
   // bit-identical to one pass over the whole series — the cursor round-trips
-  // raw float bits, and the GEMM kernels keep per-column reduction order —
+  // raw float bits, and the GEMM kernels keep per-query reduction order —
   // which is what makes state-cache eviction a non-event for correctness.
   std::vector<EstimateMap> EstimateFromFeaturesBatchResume(
       const std::vector<const std::vector<std::vector<float>>*>& batch,
@@ -191,7 +194,8 @@ class DeepRestEstimator {
   std::vector<Matrix> ReplayWarmStart() const;
   // The cached warm-start hidden state the batch-major path starts from.
   // Refreshed on Learn / ContinueLearning / TransferRecurrentWeightsFrom /
-  // LoadFromStream, so const inference never mutates model state.
+  // LoadFromStream / CompressParametersToFp16, so const inference never
+  // mutates model state.
   const std::vector<Matrix>& WarmStartCache() const { return warm_hidden_; }
 
   // --- Introspection / interpretation ---
@@ -230,13 +234,13 @@ class DeepRestEstimator {
 
   // --- Reduced-precision inference / storage ---
   // Toggles int8 quantized batch inference (see EstimatorConfig). Rebuilds
-  // the per-expert quantized weight cache; mutating call, serialize like
-  // Learn.
+  // the packed inference weights; mutating call, serialize like Learn.
   void SetQuantizedInference(bool enabled);
   bool quantized_inference() const { return config_.quantized_inference; }
   // Rounds every parameter to the nearest IEEE binary16 value in place
   // (ModelRegistry fp16 storage policy). Compute stays fp32; the warm-start
-  // and quantized caches are refreshed against the rounded weights.
+  // cache and the packed inference weights are refreshed against the
+  // rounded weights.
   // Mutating call, serialize like Learn.
   void CompressParametersToFp16();
 
@@ -266,16 +270,6 @@ class DeepRestEstimator {
     double y_scale = 1.0;
   };
 
-  // Int8 shadow of one expert's GEMV-heavy weights (input projections and
-  // heads; never the recurrent U matrices). Rebuilt from the fp32 parameters
-  // by RefreshQuantCache; empty unless config_.quantized_inference.
-  struct QuantizedExpert {
-    QuantizedMatrix wz, wk, wh;  // GRU input projections
-    QuantizedMatrix ff;          // feed-forward core (ablation)
-    QuantizedMatrix head;        // output head
-    QuantizedMatrix skip;        // linear bypass
-  };
-
   // Builds experts/attention for the given feature dim and resource list.
   void BuildModel(size_t feature_dim, const std::vector<MetricKey>& resources);
   // Shared training loop: chunked-BPTT quantile regression over a feature /
@@ -294,22 +288,21 @@ class DeepRestEstimator {
   // Scales a raw feature vector into a column tensor.
   Tensor ScaledInput(const std::vector<float>& raw) const;
   int ExpertIndex(const MetricKey& key) const;
-  // Recomputes warm_hidden_ from learn_features_ and the quantized weight
-  // shadow. Called by every mutation point (Learn, ContinueLearning,
-  // TransferRecurrentWeightsFrom, LoadFromStream, SetQuantizedInference,
-  // CompressParametersToFp16) so the const inference surface can read both
-  // caches lock-free.
+  // Recomputes warm_hidden_ from learn_features_, then the packed inference
+  // weights. Called by every mutation point (Learn, ContinueLearning,
+  // TransferRecurrentWeightsFrom, LoadFromStream, CompressParametersToFp16)
+  // so the const inference surface can read both caches lock-free.
   void RefreshWarmStartCache();
-  // Rebuilds quant_ from the current fp32 parameters (clears it when
-  // quantized inference is off).
-  void RefreshQuantCache();
+  // Rebuilds packed_ and packed_attention_ from the current parameters and
+  // config_ (also called alone by SetQuantizedInference, which changes only
+  // the pack's precision).
+  void RefreshInferencePack();
 
   EstimatorConfig config_;
   FeatureExtractor extractor_;
   TraceSynthesizer synthesizer_;
   ParameterStore store_;
   std::vector<Expert> experts_;
-  std::vector<QuantizedExpert> quant_;     // parallel to experts_; see above
   std::map<MetricKey, int> expert_index_;  // key -> experts_ position
   Tensor alpha_;           // E x E attention weights
   Matrix diag_zero_mask_;  // constant 0-diagonal / 1-elsewhere mask
@@ -319,6 +312,12 @@ class DeepRestEstimator {
   // Warm-start hidden state after replaying learn_features_ (one H x 1
   // column per expert); zeros when warm_start is off. See WarmStartCache().
   std::vector<Matrix> warm_hidden_;
+  // Derived inference weights of the batch-row-major forward (src/nn/
+  // batched.h), parallel to experts_: sigmoid(mask), the stacked transposed
+  // input block [Wz;Wk;Wh;skip]^T (int8 rows under quantized inference),
+  // [Uz;Uk]^T, Uh^T and head^T. Not serialized; see RefreshInferencePack.
+  std::vector<PackedExpert> packed_;
+  Matrix packed_attention_;  // alpha . diag mask (E x E); empty without attention
   double train_seconds_ = 0.0;
   std::vector<float> epoch_losses_;
 };

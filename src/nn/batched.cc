@@ -1,187 +1,132 @@
 #include "src/nn/batched.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 
-#include "src/nn/simd/dispatch.h"
-
 namespace deeprest {
+namespace {
 
-void BatchedSigmoidMaskMul(const Matrix& mask, const Matrix& x, Matrix& sig, Matrix& out) {
-  assert(mask.rows() == x.rows() && mask.cols() == 1);
-  const size_t d = x.rows();
-  const size_t b = x.cols();
-  if (sig.rows() != d) {  // first step of the call: fill the per-expert cache
-    sig.SetShape(d, 1);
-    for (size_t i = 0; i < d; ++i) {
-      sig[i] = 1.0f / (1.0f + std::exp(-mask[i]));
-    }
-  }
-  out.SetShape(d, b);
-  const float* xv = x.data();
-  float* ov = out.data();
-  for (size_t i = 0; i < d; ++i) {
-    const float s = sig[i];
-    const float* xrow = xv + i * b;
-    float* orow = ov + i * b;
-    for (size_t c = 0; c < b; ++c) {
-      orow[c] = s * xrow[c];
-    }
-  }
-}
-
-void BatchedGruStep(const Matrix& x, const Matrix& h, const WeightView& wz, const Matrix& uz,
-                    const Matrix& bz, const WeightView& wk, const Matrix& uk, const Matrix& bk,
-                    const WeightView& wh, const Matrix& uh, const Matrix& bh, BatchedScratch& s,
-                    Matrix& h_next) {
-  assert(&h != &h_next);
-  const size_t hd = h.rows();
-  const size_t b = h.cols();
-  assert(x.cols() == b);
-  // z = sigmoid((wz@x + uz@h) + bz) — same association as the fused step.
-  WeightMatMul(wz, x, s.ta, s.quant);
-  MatMulInto(uz, h, s.tb);
-  s.z.SetShape(hd, b);
-  for (size_t i = 0; i < hd; ++i) {
-    const float bias = bz[i];
-    const float* ta = s.ta.data() + i * b;
-    const float* tb = s.tb.data() + i * b;
-    float* zr = s.z.data() + i * b;
-    for (size_t c = 0; c < b; ++c) {
-      zr[c] = 1.0f / (1.0f + std::exp(-((ta[c] + tb[c]) + bias)));
-    }
-  }
-  WeightMatMul(wk, x, s.ta, s.quant);
-  MatMulInto(uk, h, s.tb);
-  s.kgate.SetShape(hd, b);
-  for (size_t i = 0; i < hd; ++i) {
-    const float bias = bk[i];
-    const float* ta = s.ta.data() + i * b;
-    const float* tb = s.tb.data() + i * b;
-    float* kr = s.kgate.data() + i * b;
-    for (size_t c = 0; c < b; ++c) {
-      kr[c] = 1.0f / (1.0f + std::exp(-((ta[c] + tb[c]) + bias)));
-    }
-  }
-  s.kh.SetShape(hd, b);
-  if (GetKernelMode() == KernelMode::kSimd) {
-    simd::Hadamard(s.kgate.data(), h.data(), s.kh.data(), hd * b);
+// out = x · W^T through whichever copy of W the pack holds: the transposed
+// fp32 matrix `wt` (one exact mat-mat GEMM) or the int8 rows `wq`.
+void WeightProduct(const Matrix& wt, const QuantizedMatrix& wq, const Matrix& x, Matrix& out,
+                   QuantScratch& quant) {
+  if (!wq.empty()) {
+    QuantizedMatMul(wq, x, out, quant);
   } else {
-    const float* kv = s.kgate.data();
-    const float* hv = h.data();
-    float* khv = s.kh.data();
-    for (size_t i = 0, e = hd * b; i < e; ++i) {
-      khv[i] = kv[i] * hv[i];
-    }
+    MatMulInto(x, wt, out);
   }
-  WeightMatMul(wh, x, s.ta, s.quant);
-  MatMulInto(uh, s.kh, s.tb);
-  s.hc.SetShape(hd, b);
-  for (size_t i = 0; i < hd; ++i) {
-    const float bias = bh[i];
-    const float* ta = s.ta.data() + i * b;
-    const float* tb = s.tb.data() + i * b;
-    float* hcr = s.hc.data() + i * b;
-    for (size_t c = 0; c < b; ++c) {
-      hcr[c] = std::tanh((ta[c] + tb[c]) + bias);
+}
+
+}  // namespace
+
+void PackedExpertStep(const PackedExpert& p, const Matrix& x, float* state, float* bypass,
+                      PackedScratch& s) {
+  const size_t batch = x.rows();
+  const size_t dim = x.cols();
+  const size_t hd = p.hidden;
+  const Matrix* xm = &x;
+  if (!p.mask.empty()) {
+    // x~ = sigmoid(m) . x (Eq. 1), sigmoid(m) precomputed by the pack.
+    assert(p.mask.size() == dim);
+    s.xm.SetShape(batch, dim);
+    const float* sig = p.mask.data();
+    for (size_t b = 0; b < batch; ++b) {
+      const float* xrow = x.data() + b * dim;
+      float* orow = s.xm.data() + b * dim;
+      for (size_t d = 0; d < dim; ++d) {
+        orow[d] = sig[d] * xrow[d];
+      }
     }
+    xm = &s.xm;
   }
-  h_next.SetShape(hd, b);
-  if (GetKernelMode() == KernelMode::kSimd) {
-    simd::GruBlend(s.z.data(), h.data(), s.hc.data(), h_next.data(), hd * b);
+  // One GEMM for every consumer of xm: the gates (or the feed-forward core)
+  // and the bypass columns.
+  WeightProduct(p.w_in, p.w_in_q, *xm, s.gates, s.quant);
+  const size_t g = s.gates.cols();
+  const float* bias = p.bias.data();
+  if (p.recurrent) {
+    // Same association as FusedGruStep: z = sigmoid((Wz x + Uz h) + bz),
+    // k = sigmoid((Wk x + Uk h) + bk), h~ = tanh((Wh x + Uh (k.h)) + bh),
+    // h' = (z.h) + ((-1*z + 1) . h~).
+    s.h.SetShape(batch, hd);
+    std::memcpy(s.h.data(), state, batch * hd * sizeof(float));
+    MatMulInto(s.h, p.u_zk, s.rec);
+    s.z.SetShape(batch, hd);
+    s.kh.SetShape(batch, hd);
+    for (size_t b = 0; b < batch; ++b) {
+      const float* grow = s.gates.data() + b * g;
+      const float* rrow = s.rec.data() + b * 2 * hd;
+      const float* hrow = s.h.data() + b * hd;
+      float* zrow = s.z.data() + b * hd;
+      float* khrow = s.kh.data() + b * hd;
+      for (size_t r = 0; r < hd; ++r) {
+        zrow[r] = 1.0f / (1.0f + std::exp(-((grow[r] + rrow[r]) + bias[r])));
+        const float k =
+            1.0f / (1.0f + std::exp(-((grow[hd + r] + rrow[hd + r]) + bias[hd + r])));
+        khrow[r] = k * hrow[r];
+      }
+    }
+    MatMulInto(s.kh, p.u_h, s.cand);
+    for (size_t b = 0; b < batch; ++b) {
+      const float* grow = s.gates.data() + b * g + 2 * hd;
+      const float* crow = s.cand.data() + b * hd;
+      const float* hrow = s.h.data() + b * hd;
+      const float* zrow = s.z.data() + b * hd;
+      float* out = state + b * hd;
+      for (size_t r = 0; r < hd; ++r) {
+        const float hc = std::tanh((grow[r] + crow[r]) + bias[2 * hd + r]);
+        const float omz = -1.0f * zrow[r] + 1.0f;
+        out[r] = (zrow[r] * hrow[r]) + (omz * hc);
+      }
+    }
   } else {
-    const float* zv = s.z.data();
-    const float* hv = h.data();
-    const float* hcv = s.hc.data();
-    float* ov = h_next.data();
-    for (size_t i = 0, e = hd * b; i < e; ++i) {
-      const float omz = -1.0f * zv[i] + 1.0f;
-      ov[i] = (zv[i] * hv[i]) + (omz * hcv[i]);
+    // Feed-forward core (use_recurrence ablation): h' = tanh(Wff x + bff).
+    for (size_t b = 0; b < batch; ++b) {
+      const float* grow = s.gates.data() + b * g;
+      float* out = state + b * hd;
+      for (size_t r = 0; r < hd; ++r) {
+        out[r] = std::tanh(grow[r] + bias[r]);
+      }
     }
   }
-}
-
-void BatchedLinearTanh(const WeightView& w, const Matrix& bias, const Matrix& x,
-                       BatchedScratch& s, Matrix& h_next) {
-  const size_t hd = w.rows();
-  const size_t b = x.cols();
-  WeightMatMul(w, x, s.ta, s.quant);
-  h_next.SetShape(hd, b);
-  for (size_t i = 0; i < hd; ++i) {
-    const float bi = bias[i];
-    const float* ta = s.ta.data() + i * b;
-    float* orow = h_next.data() + i * b;
-    for (size_t c = 0; c < b; ++c) {
-      orow[c] = std::tanh(ta[c] + bi);
-    }
-  }
-}
-
-void BatchedAttention(const Matrix& masked, const std::vector<Matrix>& hidden,
-                      std::vector<Matrix>& attended) {
-  const size_t e = hidden.size();
-  assert(masked.rows() == e && masked.cols() == e);
-  attended.resize(e);
-  const size_t hd = hidden.empty() ? 0 : hidden[0].rows();
-  const size_t b = hidden.empty() ? 0 : hidden[0].cols();
-  const bool use_simd = GetKernelMode() == KernelMode::kSimd;
-  for (size_t row = 0; row < e; ++row) {
-    Matrix& out = attended[row];
-    out.SetShape(hd, b);
-    out.Zero();
-    // Ascending-c accumulation: the per-element term order of the sequential
-    // masked @ StackColumns(hidden) GEMM. Zero coefficients still multiply
-    // (x + 0*y == x), matching the dense kernel. The simd Axpby computes the
-    // identical mul-then-add sequence per element (in-place out == a is safe:
-    // lanes never overlap), so this stays bit-exact in kSimd mode.
-    for (size_t c = 0; c < e; ++c) {
-      if (use_simd) {
-        simd::Axpby(out.data(), hidden[c].data(), masked.At(row, c), out.data(), hd * b);
-      } else {
-        out.AddScaled(hidden[c], masked.At(row, c));
+  if (!p.skip_b.empty()) {
+    // The head adds (skip x~ + sb) as one term, so that sum is formed here.
+    const size_t outs = p.skip_b.size();
+    const float* sb = p.skip_b.data();
+    for (size_t b = 0; b < batch; ++b) {
+      const float* grow = s.gates.data() + b * g + (g - outs);
+      for (size_t j = 0; j < outs; ++j) {
+        bypass[b * outs + j] = grow[j] + sb[j];
       }
     }
   }
 }
 
-void BatchedExpertHead(const Matrix* attended, const Matrix& h, const WeightView& head_w,
-                       const Matrix& head_b, const Matrix* xm, const WeightView& skip_w,
-                       const Matrix* skip_b, BatchedScratch& s, Matrix& out) {
-  const size_t out_dim = head_w.rows();
-  const size_t hd = h.rows();
-  const size_t b = h.cols();
-  const size_t na = head_w.cols() - hd;
-  s.concat.SetShape(na + hd, b);
-  if (attended != nullptr) {
-    assert(attended->rows() == na && attended->cols() == b);
-    std::memcpy(s.concat.data(), attended->data(), na * b * sizeof(float));
-  } else {
-    std::memset(s.concat.data(), 0, na * b * sizeof(float));
-  }
-  std::memcpy(s.concat.data() + na * b, h.data(), hd * b * sizeof(float));
-  WeightMatMul(head_w, s.concat, s.ta, s.quant);
-  out.SetShape(out_dim, b);
-  if (skip_w.valid()) {
-    WeightMatMul(skip_w, *xm, s.tb, s.quant);
-    for (size_t i = 0; i < out_dim; ++i) {
-      const float hb = head_b[i];
-      const float sb = (*skip_b)[i];
-      const float* ta = s.ta.data() + i * b;
-      const float* tb = s.tb.data() + i * b;
-      float* orow = out.data() + i * b;
-      for (size_t c = 0; c < b; ++c) {
-        orow[c] = (ta[c] + hb) + (tb[c] + sb);
-      }
+void PackedExpertHead(const PackedExpert& p, const float* attended, const float* state,
+                      const float* bypass, size_t batch, PackedScratch& s) {
+  const size_t hd = p.hidden;
+  s.concat.SetShape(batch, 2 * hd);
+  for (size_t b = 0; b < batch; ++b) {
+    float* row = s.concat.data() + b * 2 * hd;
+    if (attended != nullptr) {
+      std::memcpy(row, attended + b * hd, hd * sizeof(float));
+    } else {
+      std::fill(row, row + hd, 0.0f);
     }
-  } else {
-    for (size_t i = 0; i < out_dim; ++i) {
-      const float hb = head_b[i];
-      const float* ta = s.ta.data() + i * b;
-      float* orow = out.data() + i * b;
-      for (size_t c = 0; c < b; ++c) {
-        orow[c] = ta[c] + hb;
-      }
+    std::memcpy(row + hd, state + b * hd, hd * sizeof(float));
+  }
+  WeightProduct(p.head, p.head_q, s.concat, s.y, s.quant);
+  const size_t outs = p.head_b.size();
+  const bool has_bypass = !p.skip_b.empty();
+  assert(!has_bypass || p.skip_b.size() == outs);
+  const float* hb = p.head_b.data();
+  for (size_t b = 0; b < batch; ++b) {
+    float* yrow = s.y.data() + b * outs;
+    for (size_t j = 0; j < outs; ++j) {
+      // (head + hb) + (skip + sb), the FusedExpertHead bracketing.
+      yrow[j] = has_bypass ? (yrow[j] + hb[j]) + bypass[b * outs + j] : yrow[j] + hb[j];
     }
   }
 }

@@ -1,86 +1,97 @@
-// Column-batched, forward-only variants of the fused DeepRest step ops.
+// Batch-row-major, forward-only DeepRest step over packed inference weights.
 //
-// Batch-major inference stacks B concurrent queries as the B columns of one
-// activation matrix, so each GRU / attention / expert-head step becomes a
-// (hidden_dim x input_dim) * (input_dim x B) GEMM instead of B separate
-// GEMVs — the weight matrix streams through the cache once per step instead
-// of once per query. These kernels operate on plain Matrix values (no
-// autograd graph, no TensorNode allocation) and exist beside the Fused* ops
-// in ops.h, which remain the training path.
+// Batch-major inference answers B concurrent queries in one pass. Every
+// activation is a (B x dim) row-major matrix — query b's values are row b —
+// and each expert's weights are packed once per model, transposed and
+// stacked (PackedExpert), so one expert's window is four mat-mat GEMMs:
 //
-// Bit-exactness contract: every scalar each of these kernels produces for
-// column b is computed by the SAME sequence of float operations the
-// sequential fused ops perform for a single query — the GEMM kernels in
-// matrix.h keep each output element's k-reduction in ascending order, so a
-// GEMM column is bit-identical to the corresponding GEMV, and all remaining
-// arithmetic here copies the fused ops' association term for term (e.g. the
-// GRU gates compute sigmoid((Wx + Uh) + b) with exactly that bracketing).
-// Columns never interact, so a width-B batch returns, per query, the exact
-// bits the width-1 path returns. batched_inference_test.cc enforces this.
+//   gates = xm · [Wz;Wk;Wh;skip]^T   (B x D)  * (D x (3H+3))
+//   rec   = h  · [Uz;Uk]^T           (B x H)  * (H x 2H)
+//   cand  = (k.h) · Uh^T             (B x H)  * (H x H)
+//   y     = [a ; h] · head^T         (B x 2H) * (2H x 3)
+//
+// and cross-expert attention over every expert's state is one more, on the
+// stacked state S (E x B·H, expert i's hidden row r of query b at
+// S(i, b·H + r)): attended = masked_alpha (E x E) · S. The weights stream
+// through the cache once per step instead of once per query. These kernels
+// operate on plain Matrix values (no autograd graph, no TensorNode
+// allocation) and exist beside the Fused* ops in ops.h, which remain the
+// training path.
+//
+// Bit-exactness contract: every scalar these kernels produce for query b is
+// computed by the SAME sequence of float operations the sequential fused ops
+// perform for that query alone. Every GEMM output element is an ascending-k
+// chain of separately rounded multiplies and adds starting from 0 — the
+// order MatMulInto keeps on both its GEMV and its mat-mat paths — and IEEE
+// multiplication is commutative, so (x · W^T)(b, j) equals (W · x)(j) bit
+// for bit. Stacking gates or padding the head input with a zero attended
+// half changes which elements compute together, never how one rounds. The
+// element-wise arithmetic copies the fused ops' association term for term
+// (e.g. sigmoid((Wx + Uh) + b) and (head + hb) + (skip + sb)). Rows never
+// interact, so a width-B batch returns, per query, the exact bits the
+// width-1 path returns. batched_inference_test.cc enforces this.
 #ifndef SRC_NN_BATCHED_H_
 #define SRC_NN_BATCHED_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "src/nn/matrix.h"
 #include "src/nn/quant.h"
 
 namespace deeprest {
 
+// One expert's inference weights, packed for the batch-row-major step.
+// Derived from the trained parameters, never serialized. The input block and
+// the head are either fp32 (transposed) or int8 (row-major, per-row scales);
+// the recurrent U matrices are always fp32 — error fed back through the
+// hidden state compounds step over step, so they are never quantized.
+struct PackedExpert {
+  size_t hidden = 0;     // H
+  bool recurrent = true;  // GRU core; false = feed-forward tanh core
+  Matrix mask;      // 1 x D sigmoid(mask logits); empty = no API mask
+  // Input block, G = 3H (GRU: z, k, h~ gates) or H (feed-forward core),
+  // plus 3 bypass columns when skip_b is non-empty.
+  Matrix w_in;               // D x G (fp32 mode)
+  QuantizedMatrix w_in_q;    // G x D (int8 mode)
+  Matrix bias;               // 3H x 1 [bz;bk;bh], or H x 1 feed-forward bias
+  Matrix u_zk;               // H x 2H [Uz;Uk]^T (GRU only)
+  Matrix u_h;                // H x H Uh^T (GRU only)
+  Matrix head;               // 2H x 3 head^T (fp32 mode)
+  QuantizedMatrix head_q;    // 3 x 2H (int8 mode)
+  Matrix head_b;             // 3 x 1
+  Matrix skip_b;             // 3 x 1; empty = no linear bypass
+};
+
 // Scratch buffers reused across steps so the steady-state step makes no
 // allocator calls. One instance per estimation call; not thread-safe.
-struct BatchedScratch {
-  Matrix ta, tb;            // W@x / U@h products
-  Matrix z, kgate, kh, hc;  // GRU internals
-  Matrix concat;            // head input [attended ; hidden]
+struct PackedScratch {
+  Matrix xm;                // B x D masked input
+  Matrix gates;             // B x G input-block products
+  Matrix h, rec, z, kh, cand;  // GRU internals (B x H, rec is B x 2H)
+  Matrix concat;            // B x 2H head input [attended ; hidden]
+  Matrix y;                 // B x 3 head output
   QuantScratch quant;       // int8 activation packing (quantized mode only)
 };
 
-// out(d, b) = sigmoid(mask[d]) * x(d, b). `mask` is (D x 1) logits, `x` is
-// (D x B). `sig` is a PER-EXPERT cache of the sigmoid column, filled on
-// first use (pass it in empty at the start of a call; the logits are
-// constant during inference so every step reuses the same column). Batched
-// SigmoidMaskMul.
-void BatchedSigmoidMaskMul(const Matrix& mask, const Matrix& x, Matrix& sig, Matrix& out);
+// Advances one expert by one window for the B rows of `x` (B x D scaled
+// features). `state` is the expert's B x H hidden block (its row of the
+// stacked state), read and overwritten in place. When the expert has a
+// bypass, `bypass` (B x 3, row-major) receives (skip · x~ + skip_b) for
+// PackedExpertHead; otherwise it is unused and may be null.
+void PackedExpertStep(const PackedExpert& p, const Matrix& x, float* state, float* bypass,
+                      PackedScratch& s);
 
-// h_next(i, b) = one GRU step (paper Eq. 2) applied independently to every
-// column of x (D x B) and h (H x B). Batched FusedGruStep; h_next must not
-// alias h. The input projections wz/wk/wh are WeightViews so quantized
-// inference can swap in int8 weights (a plain Matrix converts implicitly);
-// the recurrent matrices uz/uk/uh stay fp32 — feedback through h compounds
-// quantization error step over step, so they are never quantized.
-void BatchedGruStep(const Matrix& x, const Matrix& h, const WeightView& wz, const Matrix& uz,
-                    const Matrix& bz, const WeightView& wk, const Matrix& uk, const Matrix& bk,
-                    const WeightView& wh, const Matrix& uh, const Matrix& bh, BatchedScratch& s,
-                    Matrix& h_next);
-
-// Feed-forward expert core (use_recurrence ablation):
-// h_next(i, b) = tanh((w @ x)(i, b) + bias[i]).
-void BatchedLinearTanh(const WeightView& w, const Matrix& bias, const Matrix& x,
-                       BatchedScratch& s, Matrix& h_next);
-
-// Cross-expert attention (paper Eq. 3) over batched hidden states:
-// attended[e] = sum_c masked(e, c) * hidden[c], each (H x B), with the sum
-// accumulated in ascending c — the per-element order of the sequential
-// MatMulInto(masked, StackColumns(hidden)) product. `masked` is the
-// precomputed alpha . diag_zero_mask (E x E). Batched FusedAttention.
-void BatchedAttention(const Matrix& masked, const std::vector<Matrix>& hidden,
-                      std::vector<Matrix>& attended);
-
-// One expert's output head (paper Eq. 4) over B columns:
-// out(i, b) = (head_w @ [attended ; h] + head_b) (+ skip_w @ xm + skip_b).
-// `attended` may be null (attention ablation: the attended half of the concat
-// is zero); an invalid (default) skip_w view means no bypass (skip_b/xm are
-// then unused). Batched FusedExpertHead.
-void BatchedExpertHead(const Matrix* attended, const Matrix& h, const WeightView& head_w,
-                       const Matrix& head_b, const Matrix* xm, const WeightView& skip_w,
-                       const Matrix* skip_b, BatchedScratch& s, Matrix& out);
+// One expert's output heads (paper Eq. 4) for B rows:
+// s.y(b, j) = ([a ; h] · head^T)(b, j) + head_b[j] (+ bypass(b, j)).
+// `attended` is the expert's B x H block of the attention product, or null
+// under the attention ablation (the attended half of the input is zero).
+void PackedExpertHead(const PackedExpert& p, const float* attended, const float* state,
+                      const float* bypass, size_t batch, PackedScratch& s);
 
 // Keeps the leading `new_cols` columns of `m` in place (row-major
-// compaction). Used to shrink the active batch as shorter queries finish:
-// columns are ordered longest-first, so the still-active queries always
-// occupy a prefix.
+// compaction). Used to shrink the stacked state as shorter queries finish:
+// queries are ordered longest-first, so the still-active ones always occupy
+// a prefix of every expert's row.
 void ShrinkColumns(Matrix& m, size_t new_cols);
 
 }  // namespace deeprest

@@ -84,9 +84,9 @@ class GruCell {
   size_t in_dim() const { return in_dim_; }
   size_t hidden_dim() const { return hidden_dim_; }
 
-  // Read access to the nine parameter blocks, used by the batch-major
-  // no-grad inference path (src/nn/batched.h) to run the same recurrence as
-  // a column-batched GEMM sequence.
+  // Read access to the nine parameter blocks, which the estimator packs into
+  // the batch-row-major no-grad inference weights (src/nn/batched.h) to run
+  // the same recurrence as a few mat-mat GEMMs.
   const Tensor& wz() const { return wz_; }
   const Tensor& uz() const { return uz_; }
   const Tensor& bz() const { return bz_; }

@@ -230,20 +230,15 @@ void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out) {
 //
 // Blocking is only over independent output rows/columns; every output element
 // still sees its k-terms in ascending order, so results match the reference
-// kernels bit for bit (see matrix.h). Four-way row blocks (mat-vec) and
-// 16-wide column tiles (mat-mat) give the compiler independent accumulator
-// chains to vectorize and hide FP latency behind.
+// kernels bit for bit (see matrix.h). The mat-vec and accumulate kernels use
+// four-way row blocks so the compiler gets independent accumulator chains to
+// vectorize and hide FP latency behind; mat-mat products go to the ISA ladder.
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
   const KernelMode mode = GetKernelMode();
   if (mode == KernelMode::kReference) {
     reference::MatMulInto(a, b, out);
-    return;
-  }
-  if (mode == KernelMode::kSimd) {
-    out.SetShape(a.rows(), b.cols());
-    simd::MatMul(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.cols());
     return;
   }
   out.SetShape(a.rows(), b.cols());
@@ -253,77 +248,43 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix& out) {
   const float* A = a.data();
   const float* B = b.data();
   float* O = out.data();
-  if (m == 1) {
-    // Mat-vec: one register accumulator per output row, four rows at a time.
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const float* a0 = A + (i + 0) * k;
-      const float* a1 = A + (i + 1) * k;
-      const float* a2 = A + (i + 2) * k;
-      const float* a3 = A + (i + 3) * k;
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      for (size_t c = 0; c < k; ++c) {
-        const float bv = B[c];
-        acc0 += a0[c] * bv;
-        acc1 += a1[c] * bv;
-        acc2 += a2[c] * bv;
-        acc3 += a3[c] * bv;
-      }
-      O[i + 0] = acc0;
-      O[i + 1] = acc1;
-      O[i + 2] = acc2;
-      O[i + 3] = acc3;
-    }
-    for (; i < n; ++i) {
-      const float* arow = A + i * k;
-      float acc = 0.0f;
-      for (size_t c = 0; c < k; ++c) {
-        acc += arow[c] * B[c];
-      }
-      O[i] = acc;
-    }
+  if (m != 1 || mode == KernelMode::kSimd) {
+    // Mat-mat runs on the ISA ladder in every mode: each rung's mat-mat
+    // kernel keeps every output element an ascending-k chain of separately
+    // rounded multiplies and adds starting from 0, so it is the exact
+    // product (simd_kernels_test.cc checks every rung against a plain loop).
+    // Only kSimd also sends the GEMV there, where the rungs reduce across
+    // lanes.
+    simd::MatMul(A, B, O, n, k, m);
     return;
   }
-  // Register micro-kernel: each output element accumulates in a register for
-  // the whole k loop instead of the output row being re-loaded and re-stored
-  // once per k step. Column tiles of kJTile keep the accumulator block inside
-  // the vector register file; each element still sees its k terms in
-  // ascending order (acc = 0, then += a(i,c)*b(c,j) for c = 0..k-1), the same
-  // per-element sequence as the zero-filled accumulate loop it replaces.
-  constexpr size_t kJTile = 16;
-  for (size_t i = 0; i < n; ++i) {
+  // Mat-vec: one register accumulator per output row, four rows at a time.
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* a0 = A + (i + 0) * k;
+    const float* a1 = A + (i + 1) * k;
+    const float* a2 = A + (i + 2) * k;
+    const float* a3 = A + (i + 3) * k;
+    float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+    for (size_t c = 0; c < k; ++c) {
+      const float bv = B[c];
+      acc0 += a0[c] * bv;
+      acc1 += a1[c] * bv;
+      acc2 += a2[c] * bv;
+      acc3 += a3[c] * bv;
+    }
+    O[i + 0] = acc0;
+    O[i + 1] = acc1;
+    O[i + 2] = acc2;
+    O[i + 3] = acc3;
+  }
+  for (; i < n; ++i) {
     const float* arow = A + i * k;
-    float* orow = O + i * m;
-    size_t j0 = 0;
-    for (; j0 + kJTile <= m; j0 += kJTile) {
-      float acc[kJTile] = {0.0f};
-      const float* btile = B + j0;
-      for (size_t c = 0; c < k; ++c) {
-        const float av = arow[c];
-        const float* brow = btile + c * m;
-        for (size_t j = 0; j < kJTile; ++j) {
-          acc[j] += av * brow[j];
-        }
-      }
-      for (size_t j = 0; j < kJTile; ++j) {
-        orow[j0 + j] = acc[j];
-      }
+    float acc = 0.0f;
+    for (size_t c = 0; c < k; ++c) {
+      acc += arow[c] * B[c];
     }
-    const size_t rem = m - j0;
-    if (rem > 0) {
-      float acc[kJTile] = {0.0f};
-      const float* btile = B + j0;
-      for (size_t c = 0; c < k; ++c) {
-        const float av = arow[c];
-        const float* brow = btile + c * m;
-        for (size_t j = 0; j < rem; ++j) {
-          acc[j] += av * brow[j];
-        }
-      }
-      for (size_t j = 0; j < rem; ++j) {
-        orow[j0 + j] = acc[j];
-      }
-    }
+    O[i] = acc;
   }
 }
 

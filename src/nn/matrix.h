@@ -145,14 +145,16 @@ void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out);
 // kReference dispatches the three GEMM entry points above to the pre-tiling
 // naive kernels (kept verbatim in the deeprest::reference namespace). It
 // exists so bench_kernels can measure an honest before/after on one binary
-// and so tests can bound the (zero-sign-only) deviation. kSimd dispatches to
-// the explicitly vectorized kernels in src/nn/simd/ (runtime ISA selection;
-// see simd/dispatch.h). kSimd is bit-identical to kTiled on the mat-mat,
-// AccumulateATransposeB, and element-wise paths, but its GEMV (m == 1) and
-// AccumulateABTranspose paths use lane-parallel reductions and are only
+// and so tests can bound the (zero-sign-only) deviation. In the default
+// kTiled mode, mat-mat MatMulInto (m >= 2) already runs the explicitly
+// vectorized kernels in src/nn/simd/ (runtime ISA selection; see
+// simd/dispatch.h): their mat-mat path is exact on every rung. kSimd differs
+// from kTiled only where the vector kernels reassociate — the GEMV (m == 1)
+// path and AccumulateABTranspose use lane-parallel reductions and are only
 // ULP-bounded — which is why kTiled stays the default for training
-// determinism and kSimd is opt-in. Global, not thread-local: flip it only in
-// single-threaded setup code.
+// determinism and kSimd is opt-in. (kSimd also routes AccumulateATransposeB
+// and the element-wise helpers to the ladder; those are bit-identical.)
+// Global, not thread-local: flip it only in single-threaded setup code.
 enum class KernelMode { kTiled, kReference, kSimd };
 void SetKernelMode(KernelMode mode);
 KernelMode GetKernelMode();

@@ -133,53 +133,44 @@ Matrix Dequantize(const QuantizedMatrix& q) {
 
 void QuantizedMatMul(const QuantizedMatrix& w, const Matrix& x, Matrix& out,
                      QuantScratch& scratch) {
-  assert(w.cols == x.rows());
+  assert(w.cols == x.cols());
   const size_t n = w.rows;
   const size_t k = w.cols;
-  const size_t m = x.cols();
-  scratch.x8.resize(k * m);
+  const size_t m = x.rows();
+  scratch.x8.resize(m * k);
   scratch.xscale.resize(m);
-  scratch.xinv.resize(m);
-  // Quantize and transpose x (k x m, row-major) into packed columns: column b
-  // occupies x8[b*k .. b*k + k), so both operands stream contiguously in the
-  // O(n*k*m) kernel below. Both packing passes walk x ROW-major — contiguous
-  // float loads the compiler can vectorize; the transpose happens on the
-  // strided byte stores, which the store buffer absorbs. (Walking x
-  // column-major instead costs ~4x: every scalar load touches a new cache
-  // line.)
-  const float* xv = x.data();
-  float* colmax = scratch.xinv.data();
-  std::fill(colmax, colmax + m, 0.0f);
-  for (size_t c = 0; c < k; ++c) {
-    const float* xrow = xv + c * m;
-    for (size_t b = 0; b < m; ++b) {
-      colmax[b] = std::max(colmax[b], std::fabs(xrow[b]));
-    }
-  }
+  // Each activation row is one query and is already contiguous, so it
+  // quantizes in place of itself: row b of x becomes row b of x8.
   for (size_t b = 0; b < m; ++b) {
-    const float scale = colmax[b] > 0.0f ? colmax[b] / 127.0f : 1.0f;
+    const float* xrow = x.data() + b * k;
+    // max|x| over the row in eight independent running maxima, so the scan
+    // vectorizes instead of being one serial chain; max is exact, so the
+    // split cannot change the result.
+    float lane[8] = {};
+    size_t c = 0;
+    for (; c + 8 <= k; c += 8) {
+      for (size_t j = 0; j < 8; ++j) {
+        lane[j] = std::max(lane[j], std::fabs(xrow[c + j]));
+      }
+    }
+    float maxabs = 0.0f;
+    for (; c < k; ++c) {
+      maxabs = std::max(maxabs, std::fabs(xrow[c]));
+    }
+    for (float v : lane) {
+      maxabs = std::max(maxabs, v);
+    }
+    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
+    const float inv = 1.0f / scale;
     scratch.xscale[b] = scale;
-    scratch.xinv[b] = 1.0f / scale;
-  }
-  const float* xinv = scratch.xinv.data();
-  for (size_t c = 0; c < k; ++c) {
-    const float* xrow = xv + c * m;
-    int8_t* x8row = scratch.x8.data() + c;
-    for (size_t b = 0; b < m; ++b) {
-      x8row[b * k] = RoundToInt8(xrow[b] * xinv[b]);
+    int8_t* x8row = scratch.x8.data() + b * k;
+    for (size_t d = 0; d < k; ++d) {
+      x8row[d] = RoundToInt8(xrow[d] * inv);
     }
   }
-  out.SetShape(n, m);
+  out.SetShape(m, n);
   simd::Int8MatMul(w.data.data(), w.scales.data(), scratch.x8.data(), scratch.xscale.data(),
                    out.data(), n, k, m);
-}
-
-void WeightMatMul(const WeightView& view, const Matrix& x, Matrix& out, QuantScratch& scratch) {
-  if (view.q8 != nullptr) {
-    QuantizedMatMul(*view.q8, x, out, scratch);
-  } else {
-    MatMulInto(*view.w, x, out);
-  }
 }
 
 HalfMatrix ToHalf(const Matrix& m) {

@@ -5,12 +5,13 @@
 //  * int8 quantized GEMM for inference. Weights are quantized per ROW with a
 //    symmetric scale (scale_i = max|row_i| / 127, no zero-point — weight
 //    distributions are zero-centered, and symmetric quantization keeps the
-//    int8 dot product free of correction terms). Activations are quantized
-//    per COLUMN at call time (dynamic: scale_b = max|x[:,b]| / 127) and
-//    packed column-major so both operands stream contiguously through the
-//    int8 kernel. Accumulation is int32 and therefore EXACT: the only error
-//    sources are the two rounding steps, bounded by one weight LSB and one
-//    activation LSB. k * 127^2 stays far below 2^31 for every model shape.
+//    int8 dot product free of correction terms). Activations arrive
+//    batch-row-major (one row per query) and are quantized per ROW at call
+//    time (dynamic: scale_b = max|x[b,:]| / 127), so both operands stream
+//    contiguously through the int8 kernel with no transpose. Accumulation is
+//    int32 and therefore EXACT: the only error sources are the two rounding
+//    steps, bounded by one weight LSB and one activation LSB. k * 127^2
+//    stays far below 2^31 for every model shape.
 //
 //  * fp16 (IEEE binary16) storage for model parameters. Used two ways:
 //    in-place rounding of a cloned model's parameters (ModelRegistry fp16
@@ -57,40 +58,18 @@ QuantizedMatrix QuantizeRowwise(const Matrix& m);
 Matrix Dequantize(const QuantizedMatrix& q);
 
 // Reused activation-quantization buffers (one per inference call path; not
-// thread-safe, same discipline as BatchedScratch).
+// thread-safe, same discipline as PackedScratch).
 struct QuantScratch {
-  std::vector<int8_t> x8;      // packed column-major quantized activations
-  std::vector<float> xscale;   // per-column scales
-  std::vector<float> xinv;     // per-column reciprocal scales (packing pass)
+  std::vector<int8_t> x8;      // quantized activations, row-major like x
+  std::vector<float> xscale;   // per-row scales
 };
 
-// out = dequant(w) @ x computed in int8: quantizes x per column into
-// `scratch`, then runs the dispatch-selected Int8MatMul. Shapes follow
-// MatMulInto: w is (n x k), x is (k x m), out becomes (n x m).
+// out = x * dequant(w)^T computed in int8: quantizes each row of x into
+// `scratch`, then runs the dispatch-selected Int8MatMul. x is (m x k) with
+// one activation row per batch entry, w is (n x k), out becomes (m x n) —
+// the batch-row-major layout of the packed inference step (batched.h).
 void QuantizedMatMul(const QuantizedMatrix& w, const Matrix& x, Matrix& out,
                      QuantScratch& scratch);
-
-// A weight operand that is either fp32 or int8. The inference kernels take
-// this view so one call site serves both modes; exactly one pointer is
-// non-null.
-struct WeightView {
-  const Matrix* w = nullptr;
-  const QuantizedMatrix* q8 = nullptr;
-
-  WeightView() = default;
-  // Implicit: an fp32 Matrix is a WeightView wherever one is expected.
-  WeightView(const Matrix& m) : w(&m) {}  // NOLINT(runtime/explicit)
-  WeightView(const QuantizedMatrix& q) : q8(&q) {}  // NOLINT(runtime/explicit)
-
-  bool quantized() const { return q8 != nullptr; }
-  // A default-constructed view stands for "absent" (e.g. no skip connection).
-  bool valid() const { return w != nullptr || q8 != nullptr; }
-  size_t rows() const { return q8 != nullptr ? q8->rows : w->rows(); }
-  size_t cols() const { return q8 != nullptr ? q8->cols : w->cols(); }
-};
-
-// out = view @ x via MatMulInto (fp32) or QuantizedMatMul (int8).
-void WeightMatMul(const WeightView& view, const Matrix& x, Matrix& out, QuantScratch& scratch);
 
 // ---- fp16 matrices ----
 

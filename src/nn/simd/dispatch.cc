@@ -199,10 +199,6 @@ void Hadamard(const float* a, const float* b, float* out, size_t n) {
   ActiveTable().hadamard(a, b, out, n);
 }
 
-void GruBlend(const float* z, const float* h, const float* hc, float* out, size_t n) {
-  ActiveTable().gru_blend(z, h, hc, out, n);
-}
-
 void Int8MatMul(const int8_t* w8, const float* wscale, const int8_t* x8, const float* xscale,
                 float* out, size_t n, size_t k, size_t m) {
   ActiveTable().int8_matmul(w8, wscale, x8, xscale, out, n, k, m);

@@ -22,7 +22,9 @@
 //   * Element-wise kernels and every GEMM that blocks only over independent
 //     output elements keep each element's reduction in ascending-k order and
 //     round every multiply and add separately (no FMA contraction on those
-//     paths) — results are BIT-IDENTICAL to the tiled kernels on every ISA.
+//     paths) — results are BIT-IDENTICAL to plain ascending-k C++ loops on
+//     every ISA. That is why the default (kTiled) mode's mat-mat MatMulInto
+//     runs on this ladder too.
 //   * Lane-parallel reductions (the m == 1 GEMV path, AccumulateABTranspose's
 //     double-pair dot products) reassociate across lanes for speed; they are
 //     ULP-BOUNDED against the reference, not bit-exact. This is why
@@ -102,15 +104,13 @@ void Add(const float* a, const float* b, float* out, size_t n);
 void Axpby(const float* a, const float* b, float scale, float* out, size_t n);
 // out[i] = a[i] * b[i]
 void Hadamard(const float* a, const float* b, float* out, size_t n);
-// out[i] = z[i]*h[i] + (1 - z[i])*hc[i], with (1 - z) computed as
-// -1*z + 1 — the exact op sequence of the fused/batched GRU blend.
-void GruBlend(const float* z, const float* h, const float* hc, float* out, size_t n);
 
-// Row-quantized int8 GEMM: out(i, b) = wscale[i] * xscale[b] *
-// sum_c w8(i, c) * x8(b, c), accumulated in int32. `w8` is row-major
-// (n x k); `x8` is PACKED COLUMN-MAJOR (column b occupies x8[b*k .. b*k+k)),
-// so both operands stream contiguously. Exact: int32 accumulation never
-// rounds, and k * 127^2 stays far below 2^31 for every model shape.
+// Row-quantized int8 GEMM, out = x8 * w8^T: out(b, i) = wscale[i] *
+// xscale[b] * sum_c w8(i, c) * x8(b, c), accumulated in int32. `w8` is
+// row-major (n x k) and `x8` is row-major (m x k, one activation row per
+// batch entry), so both operands stream contiguously; `out` is row-major
+// (m x n). Exact: int32 accumulation never rounds, and k * 127^2 stays far
+// below 2^31 for every model shape.
 void Int8MatMul(const int8_t* w8, const float* wscale, const int8_t* x8, const float* xscale,
                 float* out, size_t n, size_t k, size_t m);
 

@@ -21,7 +21,6 @@ struct KernelTable {
   void (*add)(const float* a, const float* b, float* out, size_t n);
   void (*axpby)(const float* a, const float* b, float scale, float* out, size_t n);
   void (*hadamard)(const float* a, const float* b, float* out, size_t n);
-  void (*gru_blend)(const float* z, const float* h, const float* hc, float* out, size_t n);
   void (*int8_matmul)(const int8_t* w8, const float* wscale, const int8_t* x8,
                       const float* xscale, float* out, size_t n, size_t k, size_t m);
 };

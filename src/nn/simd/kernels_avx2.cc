@@ -6,7 +6,7 @@
 //   * mat-mat MatMul, AccumulateATransposeB, and all element-wise kernels
 //     use separate _mm256_mul_ps / _mm256_add_ps (never FMA): each lane is
 //     one independent output element with its k-reduction in ascending
-//     order, so results are bit-identical to the tiled kernels.
+//     order, so results are bit-identical to plain ascending-k loops.
 //   * the m == 1 GEMV path and AccumulateABTranspose use lane-parallel FMA
 //     reductions (ULP-bounded, not bit-exact).
 #include "src/nn/simd/kernels.h"
@@ -71,7 +71,7 @@ DEEPREST_AVX2_TARGET void MatMulAvx2(const float* A, const float* B, float* O, s
     return;
   }
   // Mat-mat: lanes are independent output columns; mul+add keeps each
-  // element's ascending-k reduction bit-identical to the tiled kernel.
+  // element's ascending-k reduction bit-identical to a plain loop.
   // Rows are blocked in fours purely for instruction-level parallelism:
   // four independent accumulator chains hide the add latency and share
   // every B-row load. Each output element still reduces in ascending k
@@ -335,33 +335,14 @@ DEEPREST_AVX2_TARGET void HadamardAvx2(const float* a, const float* b, float* ou
   }
 }
 
-DEEPREST_AVX2_TARGET void GruBlendAvx2(const float* z, const float* h, const float* hc,
-                                       float* out, size_t n) {
-  const __m256 ones = _mm256_set1_ps(1.0f);
-  const __m256 negones = _mm256_set1_ps(-1.0f);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 zv = _mm256_loadu_ps(z + i);
-    const __m256 omz = _mm256_add_ps(_mm256_mul_ps(negones, zv), ones);
-    const __m256 zh = _mm256_mul_ps(zv, _mm256_loadu_ps(h + i));
-    const __m256 zc = _mm256_mul_ps(omz, _mm256_loadu_ps(hc + i));
-    _mm256_storeu_ps(out + i, _mm256_add_ps(zh, zc));
-  }
-  for (; i < n; ++i) {
-    const float omz = -1.0f * z[i] + 1.0f;
-    out[i] = (z[i] * h[i]) + (omz * hc[i]);
-  }
-}
-
 DEEPREST_AVX2_TARGET void Int8MatMulAvx2(const int8_t* w8, const float* wscale,
                                          const int8_t* x8, const float* xscale, float* out,
                                          size_t n, size_t k, size_t m) {
   for (size_t i = 0; i < n; ++i) {
     const int8_t* wrow = w8 + i * k;
     const float ws = wscale[i];
-    float* orow = out + i * m;
     for (size_t b = 0; b < m; ++b) {
-      const int8_t* xcol = x8 + b * k;
+      const int8_t* xrow = x8 + b * k;
       __m256i acc0 = _mm256_setzero_si256();
       __m256i acc1 = _mm256_setzero_si256();
       size_t c = 0;
@@ -371,19 +352,19 @@ DEEPREST_AVX2_TARGET void Int8MatMulAvx2(const int8_t* w8, const float* wscale,
         const __m256i wv0 = _mm256_cvtepi8_epi16(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c)));
         const __m256i xv0 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xcol + c)));
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c)));
         acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wv0, xv0));
         const __m256i wv1 = _mm256_cvtepi8_epi16(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c + 16)));
         const __m256i xv1 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xcol + c + 16)));
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c + 16)));
         acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(wv1, xv1));
       }
       for (; c + 16 <= k; c += 16) {
         const __m256i wv = _mm256_cvtepi8_epi16(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c)));
         const __m256i xv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xcol + c)));
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c)));
         acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wv, xv));
       }
       const __m256i acc = _mm256_add_epi32(acc0, acc1);
@@ -394,16 +375,16 @@ DEEPREST_AVX2_TARGET void Int8MatMulAvx2(const int8_t* w8, const float* wscale,
       s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x55));
       int32_t sum = _mm_cvtsi128_si32(s);
       for (; c < k; ++c) {
-        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xcol[c]);
+        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
       }
-      orow[b] = static_cast<float>(sum) * (ws * xscale[b]);
+      out[b * n + i] = static_cast<float>(sum) * (ws * xscale[b]);
     }
   }
 }
 
 const KernelTable kAvx2Table = {
-    MatMulAvx2, AccATBAvx2,   AccABTAvx2,   AddAvx2,
-    AxpbyAvx2,  HadamardAvx2, GruBlendAvx2, Int8MatMulAvx2,
+    MatMulAvx2, AccATBAvx2,   AccABTAvx2,     AddAvx2,
+    AxpbyAvx2,  HadamardAvx2, Int8MatMulAvx2,
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
 // AVX-512F kernels (16-lane zmm). Same numerics contract as the AVX2 TU:
 // mat-mat / AccumulateATransposeB / element-wise paths use separate mul+add
-// per lane (bit-identical to tiled); the GEMV path and AccumulateABTranspose
-// use FMA lane reductions (ULP-bounded). The int8 kernel stays at 256 bits
+// per lane (bit-identical to plain loops); the GEMV path and
+// AccumulateABTranspose use FMA lane reductions (ULP-bounded). The int8 kernel stays at 256 bits
 // (madd_epi16 needs AVX512BW to go wider); dispatch guarantees AVX2+FMA is
 // present whenever this table is selected.
 #include "src/nn/simd/kernels.h"
@@ -70,7 +70,7 @@ DEEPREST_AVX512_TARGET void MatMulAvx512(const float* A, const float* B, float* 
   // parallelism: four independent accumulator chains hide the add latency
   // and share every B-row load. Each output element still reduces in
   // ascending k with a separate multiply and add, so the blocking changes
-  // no rounding — results stay bit-identical to the tiled kernel.
+  // no rounding — results stay bit-identical to a plain loop.
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const float* a0 = A + (i + 0) * k;
@@ -283,33 +283,14 @@ DEEPREST_AVX512_TARGET void HadamardAvx512(const float* a, const float* b, float
   }
 }
 
-DEEPREST_AVX512_TARGET void GruBlendAvx512(const float* z, const float* h, const float* hc,
-                                           float* out, size_t n) {
-  const __m512 ones = _mm512_set1_ps(1.0f);
-  const __m512 negones = _mm512_set1_ps(-1.0f);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 zv = _mm512_loadu_ps(z + i);
-    const __m512 omz = _mm512_add_ps(_mm512_mul_ps(negones, zv), ones);
-    const __m512 zh = _mm512_mul_ps(zv, _mm512_loadu_ps(h + i));
-    const __m512 zc = _mm512_mul_ps(omz, _mm512_loadu_ps(hc + i));
-    _mm512_storeu_ps(out + i, _mm512_add_ps(zh, zc));
-  }
-  for (; i < n; ++i) {
-    const float omz = -1.0f * z[i] + 1.0f;
-    out[i] = (z[i] * h[i]) + (omz * hc[i]);
-  }
-}
-
 DEEPREST_AVX512_INT8_TARGET void Int8MatMulAvx512(const int8_t* w8, const float* wscale,
                                                   const int8_t* x8, const float* xscale,
                                                   float* out, size_t n, size_t k, size_t m) {
   for (size_t i = 0; i < n; ++i) {
     const int8_t* wrow = w8 + i * k;
     const float ws = wscale[i];
-    float* orow = out + i * m;
     for (size_t b = 0; b < m; ++b) {
-      const int8_t* xcol = x8 + b * k;
+      const int8_t* xrow = x8 + b * k;
       __m256i acc0 = _mm256_setzero_si256();
       __m256i acc1 = _mm256_setzero_si256();
       size_t c = 0;
@@ -317,19 +298,19 @@ DEEPREST_AVX512_INT8_TARGET void Int8MatMulAvx512(const int8_t* w8, const float*
         const __m256i wv0 = _mm256_cvtepi8_epi16(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c)));
         const __m256i xv0 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xcol + c)));
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c)));
         acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wv0, xv0));
         const __m256i wv1 = _mm256_cvtepi8_epi16(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c + 16)));
         const __m256i xv1 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xcol + c + 16)));
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c + 16)));
         acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(wv1, xv1));
       }
       for (; c + 16 <= k; c += 16) {
         const __m256i wv = _mm256_cvtepi8_epi16(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c)));
         const __m256i xv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xcol + c)));
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c)));
         acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wv, xv));
       }
       const __m256i acc = _mm256_add_epi32(acc0, acc1);
@@ -340,16 +321,16 @@ DEEPREST_AVX512_INT8_TARGET void Int8MatMulAvx512(const int8_t* w8, const float*
       s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x55));
       int32_t sum = _mm_cvtsi128_si32(s);
       for (; c < k; ++c) {
-        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xcol[c]);
+        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
       }
-      orow[b] = static_cast<float>(sum) * (ws * xscale[b]);
+      out[b * n + i] = static_cast<float>(sum) * (ws * xscale[b]);
     }
   }
 }
 
 const KernelTable kAvx512Table = {
-    MatMulAvx512, AccATBAvx512,   AccABTAvx512,   AddAvx512,
-    AxpbyAvx512,  HadamardAvx512, GruBlendAvx512, Int8MatMulAvx512,
+    MatMulAvx512, AccATBAvx512,   AccABTAvx512,     AddAvx512,
+    AxpbyAvx512,  HadamardAvx512, Int8MatMulAvx512,
 };
 
 }  // namespace

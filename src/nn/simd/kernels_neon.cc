@@ -1,6 +1,6 @@
 // NEON/ASIMD kernels for aarch64. Same numerics contract as the x86 TUs:
 // mat-mat / AccumulateATransposeB / element-wise paths use separate
-// vmulq+vaddq (bit-identical to tiled); the GEMV path and
+// vmulq+vaddq (bit-identical to plain loops); the GEMV path and
 // AccumulateABTranspose use fused-multiply lane reductions (ULP-bounded).
 // On non-ARM builds this TU contributes only a null table.
 #include "src/nn/simd/kernels.h"
@@ -170,49 +170,31 @@ void HadamardNeon(const float* a, const float* b, float* out, size_t n) {
   }
 }
 
-void GruBlendNeon(const float* z, const float* h, const float* hc, float* out, size_t n) {
-  const float32x4_t ones = vdupq_n_f32(1.0f);
-  const float32x4_t negones = vdupq_n_f32(-1.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t zv = vld1q_f32(z + i);
-    const float32x4_t omz = vaddq_f32(vmulq_f32(negones, zv), ones);
-    const float32x4_t zh = vmulq_f32(zv, vld1q_f32(h + i));
-    const float32x4_t zc = vmulq_f32(omz, vld1q_f32(hc + i));
-    vst1q_f32(out + i, vaddq_f32(zh, zc));
-  }
-  for (; i < n; ++i) {
-    const float omz = -1.0f * z[i] + 1.0f;
-    out[i] = (z[i] * h[i]) + (omz * hc[i]);
-  }
-}
-
 void Int8MatMulNeon(const int8_t* w8, const float* wscale, const int8_t* x8,
                     const float* xscale, float* out, size_t n, size_t k, size_t m) {
   for (size_t i = 0; i < n; ++i) {
     const int8_t* wrow = w8 + i * k;
     const float ws = wscale[i];
-    float* orow = out + i * m;
     for (size_t b = 0; b < m; ++b) {
-      const int8_t* xcol = x8 + b * k;
+      const int8_t* xrow = x8 + b * k;
       int32x4_t acc = vdupq_n_s32(0);
       size_t c = 0;
       for (; c + 8 <= k; c += 8) {
-        const int16x8_t prod = vmull_s8(vld1_s8(wrow + c), vld1_s8(xcol + c));
+        const int16x8_t prod = vmull_s8(vld1_s8(wrow + c), vld1_s8(xrow + c));
         acc = vpadalq_s16(acc, prod);
       }
       int32_t sum = vaddvq_s32(acc);
       for (; c < k; ++c) {
-        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xcol[c]);
+        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
       }
-      orow[b] = static_cast<float>(sum) * (ws * xscale[b]);
+      out[b * n + i] = static_cast<float>(sum) * (ws * xscale[b]);
     }
   }
 }
 
 const KernelTable kNeonTable = {
-    MatMulNeon, AccATBNeon,   AccABTNeon,   AddNeon,
-    AxpbyNeon,  HadamardNeon, GruBlendNeon, Int8MatMulNeon,
+    MatMulNeon, AccATBNeon,   AccABTNeon,     AddNeon,
+    AxpbyNeon,  HadamardNeon, Int8MatMulNeon,
 };
 
 }  // namespace

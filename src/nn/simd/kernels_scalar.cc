@@ -1,12 +1,12 @@
 // Portable fallback kernels — the kScalar rung of the dispatch ladder.
 //
-// These are plain C++ re-statements of the tiled kernels in matrix.cc over
-// raw pointers: blocking only over independent output elements, every
-// element's k-reduction in ascending order, one rounding per multiply and
-// add. On this rung even the GEMV and AccumulateABTranspose paths keep the
-// sequential reduction order, so kScalar is bit-identical to kTiled on every
-// entry point — the property the ci.sh simd-off leg pins so the fallback
-// path cannot rot.
+// Plain C++ over raw pointers: blocking only over independent output
+// elements, every element's k-reduction in ascending order, one rounding per
+// multiply and add. On this rung even the GEMV and AccumulateABTranspose
+// paths keep the sequential reduction order, so kScalar is bit-identical to
+// kTiled on every entry point. Its mat-mat kernel is the exact mat-mat path
+// of every host without AVX2 (and of DEEPREST_SIMD=scalar, which the ci.sh
+// simd-off leg pins so the fallback path cannot rot).
 #include "src/nn/simd/kernels.h"
 
 #include <cmath>
@@ -15,6 +15,23 @@ namespace deeprest {
 namespace simd {
 namespace detail {
 namespace {
+
+// out[0, W) = arow (1 x k) * btile (k x W, row stride m): W independent
+// ascending-k chains, one per output column.
+template <size_t W>
+inline void RowTile(const float* arow, const float* btile, float* out, size_t k, size_t m) {
+  float acc[W] = {};
+  for (size_t c = 0; c < k; ++c) {
+    const float av = arow[c];
+    const float* brow = btile + c * m;
+    for (size_t j = 0; j < W; ++j) {
+      acc[j] += av * brow[j];
+    }
+  }
+  for (size_t j = 0; j < W; ++j) {
+    out[j] = acc[j];
+  }
+}
 
 void MatMulScalar(const float* A, const float* B, float* O, size_t n, size_t k, size_t m) {
   if (m == 1) {
@@ -47,39 +64,29 @@ void MatMulScalar(const float* A, const float* B, float* O, size_t n, size_t k, 
     }
     return;
   }
-  constexpr size_t kJTile = 16;
+  // Mat-mat: 8-column tiles, then the m % 8 remainder as 4/2/1-wide tiles.
+  // Every tile has a compile-time width small enough for its accumulators to
+  // stay in registers for the whole k loop (a 16-wide tile spills on
+  // baseline x86-64); each output element still reduces its k terms in
+  // ascending order from 0, whichever tile it lands in.
   for (size_t i = 0; i < n; ++i) {
     const float* arow = A + i * k;
     float* orow = O + i * m;
     size_t j0 = 0;
-    for (; j0 + kJTile <= m; j0 += kJTile) {
-      float acc[kJTile] = {0.0f};
-      const float* btile = B + j0;
-      for (size_t c = 0; c < k; ++c) {
-        const float av = arow[c];
-        const float* brow = btile + c * m;
-        for (size_t j = 0; j < kJTile; ++j) {
-          acc[j] += av * brow[j];
-        }
-      }
-      for (size_t j = 0; j < kJTile; ++j) {
-        orow[j0 + j] = acc[j];
-      }
+    for (; j0 + 8 <= m; j0 += 8) {
+      RowTile<8>(arow, B + j0, orow + j0, k, m);
     }
     const size_t rem = m - j0;
-    if (rem > 0) {
-      float acc[kJTile] = {0.0f};
-      const float* btile = B + j0;
-      for (size_t c = 0; c < k; ++c) {
-        const float av = arow[c];
-        const float* brow = btile + c * m;
-        for (size_t j = 0; j < rem; ++j) {
-          acc[j] += av * brow[j];
-        }
-      }
-      for (size_t j = 0; j < rem; ++j) {
-        orow[j0 + j] = acc[j];
-      }
+    if (rem & 4) {
+      RowTile<4>(arow, B + j0, orow + j0, k, m);
+      j0 += 4;
+    }
+    if (rem & 2) {
+      RowTile<2>(arow, B + j0, orow + j0, k, m);
+      j0 += 2;
+    }
+    if (rem & 1) {
+      RowTile<1>(arow, B + j0, orow + j0, k, m);
     }
   }
 }
@@ -197,33 +204,25 @@ void HadamardScalar(const float* a, const float* b, float* out, size_t n) {
   }
 }
 
-void GruBlendScalar(const float* z, const float* h, const float* hc, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const float omz = -1.0f * z[i] + 1.0f;
-    out[i] = (z[i] * h[i]) + (omz * hc[i]);
-  }
-}
-
 void Int8MatMulScalar(const int8_t* w8, const float* wscale, const int8_t* x8,
                       const float* xscale, float* out, size_t n, size_t k, size_t m) {
   for (size_t i = 0; i < n; ++i) {
     const int8_t* wrow = w8 + i * k;
     const float ws = wscale[i];
-    float* orow = out + i * m;
     for (size_t b = 0; b < m; ++b) {
-      const int8_t* xcol = x8 + b * k;
+      const int8_t* xrow = x8 + b * k;
       int32_t acc = 0;
       for (size_t c = 0; c < k; ++c) {
-        acc += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xcol[c]);
+        acc += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
       }
-      orow[b] = static_cast<float>(acc) * (ws * xscale[b]);
+      out[b * n + i] = static_cast<float>(acc) * (ws * xscale[b]);
     }
   }
 }
 
 const KernelTable kScalarTable = {
-    MatMulScalar, AccATBScalar,    AccABTScalar,   AddScalar,
-    AxpbyScalar,  HadamardScalar,  GruBlendScalar, Int8MatMulScalar,
+    MatMulScalar, AccATBScalar,   AccABTScalar,     AddScalar,
+    AxpbyScalar,  HadamardScalar, Int8MatMulScalar,
 };
 
 }  // namespace

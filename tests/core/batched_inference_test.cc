@@ -2,9 +2,11 @@
 // DeepRestEstimator::EstimateFromFeaturesBatch) against the sequential
 // reference path, and of the cached warm-start state against its replay
 // oracle. "Bit-exact" is literal: every double in every estimate series must
-// compare equal, across batch sizes, mixed series lengths, null entries, and
-// every ablation configuration.
+// compare equal, across batch sizes, mixed series lengths, null entries,
+// every ablation configuration, resumed cursors, and after every mutation
+// point that must rebuild the packed inference weights.
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,7 +148,9 @@ TEST(BatchedInferenceTest, BitExactAcrossBatchSizes) {
   const TinySetup s = MakeSetup();
   DeepRestEstimator model(FastConfig());
   model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
-  for (const size_t batch : {1u, 2u, 7u, 16u, 33u}) {
+  // 3/4/5 and 17 put the attention GEMM's H·B (H = 8) and the gate GEMM's
+  // rows on both sides of the 16-lane boundaries.
+  for (const size_t batch : {1u, 2u, 3u, 4u, 5u, 7u, 16u, 17u, 33u}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     ExpectBatchMatchesReference(model, MakeQueries(model, s, batch));
   }
@@ -173,15 +177,136 @@ TEST(BatchedInferenceTest, NullAndEmptyEntries) {
 
 TEST(BatchedInferenceTest, BitExactUnderAblations) {
   const TinySetup s = MakeSetup();
-  for (const int ablation : {0, 1, 2, 3}) {
+  for (const int ablation : {0, 1, 2, 3, 4, 5, 6}) {
     SCOPED_TRACE("ablation=" + std::to_string(ablation));
     EstimatorConfig config = FastConfig();
     if (ablation == 1) config.use_attention = false;
     if (ablation == 2) config.use_api_mask = false;
     if (ablation == 3) config.warm_start = false;
+    if (ablation == 4 || ablation == 6) config.use_recurrence = false;
+    if (ablation == 5 || ablation == 6) config.use_linear_bypass = false;
     DeepRestEstimator model(config);
     model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
     ExpectBatchMatchesReference(model, MakeQueries(model, s, 7));
+  }
+}
+
+// Resumed cursors: each query is split at a different point and answered
+// by two successive resumed calls in one batch; the concatenated series must
+// be bit-identical to the one-pass reference.
+TEST(BatchedInferenceTest, ResumedSplitMatchesOnePass) {
+  const TinySetup s = MakeSetup();
+  DeepRestEstimator model(FastConfig());
+  model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+  const std::vector<FeatureSeries> queries = MakeQueries(model, s, 5);
+  std::vector<FeatureSeries> heads, tails;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const size_t cut = (i * 3) % (queries[i].size() + 1);
+    heads.emplace_back(queries[i].begin(), queries[i].begin() + static_cast<ptrdiff_t>(cut));
+    tails.emplace_back(queries[i].begin() + static_cast<ptrdiff_t>(cut), queries[i].end());
+  }
+  std::vector<DeepRestEstimator::StreamCursor> cursors(queries.size());
+  std::vector<DeepRestEstimator::StreamCursor*> cursor_ptrs;
+  std::vector<const FeatureSeries*> head_ptrs, tail_ptrs;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    cursor_ptrs.push_back(&cursors[i]);
+    head_ptrs.push_back(&heads[i]);
+    tail_ptrs.push_back(&tails[i]);
+  }
+  const auto first = model.EstimateFromFeaturesBatchResume(head_ptrs, cursor_ptrs);
+  const auto second = model.EstimateFromFeaturesBatchResume(tail_ptrs, cursor_ptrs);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query=" + std::to_string(i));
+    EXPECT_EQ(cursors[i].steps, queries[i].size());
+    EstimateMap joined = first[i];
+    for (auto& [key, estimate] : joined) {
+      const ResourceEstimate& rest = second[i].at(key);
+      estimate.expected.insert(estimate.expected.end(), rest.expected.begin(),
+                               rest.expected.end());
+      estimate.lower.insert(estimate.lower.end(), rest.lower.begin(), rest.lower.end());
+      estimate.upper.insert(estimate.upper.end(), rest.upper.begin(), rest.upper.end());
+    }
+    ExpectSameEstimates(joined, model.EstimateFromFeaturesReference(queries[i]));
+  }
+}
+
+bool AnyDifference(const EstimateMap& a, const EstimateMap& b) {
+  for (const auto& [key, estimate] : a) {
+    const ResourceEstimate& other = b.at(key);
+    if (estimate.expected != other.expected || estimate.lower != other.lower ||
+        estimate.upper != other.upper) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The packed inference weights are derived state: every mutation point must
+// rebuild them, or the batched path silently keeps serving the old weights.
+// After each mutation the batched answers must match the reference path
+// (which reads the live parameters), and the mutation must have changed the
+// answers, so a stale pack cannot pass by accident.
+TEST(BatchedInferenceTest, BitExactAfterEveryMutationPoint) {
+  const TinySetup s = MakeSetup();
+  DeepRestEstimator model(FastConfig());
+  model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+  const std::vector<FeatureSeries> queries = MakeQueries(model, s, 4);
+  const FeatureSeries& probe = queries[0];
+  EstimateMap before = model.EstimateFromFeaturesReference(probe);
+  const auto expect_fresh = [&](const DeepRestEstimator& m, const std::string& step) {
+    SCOPED_TRACE(step);
+    const EstimateMap now = m.EstimateFromFeaturesReference(probe);
+    EXPECT_TRUE(AnyDifference(now, before)) << "mutation did not change the model";
+    ExpectBatchMatchesReference(m, queries);
+    before = now;
+  };
+
+  model.ContinueLearning(s.traces, s.metrics, s.learn_windows,
+                         s.learn_windows + s.query_windows, 2);
+  expect_fresh(model, "ContinueLearning");
+
+  EstimatorConfig donor_config = FastConfig();
+  donor_config.seed = 11;
+  DeepRestEstimator donor(donor_config);
+  donor.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+  ASSERT_GT(model.TransferRecurrentWeightsFrom(donor), 0u);
+  expect_fresh(model, "TransferRecurrentWeightsFrom");
+
+  model.CompressParametersToFp16();
+  expect_fresh(model, "CompressParametersToFp16");
+
+  {
+    SCOPED_TRACE("SetQuantizedInference(true)");
+    model.SetQuantizedInference(true);
+    // int8 is not bit-exact against the fp32 reference; it must actually be
+    // in use, and answer exactly as a model packed from scratch in int8.
+    const EstimateMap int8 = model.EstimateFromFeaturesBatch({&probe})[0];
+    EXPECT_TRUE(AnyDifference(int8, before)) << "int8 inference not in use";
+    const std::unique_ptr<DeepRestEstimator> clone = model.Clone();
+    ASSERT_TRUE(clone->quantized_inference());
+    ExpectSameEstimates(clone->EstimateFromFeaturesBatch({&probe})[0], int8);
+  }
+  model.SetQuantizedInference(false);
+  {
+    SCOPED_TRACE("SetQuantizedInference(false)");
+    ExpectBatchMatchesReference(model, queries);
+  }
+
+  // LoadFromStream over an already-trained model: the donor's weights must
+  // replace the pack, not just the parameters.
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(donor.SaveToStream(buffer));
+  ASSERT_TRUE(model.LoadFromStream(buffer));
+  expect_fresh(model, "LoadFromStream");
+  ExpectSameEstimates(model.EstimateFromFeaturesReference(probe),
+                      donor.EstimateFromFeaturesReference(probe));
+
+  const std::unique_ptr<DeepRestEstimator> clone = model.Clone();
+  ASSERT_TRUE(clone->trained());
+  {
+    SCOPED_TRACE("Clone");
+    ExpectBatchMatchesReference(*clone, queries);
+    ExpectSameEstimates(clone->EstimateFromFeaturesReference(probe), before);
   }
 }
 

@@ -143,78 +143,73 @@ TEST(QuantTest, QuantizeRowwiseZeroRowGetsUnitScale) {
 }
 
 TEST(QuantTest, QuantizedMatMulWithinAnalyticErrorEnvelope) {
-  // out ~= dequant(w) @ x. The weight error is already inside dequant(w)
-  // (exactly recoverable via Dequantize), so the remaining error per output
-  // element comes from activation quantization only:
-  //   |out[i,b] - (dequant(w) @ x)[i,b]| <= 0.5 * xscale_b * sum_c|wq[i,c]|
-  // with xscale_b = max_c|x[c,b]| / 127.
+  // out ~= x @ dequant(w)^T, one activation row per batch entry. The weight
+  // error is already inside dequant(w) (exactly recoverable via Dequantize),
+  // so the remaining error per output element comes from activation
+  // quantization only:
+  //   |out[b,i] - (x @ dequant(w)^T)[b,i]| <= 0.5 * xscale_b * sum_c|wq[i,c]|
+  // with xscale_b = max_c|x[b,c]| / 127.
   Rng rng(404);
   for (const auto& dims : {std::array<size_t, 3>{7, 33, 5},
                            std::array<size_t, 3>{16, 8, 1},
                            std::array<size_t, 3>{1, 100, 4}}) {
     const size_t n = dims[0], k = dims[1], m = dims[2];
-    Matrix w(n, k), x(k, m);
+    Matrix w(n, k), x(m, k);
     w.FillUniform(rng, 1.5f);
     x.FillUniform(rng, 2.0f);
     const QuantizedMatrix q = QuantizeRowwise(w);
     const Matrix wq = Dequantize(q);
     Matrix fp32;
-    MatMulInto(wq, x, fp32);
+    MatMulInto(x, wq.Transposed(), fp32);
     QuantScratch scratch;
     Matrix out;
     QuantizedMatMul(q, x, out, scratch);
-    ASSERT_EQ(out.rows(), n);
-    ASSERT_EQ(out.cols(), m);
+    ASSERT_EQ(out.rows(), m);
+    ASSERT_EQ(out.cols(), n);
     for (size_t b = 0; b < m; ++b) {
-      float col_max = 0.0f;
+      float row_max = 0.0f;
       for (size_t c = 0; c < k; ++c) {
-        col_max = std::max(col_max, std::fabs(x[c * m + b]));
+        row_max = std::max(row_max, std::fabs(x[b * k + c]));
       }
-      const float xscale = col_max / 127.0f;
+      const float xscale = row_max / 127.0f;
       for (size_t i = 0; i < n; ++i) {
         float w_mass = 0.0f;
         for (size_t c = 0; c < k; ++c) {
           w_mass += std::fabs(wq[i * k + c]);
         }
         const float bound = 0.5f * xscale * w_mass * 1.01f + 1e-5f;
-        EXPECT_LE(std::fabs(out[i * m + b] - fp32[i * m + b]), bound)
-            << n << "x" << k << "x" << m << " element " << i << "," << b;
+        EXPECT_LE(std::fabs(out[b * n + i] - fp32[b * n + i]), bound)
+            << n << "x" << k << "x" << m << " element " << b << "," << i;
       }
     }
   }
 }
 
-TEST(QuantTest, WeightViewDispatchesToBothPrecisions) {
+TEST(QuantTest, QuantizedMatMulRowsAreIndependent) {
+  // Each activation row is quantized with its own scale, so a row's result
+  // does not depend on the rows batched beside it — what lets int8
+  // inference answer a query identically at every batch width.
   Rng rng(405);
-  Matrix w(6, 11), x(11, 3);
+  Matrix w(6, 11), x(3, 11);
   w.FillUniform(rng, 1.0f);
   x.FillUniform(rng, 1.0f);
+  for (size_t c = 0; c < 11; ++c) {
+    x.At(1, c) *= 40.0f;  // a large row must not coarsen its neighbours
+  }
   const QuantizedMatrix q = QuantizeRowwise(w);
   QuantScratch scratch;
-
-  const WeightView fp_view = w;  // implicit conversion — the call-site idiom
-  ASSERT_TRUE(fp_view.valid());
-  EXPECT_FALSE(fp_view.quantized());
-  EXPECT_EQ(fp_view.rows(), w.rows());
-  Matrix via_view, direct;
-  WeightMatMul(fp_view, x, via_view, scratch);
-  MatMulInto(w, x, direct);
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_view[i], direct[i]) << "fp32 element " << i;
+  Matrix batched;
+  QuantizedMatMul(q, x, batched, scratch);
+  for (size_t b = 0; b < 3; ++b) {
+    Matrix row(1, 11), alone;
+    for (size_t c = 0; c < 11; ++c) {
+      row[c] = x.At(b, c);
+    }
+    QuantizedMatMul(q, row, alone, scratch);
+    for (size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(batched.At(b, i), alone[i]) << "row " << b << " output " << i;
+    }
   }
-
-  const WeightView q_view = q;
-  ASSERT_TRUE(q_view.valid());
-  EXPECT_TRUE(q_view.quantized());
-  Matrix via_q, direct_q;
-  WeightMatMul(q_view, x, via_q, scratch);
-  QuantizedMatMul(q, x, direct_q, scratch);
-  for (size_t i = 0; i < direct_q.size(); ++i) {
-    EXPECT_EQ(via_q[i], direct_q[i]) << "int8 element " << i;
-  }
-
-  const WeightView absent;  // default: "no skip connection"
-  EXPECT_FALSE(absent.valid());
 }
 
 // ---- fp16 checkpoint format (v2) ----

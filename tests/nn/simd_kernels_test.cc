@@ -3,9 +3,11 @@
 // The dispatch layer (src/nn/simd/dispatch.h) promises two tiers of numeric
 // fidelity, and these tests pin both on EVERY rung the host can execute:
 //
-//   * BIT-IDENTICAL to the tiled kernels: the mat-mat MatMul path,
+//   * BIT-IDENTICAL to plain C++: the mat-mat MatMul path (checked against
+//     an ascending-k loop written out in this file, since the default mode's
+//     MatMulInto itself runs the ladder's mat-mat kernel),
 //     AccumulateATransposeB, and all element-wise kernels (Add, Axpby,
-//     Hadamard, GruBlend) keep each output element's reduction in ascending-k
+//     Hadamard) keep each output element's reduction in ascending-k
 //     order with one rounding per multiply and per add — vector width changes
 //     which elements compute together, never how one element rounds.
 //   * ULP-BOUNDED: the m == 1 GEMV path and AccumulateABTranspose
@@ -55,14 +57,35 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
 
 // a is (n x k), b is (k x m): covers 1x1, vector-lane remainders around the
 // 8/16-wide loops, the 4-row GEMV blocks, and shapes larger than one AVX-512
-// register on every axis.
+// register on every axis. The second block is the packed inference step's
+// shapes (serving model: D = 69, H = 8, E = 76): gates plus bypass at batch
+// 1 and 4 (3H+3 = 27 columns, 39 for H = 12), attention at batch 1 and 3
+// (B·H = 8, 24), and the head and [Uz;Uk] products at small H.
 struct Shape {
   size_t n, k, m;
 };
 const Shape kMatShapes[] = {{1, 1, 1},    {1, 7, 1},    {4, 8, 1},  {5, 9, 3},
                             {3, 33, 2},   {16, 256, 1}, {13, 13, 13},
                             {12, 12, 16}, {32, 17, 6},  {2, 1, 2},  {7, 64, 31},
-                            {1, 100, 1},  {9, 40, 1}};
+                            {1, 100, 1},  {9, 40, 1},
+                            {1, 69, 27},  {4, 69, 39},  {76, 76, 8}, {76, 76, 24},
+                            {3, 16, 3},   {2, 8, 16}};
+
+// The exact product every mat-mat kernel must reproduce: per output element,
+// an ascending-k chain of separately rounded multiplies and adds from 0.
+Matrix AscendingKProduct(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t c = 0; c < a.cols(); ++c) {
+        acc += a.At(i, c) * b.At(c, j);
+      }
+      out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
 
 // Restores global dispatch state no matter how a test exits.
 class SimdKernelsTest : public ::testing::Test {
@@ -73,23 +96,29 @@ class SimdKernelsTest : public ::testing::Test {
   }
 };
 
-TEST_F(SimdKernelsTest, MatMatMatMulBitIdenticalToTiledOnEveryIsa) {
+TEST_F(SimdKernelsTest, MatMatMatMulBitIdenticalToAscendingKLoopOnEveryIsa) {
   Rng rng(301);
+  SetKernelMode(KernelMode::kTiled);
   for (const Shape& s : kMatShapes) {
     if (s.m == 1) {
       continue;  // GEMV path is ULP-bounded, tested below
     }
-    Matrix a(s.n, s.k), b(s.k, s.m), tiled;
+    Matrix a(s.n, s.k), b(s.k, s.m);
     a.FillUniform(rng, 1.0f);
     b.FillUniform(rng, 1.0f);
-    SetKernelMode(KernelMode::kTiled);
-    MatMulInto(a, b, tiled);
+    const Matrix exact = AscendingKProduct(a, b);
     for (simd::Isa isa : SupportedIsas()) {
       ASSERT_EQ(simd::ForceIsa(isa), isa);
       Matrix out(s.n, s.m);
       simd::MatMul(a.data(), b.data(), out.data(), s.n, s.k, s.m);
-      EXPECT_TRUE(BitIdentical(out, tiled))
+      EXPECT_TRUE(BitIdentical(out, exact))
           << simd::IsaName(isa) << " " << s.n << "x" << s.k << "*" << s.k << "x" << s.m;
+      // The default mode's MatMulInto runs this rung's kernel on mat-mat.
+      Matrix via_mode;
+      MatMulInto(a, b, via_mode);
+      EXPECT_TRUE(BitIdentical(via_mode, exact))
+          << "MatMulInto on " << simd::IsaName(isa) << " " << s.n << "x" << s.k << "*" << s.k
+          << "x" << s.m;
     }
   }
 }
@@ -218,18 +247,15 @@ TEST_F(SimdKernelsTest, ElementwiseKernelsBitExactOnEveryIsa) {
   Rng rng(306);
   // Sizes straddling the 8- and 16-lane boundaries plus ragged tails.
   for (size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 100u, 1037u}) {
-    Matrix a(1, n), b(1, n), c(1, n);
+    Matrix a(1, n), b(1, n);
     a.FillUniform(rng, 1.0f);
     b.FillUniform(rng, 1.0f);
-    c.FillUniform(rng, 1.0f);
     const float scale = 0.37f;
-    std::vector<float> add(n), axpby(n), had(n), blend(n);
+    std::vector<float> add(n), axpby(n), had(n);
     for (size_t i = 0; i < n; ++i) {
       add[i] = a[i] + b[i];
       axpby[i] = a[i] + scale * b[i];
       had[i] = a[i] * b[i];
-      const float omz = -1.0f * a[i] + 1.0f;  // the documented GRU blend sequence
-      blend[i] = a[i] * b[i] + omz * c[i];
     }
     for (simd::Isa isa : SupportedIsas()) {
       ASSERT_EQ(simd::ForceIsa(isa), isa);
@@ -243,15 +269,12 @@ TEST_F(SimdKernelsTest, ElementwiseKernelsBitExactOnEveryIsa) {
       simd::Hadamard(a.data(), b.data(), out.data(), n);
       EXPECT_EQ(std::memcmp(out.data(), had.data(), n * sizeof(float)), 0)
           << simd::IsaName(isa) << " Hadamard n=" << n;
-      simd::GruBlend(a.data(), b.data(), c.data(), out.data(), n);
-      EXPECT_EQ(std::memcmp(out.data(), blend.data(), n * sizeof(float)), 0)
-          << simd::IsaName(isa) << " GruBlend n=" << n;
     }
   }
 }
 
 TEST_F(SimdKernelsTest, AxpbyIsInPlaceSafe) {
-  // BatchedAttention accumulates with out == a; lanes never overlap, so the
+  // Accumulating with out == a is allowed: lanes never overlap, so the
   // in-place call must match the out-of-place one bit-for-bit.
   Rng rng(307);
   for (simd::Isa isa : SupportedIsas()) {
@@ -272,6 +295,7 @@ TEST_F(SimdKernelsTest, Int8MatMulExactAcrossIsas) {
   // result as a plain int64 scalar model of the kernel.
   Rng rng(308);
   for (const Shape& s : kMatShapes) {
+    // w8 is (n x k), x8 is (m x k): out(b, i) lands at out[b * n + i].
     std::vector<int8_t> w8(s.n * s.k), x8(s.m * s.k);
     std::vector<float> wscale(s.n), xscale(s.m);
     for (auto& v : w8) {
@@ -295,7 +319,7 @@ TEST_F(SimdKernelsTest, Int8MatMulExactAcrossIsas) {
         }
         // Matches the kernels' epilogue association exactly:
         // float(acc) * (wscale * xscale).
-        expected[i * s.m + b] = static_cast<float>(acc) * (wscale[i] * xscale[b]);
+        expected[b * s.n + i] = static_cast<float>(acc) * (wscale[i] * xscale[b]);
       }
     }
     for (simd::Isa isa : SupportedIsas()) {

@@ -2,10 +2,13 @@
 # DeepRest CI: every enforcement layer in one script, fastest legs first.
 #
 #   1. tier-1      — default build, full test suite (the gate every PR must hold)
-#   2. e2e-gates   — one short run of the end-to-end benchmark's traffic_plan
-#                    and learn_estimate workloads: their correctness gates
-#                    (served and mode-1 answers bit-identical to the trace-path
-#                    replay) must pass; SKIP on a host with fewer than 4 CPUs
+#   2. e2e-gates   — one short run of the end-to-end benchmark's traffic_plan,
+#                    learn_estimate and live_monitor workloads: their
+#                    correctness gates (served and mode-1 answers bit-identical
+#                    to the trace-path replay; live streams replayed through
+#                    EstimateFromFeaturesBatchResume on the model version that
+#                    served them, across live publishes) must pass; SKIP on a
+#                    host with fewer than 4 CPUs
 #   3. simd-off    — kernel + quantization suites with SIMD force-disabled
 #                    (DEEPREST_SIMD=scalar): the portable fallback path can't rot
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
@@ -46,10 +49,19 @@ echo "==> [2/10] e2e-gates: end-to-end benchmark correctness gates"
 # e2ebench builds its own copy of src/ and checks its results before printing
 # any: exit 0 means every gate passed, 3 means SKIP (the host has fewer CPUs
 # than the workload runs threads), anything else is a failure. Seed 7919 is
-# the benchmark's held-out seed.
-for workload in traffic_plan learn_estimate; do
+# the benchmark's held-out seed. live_monitor is the only end-to-end gate on
+# the cursor/resume path: every chunk of every 8th stream is replayed through
+# EstimateFromFeaturesBatchResume on the version that served it, across four
+# live model publishes. It runs 3 s, not 1: its open-loop generator must send
+# a floor of ~5,250 requests, and squeezed into 1 s (~3,500 req/s beside live
+# ingest) that overloads a 4-vCPU host, so the generator-lateness gate would
+# fail on load rather than on a wrong answer.
+for workload in traffic_plan learn_estimate live_monitor; do
   status=0
-  python3 e2ebench/run.py --workload "$workload" --seed 7919 --seconds 1 --trace 0 || status=$?
+  seconds=1
+  [[ "$workload" == "live_monitor" ]] && seconds=3
+  python3 e2ebench/run.py --workload "$workload" --seed 7919 --seconds "$seconds" --trace 0 \
+    || status=$?
   if [[ "$status" == "3" ]]; then
     echo "    $workload: SKIP (fewer CPUs than the workload's threads)"
   elif [[ "$status" != "0" ]]; then
