@@ -14,7 +14,6 @@
 // toggled off, so the end-to-end speedup reported here slightly understates
 // the true before/after against the pre-PR tree.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -27,7 +26,6 @@
 #include "src/nn/layers.h"
 #include "src/nn/matrix.h"
 #include "src/nn/ops.h"
-#include "src/nn/quant.h"
 #include "src/nn/rng.h"
 #include "src/nn/simd/dispatch.h"
 #include "src/telemetry/metrics.h"
@@ -132,20 +130,20 @@ GemmResult BenchAccABT(size_t m, size_t k, size_t n, int iters, Rng& rng) {
   return result;
 }
 
-// Batch-major payoff: B columns stacked into one GEMM vs B separate GEMVs of
+// Batching payoff: B columns stacked into one GEMM vs B separate GEMVs of
 // the same recurrent shape. Identical flops and identical per-column
 // reduction order (each output element accumulates its k-products in
 // ascending order either way), so the results are bit-identical and the
 // difference is pure memory behavior: the GEMM streams the weight matrix
 // once instead of B times.
-struct BatchMajorResult {
+struct BatchedGemmResult {
   size_t batch = 0;
   double gemv_ns = 0;  // B sequential mat-vec products
   double gemm_ns = 0;  // one mat-mat product with B columns
   double speedup() const { return gemm_ns > 0 ? gemv_ns / gemm_ns : 0; }
 };
 
-BatchMajorResult BenchBatchMajor(size_t h, size_t b, int iters, Rng& rng) {
+BatchedGemmResult BenchBatchedGemm(size_t h, size_t b, int iters, Rng& rng) {
   Matrix w(h, h), xb(h, b), out;
   std::vector<Matrix> xs(b, Matrix(h, 1));
   std::vector<Matrix> outs(b);
@@ -156,7 +154,7 @@ BatchMajorResult BenchBatchMajor(size_t h, size_t b, int iters, Rng& rng) {
       xs[c].At(r, 0) = xb.At(r, c);
     }
   }
-  BatchMajorResult result;
+  BatchedGemmResult result;
   result.batch = b;
   result.gemv_ns = TimeNs(iters, [&] {
     for (size_t c = 0; c < b; ++c) {
@@ -172,10 +170,10 @@ BatchMajorResult BenchBatchMajor(size_t h, size_t b, int iters, Rng& rng) {
 // One shape, four kernel paths: dispatch-selected SIMD, forced-scalar SIMD
 // (the portable fallback the ci.sh simd-off leg pins), the default (kTiled)
 // mode, and the preserved reference. All timed through the SAME Matrix-level
-// entry points so the numbers include dispatch overhead. The default mode's
-// mat-mat MatMulInto already runs the dispatch-selected kernel, so on
-// mat-mat rows `speedup` (vs the default) reads ~1x; `vs_scalar` compares
-// against the kScalar rung, the plain C++ loop.
+// entry points so the numbers include dispatch overhead. The default mode
+// already runs mat-mat MatMulInto and AccumulateATransposeB on the
+// dispatch-selected kernel, so on those rows `speedup` (vs the default) reads
+// ~1x; `vs_scalar` compares against the kScalar rung, the plain C++ loop.
 struct SimdResult {
   std::string name;
   double simd_ns = 0;
@@ -260,47 +258,6 @@ SimdGemmCheck CheckSimdGemm(const std::vector<SimdResult>& rows,
   }
   check.verdict = check.measured_min >= check.required ? "PASS" : "FAIL";
   return check;
-}
-
-// ---- Quantized inference leg ----
-
-struct QuantBenchResult {
-  double fp32_ns = 0;
-  double int8_ns = 0;
-  double max_rel_error = 0;     // vs the fp32 product, worst element
-  double weight_mem_ratio = 0;  // fp32 weight bytes / int8 weight+scale bytes
-  double speedup() const { return int8_ns > 0 ? fp32_ns / int8_ns : 0; }
-};
-
-QuantBenchResult BenchQuantized(int iters, Rng& rng) {
-  // The shape quantization serves in production: the packed step's input
-  // projection, x(16 x 256) · w(16 x 256)^T for 16 batched queries. The
-  // fp32 side multiplies by the pre-transposed weights, as the packed
-  // weights hold them; the int8 timing includes dynamic per-row activation
-  // quantization, exactly as the estimator pays it.
-  Matrix w(16, 256), x(16, 256), fp32_out, int8_out;
-  w.FillUniform(rng, 1.0f);
-  x.FillUniform(rng, 1.0f);
-  const Matrix wt = w.Transposed();
-  const QuantizedMatrix q = QuantizeRowwise(w);
-  QuantScratch scratch;
-  SetKernelMode(KernelMode::kSimd);
-  simd::ResetIsa();
-  QuantBenchResult result;
-  result.fp32_ns = TimeNs(iters, [&] { MatMulInto(x, wt, fp32_out); });
-  result.int8_ns = TimeNs(iters, [&] { QuantizedMatMul(q, x, int8_out, scratch); });
-  SetKernelMode(KernelMode::kTiled);
-  float max_abs = 0.0f, max_err = 0.0f;
-  for (size_t i = 0; i < fp32_out.size(); ++i) {
-    max_abs = std::max(max_abs, std::fabs(fp32_out[i]));
-    max_err = std::max(max_err, std::fabs(int8_out[i] - fp32_out[i]));
-  }
-  result.max_rel_error = max_abs > 0 ? max_err / max_abs : 0;
-  const double fp32_bytes = static_cast<double>(w.size()) * sizeof(float);
-  const double int8_bytes = static_cast<double>(q.data.size()) * sizeof(int8_t) +
-                            static_cast<double>(q.scales.size()) * sizeof(float);
-  result.weight_mem_ratio = fp32_bytes / int8_bytes;
-  return result;
 }
 
 // ---- Single GRU step forward + backward ----
@@ -465,10 +422,9 @@ ParallelResult BenchParallelTraining(const KernelFixture& fixture,
 // ---- JSON output ----
 
 void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
-               const std::vector<GemmResult>& gemm, const BatchMajorResult& batch_major,
+               const std::vector<GemmResult>& gemm, const BatchedGemmResult& batched,
                const std::vector<SimdResult>& simd_rows, const SimdGemmCheck& simd_check,
-               const QuantBenchResult& quant, const StepResult& step,
-               const TrainResult& train, const ParallelResult& par) {
+               const StepResult& step, const TrainResult& train, const ParallelResult& par) {
   std::FILE* f = std::fopen(options.out.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s for writing\n", options.out.c_str());
@@ -487,10 +443,9 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
   }
   std::fprintf(f, "  },\n");
   std::fprintf(f,
-               "  \"batch_major\": {\"batch\": %zu, \"gemv_ns\": %.1f, \"gemm_ns\": %.1f, "
+               "  \"batched_gemm\": {\"batch\": %zu, \"gemv_ns\": %.1f, \"gemm_ns\": %.1f, "
                "\"speedup\": %.3f},\n",
-               batch_major.batch, batch_major.gemv_ns, batch_major.gemm_ns,
-               batch_major.speedup());
+               batched.batch, batched.gemv_ns, batched.gemm_ns, batched.speedup());
   std::fprintf(f, "  \"simd\": {\n");
   std::fprintf(f, "    \"host_best_isa\": \"%s\",\n", simd::IsaName(simd::BestSupportedIsa()));
   std::fprintf(f, "    \"active_isa\": \"%s\",\n", simd::IsaName(simd::ActiveIsa()));
@@ -516,11 +471,6 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
     std::fprintf(f, "  \"simd_gemm_check\": {\"verdict\": \"%s\"},\n",
                  simd_check.verdict.c_str());
   }
-  std::fprintf(f,
-               "  \"quantized\": {\"fp32_ns\": %.1f, \"int8_ns\": %.1f, \"speedup\": %.3f, "
-               "\"max_rel_error\": %.6f, \"weight_mem_ratio\": %.2f},\n",
-               quant.fp32_ns, quant.int8_ns, quant.speedup(), quant.max_rel_error,
-               quant.weight_mem_ratio);
   std::fprintf(f,
                "  \"gru_step\": {\"fused_ns\": %.1f, \"reference_ns\": %.1f, "
                "\"speedup\": %.3f, \"fused_nodes\": %llu, \"reference_nodes\": %llu},\n",
@@ -582,11 +532,10 @@ int Run(const BenchOptions& options) {
                 g.speedup());
   }
 
-  const BatchMajorResult batch_major = BenchBatchMajor(/*h=*/16, /*b=*/16, small, rng);
-  std::printf("\nbatch-major 16x16 recurrent step, batch %zu:\n", batch_major.batch);
+  const BatchedGemmResult batched = BenchBatchedGemm(/*h=*/16, /*b=*/16, small, rng);
+  std::printf("\nbatched 16x16 recurrent step, batch %zu:\n", batched.batch);
   std::printf("  %zu GEMVs  %10.1f ns    one GEMM %10.1f ns    speedup %5.2fx\n",
-              batch_major.batch, batch_major.gemv_ns, batch_major.gemm_ns,
-              batch_major.speedup());
+              batched.batch, batched.gemv_ns, batched.gemm_ns, batched.speedup());
 
   // Same shapes through the runtime-dispatched SIMD kernels: dispatch-
   // selected vs forced-scalar vs tiled vs reference, all via the Matrix
@@ -617,14 +566,6 @@ int Run(const BenchOptions& options) {
                 "shapes)\n",
                 simd_check.verdict.c_str(), simd_check.measured_min);
   }
-
-  const QuantBenchResult quant = BenchQuantized(medium, rng);
-  std::printf("\nQuantized GEMM (16x256 · (16x256)^T, incl. activation quantization):\n");
-  std::printf("  fp32 %10.1f ns    int8 %10.1f ns    speedup %5.2fx    max rel err %.4f\n",
-              quant.fp32_ns, quant.int8_ns, quant.speedup(), quant.max_rel_error);
-  std::printf("  weight memory %.2fx smaller (int8's win at this shape: the int8 kernel\n"
-              "  plus per-call activation quantization is slower than peak fp32 simd)\n",
-              quant.weight_mem_ratio);
 
   const StepResult step =
       BenchGruStep(/*in_dim=*/64, /*hidden=*/16, /*unroll=*/48, options.smoke ? 20 : 400);
@@ -659,8 +600,7 @@ int Run(const BenchOptions& options) {
     std::printf("  speedup %.2fx\n", par.speedup());
   }
 
-  WriteJson(options, fixture, gemm, batch_major, simd_rows, simd_check, quant, step, train,
-            par);
+  WriteJson(options, fixture, gemm, batched, simd_rows, simd_check, step, train, par);
   std::printf("\nwrote %s\n", options.out.c_str());
   // Exit nonzero on a bit-exactness break always; on a failed SIMD gemm
   // check only in full mode (smoke iteration counts are too noisy to gate).

@@ -1,13 +1,11 @@
 // Serving-layer throughput and latency (extension; paper section 6 discusses
 // estimation cost at production scale). Measures the online EstimationService
-// over a batch-major on/off x worker-count x micro-batch grid. With
-// batch_major off, every request replays the sequential reference path
-// (warm-start replay + one GEMV per step); on, a batch of B requests starts
-// from the cached warm state and runs as column-stacked GEMMs, so batch-major
-// at batch=16 must beat the reference path by a wide margin at every worker
-// count. A final run hot-swaps a fine-tuned model mid-flight and verifies no
-// request observed torn weights: every result must be bit-identical to
-// exactly one published version's single-threaded reference.
+// over a worker-count x micro-batch grid. Every batch runs as one
+// batch-row-major forward pass over the packed weights from the cached warm
+// state, so batch=16 must beat batch=1 at every worker count. A final run
+// hot-swaps a fine-tuned model mid-flight and verifies no request observed
+// torn weights: every result must be bit-identical to exactly one published
+// version's single-threaded reference.
 //
 // A soft-memory leg serves 10^6 distinct stream contexts through the tiered
 // StateCache inside a fixed budget that could not hold them uncompressed,
@@ -309,15 +307,14 @@ StreamLegResult RunStreamLeg(std::shared_ptr<const DeepRestEstimator> model,
 }
 
 CellResult RunCell(std::shared_ptr<const DeepRestEstimator> model,
-                   const std::vector<std::vector<float>>& features, bool batch_major,
-                   size_t workers, size_t batch, size_t requests) {
+                   const std::vector<std::vector<float>>& features, size_t workers,
+                   size_t batch, size_t requests) {
   ModelRegistry registry;
   IngestPipeline pipeline(model->features(), {.shards = 2});
   registry.Publish(std::move(model));
   EstimationServiceConfig config;
   config.workers = workers;
   config.max_batch = batch;
-  config.batch_major = batch_major;
   EstimationService service(registry, pipeline, config);
 
   std::vector<std::future<EstimationService::EstimateResult>> futures;
@@ -350,7 +347,7 @@ int main(int argc, char** argv) {
   }
 
   PrintBenchHeader("online serving (extension)",
-                   "batch-major sharded estimation + hot-swap consistency");
+                   "batched sharded estimation + hot-swap consistency");
   HarnessConfig config = SocialBenchConfig();
   config.learn_days = smoke ? 1 : 2;  // keep the warm-start replay bench-sized
   config.estimator.hidden_dim = 8;
@@ -360,10 +357,8 @@ int main(int argc, char** argv) {
   std::printf("Training the serving model (%zu learn windows)...\n\n", harness.learn_windows());
   std::shared_ptr<const DeepRestEstimator> v1(harness.deeprest().Clone());
 
-  // One fixed 8-window query. The reference path replays the learning-phase
-  // history per request before stepping the 8 windows; the batch-major path
-  // starts from the cached warm state and stacks the batch into GEMM columns
-  // — the grid quantifies both wins separately.
+  // One fixed 8-window query: every request starts from the cached warm
+  // state, and a batch stacks its queries as the rows of each GEMM.
   Rng rng(config.seed + 53);
   const auto query = harness.RunQuery(GenerateTraffic(harness.QuerySpec(1), rng));
   const auto features =
@@ -373,58 +368,57 @@ int main(int argc, char** argv) {
   const std::vector<size_t> worker_grid = smoke ? std::vector<size_t>{1, 2}
                                                 : std::vector<size_t>{1, 4, 8};
   const std::vector<size_t> batch_grid = {1, 16};
+  if (!smoke) {
+    // Untimed warm-up at the widest worker count. A cell lasts tens of
+    // milliseconds, so on a VM whose idle vCPUs are halted the first
+    // multi-worker cells would otherwise time their wake-up, not serving.
+    const WallTimer warm_up;
+    while (warm_up.Seconds() < 2.0) {
+      RunCell(v1, features, worker_grid.back(), 1, 256);
+    }
+  }
   struct GridCell {
-    bool batch_major;
     size_t workers;
     size_t batch;
     CellResult result;
   };
   std::vector<GridCell> cells;
   std::vector<std::vector<std::string>> rows;
-  for (const bool bm : {false, true}) {
-    for (const size_t w : worker_grid) {
-      for (const size_t b : batch_grid) {
-        GridCell cell{bm, w, b, RunCell(v1, features, bm, w, b, requests_per_cell)};
-        rows.push_back({bm ? "on" : "off", std::to_string(w), std::to_string(b),
-                        FormatDouble(cell.result.requests_per_sec, 1),
-                        FormatDouble(cell.result.counters.mean_batch_size, 2),
-                        FormatDouble(cell.result.counters.p50_latency_ms, 1),
-                        FormatDouble(cell.result.counters.p99_latency_ms, 1)});
-        cells.push_back(std::move(cell));
-      }
+  for (const size_t w : worker_grid) {
+    for (const size_t b : batch_grid) {
+      GridCell cell{w, b, RunCell(v1, features, w, b, requests_per_cell)};
+      rows.push_back({std::to_string(w), std::to_string(b),
+                      FormatDouble(cell.result.requests_per_sec, 1),
+                      FormatDouble(cell.result.counters.mean_batch_size, 2),
+                      FormatDouble(cell.result.counters.p50_latency_ms, 1),
+                      FormatDouble(cell.result.counters.p99_latency_ms, 1)});
+      cells.push_back(std::move(cell));
     }
   }
-  std::printf(
-      "%zu requests per cell, 8 query windows each:\n%s\n", requests_per_cell,
-      RenderTable(
-          {"batch-major", "workers", "max batch", "req/s", "mean batch", "p50 ms", "p99 ms"},
-          rows)
-          .c_str());
+  std::printf("%zu requests per cell, 8 query windows each:\n%s\n", requests_per_cell,
+              RenderTable({"workers", "max batch", "req/s", "mean batch", "p50 ms", "p99 ms"},
+                          rows)
+                  .c_str());
 
-  const auto cell_rps = [&](bool bm, size_t w, size_t b) {
+  const auto cell_rps = [&](size_t w, size_t b) {
     for (const GridCell& cell : cells) {
-      if (cell.batch_major == bm && cell.workers == w && cell.batch == b) {
+      if (cell.workers == w && cell.batch == b) {
         return cell.result.requests_per_sec;
       }
     }
     return 0.0;
   };
   const size_t max_workers = worker_grid.back();
-  const double speedup_1w = cell_rps(false, 1, 16) > 0.0
-                                ? cell_rps(true, 1, 16) / cell_rps(false, 1, 16)
-                                : 0.0;
-  const double worker_scaling = cell_rps(true, 1, 16) > 0.0
-                                    ? cell_rps(true, max_workers, 16) / cell_rps(true, 1, 16)
-                                    : 0.0;
+  const double worker_scaling =
+      cell_rps(1, 16) > 0.0 ? cell_rps(max_workers, 16) / cell_rps(1, 16) : 0.0;
   const unsigned hardware = std::thread::hardware_concurrency();
-  std::printf("batch-major speedup at 1 worker, batch 16 (on vs off): %.2fx\n", speedup_1w);
-  std::printf("worker scaling with batch-major on (1 -> %zu workers): %.2fx on %u cores\n\n",
+  std::printf("worker scaling at batch 16 (1 -> %zu workers): %.2fx on %u cores\n\n",
               max_workers, worker_scaling, hardware);
 
-  // The full curve, not just the endpoint ratio: per worker count with
-  // batch-major on at batch 16, throughput and its ratio to the 1-worker
-  // cell. Downstream tooling tracks the whole shape (a mid-grid plateau is
-  // invisible in the endpoint scalar).
+  // The full curve, not just the endpoint ratio: per worker count at batch
+  // 16, throughput and its ratio to the 1-worker cell. Downstream tooling
+  // tracks the whole shape (a mid-grid plateau is invisible in the endpoint
+  // scalar).
   struct ScalingPoint {
     size_t workers;
     double req_per_sec;
@@ -432,9 +426,8 @@ int main(int argc, char** argv) {
   };
   std::vector<ScalingPoint> scaling_curve;
   for (const size_t w : worker_grid) {
-    const double base = cell_rps(true, 1, 16);
-    scaling_curve.push_back({w, cell_rps(true, w, 16),
-                             base > 0.0 ? cell_rps(true, w, 16) / base : 0.0});
+    const double base = cell_rps(1, 16);
+    scaling_curve.push_back({w, cell_rps(w, 16), base > 0.0 ? cell_rps(w, 16) / base : 0.0});
   }
 
   // Scalability verdict: more workers must never lose to one worker. Only
@@ -445,17 +438,15 @@ int main(int argc, char** argv) {
   std::printf("scalability check (1 -> %zu workers does not regress): %s\n\n", max_workers,
               !scaling_applicable ? "SKIP (1 hardware core)" : scaling_ok ? "PASS" : "FAIL");
 
-  // Batch-major must beat batch=1 at every worker count (GEMM columns beat
-  // one-at-a-time passes even with the warm replay already cached). The off
-  // rows carry the per-request replay at every batch size, so no such win is
-  // expected there; they exist as the baseline for speedup_1w.
+  // Batch 16 must beat batch 1 at every worker count: one pass whose GEMMs
+  // carry 16 query rows beats 16 one-row passes.
   bool batching_wins = true;
   for (const size_t w : worker_grid) {
-    if (cell_rps(true, w, 16) <= cell_rps(true, w, 1)) {
+    if (cell_rps(w, 16) <= cell_rps(w, 1)) {
       batching_wins = false;
     }
   }
-  std::printf("batching check (batch-major on: batch=16 beats batch=1 at every worker count): %s\n\n",
+  std::printf("batching check (batch=16 beats batch=1 at every worker count): %s\n\n",
               batching_wins ? "PASS" : "FAIL");
 
   // Hot-swap consistency: publish a fine-tuned clone mid-run and verify no
@@ -627,8 +618,7 @@ int main(int argc, char** argv) {
     json << "  \"grid\": [\n";
     for (size_t i = 0; i < cells.size(); ++i) {
       const GridCell& cell = cells[i];
-      json << "    {\"batch_major\": " << (cell.batch_major ? 1 : 0)
-           << ", \"workers\": " << cell.workers << ", \"max_batch\": " << cell.batch
+      json << "    {\"workers\": " << cell.workers << ", \"max_batch\": " << cell.batch
            << ", \"req_per_sec\": " << FormatDouble(cell.result.requests_per_sec, 1)
            << ", \"mean_batch\": " << FormatDouble(cell.result.counters.mean_batch_size, 2)
            << ", \"p50_ms\": " << FormatDouble(cell.result.counters.p50_latency_ms, 1)
@@ -636,7 +626,6 @@ int main(int argc, char** argv) {
            << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     json << "  ],\n";
-    json << "  \"batch_major_speedup_1w\": " << FormatDouble(speedup_1w, 2) << ",\n";
     json << "  \"worker_scaling\": " << FormatDouble(worker_scaling, 2) << ",\n";
     json << "  \"worker_scaling_curve\": [\n";
     for (size_t i = 0; i < scaling_curve.size(); ++i) {
@@ -684,15 +673,14 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   // Smoke runs gate on correctness only (tiny configs make the perf ratios
-  // noisy); full runs additionally require the batch-major win, the tail
-  // bound on budgeted state serving, plus the scalability verdict when the
-  // host actually has parallel cores.
+  // noisy); full runs additionally require the batching win, the tail bound
+  // on budgeted state serving, plus the scalability verdict when the host
+  // actually has parallel cores.
   const bool correctness_ok = torn == 0 && overload_ok && tier_ok && stream_ok;
   if (smoke) {
     return correctness_ok ? 0 : 1;
   }
-  return correctness_ok && batching_wins && speedup_1w >= 3.0 && tail_bounded &&
-                 (!scaling_applicable || scaling_ok)
+  return correctness_ok && batching_wins && tail_bounded && (!scaling_applicable || scaling_ok)
              ? 0
              : 1;
 }

@@ -10,6 +10,7 @@
 
 #include "src/nn/optimizer.h"
 #include "src/nn/ops.h"
+#include "src/nn/quant.h"
 #include "src/nn/serialize.h"
 
 namespace deeprest {
@@ -550,7 +551,6 @@ Matrix StackRows(const std::vector<const Matrix*>& blocks) {
 }  // namespace
 
 void DeepRestEstimator::RefreshInferencePack() {
-  const bool quantized = config_.quantized_inference;
   packed_.assign(experts_.size(), PackedExpert());
   for (size_t i = 0; i < experts_.size(); ++i) {
     const Expert& expert = experts_[i];
@@ -582,29 +582,13 @@ void DeepRestEstimator::RefreshInferencePack() {
     }
     p.bias = StackRows(biases);
     p.head_b = expert.head.bias().value();
-    const Matrix w_in = StackRows(in_blocks);
-    if (quantized) {
-      // Per-row quantization, so stacking quantizes each block as it would
-      // alone.
-      p.w_in_q = QuantizeRowwise(w_in);
-      p.head_q = QuantizeRowwise(expert.head.weight().value());
-    } else {
-      p.w_in = w_in.Transposed();
-      p.head = expert.head.weight().value().Transposed();
-    }
+    p.w_in = StackRows(in_blocks).Transposed();
+    p.head = expert.head.weight().value().Transposed();
   }
   packed_attention_ = Matrix();
   if (config_.use_attention && !experts_.empty()) {
     HadamardInto(alpha_.value(), diag_zero_mask_, packed_attention_);
   }
-}
-
-void DeepRestEstimator::SetQuantizedInference(bool enabled) {
-  if (config_.quantized_inference == enabled) {
-    return;
-  }
-  config_.quantized_inference = enabled;
-  RefreshInferencePack();
 }
 
 void DeepRestEstimator::CompressParametersToFp16() {

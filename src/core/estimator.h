@@ -63,16 +63,6 @@ struct EstimatorConfig {
   // assert the equivalence. Not serialized: a loaded model uses the loader's
   // setting.
   bool use_fused_graph = true;
-  // Run the batch-major inference path (EstimateFromFeaturesBatch and
-  // everything built on it) with int8 per-row-quantized weights for the
-  // input projections and output heads (src/nn/quant.h). The
-  // recurrent U matrices stay fp32 — error fed back through the hidden
-  // state compounds step over step. Training, the tensor-graph reference
-  // path, and the warm-start replay always run fp32, so
-  // EstimateFromFeaturesReference remains the exact oracle and
-  // tests/core/quantized_inference_test.cc bounds the quantile-loss delta.
-  // Not serialized: a loaded model uses the loader's setting.
-  bool quantized_inference = false;
   bool verbose = false;
 };
 
@@ -183,8 +173,8 @@ class DeepRestEstimator {
   // replays the full learn_features_ warm-start trajectory, then steps the
   // query one window at a time through the fused/reference graph. Kept as
   // the correctness oracle for the batch-major path (see
-  // batched_inference_test.cc) and as the serving baseline when
-  // EstimationServiceConfig::batch_major is off.
+  // batched_inference_test.cc and sharded_queue_test.cc); nothing in
+  // production serves through it.
   EstimateMap EstimateFromFeaturesReference(
       const std::vector<std::vector<float>>& features) const;
 
@@ -232,11 +222,7 @@ class DeepRestEstimator {
   double train_seconds() const { return train_seconds_; }
   const std::vector<float>& epoch_losses() const { return epoch_losses_; }
 
-  // --- Reduced-precision inference / storage ---
-  // Toggles int8 quantized batch inference (see EstimatorConfig). Rebuilds
-  // the packed inference weights; mutating call, serialize like Learn.
-  void SetQuantizedInference(bool enabled);
-  bool quantized_inference() const { return config_.quantized_inference; }
+  // --- Reduced-precision storage ---
   // Rounds every parameter to the nearest IEEE binary16 value in place
   // (ModelRegistry fp16 storage policy). Compute stays fp32; the warm-start
   // cache and the packed inference weights are refreshed against the
@@ -294,8 +280,7 @@ class DeepRestEstimator {
   // so the const inference surface can read both caches lock-free.
   void RefreshWarmStartCache();
   // Rebuilds packed_ and packed_attention_ from the current parameters and
-  // config_ (also called alone by SetQuantizedInference, which changes only
-  // the pack's precision).
+  // config_.
   void RefreshInferencePack();
 
   EstimatorConfig config_;
@@ -314,8 +299,8 @@ class DeepRestEstimator {
   std::vector<Matrix> warm_hidden_;
   // Derived inference weights of the batch-row-major forward (src/nn/
   // batched.h), parallel to experts_: sigmoid(mask), the stacked transposed
-  // input block [Wz;Wk;Wh;skip]^T (int8 rows under quantized inference),
-  // [Uz;Uk]^T, Uh^T and head^T. Not serialized; see RefreshInferencePack.
+  // input block [Wz;Wk;Wh;skip]^T, [Uz;Uk]^T, Uh^T and head^T. Not
+  // serialized; see RefreshInferencePack.
   std::vector<PackedExpert> packed_;
   Matrix packed_attention_;  // alpha . diag mask (E x E); empty without attention
   double train_seconds_ = 0.0;

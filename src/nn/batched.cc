@@ -6,20 +6,6 @@
 #include <cstring>
 
 namespace deeprest {
-namespace {
-
-// out = x · W^T through whichever copy of W the pack holds: the transposed
-// fp32 matrix `wt` (one exact mat-mat GEMM) or the int8 rows `wq`.
-void WeightProduct(const Matrix& wt, const QuantizedMatrix& wq, const Matrix& x, Matrix& out,
-                   QuantScratch& quant) {
-  if (!wq.empty()) {
-    QuantizedMatMul(wq, x, out, quant);
-  } else {
-    MatMulInto(x, wt, out);
-  }
-}
-
-}  // namespace
 
 void PackedExpertStep(const PackedExpert& p, const Matrix& x, float* state, float* bypass,
                       PackedScratch& s) {
@@ -43,7 +29,7 @@ void PackedExpertStep(const PackedExpert& p, const Matrix& x, float* state, floa
   }
   // One GEMM for every consumer of xm: the gates (or the feed-forward core)
   // and the bypass columns.
-  WeightProduct(p.w_in, p.w_in_q, *xm, s.gates, s.quant);
+  MatMulInto(*xm, p.w_in, s.gates);
   const size_t g = s.gates.cols();
   const float* bias = p.bias.data();
   if (p.recurrent) {
@@ -117,7 +103,7 @@ void PackedExpertHead(const PackedExpert& p, const float* attended, const float*
     }
     std::memcpy(row + hd, state + b * hd, hd * sizeof(float));
   }
-  WeightProduct(p.head, p.head_q, s.concat, s.y, s.quant);
+  MatMulInto(s.concat, p.head, s.y);
   const size_t outs = p.head_b.size();
   const bool has_bypass = !p.skip_b.empty();
   assert(!has_bypass || p.skip_b.size() == outs);

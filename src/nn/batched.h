@@ -36,30 +36,25 @@
 #include <cstddef>
 
 #include "src/nn/matrix.h"
-#include "src/nn/quant.h"
 
 namespace deeprest {
 
-// One expert's inference weights, packed for the batch-row-major step.
-// Derived from the trained parameters, never serialized. The input block and
-// the head are either fp32 (transposed) or int8 (row-major, per-row scales);
-// the recurrent U matrices are always fp32 — error fed back through the
-// hidden state compounds step over step, so they are never quantized.
+// One expert's inference weights, packed (transposed and stacked) for the
+// batch-row-major step. Derived from the trained parameters, never
+// serialized.
 struct PackedExpert {
   size_t hidden = 0;     // H
   bool recurrent = true;  // GRU core; false = feed-forward tanh core
   Matrix mask;      // 1 x D sigmoid(mask logits); empty = no API mask
   // Input block, G = 3H (GRU: z, k, h~ gates) or H (feed-forward core),
   // plus 3 bypass columns when skip_b is non-empty.
-  Matrix w_in;               // D x G (fp32 mode)
-  QuantizedMatrix w_in_q;    // G x D (int8 mode)
-  Matrix bias;               // 3H x 1 [bz;bk;bh], or H x 1 feed-forward bias
-  Matrix u_zk;               // H x 2H [Uz;Uk]^T (GRU only)
-  Matrix u_h;                // H x H Uh^T (GRU only)
-  Matrix head;               // 2H x 3 head^T (fp32 mode)
-  QuantizedMatrix head_q;    // 3 x 2H (int8 mode)
-  Matrix head_b;             // 3 x 1
-  Matrix skip_b;             // 3 x 1; empty = no linear bypass
+  Matrix w_in;      // D x G
+  Matrix bias;      // 3H x 1 [bz;bk;bh], or H x 1 feed-forward bias
+  Matrix u_zk;      // H x 2H [Uz;Uk]^T (GRU only)
+  Matrix u_h;       // H x H Uh^T (GRU only)
+  Matrix head;      // 2H x 3 head^T
+  Matrix head_b;    // 3 x 1
+  Matrix skip_b;    // 3 x 1; empty = no linear bypass
 };
 
 // Scratch buffers reused across steps so the steady-state step makes no
@@ -70,7 +65,6 @@ struct PackedScratch {
   Matrix h, rec, z, kh, cand;  // GRU internals (B x H, rec is B x 2H)
   Matrix concat;            // B x 2H head input [attended ; hidden]
   Matrix y;                 // B x 3 head output
-  QuantScratch quant;       // int8 activation packing (quantized mode only)
 };
 
 // Advances one expert by one window for the B rows of `x` (B x D scaled

@@ -110,30 +110,26 @@ class Matrix {
 
 // ---- GEMM kernels ----
 //
-// The dense kernels below are register-blocked but keep the per-element
-// accumulation order identical to a naive i-k-j triple loop: blocking is only
-// over independent output rows/columns, never over the reduction dimension,
-// so results are bit-identical to the reference kernels (floating-point
-// addition is not associative; reassociating over k would change low bits).
-// The one intentional difference is that the dense path no longer skips
-// `a == 0.0f` entries — the branch costs more than the multiply on dense
-// data, and `x + 0*y == x` for every finite x (a 0-row can flip +0 to -0,
-// which still compares equal). Use MatMulIntoSkipZeros where the left operand
-// is genuinely sparse (e.g. the zero-initialized, zero-diagonal attention
-// matrix).
+// Every kernel below runs a rung of the ISA ladder (src/nn/simd/dispatch.h)
+// and keeps the per-element accumulation order of a naive i-k-j triple loop:
+// blocking and vector lanes span only independent output elements, never the
+// reduction dimension, so in the default mode results are bit-identical to
+// the reference kernels (floating-point addition is not associative;
+// reassociating over k would change low bits). The one intentional
+// difference is that the dense path does not skip `a == 0.0f` entries: the
+// branch costs more than the multiply on dense data, and `x + 0*y == x` for
+// every finite x (a 0-row can flip +0 to -0, which still compares equal).
 
 // out = a * b, reusing out's storage when capacity allows.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix& out);
-// out = a * b with the left operand's zero entries skipped. Worth it only
-// when a is mostly zeros; bit-compatible with MatMulInto up to the sign of
-// zero results.
-void MatMulIntoSkipZeros(const Matrix& a, const Matrix& b, Matrix& out);
 // out += a^T * b.
 void AccumulateATransposeB(const Matrix& a, const Matrix& b, Matrix& out);
 // out += a * b^T.
 void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out);
 
 // ---- Fused element-wise helpers (AXPY-style) ----
+// One rounding per element on every rung, so every mode runs them on the
+// active rung.
 // out = a + b (out is reshaped; may not alias a or b).
 void AddInto(const Matrix& a, const Matrix& b, Matrix& out);
 // out = a + scale * b.
@@ -142,19 +138,17 @@ void AddScaledInto(const Matrix& a, const Matrix& b, float scale, Matrix& out);
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out);
 
 // ---- Kernel backend selection ----
-// kReference dispatches the three GEMM entry points above to the pre-tiling
-// naive kernels (kept verbatim in the deeprest::reference namespace). It
-// exists so bench_kernels can measure an honest before/after on one binary
-// and so tests can bound the (zero-sign-only) deviation. In the default
-// kTiled mode, mat-mat MatMulInto (m >= 2) already runs the explicitly
-// vectorized kernels in src/nn/simd/ (runtime ISA selection; see
-// simd/dispatch.h): their mat-mat path is exact on every rung. kSimd differs
-// from kTiled only where the vector kernels reassociate — the GEMV (m == 1)
-// path and AccumulateABTranspose use lane-parallel reductions and are only
-// ULP-bounded — which is why kTiled stays the default for training
-// determinism and kSimd is opt-in. (kSimd also routes AccumulateATransposeB
-// and the element-wise helpers to the ladder; those are bit-identical.)
-// Global, not thread-local: flip it only in single-threaded setup code.
+// kTiled (the default) is the exact mode. Mat-mat MatMulInto (m >= 2) and
+// AccumulateATransposeB run on the active rung, whose kernels for them are
+// exact; the GEMV (m == 1) and AccumulateABTranspose run on the scalar rung,
+// because the vector rungs reduce them across lanes and are only
+// ULP-bounded. kSimd runs everything on the active rung: faster GEMV and
+// AccumulateABTranspose, no bit-exactness, opt-in. kReference dispatches the
+// three GEMM entry points to the pre-tiling naive kernels (kept verbatim in
+// the deeprest::reference namespace), so bench_kernels can measure an honest
+// before/after on one binary and tests can bound the (zero-sign-only)
+// deviation. Global, not thread-local: flip it only in single-threaded setup
+// code.
 enum class KernelMode { kTiled, kReference, kSimd };
 void SetKernelMode(KernelMode mode);
 KernelMode GetKernelMode();

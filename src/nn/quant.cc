@@ -1,30 +1,8 @@
 #include "src/nn/quant.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstring>
 
-#include "src/nn/simd/dispatch.h"
-
 namespace deeprest {
-namespace {
-
-// Round-to-nearest-even without a libm call: adding and subtracting
-// 1.5 * 2^23 forces the value onto the integer grid under the default
-// rounding mode (exact for |v| <= 2^22; quantized values are in
-// [-127, 127]). std::nearbyint and std::lrintf both stay out-of-line
-// calls at -O2 because of math-errno, and this loop runs on every
-// quantized inference call. Requires no -ffast-math (the project lint
-// already forbids it) so the compiler cannot fold (v + m) - m to v.
-inline int8_t RoundToInt8(float v) {
-  const float clamped = std::max(-127.0f, std::min(127.0f, v));
-  const float magic = 12582912.0f;  // 2^23 + 2^22
-  const float rounded = (clamped + magic) - magic;
-  return static_cast<int8_t>(rounded);
-}
-
-}  // namespace
 
 uint16_t FloatToHalf(float value) {
   uint32_t f;
@@ -93,84 +71,6 @@ float HalfToFloat(uint16_t bits) {
   float value;
   std::memcpy(&value, &f, sizeof(value));
   return value;
-}
-
-QuantizedMatrix QuantizeRowwise(const Matrix& m) {
-  QuantizedMatrix q;
-  q.rows = m.rows();
-  q.cols = m.cols();
-  q.data.resize(q.rows * q.cols);
-  q.scales.resize(q.rows);
-  for (size_t r = 0; r < q.rows; ++r) {
-    const float* row = m.data() + r * q.cols;
-    float maxabs = 0.0f;
-    for (size_t c = 0; c < q.cols; ++c) {
-      maxabs = std::max(maxabs, std::fabs(row[c]));
-    }
-    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-    const float inv = 1.0f / scale;
-    q.scales[r] = scale;
-    int8_t* qrow = q.data.data() + r * q.cols;
-    for (size_t c = 0; c < q.cols; ++c) {
-      qrow[c] = RoundToInt8(row[c] * inv);
-    }
-  }
-  return q;
-}
-
-Matrix Dequantize(const QuantizedMatrix& q) {
-  Matrix m(q.rows, q.cols);
-  for (size_t r = 0; r < q.rows; ++r) {
-    const int8_t* qrow = q.data.data() + r * q.cols;
-    const float scale = q.scales[r];
-    float* row = m.data() + r * q.cols;
-    for (size_t c = 0; c < q.cols; ++c) {
-      row[c] = static_cast<float>(qrow[c]) * scale;
-    }
-  }
-  return m;
-}
-
-void QuantizedMatMul(const QuantizedMatrix& w, const Matrix& x, Matrix& out,
-                     QuantScratch& scratch) {
-  assert(w.cols == x.cols());
-  const size_t n = w.rows;
-  const size_t k = w.cols;
-  const size_t m = x.rows();
-  scratch.x8.resize(m * k);
-  scratch.xscale.resize(m);
-  // Each activation row is one query and is already contiguous, so it
-  // quantizes in place of itself: row b of x becomes row b of x8.
-  for (size_t b = 0; b < m; ++b) {
-    const float* xrow = x.data() + b * k;
-    // max|x| over the row in eight independent running maxima, so the scan
-    // vectorizes instead of being one serial chain; max is exact, so the
-    // split cannot change the result.
-    float lane[8] = {};
-    size_t c = 0;
-    for (; c + 8 <= k; c += 8) {
-      for (size_t j = 0; j < 8; ++j) {
-        lane[j] = std::max(lane[j], std::fabs(xrow[c + j]));
-      }
-    }
-    float maxabs = 0.0f;
-    for (; c < k; ++c) {
-      maxabs = std::max(maxabs, std::fabs(xrow[c]));
-    }
-    for (float v : lane) {
-      maxabs = std::max(maxabs, v);
-    }
-    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-    const float inv = 1.0f / scale;
-    scratch.xscale[b] = scale;
-    int8_t* x8row = scratch.x8.data() + b * k;
-    for (size_t d = 0; d < k; ++d) {
-      x8row[d] = RoundToInt8(xrow[d] * inv);
-    }
-  }
-  out.SetShape(m, n);
-  simd::Int8MatMul(w.data.data(), w.scales.data(), scratch.x8.data(), scratch.xscale.data(),
-                   out.data(), n, k, m);
 }
 
 HalfMatrix ToHalf(const Matrix& m) {

@@ -37,11 +37,10 @@ bool HostSupports(Isa isa) {
 #endif
     case Isa::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
-      // The avx512 TU keeps its int8 kernel at 256 bits, so it needs the
-      // AVX2+FMA encodings too (true of every shipped AVX-512 part, but
-      // probe it rather than assume).
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2") &&
-             __builtin_cpu_supports("fma");
+      // GCC's avx512f target implies AVX2, so the avx512 TU may carry AVX2
+      // encodings (true of every shipped AVX-512 part, but probe it rather
+      // than assume).
+      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
 #else
       return false;
 #endif
@@ -199,9 +198,13 @@ void Hadamard(const float* a, const float* b, float* out, size_t n) {
   ActiveTable().hadamard(a, b, out, n);
 }
 
-void Int8MatMul(const int8_t* w8, const float* wscale, const int8_t* x8, const float* xscale,
-                float* out, size_t n, size_t k, size_t m) {
-  ActiveTable().int8_matmul(w8, wscale, x8, xscale, out, n, k, m);
+void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k) {
+  detail::ScalarTable()->matmul(a, b, out, n, k, 1);
+}
+
+void ScalarAccumulateABTranspose(const float* a, const float* b, float* out, size_t n,
+                                 size_t k, size_t m) {
+  detail::ScalarTable()->acc_abt(a, b, out, n, k, m);
 }
 
 }  // namespace simd

@@ -23,13 +23,16 @@
 //     output elements keep each element's reduction in ascending-k order and
 //     round every multiply and add separately (no FMA contraction on those
 //     paths) — results are BIT-IDENTICAL to plain ascending-k C++ loops on
-//     every ISA. That is why the default (kTiled) mode's mat-mat MatMulInto
-//     runs on this ladder too.
+//     every ISA. That is why the default (kTiled) mode runs mat-mat
+//     MatMulInto, AccumulateATransposeB and the element-wise helpers on the
+//     active rung.
 //   * Lane-parallel reductions (the m == 1 GEMV path, AccumulateABTranspose's
-//     double-pair dot products) reassociate across lanes for speed; they are
-//     ULP-BOUNDED against the reference, not bit-exact. This is why
-//     KernelMode::kSimd is a distinct, opt-in mode: kTiled keeps the strict
-//     bit-exactness contract that training determinism relies on.
+//     double-pair dot products) reassociate across lanes on the vector rungs
+//     for speed; they are ULP-BOUNDED against the reference, not bit-exact.
+//     The scalar rung reduces them in sequential order, so kTiled, which
+//     keeps the bit-exactness contract training determinism relies on, runs
+//     these two on the scalar rung (ScalarGemv, ScalarAccumulateABTranspose);
+//     only the opt-in KernelMode::kSimd sends them to the active rung.
 //
 // Raw intrinsics live ONLY under src/nn/simd/ (lint rule
 // intrinsics-only-in-simd); the rest of the tree calls through the function
@@ -38,7 +41,6 @@
 #define SRC_NN_SIMD_DISPATCH_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace deeprest {
@@ -105,14 +107,14 @@ void Axpby(const float* a, const float* b, float scale, float* out, size_t n);
 // out[i] = a[i] * b[i]
 void Hadamard(const float* a, const float* b, float* out, size_t n);
 
-// Row-quantized int8 GEMM, out = x8 * w8^T: out(b, i) = wscale[i] *
-// xscale[b] * sum_c w8(i, c) * x8(b, c), accumulated in int32. `w8` is
-// row-major (n x k) and `x8` is row-major (m x k, one activation row per
-// batch entry), so both operands stream contiguously; `out` is row-major
-// (m x n). Exact: int32 accumulation never rounds, and k * 127^2 stays far
-// below 2^31 for every model shape.
-void Int8MatMul(const int8_t* w8, const float* wscale, const int8_t* x8, const float* xscale,
-                float* out, size_t n, size_t k, size_t m);
+// The scalar rung's GEMV (out = a(n x k) * b(k x 1)) and
+// AccumulateABTranspose, whatever rung is active. These are the two kernels
+// the vector rungs reduce across lanes; the scalar rung reduces in
+// sequential order, so KernelMode::kTiled (the exact mode) runs them here
+// instead of on the active rung.
+void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k);
+void ScalarAccumulateABTranspose(const float* a, const float* b, float* out, size_t n,
+                                 size_t k, size_t m);
 
 }  // namespace simd
 }  // namespace deeprest

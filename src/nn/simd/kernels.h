@@ -4,7 +4,6 @@
 #define SRC_NN_SIMD_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace deeprest {
 namespace simd {
@@ -21,8 +20,6 @@ struct KernelTable {
   void (*add)(const float* a, const float* b, float* out, size_t n);
   void (*axpby)(const float* a, const float* b, float scale, float* out, size_t n);
   void (*hadamard)(const float* a, const float* b, float* out, size_t n);
-  void (*int8_matmul)(const int8_t* w8, const float* wscale, const int8_t* x8,
-                      const float* xscale, float* out, size_t n, size_t k, size_t m);
 };
 
 // Each returns a pointer to a static table, or nullptr when the ISA was not

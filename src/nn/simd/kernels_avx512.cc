@@ -1,9 +1,7 @@
 // AVX-512F kernels (16-lane zmm). Same numerics contract as the AVX2 TU:
 // mat-mat / AccumulateATransposeB / element-wise paths use separate mul+add
 // per lane (bit-identical to plain loops); the GEMV path and
-// AccumulateABTranspose use FMA lane reductions (ULP-bounded). The int8 kernel stays at 256 bits
-// (madd_epi16 needs AVX512BW to go wider); dispatch guarantees AVX2+FMA is
-// present whenever this table is selected.
+// AccumulateABTranspose use FMA lane reductions (ULP-bounded).
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -16,7 +14,6 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 #define DEEPREST_AVX512_TARGET __attribute__((target("avx512f")))
-#define DEEPREST_AVX512_INT8_TARGET __attribute__((target("avx512f,avx2,fma")))
 
 namespace deeprest {
 namespace simd {
@@ -283,54 +280,8 @@ DEEPREST_AVX512_TARGET void HadamardAvx512(const float* a, const float* b, float
   }
 }
 
-DEEPREST_AVX512_INT8_TARGET void Int8MatMulAvx512(const int8_t* w8, const float* wscale,
-                                                  const int8_t* x8, const float* xscale,
-                                                  float* out, size_t n, size_t k, size_t m) {
-  for (size_t i = 0; i < n; ++i) {
-    const int8_t* wrow = w8 + i * k;
-    const float ws = wscale[i];
-    for (size_t b = 0; b < m; ++b) {
-      const int8_t* xrow = x8 + b * k;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      size_t c = 0;
-      for (; c + 32 <= k; c += 32) {
-        const __m256i wv0 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c)));
-        const __m256i xv0 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c)));
-        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wv0, xv0));
-        const __m256i wv1 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c + 16)));
-        const __m256i xv1 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c + 16)));
-        acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(wv1, xv1));
-      }
-      for (; c + 16 <= k; c += 16) {
-        const __m256i wv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + c)));
-        const __m256i xv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xrow + c)));
-        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wv, xv));
-      }
-      const __m256i acc = _mm256_add_epi32(acc0, acc1);
-      const __m128i lo = _mm256_castsi256_si128(acc);
-      const __m128i hi = _mm256_extracti128_si256(acc, 1);
-      __m128i s = _mm_add_epi32(lo, hi);
-      s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x55));
-      int32_t sum = _mm_cvtsi128_si32(s);
-      for (; c < k; ++c) {
-        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
-      }
-      out[b * n + i] = static_cast<float>(sum) * (ws * xscale[b]);
-    }
-  }
-}
-
 const KernelTable kAvx512Table = {
-    MatMulAvx512, AccATBAvx512,   AccABTAvx512,     AddAvx512,
-    AxpbyAvx512,  HadamardAvx512, Int8MatMulAvx512,
+    MatMulAvx512, AccATBAvx512, AccABTAvx512, AddAvx512, AxpbyAvx512, HadamardAvx512,
 };
 
 }  // namespace

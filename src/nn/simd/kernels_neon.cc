@@ -170,31 +170,8 @@ void HadamardNeon(const float* a, const float* b, float* out, size_t n) {
   }
 }
 
-void Int8MatMulNeon(const int8_t* w8, const float* wscale, const int8_t* x8,
-                    const float* xscale, float* out, size_t n, size_t k, size_t m) {
-  for (size_t i = 0; i < n; ++i) {
-    const int8_t* wrow = w8 + i * k;
-    const float ws = wscale[i];
-    for (size_t b = 0; b < m; ++b) {
-      const int8_t* xrow = x8 + b * k;
-      int32x4_t acc = vdupq_n_s32(0);
-      size_t c = 0;
-      for (; c + 8 <= k; c += 8) {
-        const int16x8_t prod = vmull_s8(vld1_s8(wrow + c), vld1_s8(xrow + c));
-        acc = vpadalq_s16(acc, prod);
-      }
-      int32_t sum = vaddvq_s32(acc);
-      for (; c < k; ++c) {
-        sum += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
-      }
-      out[b * n + i] = static_cast<float>(sum) * (ws * xscale[b]);
-    }
-  }
-}
-
 const KernelTable kNeonTable = {
-    MatMulNeon, AccATBNeon,   AccABTNeon,     AddNeon,
-    AxpbyNeon,  HadamardNeon, Int8MatMulNeon,
+    MatMulNeon, AccATBNeon, AccABTNeon, AddNeon, AxpbyNeon, HadamardNeon,
 };
 
 }  // namespace

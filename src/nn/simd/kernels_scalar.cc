@@ -3,9 +3,11 @@
 // Plain C++ over raw pointers: blocking only over independent output
 // elements, every element's k-reduction in ascending order, one rounding per
 // multiply and add. On this rung even the GEMV and AccumulateABTranspose
-// paths keep the sequential reduction order, so kScalar is bit-identical to
-// kTiled on every entry point. Its mat-mat kernel is the exact mat-mat path
-// of every host without AVX2 (and of DEEPREST_SIMD=scalar, which the ci.sh
+// paths keep the sequential reduction order, so these two are the only
+// copies of the exact GEMV and AccumulateABTranspose: KernelMode::kTiled
+// runs them whatever rung is active (dispatch.h ScalarGemv,
+// ScalarAccumulateABTranspose). The rest of the table is the exact path of
+// every host without AVX2 (and of DEEPREST_SIMD=scalar, which the ci.sh
 // simd-off leg pins so the fallback path cannot rot).
 #include "src/nn/simd/kernels.h"
 
@@ -204,25 +206,8 @@ void HadamardScalar(const float* a, const float* b, float* out, size_t n) {
   }
 }
 
-void Int8MatMulScalar(const int8_t* w8, const float* wscale, const int8_t* x8,
-                      const float* xscale, float* out, size_t n, size_t k, size_t m) {
-  for (size_t i = 0; i < n; ++i) {
-    const int8_t* wrow = w8 + i * k;
-    const float ws = wscale[i];
-    for (size_t b = 0; b < m; ++b) {
-      const int8_t* xrow = x8 + b * k;
-      int32_t acc = 0;
-      for (size_t c = 0; c < k; ++c) {
-        acc += static_cast<int32_t>(wrow[c]) * static_cast<int32_t>(xrow[c]);
-      }
-      out[b * n + i] = static_cast<float>(acc) * (ws * xscale[b]);
-    }
-  }
-}
-
 const KernelTable kScalarTable = {
-    MatMulScalar, AccATBScalar,   AccABTScalar,     AddScalar,
-    AxpbyScalar,  HadamardScalar, Int8MatMulScalar,
+    MatMulScalar, AccATBScalar, AccABTScalar, AddScalar, AxpbyScalar, HadamardScalar,
 };
 
 }  // namespace

@@ -653,27 +653,21 @@ void EstimationService::ServeBatch(std::vector<Request> batch) {
     }
   }
 
-  // One coalesced forward pass: the batch runs as column-stacked GEMMs from
-  // the cached warm-start state (see EstimateFromFeaturesBatch). With
-  // batch_major off, each request replays the sequential reference path —
-  // bit-identical results, kept as a benchmark baseline. A batch carrying
-  // stream requests takes the resume path instead: same batch-major math,
-  // but cursor-seeded and round-split for duplicate streams.
+  // One coalesced forward pass: the batch's queries are the rows of one
+  // batch-row-major pass from the cached warm-start state (see
+  // EstimateFromFeaturesBatch). A batch carrying stream requests takes the
+  // resume path instead: same math, but cursor-seeded and round-split for
+  // duplicate streams.
   std::vector<EstimateMap> estimates;
   if (any_stream) {
     estimates = ServeStreamRounds(batch, series, snapshot);
-  } else if (config_.batch_major) {
+  } else {
     std::vector<const std::vector<std::vector<float>>*> pointers;
     pointers.reserve(series.size());
     for (const auto& s : series) {
       pointers.push_back(&s);
     }
     estimates = snapshot.model->EstimateFromFeaturesBatch(pointers);
-  } else {
-    estimates.resize(series.size());
-    for (size_t i = 0; i < series.size(); ++i) {
-      estimates[i] = snapshot.model->EstimateFromFeaturesReference(series[i]);
-    }
   }
   for (size_t i = 0; i < batch.size(); ++i) {
     finish(batch[i], std::move(estimates[i]));

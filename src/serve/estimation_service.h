@@ -7,10 +7,10 @@
 // batch from a sibling so no queued request is ever stranded behind a busy
 // or unlucky worker. A worker that picks up a request lingers briefly
 // (batch_wait) to coalesce up to max_batch queued requests from its shard
-// into one forward pass via DeepRestEstimator::EstimateFromFeaturesBatch —
-// with batch_major on (default), the batch runs as one column-stacked GEMM
-// pass from the cached warm-start state; off, each request replays the
-// sequential reference path (the pre-batch-major behavior).
+// into one forward pass via DeepRestEstimator::EstimateFromFeaturesBatch
+// (EstimateFromFeaturesBatchResume when the batch carries stream requests):
+// the batch's queries are the rows of one batch-row-major pass over the
+// packed weights, starting from the cached warm-start state.
 //
 // Shutdown safety: Stop() flips the (seq_cst) stopping flag, then
 // locks/unlocks every shard so any submission that saw the flag unset has
@@ -146,10 +146,6 @@ struct EstimationServiceConfig {
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
   // Deadline applied to requests submitted without one; 0 = no deadline.
   std::chrono::milliseconds default_deadline{0};
-  // Serve each batch as one column-stacked batch-major forward pass (the
-  // fast path). Off, every request replays the sequential reference path —
-  // same results bit for bit, kept as a benchmark baseline and escape hatch.
-  bool batch_major = true;
   SanityConfig sanity;
   // Hedged estimate requests (needs >= 2 workers to have a sibling shard).
   HedgeConfig hedge;

@@ -275,23 +275,6 @@ TEST(BatchedInferenceTest, BitExactAfterEveryMutationPoint) {
   model.CompressParametersToFp16();
   expect_fresh(model, "CompressParametersToFp16");
 
-  {
-    SCOPED_TRACE("SetQuantizedInference(true)");
-    model.SetQuantizedInference(true);
-    // int8 is not bit-exact against the fp32 reference; it must actually be
-    // in use, and answer exactly as a model packed from scratch in int8.
-    const EstimateMap int8 = model.EstimateFromFeaturesBatch({&probe})[0];
-    EXPECT_TRUE(AnyDifference(int8, before)) << "int8 inference not in use";
-    const std::unique_ptr<DeepRestEstimator> clone = model.Clone();
-    ASSERT_TRUE(clone->quantized_inference());
-    ExpectSameEstimates(clone->EstimateFromFeaturesBatch({&probe})[0], int8);
-  }
-  model.SetQuantizedInference(false);
-  {
-    SCOPED_TRACE("SetQuantizedInference(false)");
-    ExpectBatchMatchesReference(model, queries);
-  }
-
   // LoadFromStream over an already-trained model: the donor's weights must
   // replace the pack, not just the parameters.
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);

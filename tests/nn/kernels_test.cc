@@ -1,7 +1,8 @@
-// Tiled-kernel vs reference-kernel equivalence.
+// Default-mode kernel vs reference-kernel equivalence.
 //
-// The tiled GEMM kernels block only over independent output elements, never
-// over the reduction dimension, so they promise results IDENTICAL to the
+// In the default (kTiled, exact) mode every GEMM blocks only over independent
+// output elements, never over the reduction dimension, whichever ISA rung
+// runs it, so it promises results IDENTICAL to the
 // reference kernels up to the sign of zero: the reference MatMulInto skipped
 // `a == 0.0f` terms, and adding a 0*b term can turn -0 into +0 (which still
 // compares equal under ==). These tests pin that tolerance: exact value
@@ -69,19 +70,6 @@ TEST(KernelsTest, TiledMatMulEqualsReferenceWithZeroRows) {
     reference::MatMulInto(a, b, ref);
     ExpectValuesEqual(tiled, ref);
   }
-}
-
-TEST(KernelsTest, SkipZerosVariantMatchesDense) {
-  Rng rng(103);
-  Matrix a(9, 14), b(14, 5), dense, sparse;
-  a.FillUniform(rng, 1.0f);
-  b.FillUniform(rng, 1.0f);
-  for (size_t i = 0; i < a.size(); i += 2) {
-    a[i] = 0.0f;  // genuinely sparse left operand: the masked variant's case
-  }
-  MatMulInto(a, b, dense);
-  MatMulIntoSkipZeros(a, b, sparse);
-  ExpectValuesEqual(dense, sparse);
 }
 
 TEST(KernelsTest, TiledAccumulateATransposeBBitIdentical) {

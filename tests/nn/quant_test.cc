@@ -1,14 +1,12 @@
 // Reduced-precision building blocks (src/nn/quant.h): fp16 conversion
-// correctness down to the rounding mode, per-row int8 quantization error
-// bounds, the quantized GEMM against an analytic error envelope, and the
+// correctness down to the rounding mode, in-place half rounding, and the
 // fp16 (v2) checkpoint format.
 //
-// The END-TO-END accuracy budget (quantile-loss delta of a quantized model
-// vs its fp32 twin) lives in tests/core/quantized_inference_test.cc; these
-// tests pin the pieces it is built from.
+// The END-TO-END accuracy budget (quantile-loss delta of an fp16-rounded
+// model vs its fp32 twin) lives in tests/core/quantized_inference_test.cc;
+// these tests pin the pieces it is built from.
 #include "src/nn/quant.h"
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -100,115 +98,6 @@ TEST(QuantTest, ToHalfFromHalfRoundTripsHalfExactValues) {
   const Matrix back = FromHalf(h);
   for (size_t i = 0; i < m.size(); ++i) {
     EXPECT_EQ(back[i], m[i]) << "element " << i;
-  }
-}
-
-// ---- int8 per-row quantization ----
-
-TEST(QuantTest, QuantizeRowwiseErrorWithinHalfLsbPerEntry) {
-  Rng rng(403);
-  Matrix m(17, 23);
-  m.FillUniform(rng, 3.0f);
-  const QuantizedMatrix q = QuantizeRowwise(m);
-  ASSERT_EQ(q.rows, m.rows());
-  ASSERT_EQ(q.cols, m.cols());
-  ASSERT_EQ(q.scales.size(), m.rows());
-  const Matrix deq = Dequantize(q);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    float row_max = 0.0f;
-    for (size_t c = 0; c < m.cols(); ++c) {
-      row_max = std::max(row_max, std::fabs(m[r * m.cols() + c]));
-    }
-    EXPECT_NEAR(q.scales[r], row_max / 127.0f, row_max * 1e-6f) << "row " << r;
-    for (size_t c = 0; c < m.cols(); ++c) {
-      // Symmetric round-to-nearest: at most half an LSB of error per entry.
-      EXPECT_LE(std::fabs(deq[r * m.cols() + c] - m[r * m.cols() + c]),
-                0.5f * q.scales[r] * (1.0f + 1e-5f))
-          << "entry " << r << "," << c;
-    }
-  }
-}
-
-TEST(QuantTest, QuantizeRowwiseZeroRowGetsUnitScale) {
-  Matrix m(2, 4);  // zero-initialized
-  m[4 + 1] = 0.5f;  // second row non-zero
-  const QuantizedMatrix q = QuantizeRowwise(m);
-  EXPECT_EQ(q.scales[0], 1.0f);
-  for (size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(q.data[c], 0);
-  }
-  EXPECT_GT(q.scales[1], 0.0f);
-  const Matrix deq = Dequantize(q);
-  EXPECT_NEAR(deq[4 + 1], 0.5f, 0.5f * q.scales[1]);
-}
-
-TEST(QuantTest, QuantizedMatMulWithinAnalyticErrorEnvelope) {
-  // out ~= x @ dequant(w)^T, one activation row per batch entry. The weight
-  // error is already inside dequant(w) (exactly recoverable via Dequantize),
-  // so the remaining error per output element comes from activation
-  // quantization only:
-  //   |out[b,i] - (x @ dequant(w)^T)[b,i]| <= 0.5 * xscale_b * sum_c|wq[i,c]|
-  // with xscale_b = max_c|x[b,c]| / 127.
-  Rng rng(404);
-  for (const auto& dims : {std::array<size_t, 3>{7, 33, 5},
-                           std::array<size_t, 3>{16, 8, 1},
-                           std::array<size_t, 3>{1, 100, 4}}) {
-    const size_t n = dims[0], k = dims[1], m = dims[2];
-    Matrix w(n, k), x(m, k);
-    w.FillUniform(rng, 1.5f);
-    x.FillUniform(rng, 2.0f);
-    const QuantizedMatrix q = QuantizeRowwise(w);
-    const Matrix wq = Dequantize(q);
-    Matrix fp32;
-    MatMulInto(x, wq.Transposed(), fp32);
-    QuantScratch scratch;
-    Matrix out;
-    QuantizedMatMul(q, x, out, scratch);
-    ASSERT_EQ(out.rows(), m);
-    ASSERT_EQ(out.cols(), n);
-    for (size_t b = 0; b < m; ++b) {
-      float row_max = 0.0f;
-      for (size_t c = 0; c < k; ++c) {
-        row_max = std::max(row_max, std::fabs(x[b * k + c]));
-      }
-      const float xscale = row_max / 127.0f;
-      for (size_t i = 0; i < n; ++i) {
-        float w_mass = 0.0f;
-        for (size_t c = 0; c < k; ++c) {
-          w_mass += std::fabs(wq[i * k + c]);
-        }
-        const float bound = 0.5f * xscale * w_mass * 1.01f + 1e-5f;
-        EXPECT_LE(std::fabs(out[b * n + i] - fp32[b * n + i]), bound)
-            << n << "x" << k << "x" << m << " element " << b << "," << i;
-      }
-    }
-  }
-}
-
-TEST(QuantTest, QuantizedMatMulRowsAreIndependent) {
-  // Each activation row is quantized with its own scale, so a row's result
-  // does not depend on the rows batched beside it — what lets int8
-  // inference answer a query identically at every batch width.
-  Rng rng(405);
-  Matrix w(6, 11), x(3, 11);
-  w.FillUniform(rng, 1.0f);
-  x.FillUniform(rng, 1.0f);
-  for (size_t c = 0; c < 11; ++c) {
-    x.At(1, c) *= 40.0f;  // a large row must not coarsen its neighbours
-  }
-  const QuantizedMatrix q = QuantizeRowwise(w);
-  QuantScratch scratch;
-  Matrix batched;
-  QuantizedMatMul(q, x, batched, scratch);
-  for (size_t b = 0; b < 3; ++b) {
-    Matrix row(1, 11), alone;
-    for (size_t c = 0; c < 11; ++c) {
-      row[c] = x.At(b, c);
-    }
-    QuantizedMatMul(q, row, alone, scratch);
-    for (size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(batched.At(b, i), alone[i]) << "row " << b << " output " << i;
-    }
   }
 }
 

@@ -3,9 +3,7 @@
 // The dispatch layer (src/nn/simd/dispatch.h) promises two tiers of numeric
 // fidelity, and these tests pin both on EVERY rung the host can execute:
 //
-//   * BIT-IDENTICAL to plain C++: the mat-mat MatMul path (checked against
-//     an ascending-k loop written out in this file, since the default mode's
-//     MatMulInto itself runs the ladder's mat-mat kernel),
+//   * BIT-IDENTICAL to plain C++: the mat-mat MatMul path,
 //     AccumulateATransposeB, and all element-wise kernels (Add, Axpby,
 //     Hadamard) keep each output element's reduction in ascending-k
 //     order with one rounding per multiply and per add — vector width changes
@@ -15,14 +13,17 @@
 //     double-precision oracle under the standard reassociation bound
 //     |simd - exact| <= (k + 8) * eps * sum|terms|.
 //
-// kScalar is held to the stricter standard everywhere — it is bit-identical
-// to kTiled on ALL paths including GEMV and AccumulateABTranspose, which is
-// the property the ci.sh simd-off leg (DEEPREST_SIMD=scalar) relies on.
+// kScalar is held to the stricter standard everywhere — its GEMV and
+// AccumulateABTranspose reduce sequentially too, and the default (kTiled)
+// mode runs exactly those two kernels whatever rung is active.
+//
+// Every bit-exactness oracle is a loop written out in this file: the
+// default-mode Matrix entry points themselves run the ladder, so comparing a
+// rung against them would compare the ladder with itself.
 //
 // Also here: the KernelMode round-trip property, ForceIsa ladder clamping,
-// SelectIsaFromSpec parsing, and exactness of the int8 GEMM across rungs.
+// and SelectIsaFromSpec parsing.
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -82,6 +83,40 @@ Matrix AscendingKProduct(const Matrix& a, const Matrix& b) {
         acc += a.At(i, c) * b.At(c, j);
       }
       out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// out(p x q) = seed + a(n x p)^T * b(n x q), each element an ascending-i
+// chain of separately rounded multiplies and adds seeded from `seed`: what
+// every rung's AccumulateATransposeB must reproduce.
+Matrix AscendingATransposeB(const Matrix& a, const Matrix& b, const Matrix& seed) {
+  Matrix out = seed;
+  for (size_t r = 0; r < a.cols(); ++r) {
+    for (size_t c = 0; c < b.cols(); ++c) {
+      float acc = seed.At(r, c);
+      for (size_t i = 0; i < a.rows(); ++i) {
+        acc += a.At(i, r) * b.At(i, c);
+      }
+      out.At(r, c) = acc;
+    }
+  }
+  return out;
+}
+
+// out(n x m) = seed + a(n x k) * b(m x k)^T with each dot product summed in
+// double in ascending-k order, then rounded once and added: the scalar
+// rung's (and the default mode's) AccumulateABTranspose.
+Matrix SequentialABTranspose(const Matrix& a, const Matrix& b, const Matrix& seed) {
+  Matrix out = seed;
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (size_t c = 0; c < a.cols(); ++c) {
+        acc += static_cast<double>(a.At(i, c)) * b.At(j, c);
+      }
+      out.At(i, j) += static_cast<float>(acc);
     }
   }
   return out;
@@ -156,8 +191,9 @@ TEST_F(SimdKernelsTest, GemvUlpBoundedOnEveryIsa) {
   }
 }
 
-TEST_F(SimdKernelsTest, AccumulateATransposeBBitIdenticalToTiledOnEveryIsa) {
+TEST_F(SimdKernelsTest, AccumulateATransposeBBitIdenticalToAscendingLoopOnEveryIsa) {
   Rng rng(303);
+  SetKernelMode(KernelMode::kTiled);
   for (const Shape& s : kMatShapes) {
     // out(p x q) += a(n x p)^T * b(n x q): reuse the grid as n=k, p=n, q=m.
     const size_t n = s.k, p = s.n, q = s.m;
@@ -165,15 +201,19 @@ TEST_F(SimdKernelsTest, AccumulateATransposeBBitIdenticalToTiledOnEveryIsa) {
     a.FillUniform(rng, 1.0f);
     b.FillUniform(rng, 1.0f);
     seed.FillUniform(rng, 1.0f);
-    Matrix tiled = seed;
-    SetKernelMode(KernelMode::kTiled);
-    AccumulateATransposeB(a, b, tiled);
+    const Matrix exact = AscendingATransposeB(a, b, seed);
     for (simd::Isa isa : SupportedIsas()) {
       ASSERT_EQ(simd::ForceIsa(isa), isa);
       Matrix out = seed;
       simd::AccumulateATransposeB(a.data(), b.data(), out.data(), n, p, q);
-      EXPECT_TRUE(BitIdentical(out, tiled))
+      EXPECT_TRUE(BitIdentical(out, exact))
           << simd::IsaName(isa) << " n=" << n << " p=" << p << " q=" << q;
+      // The default mode runs this rung's kernel.
+      Matrix via_mode = seed;
+      AccumulateATransposeB(a, b, via_mode);
+      EXPECT_TRUE(BitIdentical(via_mode, exact))
+          << "AccumulateATransposeB on " << simd::IsaName(isa) << " n=" << n << " p=" << p
+          << " q=" << q;
     }
   }
 }
@@ -215,31 +255,46 @@ TEST_F(SimdKernelsTest, AccumulateABTransposeUlpBoundedOnEveryIsa) {
   }
 }
 
-// The portable fallback is bit-identical to kTiled on the REASSOCIATING
-// paths too (GEMV, AccumulateABTranspose) — it re-states the tiled loops
-// verbatim. The ci.sh simd-off leg (DEEPREST_SIMD=scalar) pins exactly this.
-TEST_F(SimdKernelsTest, ScalarIsaBitIdenticalToTiledOnReassociatingPaths) {
+// The portable fallback reduces sequentially on the REASSOCIATING paths too
+// (GEMV, AccumulateABTranspose), and the default mode runs exactly those
+// kernels whatever rung is active: both must match the sequential loops
+// above bit for bit. The ci.sh simd-off leg (DEEPREST_SIMD=scalar) relies on
+// the first half, training determinism on the second.
+TEST_F(SimdKernelsTest, ScalarIsaAndDefaultModeBitIdenticalOnReassociatingPaths) {
   Rng rng(305);
-  ASSERT_EQ(simd::ForceIsa(simd::Isa::kScalar), simd::Isa::kScalar);
+  SetKernelMode(KernelMode::kTiled);
   for (const Shape& s : kMatShapes) {
-    Matrix a(s.n, s.k), b(s.k, 1), tiled;
+    Matrix a(s.n, s.k), b(s.k, 1);
     a.FillUniform(rng, 1.0f);
     b.FillUniform(rng, 1.0f);
-    SetKernelMode(KernelMode::kTiled);
-    MatMulInto(a, b, tiled);
-    Matrix out(s.n, 1);
-    simd::MatMul(a.data(), b.data(), out.data(), s.n, s.k, 1);
-    EXPECT_TRUE(BitIdentical(out, tiled)) << "gemv " << s.n << "x" << s.k;
+    const Matrix gemv = AscendingKProduct(a, b);
 
     Matrix g(s.n, s.m), w(s.k, s.m), seed(s.n, s.k);
     g.FillUniform(rng, 1.0f);
     w.FillUniform(rng, 1.0f);
     seed.FillUniform(rng, 1.0f);
-    Matrix tiled_acc = seed, scalar_acc = seed;
-    AccumulateABTranspose(g, w, tiled_acc);
+    const Matrix accabt = SequentialABTranspose(g, w, seed);
+
+    ASSERT_EQ(simd::ForceIsa(simd::Isa::kScalar), simd::Isa::kScalar);
+    Matrix out(s.n, 1);
+    simd::MatMul(a.data(), b.data(), out.data(), s.n, s.k, 1);
+    EXPECT_TRUE(BitIdentical(out, gemv)) << "scalar gemv " << s.n << "x" << s.k;
+    Matrix scalar_acc = seed;
     simd::AccumulateABTranspose(g.data(), w.data(), scalar_acc.data(), s.n, s.m, s.k);
-    EXPECT_TRUE(BitIdentical(scalar_acc, tiled_acc))
-        << "accabt " << s.n << "x" << s.m << " * (" << s.k << "x" << s.m << ")^T";
+    EXPECT_TRUE(BitIdentical(scalar_acc, accabt))
+        << "scalar accabt " << s.n << "x" << s.m << " * (" << s.k << "x" << s.m << ")^T";
+
+    for (simd::Isa isa : SupportedIsas()) {
+      ASSERT_EQ(simd::ForceIsa(isa), isa);
+      Matrix via_mode;
+      MatMulInto(a, b, via_mode);
+      EXPECT_TRUE(BitIdentical(via_mode, gemv))
+          << "MatMulInto gemv on " << simd::IsaName(isa) << " " << s.n << "x" << s.k;
+      Matrix mode_acc = seed;
+      AccumulateABTranspose(g, w, mode_acc);
+      EXPECT_TRUE(BitIdentical(mode_acc, accabt))
+          << "AccumulateABTranspose on " << simd::IsaName(isa) << " " << s.n << "x" << s.m;
+    }
   }
 }
 
@@ -287,54 +342,6 @@ TEST_F(SimdKernelsTest, AxpbyIsInPlaceSafe) {
     simd::Axpby(a.data(), b.data(), 0.5f, a.data(), 100);  // in place
     EXPECT_EQ(std::memcmp(a.data(), separate.data(), 100 * sizeof(float)), 0)
         << simd::IsaName(isa);
-  }
-}
-
-TEST_F(SimdKernelsTest, Int8MatMulExactAcrossIsas) {
-  // int32 accumulation never rounds, so every rung must produce the same
-  // result as a plain int64 scalar model of the kernel.
-  Rng rng(308);
-  for (const Shape& s : kMatShapes) {
-    // w8 is (n x k), x8 is (m x k): out(b, i) lands at out[b * n + i].
-    std::vector<int8_t> w8(s.n * s.k), x8(s.m * s.k);
-    std::vector<float> wscale(s.n), xscale(s.m);
-    for (auto& v : w8) {
-      v = static_cast<int8_t>(rng.Uniform(-127.0, 128.0));
-    }
-    for (auto& v : x8) {
-      v = static_cast<int8_t>(rng.Uniform(-127.0, 128.0));
-    }
-    for (auto& v : wscale) {
-      v = static_cast<float>(rng.Uniform(0.001, 1.0));
-    }
-    for (auto& v : xscale) {
-      v = static_cast<float>(rng.Uniform(0.001, 1.0));
-    }
-    std::vector<float> expected(s.n * s.m);
-    for (size_t i = 0; i < s.n; ++i) {
-      for (size_t b = 0; b < s.m; ++b) {
-        int32_t acc = 0;
-        for (size_t c = 0; c < s.k; ++c) {
-          acc += static_cast<int32_t>(w8[i * s.k + c]) * x8[b * s.k + c];
-        }
-        // Matches the kernels' epilogue association exactly:
-        // float(acc) * (wscale * xscale).
-        expected[b * s.n + i] = static_cast<float>(acc) * (wscale[i] * xscale[b]);
-      }
-    }
-    for (simd::Isa isa : SupportedIsas()) {
-      ASSERT_EQ(simd::ForceIsa(isa), isa);
-      std::vector<float> out(s.n * s.m);
-      simd::Int8MatMul(w8.data(), wscale.data(), x8.data(), xscale.data(), out.data(),
-                       s.n, s.k, s.m);
-      for (size_t i = 0; i < out.size(); ++i) {
-        // The int32 sum is exact; only the two scale multiplies round, and
-        // they round identically on every rung.
-        EXPECT_EQ(out[i], expected[i])
-            << simd::IsaName(isa) << " element " << i << " shape " << s.n << "x"
-            << s.k << "x" << s.m;
-      }
-    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -297,33 +298,40 @@ TEST(ShardedQueueTest, ImmediateStopUnderFireStrandsNothing) {
   }
 }
 
-TEST(ShardedQueueTest, BatchMajorOffMatchesOnBitExactly) {
+// Every batch runs one batch-row-major pass; the sequential reference path
+// is the oracle. Mixed-length requests on two workers at max_batch 4 share
+// passes in which shorter queries retire early, and every served result must
+// still match the reference bit for bit. The long linger makes the batches
+// fill up instead of depending on submission timing.
+TEST(ShardedQueueTest, MixedLengthBatchesMatchReferenceBitExactly) {
   const TinySetup s = MakeSetup();
   std::shared_ptr<const DeepRestEstimator> model = TrainModel(s);
-  const auto features = model->features().ExtractSeries(s.traces, s.learn_windows,
-                                                        s.learn_windows + 6);
-  EstimateMap on_result;
-  EstimateMap off_result;
-  for (const bool batch_major : {true, false}) {
-    ModelRegistry registry;
-    IngestPipeline pipeline(model->features(), {.shards = 2});
-    registry.Publish(model);
-    EstimationServiceConfig config;
-    config.workers = 2;
-    config.max_batch = 4;
-    config.batch_major = batch_major;
-    EstimationService service(registry, pipeline, config);
-    std::vector<std::future<EstimationService::EstimateResult>> futures;
-    for (size_t i = 0; i < 8; ++i) {
-      futures.push_back(service.SubmitFeatures(features));
-    }
-    for (auto& future : futures) {
-      const auto result = future.get();
-      ASSERT_EQ(result.status, RequestStatus::kOk);
-      (batch_major ? on_result : off_result) = result.estimates;
-    }
+  std::vector<std::vector<std::vector<float>>> series;
+  for (size_t i = 0; i < 12; ++i) {
+    const size_t from = s.learn_windows + i % 5;
+    const size_t length = 1 + (i * 7) % 9;  // 1..9 windows, mixed within each shard
+    series.push_back(model->features().ExtractSeries(s.traces, from, from + length));
   }
-  testutil::ExpectSameEstimates(on_result, off_result);
+  ModelRegistry registry;
+  IngestPipeline pipeline(model->features(), {.shards = 2});
+  registry.Publish(model);
+  EstimationServiceConfig config;
+  config.workers = 2;
+  config.max_batch = 4;
+  config.batch_wait = std::chrono::milliseconds(100);
+  EstimationService service(registry, pipeline, config);
+  std::vector<std::future<EstimationService::EstimateResult>> futures;
+  for (const auto& features : series) {
+    futures.push_back(service.SubmitFeatures(features));
+  }
+  for (size_t i = 0; i < series.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const auto result = futures[i].get();
+    ASSERT_EQ(result.status, RequestStatus::kOk);
+    testutil::ExpectSameEstimates(result.estimates,
+                                  model->EstimateFromFeaturesReference(series[i]));
+  }
+  EXPECT_GT(service.Counters().max_batch_size, 1u);
 }
 
 }  // namespace

@@ -2,15 +2,17 @@
 # DeepRest CI: every enforcement layer in one script, fastest legs first.
 #
 #   1. tier-1      — default build, full test suite (the gate every PR must hold)
-#   2. e2e-gates   — one short run of the end-to-end benchmark's traffic_plan,
-#                    learn_estimate and live_monitor workloads: their
-#                    correctness gates (served and mode-1 answers bit-identical
-#                    to the trace-path replay; live streams replayed through
+#   2. e2e-gates   — one short run of the end-to-end benchmark's
+#                    features_open, traffic_plan, learn_estimate and
+#                    live_monitor workloads: their correctness gates (served
+#                    and mode-1 answers bit-identical to the trace-path
+#                    replay; live streams replayed through
 #                    EstimateFromFeaturesBatchResume on the model version that
 #                    served them, across live publishes) must pass; SKIP on a
 #                    host with fewer than 4 CPUs
-#   3. simd-off    — kernel + quantization suites with SIMD force-disabled
-#                    (DEEPREST_SIMD=scalar): the portable fallback path can't rot
+#   3. simd-off    — kernel, fp16-storage, core and property suites with SIMD
+#                    force-disabled (DEEPREST_SIMD=scalar): the portable
+#                    fallback path can't rot
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
 #                    registry, watchdog restarts, breakers, hedging, chaos
 #                    schedules; rides the chaos label into the sanitizer legs)
@@ -20,7 +22,7 @@
 #                    into build/, plus a warm-cache rerun assertion
 #   7. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
 #   8. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
-#   9. asan        — chaos suite + the quantization accuracy budget under ASan+UBSan
+#   9. asan        — chaos suite + the nn and fp16-storage suites under ASan+UBSan
 #  10. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
 #                    budget (DEEPREST_STATECACHE_STRESS=1): concurrent leases
 #                    vs CLOCK eviction, fp16 demotion, and budget pressure
@@ -49,14 +51,20 @@ echo "==> [2/10] e2e-gates: end-to-end benchmark correctness gates"
 # e2ebench builds its own copy of src/ and checks its results before printing
 # any: exit 0 means every gate passed, 3 means SKIP (the host has fewer CPUs
 # than the workload runs threads), anything else is a failure. Seed 7919 is
-# the benchmark's held-out seed. live_monitor is the only end-to-end gate on
-# the cursor/resume path: every chunk of every 8th stream is replayed through
+# the benchmark's held-out seed. features_open is the only workload whose
+# requests enter EstimationService::ServeBatch through SubmitFeatures, so its
+# gate (every served answer bit-identical to a single-threaded batch replay)
+# covers the stateless batched path. It runs the leg's 1 s: its nominal
+# rounds send a floor of 3 x 1,050 requests whatever --seconds says, and
+# every gate passes there on a 4-vCPU host.
+# live_monitor is the only end-to-end gate on the cursor/resume path: every
+# chunk of every 8th stream is replayed through
 # EstimateFromFeaturesBatchResume on the version that served it, across four
 # live model publishes. It runs 3 s, not 1: its open-loop generator must send
 # a floor of ~5,250 requests, and squeezed into 1 s (~3,500 req/s beside live
 # ingest) that overloads a 4-vCPU host, so the generator-lateness gate would
 # fail on load rather than on a wrong answer.
-for workload in traffic_plan learn_estimate live_monitor; do
+for workload in features_open traffic_plan learn_estimate live_monitor; do
   status=0
   seconds=1
   [[ "$workload" == "live_monitor" ]] && seconds=3
@@ -70,7 +78,7 @@ for workload in traffic_plan learn_estimate live_monitor; do
   fi
 done
 
-echo "==> [3/10] simd-off: kernel + quantization suites on the portable fallback"
+echo "==> [3/10] simd-off: kernel, fp16-storage, core and property suites on the portable fallback"
 # DEEPREST_SIMD=scalar pins the dispatch ladder to the portable rung, so the
 # scalar kernel table (the path every non-x86/pre-AVX2 host runs) is executed
 # by the same tests that gate the vector paths. The simd tests themselves
@@ -122,13 +130,13 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset chaos-tsan -j "$JOBS"
 
-echo "==> [9/10] asan: chaos suite + quantization accuracy budget under ASan+UBSan"
+echo "==> [9/10] asan: chaos suite + nn and fp16-storage suites under ASan+UBSan"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
 ctest --preset chaos-asan -j "$JOBS"
-# The int8/fp16 accuracy budget under ASan: the quantized inference path
-# exercises the packed-activation scratch buffers and the simd dispatch
-# tables, exactly where an out-of-bounds pack/load would hide.
+# The kernel suites drive every simd dispatch table at ragged shapes, and the
+# fp16 storage budget runs the packed batch-row-major forward pass: exactly
+# where an out-of-bounds load or store would hide.
 ctest --test-dir build-asan --output-on-failure -R 'quantized_tests|nn_tests'
 
 echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"

@@ -70,11 +70,14 @@
 // The train/estimate/check flow persists only the model file; estimate and
 // check re-create the deterministic simulation from the seed recorded in the
 // file name side-band (pass the same --app/--days/--wpd/--seed used to train).
+// A flag no command reads (a typo, or a retired flag) prints usage and exits 2.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -137,6 +140,29 @@ CliArgs Parse(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// Every flag name some command reads. Parse keeps any --name[=value] it is
+// given, so main rejects every other name before dispatch: a typo or a
+// retired flag fails loudly instead of running the command on defaults.
+const char* const kKnownFlags[] = {
+    "app", "attack", "batch", "capacity", "chaos", "chaos-schedule", "checkpoint", "clients",
+    "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "fp16-registry", "gap", "hedge",
+    "hidden", "interval", "isa", "kernel-mode", "max-queue", "memory-budget-mb", "model",
+    "policy", "query-days", "refresh-windows", "replicas-for", "retries", "scale", "scenario",
+    "scenario-days", "seed", "serve-days", "shape", "shed-policy", "state-cold-tier",
+    "supervise", "target", "workers", "wpd",
+};
+
+// The first parsed flag no command reads, or "" when every flag is known.
+std::string FirstUnknownFlag(const CliArgs& args) {
+  for (const auto& [name, value] : args.flags) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+        std::end(kKnownFlags)) {
+      return name;
+    }
+  }
+  return "";
 }
 
 HarnessConfig ConfigFrom(const CliArgs& args) {
@@ -391,7 +417,6 @@ int CmdServe(const CliArgs& args) {
   // harness's freshly trained one.
   std::printf("Preparing initial model...\n");
   const std::string checkpoint_path = args.Get("checkpoint", "");
-  const bool quantized = args.Get("quantized", "") == "1";
 
   // Soft-memory tiered state: one gauge, two consumers (the per-stream
   // warm-start cache and the registry's displaced-clone store). Declared
@@ -459,11 +484,6 @@ int CmdServe(const CliArgs& args) {
       }
     } else {
       fresh = harness.deeprest().Clone();
-    }
-    if (quantized) {
-      // Clone() copies the config, so every continual-learner refresh
-      // inherits int8 inference automatically.
-      fresh->SetQuantizedInference(true);
     }
     registry.ApplyStoragePolicy(*fresh);
     initial = std::shared_ptr<const DeepRestEstimator>(std::move(fresh));
@@ -544,9 +564,9 @@ int CmdServe(const CliArgs& args) {
   // Deployment verification row: what this process actually selected, not
   // what was requested (a forced ISA clamps down the ladder when the host
   // lacks it).
-  std::printf("Kernels: mode=%s isa=%s (host best: %s)%s%s\n",
+  std::printf("Kernels: mode=%s isa=%s (host best: %s)%s\n",
               KernelModeName(GetKernelMode()), simd::IsaName(simd::ActiveIsa()),
-              simd::IsaName(simd::BestSupportedIsa()), quantized ? " int8-inference" : "",
+              simd::IsaName(simd::BestSupportedIsa()),
               registry.fp16_storage() ? " fp16-storage" : "");
   // Same discipline as the Kernels row: what this process actually wired,
   // not what was requested (a disk tier that failed to open its slab serves
@@ -874,7 +894,7 @@ int Usage() {
                "           [--max-queue=N] [--shed-policy=reject-new|drop-oldest]\n"
                "           [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]\n"
                "           [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]\n"
-               "           [--quantized=1] [--fp16-registry=1]\n"
+               "           [--fp16-registry=1]\n"
                "  autoscale [--policy=reactive|predictive|oracle|all]\n"
                "           [--scenario=diurnal|flash_crowd|api_mix_drift|all]\n"
                "           [--scenario-days=N] [--scale=X] [--capacity=CPU]\n"
@@ -891,6 +911,10 @@ int Usage() {
 
 int main(int argc, char** argv) {
   const deeprest::CliArgs args = deeprest::Parse(argc, argv);
+  if (const std::string unknown = deeprest::FirstUnknownFlag(args); !unknown.empty()) {
+    std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
+    return deeprest::Usage();
+  }
   if (!deeprest::ApplyKernelFlags(args)) {
     return 2;
   }
