@@ -1,6 +1,6 @@
 // Hot-path benchmark: tiled GEMM kernels vs the preserved reference kernels,
-// fused vs reference GRU step, end-to-end training/inference wall-clock, and
-// the parallel training harness. Writes every measurement to a JSON file
+// the fused GRU step, end-to-end training/inference wall-clock, and the
+// parallel training harness. Writes every measurement to a JSON file
 // (default BENCH_kernels.json) so tools/bench_diff can compare runs.
 //
 // Usage: bench_kernels [--smoke] [--out <path>]
@@ -8,11 +8,9 @@
 //            minutes; the numbers are NOT representative, only the plumbing)
 //   --out    output JSON path (default: BENCH_kernels.json in the cwd)
 //
-// The "reference" training run flips SetKernelMode(kReference) and
-// use_fused_graph = false, i.e. the pre-optimization kernels and the
-// per-elementary-op graph on the same binary. The node arena cannot be
-// toggled off, so the end-to-end speedup reported here slightly understates
-// the true before/after against the pre-PR tree.
+// The "reference" training and inference legs differ from the optimized legs
+// only in SetKernelMode(kReference): the same fused training graph and packed
+// forward on the same binary, run on the preserved reference kernels.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -264,10 +262,7 @@ SimdGemmCheck CheckSimdGemm(const std::vector<SimdResult>& rows,
 
 struct StepResult {
   double fused_ns = 0;
-  double reference_ns = 0;
-  uint64_t fused_nodes = 0;      // graph nodes per step (fused path)
-  uint64_t reference_nodes = 0;  // graph nodes per step (elementary ops)
-  double speedup() const { return fused_ns > 0 ? reference_ns / fused_ns : 0; }
+  uint64_t fused_nodes = 0;  // graph nodes per step
 };
 
 StepResult BenchGruStep(size_t in_dim, size_t hidden, size_t unroll, int iters) {
@@ -278,10 +273,10 @@ StepResult BenchGruStep(size_t in_dim, size_t hidden, size_t unroll, int iters) 
   x_value.FillUniform(rng, 1.0f);
   const Tensor x = Tensor::Constant(x_value);
 
-  const auto run = [&](bool fused) {
+  const auto run = [&] {
     Tensor h = gru.InitialState();
     for (size_t t = 0; t < unroll; ++t) {
-      h = fused ? gru.Step(x, h) : gru.StepReference(x, h);
+      h = gru.Step(x, h);
     }
     Tensor loss = SumAll(h);
     loss.Backward();
@@ -289,15 +284,10 @@ StepResult BenchGruStep(size_t in_dim, size_t hidden, size_t unroll, int iters) 
   };
 
   StepResult result;
-  uint64_t before = TensorNodesCreated();
-  run(true);
+  const uint64_t before = TensorNodesCreated();
+  run();
   result.fused_nodes = (TensorNodesCreated() - before) / unroll;
-  before = TensorNodesCreated();
-  run(false);
-  result.reference_nodes = (TensorNodesCreated() - before) / unroll;
-
-  result.fused_ns = TimeNs(iters, [&] { run(true); }) / unroll;
-  result.reference_ns = TimeNs(iters, [&] { run(false); }) / unroll;
+  result.fused_ns = TimeNs(iters, run) / unroll;
   return result;
 }
 
@@ -336,17 +326,15 @@ TrainResult BenchTraining(const KernelFixture& fixture, const BenchOptions& opti
   const auto train_once = [&](bool optimized, double& best, std::vector<float>& losses,
                               double& infer) {
     SetKernelMode(optimized ? KernelMode::kTiled : KernelMode::kReference);
-    EstimatorConfig run_config = config;
-    run_config.use_fused_graph = optimized;
     best = 1e100;
     for (int rep = 0; rep < reps; ++rep) {
-      DeepRestEstimator estimator(run_config);
+      DeepRestEstimator estimator(config);
       const WallTimer timer;
       estimator.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
       best = std::min(best, timer.Seconds());
       losses = estimator.epoch_losses();
     }
-    DeepRestEstimator estimator(run_config);
+    DeepRestEstimator estimator(config);
     estimator.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
     const auto features =
         estimator.features().ExtractSeries(fixture.traces, 0, fixture.windows);
@@ -471,12 +459,8 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
     std::fprintf(f, "  \"simd_gemm_check\": {\"verdict\": \"%s\"},\n",
                  simd_check.verdict.c_str());
   }
-  std::fprintf(f,
-               "  \"gru_step\": {\"fused_ns\": %.1f, \"reference_ns\": %.1f, "
-               "\"speedup\": %.3f, \"fused_nodes\": %llu, \"reference_nodes\": %llu},\n",
-               step.fused_ns, step.reference_ns, step.speedup(),
-               static_cast<unsigned long long>(step.fused_nodes),
-               static_cast<unsigned long long>(step.reference_nodes));
+  std::fprintf(f, "  \"gru_step\": {\"fused_ns\": %.1f, \"fused_nodes\": %llu},\n",
+               step.fused_ns, static_cast<unsigned long long>(step.fused_nodes));
   std::fprintf(f,
                "  \"train\": {\"optimized_s\": %.4f, \"reference_s\": %.4f, "
                "\"speedup\": %.3f, \"optimized_ns_per_window\": %.0f},\n",
@@ -510,7 +494,7 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
 
 int Run(const BenchOptions& options) {
   PrintBenchHeader("hot-path kernels (perf)",
-                   "tiled GEMM / fused GRU / arena vs the preserved reference path");
+                   "tiled GEMM / fused GRU / arena vs the preserved reference kernels");
 
   // GEMM shapes from the actual model hot loops: the input projection
   // (hidden x feature_dim matvec), the recurrent matvec, the attention
@@ -570,11 +554,8 @@ int Run(const BenchOptions& options) {
   const StepResult step =
       BenchGruStep(/*in_dim=*/64, /*hidden=*/16, /*unroll=*/48, options.smoke ? 20 : 400);
   std::printf("\nGRU step fwd+bwd (64->16, unroll 48):\n");
-  std::printf("  fused     %10.1f ns/step  (%llu graph nodes)\n", step.fused_ns,
+  std::printf("  fused %10.1f ns/step  (%llu graph nodes)\n", step.fused_ns,
               static_cast<unsigned long long>(step.fused_nodes));
-  std::printf("  reference %10.1f ns/step  (%llu graph nodes)\n", step.reference_ns,
-              static_cast<unsigned long long>(step.reference_nodes));
-  std::printf("  speedup   %9.2fx\n", step.speedup());
 
   const KernelFixture fixture(options.smoke ? 4 : 12, options.smoke ? 12 : 48);
   const TrainResult train = BenchTraining(fixture, options);

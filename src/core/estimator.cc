@@ -51,11 +51,11 @@ void DeepRestEstimator::BuildModel(size_t feature_dim,
   const size_t e = experts_.size();
   // Attention starts at zero: experts begin independent and learn to listen.
   alpha_ = store_.Create("attention.alpha", Matrix(e, e));
-  diag_zero_mask_ = Matrix(e, e, 1.0f);
+  Matrix diag_mask(e, e, 1.0f);
   for (size_t i = 0; i < e; ++i) {
-    diag_zero_mask_.At(i, i) = 0.0f;
+    diag_mask.At(i, i) = 0.0f;
   }
-  diag_mask_tensor_ = Tensor::Constant(diag_zero_mask_);
+  diag_mask_tensor_ = Tensor::Constant(std::move(diag_mask));
 }
 
 Tensor DeepRestEstimator::ScaledInput(const std::vector<float>& raw) const {
@@ -73,11 +73,6 @@ Tensor DeepRestEstimator::ScaledInput(const std::vector<float>& raw) const {
 
 std::vector<Tensor> DeepRestEstimator::StepAll(const Tensor& x,
                                                std::vector<Tensor>& hidden) const {
-  return config_.use_fused_graph ? StepAllFused(x, hidden) : StepAllReference(x, hidden);
-}
-
-std::vector<Tensor> DeepRestEstimator::StepAllFused(const Tensor& x,
-                                                    std::vector<Tensor>& hidden) const {
   const size_t e = experts_.size();
   // Reused across steps: holding the previous step's handles until here is
   // harmless (the graph keeps them alive anyway via the loss).
@@ -110,42 +105,6 @@ std::vector<Tensor> DeepRestEstimator::StepAllFused(const Tensor& x,
                                  bypass ? expert.skip.weight() : undefined,
                                  bypass ? expert.skip.bias() : undefined);
   }
-  return outputs;
-}
-
-std::vector<Tensor> DeepRestEstimator::StepAllReference(const Tensor& x,
-                                                        std::vector<Tensor>& hidden) const {
-  const size_t e = experts_.size();
-  std::vector<Tensor> new_hidden(e);
-  std::vector<Tensor> masked_inputs(e);
-  for (size_t i = 0; i < e; ++i) {
-    const Expert& expert = experts_[i];
-    Tensor x_masked = config_.use_api_mask ? Hadamard(Sigmoid(expert.mask), x) : x;
-    if (config_.use_recurrence) {
-      new_hidden[i] = expert.gru.StepReference(x_masked, hidden[i]);
-    } else {
-      new_hidden[i] = Tanh(expert.ff.Forward(x_masked));
-    }
-    masked_inputs[i] = std::move(x_masked);
-  }
-
-  std::vector<Tensor> outputs(e);
-  Tensor zero_a;
-  Tensor attended;
-  if (config_.use_attention) {
-    Tensor stacked = StackColumns(new_hidden);  // E x H
-    attended = MatMul(Hadamard(alpha_, Tensor::Constant(diag_zero_mask_)), stacked);
-  } else {
-    zero_a = Tensor::Constant(Matrix(config_.hidden_dim, 1));
-  }
-  for (size_t i = 0; i < e; ++i) {
-    Tensor a_i = config_.use_attention ? RowAsColumn(attended, i) : zero_a;
-    Tensor head_out = experts_[i].head.Forward(ConcatRows(a_i, new_hidden[i]));
-    outputs[i] = config_.use_linear_bypass
-                     ? Add(head_out, experts_[i].skip.Forward(masked_inputs[i]))
-                     : head_out;
-  }
-  hidden = std::move(new_hidden);
   return outputs;
 }
 
@@ -310,10 +269,11 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     const std::vector<const std::vector<std::vector<float>>*>& batch,
     const std::vector<StreamCursor*>& cursors) const {
   assert(trained());
-  assert(warm_hidden_.size() == experts_.size());
   assert(cursors.empty() || cursors.size() == batch.size());
 
   const size_t e = experts_.size();
+  const size_t hd = config_.hidden_dim;
+  assert(warm_hidden_.size() == e * hd);
   std::vector<EstimateMap> results(batch.size());
   // Each query's estimate series, resolved once per call: slots[q * e + i] is
   // expert i's series in results[q].
@@ -346,7 +306,6 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     return results;
   }
 
-  const size_t hd = config_.hidden_dim;
   const size_t dim = feature_scale_.size();
   const size_t max_len = batch[order[0]]->size();
 
@@ -364,9 +323,9 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   for (size_t b = 0; b < active; ++b) {
     const StreamCursor* cursor = cursor_for(b);
     const bool resume = cursor != nullptr && cursor->hidden.size() == e * hd;
+    const float* seed = resume ? cursor->hidden.data() : warm_hidden_.data();
     for (size_t i = 0; i < e; ++i) {
-      const float* seed = resume ? cursor->hidden.data() + i * hd : warm_hidden_[i].data();
-      std::copy(seed, seed + hd, state.data() + i * active * hd + b * hd);
+      std::copy(seed + i * hd, seed + (i + 1) * hd, state.data() + i * active * hd + b * hd);
     }
   }
   // Writes batch row b's final hidden state back into its cursor. Called once
@@ -458,78 +417,20 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   return results;
 }
 
-EstimateMap DeepRestEstimator::EstimateFromFeaturesReference(
-    const std::vector<std::vector<float>>& feature_series) const {
-  assert(trained());
-  NoGradGuard no_grad;
-
-  // Full warm-start replay, every call — the pre-batch-major behavior this
-  // method preserves as the bit-exactness oracle.
-  std::vector<Tensor> hidden(experts_.size());
-  for (auto& state : hidden) {
-    state = Tensor::Constant(Matrix(config_.hidden_dim, 1));
-  }
-  if (config_.warm_start) {
-    for (const auto& x_raw : learn_features_) {
-      Tensor x = ScaledInput(x_raw);
-      StepAll(x, hidden);
-    }
-  }
-
-  EstimateMap out;
-  for (const auto& expert : experts_) {
-    ResourceEstimate estimate;
-    estimate.expected.reserve(feature_series.size());
-    estimate.lower.reserve(feature_series.size());
-    estimate.upper.reserve(feature_series.size());
-    out.emplace(expert.key, std::move(estimate));
-  }
-  for (const auto& x_raw : feature_series) {
-    Tensor x = ScaledInput(x_raw);
-    std::vector<Tensor> outputs = StepAll(x, hidden);
-    for (size_t i = 0; i < experts_.size(); ++i) {
-      const Matrix& y = outputs[i].value();
-      const double scale = experts_[i].y_scale;
-      double expected = std::max(0.0, static_cast<double>(y.At(0, 0)) * scale);
-      double lower = std::max(0.0, static_cast<double>(y.At(1, 0)) * scale);
-      double upper = std::max(0.0, static_cast<double>(y.At(2, 0)) * scale);
-      lower = std::min(lower, expected);
-      upper = std::max(upper, expected);
-      ResourceEstimate& estimate = out.at(experts_[i].key);
-      estimate.expected.push_back(expected);
-      estimate.lower.push_back(lower);
-      estimate.upper.push_back(upper);
-    }
-  }
-  return out;
-}
-
-std::vector<Matrix> DeepRestEstimator::ReplayWarmStart() const {
-  std::vector<Matrix> warm_values(experts_.size(), Matrix(config_.hidden_dim, 1));
-  if (!config_.warm_start || experts_.empty() || learn_features_.empty()) {
-    return warm_values;
-  }
-  NoGradGuard no_grad;
-  std::vector<Tensor> warm(experts_.size());
-  for (auto& state : warm) {
-    state = Tensor::Constant(Matrix(config_.hidden_dim, 1));
-  }
-  for (const auto& x_raw : learn_features_) {
-    Tensor x = ScaledInput(x_raw);
-    StepAll(x, warm);
-  }
-  for (size_t i = 0; i < warm.size(); ++i) {
-    warm_values[i] = warm[i].value();
-  }
-  return warm_values;
-}
-
 void DeepRestEstimator::RefreshWarmStartCache() {
-  warm_hidden_ = ReplayWarmStart();
-  // Same lifecycle as the warm-start cache: every mutation point funnels
-  // through here, so the packed weights can never go stale against the
-  // parameters.
+  // Every mutation point funnels through here, so the packed weights can
+  // never go stale against the parameters. They come first: the warm start
+  // below runs on them.
   RefreshInferencePack();
+  warm_hidden_.assign(experts_.size() * config_.hidden_dim, 0.0f);
+  if (!config_.warm_start || experts_.empty() || learn_features_.empty()) {
+    return;
+  }
+  // The learn history as one stream resumed from a zero state: its final
+  // cursor state is exactly the state a stateless query starts from.
+  StreamCursor cursor{warm_hidden_};
+  EstimateFromFeaturesBatchResume({&learn_features_}, {&cursor});
+  warm_hidden_ = std::move(cursor.hidden);
 }
 
 namespace {
@@ -587,7 +488,7 @@ void DeepRestEstimator::RefreshInferencePack() {
   }
   packed_attention_ = Matrix();
   if (config_.use_attention && !experts_.empty()) {
-    HadamardInto(alpha_.value(), diag_zero_mask_, packed_attention_);
+    HadamardInto(alpha_.value(), diag_mask_tensor_.value(), packed_attention_);
   }
 }
 
@@ -792,22 +693,23 @@ size_t DeepRestEstimator::TransferRecurrentWeightsFrom(const DeepRestEstimator& 
 
 std::map<MetricKey, std::vector<float>> DeepRestEstimator::HiddenTrajectories(
     const std::vector<std::vector<float>>& features) const {
-  NoGradGuard no_grad;
-  std::vector<Tensor> hidden(experts_.size());
-  for (auto& state : hidden) {
-    state = Tensor::Constant(Matrix(config_.hidden_dim, 1));
-  }
   std::map<MetricKey, std::vector<float>> trajectories;
-  for (const auto& expert : experts_) {
-    trajectories[expert.key].reserve(features.size() * config_.hidden_dim);
+  if (!trained()) {
+    return trajectories;
   }
+  const size_t hd = config_.hidden_dim;
+  for (const auto& expert : experts_) {
+    trajectories[expert.key].reserve(features.size() * hd);
+  }
+  StreamCursor cursor{std::vector<float>(experts_.size() * hd, 0.0f)};
+  std::vector<std::vector<float>> window(1);
   for (const auto& raw : features) {
-    Tensor x = ScaledInput(raw);
-    StepAll(x, hidden);
+    window[0] = raw;
+    EstimateFromFeaturesBatchResume({&window}, {&cursor});
     for (size_t i = 0; i < experts_.size(); ++i) {
-      const Matrix& h = hidden[i].value();
+      const float* h = cursor.hidden.data() + i * hd;
       auto& out = trajectories[experts_[i].key];
-      out.insert(out.end(), h.data(), h.data() + h.size());
+      out.insert(out.end(), h, h + hd);
     }
   }
   return trajectories;

@@ -56,13 +56,6 @@ struct EstimatorConfig {
   // proportionality so unseen-scale queries (paper section 5.3) scale, while
   // the recurrent path models queueing, caching, and cumulative effects.
   bool use_linear_bypass = true;
-  // Build each model step out of the fused graph nodes in ops.h (one node per
-  // masked input / GRU step / attention / head) instead of the elementary-op
-  // composition. Bit-identical results either way — this is a pure graph-size
-  // optimization (~6x fewer nodes per step), kept switchable so tests can
-  // assert the equivalence. Not serialized: a loaded model uses the loader's
-  // setting.
-  bool use_fused_graph = true;
   bool verbose = false;
 };
 
@@ -135,8 +128,10 @@ class DeepRestEstimator {
   // mixed-length batches shrink as short queries finish, and every query
   // starts from the warm-start hidden state cached at train / load time (no
   // per-call replay of learn_features_). Per query, results are
-  // bit-identical to EstimateFromFeaturesReference — every GEMM output
-  // element keeps the ascending-k reduction of the GEMV it replaces.
+  // bit-identical to stepping the training graph's elementary-op composition
+  // one window at a time (the test oracle, tests/testing/reference_graph.h)
+  // — every GEMM output element keeps the ascending-k reduction of the GEMV
+  // it replaces.
   // Results are index-aligned with `batch`; null entries are skipped and
   // yield an empty map. This is the forward path behind EstimationService's
   // request coalescing (src/serve).
@@ -169,25 +164,6 @@ class DeepRestEstimator {
 
   size_t hidden_dim() const { return config_.hidden_dim; }
 
-  // Sequential tensor-graph inference path (the pre-batch-major behavior):
-  // replays the full learn_features_ warm-start trajectory, then steps the
-  // query one window at a time through the fused/reference graph. Kept as
-  // the correctness oracle for the batch-major path (see
-  // batched_inference_test.cc and sharded_queue_test.cc); nothing in
-  // production serves through it.
-  EstimateMap EstimateFromFeaturesReference(
-      const std::vector<std::vector<float>>& features) const;
-
-  // Recomputes the warm-start hidden state (one H x 1 column per expert) by
-  // replaying learn_features_ through the tensor graph — the oracle for the
-  // cached copy below. Returns zero columns when warm_start is disabled.
-  std::vector<Matrix> ReplayWarmStart() const;
-  // The cached warm-start hidden state the batch-major path starts from.
-  // Refreshed on Learn / ContinueLearning / TransferRecurrentWeightsFrom /
-  // LoadFromStream / CompressParametersToFp16, so const inference never
-  // mutates model state.
-  const std::vector<Matrix>& WarmStartCache() const { return warm_hidden_; }
-
   // --- Introspection / interpretation ---
   bool trained() const { return !experts_.empty(); }
   const FeatureExtractor& features() const { return extractor_; }
@@ -206,10 +182,12 @@ class DeepRestEstimator {
   std::vector<float> ExpertParameterDelta(const MetricKey& key) const;
   // Learned attention weight alpha[to][from] between two experts.
   double AttentionWeight(const MetricKey& to, const MetricKey& from) const;
-  // Runs the model over a (raw) feature series and returns every expert's
-  // flattened hidden-state trajectory. This functional embedding is what the
-  // Fig. 21 similarity analysis uses: experts with similar remember/forget
-  // dynamics produce similar trajectories on the same probe input.
+  // Runs the model over a (raw) feature series from a zero hidden state and
+  // returns every expert's flattened hidden-state trajectory: the packed
+  // forward, resumed one window at a time. This functional embedding is what
+  // the Fig. 21 similarity analysis uses: experts with similar
+  // remember/forget dynamics produce similar trajectories on the same probe
+  // input.
   std::map<MetricKey, std::vector<float>> HiddenTrajectories(
       const std::vector<std::vector<float>>& features) const;
   // Convenience: trajectories on the stored learning-phase features,
@@ -245,6 +223,10 @@ class DeepRestEstimator {
   std::unique_ptr<DeepRestEstimator> Clone() const;
 
  private:
+  // The test-side oracle (tests/testing/reference_graph.h) rebuilds every
+  // step from elementary ops over these parameters.
+  friend class ReferenceGraph;
+
   struct Expert {
     MetricKey key;
     Tensor mask;   // D x 1 learnable API-aware mask logits
@@ -264,18 +246,17 @@ class DeepRestEstimator {
   void RunTraining(const std::vector<std::vector<float>>& features,
                    const std::vector<std::vector<float>>& targets, size_t epochs,
                    float learning_rate, bool decay_masks);
-  // One model step over all experts. `x` is the scaled feature column;
-  // `hidden` is read and replaced. Returns per-expert 3x1 scaled outputs.
-  // Dispatches to the fused or reference graph per config_.use_fused_graph;
-  // both produce bit-identical values and gradients.
+  // One training-graph step over all experts, built from the fused nodes in
+  // ops.h (one node per masked input / GRU step / attention / head). `x` is
+  // the scaled feature column; `hidden` is read and replaced. Returns
+  // per-expert 3x1 scaled outputs.
   std::vector<Tensor> StepAll(const Tensor& x, std::vector<Tensor>& hidden) const;
-  std::vector<Tensor> StepAllFused(const Tensor& x, std::vector<Tensor>& hidden) const;
-  std::vector<Tensor> StepAllReference(const Tensor& x, std::vector<Tensor>& hidden) const;
   // Scales a raw feature vector into a column tensor.
   Tensor ScaledInput(const std::vector<float>& raw) const;
   int ExpertIndex(const MetricKey& key) const;
-  // Recomputes warm_hidden_ from learn_features_, then the packed inference
-  // weights. Called by every mutation point (Learn, ContinueLearning,
+  // Rebuilds the packed inference weights, then recomputes warm_hidden_ by
+  // running learn_features_ through the packed forward from a zero state.
+  // Called by every mutation point (Learn, ContinueLearning,
   // TransferRecurrentWeightsFrom, LoadFromStream, CompressParametersToFp16)
   // so the const inference surface can read both caches lock-free.
   void RefreshWarmStartCache();
@@ -289,14 +270,13 @@ class DeepRestEstimator {
   ParameterStore store_;
   std::vector<Expert> experts_;
   std::map<MetricKey, int> expert_index_;  // key -> experts_ position
-  Tensor alpha_;           // E x E attention weights
-  Matrix diag_zero_mask_;  // constant 0-diagonal / 1-elsewhere mask
-  Tensor diag_mask_tensor_;  // the same mask as a constant leaf (fused path)
+  Tensor alpha_;             // E x E attention weights
+  Tensor diag_mask_tensor_;  // constant 0-diagonal / 1-elsewhere mask
   std::vector<float> feature_scale_;
   std::vector<std::vector<float>> learn_features_;  // raw, for warm start
-  // Warm-start hidden state after replaying learn_features_ (one H x 1
-  // column per expert); zeros when warm_start is off. See WarmStartCache().
-  std::vector<Matrix> warm_hidden_;
+  // Warm-start hidden state after learn_features_, in StreamCursor::hidden's
+  // expert-major layout; zeros when warm_start is off.
+  std::vector<float> warm_hidden_;
   // Derived inference weights of the batch-row-major forward (src/nn/
   // batched.h), parallel to experts_: sigmoid(mask), the stacked transposed
   // input block [Wz;Wk;Wh;skip]^T, [Uz;Uk]^T, Uh^T and head^T. Not

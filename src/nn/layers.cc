@@ -80,16 +80,6 @@ Tensor GruCell::Step(const Tensor& x, const Tensor& h_prev) const {
   return FusedGruStep(x, h_prev, wz_, uz_, bz_, wk_, uk_, bk_, wh_, uh_, bh_);
 }
 
-Tensor GruCell::StepReference(const Tensor& x, const Tensor& h_prev) const {
-  assert(x.rows() == in_dim_ && h_prev.rows() == hidden_dim_);
-  Tensor z = Sigmoid(Add(Add(MatMul(wz_, x), MatMul(uz_, h_prev)), bz_));
-  Tensor k = Sigmoid(Add(Add(MatMul(wk_, x), MatMul(uk_, h_prev)), bk_));
-  Tensor h_candidate = Tanh(Add(Add(MatMul(wh_, x), MatMul(uh_, Hadamard(k, h_prev))), bh_));
-  // h = z . h_prev + (1 - z) . h_candidate
-  Tensor one_minus_z = Affine(z, -1.0f, 1.0f);
-  return Add(Hadamard(z, h_prev), Hadamard(one_minus_z, h_candidate));
-}
-
 Tensor GruCell::InitialState() const { return Tensor::Constant(Matrix(hidden_dim_, 1)); }
 
 std::vector<float> GruCell::FlattenedParameters() const {

@@ -70,13 +70,10 @@ class GruCell {
           Rng& rng);
 
   // One recurrence step; x is (in_dim x 1), h_prev is (hidden_dim x 1).
-  // Builds a single fused graph node (FusedGruStep); bit-identical to
-  // StepReference in both values and gradients.
+  // Builds a single fused graph node (FusedGruStep), bit-identical in values
+  // and gradients to the same step composed of ~12 elementary ops (the test
+  // oracle GruStepReference, tests/testing/reference_graph.h).
   Tensor Step(const Tensor& x, const Tensor& h_prev) const;
-
-  // The same step as an explicit composition of elementary ops (~12 graph
-  // nodes). Kept as the correctness oracle for the fused path.
-  Tensor StepReference(const Tensor& x, const Tensor& h_prev) const;
 
   // Fresh zero hidden state.
   Tensor InitialState() const;
@@ -86,7 +83,8 @@ class GruCell {
 
   // Read access to the nine parameter blocks, which the estimator packs into
   // the batch-row-major no-grad inference weights (src/nn/batched.h) to run
-  // the same recurrence as a few mat-mat GEMMs.
+  // the same recurrence as a few mat-mat GEMMs, and which the test oracle
+  // composes from elementary ops.
   const Tensor& wz() const { return wz_; }
   const Tensor& uz() const { return uz_; }
   const Tensor& bz() const { return bz_; }

@@ -462,7 +462,7 @@ void MaskedInputBackward(TensorNode& node) {
 }
 
 void FusedGruBackward(TensorNode& node) {
-  // Unfused graph (StepReference):
+  // Unfused graph (the tests' GruStepReference):
   //   z  = Sigmoid(Add(Add(m1: wz@x, m2: uz@h), bz))
   //   k  = Sigmoid(Add(Add(m3: wk@x, m4: uk@h), bk))
   //   hc = Tanh(Add(Add(m5: wh@x, m6: uh@kh), bh)),  kh = k . h

@@ -14,8 +14,9 @@
 // the reverse sweep processes steps as contiguous blocks in either graph).
 // A loss that reads only the final state reorders the unfused graph's
 // leaf-input matmuls across steps and the match is then ~1 ulp instead;
-// see fused_ops_test.cc and DESIGN.md "Performance notes". Graphs are ~6x
-// smaller either way.
+// see fused_ops_test.cc and DESIGN.md "Performance notes". The unfused
+// compositions live only in the tests (tests/testing/reference_graph.h),
+// as the oracle; the fused graph is ~6x smaller.
 #ifndef SRC_NN_OPS_H_
 #define SRC_NN_OPS_H_
 
@@ -73,7 +74,8 @@ Tensor SquaredError(const Tensor& pred, const Matrix& target);
 Tensor SigmoidMaskMul(const Tensor& mask, const Tensor& x);
 
 // One full GRU recurrence step (paper Eq. 2) as a single node. Equivalent to
-// the composition in GruCell::StepReference.
+// the elementary-op composition in the tests' GruStepReference
+// (tests/testing/reference_graph.h).
 Tensor FusedGruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wz,
                     const Tensor& uz, const Tensor& bz, const Tensor& wk, const Tensor& uk,
                     const Tensor& bk, const Tensor& wh, const Tensor& uh, const Tensor& bh);

@@ -1,10 +1,11 @@
-// Bit-exactness of the batch-major inference path (src/nn/batched.h +
-// DeepRestEstimator::EstimateFromFeaturesBatch) against the sequential
-// reference path, and of the cached warm-start state against its replay
-// oracle. "Bit-exact" is literal: every double in every estimate series must
-// compare equal, across batch sizes, mixed series lengths, null entries,
-// every ablation configuration, resumed cursors, and after every mutation
-// point that must rebuild the packed inference weights.
+// Bit-exactness of the packed batch-row-major forward (src/nn/batched.h +
+// DeepRestEstimator::EstimateFromFeaturesBatch) against the elementary-op
+// oracle (tests/testing/reference_graph.h) stepped one window at a time: its
+// estimates, the warm-start state it computes at every mutation point, and
+// the hidden trajectories it replays. "Bit-exact" is literal: every value
+// must compare equal, across batch sizes, mixed series lengths, null
+// entries, every ablation configuration, resumed cursors, and after every
+// mutation point that must rebuild the packed inference weights.
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "src/core/estimator.h"
 #include "src/sim/simulator.h"
+#include "tests/testing/reference_graph.h"
 
 namespace deeprest {
 namespace {
@@ -104,6 +106,10 @@ EstimatorConfig FastConfig() {
 
 using FeatureSeries = std::vector<std::vector<float>>;
 
+EstimateMap Reference(const DeepRestEstimator& model, const FeatureSeries& features) {
+  return ReferenceGraph::EstimateFromFeaturesReference(model, features);
+}
+
 void ExpectSameEstimates(const EstimateMap& batch, const EstimateMap& reference) {
   ASSERT_EQ(batch.size(), reference.size());
   for (const auto& [key, estimate] : reference) {
@@ -140,7 +146,7 @@ void ExpectBatchMatchesReference(const DeepRestEstimator& model,
   const std::vector<EstimateMap> batched = model.EstimateFromFeaturesBatch(pointers);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameEstimates(batched[i], model.EstimateFromFeaturesReference(queries[i]));
+    ExpectSameEstimates(batched[i], Reference(model, queries[i]));
   }
 }
 
@@ -169,25 +175,54 @@ TEST(BatchedInferenceTest, NullAndEmptyEntries) {
   ASSERT_EQ(batched.size(), pointers.size());
   EXPECT_TRUE(batched[1].empty());
   EXPECT_TRUE(batched[4].empty());
-  ExpectSameEstimates(batched[0], model.EstimateFromFeaturesReference(queries[0]));
-  ExpectSameEstimates(batched[2], model.EstimateFromFeaturesReference(empty));
-  ExpectSameEstimates(batched[3], model.EstimateFromFeaturesReference(queries[1]));
-  ExpectSameEstimates(batched[5], model.EstimateFromFeaturesReference(queries[2]));
+  ExpectSameEstimates(batched[0], Reference(model, queries[0]));
+  ExpectSameEstimates(batched[2], Reference(model, empty));
+  ExpectSameEstimates(batched[3], Reference(model, queries[1]));
+  ExpectSameEstimates(batched[5], Reference(model, queries[2]));
+}
+
+void ExpectCacheMatchesReplay(const DeepRestEstimator& model) {
+  const std::vector<float> replayed = ReferenceGraph::ReplayWarmStart(model);
+  const std::vector<float>& cached = ReferenceGraph::WarmStartCache(model);
+  ASSERT_EQ(cached.size(), model.expert_count() * model.hidden_dim());
+  ASSERT_EQ(cached.size(), replayed.size());
+  for (size_t i = 0; i < cached.size(); ++i) {
+    EXPECT_EQ(cached[i], replayed[i]) << "expert " << i / model.hidden_dim() << " row "
+                                      << i % model.hidden_dim();
+  }
 }
 
 TEST(BatchedInferenceTest, BitExactUnderAblations) {
   const TinySetup s = MakeSetup();
-  for (const int ablation : {0, 1, 2, 3, 4, 5, 6}) {
-    SCOPED_TRACE("ablation=" + std::to_string(ablation));
-    EstimatorConfig config = FastConfig();
-    if (ablation == 1) config.use_attention = false;
-    if (ablation == 2) config.use_api_mask = false;
-    if (ablation == 3) config.warm_start = false;
-    if (ablation == 4 || ablation == 6) config.use_recurrence = false;
-    if (ablation == 5 || ablation == 6) config.use_linear_bypass = false;
+  for (const auto& [name, config] : AblationGrid(FastConfig())) {
+    SCOPED_TRACE(name);
     DeepRestEstimator model(config);
     model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+    ExpectCacheMatchesReplay(model);
     ExpectBatchMatchesReference(model, MakeQueries(model, s, 7));
+  }
+}
+
+// HiddenTrajectories (Fig. 21) runs the packed forward from a zero state,
+// one resumed window at a time; every float of every trajectory must match
+// the elementary-op replay.
+TEST(BatchedInferenceTest, HiddenTrajectoriesMatchReplayUnderAblations) {
+  const TinySetup s = MakeSetup();
+  for (const auto& [name, config] : AblationGrid(FastConfig())) {
+    SCOPED_TRACE(name);
+    DeepRestEstimator model(config);
+    model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
+    const FeatureSeries probe = model.features().ExtractSeries(
+        s.traces, s.learn_windows - 20, s.learn_windows + s.query_windows);
+    const auto packed = model.HiddenTrajectories(probe);
+    const auto replayed = ReferenceGraph::HiddenTrajectoriesReference(model, probe);
+    ASSERT_EQ(packed.size(), model.expert_count());
+    ASSERT_EQ(packed.size(), replayed.size());
+    for (const auto& [key, trajectory] : replayed) {
+      ASSERT_TRUE(packed.count(key)) << key.ToString();
+      EXPECT_EQ(trajectory.size(), probe.size() * model.hidden_dim()) << key.ToString();
+      EXPECT_EQ(packed.at(key), trajectory) << key.ToString();
+    }
   }
 }
 
@@ -226,7 +261,7 @@ TEST(BatchedInferenceTest, ResumedSplitMatchesOnePass) {
       estimate.lower.insert(estimate.lower.end(), rest.lower.begin(), rest.lower.end());
       estimate.upper.insert(estimate.upper.end(), rest.upper.begin(), rest.upper.end());
     }
-    ExpectSameEstimates(joined, model.EstimateFromFeaturesReference(queries[i]));
+    ExpectSameEstimates(joined, Reference(model, queries[i]));
   }
 }
 
@@ -243,20 +278,22 @@ bool AnyDifference(const EstimateMap& a, const EstimateMap& b) {
 
 // The packed inference weights are derived state: every mutation point must
 // rebuild them, or the batched path silently keeps serving the old weights.
-// After each mutation the batched answers must match the reference path
-// (which reads the live parameters), and the mutation must have changed the
-// answers, so a stale pack cannot pass by accident.
+// After each mutation the warm-start state must match its replay and the
+// batched answers must match the reference path (both read the live
+// parameters), and the mutation must have changed the answers, so a stale
+// pack cannot pass by accident.
 TEST(BatchedInferenceTest, BitExactAfterEveryMutationPoint) {
   const TinySetup s = MakeSetup();
   DeepRestEstimator model(FastConfig());
   model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
   const std::vector<FeatureSeries> queries = MakeQueries(model, s, 4);
   const FeatureSeries& probe = queries[0];
-  EstimateMap before = model.EstimateFromFeaturesReference(probe);
+  EstimateMap before = Reference(model, probe);
   const auto expect_fresh = [&](const DeepRestEstimator& m, const std::string& step) {
     SCOPED_TRACE(step);
-    const EstimateMap now = m.EstimateFromFeaturesReference(probe);
+    const EstimateMap now = Reference(m, probe);
     EXPECT_TRUE(AnyDifference(now, before)) << "mutation did not change the model";
+    ExpectCacheMatchesReplay(m);
     ExpectBatchMatchesReference(m, queries);
     before = now;
   };
@@ -281,28 +318,14 @@ TEST(BatchedInferenceTest, BitExactAfterEveryMutationPoint) {
   ASSERT_TRUE(donor.SaveToStream(buffer));
   ASSERT_TRUE(model.LoadFromStream(buffer));
   expect_fresh(model, "LoadFromStream");
-  ExpectSameEstimates(model.EstimateFromFeaturesReference(probe),
-                      donor.EstimateFromFeaturesReference(probe));
+  ExpectSameEstimates(Reference(model, probe), Reference(donor, probe));
 
   const std::unique_ptr<DeepRestEstimator> clone = model.Clone();
   ASSERT_TRUE(clone->trained());
   {
     SCOPED_TRACE("Clone");
     ExpectBatchMatchesReference(*clone, queries);
-    ExpectSameEstimates(clone->EstimateFromFeaturesReference(probe), before);
-  }
-}
-
-void ExpectCacheMatchesReplay(const DeepRestEstimator& model) {
-  const std::vector<Matrix> replayed = model.ReplayWarmStart();
-  const std::vector<Matrix>& cached = model.WarmStartCache();
-  ASSERT_EQ(cached.size(), replayed.size());
-  for (size_t i = 0; i < cached.size(); ++i) {
-    ASSERT_EQ(cached[i].rows(), replayed[i].rows());
-    ASSERT_EQ(cached[i].cols(), replayed[i].cols());
-    for (size_t r = 0; r < cached[i].rows(); ++r) {
-      EXPECT_EQ(cached[i].At(r, 0), replayed[i].At(r, 0)) << "expert " << i << " row " << r;
-    }
+    ExpectSameEstimates(Reference(*clone, probe), before);
   }
 }
 

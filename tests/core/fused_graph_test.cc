@@ -1,11 +1,15 @@
-// Estimator-level equivalence of the fused graph and the reference graph,
-// plus serialize -> deserialize -> Clone round trips on the optimized paths.
+// Estimator-level equivalence of the fused training graph and the tests'
+// elementary-op oracle, plus serialize -> deserialize -> Clone round trips.
 //
-// use_fused_graph only changes how the autograd graph is BUILT (one node per
-// GRU step / attention / head instead of ~a dozen elementary ops); the
-// arithmetic per gradient buffer is identical, so training must produce
-// bit-identical epoch losses and models either way.
+// StepAll builds each step from fused nodes (one per masked input / GRU step
+// / attention / head) where the oracle (tests/testing/reference_graph.h)
+// builds ~a dozen elementary ops each; the arithmetic per gradient buffer is
+// identical, so every BPTT chunk of training must produce a bit-identical
+// loss and bit-identical parameter gradients through either graph.
+#include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,7 @@
 #include "src/nn/rng.h"
 #include "src/telemetry/metrics.h"
 #include "src/trace/collector.h"
+#include "tests/testing/reference_graph.h"
 
 namespace deeprest {
 namespace {
@@ -69,26 +74,64 @@ void ExpectEstimatesIdentical(const EstimateMap& a, const EstimateMap& b) {
   }
 }
 
-TEST(FusedGraphTest, TrainingLossesBitIdenticalToReferenceGraph) {
-  const Fixture fixture;
-  EstimatorConfig fused_config = SmallConfig();
-  fused_config.use_fused_graph = true;
-  DeepRestEstimator fused(fused_config);
-  fused.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+bool BitIdentical(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
-  EstimatorConfig ref_config = SmallConfig();
-  ref_config.use_fused_graph = false;
-  DeepRestEstimator ref(ref_config);
-  ref.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+// Walks the learn series in bptt_chunk chunks, carrying the hidden state
+// across chunks and truncating gradient flow at each boundary as
+// RunTraining does, and builds each chunk's pinball loss twice from the same
+// parameters and hidden state: through the production StepAll and through
+// the oracle's StepAllReference.
+void ExpectChunksMatchReferenceGraph(DeepRestEstimator& model, const Fixture& fixture,
+                                     size_t bptt_chunk) {
+  const auto& features = ReferenceGraph::LearnFeatures(model);
+  const auto targets = ReferenceGraph::ScaledTargets(model, fixture.metrics, 0, fixture.windows);
+  ParameterStore& store = ReferenceGraph::Parameters(model);
+  std::vector<Tensor> hidden = ReferenceGraph::ZeroState(model);
+  for (size_t begin = 0; begin < features.size(); begin += bptt_chunk) {
+    const size_t end = std::min(features.size(), begin + bptt_chunk);
+    SCOPED_TRACE("chunk [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
+    std::vector<Tensor> fused_hidden = hidden;
+    store.ZeroGrad();
+    const Tensor fused_loss = ReferenceGraph::ChunkLoss(model, /*reference=*/false, features,
+                                                        targets, begin, end, fused_hidden);
+    fused_loss.Backward();
+    std::vector<Matrix> fused_grads;
+    for (const auto& entry : store.entries()) {
+      fused_grads.push_back(entry.tensor.grad());
+    }
 
-  ASSERT_EQ(fused.epoch_losses().size(), ref.epoch_losses().size());
-  for (size_t i = 0; i < fused.epoch_losses().size(); ++i) {
-    EXPECT_EQ(fused.epoch_losses()[i], ref.epoch_losses()[i]) << "epoch " << i;
+    std::vector<Tensor> ref_hidden = hidden;
+    store.ZeroGrad();
+    const Tensor ref_loss = ReferenceGraph::ChunkLoss(model, /*reference=*/true, features,
+                                                      targets, begin, end, ref_hidden);
+    ref_loss.Backward();
+
+    EXPECT_TRUE(BitIdentical(fused_loss.value(), ref_loss.value()))
+        << fused_loss.scalar() << " vs " << ref_loss.scalar();
+    const auto& entries = store.entries();
+    for (size_t p = 0; p < entries.size(); ++p) {
+      EXPECT_TRUE(BitIdentical(fused_grads[p], entries[p].tensor.grad())) << entries[p].name;
+    }
+    for (size_t i = 0; i < hidden.size(); ++i) {
+      ASSERT_TRUE(BitIdentical(fused_hidden[i].value(), ref_hidden[i].value()))
+          << "expert " << i;
+      hidden[i] = fused_hidden[i].Detach();
+    }
   }
+}
 
-  const auto features = fused.features().ExtractSeries(fixture.traces, 0, fixture.windows);
-  ExpectEstimatesIdentical(fused.EstimateFromFeatures(features),
-                           ref.EstimateFromFeatures(features));
+TEST(FusedGraphTest, ChunkLossAndGradientsBitIdenticalToReferenceGraph) {
+  const Fixture fixture;
+  EstimatorConfig base = SmallConfig();
+  base.bptt_chunk = 10;  // 24 windows: two full chunks and a ragged tail
+  for (const auto& [name, config] : AblationGrid(base)) {
+    SCOPED_TRACE(name);
+    DeepRestEstimator model(config);
+    model.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+    ExpectChunksMatchReferenceGraph(model, fixture, config.bptt_chunk);
+  }
 }
 
 TEST(FusedGraphTest, SerializeRoundTripPreservesEstimates) {
@@ -109,28 +152,6 @@ TEST(FusedGraphTest, SerializeRoundTripPreservesEstimates) {
   // save -> load -> clone chain must stay bit-identical.
   std::unique_ptr<DeepRestEstimator> clone = loaded.Clone();
   ExpectEstimatesIdentical(expected, clone->EstimateFromFeatures(features));
-}
-
-TEST(FusedGraphTest, LoadedModelMatchesRegardlessOfGraphMode) {
-  // use_fused_graph is intentionally not serialized: a model saved by a
-  // fused-graph trainer must estimate identically when loaded into a
-  // reference-graph estimator, and vice versa.
-  const Fixture fixture;
-  EstimatorConfig fused_config = SmallConfig();
-  fused_config.use_fused_graph = true;
-  DeepRestEstimator original(fused_config);
-  original.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
-  const auto features =
-      original.features().ExtractSeries(fixture.traces, 0, fixture.windows);
-
-  std::stringstream stream;
-  ASSERT_TRUE(original.SaveToStream(stream));
-  EstimatorConfig ref_config = SmallConfig();
-  ref_config.use_fused_graph = false;
-  DeepRestEstimator loaded(ref_config);
-  ASSERT_TRUE(loaded.LoadFromStream(stream));
-  ExpectEstimatesIdentical(original.EstimateFromFeatures(features),
-                           loaded.EstimateFromFeatures(features));
 }
 
 }  // namespace

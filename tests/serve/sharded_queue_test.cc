@@ -18,6 +18,7 @@
 #include "src/serve/ingest_pipeline.h"
 #include "src/serve/model_registry.h"
 #include "tests/serve/test_app.h"
+#include "tests/testing/reference_graph.h"
 
 namespace deeprest {
 namespace {
@@ -328,8 +329,8 @@ TEST(ShardedQueueTest, MixedLengthBatchesMatchReferenceBitExactly) {
     SCOPED_TRACE("request " + std::to_string(i));
     const auto result = futures[i].get();
     ASSERT_EQ(result.status, RequestStatus::kOk);
-    testutil::ExpectSameEstimates(result.estimates,
-                                  model->EstimateFromFeaturesReference(series[i]));
+    testutil::ExpectSameEstimates(
+        result.estimates, ReferenceGraph::EstimateFromFeaturesReference(*model, series[i]));
   }
   EXPECT_GT(service.Counters().max_batch_size, 1u);
 }

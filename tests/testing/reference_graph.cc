@@ -1,0 +1,193 @@
+#include "tests/testing/reference_graph.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "src/nn/ops.h"
+
+namespace deeprest {
+
+Tensor GruStepReference(const GruCell& gru, const Tensor& x, const Tensor& h_prev) {
+  Tensor z = Sigmoid(Add(Add(MatMul(gru.wz(), x), MatMul(gru.uz(), h_prev)), gru.bz()));
+  Tensor k = Sigmoid(Add(Add(MatMul(gru.wk(), x), MatMul(gru.uk(), h_prev)), gru.bk()));
+  Tensor h_candidate =
+      Tanh(Add(Add(MatMul(gru.wh(), x), MatMul(gru.uh(), Hadamard(k, h_prev))), gru.bh()));
+  // h = z . h_prev + (1 - z) . h_candidate
+  Tensor one_minus_z = Affine(z, -1.0f, 1.0f);
+  return Add(Hadamard(z, h_prev), Hadamard(one_minus_z, h_candidate));
+}
+
+Tensor AttentionReference(const Tensor& alpha, const Tensor& diag_mask,
+                          const std::vector<Tensor>& hidden) {
+  return MatMul(Hadamard(alpha, diag_mask), StackColumns(hidden));
+}
+
+Tensor ExpertHeadReference(const Tensor& attended, size_t row, const Tensor& h,
+                           const Linear& head, const Linear* skip, const Tensor& xm) {
+  const Tensor a = attended.defined() ? RowAsColumn(attended, row)
+                                      : Tensor::Constant(Matrix(head.in_dim() - h.rows(), 1));
+  const Tensor head_out = head.Forward(ConcatRows(a, h));
+  return skip != nullptr ? Add(head_out, skip->Forward(xm)) : head_out;
+}
+
+std::vector<std::pair<std::string, EstimatorConfig>> AblationGrid(const EstimatorConfig& base) {
+  std::vector<std::pair<std::string, EstimatorConfig>> grid(7, {"full", base});
+  grid[1].first = "no-attention";
+  grid[1].second.use_attention = false;
+  grid[2].first = "no-mask";
+  grid[2].second.use_api_mask = false;
+  grid[3].first = "no-warm-start";
+  grid[3].second.warm_start = false;
+  grid[4].first = "feed-forward";
+  grid[4].second.use_recurrence = false;
+  grid[5].first = "no-bypass";
+  grid[5].second.use_linear_bypass = false;
+  grid[6].first = "feed-forward-no-bypass";
+  grid[6].second.use_recurrence = false;
+  grid[6].second.use_linear_bypass = false;
+  return grid;
+}
+
+std::vector<Tensor> ReferenceGraph::StepAllReference(const DeepRestEstimator& model,
+                                                     const Tensor& x,
+                                                     std::vector<Tensor>& hidden) {
+  const EstimatorConfig& config = model.config_;
+  const size_t e = model.experts_.size();
+  std::vector<Tensor> new_hidden(e);
+  std::vector<Tensor> masked(e);
+  for (size_t i = 0; i < e; ++i) {
+    const DeepRestEstimator::Expert& expert = model.experts_[i];
+    masked[i] = config.use_api_mask ? Hadamard(Sigmoid(expert.mask), x) : x;
+    new_hidden[i] = config.use_recurrence ? GruStepReference(expert.gru, masked[i], hidden[i])
+                                          : Tanh(expert.ff.Forward(masked[i]));
+  }
+  Tensor attended;  // Stays undefined under the attention ablation.
+  if (config.use_attention) {
+    attended = AttentionReference(model.alpha_, model.diag_mask_tensor_, new_hidden);
+  }
+  std::vector<Tensor> outputs(e);
+  for (size_t i = 0; i < e; ++i) {
+    const DeepRestEstimator::Expert& expert = model.experts_[i];
+    outputs[i] = ExpertHeadReference(attended, i, new_hidden[i], expert.head,
+                                     config.use_linear_bypass ? &expert.skip : nullptr,
+                                     masked[i]);
+  }
+  hidden = std::move(new_hidden);
+  return outputs;
+}
+
+std::vector<Tensor> ReferenceGraph::ZeroState(const DeepRestEstimator& model) {
+  std::vector<Tensor> hidden(model.experts_.size());
+  for (auto& state : hidden) {
+    state = Tensor::Constant(Matrix(model.config_.hidden_dim, 1));
+  }
+  return hidden;
+}
+
+std::vector<Tensor> ReferenceGraph::WarmState(const DeepRestEstimator& model) {
+  NoGradGuard no_grad;
+  std::vector<Tensor> hidden = ZeroState(model);
+  if (model.config_.warm_start) {
+    for (const auto& raw : model.learn_features_) {
+      StepAllReference(model, model.ScaledInput(raw), hidden);
+    }
+  }
+  return hidden;
+}
+
+std::vector<float> ReferenceGraph::ReplayWarmStart(const DeepRestEstimator& model) {
+  std::vector<float> flat;
+  for (const Tensor& h : WarmState(model)) {
+    flat.insert(flat.end(), h.value().data(), h.value().data() + h.value().size());
+  }
+  return flat;
+}
+
+const std::vector<float>& ReferenceGraph::WarmStartCache(const DeepRestEstimator& model) {
+  return model.warm_hidden_;
+}
+
+EstimateMap ReferenceGraph::EstimateFromFeaturesReference(const DeepRestEstimator& model,
+                                                          const FeatureSeries& features) {
+  NoGradGuard no_grad;
+  std::vector<Tensor> hidden = WarmState(model);
+  EstimateMap out;
+  for (const auto& expert : model.experts_) {
+    out.emplace(expert.key, ResourceEstimate());
+  }
+  for (const auto& raw : features) {
+    const std::vector<Tensor> outputs = StepAllReference(model, model.ScaledInput(raw), hidden);
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      const Matrix& y = outputs[i].value();
+      const double scale = model.experts_[i].y_scale;
+      const double expected = std::max(0.0, static_cast<double>(y.At(0, 0)) * scale);
+      const double lower = std::max(0.0, static_cast<double>(y.At(1, 0)) * scale);
+      const double upper = std::max(0.0, static_cast<double>(y.At(2, 0)) * scale);
+      ResourceEstimate& estimate = out.at(model.experts_[i].key);
+      estimate.expected.push_back(expected);
+      estimate.lower.push_back(std::min(lower, expected));
+      estimate.upper.push_back(std::max(upper, expected));
+    }
+  }
+  return out;
+}
+
+std::map<MetricKey, std::vector<float>> ReferenceGraph::HiddenTrajectoriesReference(
+    const DeepRestEstimator& model, const FeatureSeries& features) {
+  NoGradGuard no_grad;
+  std::vector<Tensor> hidden = ZeroState(model);
+  std::map<MetricKey, std::vector<float>> trajectories;
+  for (const auto& expert : model.experts_) {
+    trajectories[expert.key];
+  }
+  for (const auto& raw : features) {
+    StepAllReference(model, model.ScaledInput(raw), hidden);
+    for (size_t i = 0; i < hidden.size(); ++i) {
+      const Matrix& h = hidden[i].value();
+      auto& out = trajectories[model.experts_[i].key];
+      out.insert(out.end(), h.data(), h.data() + h.size());
+    }
+  }
+  return trajectories;
+}
+
+const ReferenceGraph::FeatureSeries& ReferenceGraph::LearnFeatures(
+    const DeepRestEstimator& model) {
+  return model.learn_features_;
+}
+
+ParameterStore& ReferenceGraph::Parameters(DeepRestEstimator& model) { return model.store_; }
+
+std::vector<std::vector<float>> ReferenceGraph::ScaledTargets(const DeepRestEstimator& model,
+                                                              const MetricsStore& metrics,
+                                                              size_t from, size_t to) {
+  std::vector<std::vector<float>> targets;
+  for (const auto& expert : model.experts_) {
+    std::vector<float>& series = targets.emplace_back();
+    for (double v : metrics.Series(expert.key, from, to)) {
+      series.push_back(static_cast<float>(v / expert.y_scale));
+    }
+  }
+  return targets;
+}
+
+Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, bool reference,
+                                 const FeatureSeries& features,
+                                 const std::vector<std::vector<float>>& targets, size_t begin,
+                                 size_t end, std::vector<Tensor>& hidden) {
+  const float delta = model.config_.delta;
+  const std::vector<float> deltas = {0.5f, (1.0f - delta) / 2.0f,
+                                     delta + (1.0f - delta) / 2.0f};
+  std::vector<Tensor> losses;
+  for (size_t t = begin; t < end; ++t) {
+    const Tensor x = model.ScaledInput(features[t]);
+    const std::vector<Tensor> outputs =
+        reference ? StepAllReference(model, x, hidden) : model.StepAll(x, hidden);
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      losses.push_back(PinballLoss(outputs[i], targets[i][t], deltas));
+    }
+  }
+  return Affine(AddN(losses), 1.0f / static_cast<float>(losses.size()), 0.0f);
+}
+
+}  // namespace deeprest

@@ -1,0 +1,99 @@
+// The tests' single oracle: the DeepRest step composed from elementary ops.
+//
+// Production runs the model through two implementations: the fused training
+// graph (DeepRestEstimator::StepAll over the Fused* nodes in src/nn/ops.h)
+// and the packed batch-row-major forward behind every estimate, warm start
+// and hidden trajectory (src/nn/batched.h). Both must reproduce the
+// compositions below bit for bit: forward values always, and every gradient
+// under the training loss topology (each step's output feeds the loss).
+// Test-only: no target under src/, bench/ or tools/ links this library.
+#ifndef TESTS_TESTING_REFERENCE_GRAPH_H_
+#define TESTS_TESTING_REFERENCE_GRAPH_H_
+
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/core/estimator.h"
+#include "src/nn/layers.h"
+#include "src/nn/tensor.h"
+
+namespace deeprest {
+
+// One GRU step (paper Eq. 2) as ~12 elementary nodes, built on the cell's
+// public parameter accessors:
+//   z = sigmoid((Wz x + Uz h) + bz)    k = sigmoid((Wk x + Uk h) + bk)
+//   h~ = tanh((Wh x + Uh (k . h)) + bh)    h' = z . h + (-1 . z + 1) . h~
+Tensor GruStepReference(const GruCell& gru, const Tensor& x, const Tensor& h_prev);
+
+// Cross-expert attention (paper Eq. 3):
+// MatMul(Hadamard(alpha, diag_mask), StackColumns(hidden)).
+Tensor AttentionReference(const Tensor& alpha, const Tensor& diag_mask,
+                          const std::vector<Tensor>& hidden);
+
+// One expert's output (paper Eq. 4):
+// head.Forward(ConcatRows(RowAsColumn(attended, row), h)), plus
+// skip->Forward(xm) when `skip` is non-null. An undefined `attended`
+// (attention ablation) contributes a zero column.
+Tensor ExpertHeadReference(const Tensor& attended, size_t row, const Tensor& h,
+                           const Linear& head, const Linear* skip, const Tensor& xm);
+
+// The configurations every bit-exactness suite covers, as (name, config)
+// over `base`: the full model, then without attention, API mask, warm start,
+// recurrence, bypass, and without both recurrence and bypass.
+std::vector<std::pair<std::string, EstimatorConfig>> AblationGrid(const EstimatorConfig& base);
+
+// Test-side peer of DeepRestEstimator, which befriends it: reads a model's
+// parameters and history and runs them through the compositions above.
+class ReferenceGraph {
+ public:
+  using FeatureSeries = std::vector<std::vector<float>>;
+
+  // One model step over all experts from elementary ops; the oracle for the
+  // production StepAll. `hidden` is read and replaced.
+  static std::vector<Tensor> StepAllReference(const DeepRestEstimator& model, const Tensor& x,
+                                              std::vector<Tensor>& hidden);
+  // One zero H x 1 column per expert.
+  static std::vector<Tensor> ZeroState(const DeepRestEstimator& model);
+
+  // The warm-start state by replay: the learn history stepped through
+  // StepAllReference from a zero state, flattened expert-major like
+  // StreamCursor::hidden. Zeros when warm start is off.
+  static std::vector<float> ReplayWarmStart(const DeepRestEstimator& model);
+  // The cached warm-start state stateless rows of the packed forward start
+  // from.
+  static const std::vector<float>& WarmStartCache(const DeepRestEstimator& model);
+
+  // Sequential inference: ReplayWarmStart's trajectory, then the query one
+  // window at a time through StepAllReference, clamped like the packed path.
+  static EstimateMap EstimateFromFeaturesReference(const DeepRestEstimator& model,
+                                                   const FeatureSeries& features);
+
+  // HiddenTrajectories by replay from a zero state through StepAllReference.
+  static std::map<MetricKey, std::vector<float>> HiddenTrajectoriesReference(
+      const DeepRestEstimator& model, const FeatureSeries& features);
+
+  // --- Training-graph access ---
+  static const FeatureSeries& LearnFeatures(const DeepRestEstimator& model);
+  static ParameterStore& Parameters(DeepRestEstimator& model);
+  // Per-expert targets for windows [from, to), scaled as Learn scales them.
+  static std::vector<std::vector<float>> ScaledTargets(const DeepRestEstimator& model,
+                                                       const MetricsStore& metrics, size_t from,
+                                                       size_t to);
+  // One BPTT chunk's mean pinball loss over windows [begin, end), built as
+  // RunTraining builds it: `hidden` steps through the production StepAll, or
+  // through StepAllReference when `reference` is set.
+  static Tensor ChunkLoss(const DeepRestEstimator& model, bool reference,
+                          const FeatureSeries& features,
+                          const std::vector<std::vector<float>>& targets, size_t begin,
+                          size_t end, std::vector<Tensor>& hidden);
+
+ private:
+  // ReplayWarmStart's state as one H x 1 column per expert.
+  static std::vector<Tensor> WarmState(const DeepRestEstimator& model);
+};
+
+}  // namespace deeprest
+
+#endif  // TESTS_TESTING_REFERENCE_GRAPH_H_

@@ -22,7 +22,8 @@
 #                    into build/, plus a warm-cache rerun assertion
 #   7. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
 #   8. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
-#   9. asan        — chaos suite + the nn and fp16-storage suites under ASan+UBSan
+#   9. asan        — chaos suite + the nn, fp16-storage and core suites under
+#                    ASan+UBSan
 #  10. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
 #                    budget (DEEPREST_STATECACHE_STRESS=1): concurrent leases
 #                    vs CLOCK eviction, fp16 demotion, and budget pressure
@@ -130,14 +131,16 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset chaos-tsan -j "$JOBS"
 
-echo "==> [9/10] asan: chaos suite + nn and fp16-storage suites under ASan+UBSan"
+echo "==> [9/10] asan: chaos suite + nn, fp16-storage and core suites under ASan+UBSan"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
 ctest --preset chaos-asan -j "$JOBS"
-# The kernel suites drive every simd dispatch table at ragged shapes, and the
-# fp16 storage budget runs the packed batch-row-major forward pass: exactly
-# where an out-of-bounds load or store would hide.
-ctest --test-dir build-asan --output-on-failure -R 'quantized_tests|nn_tests'
+# The kernel suites drive every simd dispatch table at ragged shapes; the fp16
+# storage budget runs the packed batch-row-major forward pass; and core_tests
+# (batched_inference_test above all) drives that forward and ShrinkColumns
+# over the whole learn history at every mutation point, where it computes the
+# warm-start state: exactly where an out-of-bounds load or store would hide.
+ctest --test-dir build-asan --output-on-failure -R 'quantized_tests|nn_tests|core_tests'
 
 echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"
 # The stress flag multiplies the storm test's iteration count; the tiny
