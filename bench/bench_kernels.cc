@@ -1,6 +1,6 @@
 // Hot-path benchmark: tiled GEMM kernels vs the preserved reference kernels,
-// the fused GRU step, end-to-end training/inference wall-clock, and the
-// parallel training harness. Writes every measurement to a JSON file
+// the fused GRU step (the tape-trained baseline's cell), end-to-end
+// training/inference wall-clock, and the parallel training harness. Writes every measurement to a JSON file
 // (default BENCH_kernels.json) so tools/bench_diff can compare runs.
 //
 // Usage: bench_kernels [--smoke] [--out <path>]
@@ -9,8 +9,10 @@
 //   --out    output JSON path (default: BENCH_kernels.json in the cwd)
 //
 // The "reference" training and inference legs differ from the optimized legs
-// only in SetKernelMode(kReference): the same fused training graph and packed
-// forward on the same binary, run on the preserved reference kernels.
+// only in SetKernelMode(kReference): the same tape-free chunk trainer and
+// packed forward on the same binary, run on the preserved reference kernels.
+// Their epoch losses must match bit for bit (losses_bit_identical gates the
+// exit code).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -169,9 +171,10 @@ BatchedGemmResult BenchBatchedGemm(size_t h, size_t b, int iters, Rng& rng) {
 // (the portable fallback the ci.sh simd-off leg pins), the default (kTiled)
 // mode, and the preserved reference. All timed through the SAME Matrix-level
 // entry points so the numbers include dispatch overhead. The default mode
-// already runs mat-mat MatMulInto and AccumulateATransposeB on the
-// dispatch-selected kernel, so on those rows `speedup` (vs the default) reads
-// ~1x; `vs_scalar` compares against the kScalar rung, the plain C++ loop.
+// already runs mat-mat MatMulInto, AccumulateATransposeB and the rank-1
+// (k == 1) AccumulateABTranspose on the dispatch-selected kernel, so on those
+// rows `speedup` (vs the default) reads ~1x; `vs_scalar` compares against the
+// kScalar rung, the plain C++ loop.
 struct SimdResult {
   std::string name;
   double simd_ns = 0;

@@ -4,12 +4,9 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "src/nn/optimizer.h"
-#include "src/nn/ops.h"
 #include "src/nn/quant.h"
 #include "src/nn/serialize.h"
 
@@ -58,56 +55,6 @@ void DeepRestEstimator::BuildModel(size_t feature_dim,
   diag_mask_tensor_ = Tensor::Constant(std::move(diag_mask));
 }
 
-Tensor DeepRestEstimator::ScaledInput(const std::vector<float>& raw) const {
-  Tensor out = Tensor::NewConstant(feature_scale_.size(), 1);
-  Matrix& x = out.mutable_value();
-  const size_t n = std::min(raw.size(), feature_scale_.size());
-  for (size_t d = 0; d < n; ++d) {
-    x.At(d, 0) = raw[d] / feature_scale_[d];
-  }
-  for (size_t d = n; d < feature_scale_.size(); ++d) {
-    x.At(d, 0) = 0.0f;
-  }
-  return out;
-}
-
-std::vector<Tensor> DeepRestEstimator::StepAll(const Tensor& x,
-                                               std::vector<Tensor>& hidden) const {
-  const size_t e = experts_.size();
-  // Reused across steps: holding the previous step's handles until here is
-  // harmless (the graph keeps them alive anyway via the loss).
-  thread_local std::vector<Tensor> masked;
-  masked.clear();
-  masked.resize(e);
-  for (size_t i = 0; i < e; ++i) {
-    const Expert& expert = experts_[i];
-    Tensor xm = config_.use_api_mask ? SigmoidMaskMul(expert.mask, x) : x;
-    // Each expert reads only its own previous state, so replacing in place is
-    // equivalent to building a separate new_hidden vector.
-    if (config_.use_recurrence) {
-      hidden[i] = expert.gru.Step(xm, hidden[i]);
-    } else {
-      hidden[i] = Tanh(expert.ff.Forward(xm));
-    }
-    masked[i] = std::move(xm);
-  }
-  Tensor attended;  // Stays undefined under the attention ablation.
-  if (config_.use_attention) {
-    attended = FusedAttention(alpha_, diag_mask_tensor_, hidden);
-  }
-  std::vector<Tensor> outputs(e);
-  const Tensor undefined;
-  for (size_t i = 0; i < e; ++i) {
-    const Expert& expert = experts_[i];
-    const bool bypass = config_.use_linear_bypass;
-    outputs[i] = FusedExpertHead(attended, i, hidden[i], expert.head.weight(),
-                                 expert.head.bias(), bypass ? masked[i] : undefined,
-                                 bypass ? expert.skip.weight() : undefined,
-                                 bypass ? expert.skip.bias() : undefined);
-  }
-  return outputs;
-}
-
 void DeepRestEstimator::Learn(const TraceCollector& traces, const MetricsStore& metrics,
                               size_t from, size_t to,
                               const std::vector<MetricKey>& resources) {
@@ -154,65 +101,6 @@ void DeepRestEstimator::Learn(const TraceCollector& traces, const MetricsStore& 
 
   train_seconds_ = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time)
                        .count();
-}
-
-void DeepRestEstimator::RunTraining(const std::vector<std::vector<float>>& features,
-                                    const std::vector<std::vector<float>>& targets,
-                                    size_t epochs, float learning_rate, bool decay_masks) {
-  // Truncated BPTT: hidden state values carry across chunk boundaries but
-  // gradients do not flow past them.
-  const float lo_q = (1.0f - config_.delta) / 2.0f;
-  const float up_q = config_.delta + (1.0f - config_.delta) / 2.0f;
-  const std::vector<float> deltas = {0.5f, lo_q, up_q};
-  const size_t window_count = features.size();
-
-  AdamOptimizer optimizer(store_, learning_rate);
-  std::vector<Tensor> losses;  // Hoisted: one buffer reused by every chunk.
-  for (size_t epoch = 0; epoch < epochs; ++epoch) {
-    std::vector<Tensor> hidden(experts_.size());
-    for (auto& state : hidden) {
-      state = Tensor::Constant(Matrix(config_.hidden_dim, 1));
-    }
-    double epoch_loss = 0.0;
-    size_t loss_terms = 0;
-    for (size_t chunk_start = 0; chunk_start < window_count;
-         chunk_start += config_.bptt_chunk) {
-      const size_t chunk_end = std::min(window_count, chunk_start + config_.bptt_chunk);
-      optimizer.ZeroGrad();
-      losses.clear();
-      losses.reserve((chunk_end - chunk_start) * experts_.size());
-      for (size_t t = chunk_start; t < chunk_end; ++t) {
-        Tensor x = ScaledInput(features[t]);
-        std::vector<Tensor> outputs = StepAll(x, hidden);
-        for (size_t i = 0; i < experts_.size(); ++i) {
-          losses.push_back(PinballLoss(outputs[i], targets[i][t], deltas));
-        }
-      }
-      Tensor loss = Affine(AddN(losses), 1.0f / static_cast<float>(losses.size()), 0.0f);
-      loss.Backward();
-      ClipGradNorm(store_, config_.grad_clip);
-      optimizer.Step();
-      if (decay_masks && config_.use_api_mask && config_.mask_decay > 0.0f) {
-        for (auto& expert : experts_) {
-          Matrix& logits = expert.mask.mutable_value();
-          for (size_t d = 0; d < logits.size(); ++d) {
-            logits[d] -= config_.mask_decay;
-          }
-        }
-      }
-      epoch_loss += static_cast<double>(loss.scalar()) * static_cast<double>(losses.size());
-      loss_terms += losses.size();
-      // Truncate gradient flow at the chunk boundary.
-      for (auto& state : hidden) {
-        state = state.Detach();
-      }
-    }
-    epoch_losses_.push_back(static_cast<float>(epoch_loss / std::max<size_t>(1, loss_terms)));
-    if (config_.verbose) {
-      std::fprintf(stderr, "[deeprest] epoch %zu/%zu loss %.5f\n", epoch + 1, epochs,
-                   epoch_losses_.back());
-    }
-  }
 }
 
 void DeepRestEstimator::ContinueLearning(const TraceCollector& traces,
@@ -369,13 +257,7 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     }
     x.SetShape(active, dim);
     for (size_t b = 0; b < active; ++b) {
-      const std::vector<float>& raw = (*batch[order[b]])[t];
-      const size_t n = std::min(raw.size(), dim);
-      float* row = x.data() + b * dim;
-      for (size_t d = 0; d < n; ++d) {
-        row[d] = raw[d] / feature_scale_[d];
-      }
-      std::fill(row + n, row + dim, 0.0f);
+      ScaleWindow((*batch[order[b]])[t], x.data() + b * dim);
     }
     const size_t block = active * hd;
     if (bypass) {
@@ -417,6 +299,15 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   return results;
 }
 
+void DeepRestEstimator::ScaleWindow(const std::vector<float>& raw, float* row) const {
+  const size_t dim = feature_scale_.size();
+  const size_t n = std::min(raw.size(), dim);
+  for (size_t d = 0; d < n; ++d) {
+    row[d] = raw[d] / feature_scale_[d];
+  }
+  std::fill(row + n, row + dim, 0.0f);
+}
+
 void DeepRestEstimator::RefreshWarmStartCache() {
   // Every mutation point funnels through here, so the packed weights can
   // never go stale against the parameters. They come first: the warm start
@@ -433,26 +324,9 @@ void DeepRestEstimator::RefreshWarmStartCache() {
   warm_hidden_ = std::move(cursor.hidden);
 }
 
-namespace {
-
-// Rows of every block, top to bottom: [b0; b1; ...]. Blocks share a width.
-Matrix StackRows(const std::vector<const Matrix*>& blocks) {
-  size_t rows = 0;
-  for (const Matrix* block : blocks) {
-    rows += block->rows();
-  }
-  Matrix out(rows, blocks.front()->cols());
-  float* dst = out.data();
-  for (const Matrix* block : blocks) {
-    dst = std::copy(block->data(), block->data() + block->size(), dst);
-  }
-  return out;
-}
-
-}  // namespace
-
 void DeepRestEstimator::RefreshInferencePack() {
-  packed_.assign(experts_.size(), PackedExpert());
+  // Packs in place: the chunk trainer repacks after every optimizer step.
+  packed_.resize(experts_.size());
   for (size_t i = 0; i < experts_.size(); ++i) {
     const Expert& expert = experts_[i];
     PackedExpert& p = packed_[i];
@@ -464,31 +338,36 @@ void DeepRestEstimator::RefreshInferencePack() {
       for (size_t d = 0; d < logits.size(); ++d) {
         p.mask[d] = 1.0f / (1.0f + std::exp(-logits[d]));
       }
+    } else {
+      p.mask = Matrix();
     }
     std::vector<const Matrix*> in_blocks;
-    std::vector<const Matrix*> biases;
     if (config_.use_recurrence) {
       const GruCell& gru = expert.gru;
       in_blocks = {&gru.wz().value(), &gru.wk().value(), &gru.wh().value()};
-      biases = {&gru.bz().value(), &gru.bk().value(), &gru.bh().value()};
-      p.u_zk = StackRows({&gru.uz().value(), &gru.uk().value()}).Transposed();
-      p.u_h = gru.uh().value().Transposed();
+      StackRowsInto({&gru.bz().value(), &gru.bk().value(), &gru.bh().value()}, p.bias);
+      StackTransposedInto({&gru.uz().value(), &gru.uk().value()}, p.u_zk);
+      StackTransposedInto({&gru.uh().value()}, p.u_h);
     } else {
       in_blocks = {&expert.ff.weight().value()};
-      biases = {&expert.ff.bias().value()};
+      p.bias = expert.ff.bias().value();
+      p.u_zk = Matrix();
+      p.u_h = Matrix();
     }
     if (config_.use_linear_bypass) {
       in_blocks.push_back(&expert.skip.weight().value());
       p.skip_b = expert.skip.bias().value();
+    } else {
+      p.skip_b = Matrix();
     }
-    p.bias = StackRows(biases);
+    StackTransposedInto(in_blocks, p.w_in);
     p.head_b = expert.head.bias().value();
-    p.w_in = StackRows(in_blocks).Transposed();
-    p.head = expert.head.weight().value().Transposed();
+    StackTransposedInto({&expert.head.weight().value()}, p.head);
   }
-  packed_attention_ = Matrix();
   if (config_.use_attention && !experts_.empty()) {
     HadamardInto(alpha_.value(), diag_mask_tensor_.value(), packed_attention_);
+  } else {
+    packed_attention_ = Matrix();
   }
 }
 

@@ -238,6 +238,10 @@ class DeepRestEstimator {
     double y_scale = 1.0;
   };
 
+  // The chunk trainer's reusable buffers, defined in the trainer's private
+  // header (src/core/estimator_train.h).
+  struct TrainScratch;
+
   // Builds experts/attention for the given feature dim and resource list.
   void BuildModel(size_t feature_dim, const std::vector<MetricKey>& resources);
   // Shared training loop: chunked-BPTT quantile regression over a feature /
@@ -246,13 +250,20 @@ class DeepRestEstimator {
   void RunTraining(const std::vector<std::vector<float>>& features,
                    const std::vector<std::vector<float>>& targets, size_t epochs,
                    float learning_rate, bool decay_masks);
-  // One training-graph step over all experts, built from the fused nodes in
-  // ops.h (one node per masked input / GRU step / attention / head). `x` is
-  // the scaled feature column; `hidden` is read and replaced. Returns
-  // per-expert 3x1 scaled outputs.
-  std::vector<Tensor> StepAll(const Tensor& x, std::vector<Tensor>& hidden) const;
-  // Scales a raw feature vector into a column tensor.
-  Tensor ScaledInput(const std::vector<float>& raw) const;
+  // One truncated-BPTT chunk over windows [begin, end), without a tape: the
+  // forward on the packed layout (repacked from the current parameters
+  // first), then a hand-written backward that adds every parameter's
+  // gradient into the ParameterStore grads, which the caller zeroed.
+  // Gradients and loss are bit-identical to the elementary-op graph's (the
+  // tests' oracle). `hidden` (expert-major, StreamCursor::hidden's layout)
+  // holds the state before `begin` and receives the state after `end - 1`.
+  // Returns the chunk's mean pinball loss.
+  float TrainChunk(const std::vector<std::vector<float>>& features,
+                   const std::vector<std::vector<float>>& targets, size_t begin, size_t end,
+                   std::vector<float>& hidden, TrainScratch& scratch);
+  // Writes raw / feature_scale_ into `row` (feature_scale_.size() floats),
+  // zero-filling the features a short `raw` lacks.
+  void ScaleWindow(const std::vector<float>& raw, float* row) const;
   int ExpertIndex(const MetricKey& key) const;
   // Rebuilds the packed inference weights, then recomputes warm_hidden_ by
   // running learn_features_ through the packed forward from a zero state.
@@ -277,10 +288,10 @@ class DeepRestEstimator {
   // Warm-start hidden state after learn_features_, in StreamCursor::hidden's
   // expert-major layout; zeros when warm_start is off.
   std::vector<float> warm_hidden_;
-  // Derived inference weights of the batch-row-major forward (src/nn/
-  // batched.h), parallel to experts_: sigmoid(mask), the stacked transposed
-  // input block [Wz;Wk;Wh;skip]^T, [Uz;Uk]^T, Uh^T and head^T. Not
-  // serialized; see RefreshInferencePack.
+  // Derived weights of the batch-row-major forward (src/nn/batched.h) that
+  // inference and the chunk trainer run on, parallel to experts_:
+  // sigmoid(mask), the stacked transposed input block [Wz;Wk;Wh;skip]^T,
+  // [Uz;Uk]^T, Uh^T and head^T. Not serialized; see RefreshInferencePack.
   std::vector<PackedExpert> packed_;
   Matrix packed_attention_;  // alpha . diag mask (E x E); empty without attention
   double train_seconds_ = 0.0;

@@ -1,0 +1,51 @@
+// The chunk trainer's buffers (DeepRestEstimator::TrainChunk). Private to
+// the estimator: included by its training translation unit
+// (estimator_train.cc) and by the tests' oracle peer, which drives
+// TrainChunk directly.
+#ifndef SRC_CORE_ESTIMATOR_TRAIN_H_
+#define SRC_CORE_ESTIMATOR_TRAIN_H_
+
+#include <vector>
+
+#include "src/core/estimator.h"
+#include "src/nn/batched.h"
+#include "src/nn/matrix.h"
+
+namespace deeprest {
+
+// Reused across chunks and epochs. RunTraining owns one, so distinct models
+// still train in parallel.
+struct DeepRestEstimator::TrainScratch {
+  // One expert's forward over a BPTT chunk, saved for the hand-written
+  // backward, and the gradients that backward derives. Every matrix holds
+  // one row per window of the chunk, newest window first, so each sum over
+  // t the backward forms runs newest first by walking rows in order.
+  struct ExpertTape {
+    Matrix xm;                    // T x D masked input (API mask only)
+    Matrix gates;                 // T x G input-block products (x~ · w_in)
+    Matrix h_prev, z, k, hc, kh;  // T x H GRU step internals
+    Matrix concat;                // T x 2H head input [attended ; h]
+    Matrix head_grad;             // T x 3 loss gradient of the head output
+    Matrix d_concat;              // T x 2H head input gradient
+    Matrix d_z, d_k, d_pre;       // T x H gate pre-activation gradients;
+                                  // d_pre is the feed-forward core's too
+    Matrix d_cat;                 // T x C: x~.grad's GEMM operand
+    Matrix d_x;                   // T x D: x~.grad
+  };
+
+  std::vector<ExpertTape> tapes;        // one per expert
+  std::vector<Matrix> x_grad_weights;   // per expert C x D, e.g. [skip; Wk; Wh; Wz]
+  PackedScratch step;                   // packed-step temporaries
+  Matrix x;                             // T x D scaled windows
+  Matrix bypass;                        // T x 3
+  Matrix state, attended;               // E x T·H: block r of row i is
+  Matrix d_attended, d_state;           // expert i at chunk row r
+  Matrix attended_block, state_block;   // E x H, one window's blocks
+  Matrix d_alpha;                       // E x E
+  Matrix dh, dh_prev, d_kh, d_pre, d_k, d_z;  // H x 1 per-window chain
+  std::vector<float> loss_terms;        // T x E pinball losses
+};
+
+}  // namespace deeprest
+
+#endif  // SRC_CORE_ESTIMATOR_TRAIN_H_

@@ -82,9 +82,9 @@ class GruCell {
   size_t hidden_dim() const { return hidden_dim_; }
 
   // Read access to the nine parameter blocks, which the estimator packs into
-  // the batch-row-major no-grad inference weights (src/nn/batched.h) to run
-  // the same recurrence as a few mat-mat GEMMs, and which the test oracle
-  // composes from elementary ops.
+  // the batch-row-major weights (src/nn/batched.h) its inference and its
+  // tape-free trainer run the same recurrence on as a few mat-mat GEMMs, and
+  // which the test oracle composes from elementary ops.
   const Tensor& wz() const { return wz_; }
   const Tensor& uz() const { return uz_; }
   const Tensor& bz() const { return bz_; }

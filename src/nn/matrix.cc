@@ -230,11 +230,12 @@ void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out) {
 //
 // No kernel loop lives here: outside kReference, every entry point runs a
 // rung of the ISA ladder (src/nn/simd/dispatch.h). Mat-mat MatMulInto,
-// AccumulateATransposeB and the element-wise helpers are exact on every rung,
-// so they run on the active one in every mode. The GEMV (m == 1) and
-// AccumulateABTranspose reduce across lanes on the vector rungs, so the
-// default mode runs them on the scalar rung, whose reductions are sequential;
-// kSimd sends them to the active rung too.
+// AccumulateATransposeB, the rank-1 (k == 1) AccumulateABTranspose and the
+// element-wise helpers are exact on every rung, so they run on the active
+// one in every mode. The GEMV (m == 1) and the k > 1 AccumulateABTranspose
+// reduce across lanes on the vector rungs, so the default mode runs them on
+// the scalar rung, whose reductions are sequential; kSimd sends them to the
+// active rung too.
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
@@ -269,7 +270,8 @@ void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out) {
     reference::AccumulateABTranspose(a, b, out);
     return;
   }
-  if (mode == KernelMode::kTiled) {
+  // A rank-1 update (k == 1) has no reduction, so every rung is exact there.
+  if (mode == KernelMode::kTiled && a.cols() != 1) {
     simd::ScalarAccumulateABTranspose(a.data(), b.data(), out.data(), a.rows(), a.cols(),
                                       b.rows());
     return;

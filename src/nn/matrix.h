@@ -138,12 +138,13 @@ void AddScaledInto(const Matrix& a, const Matrix& b, float scale, Matrix& out);
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out);
 
 // ---- Kernel backend selection ----
-// kTiled (the default) is the exact mode. Mat-mat MatMulInto (m >= 2) and
-// AccumulateATransposeB run on the active rung, whose kernels for them are
-// exact; the GEMV (m == 1) and AccumulateABTranspose run on the scalar rung,
-// because the vector rungs reduce them across lanes and are only
-// ULP-bounded. kSimd runs everything on the active rung: faster GEMV and
-// AccumulateABTranspose, no bit-exactness, opt-in. kReference dispatches the
+// kTiled (the default) is the exact mode. Mat-mat MatMulInto (m >= 2),
+// AccumulateATransposeB and the rank-1 (k == 1) AccumulateABTranspose run on
+// the active rung, whose kernels for them are exact; the GEMV (m == 1) and
+// the k > 1 AccumulateABTranspose run on the scalar rung, because the vector
+// rungs reduce them across lanes and are only ULP-bounded. kSimd runs
+// everything on the active rung: faster GEMV and AccumulateABTranspose, no
+// bit-exactness, opt-in. kReference dispatches the
 // three GEMM entry points to the pre-tiling naive kernels (kept verbatim in
 // the deeprest::reference namespace), so bench_kernels can measure an honest
 // before/after on one binary and tests can bound the (zero-sign-only)

@@ -21,8 +21,6 @@ void Accumulate(TensorNode& node, size_t i, const Matrix& delta) {
 struct FusedScratch {
   Matrix ta, tb;                               // forward GEMM temporaries
   Matrix d_omz, d_hc, d_pre, d_kh, d_k, d_z;   // fused GRU backward
-  Matrix d_concat;                             // fused head backward
-  Matrix d_masked, d_stacked;                  // fused attention backward
 };
 
 FusedScratch& Scratch() {
@@ -428,38 +426,16 @@ Tensor SquaredError(const Tensor& pred, const Matrix& target) {
   return out;
 }
 
-// ---- Fused DeepRest step ops ----
+// ---- Fused GRU step ----
 //
 // Bit-exactness discipline: floating-point addition is not associative, so
-// each fused backward replays the unfused composition's accumulations into
+// the fused backward replays the unfused composition's accumulations into
 // every destination buffer in the same order, with the same kernels, and
 // with intermediate gradients stored at float32 precision exactly where the
 // unfused graph stored them in node.grad matrices. Comments name the unfused
 // node whose backward each block mirrors.
 
 namespace {
-
-void MaskedInputBackward(TensorNode& node) {
-  // Mirrors Hadamard(Sigmoid(mask), x): the hadamard's pa-grad (g . x) is the
-  // sigmoid node's incoming gradient, folded into mask.grad in one pass.
-  TensorNode* mask = node.parents[0].node();
-  TensorNode* x = node.parents[1].node();
-  const Matrix& s = node.saved[0];
-  if (x->requires_grad) {
-    x->EnsureGrad();
-    for (size_t i = 0; i < node.grad.size(); ++i) {
-      x->grad[i] += node.grad[i] * s[i];
-    }
-  }
-  if (mask->requires_grad) {
-    mask->EnsureGrad();
-    for (size_t i = 0; i < node.grad.size(); ++i) {
-      const float ds = node.grad[i] * x->value[i];
-      const float sv = s[i];
-      mask->grad[i] += ds * sv * (1.0f - sv);
-    }
-  }
-}
 
 void FusedGruBackward(TensorNode& node) {
   // Unfused graph (the tests' GruStepReference):
@@ -604,119 +580,7 @@ void FusedGruBackward(TensorNode& node) {
   }
 }
 
-void FusedAttentionBackward(TensorNode& node) {
-  // Mirrors attended = MatMul(masked: Hadamard(alpha, diag), stacked).
-  TensorNode* alpha = node.parents[0].node();
-  TensorNode* diag = node.parents[1].node();
-  const Matrix& masked = node.saved[0];
-  const Matrix& stacked = node.saved[1];
-  FusedScratch& s = Scratch();
-  // attended backward: pa = masked, pb = stacked.
-  s.d_masked.SetShape(masked.rows(), masked.cols());
-  s.d_masked.Zero();
-  AccumulateABTranspose(node.grad, stacked, s.d_masked);
-  s.d_stacked.SetShape(stacked.rows(), stacked.cols());
-  s.d_stacked.Zero();
-  AccumulateATransposeB(masked, node.grad, s.d_stacked);
-  // stacked backward: row e scatters into hidden column e (parents[2 + e]).
-  const size_t width = stacked.cols();
-  for (size_t e = 2; e < node.parents.size(); ++e) {
-    TensorNode* p = node.parents[e].node();
-    if (!p->requires_grad) {
-      continue;
-    }
-    p->EnsureGrad();
-    for (size_t c = 0; c < width; ++c) {
-      p->grad.At(c, 0) += s.d_stacked.At(e - 2, c);
-    }
-  }
-  // masked backward (hadamard): alpha.grad += d_masked . diag.
-  if (alpha->requires_grad) {
-    alpha->EnsureGrad();
-    for (size_t i = 0; i < s.d_masked.size(); ++i) {
-      alpha->grad[i] += s.d_masked[i] * diag->value[i];
-    }
-  }
-}
-
-void FusedHeadBackward(TensorNode& node) {
-  // Mirrors Add(head: Add(MatMul(head_w, concat), head_b),
-  //             skip: Add(MatMul(skip_w, xm), skip_b))
-  // with concat = ConcatRows(RowAsColumn(attended, row), h).
-  TensorNode* attended = node.parents[0].node();  // May be null (ablation).
-  TensorNode* h = node.parents[1].node();
-  TensorNode* head_w = node.parents[2].node();
-  TensorNode* head_b = node.parents[3].node();
-  TensorNode* xm = node.parents[4].node();     // Null without the bypass.
-  TensorNode* skip_w = node.parents[5].node();  // Null without the bypass.
-  TensorNode* skip_b = node.parents[6].node();
-  const Matrix& g = node.grad;
-  const Matrix& concat = node.saved[0];
-  FusedScratch& s = Scratch();
-  if (skip_w != nullptr) {
-    // skip_out = Add(m_skip, skip_b); m_skip = MatMul(skip_w, xm).
-    if (skip_b->requires_grad) {
-      skip_b->AccumulateGrad(g);
-    }
-    if (skip_w->requires_grad) {
-      skip_w->EnsureGrad();
-      AccumulateABTranspose(g, xm->value, skip_w->grad);
-    }
-    if (xm->requires_grad) {
-      xm->EnsureGrad();
-      AccumulateATransposeB(skip_w->value, g, xm->grad);
-    }
-  }
-  // head_out = Add(m_head, head_b); m_head = MatMul(head_w, concat).
-  if (head_b->requires_grad) {
-    head_b->AccumulateGrad(g);
-  }
-  if (head_w->requires_grad) {
-    head_w->EnsureGrad();
-    AccumulateABTranspose(g, concat, head_w->grad);
-  }
-  s.d_concat.SetShape(concat.rows(), 1);
-  s.d_concat.Zero();
-  AccumulateATransposeB(head_w->value, g, s.d_concat);
-  // concat backward: upper half -> attended row, lower half -> h.
-  const size_t hd = h->value.rows();
-  const size_t na = concat.rows() - hd;
-  if (attended != nullptr && attended->requires_grad) {
-    attended->EnsureGrad();
-    const size_t row = node.aux_index;
-    for (size_t c = 0; c < na; ++c) {
-      attended->grad.At(row, c) += s.d_concat[c];
-    }
-  }
-  if (h->requires_grad) {
-    h->EnsureGrad();
-    for (size_t i = 0; i < hd; ++i) {
-      h->grad[i] += s.d_concat[na + i];
-    }
-  }
-}
-
 }  // namespace
-
-Tensor SigmoidMaskMul(const Tensor& mask, const Tensor& x) {
-  assert(mask.value().SameShape(x.value()));
-  Tensor out =
-      Tensor::NewOp(mask.rows(), mask.cols(), "sigmoid_mask_mul", MaskedInputBackward, mask, x);
-  TensorNode* node = out.node();
-  node->EnsureSaved(1);
-  Matrix& s = node->saved[0];
-  s.SetShape(mask.rows(), mask.cols());
-  const Matrix& mv = mask.value();
-  const Matrix& xv = x.value();
-  Matrix& ov = out.mutable_value();
-  for (size_t i = 0; i < mv.size(); ++i) {
-    s[i] = 1.0f / (1.0f + std::exp(-mv[i]));
-  }
-  for (size_t i = 0; i < mv.size(); ++i) {
-    ov[i] = s[i] * xv[i];
-  }
-  return out;
-}
 
 Tensor FusedGruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wz,
                     const Tensor& uz, const Tensor& bz, const Tensor& wk, const Tensor& uk,
@@ -768,84 +632,6 @@ Tensor FusedGruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wz,
   for (size_t i = 0; i < hd; ++i) {
     const float omz = -1.0f * z[i] + 1.0f;
     ov[i] = (z[i] * hv[i]) + (omz * hc[i]);
-  }
-  return out;
-}
-
-Tensor FusedAttention(const Tensor& alpha, const Tensor& diag_mask,
-                      const std::vector<Tensor>& hidden) {
-  assert(!hidden.empty());
-  const size_t e = hidden.size();
-  const size_t hd = hidden[0].rows();
-  std::vector<Tensor> parents;
-  parents.reserve(2 + e);
-  parents.push_back(alpha);
-  parents.push_back(diag_mask);
-  for (const Tensor& h : hidden) {
-    parents.push_back(h);
-  }
-  Tensor out = Tensor::NewOpN(e, hd, "fused_attention", FusedAttentionBackward, parents);
-  TensorNode* node = out.node();
-  node->EnsureSaved(2);
-  Matrix& masked = node->saved[0];
-  Matrix& stacked = node->saved[1];
-  HadamardInto(alpha.value(), diag_mask.value(), masked);
-  stacked.SetShape(e, hd);
-  for (size_t r = 0; r < e; ++r) {
-    assert(hidden[r].rows() == hd && hidden[r].cols() == 1);
-    const Matrix& col = hidden[r].value();
-    for (size_t c = 0; c < hd; ++c) {
-      stacked.At(r, c) = col.At(c, 0);
-    }
-  }
-  MatMulInto(masked, stacked, out.mutable_value());
-  return out;
-}
-
-Tensor FusedExpertHead(const Tensor& attended, size_t row, const Tensor& h,
-                       const Tensor& head_w, const Tensor& head_b, const Tensor& xm,
-                       const Tensor& skip_w, const Tensor& skip_b) {
-  const size_t out_dim = head_w.rows();
-  const bool bypass = skip_w.defined();
-  Tensor out = Tensor::NewOp(out_dim, 1, "fused_head", FusedHeadBackward, attended, h,
-                             head_w, head_b, xm, skip_w, skip_b);
-  TensorNode* node = out.node();
-  node->aux_index = row;
-  node->EnsureSaved(1);
-  Matrix& concat = node->saved[0];
-  const size_t hd = h.rows();
-  const size_t na = head_w.cols() - hd;
-  concat.SetShape(na + hd, 1);
-  if (attended.defined()) {
-    const Matrix& av = attended.value();
-    for (size_t c = 0; c < na; ++c) {
-      concat[c] = av.At(row, c);
-    }
-  } else {
-    for (size_t c = 0; c < na; ++c) {
-      concat[c] = 0.0f;
-    }
-  }
-  {
-    const Matrix& hv = h.value();
-    for (size_t i = 0; i < hd; ++i) {
-      concat[na + i] = hv[i];
-    }
-  }
-  FusedScratch& s = Scratch();
-  MatMulInto(head_w.value(), concat, s.ta);
-  Matrix& ov = out.mutable_value();
-  const Matrix& hb = head_b.value();
-  if (bypass) {
-    MatMulInto(skip_w.value(), xm.value(), s.tb);
-    const Matrix& sb = skip_b.value();
-    for (size_t i = 0; i < out_dim; ++i) {
-      ov[i] = (s.ta[i] + hb[i]) + (s.tb[i] + sb[i]);
-    }
-  } else {
-    for (size_t i = 0; i < out_dim; ++i) {
-      ov[i] = s.ta[i] + hb[i];
-    }
   }
   return out;
 }

@@ -5,18 +5,18 @@
 // (Eq. 3) is expressed with StackColumns / MatMul / RowAsColumn so that one
 // graph node per time step couples all experts.
 //
-// The Fused* ops at the bottom collapse the per-step DeepRest subgraphs
-// (masked input, GRU cell, cross-expert attention, output head) into one
-// graph node each. They are exact drop-in replacements: forward values and
-// every gradient accumulation happen with the same kernels, in the same
-// per-buffer order, as the unfused composition — results are bit-identical
-// under the training loss topology (every step's output feeds the loss, so
-// the reverse sweep processes steps as contiguous blocks in either graph).
-// A loss that reads only the final state reorders the unfused graph's
-// leaf-input matmuls across steps and the match is then ~1 ulp instead;
-// see fused_ops_test.cc and DESIGN.md "Performance notes". The unfused
-// compositions live only in the tests (tests/testing/reference_graph.h),
-// as the oracle; the fused graph is ~6x smaller.
+// FusedGruStep at the bottom collapses one GRU step (~12 elementary nodes)
+// into one graph node for the tape-trained models (the ResourceAwareDl
+// baseline steps GruCell). It is an exact drop-in replacement: forward
+// values and every gradient accumulation happen with the same kernels, in
+// the same per-buffer order, as the unfused composition — results are
+// bit-identical under the training loss topology (every step's output feeds
+// the loss, so the reverse sweep processes steps as contiguous blocks in
+// either graph). A loss that reads only the final state reorders the
+// unfused graph's leaf-input matmuls across steps and the match is then
+// ~1 ulp instead; see fused_ops_test.cc. The unfused composition lives only
+// in the tests (tests/testing/reference_graph.h), as the oracle. DeepRest
+// itself trains without a tape (DeepRestEstimator::TrainChunk).
 #ifndef SRC_NN_OPS_H_
 #define SRC_NN_OPS_H_
 
@@ -67,11 +67,7 @@ Tensor PinballLoss(const Tensor& pred, float target, const std::vector<float>& d
 // Squared-error loss 0.5 * sum((pred - target)^2) with a constant target.
 Tensor SquaredError(const Tensor& pred, const Matrix& target);
 
-// ---- Fused DeepRest step ops ----
-
-// sigmoid(mask) . x in one node (paper Eq. 1). Equivalent to
-// Hadamard(Sigmoid(mask), x).
-Tensor SigmoidMaskMul(const Tensor& mask, const Tensor& x);
+// ---- Fused GRU step ----
 
 // One full GRU recurrence step (paper Eq. 2) as a single node. Equivalent to
 // the elementary-op composition in the tests' GruStepReference
@@ -79,20 +75,6 @@ Tensor SigmoidMaskMul(const Tensor& mask, const Tensor& x);
 Tensor FusedGruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wz,
                     const Tensor& uz, const Tensor& bz, const Tensor& wk, const Tensor& uk,
                     const Tensor& bk, const Tensor& wh, const Tensor& uh, const Tensor& bh);
-
-// Cross-expert attention for one time step (paper Eq. 3): stacks the experts'
-// hidden columns and computes (alpha . diag_mask) * stacked in one node.
-// Equivalent to MatMul(Hadamard(alpha, diag_mask), StackColumns(hidden)).
-Tensor FusedAttention(const Tensor& alpha, const Tensor& diag_mask,
-                      const std::vector<Tensor>& hidden);
-
-// One expert's output head (paper Eq. 4): head_w * concat(attended[row], h) +
-// head_b, plus the optional linear bypass skip_w * xm + skip_b. `attended`
-// may be undefined (attention ablation: the attended half of the concat is
-// zero); skip_w/skip_b may be undefined (no bypass; xm is then unused).
-Tensor FusedExpertHead(const Tensor& attended, size_t row, const Tensor& h,
-                       const Tensor& head_w, const Tensor& head_b, const Tensor& xm,
-                       const Tensor& skip_w, const Tensor& skip_b);
 
 }  // namespace deeprest
 

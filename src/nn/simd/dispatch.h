@@ -26,13 +26,18 @@
 //     every ISA. That is why the default (kTiled) mode runs mat-mat
 //     MatMulInto, AccumulateATransposeB and the element-wise helpers on the
 //     active rung.
+//   * The rank-1 AccumulateABTranspose (k == 1, an outer-product update) has
+//     no reduction: every rung multiplies, adds +0 (the scalar rung's double
+//     accumulator seed) and adds, each rounded separately, so it is
+//     BIT-IDENTICAL to the scalar rung and kTiled runs it on the active rung.
 //   * Lane-parallel reductions (the m == 1 GEMV path, AccumulateABTranspose's
-//     double-pair dot products) reassociate across lanes on the vector rungs
-//     for speed; they are ULP-BOUNDED against the reference, not bit-exact.
-//     The scalar rung reduces them in sequential order, so kTiled, which
-//     keeps the bit-exactness contract training determinism relies on, runs
-//     these two on the scalar rung (ScalarGemv, ScalarAccumulateABTranspose);
-//     only the opt-in KernelMode::kSimd sends them to the active rung.
+//     k > 1 double-pair dot products) reassociate across lanes on the vector
+//     rungs for speed; they are ULP-BOUNDED against the reference, not
+//     bit-exact. The scalar rung reduces them in sequential order, so kTiled,
+//     which keeps the bit-exactness contract training determinism relies on,
+//     runs these two on the scalar rung (ScalarGemv,
+//     ScalarAccumulateABTranspose); only the opt-in KernelMode::kSimd sends
+//     them to the active rung.
 //
 // Raw intrinsics live ONLY under src/nn/simd/ (lint rule
 // intrinsics-only-in-simd); the rest of the tree calls through the function
@@ -111,7 +116,8 @@ void Hadamard(const float* a, const float* b, float* out, size_t n);
 // AccumulateABTranspose, whatever rung is active. These are the two kernels
 // the vector rungs reduce across lanes; the scalar rung reduces in
 // sequential order, so KernelMode::kTiled (the exact mode) runs them here
-// instead of on the active rung.
+// instead of on the active rung (all but the rank-1 k == 1
+// AccumulateABTranspose, which every rung computes exactly).
 void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k);
 void ScalarAccumulateABTranspose(const float* a, const float* b, float* out, size_t n,
                                  size_t k, size_t m);

@@ -3,12 +3,13 @@
 // pre-AVX2 hosts — the dispatch layer only routes here after a CPUID probe.
 //
 // Numerics per the dispatch.h contract:
-//   * mat-mat MatMul, AccumulateATransposeB, and all element-wise kernels
-//     use separate _mm256_mul_ps / _mm256_add_ps (never FMA): each lane is
-//     one independent output element with its k-reduction in ascending
-//     order, so results are bit-identical to plain ascending-k loops.
-//   * the m == 1 GEMV path and AccumulateABTranspose use lane-parallel FMA
-//     reductions (ULP-bounded, not bit-exact).
+//   * mat-mat MatMul, AccumulateATransposeB, the k == 1 (rank-1)
+//     AccumulateABTranspose and all element-wise kernels use separate
+//     _mm256_mul_ps / _mm256_add_ps (never FMA): each lane is one
+//     independent output element with its k-reduction in ascending order,
+//     so results are bit-identical to plain ascending-k loops.
+//   * the m == 1 GEMV path and AccumulateABTranspose's k > 1 dot products
+//     use lane-parallel FMA reductions (ULP-bounded, not bit-exact).
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -261,20 +262,21 @@ DEEPREST_AVX2_TARGET void AccABTAvx2(const float* A, const float* B, float* O, s
                                      size_t k, size_t m) {
   if (k == 1) {
     // Rank-1 accumulate: out[i][j] += a[i] * b[j], with B (m x 1) contiguous.
-    // Lane-parallel FMA over output columns — one rounding per element where
-    // the reference rounds twice, comfortably inside the ULP envelope. The
-    // general dot-per-element path below would spend all its time in setup
-    // (the vector body needs k >= 4).
+    // No reduction, so it is exact and bit-identical to the scalar rung: the
+    // scalar rung's exact double product rounds once to float, exactly like
+    // a float multiply, and its +0 seed turns a -0 product into +0, which
+    // the `+ 0` below reproduces before the separate add.
+    const __m256 zero = _mm256_setzero_ps();
     for (size_t i = 0; i < n; ++i) {
       const __m256 av = _mm256_set1_ps(A[i]);
       float* orow = O + i * m;
       size_t j = 0;
       for (; j + 8 <= m; j += 8) {
-        _mm256_storeu_ps(orow + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(B + j), _mm256_loadu_ps(orow + j)));
+        const __m256 prod = _mm256_add_ps(_mm256_mul_ps(av, _mm256_loadu_ps(B + j)), zero);
+        _mm256_storeu_ps(orow + j, _mm256_add_ps(_mm256_loadu_ps(orow + j), prod));
       }
       for (; j < m; ++j) {
-        orow[j] += A[i] * B[j];
+        orow[j] += 0.0f + A[i] * B[j];
       }
     }
     return;

@@ -1,7 +1,8 @@
 // AVX-512F kernels (16-lane zmm). Same numerics contract as the AVX2 TU:
-// mat-mat / AccumulateATransposeB / element-wise paths use separate mul+add
-// per lane (bit-identical to plain loops); the GEMV path and
-// AccumulateABTranspose use FMA lane reductions (ULP-bounded).
+// mat-mat / AccumulateATransposeB / element-wise paths and the k == 1
+// (rank-1) AccumulateABTranspose use separate mul+add per lane (bit-identical
+// to plain loops); the GEMV path and AccumulateABTranspose's k > 1 dot
+// products use FMA lane reductions (ULP-bounded).
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -207,20 +208,21 @@ DEEPREST_AVX512_TARGET void AccABTAvx512(const float* A, const float* B, float* 
                                          size_t k, size_t m) {
   if (k == 1) {
     // Rank-1 accumulate: out[i][j] += a[i] * b[j], with B (m x 1) contiguous.
-    // Lane-parallel FMA over output columns — one rounding per element where
-    // the reference rounds twice, comfortably inside the ULP envelope. The
-    // general dot-per-element path below would spend all its time in setup
-    // (the vector body needs k >= 8).
+    // No reduction, so it is exact and bit-identical to the scalar rung: the
+    // scalar rung's exact double product rounds once to float, exactly like
+    // a float multiply, and its +0 seed turns a -0 product into +0, which
+    // the `+ 0` below reproduces before the separate add.
+    const __m512 zero = _mm512_setzero_ps();
     for (size_t i = 0; i < n; ++i) {
       const __m512 av = _mm512_set1_ps(A[i]);
       float* orow = O + i * m;
       size_t j = 0;
       for (; j + 16 <= m; j += 16) {
-        _mm512_storeu_ps(
-            orow + j, _mm512_fmadd_ps(av, _mm512_loadu_ps(B + j), _mm512_loadu_ps(orow + j)));
+        const __m512 prod = _mm512_add_ps(_mm512_mul_ps(av, _mm512_loadu_ps(B + j)), zero);
+        _mm512_storeu_ps(orow + j, _mm512_add_ps(_mm512_loadu_ps(orow + j), prod));
       }
       for (; j < m; ++j) {
-        orow[j] += A[i] * B[j];
+        orow[j] += 0.0f + A[i] * B[j];
       }
     }
     return;

@@ -1,7 +1,10 @@
 // NEON/ASIMD kernels for aarch64. Same numerics contract as the x86 TUs:
 // mat-mat / AccumulateATransposeB / element-wise paths use separate
 // vmulq+vaddq (bit-identical to plain loops); the GEMV path and
-// AccumulateABTranspose use fused-multiply lane reductions (ULP-bounded).
+// AccumulateABTranspose's k > 1 dot products use fused-multiply lane
+// reductions (ULP-bounded). A k == 1 (rank-1) AccumulateABTranspose never
+// enters the vector body: its scalar tail reduces exactly like the scalar
+// rung.
 // On non-ARM builds this TU contributes only a null table.
 #include "src/nn/simd/kernels.h"
 

@@ -4,9 +4,9 @@
 // elements, every element's k-reduction in ascending order, one rounding per
 // multiply and add. On this rung even the GEMV and AccumulateABTranspose
 // paths keep the sequential reduction order, so these two are the only
-// copies of the exact GEMV and AccumulateABTranspose: KernelMode::kTiled
-// runs them whatever rung is active (dispatch.h ScalarGemv,
-// ScalarAccumulateABTranspose). The rest of the table is the exact path of
+// copies of the exact GEMV and k > 1 AccumulateABTranspose:
+// KernelMode::kTiled runs them whatever rung is active (dispatch.h
+// ScalarGemv, ScalarAccumulateABTranspose). The rest of the table is the exact path of
 // every host without AVX2 (and of DEEPREST_SIMD=scalar, which the ci.sh
 // simd-off leg pins so the fallback path cannot rot).
 #include "src/nn/simd/kernels.h"

@@ -10,19 +10,20 @@ namespace {
 std::atomic<uint64_t> g_sequence{0};
 
 // Freelist of recycled nodes, one per thread. Nodes keep the capacity of
-// their value/grad/saved matrices across lives, so steady-state training
-// performs no allocator calls for graph construction.
+// their value/grad/saved matrices across lives, so steady-state tape
+// training (the baselines, the tests' oracle graph) performs no allocator
+// calls for graph construction. DeepRest itself trains without a tape.
 //
 // The pool is bounded by the bytes it pins, not by its node count. A pooled
 // node keeps the largest matrices it ever held, so under a count cap the
 // nodes of a long-lived thread creep up to the biggest value ever recycled
 // through them (attention matrices, a destroyed model's weights): four
 // Learn + destroy cycles of the paper-size model (hidden 12, 76 experts, 69
-// features) on one thread pool 350 MB that way. A node above
-// kMaxPooledNodeBytes is freed instead of pooled, and kMaxTensorPoolBytes
-// (tensor.h) still holds one training chunk's graph of that model (48
-// steps, about 14k nodes and 20 MB), so training keeps reusing every node of
-// its graph.
+// features) pooled 350 MB on one thread that way when DeepRest still
+// trained on the tape. A node above kMaxPooledNodeBytes is freed instead of
+// pooled, and kMaxTensorPoolBytes (tensor.h) holds a 48-step chunk's graph
+// of a model that size (about 14k nodes and 20 MB), so tape training keeps
+// reusing every node of its graph.
 //
 // This file is the ONLY translation unit allowed to `new`/`delete` a
 // TensorNode (tools/lint rule no-raw-tensor-node-new, allowlisted here):
@@ -32,7 +33,8 @@ constexpr size_t kMaxPooledNodeBytes = size_t{16} << 10;
 
 // Heap bytes a node pins while pooled: the node itself plus the capacity of
 // everything it owns. Capacities do not change while a node sits in the
-// pool, so acquire subtracts exactly what release added.
+// pool, so the pool stores the figure with the node at release and acquire
+// subtracts that stored value instead of walking the node again.
 size_t NodeBytes(const TensorNode& node) {
   size_t bytes = sizeof(TensorNode) + node.parents.capacity() * sizeof(Tensor) +
                  node.saved.capacity() * sizeof(Matrix) +
@@ -44,8 +46,12 @@ size_t NodeBytes(const TensorNode& node) {
 }
 
 struct NodePool {
-  std::vector<TensorNode*> free;
-  size_t bytes = 0;  // NodeBytes summed over `free`
+  struct Pooled {
+    TensorNode* node;
+    size_t bytes;  // NodeBytes(*node) when it was pooled
+  };
+  std::vector<Pooled> free;
+  size_t bytes = 0;  // Pooled::bytes summed over `free`
   ~NodePool();
 };
 
@@ -61,8 +67,8 @@ NodePool& Pool() {
 
 NodePool::~NodePool() {
   g_pool_destroyed = true;
-  for (TensorNode* n : free) {
-    delete n;
+  for (const Pooled& pooled : free) {
+    delete pooled.node;
   }
   free.clear();
 }
@@ -75,9 +81,9 @@ TensorNode* AcquireNode() {
   NodePool& pool = Pool();
   TensorNode* node;
   if (!pool.free.empty()) {
-    node = pool.free.back();
+    node = pool.free.back().node;
+    pool.bytes -= pool.free.back().bytes;
     pool.free.pop_back();
-    pool.bytes -= NodeBytes(*node);
     node->grad.SetShape(0, 0);  // A recycled grad must not leak into this life.
     node->backward = nullptr;
     node->op_name = "leaf";
@@ -117,7 +123,7 @@ void RecycleTree(TensorNode* root) {
     NodePool& pool = Pool();
     const size_t bytes = NodeBytes(*n);
     if (bytes <= kMaxPooledNodeBytes && pool.bytes + bytes <= kMaxTensorPoolBytes) {
-      pool.free.push_back(n);
+      pool.free.push_back({n, bytes});
       pool.bytes += bytes;
     } else {
       delete n;

@@ -667,10 +667,16 @@ TEST(DeepRestEstimatorTest, DeterministicTraining) {
   DeepRestEstimator b(FastConfig());
   a.Learn(s1.traces, s1.metrics, 0, s1.learn_windows, s1.app.MetricCatalog());
   b.Learn(s2.traces, s2.metrics, 0, s2.learn_windows, s2.app.MetricCatalog());
+  // Bitwise: the same losses and the same model bytes, not merely close.
   ASSERT_EQ(a.epoch_losses().size(), b.epoch_losses().size());
-  for (size_t e = 0; e < a.epoch_losses().size(); ++e) {
-    EXPECT_FLOAT_EQ(a.epoch_losses()[e], b.epoch_losses()[e]);
-  }
+  EXPECT_EQ(std::memcmp(a.epoch_losses().data(), b.epoch_losses().data(),
+                        a.epoch_losses().size() * sizeof(float)),
+            0);
+  std::stringstream bytes_a;
+  std::stringstream bytes_b;
+  ASSERT_TRUE(a.SaveToStream(bytes_a));
+  ASSERT_TRUE(b.SaveToStream(bytes_b));
+  EXPECT_TRUE(bytes_a.str() == bytes_b.str());
 }
 
 }  // namespace

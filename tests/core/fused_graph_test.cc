@@ -1,11 +1,13 @@
-// Estimator-level equivalence of the fused training graph and the tests'
+// Estimator-level equivalence of the tape-free chunk trainer and the tests'
 // elementary-op oracle, plus serialize -> deserialize -> Clone round trips.
 //
-// StepAll builds each step from fused nodes (one per masked input / GRU step
-// / attention / head) where the oracle (tests/testing/reference_graph.h)
-// builds ~a dozen elementary ops each; the arithmetic per gradient buffer is
-// identical, so every BPTT chunk of training must produce a bit-identical
-// loss and bit-identical parameter gradients through either graph.
+// TrainChunk runs a BPTT chunk forward on the packed layout and backward by
+// hand, where the oracle (tests/testing/reference_graph.h) builds ~a dozen
+// elementary ops per expert and window and runs Tensor::Backward. The
+// arithmetic per gradient buffer is identical, so every chunk must produce a
+// bit-identical loss, bit-identical parameter gradients and a bit-identical
+// carried state either way, and whole training runs must write the same
+// model bytes.
 #include <algorithm>
 #include <cstring>
 #include <sstream>
@@ -78,48 +80,57 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
   return a.SameShape(b) && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+bool BitIdentical(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
 // Walks the learn series in bptt_chunk chunks, carrying the hidden state
 // across chunks and truncating gradient flow at each boundary as
-// RunTraining does, and builds each chunk's pinball loss twice from the same
-// parameters and hidden state: through the production StepAll and through
-// the oracle's StepAllReference.
+// RunTraining does, and runs each chunk twice from the same parameters and
+// hidden state: through the production chunk trainer and through the
+// oracle's elementary graph.
 void ExpectChunksMatchReferenceGraph(DeepRestEstimator& model, const Fixture& fixture,
                                      size_t bptt_chunk) {
   const auto& features = ReferenceGraph::LearnFeatures(model);
   const auto targets = ReferenceGraph::ScaledTargets(model, fixture.metrics, 0, fixture.windows);
   ParameterStore& store = ReferenceGraph::Parameters(model);
   std::vector<Tensor> hidden = ReferenceGraph::ZeroState(model);
+  const size_t hd = model.hidden_dim();
+  std::vector<float> trainer_hidden(hidden.size() * hd, 0.0f);
   for (size_t begin = 0; begin < features.size(); begin += bptt_chunk) {
     const size_t end = std::min(features.size(), begin + bptt_chunk);
     SCOPED_TRACE("chunk [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
-    std::vector<Tensor> fused_hidden = hidden;
     store.ZeroGrad();
-    const Tensor fused_loss = ReferenceGraph::ChunkLoss(model, /*reference=*/false, features,
-                                                        targets, begin, end, fused_hidden);
-    fused_loss.Backward();
-    std::vector<Matrix> fused_grads;
+    const float trainer_loss =
+        ReferenceGraph::TrainerChunk(model, features, targets, begin, end, trainer_hidden);
+    std::vector<Matrix> trainer_grads;
     for (const auto& entry : store.entries()) {
-      fused_grads.push_back(entry.tensor.grad());
+      trainer_grads.push_back(entry.tensor.grad());
     }
 
-    std::vector<Tensor> ref_hidden = hidden;
     store.ZeroGrad();
-    const Tensor ref_loss = ReferenceGraph::ChunkLoss(model, /*reference=*/true, features,
-                                                      targets, begin, end, ref_hidden);
+    const Tensor ref_loss =
+        ReferenceGraph::ChunkLoss(model, features, targets, begin, end, hidden);
     ref_loss.Backward();
 
-    EXPECT_TRUE(BitIdentical(fused_loss.value(), ref_loss.value()))
-        << fused_loss.scalar() << " vs " << ref_loss.scalar();
+    EXPECT_TRUE(BitIdentical(trainer_loss, ref_loss.scalar()))
+        << trainer_loss << " vs " << ref_loss.scalar();
     const auto& entries = store.entries();
     for (size_t p = 0; p < entries.size(); ++p) {
-      EXPECT_TRUE(BitIdentical(fused_grads[p], entries[p].tensor.grad())) << entries[p].name;
+      EXPECT_TRUE(BitIdentical(trainer_grads[p], entries[p].tensor.grad())) << entries[p].name;
     }
     for (size_t i = 0; i < hidden.size(); ++i) {
-      ASSERT_TRUE(BitIdentical(fused_hidden[i].value(), ref_hidden[i].value()))
+      ASSERT_EQ(std::memcmp(trainer_hidden.data() + i * hd, hidden[i].value().data(),
+                            hd * sizeof(float)),
+                0)
           << "expert " << i;
-      hidden[i] = fused_hidden[i].Detach();
+      hidden[i] = hidden[i].Detach();
     }
   }
+}
+
+std::string Bytes(const DeepRestEstimator& model) {
+  std::stringstream stream;
+  EXPECT_TRUE(model.SaveToStream(stream));
+  return stream.str();
 }
 
 TEST(FusedGraphTest, ChunkLossAndGradientsBitIdenticalToReferenceGraph) {
@@ -132,6 +143,65 @@ TEST(FusedGraphTest, ChunkLossAndGradientsBitIdenticalToReferenceGraph) {
     model.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
     ExpectChunksMatchReferenceGraph(model, fixture, config.bptt_chunk);
   }
+}
+
+// Whole training runs, Learn then ContinueLearning, against the oracle's
+// training loop on the elementary graph: the same model bytes and the same
+// epoch losses, bit for bit, under every ablation.
+TEST(FusedGraphTest, TrainingWritesModelBytesOfReferenceTrainingLoop) {
+  const Fixture fixture;
+  EstimatorConfig base = SmallConfig();
+  base.bptt_chunk = 10;
+  constexpr size_t kContinueFrom = 6;  // 18 windows: one full chunk and a ragged tail
+  constexpr size_t kContinueEpochs = 2;
+  for (const auto& [name, config] : AblationGrid(base)) {
+    SCOPED_TRACE(name);
+    DeepRestEstimator trained(config);
+    trained.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+    trained.ContinueLearning(fixture.traces, fixture.metrics, kContinueFrom, fixture.windows,
+                             kContinueEpochs);
+
+    // The oracle model skips every production epoch (epochs = 0) and trains
+    // through the reference loop instead, with Learn's and
+    // ContinueLearning's learning rates and mask decay.
+    EstimatorConfig untrained = config;
+    untrained.epochs = 0;
+    DeepRestEstimator oracle(untrained);
+    oracle.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+    ReferenceGraph::RunTrainingReference(
+        oracle, ReferenceGraph::LearnFeatures(oracle),
+        ReferenceGraph::ScaledTargets(oracle, fixture.metrics, 0, fixture.windows),
+        config.epochs, config.learning_rate, /*decay_masks=*/true);
+    ReferenceGraph::RunTrainingReference(
+        oracle, oracle.features().ExtractSeries(fixture.traces, kContinueFrom, fixture.windows),
+        ReferenceGraph::ScaledTargets(oracle, fixture.metrics, kContinueFrom, fixture.windows),
+        kContinueEpochs, config.learning_rate * 0.25f, /*decay_masks=*/false);
+    // Zero epochs: only the synthesizer, history and caches update.
+    oracle.ContinueLearning(fixture.traces, fixture.metrics, kContinueFrom, fixture.windows);
+
+    ASSERT_EQ(trained.epoch_losses().size(), config.epochs + kContinueEpochs);
+    ASSERT_EQ(oracle.epoch_losses().size(), trained.epoch_losses().size());
+    EXPECT_EQ(std::memcmp(trained.epoch_losses().data(), oracle.epoch_losses().data(),
+                          trained.epoch_losses().size() * sizeof(float)),
+              0);
+    EXPECT_TRUE(Bytes(trained) == Bytes(oracle));
+  }
+}
+
+// Training builds no autograd graph: Learn creates the same number of tensor
+// nodes (the parameters and the constant attention mask) whatever the epoch
+// count.
+TEST(FusedGraphTest, TrainingCreatesNoTensorNodes) {
+  const Fixture fixture;
+  const auto nodes_for_learn = [&](size_t epochs) {
+    EstimatorConfig config = SmallConfig();
+    config.epochs = epochs;
+    DeepRestEstimator model(config);
+    const uint64_t before = TensorNodesCreated();
+    model.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+    return TensorNodesCreated() - before;
+  };
+  EXPECT_EQ(nodes_for_learn(3), nodes_for_learn(0));
 }
 
 TEST(FusedGraphTest, SerializeRoundTripPreservesEstimates) {

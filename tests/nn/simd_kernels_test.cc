@@ -8,10 +8,12 @@
 //     Hadamard) keep each output element's reduction in ascending-k
 //     order with one rounding per multiply and per add — vector width changes
 //     which elements compute together, never how one element rounds.
-//   * ULP-BOUNDED: the m == 1 GEMV path and AccumulateABTranspose
-//     reassociate across lanes, so they are compared against an exact
-//     double-precision oracle under the standard reassociation bound
-//     |simd - exact| <= (k + 8) * eps * sum|terms|.
+//   * ULP-BOUNDED: the m == 1 GEMV path and AccumulateABTranspose's k > 1
+//     dot products reassociate across lanes, so they are compared against an
+//     exact double-precision oracle under the standard reassociation bound
+//     |simd - exact| <= (k + 8) * eps * sum|terms|. The rank-1 (k == 1)
+//     AccumulateABTranspose has no reduction and is bit-identical to the
+//     scalar rung on every rung.
 //
 // kScalar is held to the stricter standard everywhere — its GEMV and
 // AccumulateABTranspose reduce sequentially too, and the default (kTiled)
@@ -294,6 +296,41 @@ TEST_F(SimdKernelsTest, ScalarIsaAndDefaultModeBitIdenticalOnReassociatingPaths)
       AccumulateABTranspose(g, w, mode_acc);
       EXPECT_TRUE(BitIdentical(mode_acc, accabt))
           << "AccumulateABTranspose on " << simd::IsaName(isa) << " " << s.n << "x" << s.m;
+    }
+  }
+}
+
+// A rank-1 update (k == 1) has no reduction, so every rung must reproduce
+// the scalar rung bit for bit, including the zero signs its +0-seeded double
+// accumulator settles (a -0 product added to a -0 entry leaves +0), and the
+// default mode runs it on the active rung. Row 0 seeds -0 entries against
+// -0 and +0 products; ragged m covers every vector-lane remainder.
+TEST_F(SimdKernelsTest, RankOneAccumulateABTransposeBitIdenticalToScalarOnEveryIsa) {
+  Rng rng(306);
+  SetKernelMode(KernelMode::kTiled);
+  for (size_t m = 1; m <= 40; ++m) {
+    const size_t n = 2 + m % 3;
+    Matrix a(n, 1), b(m, 1), seed(n, m);
+    a.FillUniform(rng, 1.0f);
+    b.FillUniform(rng, 1.0f);
+    seed.FillUniform(rng, 1.0f);
+    a[0] = -0.0f;
+    a[1] = 0.0f;
+    for (size_t j = 0; j < m; j += 2) {
+      seed.At(0, j) = -0.0f;
+      seed.At(1, j) = -0.0f;
+      b[j] = j % 4 == 0 ? 0.0f : b[j];
+    }
+    const Matrix exact = SequentialABTranspose(a, b, seed);
+    for (simd::Isa isa : SupportedIsas()) {
+      ASSERT_EQ(simd::ForceIsa(isa), isa);
+      Matrix out = seed;
+      simd::AccumulateABTranspose(a.data(), b.data(), out.data(), n, 1, m);
+      EXPECT_TRUE(BitIdentical(out, exact)) << simd::IsaName(isa) << " n=" << n << " m=" << m;
+      Matrix via_mode = seed;
+      AccumulateABTranspose(a, b, via_mode);
+      EXPECT_TRUE(BitIdentical(via_mode, exact))
+          << "AccumulateABTranspose on " << simd::IsaName(isa) << " n=" << n << " m=" << m;
     }
   }
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/core/estimator_train.h"
 #include "src/nn/ops.h"
+#include "src/nn/optimizer.h"
 
 namespace deeprest {
 
@@ -89,7 +91,7 @@ std::vector<Tensor> ReferenceGraph::WarmState(const DeepRestEstimator& model) {
   std::vector<Tensor> hidden = ZeroState(model);
   if (model.config_.warm_start) {
     for (const auto& raw : model.learn_features_) {
-      StepAllReference(model, model.ScaledInput(raw), hidden);
+      StepAllReference(model, ScaledInput(model, raw), hidden);
     }
   }
   return hidden;
@@ -116,7 +118,7 @@ EstimateMap ReferenceGraph::EstimateFromFeaturesReference(const DeepRestEstimato
     out.emplace(expert.key, ResourceEstimate());
   }
   for (const auto& raw : features) {
-    const std::vector<Tensor> outputs = StepAllReference(model, model.ScaledInput(raw), hidden);
+    const std::vector<Tensor> outputs = StepAllReference(model, ScaledInput(model, raw), hidden);
     for (size_t i = 0; i < outputs.size(); ++i) {
       const Matrix& y = outputs[i].value();
       const double scale = model.experts_[i].y_scale;
@@ -141,7 +143,7 @@ std::map<MetricKey, std::vector<float>> ReferenceGraph::HiddenTrajectoriesRefere
     trajectories[expert.key];
   }
   for (const auto& raw : features) {
-    StepAllReference(model, model.ScaledInput(raw), hidden);
+    StepAllReference(model, ScaledInput(model, raw), hidden);
     for (size_t i = 0; i < hidden.size(); ++i) {
       const Matrix& h = hidden[i].value();
       auto& out = trajectories[model.experts_[i].key];
@@ -171,8 +173,7 @@ std::vector<std::vector<float>> ReferenceGraph::ScaledTargets(const DeepRestEsti
   return targets;
 }
 
-Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, bool reference,
-                                 const FeatureSeries& features,
+Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, const FeatureSeries& features,
                                  const std::vector<std::vector<float>>& targets, size_t begin,
                                  size_t end, std::vector<Tensor>& hidden) {
   const float delta = model.config_.delta;
@@ -180,14 +181,66 @@ Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, bool reference,
                                      delta + (1.0f - delta) / 2.0f};
   std::vector<Tensor> losses;
   for (size_t t = begin; t < end; ++t) {
-    const Tensor x = model.ScaledInput(features[t]);
     const std::vector<Tensor> outputs =
-        reference ? StepAllReference(model, x, hidden) : model.StepAll(x, hidden);
+        StepAllReference(model, ScaledInput(model, features[t]), hidden);
     for (size_t i = 0; i < outputs.size(); ++i) {
       losses.push_back(PinballLoss(outputs[i], targets[i][t], deltas));
     }
   }
   return Affine(AddN(losses), 1.0f / static_cast<float>(losses.size()), 0.0f);
+}
+
+float ReferenceGraph::TrainerChunk(DeepRestEstimator& model, const FeatureSeries& features,
+                                   const std::vector<std::vector<float>>& targets,
+                                   size_t begin, size_t end, std::vector<float>& hidden) {
+  DeepRestEstimator::TrainScratch scratch;
+  return model.TrainChunk(features, targets, begin, end, hidden, scratch);
+}
+
+void ReferenceGraph::RunTrainingReference(DeepRestEstimator& model,
+                                          const FeatureSeries& features,
+                                          const std::vector<std::vector<float>>& targets,
+                                          size_t epochs, float learning_rate,
+                                          bool decay_masks) {
+  const EstimatorConfig& config = model.config_;
+  AdamOptimizer optimizer(model.store_, learning_rate);
+  for (size_t epoch = 0; epoch < epochs; ++epoch) {
+    std::vector<Tensor> hidden = ZeroState(model);
+    double epoch_loss = 0.0;
+    size_t loss_terms = 0;
+    for (size_t begin = 0; begin < features.size(); begin += config.bptt_chunk) {
+      const size_t end = std::min(features.size(), begin + config.bptt_chunk);
+      optimizer.ZeroGrad();
+      const Tensor loss = ChunkLoss(model, features, targets, begin, end, hidden);
+      loss.Backward();
+      ClipGradNorm(model.store_, config.grad_clip);
+      optimizer.Step();
+      if (decay_masks && config.use_api_mask && config.mask_decay > 0.0f) {
+        for (auto& expert : model.experts_) {
+          Matrix& logits = expert.mask.mutable_value();
+          for (size_t d = 0; d < logits.size(); ++d) {
+            logits[d] -= config.mask_decay;
+          }
+        }
+      }
+      const size_t terms = (end - begin) * model.experts_.size();
+      epoch_loss += static_cast<double>(loss.scalar()) * static_cast<double>(terms);
+      loss_terms += terms;
+      // Truncate gradient flow at the chunk boundary.
+      for (auto& state : hidden) {
+        state = state.Detach();
+      }
+    }
+    model.epoch_losses_.push_back(
+        static_cast<float>(epoch_loss / std::max<size_t>(1, loss_terms)));
+  }
+}
+
+Tensor ReferenceGraph::ScaledInput(const DeepRestEstimator& model,
+                                   const std::vector<float>& raw) {
+  Matrix x(model.feature_scale_.size(), 1);
+  model.ScaleWindow(raw, x.data());
+  return Tensor::Constant(std::move(x));
 }
 
 }  // namespace deeprest

@@ -1,12 +1,13 @@
 // The tests' single oracle: the DeepRest step composed from elementary ops.
 //
-// Production runs the model through two implementations: the fused training
-// graph (DeepRestEstimator::StepAll over the Fused* nodes in src/nn/ops.h)
-// and the packed batch-row-major forward behind every estimate, warm start
-// and hidden trajectory (src/nn/batched.h). Both must reproduce the
-// compositions below bit for bit: forward values always, and every gradient
-// under the training loss topology (each step's output feeds the loss).
-// Test-only: no target under src/, bench/ or tools/ links this library.
+// Production runs the model without a tape: the packed batch-row-major
+// forward behind every estimate, warm start and hidden trajectory
+// (src/nn/batched.h), and the chunk trainer's hand-written BPTT
+// (DeepRestEstimator::TrainChunk) on the same layout. Both must reproduce
+// the compositions below bit for bit: forward values always, and every
+// gradient under the training loss topology (each step's output feeds the
+// loss). Test-only: no target under src/, bench/ or tools/ links this
+// library.
 #ifndef TESTS_TESTING_REFERENCE_GRAPH_H_
 #define TESTS_TESTING_REFERENCE_GRAPH_H_
 
@@ -50,8 +51,8 @@ class ReferenceGraph {
  public:
   using FeatureSeries = std::vector<std::vector<float>>;
 
-  // One model step over all experts from elementary ops; the oracle for the
-  // production StepAll. `hidden` is read and replaced.
+  // One model step over all experts from elementary ops. `hidden` is read and
+  // replaced.
   static std::vector<Tensor> StepAllReference(const DeepRestEstimator& model, const Tensor& x,
                                               std::vector<Tensor>& hidden);
   // One zero H x 1 column per expert.
@@ -81,17 +82,33 @@ class ReferenceGraph {
   static std::vector<std::vector<float>> ScaledTargets(const DeepRestEstimator& model,
                                                        const MetricsStore& metrics, size_t from,
                                                        size_t to);
-  // One BPTT chunk's mean pinball loss over windows [begin, end), built as
-  // RunTraining builds it: `hidden` steps through the production StepAll, or
-  // through StepAllReference when `reference` is set.
-  static Tensor ChunkLoss(const DeepRestEstimator& model, bool reference,
-                          const FeatureSeries& features,
+  // One BPTT chunk's mean pinball loss over windows [begin, end) as an
+  // elementary-op graph: `hidden` steps through StepAllReference, and the
+  // per-window, per-expert pinball losses are averaged by Affine(AddN(...)).
+  static Tensor ChunkLoss(const DeepRestEstimator& model, const FeatureSeries& features,
                           const std::vector<std::vector<float>>& targets, size_t begin,
                           size_t end, std::vector<Tensor>& hidden);
+  // The production chunk trainer (DeepRestEstimator::TrainChunk) on the same
+  // chunk: adds every gradient into the store's (zeroed) grads, replaces
+  // `hidden` (expert-major, E * H floats) with the state after the chunk and
+  // returns the mean loss.
+  static float TrainerChunk(DeepRestEstimator& model, const FeatureSeries& features,
+                            const std::vector<std::vector<float>>& targets, size_t begin,
+                            size_t end, std::vector<float>& hidden);
+  // The whole training loop on the elementary graph: chunked truncated BPTT
+  // through ChunkLoss and Backward, then the production ClipGradNorm, Adam
+  // step and (with `decay_masks`) mask decay, appending each epoch's mean
+  // loss to the model's epoch_losses(). The oracle for RunTraining; it
+  // leaves the model's packed weights and warm-start state stale.
+  static void RunTrainingReference(DeepRestEstimator& model, const FeatureSeries& features,
+                                   const std::vector<std::vector<float>>& targets,
+                                   size_t epochs, float learning_rate, bool decay_masks);
 
  private:
   // ReplayWarmStart's state as one H x 1 column per expert.
   static std::vector<Tensor> WarmState(const DeepRestEstimator& model);
+  // A raw feature vector scaled by the model's feature scales, as a column.
+  static Tensor ScaledInput(const DeepRestEstimator& model, const std::vector<float>& raw);
 };
 
 }  // namespace deeprest

@@ -12,7 +12,9 @@
 #                    host with fewer than 4 CPUs
 #   3. simd-off    — kernel, fp16-storage, core and property suites with SIMD
 #                    force-disabled (DEEPREST_SIMD=scalar): the portable
-#                    fallback path can't rot
+#                    fallback path can't rot; then the nn and core suites
+#                    pinned to the AVX2 rung (DEEPREST_SIMD=avx2), which an
+#                    AVX-512 host otherwise never executes
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
 #                    registry, watchdog restarts, breakers, hedging, chaos
 #                    schedules; rides the chaos label into the sanitizer legs)
@@ -86,6 +88,11 @@ echo "==> [3/10] simd-off: kernel, fp16-storage, core and property suites on the
 # verify the forced-rung semantics (ResetIsa honors the env var).
 DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
   -R 'nn_tests|quantized_tests|core_tests|property_tests'
+# The AVX2 rung runs the trainer's GEMMs and rank-1 updates on every
+# AVX2-only host, but the default build picks AVX-512 where it exists. The
+# ladder clamps the request down on a host without AVX2, so this pass is the
+# scalar one again there.
+DEEPREST_SIMD=avx2 ctest --test-dir build --output-on-failure -R 'nn_tests|core_tests'
 
 echo "==> [4/10] resilience: self-healing suite by label"
 # Supported entry point for the supervision layer (watchdog restarts, hedged
