@@ -16,6 +16,7 @@
 // Flags: --smoke (tiny config, correctness-only exit gates, for ctest)
 //        --out <path> (JSON path; default BENCH_serving.json)
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -306,23 +307,35 @@ StreamLegResult RunStreamLeg(std::shared_ptr<const DeepRestEstimator> model,
   return r;
 }
 
+// One grid cell drains a queued backlog: a start gate holds every worker in
+// the chaos hook until all `requests` are queued, and the clock runs from
+// the gate's release to the last result. Each worker's shard then holds
+// requests / workers of them, so batch sizes depend on neither submission
+// timing nor the host's speed.
 CellResult RunCell(std::shared_ptr<const DeepRestEstimator> model,
                    const std::vector<std::vector<float>>& features, size_t workers,
                    size_t batch, size_t requests) {
   ModelRegistry registry;
   IngestPipeline pipeline(model->features(), {.shards = 2});
   registry.Publish(std::move(model));
+  std::atomic<bool> open{false};
   EstimationServiceConfig config;
   config.workers = workers;
   config.max_batch = batch;
+  config.worker_fault_hook = [&open](size_t) {
+    open.wait(false);
+    return WorkerFault::kNone;
+  };
   EstimationService service(registry, pipeline, config);
 
   std::vector<std::future<EstimationService::EstimateResult>> futures;
   futures.reserve(requests);
-  const WallTimer timer;
   for (size_t i = 0; i < requests; ++i) {
     futures.push_back(service.SubmitFeatures(features));
   }
+  const WallTimer timer;
+  open.store(true);
+  open.notify_all();
   for (auto& future : futures) {
     (void)future.get();
   }

@@ -16,6 +16,15 @@ namespace {
 
 std::string ExpertName(size_t index) { return "expert" + std::to_string(index); }
 
+// Most (row, window) pairs one block of the packed forward runs together.
+// A block hoists the input GEMM, attention and the heads out of the window
+// loop, and the input GEMM already runs at its per-row cost from 4 rows up.
+// Larger blocks made the per-window core steps slower on a 4-vCPU AVX-512
+// host (DESIGN.md §6), and the cap bounds scratch for long series such as
+// the warm start. At width 1 a block is 8 windows, at width 8 and above one
+// window.
+constexpr size_t kBlockPairs = 8;
+
 }  // namespace
 
 DeepRestEstimator::DeepRestEstimator(const EstimatorConfig& config) : config_(config) {}
@@ -166,9 +175,8 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   // Each query's estimate series, resolved once per call: slots[q * e + i] is
   // expert i's series in results[q].
   std::vector<ResourceEstimate*> slots(batch.size() * e);
-  // Live queries, longest first: as shorter queries finish, the still-active
-  // ones always occupy a prefix of the batch rows and the activation
-  // matrices just shrink.
+  // Batch rows, longest query first, so the rows still running at window t
+  // are always a prefix of width[t] rows.
   std::vector<size_t> order;
   order.reserve(batch.size());
   for (size_t q = 0; q < batch.size(); ++q) {
@@ -186,115 +194,129 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) { return batch[a]->size() > batch[b]->size(); });
-  size_t active = order.size();
-  while (active > 0 && batch[order[active - 1]]->empty()) {
-    --active;
+  size_t rows = order.size();
+  while (rows > 0 && batch[order[rows - 1]]->empty()) {
+    --rows;
   }
-  if (active == 0) {
+  if (rows == 0) {
     return results;
   }
-
-  const size_t dim = feature_scale_.size();
-  const size_t max_len = batch[order[0]]->size();
-
-  // The stacked hidden state: state(i, b*hd + r) is row r of expert i's
-  // state for batch row b, so expert i's B x H block is row i and attention
-  // is one GEMM. Every row starts from the warm-start hidden state cached at
-  // train / load time — no per-call replay of learn_features_ — unless the
-  // query carries a continuation cursor, which seeds it with the stream's
-  // saved hidden state instead (raw float bits, so a resumed series is
-  // bit-identical to an unsplit one).
-  auto cursor_for = [&](size_t b) -> StreamCursor* {
+  const auto series = [&](size_t b) -> const std::vector<std::vector<float>>& {
+    return *batch[order[b]];
+  };
+  const auto cursor_for = [&](size_t b) -> StreamCursor* {
     return cursors.empty() ? nullptr : cursors[order[b]];
   };
-  Matrix state(e, active * hd);
-  for (size_t b = 0; b < active; ++b) {
+  const size_t dim = feature_scale_.size();
+  const size_t max_len = series(0).size();
+  std::vector<size_t> width(max_len);
+  for (size_t t = 0, w = rows; t < max_len; ++t) {
+    while (series(w - 1).size() <= t) {
+      --w;
+    }
+    width[t] = w;
+  }
+
+  // Expert i's rows x H hidden block is row i of `state` (state(i, b*hd + r)
+  // is row r of batch row b's state). Every row starts from the warm-start
+  // hidden state cached at train / load time — no per-call replay of
+  // learn_features_ — unless the query carries a continuation cursor, which
+  // seeds it with the stream's saved hidden state instead (raw float bits,
+  // so a resumed series is bit-identical to an unsplit one). A row whose
+  // query has ended is never stepped again, so it keeps its final state.
+  Matrix state(e, rows * hd);
+  for (size_t b = 0; b < rows; ++b) {
     const StreamCursor* cursor = cursor_for(b);
     const bool resume = cursor != nullptr && cursor->hidden.size() == e * hd;
     const float* seed = resume ? cursor->hidden.data() : warm_hidden_.data();
     for (size_t i = 0; i < e; ++i) {
-      std::copy(seed + i * hd, seed + (i + 1) * hd, state.data() + i * active * hd + b * hd);
+      std::copy(seed + i * hd, seed + (i + 1) * hd, state.data() + i * rows * hd + b * hd);
     }
   }
-  // Writes batch row b's final hidden state back into its cursor. Called once
-  // per cursor-carrying row, at retirement or at end of pass — always AFTER
-  // the row's last step and BEFORE ShrinkColumns discards it.
-  auto export_row = [&](size_t b) {
+
+  // The windows run in blocks of consecutive windows holding at most
+  // kBlockPairs (row, window) pairs, or one window when it alone is wider.
+  // A block's pairs are window-major: the width[t] rows of window t, then
+  // those of t + 1. Each expert runs its input block as one GEMM over every
+  // pair and steps only U·h per window; attention and the heads then run
+  // once per block over the experts' state trajectories.
+  const bool bypass = config_.use_linear_bypass;
+  const bool attention = config_.use_attention;
+  PackedScratch scratch;
+  Matrix x;           // pairs x dim scaled inputs
+  Matrix trajectory;  // e x (pairs * hd): each pair's state after its window
+  Matrix attended;    // like trajectory
+  Matrix skip;        // e x (pairs * 3) bypass terms (skip x~ + sb)
+  for (size_t begin = 0; begin < max_len;) {
+    size_t end = begin + 1;
+    size_t pairs = width[begin];
+    while (end < max_len && pairs + width[end] <= kBlockPairs) {
+      pairs += width[end++];
+    }
+    x.SetShape(pairs, dim);
+    for (size_t t = begin, pair = 0; t < end; ++t) {
+      for (size_t b = 0; b < width[t]; ++b, ++pair) {
+        ScaleWindow(series(b)[t], x.data() + pair * dim);
+      }
+    }
+    const size_t block = pairs * hd;
+    trajectory.SetShape(e, block);
+    if (bypass) {
+      skip.SetShape(e, pairs * 3);
+    }
+    for (size_t i = 0; i < e; ++i) {
+      const PackedExpert& packed = packed_[i];
+      PackedInputBlock(packed, x, scratch.xm, scratch.gates);
+      const size_t g = scratch.gates.cols();
+      float* h = state.data() + i * rows * hd;
+      float* out = trajectory.data() + i * block;
+      for (size_t t = begin, first = 0; t < end; first += width[t], ++t) {
+        PackedCoreStep(packed, scratch.gates.data() + first * g, h, width[t], scratch);
+        std::copy(h, h + width[t] * hd, out + first * hd);
+      }
+      if (bypass) {
+        PackedBypass(packed, scratch.gates.data(), pairs, skip.data() + i * pairs * 3);
+      }
+    }
+    if (attention) {
+      MatMulInto(packed_attention_, trajectory, attended);
+    }
+    for (size_t i = 0; i < e; ++i) {
+      PackedExpertHead(packed_[i], attention ? attended.data() + i * block : nullptr,
+                       trajectory.data() + i * block,
+                       bypass ? skip.data() + i * pairs * 3 : nullptr, pairs, scratch);
+      const Matrix& y = scratch.y;
+      const double scale = experts_[i].y_scale;
+      for (size_t t = begin, pair = 0; t < end; ++t) {
+        for (size_t b = 0; b < width[t]; ++b, ++pair) {
+          double expected = std::max(0.0, static_cast<double>(y.At(pair, 0)) * scale);
+          double lower = std::max(0.0, static_cast<double>(y.At(pair, 1)) * scale);
+          double upper = std::max(0.0, static_cast<double>(y.At(pair, 2)) * scale);
+          // Quantile heads are trained independently and can cross on rare
+          // inputs; enforce lower <= expected <= upper on output.
+          lower = std::min(lower, expected);
+          upper = std::max(upper, expected);
+          ResourceEstimate& estimate = *slots[order[b] * e + i];
+          estimate.expected.push_back(expected);
+          estimate.lower.push_back(lower);
+          estimate.upper.push_back(upper);
+        }
+      }
+    }
+    begin = end;
+  }
+
+  for (size_t b = 0; b < rows; ++b) {
     StreamCursor* cursor = cursor_for(b);
     if (cursor == nullptr) {
-      return;
+      continue;
     }
     cursor->hidden.resize(e * hd);
     for (size_t i = 0; i < e; ++i) {
-      const float* row = state.data() + i * state.cols() + b * hd;
+      const float* row = state.data() + i * rows * hd + b * hd;
       std::copy(row, row + hd, cursor->hidden.data() + i * hd);
     }
-    cursor->steps += batch[order[b]]->size();
-  };
-
-  const bool bypass = config_.use_linear_bypass;
-  PackedScratch scratch;
-  Matrix x;         // active x dim scaled inputs
-  Matrix attended;  // e x (active * hd), like state
-  Matrix skip;      // e x (active * 3) bypass terms (skip x~ + sb)
-
-  for (size_t t = 0; t < max_len; ++t) {
-    // Retire queries whose series ended (a suffix, since sorted by length).
-    size_t still = active;
-    while (still > 0 && batch[order[still - 1]]->size() <= t) {
-      --still;
-    }
-    if (still != active) {
-      for (size_t b = still; b < active; ++b) {
-        export_row(b);
-      }
-      if (still == 0) {
-        active = 0;
-        break;
-      }
-      ShrinkColumns(state, still * hd);
-      active = still;
-    }
-    x.SetShape(active, dim);
-    for (size_t b = 0; b < active; ++b) {
-      ScaleWindow((*batch[order[b]])[t], x.data() + b * dim);
-    }
-    const size_t block = active * hd;
-    if (bypass) {
-      skip.SetShape(e, active * 3);
-    }
-    for (size_t i = 0; i < e; ++i) {
-      PackedExpertStep(packed_[i], x, state.data() + i * block,
-                       bypass ? skip.data() + i * active * 3 : nullptr, scratch);
-    }
-    if (config_.use_attention) {
-      MatMulInto(packed_attention_, state, attended);
-    }
-    for (size_t i = 0; i < e; ++i) {
-      PackedExpertHead(packed_[i], config_.use_attention ? attended.data() + i * block : nullptr,
-                       state.data() + i * block, bypass ? skip.data() + i * active * 3 : nullptr,
-                       active, scratch);
-      const Matrix& y = scratch.y;
-      const double scale = experts_[i].y_scale;
-      for (size_t b = 0; b < active; ++b) {
-        double expected = std::max(0.0, static_cast<double>(y.At(b, 0)) * scale);
-        double lower = std::max(0.0, static_cast<double>(y.At(b, 1)) * scale);
-        double upper = std::max(0.0, static_cast<double>(y.At(b, 2)) * scale);
-        // Quantile heads are trained independently and can cross on rare
-        // inputs; enforce lower <= expected <= upper on output.
-        lower = std::min(lower, expected);
-        upper = std::max(upper, expected);
-        ResourceEstimate& estimate = *slots[order[b] * e + i];
-        estimate.expected.push_back(expected);
-        estimate.lower.push_back(lower);
-        estimate.upper.push_back(upper);
-      }
-    }
-  }
-  // Rows that ran the full max_len retire here rather than through the
-  // shrink path above.
-  for (size_t b = 0; b < active; ++b) {
-    export_row(b);
+    cursor->steps += series(b).size();
   }
   return results;
 }

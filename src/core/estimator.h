@@ -119,19 +119,20 @@ class DeepRestEstimator {
   EstimateMap EstimateFromFeatures(const std::vector<std::vector<float>>& features) const;
 
   // Batch-major micro-batched estimation: answers several feature-series
-  // queries in one pass. Each query is one row of every activation matrix
-  // and each expert's weights are packed transposed and stacked, so one
-  // expert's window is four mat-mat GEMMs — (B x D) * (D x 3H+3) for the
-  // gates plus bypass, then [Uz;Uk], Uh and the head — and cross-expert
-  // attention is a single (E x E) * (E x B·H) GEMM over the stacked hidden
-  // state (src/nn/batched.h). Queries are grouped longest-first so
-  // mixed-length batches shrink as short queries finish, and every query
-  // starts from the warm-start hidden state cached at train / load time (no
-  // per-call replay of learn_features_). Per query, results are
-  // bit-identical to stepping the training graph's elementary-op composition
-  // one window at a time (the test oracle, tests/testing/reference_graph.h)
-  // — every GEMM output element keeps the ascending-k reduction of the GEMV
-  // it replaces.
+  // queries in one pass over the packed weights (src/nn/batched.h). The
+  // windows run in blocks of up to 8 (query, window) pairs, each pair one
+  // row of the block's activation matrices. Per block and expert, the gates
+  // plus bypass are one (P x D) * (D x 3H+3) GEMM, only the [Uz;Uk] and Uh
+  // products step per window, and the head is one more GEMM; cross-expert
+  // attention is a single (E x E) * (E x P·H) GEMM over the block's stacked
+  // hidden states. Queries are ordered longest-first, so the rows still
+  // running are always a prefix and a finished row is simply no longer
+  // stepped; every query starts from the warm-start hidden state cached at
+  // train / load time (no per-call replay of learn_features_). Per query,
+  // results are bit-identical to stepping the training graph's elementary-op
+  // composition one window at a time (the test oracle,
+  // tests/testing/reference_graph.h) — every GEMM output element keeps the
+  // ascending-k reduction of the GEMV it replaces.
   // Results are index-aligned with `batch`; null entries are skipped and
   // yield an empty map. This is the forward path behind EstimationService's
   // request coalescing (src/serve).
@@ -142,7 +143,7 @@ class DeepRestEstimator {
   // hidden state is flattened expert-major (expert_count() * hidden_dim()
   // floats: expert i's H-vector at [i*H, (i+1)*H)); `steps` counts the
   // windows the stream has consumed so far. An empty (or wrong-sized)
-  // `hidden` means "fresh": the column starts from the warm-start cache
+  // `hidden` means "fresh": the row starts from the warm-start cache
   // exactly like a stateless query. This is the unit the soft-memory state
   // cache stores, spills and restores (src/serve/state_cache.h).
   struct StreamCursor {
@@ -152,9 +153,9 @@ class DeepRestEstimator {
 
   // EstimateFromFeaturesBatch with per-stream continuation: cursors is
   // index-aligned with `batch` (or empty = all stateless); a non-null cursor
-  // seeds its column's initial hidden state and receives the column's FINAL
-  // hidden state (plus the consumed window count) back when the query
-  // retires. Splitting one feature series across successive resumed calls is
+  // seeds its row's initial hidden state and receives the row's FINAL
+  // hidden state (plus the consumed window count) back at the end of the
+  // call. Splitting one feature series across successive resumed calls is
   // bit-identical to one pass over the whole series — the cursor round-trips
   // raw float bits, and the GEMM kernels keep per-query reduction order —
   // which is what makes state-cache eviction a non-event for correctness.

@@ -98,15 +98,6 @@ void PackedBypass(const PackedExpert& p, const float* gates, size_t batch, float
   }
 }
 
-void PackedExpertStep(const PackedExpert& p, const Matrix& x, float* state, float* bypass,
-                      PackedScratch& s) {
-  PackedInputBlock(p, x, s.xm, s.gates);
-  PackedCoreStep(p, s.gates.data(), state, x.rows(), s);
-  if (!p.skip_b.empty()) {
-    PackedBypass(p, s.gates.data(), x.rows(), bypass);
-  }
-}
-
 void PackedExpertHead(const PackedExpert& p, const float* attended, const float* state,
                       const float* bypass, size_t batch, PackedScratch& s) {
   const size_t hd = p.hidden;
@@ -162,23 +153,6 @@ void StackTransposedInto(const std::vector<const Matrix*>& blocks, Matrix& out) 
     }
     offset += block->rows();
   }
-}
-
-void ShrinkColumns(Matrix& m, size_t new_cols) {
-  const size_t old_cols = m.cols();
-  assert(new_cols <= old_cols);
-  if (new_cols == old_cols) {
-    return;
-  }
-  const size_t rows = m.rows();
-  float* d = m.data();
-  // Row r's destination [r*new, r*new + new) ends at or before its source
-  // [r*old, r*old + new) starts being needed by later rows, so an in-place
-  // forward compaction with memmove (overlap-safe) is correct.
-  for (size_t r = 1; r < rows; ++r) {
-    std::memmove(d + r * new_cols, d + r * old_cols, new_cols * sizeof(float));
-  }
-  m.SetShape(rows, new_cols);
 }
 
 }  // namespace deeprest

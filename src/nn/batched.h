@@ -1,23 +1,26 @@
-// Batch-row-major, forward-only DeepRest step over packed inference weights.
+// Batch-row-major, forward-only DeepRest kernels over packed inference
+// weights.
 //
-// Batch-major inference answers B concurrent queries in one pass. Every
-// activation is a (B x dim) row-major matrix — query b's values are row b —
-// and each expert's weights are packed once per model, transposed and
-// stacked (PackedExpert), so one expert's window is four mat-mat GEMMs:
+// Every activation is a row-major matrix with one row per (query, window)
+// pair, and each expert's weights are packed once per model, transposed and
+// stacked (PackedExpert), so an expert's work over a block of pairs is four
+// mat-mat GEMMs:
 //
-//   gates = xm · [Wz;Wk;Wh;skip]^T   (B x D)  * (D x (3H+3))
-//   rec   = h  · [Uz;Uk]^T           (B x H)  * (H x 2H)
-//   cand  = (k.h) · Uh^T             (B x H)  * (H x H)
-//   y     = [a ; h] · head^T         (B x 2H) * (2H x 3)
+//   gates = xm · [Wz;Wk;Wh;skip]^T   (P x D)  * (D x (3H+3))  once per block
+//   rec   = h  · [Uz;Uk]^T           (B x H)  * (H x 2H)      per window
+//   cand  = (k.h) · Uh^T             (B x H)  * (H x H)       per window
+//   y     = [a ; h] · head^T         (P x 2H) * (2H x 3)      once per block
 //
-// and cross-expert attention over every expert's state is one more, on the
-// stacked state S (E x B·H, expert i's hidden row r of query b at
-// S(i, b·H + r)): attended = masked_alpha (E x E) · S. The weights stream
-// through the cache once per step instead of once per query. These kernels
+// Only the recurrent core depends on the previous window, so only it steps
+// per window, over the B rows still running. Cross-expert attention over
+// every expert's state is one more GEMM on the stacked state trajectory
+// S (E x P·H, expert i's hidden row r at pair p at S(i, p·H + r)):
+// attended = masked_alpha (E x E) · S. The weights stream through the cache
+// once per block instead of once per query and window. These kernels
 // operate on plain Matrix values (no autograd graph, no TensorNode
-// allocation). Training runs on them too: the chunk trainer
-// (src/core/estimator_train.cc) computes the input block once per BPTT chunk
-// and steps only the recurrent core per window.
+// allocation). DeepRestEstimator::EstimateFromFeaturesBatchResume runs them
+// over blocks of windows for a batch of queries; the chunk trainer
+// (src/core/estimator_train.cc) runs them over a BPTT chunk of one series.
 //
 // Bit-exactness contract: every scalar these kernels produce for query b is
 // computed by the SAME sequence of float operations the elementary-op step
@@ -26,8 +29,9 @@
 // separately rounded multiplies and adds starting from 0 — the order
 // MatMulInto keeps on both its GEMV and its mat-mat paths — and IEEE
 // multiplication is commutative, so (x · W^T)(b, j) equals (W · x)(j) bit
-// for bit. Stacking gates or padding the head input with a zero attended
-// half changes which elements compute together, never how one rounds. The
+// for bit. Stacking gates, stacking rows from several windows, or padding
+// the head input with a zero attended half changes which elements compute
+// together, never how one rounds. The
 // element-wise arithmetic copies the oracle's association term for term
 // (e.g. sigmoid((Wx + Uh) + b) and (head + hb) + (skip + sb)). Rows never
 // interact, so a width-B batch returns, per query, the exact bits the
@@ -63,26 +67,17 @@ struct PackedExpert {
 // Scratch buffers reused across steps so the steady-state step makes no
 // allocator calls. One instance per estimation call; not thread-safe.
 struct PackedScratch {
-  Matrix xm;                // B x D masked input
-  Matrix gates;             // B x G input-block products
+  Matrix xm;                // P x D masked input
+  Matrix gates;             // P x G input-block products
   Matrix h, rec, z, k, hc, kh, cand;  // GRU internals (B x H, rec is B x 2H)
-  Matrix concat;            // B x 2H head input [attended ; hidden]
-  Matrix y;                 // B x 3 head output
+  Matrix concat;            // P x 2H head input [attended ; hidden]
+  Matrix y;                 // P x 3 head output
 };
-
-// Advances one expert by one window for the B rows of `x` (B x D scaled
-// features). `state` is the expert's B x H hidden block (its row of the
-// stacked state), read and overwritten in place. When the expert has a
-// bypass, `bypass` (B x 3, row-major) receives (skip · x~ + skip_b) for
-// PackedExpertHead; otherwise it is unused and may be null. Composes the
-// three functions below.
-void PackedExpertStep(const PackedExpert& p, const Matrix& x, float* state, float* bypass,
-                      PackedScratch& s);
 
 // The h-independent half of a step, for any number of rows: x~ = sigmoid(m)
 // . x (Eq. 1) into `xm` (untouched without an API mask, where x~ is `x`),
-// then gates = x~ · w_in as one GEMM. The trainer runs it once per BPTT
-// chunk with one row per window.
+// then gates = x~ · w_in as one GEMM. Inference runs it once per block of
+// windows, the trainer once per BPTT chunk.
 void PackedInputBlock(const PackedExpert& p, const Matrix& x, Matrix& xm, Matrix& gates);
 
 // The recurrent half: advances the core one window for B rows whose
@@ -109,12 +104,6 @@ void PackedExpertHead(const PackedExpert& p, const float* attended, const float*
 void StackRowsInto(const std::vector<const Matrix*>& blocks, Matrix& out);
 // out = [b0; b1; ...]^T.
 void StackTransposedInto(const std::vector<const Matrix*>& blocks, Matrix& out);
-
-// Keeps the leading `new_cols` columns of `m` in place (row-major
-// compaction). Used to shrink the stacked state as shorter queries finish:
-// queries are ordered longest-first, so the still-active ones always occupy
-// a prefix of every expert's row.
-void ShrinkColumns(Matrix& m, size_t new_cols);
 
 }  // namespace deeprest
 

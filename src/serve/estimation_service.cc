@@ -475,17 +475,8 @@ void EstimationService::WorkerLoop(size_t self) {
       hinted = shard.steal_hint;
       shard.steal_hint = false;
       if (!shard.queue.empty()) {
-        // Micro-batch linger: hold the first request briefly so bursts
-        // coalesce; a full batch or shutdown releases the wait early.
-        if (config_.max_batch > 1 && config_.batch_wait.count() > 0 && !stopping_.load() &&
-            shard.queue.size() < config_.max_batch) {
-          const auto linger_deadline = std::chrono::steady_clock::now() + config_.batch_wait;
-          while (!stopping_.load() && shard.queue.size() < config_.max_batch) {
-            if (lock.WaitUntil(shard.cv, linger_deadline)) {
-              break;
-            }
-          }
-        }
+        // Serve on arrival: whatever queued while this worker was busy or
+        // asleep forms the batch, and nothing waits for company.
         const size_t take = std::min(shard.queue.size(), config_.max_batch);
         batch.reserve(take);
         for (size_t i = 0; i < take; ++i) {

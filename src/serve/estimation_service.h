@@ -5,12 +5,14 @@
 // across shards with an atomic counter, so batch assembly never serializes
 // every worker on one mutex, and a worker whose shard runs dry steals a
 // batch from a sibling so no queued request is ever stranded behind a busy
-// or unlucky worker. A worker that picks up a request lingers briefly
-// (batch_wait) to coalesce up to max_batch queued requests from its shard
-// into one forward pass via DeepRestEstimator::EstimateFromFeaturesBatch
-// (EstimateFromFeaturesBatchResume when the batch carries stream requests):
-// the batch's queries are the rows of one batch-row-major pass over the
-// packed weights, starting from the cached warm-start state.
+// or unlucky worker. A worker serves requests on arrival: when it wakes it
+// takes up to max_batch of the requests its shard holds and answers them in
+// one forward pass via DeepRestEstimator::EstimateFromFeaturesBatch
+// (EstimateFromFeaturesBatchResume when the batch carries stream requests),
+// without waiting for more to arrive. At light load a batch is one request;
+// under load, the requests that queued behind a running batch form the next
+// one. The batch's queries are the rows of one batch-row-major pass over
+// the packed weights, starting from the cached warm-start state.
 //
 // Shutdown safety: Stop() flips the (seq_cst) stopping flag, then
 // locks/unlocks every shard so any submission that saw the flag unset has
@@ -136,11 +138,10 @@ enum class WorkerFault {
 
 struct EstimationServiceConfig {
   size_t workers = 4;
-  // Requests coalesced into one forward pass. 1 disables micro-batching.
+  // Most requests one forward pass serves. A worker takes up to this many
+  // of the requests queued when it wakes; it never waits for more to
+  // arrive. 1 disables micro-batching.
   size_t max_batch = 8;
-  // How long the first request of a batch waits for company. Zero serves
-  // whatever is queued without lingering.
-  std::chrono::microseconds batch_wait{200};
   // Queue bound; 0 = unbounded (the pre-overload-protection behavior).
   size_t max_queue = 0;
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;

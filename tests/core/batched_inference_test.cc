@@ -6,6 +6,7 @@
 // must compare equal, across batch sizes, mixed series lengths, null
 // entries, every ablation configuration, resumed cursors, and after every
 // mutation point that must rebuild the packed inference weights.
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -121,16 +122,18 @@ void ExpectSameEstimates(const EstimateMap& batch, const EstimateMap& reference)
   }
 }
 
-// Queries of cycling lengths so any batch mixes series lengths: padding and
-// the shrinking active width are exercised at every batch size.
-std::vector<FeatureSeries> MakeQueries(const DeepRestEstimator& model, const TinySetup& s,
-                                       size_t count) {
-  const std::vector<size_t> lengths = {8, 5, 12, 1, 3, 9, 2};
+// Queries of cycling lengths so any batch mixes series lengths: rows that
+// finish early and the falling active width are exercised at every batch
+// size.
+std::vector<FeatureSeries> MakeQueries(
+    const DeepRestEstimator& model, const TinySetup& s, size_t count,
+    const std::vector<size_t>& lengths = {8, 5, 12, 1, 3, 9, 2}) {
   std::vector<FeatureSeries> queries;
   queries.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const size_t len = lengths[i % lengths.size()];
-    const size_t from = s.learn_windows + (i % 7);
+    const size_t from =
+        std::min(s.learn_windows + (i % 7), s.learn_windows + s.query_windows - len);
     queries.push_back(model.features().ExtractSeries(s.traces, from, from + len));
   }
   return queries;
@@ -159,6 +162,17 @@ TEST(BatchedInferenceTest, BitExactAcrossBatchSizes) {
   for (const size_t batch : {1u, 2u, 3u, 4u, 5u, 7u, 16u, 17u, 33u}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     ExpectBatchMatchesReference(model, MakeQueries(model, s, batch));
+  }
+  // The forward runs blocks of at most 8 (row, window) pairs. At widths
+  // 1-3, series of 17 and 33 windows span several blocks and end one pair
+  // into a block at width 1, and the mixed lengths make rows finish, so the
+  // width changes, inside a block.
+  const std::vector<std::vector<size_t>> block_lengths = {
+      {17}, {33}, {33, 17}, {17, 33}, {5, 33, 17}, {33, 17, 9}};
+  for (const std::vector<size_t>& lengths : block_lengths) {
+    SCOPED_TRACE("block lengths, batch=" + std::to_string(lengths.size()) +
+                 ", first=" + std::to_string(lengths.front()));
+    ExpectBatchMatchesReference(model, MakeQueries(model, s, lengths.size(), lengths));
   }
 }
 
@@ -228,15 +242,26 @@ TEST(BatchedInferenceTest, HiddenTrajectoriesMatchReplayUnderAblations) {
 
 // Resumed cursors: each query is split at a different point and answered
 // by two successive resumed calls in one batch; the concatenated series must
-// be bit-identical to the one-pass reference.
+// be bit-identical to the one-pass reference. The last two queries, of 33
+// and 21 windows, split at 9 and 19: the head call's rows end inside a
+// block of the forward, and the tail call's blocks start off the one-pass
+// block grid.
 TEST(BatchedInferenceTest, ResumedSplitMatchesOnePass) {
   const TinySetup s = MakeSetup();
   DeepRestEstimator model(FastConfig());
   model.Learn(s.traces, s.metrics, 0, s.learn_windows, s.app.MetricCatalog());
-  const std::vector<FeatureSeries> queries = MakeQueries(model, s, 5);
+  std::vector<FeatureSeries> queries = MakeQueries(model, s, 5);
+  std::vector<size_t> cuts;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    cuts.push_back((i * 3) % (queries[i].size() + 1));
+  }
+  for (FeatureSeries& query : MakeQueries(model, s, 2, {33, 21})) {
+    queries.push_back(std::move(query));
+  }
+  cuts.insert(cuts.end(), {9, 19});
   std::vector<FeatureSeries> heads, tails;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const size_t cut = (i * 3) % (queries[i].size() + 1);
+    const size_t cut = cuts[i];
     heads.emplace_back(queries[i].begin(), queries[i].begin() + static_cast<ptrdiff_t>(cut));
     tails.emplace_back(queries[i].begin() + static_cast<ptrdiff_t>(cut), queries[i].end());
   }

@@ -15,6 +15,7 @@
 #include "src/serve/model_registry.h"
 #include "src/sim/simulator.h"
 #include "src/trace/span.h"
+#include "tests/serve/test_app.h"
 
 namespace deeprest {
 namespace {
@@ -451,9 +452,13 @@ TEST(EstimationServiceTest, MicroBatchingCoalescesBackedUpQueue) {
   IngestPipeline pipeline(model->features(), {.shards = 2});
   registry.Publish(std::move(model));
 
+  // One worker, held at the start gate until all 64 requests are queued:
+  // the backlog must drain in full batches, whatever the submission timing.
+  testutil::StartGate gate;
   EstimationServiceConfig config;
-  config.workers = 1;  // one worker: submissions outpace serving
+  config.workers = 1;
   config.max_batch = 8;
+  config.worker_fault_hook = gate.Hook();
   EstimationService service(registry, pipeline, config);
 
   std::vector<std::future<EstimationService::EstimateResult>> futures;
@@ -461,6 +466,7 @@ TEST(EstimationServiceTest, MicroBatchingCoalescesBackedUpQueue) {
   for (size_t i = 0; i < 64; ++i) {
     futures.push_back(service.SubmitFeatures(features));
   }
+  gate.Open();
   for (auto& future : futures) {
     (void)future.get();
   }
@@ -469,6 +475,7 @@ TEST(EstimationServiceTest, MicroBatchingCoalescesBackedUpQueue) {
   EXPECT_GE(counters.max_batch_size, 2u);
   EXPECT_LE(counters.max_batch_size, config.max_batch);
   EXPECT_LT(counters.batches_dispatched, 64u);
+  EXPECT_EQ(counters.batches_dispatched, 64u / config.max_batch);
 }
 
 TEST(EstimationServiceTest, SanityCheckMatchesDirectChecker) {
@@ -832,7 +839,6 @@ TEST(EstimationServiceTest, BoundedQueueShedsUnderOverload) {
     EstimationServiceConfig config;
     config.workers = 1;  // submissions far outpace serving
     config.max_batch = 1;
-    config.batch_wait = std::chrono::microseconds(0);
     config.max_queue = 2;
     config.shed_policy = policy;
     EstimationService service(registry, pipeline, config);
@@ -881,7 +887,6 @@ TEST(EstimationServiceTest, DeadlineExpiresQueuedRequests) {
   EstimationServiceConfig config;
   config.workers = 1;
   config.max_batch = 1;
-  config.batch_wait = std::chrono::microseconds(0);
   EstimationService service(registry, pipeline, config);
 
   // Head-of-line blocker: a very long series with no deadline keeps the

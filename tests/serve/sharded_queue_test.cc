@@ -261,7 +261,6 @@ TEST(ShardedQueueTest, ImmediateStopUnderFireStrandsNothing) {
     EstimationServiceConfig config;
     config.workers = 3;
     config.max_batch = 2;
-    config.batch_wait = std::chrono::microseconds(0);
     EstimationService service(registry, pipeline, config);
 
     std::vector<std::vector<std::future<EstimationService::EstimateResult>>> futures(kThreads);
@@ -302,8 +301,9 @@ TEST(ShardedQueueTest, ImmediateStopUnderFireStrandsNothing) {
 // Every batch runs one batch-row-major pass; the sequential reference path
 // is the oracle. Mixed-length requests on two workers at max_batch 4 share
 // passes in which shorter queries retire early, and every served result must
-// still match the reference bit for bit. The long linger makes the batches
-// fill up instead of depending on submission timing.
+// still match the reference bit for bit. The start gate holds the workers
+// until every request is queued, so the batches fill up instead of
+// depending on submission timing.
 TEST(ShardedQueueTest, MixedLengthBatchesMatchReferenceBitExactly) {
   const TinySetup s = MakeSetup();
   std::shared_ptr<const DeepRestEstimator> model = TrainModel(s);
@@ -316,15 +316,17 @@ TEST(ShardedQueueTest, MixedLengthBatchesMatchReferenceBitExactly) {
   ModelRegistry registry;
   IngestPipeline pipeline(model->features(), {.shards = 2});
   registry.Publish(model);
+  testutil::StartGate gate;
   EstimationServiceConfig config;
   config.workers = 2;
   config.max_batch = 4;
-  config.batch_wait = std::chrono::milliseconds(100);
+  config.worker_fault_hook = gate.Hook();
   EstimationService service(registry, pipeline, config);
   std::vector<std::future<EstimationService::EstimateResult>> futures;
   for (const auto& features : series) {
     futures.push_back(service.SubmitFeatures(features));
   }
+  gate.Open();
   for (size_t i = 0; i < series.size(); ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     const auto result = futures[i].get();

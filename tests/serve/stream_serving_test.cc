@@ -234,10 +234,11 @@ TEST(StreamServingTest, DuplicateStreamRequestsInOneBatchRunSequentially) {
   StateCacheConfig cache_config;
   cache_config.hot_bytes = 1 << 20;
   StateCache cache(cache_config);
+  testutil::StartGate gate;
   EstimationServiceConfig config;
   config.workers = 1;
   config.max_batch = 8;
-  config.batch_wait = std::chrono::microseconds(20000);  // let them coalesce
+  config.worker_fault_hook = gate.Hook();
   config.stream_states = &cache;
   EstimationService service(registry, pipeline, config);
 
@@ -248,17 +249,19 @@ TEST(StreamServingTest, DuplicateStreamRequestsInOneBatchRunSequentially) {
     direct.push_back(
         model->EstimateFromFeaturesBatchResume({&chunk}, {&direct_cursor})[0]);
   }
-  // Submit all four chunks without waiting: with one worker and a generous
-  // batch_wait they coalesce, and the rounds logic must serialize them.
+  // Submit all four chunks while the start gate holds the one worker: they
+  // coalesce into its first batch, and the rounds logic must serialize them.
   std::vector<std::future<EstimationService::EstimateResult>> futures;
   for (const auto& chunk : chunks) {
     futures.push_back(service.SubmitStreamFeatures(7, chunk));
   }
+  gate.Open();
   for (size_t i = 0; i < futures.size(); ++i) {
     const auto result = futures[i].get();
     ASSERT_EQ(result.status, RequestStatus::kOk);
     ExpectSameEstimates(direct[i], result.estimates);
   }
+  EXPECT_EQ(service.Counters().max_batch_size, chunks.size());
   service.Stop();
 }
 

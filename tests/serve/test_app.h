@@ -1,15 +1,18 @@
-// Shared fixture for the serve-layer robustness tests (chaos_test.cc,
-// checkpoint_test.cc): the same tiny three-component application the serve
-// tests train on, small enough that models train in milliseconds.
+// Shared fixture for the serve-layer tests: the same tiny three-component
+// application the serve tests train on, small enough that models train in
+// milliseconds, and a start gate that makes queued requests batch.
 #ifndef TESTS_SERVE_TEST_APP_H_
 #define TESTS_SERVE_TEST_APP_H_
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/estimator.h"
+#include "src/serve/estimation_service.h"
 #include "src/serve/ingest_pipeline.h"
 #include "src/sim/simulator.h"
 
@@ -133,6 +136,29 @@ inline void ExpectSameEstimates(const EstimateMap& a, const EstimateMap& b) {
     EXPECT_EQ(estimate.upper, other.upper) << key.ToString();
   }
 }
+
+// Holds every worker of a service at the top of its first sweep, in the
+// chaos hook, until Open(). Requests submitted before Open() are all queued
+// when the workers wake, so each worker's first batch takes up to max_batch
+// of them whatever the submission timing. Install with
+// `config.worker_fault_hook = gate.Hook()`; the gate must outlive the
+// service, and Open() must run before the service stops.
+class StartGate {
+ public:
+  std::function<WorkerFault(size_t)> Hook() {
+    return [this](size_t) {
+      open_.wait(false);
+      return WorkerFault::kNone;
+    };
+  }
+  void Open() {
+    open_.store(true);
+    open_.notify_all();
+  }
+
+ private:
+  std::atomic<bool> open_{false};
+};
 
 }  // namespace testutil
 }  // namespace deeprest

@@ -144,9 +144,10 @@ cmake --build --preset asan -j "$JOBS"
 ctest --preset chaos-asan -j "$JOBS"
 # The kernel suites drive every simd dispatch table at ragged shapes; the fp16
 # storage budget runs the packed batch-row-major forward pass; and core_tests
-# (batched_inference_test above all) drives that forward and ShrinkColumns
-# over the whole learn history at every mutation point, where it computes the
-# warm-start state: exactly where an out-of-bounds load or store would hide.
+# (batched_inference_test above all) drives that forward's window blocks,
+# across block boundaries and as rows finish mid-block, over the whole learn
+# history at every mutation point, where it computes the warm-start state:
+# exactly where an out-of-bounds load or store would hide.
 ctest --test-dir build-asan --output-on-failure -R 'quantized_tests|nn_tests|core_tests'
 
 echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"
