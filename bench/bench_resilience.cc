@@ -2,22 +2,24 @@
 // post-recovery correctness of the serving stack under scripted chaos
 // schedules, with and without the supervision layer.
 //
-// Each schedule (worker_stall, worker_crash, mixed) runs twice over the same
-// deterministic fault timeline:
+// Each schedule (worker_stall, worker_crash, mixed, clock_skew) runs twice
+// over the same deterministic fault timeline:
 //
-//   baseline    2 estimation workers, no health registry, no watchdog, no
-//               hedging — the pre-supervision stack. A crashed worker stays
-//               dead for the rest of the run.
+//   baseline    2 estimation workers, no health registry, no watchdog — the
+//               pre-supervision stack. A crashed worker stays dead for the
+//               rest of the run.
 //   supervised  the same service wired into a HealthRegistry, scanned by a
 //               Watchdog-driven Supervisor (capped-exponential restarts,
-//               budget 8, escalation to degraded mode), plus hedged
-//               estimate requests to the sibling shard.
+//               budget 8, escalation to degraded mode).
 //
+// In both, an idle worker's steal sweep serves the queue of a wedged one.
 // The driver advances a logical window every window_len of wall time and
 // submits a fixed batch of deadline-carrying estimate requests per window;
 // the chaos schedule is keyed off that same window counter through the
 // workers' fault hook (crash = thread exits, stall = the hook blocks for the
-// scheduled magnitude). Scoring:
+// scheduled magnitude) and the health clock (clock_skew = the registry's
+// SkewedHealthClock jumps ahead by the scheduled microseconds, as in
+// `deeprest serve`). Scoring:
 //
 //   availability       fraction of requests resolving kOk within their
 //                      deadline, measured from the first scheduled fault
@@ -39,6 +41,13 @@
 // schedule demonstrates detection + MTTR measurement (the sibling worker
 // and the steal sweep carry availability in both modes) rather than an
 // availability gap — that is the honest shape of stall recovery.
+//
+// The clock_skew schedule has its own gate, because a skew makes live
+// workers look stale without harming them: the supervised cell's
+// availability and bit-exactness equal the baseline's, no worker is
+// restarted, nothing escalates, and every incident the skew opens recovers.
+// It does not require an incident to open: workers that heartbeat again
+// before the watchdog's next scan never look stale.
 //
 // Flags: --smoke (tiny timeline, structural gates only, for ctest)
 //        --out <path> (JSON path; default BENCH_resilience.json)
@@ -148,10 +157,16 @@ bool SameEstimates(const EstimateMap& a, const EstimateMap& b) {
 }
 
 // Bridges the window-addressed schedule into the service's per-sweep fault
-// hook. The main thread advances `window` on the wall-clock timeline; the
-// FaultInjector's own mutex makes the deal queries safe from every worker.
+// hook and the health clock. The main thread advances the window on the
+// wall-clock timeline; the FaultInjector's own mutex makes the deal queries
+// safe from every worker.
 struct ChaosDriver {
   explicit ChaosDriver(const ChaosSchedule& schedule) : injector({.seed = 11}, schedule) {}
+
+  void Advance(size_t w) {
+    window.store(w, std::memory_order_release);
+    clock.SetSkewMicros(static_cast<int64_t>(injector.ClockSkewUs(w)));
+  }
 
   WorkerFault Hook(size_t worker) {
     const size_t w = window.load(std::memory_order_acquire);
@@ -168,6 +183,8 @@ struct ChaosDriver {
 
   FaultInjector injector;
   std::atomic<size_t> window{0};
+  SteadyHealthClock steady_clock;
+  SkewedHealthClock clock{steady_clock};
 };
 
 struct BenchParams {
@@ -204,7 +221,7 @@ struct CellResult {
   bool AccountingHolds() const {
     return service.requests_submitted ==
            service.requests_served + service.requests_shed + service.requests_expired +
-               service.requests_rejected + service.hedged_duplicates;
+               service.requests_rejected;
   }
 };
 
@@ -212,7 +229,7 @@ CellResult RunCell(const DeepRestEstimator& model,
                    const std::vector<std::vector<float>>& features, const EstimateMap& oracle,
                    const ChaosSchedule& schedule, bool supervised, const BenchParams& p) {
   CellResult cell;
-  ChaosDriver driver(schedule);
+  ChaosDriver chaos(schedule);
   size_t first_fault = p.windows;
   for (const ChaosEvent& event : schedule.events) {
     first_fault = std::min(first_fault, event.start_window);
@@ -222,18 +239,15 @@ CellResult RunCell(const DeepRestEstimator& model,
   IngestPipeline pipeline(model.features(), {.shards = 2});
   registry.Publish(model.Clone());
 
-  HealthRegistry health;
+  HealthRegistry health(&chaos.clock);
   EstimationServiceConfig config;
   config.workers = 2;
-  config.worker_fault_hook = [&driver](size_t worker) { return driver.Hook(worker); };
+  config.worker_fault_hook = [&chaos](size_t worker) { return chaos.Hook(worker); };
   if (supervised) {
     config.health = &health;
     // Must exceed the workers' 64ms max idle sweep wait, else healthy-idle
     // looks stale; crashes and the scheduled stalls both blow well past it.
     config.worker_stall_threshold_us = 100000;
-    config.hedge.enabled = true;
-    config.hedge.min_delay = std::chrono::milliseconds(1);
-    config.hedge.max_delay = std::chrono::milliseconds(20);
   }
   EstimationService service(registry, pipeline, config);
 
@@ -259,7 +273,7 @@ CellResult RunCell(const DeepRestEstimator& model,
 
   for (size_t w = 0; w < p.windows; ++w) {
     const auto window_start = std::chrono::steady_clock::now();
-    driver.window.store(w, std::memory_order_release);
+    chaos.Advance(w);
     std::vector<std::future<EstimationService::EstimateResult>> futures;
     futures.reserve(p.per_window);
     for (size_t r = 0; r < p.per_window; ++r) {
@@ -294,7 +308,7 @@ CellResult RunCell(const DeepRestEstimator& model,
   // stack must serve this bit-exactly — the "recovers, and recovers to the
   // SAME answers" gate. The baseline gets the same probe (it documents the
   // outage a dead stack leaves behind) with a shorter leash.
-  driver.window.store(p.windows, std::memory_order_release);
+  chaos.Advance(p.windows);
   auto probe = service.SubmitFeatures(features);
   const auto probe_wait = supervised ? std::chrono::seconds(30) : std::chrono::seconds(2);
   if (probe.wait_for(probe_wait) == std::future_status::ready) {
@@ -306,7 +320,7 @@ CellResult RunCell(const DeepRestEstimator& model,
   watchdog.Stop();
   service.Stop();
   cell.service = service.Counters();
-  cell.faults = driver.injector.counters();
+  cell.faults = chaos.injector.counters();
   cell.sup = supervisor.counters();
   cell.degraded = supervisor.degraded();
   for (const RecoveryIncident& incident : supervisor.Incidents()) {
@@ -349,9 +363,10 @@ int main(int argc, char** argv) {
 
   BenchParams params;
   // Schedules are window-addressed (`kind@start[-end][:target][*magnitude]`);
-  // magnitudes are stall milliseconds. The mixed schedule is the supervision
-  // showcase: with worker 0 dead, only a supervised stack still has a
-  // healthy sibling when worker 1 wedges.
+  // magnitudes are stall milliseconds or skew microseconds. The mixed
+  // schedule is the supervision showcase: with worker 0 dead, only a
+  // supervised stack still has a healthy sibling when worker 1 wedges. The
+  // 250 ms skew is past the workers' 100 ms stall threshold.
   std::vector<std::pair<std::string, std::string>> specs;
   if (smoke) {
     params.windows = 8;
@@ -360,11 +375,13 @@ int main(int argc, char** argv) {
     params.timeout = std::chrono::milliseconds(100);
     specs = {{"worker_stall", "worker_stall@2-5:0*150"},
              {"worker_crash", "worker_crash@2:0;worker_crash@2:1"},
-             {"mixed", "worker_crash@2:0;worker_stall@3-5:1*150;worker_crash@6-8:1"}};
+             {"mixed", "worker_crash@2:0;worker_stall@3-5:1*150;worker_crash@6-8:1"},
+             {"clock_skew", "clock_skew@3-5*250000"}};
   } else {
     specs = {{"worker_stall", "worker_stall@3-7:0*400"},
              {"worker_crash", "worker_crash@3:0;worker_crash@3:1"},
-             {"mixed", "worker_crash@3:0;worker_stall@5-9:1*400;worker_crash@10-12:1"}};
+             {"mixed", "worker_crash@3:0;worker_stall@5-9:1*400;worker_crash@10-12:1"},
+             {"clock_skew", "clock_skew@5-7*250000"}};
   }
 
   // One tiny model, cloned into each cell's registry; the oracle is the
@@ -396,6 +413,7 @@ int main(int argc, char** argv) {
     CellResult baseline;
     CellResult supervised;
     bool has_crash = false;
+    bool skew_only = true;  // every event is a clock skew: its own gate
   };
   std::vector<ScheduleRow> rows;
   for (const auto& [name, spec] : specs) {
@@ -409,6 +427,7 @@ int main(int argc, char** argv) {
     }
     for (const ChaosEvent& event : row.schedule.events) {
       row.has_crash = row.has_crash || event.kind == ChaosFaultKind::kWorkerCrash;
+      row.skew_only = row.skew_only && event.kind == ChaosFaultKind::kClockSkew;
     }
     std::printf("schedule %-12s  %s\n", name.c_str(), spec.c_str());
     row.baseline = RunCell(*model, features, oracle, row.schedule, false, params);
@@ -452,35 +471,54 @@ int main(int argc, char** argv) {
   std::printf("structural check (all cells complete, accounting balances, served bit-exact): %s\n",
               structure_ok ? "PASS" : "FAIL");
 
-  // Full-mode gates. Availability: strict win on every crash-bearing
-  // schedule and in the mean (the stall-only schedule ties by design — see
-  // the header comment). Recovery: watchdog-led, bit-exact, MTTR bounded.
+  // Full-mode gates over the worker-fault schedules. Availability: strict
+  // win on every crash-bearing schedule and in the mean (the stall-only
+  // schedule ties by design — see the header comment). Recovery:
+  // watchdog-led, bit-exact, MTTR bounded. The clock-skew schedule has its
+  // own gate (header comment).
   double base_mean = 0.0;
   double sup_mean = 0.0;
+  size_t worker_fault_rows = 0;
   bool availability_win = true;
   bool recovery_ok = true;
   bool mttr_ok = true;
+  bool skew_ok = true;
   for (const ScheduleRow& row : rows) {
-    base_mean += row.baseline.AvailabilityFault() / rows.size();
-    sup_mean += row.supervised.AvailabilityFault() / rows.size();
-    if (row.has_crash) {
-      availability_win = availability_win && row.supervised.AvailabilityFault() >
-                                                 row.baseline.AvailabilityFault();
-    }
+    const CellResult& base = row.baseline;
     const CellResult& sup = row.supervised;
-    recovery_ok = recovery_ok && sup.sup.incidents_recovered >= 1 && sup.post_recovery_ok &&
-                  (!row.has_crash || sup.sup.restarts_succeeded >= 1);
     if (sup.sup.incidents_recovered >= 1) {
       mttr_ok = mttr_ok && sup.mttr_max_us <= kMttrBoundUs;
     }
+    if (row.skew_only) {
+      skew_ok = skew_ok && sup.AvailabilityFault() == base.AvailabilityFault() &&
+                sup.AvailabilityOverall() == base.AvailabilityOverall() &&
+                sup.served_bit_exact == base.served_bit_exact &&
+                sup.post_recovery_ok == base.post_recovery_ok &&
+                sup.service.worker_restarts == 0 && sup.sup.escalations == 0 &&
+                sup.sup.incidents_recovered == sup.sup.incidents_opened;
+      continue;
+    }
+    ++worker_fault_rows;
+    base_mean += base.AvailabilityFault();
+    sup_mean += sup.AvailabilityFault();
+    if (row.has_crash) {
+      availability_win = availability_win && sup.AvailabilityFault() > base.AvailabilityFault();
+    }
+    recovery_ok = recovery_ok && sup.sup.incidents_recovered >= 1 && sup.post_recovery_ok &&
+                  (!row.has_crash || sup.sup.restarts_succeeded >= 1);
   }
+  base_mean /= static_cast<double>(worker_fault_rows);
+  sup_mean /= static_cast<double>(worker_fault_rows);
   availability_win = availability_win && sup_mean > base_mean;
   std::printf("availability under faults: supervised mean %.1f%% vs baseline %.1f%% -> %s\n",
               100.0 * sup_mean, 100.0 * base_mean, availability_win ? "PASS" : "FAIL");
   std::printf("watchdog-led recovery, post-recovery bit-exact: %s\n",
               recovery_ok ? "PASS" : "FAIL");
-  std::printf("MTTR within %.0fms bound: %s\n\n", kMttrBoundUs / 1000.0,
+  std::printf("MTTR within %.0fms bound: %s\n", kMttrBoundUs / 1000.0,
               mttr_ok ? "PASS" : "FAIL");
+  std::printf("clock skew matches the baseline, restarts no live worker, every incident "
+              "recovers: %s\n\n",
+              skew_ok ? "PASS" : "FAIL");
 
   // Machine-readable scorecard for regression tracking (tools/bench_diff).
   {
@@ -506,11 +544,7 @@ int main(int argc, char** argv) {
              << ", \"served\": " << cell.service.requests_served
              << ", \"shed\": " << cell.service.requests_shed
              << ", \"expired\": " << cell.service.requests_expired
-             << ", \"rejected\": " << cell.service.requests_rejected
-             << ", \"hedged_duplicates\": " << cell.service.hedged_duplicates << "},\n";
-        json << "        \"hedges\": {\"launched\": " << cell.service.hedges_launched
-             << ", \"won\": " << cell.service.hedges_won
-             << ", \"cancelled\": " << cell.service.hedges_cancelled << "},\n";
+             << ", \"rejected\": " << cell.service.requests_rejected << "},\n";
         json << "        \"worker_restarts\": " << cell.service.worker_restarts << ",\n";
         json << "        \"post_recovery_bit_exact\": " << (cell.post_recovery_ok ? 1 : 0)
              << ",\n";
@@ -539,7 +573,8 @@ int main(int argc, char** argv) {
     json << ",\n";
     json << "  \"availability_win\": " << (availability_win ? 1 : 0) << ",\n";
     json << "  \"recovery_ok\": " << (recovery_ok ? 1 : 0) << ",\n";
-    json << "  \"mttr_ok\": " << (mttr_ok ? 1 : 0) << "\n";
+    json << "  \"mttr_ok\": " << (mttr_ok ? 1 : 0) << ",\n";
+    json << "  \"skew_ok\": " << (skew_ok ? 1 : 0) << "\n";
     json << "}\n";
   }
   std::printf("wrote %s\n", out_path.c_str());
@@ -549,5 +584,5 @@ int main(int argc, char** argv) {
   if (smoke) {
     return structure_ok ? 0 : 1;
   }
-  return structure_ok && availability_win && recovery_ok && mttr_ok ? 0 : 1;
+  return structure_ok && availability_win && recovery_ok && mttr_ok && skew_ok ? 0 : 1;
 }

@@ -75,8 +75,7 @@ bool AutoscaleLoop::TickOnce() {
   const MetricsStore metrics = pipeline_.MetricsCopy();
   const std::vector<DataQuality> quality =
       pipeline_.QualitySlice(evidence_window, featured);
-  const bool blank = fail_static_.load(std::memory_order_acquire) ||
-                     (!quality.empty() && quality.front().score < config_.min_quality);
+  const bool blank = !quality.empty() && quality.front().score < config_.min_quality;
   const std::map<std::string, ComponentScale> scale = controller_.CurrentScale();
   std::map<std::string, ComponentObservation> observations;
   for (const auto& spec : app_->components()) {

@@ -86,12 +86,6 @@ class AutoscaleLoop {
     return controlled_through_.load(std::memory_order_acquire);
   }
 
-  // Degraded mode (Supervisor escalation): while set, every observation is
-  // marked blank so the controller fail-statics — scale is held rather than
-  // adjusted on evidence the supervision layer no longer trusts.
-  void SetFailStatic(bool on) { fail_static_.store(on, std::memory_order_release); }
-  bool fail_static() const { return fail_static_.load(std::memory_order_acquire); }
-
  private:
   void Loop();
 
@@ -119,7 +113,6 @@ class AutoscaleLoop {
   std::atomic<uint64_t> ticks_{0};
   std::atomic<size_t> controlled_through_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> fail_static_{false};
   HealthHandle health_;
 };
 

@@ -43,13 +43,6 @@ EstimationService::EstimationService(ModelRegistry& registry, IngestPipeline& pi
   for (size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  if (config_.hedge.enabled && config_.workers > 1) {
-    if (config_.health != nullptr) {
-      hedge_health_ = config_.health->Register("hedge-monitor",
-                                               config_.worker_stall_threshold_us);
-    }
-    hedge_thread_ = std::thread([this] { HedgeLoop(); });
-  }
 }
 
 EstimationService::~EstimationService() { Stop(); }
@@ -60,7 +53,9 @@ std::future<EstimationService::EstimateResult> EstimationService::SubmitTraffic(
   request.kind = RequestKind::kTraffic;
   request.traffic = std::move(traffic);
   request.seed = seed;
-  return SubmitEstimate(std::move(request), deadline);
+  std::future<EstimateResult> future = request.estimate_promise.get_future();
+  Enqueue(std::move(request), deadline);
+  return future;
 }
 
 std::future<EstimationService::EstimateResult> EstimationService::SubmitFeatures(
@@ -68,7 +63,9 @@ std::future<EstimationService::EstimateResult> EstimationService::SubmitFeatures
   Request request;
   request.kind = RequestKind::kFeatures;
   request.features = std::move(features);
-  return SubmitEstimate(std::move(request), deadline);
+  std::future<EstimateResult> future = request.estimate_promise.get_future();
+  Enqueue(std::move(request), deadline);
+  return future;
 }
 
 std::future<EstimationService::EstimateResult> EstimationService::SubmitStreamFeatures(
@@ -77,10 +74,10 @@ std::future<EstimationService::EstimateResult> EstimationService::SubmitStreamFe
   Request request;
   request.kind = RequestKind::kFeatures;
   request.features = std::move(features);
-  // Without a cache the stream id would silently mean "stateless anyway";
-  // dropping it here keeps the hedging eligibility logic honest.
-  request.stream_id = config_.stream_states != nullptr ? stream_id : 0;
-  return SubmitEstimate(std::move(request), deadline);
+  request.stream_id = stream_id;
+  std::future<EstimateResult> future = request.estimate_promise.get_future();
+  Enqueue(std::move(request), deadline);
+  return future;
 }
 
 std::future<EstimationService::EstimateResult> EstimationService::SubmitStreamTraffic(
@@ -90,61 +87,9 @@ std::future<EstimationService::EstimateResult> EstimationService::SubmitStreamTr
   request.kind = RequestKind::kTraffic;
   request.traffic = std::move(traffic);
   request.seed = seed;
-  request.stream_id = config_.stream_states != nullptr ? stream_id : 0;
-  return SubmitEstimate(std::move(request), deadline);
-}
-
-std::future<EstimationService::EstimateResult> EstimationService::SubmitEstimate(
-    Request request, std::chrono::milliseconds deadline) {
-  // Stream requests are never hedged: the forward pass advances the stream's
-  // cached state (a side effect), so a duplicate pass would double-step the
-  // stream and the copies would return different estimates.
-  if (!config_.hedge.enabled || shards_.size() < 2 || request.stream_id != 0) {
-    std::future<EstimateResult> future = request.estimate_promise.get_future();
-    Enqueue(std::move(request), deadline);
-    return future;
-  }
-
-  // Hedge-eligible: both copies share one result slot; the caller's future
-  // comes from the shared promise, not from either copy's own.
-  auto state = std::make_shared<HedgeState>();
-  request.hedge = state;
-  std::future<EstimateResult> future = state->promise.get_future();
-
-  // Build the duplicate BEFORE the primary is moved away: same payload, and
-  // (after Enqueue stamps the primary below — both copies are stamped here
-  // so they agree) the same submission time and absolute deadline, so a
-  // hedge can never outlive the deadline its caller asked for.
-  StampSubmission(request, deadline);
-  Request duplicate;
-  duplicate.kind = request.kind;
-  duplicate.features = request.features;
-  duplicate.traffic = request.traffic;
-  duplicate.seed = request.seed;
-  duplicate.submitted = request.submitted;
-  duplicate.deadline = request.deadline;
-  duplicate.has_deadline = request.has_deadline;
-  duplicate.hedge = state;
-  duplicate.hedge_copy = true;
-
-  const auto delay = HedgeDelay();
-  const auto fire_at = request.submitted + delay;
-  const size_t index = Enqueue(std::move(request), deadline);
-  if (index == SIZE_MAX) {
-    return future;  // resolved at the door (shed / rejected): nothing to hedge
-  }
-  if (duplicate.has_deadline && fire_at >= duplicate.deadline) {
-    return future;  // the hedge would fire into a dead request
-  }
-  PendingHedge pending;
-  pending.duplicate = std::move(duplicate);
-  pending.fire_at = fire_at;
-  pending.sibling = (index + 1) % shards_.size();
-  {
-    MutexLock lock(hedge_mu_);
-    hedge_pending_.push_back(std::move(pending));
-  }
-  hedge_cv_.notify_one();
+  request.stream_id = stream_id;
+  std::future<EstimateResult> future = request.estimate_promise.get_future();
+  Enqueue(std::move(request), deadline);
   return future;
 }
 
@@ -159,17 +104,7 @@ std::future<EstimationService::SanityResult> EstimationService::SubmitSanityChec
   return future;
 }
 
-bool EstimationService::ClaimResolution(Request& request) {
-  return request.hedge == nullptr || !request.hedge->claimed.exchange(true);
-}
-
 void EstimationService::FinishUnserved(Request& request, RequestStatus status) {
-  if (!ClaimResolution(request)) {
-    // The other copy of a hedged pair already resolved the caller; this
-    // copy's terminal status is just a duplicate tally.
-    stats_.RecordHedgedDuplicate();
-    return;
-  }
   switch (status) {
     case RequestStatus::kShed:
       stats_.RecordShed();
@@ -191,11 +126,7 @@ void EstimationService::FinishUnserved(Request& request, RequestStatus status) {
   } else {
     EstimateResult result;
     result.status = status;
-    if (request.hedge != nullptr) {
-      request.hedge->promise.set_value(std::move(result));
-    } else {
-      request.estimate_promise.set_value(std::move(result));
-    }
+    request.estimate_promise.set_value(std::move(result));
   }
 }
 
@@ -224,11 +155,7 @@ void EstimationService::NotifyAfterPush(Shard& target, size_t index, size_t back
   }
 }
 
-void EstimationService::StampSubmission(Request& request,
-                                        std::chrono::milliseconds deadline) const {
-  if (request.submitted != std::chrono::steady_clock::time_point{}) {
-    return;  // a hedged pair was stamped at submission so both copies agree
-  }
+void EstimationService::Enqueue(Request request, std::chrono::milliseconds deadline) {
   request.submitted = std::chrono::steady_clock::now();
   const std::chrono::milliseconds budget =
       deadline.count() > 0 ? deadline : config_.default_deadline;
@@ -236,10 +163,6 @@ void EstimationService::StampSubmission(Request& request,
     request.deadline = request.submitted + budget;
     request.has_deadline = true;
   }
-}
-
-size_t EstimationService::Enqueue(Request request, std::chrono::milliseconds deadline) {
-  StampSubmission(request, deadline);
   stats_.RecordSubmitted();
 
   const size_t shard_count = shards_.size();
@@ -249,7 +172,7 @@ size_t EstimationService::Enqueue(Request request, std::chrono::milliseconds dea
   for (;;) {
     if (stopping_.load()) {
       FinishUnserved(request, RequestStatus::kRejectedStopped);
-      return SIZE_MAX;
+      return;
     }
     // Reserve a slot under the global bound before touching any shard: the
     // compare-exchange makes max_queue an exact cap — N submitters racing
@@ -273,10 +196,10 @@ size_t EstimationService::Enqueue(Request request, std::chrono::milliseconds dea
         // Stop() won the race for this shard; hand the slot back.
         queued_.fetch_sub(1);
         FinishUnserved(request, RequestStatus::kRejectedStopped);
-        return SIZE_MAX;
+        return;
       }
       NotifyAfterPush(target, index, backlog);
-      return index;
+      return;
     }
 
     // Bound is full. Degraded mode (supervisor escalation) forces the
@@ -287,7 +210,7 @@ size_t EstimationService::Enqueue(Request request, std::chrono::milliseconds dea
                                   : config_.shed_policy;
     if (policy == ShedPolicy::kRejectNew) {
       FinishUnserved(request, RequestStatus::kShed);
-      return SIZE_MAX;
+      return;
     }
     // kDropOldest: evict one queued request and hand its reserved slot to the
     // newcomer — no counter traffic, so the bound is never overshot. With
@@ -319,10 +242,10 @@ size_t EstimationService::Enqueue(Request request, std::chrono::milliseconds dea
     if (!pushed) {
       queued_.fetch_sub(1);  // the slot inherited from the evicted request
       FinishUnserved(request, RequestStatus::kRejectedStopped);
-      return SIZE_MAX;
+      return;
     }
     NotifyAfterPush(target, index, backlog);
-    return index;
+    return;
   }
 }
 
@@ -341,22 +264,6 @@ void EstimationService::Stop() {
     { MutexLock lock(shard->mu); }
     shard->cv.notify_all();
   }
-  // Retire the hedge monitor first: no new duplicates land in the shards
-  // while the workers run their final sweeps. Armed-but-unfired hedges are
-  // simply dropped — the primary copy still resolves (served or rejected in
-  // the leftover sweep below), so no caller is left hanging.
-  {
-    { MutexLock lock(hedge_mu_); }
-    hedge_cv_.notify_all();
-  }
-  if (hedge_thread_.joinable()) {
-    hedge_thread_.join();
-  }
-  {
-    MutexLock lock(hedge_mu_);
-    hedge_pending_.clear();
-  }
-  hedge_health_.MarkStopped();
   for (auto& worker : workers_) {
     if (worker.joinable()) {
       worker.join();
@@ -578,24 +485,11 @@ void EstimationService::ServeBatch(std::vector<Request> batch) {
       stats_.RecordServed(/*is_sanity=*/true, latency_ms);
       request.sanity_promise.set_value(std::move(result));
     } else {
-      if (!ClaimResolution(request)) {
-        // The sibling copy of this hedged pair got there first; the forward
-        // pass is sunk cost and the result is discarded.
-        stats_.RecordHedgedDuplicate();
-        return;
-      }
       EstimateResult result;
       result.model_version = snapshot.version;
       result.estimates = std::move(estimates);
       stats_.RecordServed(/*is_sanity=*/false, latency_ms);
-      if (request.hedge_copy) {
-        stats_.RecordHedgeWon();
-      }
-      if (request.hedge != nullptr) {
-        request.hedge->promise.set_value(std::move(result));
-      } else {
-        request.estimate_promise.set_value(std::move(result));
-      }
+      request.estimate_promise.set_value(std::move(result));
     }
   };
 
@@ -757,90 +651,6 @@ std::vector<EstimateMap> EstimationService::ServeStreamRounds(
     state.model_version = snapshot.version;
   }
   return estimates;
-}
-
-std::chrono::microseconds EstimationService::HedgeDelay() const {
-  const double p_ms =
-      stats_.LatencyQuantileMs(config_.hedge.quantile, config_.hedge.min_samples);
-  if (p_ms <= 0.0) {
-    // Cold start: hedge conservatively until the latency population is in.
-    return config_.hedge.max_delay;
-  }
-  const auto learned = std::chrono::microseconds(static_cast<int64_t>(p_ms * 1000.0));
-  return std::clamp(learned, config_.hedge.min_delay, config_.hedge.max_delay);
-}
-
-void EstimationService::HedgeLoop() {
-  for (;;) {
-    PendingHedge due;
-    bool have_due = false;
-    {
-      MutexLock lock(hedge_mu_);
-      while (!stopping_.load() && hedge_pending_.empty()) {
-        lock.Wait(hedge_cv_);
-      }
-      if (stopping_.load()) {
-        return;  // Stop() clears the pending list; primaries resolve anyway
-      }
-      hedge_health_.Heartbeat();
-      // Earliest-firing entry; the list is short (bounded by in-flight
-      // hedge-eligible requests), so a linear scan beats a heap's churn.
-      size_t earliest = 0;
-      for (size_t i = 1; i < hedge_pending_.size(); ++i) {
-        if (hedge_pending_[i].fire_at < hedge_pending_[earliest].fire_at) {
-          earliest = i;
-        }
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (hedge_pending_[earliest].fire_at > now) {
-        lock.WaitUntil(hedge_cv_, hedge_pending_[earliest].fire_at);
-        continue;  // re-evaluate: new entries or stop may have arrived
-      }
-      due = std::move(hedge_pending_[earliest]);
-      hedge_pending_.erase(hedge_pending_.begin() +
-                           static_cast<ptrdiff_t>(earliest));
-      have_due = true;
-    }
-    if (!have_due) {
-      continue;
-    }
-    if (due.duplicate.hedge->claimed.load(std::memory_order_acquire)) {
-      stats_.RecordHedgeCancelled();  // primary won the wait; nothing to do
-      continue;
-    }
-    if (due.duplicate.has_deadline &&
-        std::chrono::steady_clock::now() > due.duplicate.deadline) {
-      stats_.RecordHedgeCancelled();
-      continue;
-    }
-    // Reserve a queue slot under the same exact bound as Enqueue — but a
-    // full queue SKIPS the hedge instead of shedding real work for it.
-    if (config_.max_queue > 0) {
-      size_t depth = queued_.load();
-      bool reserved = false;
-      while (depth < config_.max_queue) {
-        if (queued_.compare_exchange_weak(depth, depth + 1)) {
-          reserved = true;
-          break;
-        }
-      }
-      if (!reserved) {
-        stats_.RecordHedgeSkippedFull();
-        continue;
-      }
-    } else {
-      queued_.fetch_add(1);
-    }
-    Shard& target = *shards_[due.sibling];
-    size_t backlog = 0;
-    if (!TryPush(target, due.duplicate, backlog)) {
-      queued_.fetch_sub(1);
-      continue;  // stopping; the primary resolves through the drain
-    }
-    stats_.RecordSubmitted();  // the duplicate is a real queue occupant
-    stats_.RecordHedgeLaunched();
-    NotifyAfterPush(target, due.sibling, backlog);
-  }
 }
 
 ServiceCounters EstimationService::Counters() const {

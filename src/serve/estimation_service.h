@@ -45,12 +45,11 @@
 // so a watchdog (supervisor.h) can spot a stalled or dead worker by
 // staleness alone. A worker that "crashes" (its thread exits, e.g. via the
 // chaos hook) is revived by RestartWorker on the same shard; SetDegraded is
-// the supervisor's escalation lever, forcing reject-new shedding. Hedged
-// estimate requests (HedgeConfig) re-submit a still-pending request to the
-// sibling shard after a learned p99 delay; the two copies share one result
-// slot claimed atomically, so exactly one resolves the caller's future and
-// the loser is discarded as kHedgedDuplicate — tail latency insurance that
-// also routes around a wedged worker without waiting for the watchdog.
+// the supervisor's escalation lever, forcing reject-new shedding. The steal
+// sweep is what routes around a slow or wedged worker: the requests queued
+// in its shard are served by an idle sibling, without waiting for the
+// watchdog. It cannot rescue a request already inside the wedged worker's
+// batch. Each submission is stamped once and resolved exactly once.
 #ifndef SRC_SERVE_ESTIMATION_SERVICE_H_
 #define SRC_SERVE_ESTIMATION_SERVICE_H_
 
@@ -86,7 +85,7 @@ enum class RequestStatus {
   kShed,             // bounded queue was full; load-shedding policy dropped it
   kExpired,          // deadline passed before a worker served it
   kRejectedStopped,  // submitted after Stop()
-  kHedgedDuplicate,  // the losing copy of a hedged pair (winner resolved first)
+  kHedgedDuplicate,  // produced by no path; kept while e2ebench names it
 };
 
 // Number of RequestStatus enumerators. Keep in lockstep with the enum: the
@@ -107,24 +106,6 @@ const char* RequestStatusName(RequestStatus status);
 enum class ShedPolicy {
   kRejectNew,   // newest arrival is shed (favors in-flight work)
   kDropOldest,  // oldest queued request is shed (favors fresh requests)
-};
-
-// Tail-latency insurance for estimate requests: after a learned delay the
-// still-unresolved request is re-submitted to the NEXT shard, and whichever
-// copy finishes first resolves the caller's future (the loser is counted as
-// kHedgedDuplicate and its result discarded — duplicate-safe by an atomic
-// claim on the shared result slot). The delay tracks the service's own p99
-// latency so hedges fire only for genuine stragglers, not the common case.
-struct HedgeConfig {
-  bool enabled = false;
-  // Hedge when the primary has been pending for this service-latency
-  // quantile (learned from the live latency samples).
-  double quantile = 0.99;
-  // Clamp on the learned delay; the floor also serves as the cold-start
-  // delay until min_samples latencies have been observed.
-  std::chrono::microseconds min_delay{500};
-  std::chrono::microseconds max_delay{50000};
-  size_t min_samples = 32;
 };
 
 // Chaos hook outcome, consulted by each worker at the top of every sweep
@@ -148,8 +129,6 @@ struct EstimationServiceConfig {
   // Deadline applied to requests submitted without one; 0 = no deadline.
   std::chrono::milliseconds default_deadline{0};
   SanityConfig sanity;
-  // Hedged estimate requests (needs >= 2 workers to have a sibling shard).
-  HedgeConfig hedge;
   // When set, every worker registers as "estimation-worker-<i>" and
   // heartbeats each sweep, so the watchdog can detect stalls and crashes.
   // Must outlive the service.
@@ -162,9 +141,7 @@ struct EstimationServiceConfig {
   // Soft-memory tiered per-stream warm-start state (state_cache.h). When
   // set, requests submitted with a nonzero stream id resume that stream's
   // cached hidden state instead of warm-starting from scratch and write the
-  // advanced state back after the pass. Must outlive the service. Stream
-  // requests are never hedged: advancing a stream is a side effect, so a
-  // duplicate pass would double-step it.
+  // advanced state back after the pass. Must outlive the service.
   StateCache* stream_states = nullptr;
 };
 
@@ -214,8 +191,7 @@ class EstimationService {
   // hidden state (config.stream_states) and advances it by this request's
   // windows, so a long series can be served as many short requests with
   // bit-identical results to one unbroken submission. Stateless behavior
-  // when stream_id is 0 or no cache is wired. Stream requests bypass
-  // hedging (see EstimationServiceConfig::stream_states).
+  // when stream_id is 0 or no cache is wired.
   std::future<EstimateResult> SubmitStreamFeatures(
       uint64_t stream_id, std::vector<std::vector<float>> features,
       std::chrono::milliseconds deadline = {});
@@ -259,20 +235,12 @@ class EstimationService {
  private:
   enum class RequestKind { kFeatures, kTraffic, kSanity };
 
-  // Shared result slot of a hedged pair. Both copies race to flip `claimed`;
-  // the winner alone sets `promise` (the per-copy promises go unused), so a
-  // double-set can never happen no matter how the copies interleave.
-  struct HedgeState {
-    std::atomic<bool> claimed{false};
-    std::promise<EstimateResult> promise;
-  };
-
   struct Request {
     RequestKind kind = RequestKind::kFeatures;
     std::vector<std::vector<float>> features;  // kFeatures
     TrafficSeries traffic;                     // kTraffic
     uint64_t seed = 0;                         // kTraffic
-    uint64_t stream_id = 0;                    // nonzero: stateful stream request
+    uint64_t stream_id = 0;                    // nonzero: stream; ignored without a cache
     size_t from = 0;                           // kSanity
     size_t to = 0;                             // kSanity
     std::promise<EstimateResult> estimate_promise;
@@ -280,19 +248,6 @@ class EstimationService {
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point deadline;
     bool has_deadline = false;
-    // Non-null for hedge-eligible estimate requests; shared by both copies.
-    std::shared_ptr<HedgeState> hedge;
-    bool hedge_copy = false;  // true on the re-submitted duplicate
-  };
-
-  // A hedge armed at submission, waiting out its delay on the monitor
-  // thread. The duplicate request is fully built (same payload, same
-  // submission timestamp and deadline as the primary) so firing is just a
-  // push into the sibling shard.
-  struct PendingHedge {
-    Request duplicate;
-    std::chrono::steady_clock::time_point fire_at;
-    size_t sibling = 0;
   };
 
   // Per-worker supervision state. Fixed after construction (unique_ptr
@@ -318,16 +273,10 @@ class EstimationService {
     bool steal_hint DEEPREST_GUARDED_BY(mu) = false;
   };
 
-  // Sets submitted / deadline / has_deadline; no-op if already stamped (a
-  // hedged pair is stamped once so both copies agree).
-  void StampSubmission(Request& request, std::chrono::milliseconds deadline) const;
   // Stamps submission time and deadline; records the submission. Then
-  // queues into a round-robin shard. Returns the shard index the request
-  // landed in, or SIZE_MAX when it resolved without queuing (shed/rejected).
-  size_t Enqueue(Request request, std::chrono::milliseconds deadline);
-  // Shared tail of SubmitTraffic/SubmitFeatures: arms a hedge when enabled.
-  std::future<EstimateResult> SubmitEstimate(Request request,
-                                             std::chrono::milliseconds deadline);
+  // queues into a round-robin shard, or resolves the request at the door
+  // (shed / rejected).
+  void Enqueue(Request request, std::chrono::milliseconds deadline);
   // Pushes under the shard lock unless stopping_ is set; reports the shard's
   // post-push depth. Returns false (request untouched) when stopping.
   bool TryPush(Shard& target, Request& request, size_t& backlog)
@@ -335,20 +284,10 @@ class EstimationService {
   // Wakes the shard owner and, when the push left a backlog, flags one
   // sibling to steal.
   void NotifyAfterPush(Shard& target, size_t index, size_t backlog);
-  // True when this copy owns its request's resolution: always for unhedged
-  // requests, first-past-the-post for a hedged pair.
-  static bool ClaimResolution(Request& request);
   // Resolves a request that will never be served and records the matching
-  // counter (a hedged loser records kHedgedDuplicate instead).
+  // counter.
   void FinishUnserved(Request& request, RequestStatus status);
   void WorkerLoop(size_t self);
-  // Monitor thread: fires armed hedges whose delay elapsed and whose
-  // primary is still unresolved; respects the queue bound (a full queue
-  // skips the hedge rather than evicting real work).
-  void HedgeLoop();
-  // The learned hedge delay: the service's own `quantile` latency, clamped
-  // to [min_delay, max_delay]; max_delay until min_samples are in.
-  std::chrono::microseconds HedgeDelay() const;
   // Pops up to max_batch requests from the first non-empty sibling shard.
   // Holds at most one shard lock at a time. Returns false if every sibling
   // was empty.
@@ -398,14 +337,6 @@ class EstimationService {
   // Per-worker exit flags + health handles; the structs never move after
   // construction (see WorkerState).
   std::vector<std::unique_ptr<WorkerState>> worker_state_;
-
-  // Hedge monitor state. Leaf lock: nothing is acquired while holding it
-  // (the fire path pops the due entry first, then pushes into a Shard::mu).
-  Mutex hedge_mu_;  // deeprest-lint: lock-level(leaf)
-  std::condition_variable hedge_cv_;
-  std::deque<PendingHedge> hedge_pending_ DEEPREST_GUARDED_BY(hedge_mu_);
-  std::thread hedge_thread_ DEEPREST_GUARDED_BY(stop_mu_);
-  HealthHandle hedge_health_;
 };
 
 }  // namespace deeprest

@@ -1,11 +1,11 @@
 // Process-wide liveness registry for the serving stack's long-lived actors.
 //
 // Every background thread that is supposed to keep making progress — the
-// estimation workers, the ContinualLearner, the AutoscaleLoop, the hedge
-// monitor, the watchdog itself — registers a named component and then stamps
-// a heartbeat at the top of each work cycle. The registry turns those stamps
-// into staleness-tagged status: a component whose last heartbeat is older
-// than its declared stall threshold is kSuspect, which is what the Watchdog
+// estimation workers, the ContinualLearner, the AutoscaleLoop, the watchdog
+// itself — registers a named component and then stamps a heartbeat at the
+// top of each work cycle. The registry turns those stamps into
+// staleness-tagged status: a component whose last heartbeat is older than
+// its declared stall threshold is kSuspect, which is what the Watchdog
 // (supervisor.h) keys recovery off.
 //
 // Heartbeats are the hot path (one per worker sweep, one per ingest batch),

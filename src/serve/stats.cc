@@ -75,31 +75,6 @@ void ServiceStats::RecordRejected() {
   ++rejected_;
 }
 
-void ServiceStats::RecordHedgeLaunched() {
-  MutexLock lock(mu_);
-  ++hedges_launched_;
-}
-
-void ServiceStats::RecordHedgeWon() {
-  MutexLock lock(mu_);
-  ++hedges_won_;
-}
-
-void ServiceStats::RecordHedgedDuplicate() {
-  MutexLock lock(mu_);
-  ++hedged_duplicates_;
-}
-
-void ServiceStats::RecordHedgeCancelled() {
-  MutexLock lock(mu_);
-  ++hedges_cancelled_;
-}
-
-void ServiceStats::RecordHedgeSkippedFull() {
-  MutexLock lock(mu_);
-  ++hedges_skipped_full_;
-}
-
 void ServiceStats::RecordWorkerStall() {
   MutexLock lock(mu_);
   ++worker_stalls_;
@@ -120,14 +95,6 @@ void ServiceStats::RecordStateReset() {
   ++state_resets_;
 }
 
-double ServiceStats::LatencyQuantileMs(double q, size_t min_samples) const {
-  MutexLock lock(mu_);
-  if (latencies_ms_.size() < std::max<size_t>(1, min_samples)) {
-    return 0.0;
-  }
-  return Percentile(latencies_ms_, q);
-}
-
 ServiceCounters ServiceStats::Snapshot() const {
   MutexLock lock(mu_);
   ServiceCounters counters;
@@ -145,11 +112,6 @@ ServiceCounters ServiceStats::Snapshot() const {
                     : static_cast<double>(batched_requests_) / static_cast<double>(batches_);
   counters.p50_latency_ms = Percentile(latencies_ms_, 0.50);
   counters.p99_latency_ms = Percentile(latencies_ms_, 0.99);
-  counters.hedges_launched = hedges_launched_;
-  counters.hedges_won = hedges_won_;
-  counters.hedged_duplicates = hedged_duplicates_;
-  counters.hedges_cancelled = hedges_cancelled_;
-  counters.hedges_skipped_full = hedges_skipped_full_;
   counters.worker_stalls = worker_stalls_;
   counters.worker_crashes = worker_crashes_;
   counters.worker_restarts = worker_restarts_;
@@ -194,11 +156,6 @@ std::vector<std::pair<std::string, std::string>> ServiceCounters::Rows() const {
       {"imputed metric samples", FormatCount(imputed_metrics)},
       {"models published", FormatCount(models_published)},
       {"serving model version", FormatCount(model_version)},
-      {"hedges launched", FormatCount(hedges_launched)},
-      {"  hedge wins", FormatCount(hedges_won)},
-      {"  hedged duplicates", FormatCount(hedged_duplicates)},
-      {"  hedges cancelled", FormatCount(hedges_cancelled)},
-      {"  hedges skipped (queue full)", FormatCount(hedges_skipped_full)},
       {"worker stalls", FormatCount(worker_stalls)},
       {"worker crashes", FormatCount(worker_crashes)},
       {"worker restarts", FormatCount(worker_restarts)},

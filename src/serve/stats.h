@@ -42,12 +42,6 @@ struct ServiceCounters {
   uint64_t imputed_metrics = 0;      // metric gaps carry-forward filled
   uint64_t models_published = 0;  // registry swap count
   uint64_t model_version = 0;     // currently served version
-  // Hedged requests (tail-latency insurance; see EstimationService):
-  uint64_t hedges_launched = 0;    // duplicates actually enqueued
-  uint64_t hedges_won = 0;         // pairs the duplicate resolved first
-  uint64_t hedged_duplicates = 0;  // losing copies discarded
-  uint64_t hedges_cancelled = 0;   // armed hedges whose primary won the wait
-  uint64_t hedges_skipped_full = 0;  // queue bound left no room for a hedge
   // Supervision (watchdog-driven recovery; see supervisor.h):
   uint64_t worker_stalls = 0;    // injected stalls observed by workers
   uint64_t worker_crashes = 0;   // worker threads that exited on a fault
@@ -90,12 +84,6 @@ class ServiceStats {
   void RecordShed();
   void RecordExpired();
   void RecordRejected();
-  // Hedging outcomes.
-  void RecordHedgeLaunched();
-  void RecordHedgeWon();
-  void RecordHedgedDuplicate();
-  void RecordHedgeCancelled();
-  void RecordHedgeSkippedFull();
   // Supervision events.
   void RecordWorkerStall();
   void RecordWorkerCrash();
@@ -103,10 +91,6 @@ class ServiceStats {
   // A stream's cached state was discarded because it was produced by an
   // older model version (warm restart on the new model).
   void RecordStateReset();
-
-  // Exact latency quantile over the retained samples; 0.0 until at least
-  // min_samples have been recorded. Feeds the learned hedge delay.
-  double LatencyQuantileMs(double q, size_t min_samples) const;
 
   // Counters accumulated so far. Queue depth / ingest lag / registry fields
   // are owned by other components; EstimationService::Counters() fills them.
@@ -124,16 +108,11 @@ class ServiceStats {
   uint64_t batches_ DEEPREST_GUARDED_BY(mu_) = 0;
   uint64_t batched_requests_ DEEPREST_GUARDED_BY(mu_) = 0;
   size_t max_batch_ DEEPREST_GUARDED_BY(mu_) = 0;
-  uint64_t hedges_launched_ DEEPREST_GUARDED_BY(mu_) = 0;
-  uint64_t hedges_won_ DEEPREST_GUARDED_BY(mu_) = 0;
-  uint64_t hedged_duplicates_ DEEPREST_GUARDED_BY(mu_) = 0;
-  uint64_t hedges_cancelled_ DEEPREST_GUARDED_BY(mu_) = 0;
-  uint64_t hedges_skipped_full_ DEEPREST_GUARDED_BY(mu_) = 0;
   uint64_t worker_stalls_ DEEPREST_GUARDED_BY(mu_) = 0;
   uint64_t worker_crashes_ DEEPREST_GUARDED_BY(mu_) = 0;
   uint64_t worker_restarts_ DEEPREST_GUARDED_BY(mu_) = 0;
   uint64_t state_resets_ DEEPREST_GUARDED_BY(mu_) = 0;
-  // Capped at kMaxLatencySamples.
+  // Capped at kMaxLatencySamples; feeds the p50/p99 snapshot fields.
   std::vector<double> latencies_ms_ DEEPREST_GUARDED_BY(mu_);
 };
 

@@ -14,8 +14,8 @@
 //     incident budget is exhausted;
 //   * on budget exhaustion escalates exactly once: the escalation handler
 //     runs (wired to degraded mode — EstimationService::SetDegraded's
-//     reject-new shedding and AutoscaleLoop::SetFailStatic's scale-hold)
-//     and the supervisor turns sticky-degraded until ClearDegraded().
+//     reject-new shedding) and the supervisor turns sticky-degraded until
+//     ClearDegraded().
 //
 // Restart semantics are honest about what C++ threads allow: a CRASHED
 // worker (thread exited) can be respawned, so its restart callback returns

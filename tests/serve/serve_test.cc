@@ -2,6 +2,8 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -803,6 +805,25 @@ TEST(IngestPipelineTest, RenormalizationRescalesPartialWindows) {
 }
 
 // --- Robustness: overload protection and lifecycle ---
+
+// Every enumerator has a distinct, non-"unknown" name, and the count
+// constant is in lockstep with the enum — adding a status without naming it
+// (or without bumping kRequestStatusCount) fails here.
+TEST(RequestStatusTest, NameIsExhaustiveAndDistinct) {
+  std::set<std::string> names;
+  for (size_t i = 0; i < kRequestStatusCount; ++i) {
+    const std::string name = RequestStatusName(static_cast<RequestStatus>(i));
+    EXPECT_NE(name, "unknown") << "enumerator " << i << " is unnamed";
+    EXPECT_FALSE(name.empty()) << "enumerator " << i;
+    EXPECT_TRUE(names.insert(name).second)
+        << "duplicate status name '" << name << "' at enumerator " << i;
+  }
+  // One past the end is the sentinel — if this is a real name, the count
+  // constant lags the enum.
+  EXPECT_STREQ(RequestStatusName(static_cast<RequestStatus>(kRequestStatusCount)),
+               "unknown");
+  EXPECT_EQ(names.count("hedged-duplicate"), 1u);
+}
 
 TEST(EstimationServiceTest, SubmitAfterStopReturnsRejected) {
   TinySetup s = MakeSetup();

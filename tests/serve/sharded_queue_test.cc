@@ -52,9 +52,8 @@ Tally Resolve(std::vector<std::future<EstimationService::EstimateResult>>& futur
         ++tally.rejected;
         break;
       case RequestStatus::kHedgedDuplicate:
-        // Hedged duplicates are folded into the primary's result upstream;
-        // a future never resolves with this status, but the tally must stay
-        // exhaustive so new statuses can't silently vanish.
+        // No path produces this status, but the tally must stay exhaustive
+        // so new statuses can't silently vanish.
         break;
     }
   }

@@ -1,12 +1,14 @@
 // Self-healing supervision layer: HealthRegistry staleness accounting, the
 // reusable CircuitBreaker, Supervisor incident/backoff/budget/escalation
 // state machine (driven deterministically with a ManualHealthClock), the
-// Watchdog thread, and watchdog-led worker recovery through the real
-// EstimationService — crash, restart, and bit-exact service afterwards.
+// Watchdog thread, and worker recovery through the real EstimationService:
+// a crashed worker restarts and serves bit-exact, and a wedged worker's
+// queue is served by its sibling's steal sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -439,6 +441,76 @@ TEST(ServiceSupervisionTest, CrashedWorkerRestartsAndServesBitExact) {
   auto after = service.SubmitFeatures(features).get();
   ASSERT_EQ(after.status, RequestStatus::kOk);
   ExpectSameEstimates(after.estimates, oracle);
+}
+
+// A wedged worker is alive, so the watchdog cannot restart it; the steal
+// sweep is what serves the requests queued in its shard. Worker 0 blocks in
+// the chaos hook at the top of its first sweep, before it touches its
+// shard, and stays there until released. Submissions round-robin from shard
+// 0, so half of them queue behind the wedge, and worker 1 must steal them.
+TEST(ServiceSupervisionTest, StealServesRequestsQueuedBehindAWedgedWorker) {
+  TinySetup s = MakeSetup();
+  auto model = TrainModel(s);
+  const auto features =
+      model->features().ExtractSeries(s.traces, s.learn_windows, s.total());
+  const EstimateMap oracle = model->EstimateFromFeatures(features);
+  ModelRegistry registry;
+  IngestPipeline pipeline(model->features(), {.shards = 2});
+  registry.Publish(std::move(model));
+
+  std::atomic<bool> wedged{false};
+  std::atomic<bool> release{false};
+  EstimationServiceConfig config;
+  config.workers = 2;
+  config.worker_fault_hook = [&wedged, &release](size_t worker) {
+    if (worker != 0 || release.load()) {
+      return WorkerFault::kNone;
+    }
+    wedged.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return WorkerFault::kStall;
+  };
+  EstimationService service(registry, pipeline, config);
+  // Destroyed before the service: an assertion that returns early releases
+  // the wedge, so the service's destructor can join worker 0.
+  struct ReleaseOnExit {
+    std::atomic<bool>& release;
+    ~ReleaseOnExit() { release.store(true); }
+  } release_on_exit{release};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(wedged.load());
+
+  constexpr size_t kRequests = 8;
+  std::vector<std::future<EstimationService::EstimateResult>> futures;
+  for (size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(service.SubmitFeatures(features));
+  }
+  for (size_t i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "request " << i << " is stranded behind the wedged worker";
+    const auto result = futures[i].get();
+    ASSERT_EQ(result.status, RequestStatus::kOk) << "request " << i;
+    ExpectSameEstimates(result.estimates, oracle);
+  }
+  // Worker 0 records its stall only when the hook returns, so every request
+  // above was served while it was still wedged.
+  ServiceCounters counters = service.Counters();
+  EXPECT_EQ(counters.worker_stalls, 0u);
+  EXPECT_EQ(counters.requests_served, kRequests);
+
+  release.store(true);
+  service.Stop();
+  counters = service.Counters();
+  EXPECT_EQ(counters.worker_stalls, 1u);
+  EXPECT_EQ(counters.requests_submitted, kRequests);
+  EXPECT_EQ(counters.requests_submitted,
+            counters.requests_served + counters.requests_shed + counters.requests_expired +
+                counters.requests_rejected);
 }
 
 TEST(ServiceSupervisionTest, WatchdogAutoRestartsACrashedWorker) {

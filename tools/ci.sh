@@ -16,8 +16,10 @@
 #                    pinned to the AVX2 rung (DEEPREST_SIMD=avx2), which an
 #                    AVX-512 host otherwise never executes
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
-#                    registry, watchdog restarts, breakers, hedging, chaos
-#                    schedules; rides the chaos label into the sanitizer legs)
+#                    registry, watchdog restarts, breakers, the steal sweep
+#                    around a wedged worker, chaos schedules; rides the chaos
+#                    label into the sanitizer legs), then the README's chaos
+#                    quickstart, which must recover every incident it opens
 #   5. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
 #                    fixtures (ctest -L lint)
 #   6. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
@@ -95,11 +97,23 @@ DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
 DEEPREST_SIMD=avx2 ctest --test-dir build --output-on-failure -R 'nn_tests|core_tests'
 
 echo "==> [4/10] resilience: self-healing suite by label"
-# Supported entry point for the supervision layer (watchdog restarts, hedged
-# requests, chaos schedules, the resilience bench smoke); the same tests also
-# carry the chaos label, so the sanitizer legs below re-run them under TSan
-# and ASan.
+# Supported entry point for the supervision layer (watchdog restarts, the
+# steal sweep around a wedged worker, chaos schedules, the resilience bench
+# smoke); the same tests also carry the chaos label, so the sanitizer legs
+# below re-run them under TSan and ASan.
 ctest --test-dir build --output-on-failure -L resilience
+# The README's chaos quickstart is the documented supervised entry point of
+# `deeprest serve`: it must exit 0 and recover every incident it opens.
+quickstart="$(build/tools/deeprest serve --days=2 --wpd=24 --serve-days=1 \
+  --chaos-schedule='worker_crash@2:0;worker_stall@4-6:1*50')" \
+  || { echo "    chaos quickstart exited nonzero"; exit 1; }
+opened="$(awk '/incidents opened/ {print $3}' <<<"$quickstart")"
+recovered="$(awk '/incidents recovered/ {print $3}' <<<"$quickstart")"
+echo "    chaos quickstart: ${opened:-no} incident(s) opened, ${recovered:-no} recovered"
+if [[ -z "$opened" || "$opened" != "$recovered" ]]; then
+  echo "    chaos quickstart: incidents recovered != incidents opened"
+  exit 1
+fi
 
 echo "==> [5/10] lint: flow-aware analyzer over the tree + rule fixtures"
 ctest --preset lint -j "$JOBS"

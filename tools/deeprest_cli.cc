@@ -18,7 +18,7 @@
 //                    [--refresh-windows=N] [--attack=ransomware|cryptojacking]
 //                    [--target=COMPONENT]
 //                    [--chaos] [--drop=P] [--dup=P] [--corrupt=P] [--gap=P]
-//                    [--chaos-schedule=SPEC] [--supervise=0|1] [--hedge=1]
+//                    [--chaos-schedule=SPEC] [--supervise=0|1]
 //                    [--max-queue=N] [--shed-policy=reject-new|drop-oldest]
 //                    [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]
 //                    [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]
@@ -32,14 +32,13 @@
 //       scripted fault timeline (`kind@start[-end][:target][*magnitude]`
 //       joined by ';' — worker_stall, worker_crash, clock_skew, alloc_fail,
 //       plus the stream faults) keyed to the producer's window clock, and
-//       turns on supervision by default: every worker, the learner, and the
-//       hedge monitor heartbeat into a HealthRegistry scanned by a
-//       watchdog-driven Supervisor that restarts crashed workers with
-//       capped-exponential backoff and escalates to degraded (reject-new)
-//       mode when a restart budget is exhausted (--supervise=0 opts out,
-//       --supervise=1 opts in without a schedule). --hedge=1 re-submits slow
-//       estimate requests to a sibling shard, first result wins.
-//       --max-queue bounds the request
+//       turns on supervision by default: every worker and the learner
+//       heartbeat into a HealthRegistry scanned by a watchdog-driven
+//       Supervisor that restarts crashed workers with capped-exponential
+//       backoff and escalates to degraded (reject-new) mode when a restart
+//       budget is exhausted (--supervise=0 opts out, --supervise=1 opts in
+//       without a schedule). An idle worker's steal sweep serves the queue
+//       of a stalled one. --max-queue bounds the request
 //       queue (overload sheds instead of growing), --deadline-ms expires
 //       stale queued requests, and clients retry non-ok results with
 //       exponential backoff + jitter (--retries). --checkpoint enables
@@ -147,9 +146,9 @@ CliArgs Parse(int argc, char** argv) {
 // retired flag fails loudly instead of running the command on defaults.
 const char* const kKnownFlags[] = {
     "app", "attack", "batch", "capacity", "chaos", "chaos-schedule", "checkpoint", "clients",
-    "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "fp16-registry", "gap", "hedge",
-    "hidden", "interval", "isa", "kernel-mode", "max-queue", "memory-budget-mb", "model",
-    "policy", "query-days", "refresh-windows", "replicas-for", "retries", "scale", "scenario",
+    "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "fp16-registry", "gap", "hidden",
+    "interval", "isa", "kernel-mode", "max-queue", "memory-budget-mb", "model", "policy",
+    "query-days", "refresh-windows", "replicas-for", "retries", "scale", "scenario",
     "scenario-days", "seed", "serve-days", "shape", "shed-policy", "state-cold-tier",
     "supervise", "target", "workers", "wpd",
 };
@@ -392,7 +391,6 @@ int CmdServe(const CliArgs& args) {
   // A schedule implies supervision (that is the point of the demo); both are
   // independently overridable.
   const bool supervise = args.Get("supervise", schedule.empty() ? "0" : "1") == "1";
-  const bool hedge = args.Get("hedge", "") == "1";
   FaultInjector injector(fault_config, schedule);
   std::atomic<size_t> chaos_window{live.from};
   if (chaos) {
@@ -524,7 +522,6 @@ int CmdServe(const CliArgs& args) {
   if (supervise) {
     service_config.health = &health;
   }
-  service_config.hedge.enabled = hedge;
   if (stream_states != nullptr) {
     service_config.stream_states = stream_states.get();
   }
@@ -890,7 +887,7 @@ int Usage() {
                "           [--clients=N] [--refresh-windows=N] [--attack=...]\n"
                "           [--chaos] [--drop=P] [--dup=P] [--corrupt=P] [--gap=P]\n"
                "           [--chaos-schedule=kind@start[-end][:target][*mag];...]\n"
-               "           [--supervise=0|1] [--hedge=1]\n"
+               "           [--supervise=0|1]\n"
                "           [--max-queue=N] [--shed-policy=reject-new|drop-oldest]\n"
                "           [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]\n"
                "           [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]\n"
