@@ -1,6 +1,7 @@
 // Hot-path benchmark: tiled GEMM kernels vs the preserved reference kernels,
-// the fused GRU step (the tape-trained baseline's cell), end-to-end
-// training/inference wall-clock, and the parallel training harness. Writes every measurement to a JSON file
+// one Adam step on the active and the scalar rung, the fused GRU step (the
+// tape-trained baseline's cell), end-to-end training/inference wall-clock,
+// and the parallel training harness. Writes every measurement to a JSON file
 // (default BENCH_kernels.json) so tools/bench_diff can compare runs.
 //
 // Usage: bench_kernels [--smoke] [--out <path>]
@@ -171,10 +172,9 @@ BatchedGemmResult BenchBatchedGemm(size_t h, size_t b, int iters, Rng& rng) {
 // (the portable fallback the ci.sh simd-off leg pins), the default (kTiled)
 // mode, and the preserved reference. All timed through the SAME Matrix-level
 // entry points so the numbers include dispatch overhead. The default mode
-// already runs mat-mat MatMulInto, AccumulateATransposeB and the rank-1
-// (k == 1) AccumulateABTranspose on the dispatch-selected kernel, so on those
-// rows `speedup` (vs the default) reads ~1x; `vs_scalar` compares against the
-// kScalar rung, the plain C++ loop.
+// runs every kernel but the GEMV on the dispatch-selected kernel, so on
+// those rows `speedup` (vs the default) reads ~1x; `vs_scalar` compares
+// against the kScalar rung, the plain C++ loop.
 struct SimdResult {
   std::string name;
   double simd_ns = 0;
@@ -259,6 +259,46 @@ SimdGemmCheck CheckSimdGemm(const std::vector<SimdResult>& rows,
   }
   check.verdict = check.measured_min >= check.required ? "PASS" : "FAIL";
   return check;
+}
+
+// ---- Adam step ----
+
+// One Adam step over the paper-size model's parameter count (deeprest train
+// --days=7 --wpd=48 --hidden=12), on the active rung and on the kScalar
+// rung: the update AdamOptimizer::Step runs once per BPTT chunk.
+struct AdamResult {
+  size_t floats = 320872;
+  double active_ns = 0;
+  double scalar_ns = 0;
+  double speedup() const { return active_ns > 0 ? scalar_ns / active_ns : 0; }
+};
+
+AdamResult BenchAdamStep(int iters, Rng& rng) {
+  AdamResult result;
+  const size_t n = result.floats;
+  std::vector<float> grad(n), m(n, 0.0f), v(n, 0.0f), value(n);
+  for (size_t i = 0; i < n; ++i) {
+    grad[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    value[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  }
+  // Adam's defaults at step 1.
+  const simd::AdamStepParams params = {
+      .beta1 = 0.9f,
+      .beta2 = 0.999f,
+      .learning_rate = 1e-3f,
+      .epsilon = 1e-8f,
+      .bias1 = 1.0f - 0.9f,
+      .bias2 = 1.0f - 0.999f,
+  };
+  const auto step = [&] {
+    simd::AdamStep(grad.data(), m.data(), v.data(), value.data(), n, params);
+  };
+  simd::ResetIsa();
+  result.active_ns = TimeNs(iters, step);
+  simd::ForceIsa(simd::Isa::kScalar);
+  result.scalar_ns = TimeNs(iters, step);
+  simd::ResetIsa();
+  return result;
 }
 
 // ---- Single GRU step forward + backward ----
@@ -415,7 +455,8 @@ ParallelResult BenchParallelTraining(const KernelFixture& fixture,
 void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
                const std::vector<GemmResult>& gemm, const BatchedGemmResult& batched,
                const std::vector<SimdResult>& simd_rows, const SimdGemmCheck& simd_check,
-               const StepResult& step, const TrainResult& train, const ParallelResult& par) {
+               const AdamResult& adam, const StepResult& step, const TrainResult& train,
+               const ParallelResult& par) {
   std::FILE* f = std::fopen(options.out.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s for writing\n", options.out.c_str());
@@ -462,6 +503,10 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
     std::fprintf(f, "  \"simd_gemm_check\": {\"verdict\": \"%s\"},\n",
                  simd_check.verdict.c_str());
   }
+  std::fprintf(f,
+               "  \"adam_step\": {\"floats\": %zu, \"active_ns\": %.1f, \"scalar_ns\": %.1f, "
+               "\"speedup\": %.3f},\n",
+               adam.floats, adam.active_ns, adam.scalar_ns, adam.speedup());
   std::fprintf(f, "  \"gru_step\": {\"fused_ns\": %.1f, \"fused_nodes\": %llu},\n",
                step.fused_ns, static_cast<unsigned long long>(step.fused_nodes));
   std::fprintf(f,
@@ -513,6 +558,7 @@ int Run(const BenchOptions& options) {
   gemm.push_back(BenchMatMul(64, 64, 64, medium, rng));
   gemm.push_back(BenchAccATB(16, 256, 1, small, rng));
   gemm.push_back(BenchAccABT(16, 256, 1, small, rng));
+  gemm.push_back(BenchAccABT(76, 76, 12, medium, rng));  // attention backward's d_alpha
   std::printf("%-44s %12s %12s %8s\n", "kernel", "tiled ns", "reference ns", "speedup");
   for (const GemmResult& g : gemm) {
     std::printf("%-44s %12.1f %12.1f %7.2fx\n", g.name.c_str(), g.tiled_ns, g.reference_ns,
@@ -535,6 +581,7 @@ int Run(const BenchOptions& options) {
   simd_rows.push_back(BenchSimdMatMul(64, 64, 64, medium, rng));
   simd_rows.push_back(BenchSimdAccATB(16, 256, 1, small, rng));
   simd_rows.push_back(BenchSimdAccABT(16, 256, 1, small, rng));
+  simd_rows.push_back(BenchSimdAccABT(76, 76, 12, medium, rng));
   std::printf("\nSIMD dispatch (host best: %s, active: %s):\n",
               simd::IsaName(simd::BestSupportedIsa()), simd::IsaName(simd::ActiveIsa()));
   std::printf("%-44s %10s %10s %10s %10s %8s %9s\n", "kernel", "simd ns", "scalar ns",
@@ -553,6 +600,12 @@ int Run(const BenchOptions& options) {
                 "shapes)\n",
                 simd_check.verdict.c_str(), simd_check.measured_min);
   }
+
+  const AdamResult adam = BenchAdamStep(options.smoke ? 5 : 200, rng);
+  std::printf("\nAdam step, %zu floats (active: %s):\n", adam.floats,
+              simd::IsaName(simd::ActiveIsa()));
+  std::printf("  active %10.1f ns    scalar %10.1f ns    speedup %5.2fx\n", adam.active_ns,
+              adam.scalar_ns, adam.speedup());
 
   const StepResult step =
       BenchGruStep(/*in_dim=*/64, /*hidden=*/16, /*unroll=*/48, options.smoke ? 20 : 400);
@@ -584,7 +637,7 @@ int Run(const BenchOptions& options) {
     std::printf("  speedup %.2fx\n", par.speedup());
   }
 
-  WriteJson(options, fixture, gemm, batched, simd_rows, simd_check, step, train, par);
+  WriteJson(options, fixture, gemm, batched, simd_rows, simd_check, adam, step, train, par);
   std::printf("\nwrote %s\n", options.out.c_str());
   // Exit nonzero on a bit-exactness break always; on a failed SIMD gemm
   // check only in full mode (smoke iteration counts are too noisy to gate).

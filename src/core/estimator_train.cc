@@ -37,6 +37,7 @@
 #include "src/core/estimator.h"
 #include "src/core/estimator_train.h"
 #include "src/nn/optimizer.h"
+#include "src/nn/simd/dispatch.h"
 
 namespace deeprest {
 
@@ -249,9 +250,8 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
       s.d_alpha.SetShape(e, e);
       s.d_alpha.Zero();
       AccumulateABTranspose(s.attended_block, s.state_block, s.d_alpha);
-      for (size_t j = 0; j < alpha_grad.size(); ++j) {
-        alpha_grad[j] += s.d_alpha[j] * diag[j];
-      }
+      HadamardInto(s.d_alpha, diag, s.d_alpha);
+      AddInto(alpha_grad, s.d_alpha, alpha_grad);
     }
   }
 
@@ -380,15 +380,19 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
       }
     }
     MatMulInto(tape.d_cat, weights, tape.d_x);
-    const float* sig = packed_[i].mask.data();
-    Matrix& mask_grad = Grad(expert.mask);
+    const Matrix& sig = packed_[i].mask;
+    s.one_minus_sig.SetShape(1, dim);
+    for (size_t d = 0; d < dim; ++d) {
+      s.one_minus_sig[d] = 1.0f - sig[d];
+    }
+    s.mask_term.SetShape(1, dim);
+    float* term = s.mask_term.data();
+    float* mask_grad = Grad(expert.mask).data();
     for (size_t r = 0; r < steps; ++r) {
-      const float* dx = tape.d_x.data() + r * dim;
-      const float* x = s.x.data() + r * dim;
-      for (size_t d = 0; d < dim; ++d) {
-        const float ds = dx[d] * x[d];
-        mask_grad[d] += ds * sig[d] * (1.0f - sig[d]);
-      }
+      simd::Hadamard(tape.d_x.data() + r * dim, s.x.data() + r * dim, term, dim);
+      simd::Hadamard(term, sig.data(), term, dim);
+      simd::Hadamard(term, s.one_minus_sig.data(), term, dim);
+      simd::Add(mask_grad, term, mask_grad, dim);
     }
   }
   return inv * loss_sum + 0.0f;

@@ -41,7 +41,8 @@ struct DeepRestEstimator::TrainScratch {
   Matrix state, attended;               // E x T·H: block r of row i is
   Matrix d_attended, d_state;           // expert i at chunk row r
   Matrix attended_block, state_block;   // E x H, one window's blocks
-  Matrix d_alpha;                       // E x E
+  Matrix d_alpha;                       // E x E, then d_alpha . diag
+  Matrix one_minus_sig, mask_term;      // 1 x D mask-gradient factors
   Matrix dh, dh_prev, d_kh, d_pre, d_k, d_z;  // H x 1 per-window chain
   std::vector<float> loss_terms;        // T x E pinball losses
 };

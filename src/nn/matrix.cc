@@ -229,13 +229,11 @@ void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out) {
 // ---- Kernel dispatch ----
 //
 // No kernel loop lives here: outside kReference, every entry point runs a
-// rung of the ISA ladder (src/nn/simd/dispatch.h). Mat-mat MatMulInto,
-// AccumulateATransposeB, the rank-1 (k == 1) AccumulateABTranspose and the
-// element-wise helpers are exact on every rung, so they run on the active
-// one in every mode. The GEMV (m == 1) and the k > 1 AccumulateABTranspose
-// reduce across lanes on the vector rungs, so the default mode runs them on
-// the scalar rung, whose reductions are sequential; kSimd sends them to the
-// active rung too.
+// rung of the ISA ladder (src/nn/simd/dispatch.h). Every kernel but the
+// GEMV is exact on every rung, so it runs on the active one in every mode.
+// The GEMV (m == 1) reduces across lanes on the vector rungs, so the default
+// mode runs it on the scalar rung, whose reduction is sequential; kSimd
+// sends it to the active rung too.
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
@@ -265,15 +263,8 @@ void AccumulateATransposeB(const Matrix& a, const Matrix& b, Matrix& out) {
 void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.cols());
   assert(out.rows() == a.rows() && out.cols() == b.rows());
-  const KernelMode mode = GetKernelMode();
-  if (mode == KernelMode::kReference) {
+  if (GetKernelMode() == KernelMode::kReference) {
     reference::AccumulateABTranspose(a, b, out);
-    return;
-  }
-  // A rank-1 update (k == 1) has no reduction, so every rung is exact there.
-  if (mode == KernelMode::kTiled && a.cols() != 1) {
-    simd::ScalarAccumulateABTranspose(a.data(), b.data(), out.data(), a.rows(), a.cols(),
-                                      b.rows());
     return;
   }
   simd::AccumulateABTranspose(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.rows());

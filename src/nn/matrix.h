@@ -129,8 +129,9 @@ void AccumulateABTranspose(const Matrix& a, const Matrix& b, Matrix& out);
 
 // ---- Fused element-wise helpers (AXPY-style) ----
 // One rounding per element on every rung, so every mode runs them on the
-// active rung.
-// out = a + b (out is reshaped; may not alias a or b).
+// active rung. out is reshaped to a's shape, so it may be a or b itself (an
+// in-place update): each element is read before it is written.
+// out = a + b.
 void AddInto(const Matrix& a, const Matrix& b, Matrix& out);
 // out = a + scale * b.
 void AddScaledInto(const Matrix& a, const Matrix& b, float scale, Matrix& out);
@@ -138,18 +139,17 @@ void AddScaledInto(const Matrix& a, const Matrix& b, float scale, Matrix& out);
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out);
 
 // ---- Kernel backend selection ----
-// kTiled (the default) is the exact mode. Mat-mat MatMulInto (m >= 2),
-// AccumulateATransposeB and the rank-1 (k == 1) AccumulateABTranspose run on
-// the active rung, whose kernels for them are exact; the GEMV (m == 1) and
-// the k > 1 AccumulateABTranspose run on the scalar rung, because the vector
-// rungs reduce them across lanes and are only ULP-bounded. kSimd runs
-// everything on the active rung: faster GEMV and AccumulateABTranspose, no
-// bit-exactness, opt-in. kReference dispatches the
-// three GEMM entry points to the pre-tiling naive kernels (kept verbatim in
-// the deeprest::reference namespace), so bench_kernels can measure an honest
-// before/after on one binary and tests can bound the (zero-sign-only)
-// deviation. Global, not thread-local: flip it only in single-threaded setup
-// code.
+// kTiled (the default) is the exact mode. Every kernel but the GEMV is
+// exact on every rung and runs on the active one: mat-mat MatMulInto,
+// AccumulateATransposeB, AccumulateABTranspose and the element-wise
+// helpers. The GEMV (m == 1) runs on the scalar rung, because the vector
+// rungs reduce it across lanes and are only ULP-bounded. kSimd differs from
+// kTiled only there: it runs the GEMV on the active rung too (faster, not
+// bit-exact, opt-in). kReference dispatches the three GEMM entry points to
+// the pre-tiling naive kernels (kept verbatim in the deeprest::reference
+// namespace), so bench_kernels can measure an honest before/after on one
+// binary and tests can bound the (zero-sign-only) deviation. Global, not
+// thread-local: flip it only in single-threaded setup code.
 enum class KernelMode { kTiled, kReference, kSimd };
 void SetKernelMode(KernelMode mode);
 KernelMode GetKernelMode();

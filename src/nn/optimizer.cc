@@ -1,6 +1,9 @@
 #include "src/nn/optimizer.h"
 
+#include <cassert>
 #include <cmath>
+
+#include "src/nn/simd/dispatch.h"
 
 namespace deeprest {
 
@@ -67,25 +70,24 @@ AdamOptimizer::AdamOptimizer(ParameterStore& store, float learning_rate, float b
 
 void AdamOptimizer::Step() {
   ++step_count_;
-  const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_count_));
-  const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+  const simd::AdamStepParams params = {
+      .beta1 = beta1_,
+      .beta2 = beta2_,
+      .learning_rate = learning_rate_,
+      .epsilon = epsilon_,
+      .bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_count_)),
+      .bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_count_)),
+  };
   auto& entries = store_->entries();
-  // Parameters may have been created after the optimizer (not supported);
-  // guard with an assert-equivalent size check in debug builds.
-  for (size_t i = 0; i < entries.size() && i < m_.size(); ++i) {
+  // The moments are sized when the optimizer is built, so every parameter
+  // must exist by then: every caller builds its model first.
+  assert(entries.size() == m_.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
     Tensor& t = entries[i].tensor;
     t.node()->EnsureGrad();
-    const Matrix& g = t.grad();
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
     Matrix& value = t.mutable_value();
-    for (size_t j = 0; j < g.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-      const float m_hat = m[j] / bias1;
-      const float v_hat = v[j] / bias2;
-      value[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-    }
+    simd::AdamStep(t.grad().data(), m_[i].data(), v_[i].data(), value.data(), value.size(),
+                   params);
   }
 }
 

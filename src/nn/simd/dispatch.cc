@@ -198,13 +198,13 @@ void Hadamard(const float* a, const float* b, float* out, size_t n) {
   ActiveTable().hadamard(a, b, out, n);
 }
 
-void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k) {
-  detail::ScalarTable()->matmul(a, b, out, n, k, 1);
+void AdamStep(const float* grad, float* m, float* v, float* value, size_t n,
+              const AdamStepParams& params) {
+  ActiveTable().adam_step(grad, m, v, value, n, params);
 }
 
-void ScalarAccumulateABTranspose(const float* a, const float* b, float* out, size_t n,
-                                 size_t k, size_t m) {
-  detail::ScalarTable()->acc_abt(a, b, out, n, k, m);
+void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k) {
+  detail::ScalarTable()->matmul(a, b, out, n, k, 1);
 }
 
 }  // namespace simd

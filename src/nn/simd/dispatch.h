@@ -19,25 +19,24 @@
 // path (tools/ci.sh simd-off leg).
 //
 // Numerics contract (tested in tests/nn/simd_kernels_test.cc):
-//   * Element-wise kernels and every GEMM that blocks only over independent
-//     output elements keep each element's reduction in ascending-k order and
-//     round every multiply and add separately (no FMA contraction on those
-//     paths) — results are BIT-IDENTICAL to plain ascending-k C++ loops on
-//     every ISA. That is why the default (kTiled) mode runs mat-mat
-//     MatMulInto, AccumulateATransposeB and the element-wise helpers on the
-//     active rung.
-//   * The rank-1 AccumulateABTranspose (k == 1, an outer-product update) has
-//     no reduction: every rung multiplies, adds +0 (the scalar rung's double
-//     accumulator seed) and adds, each rounded separately, so it is
-//     BIT-IDENTICAL to the scalar rung and kTiled runs it on the active rung.
-//   * Lane-parallel reductions (the m == 1 GEMV path, AccumulateABTranspose's
-//     k > 1 double-pair dot products) reassociate across lanes on the vector
-//     rungs for speed; they are ULP-BOUNDED against the reference, not
-//     bit-exact. The scalar rung reduces them in sequential order, so kTiled,
-//     which keeps the bit-exactness contract training determinism relies on,
-//     runs these two on the scalar rung (ScalarGemv,
-//     ScalarAccumulateABTranspose); only the opt-in KernelMode::kSimd sends
-//     them to the active rung.
+//   * Every kernel but the GEMV is EXACT: bit-identical to plain C++ loops
+//     on every rung. Lanes and blocks span only independent output
+//     elements, never a reduction: each element keeps its reduction in
+//     ascending order and rounds every multiply and add separately (no FMA
+//     contraction). That covers mat-mat MatMul, AccumulateATransposeB, the
+//     element-wise kernels and AdamStep (whose divides and square root are
+//     correctly rounded on every rung), and AccumulateABTranspose: its
+//     lanes hold output columns, and each lane's double chain starts at +0
+//     and adds the exact float x float products in ascending k, the scalar
+//     rung's order, so each add is its only rounding (a rank-1 k == 1 update
+//     multiplies, adds +0 and adds).
+//   * The GEMV (MatMul with m == 1) is the one kernel that reduces across
+//     lanes: the vector rungs reassociate its dot products with FMA and are
+//     ULP-BOUNDED against the reference, not bit-exact. The scalar rung
+//     reduces in sequential order, so KernelMode::kTiled, which keeps the
+//     bit-exactness contract training determinism relies on, runs the GEMV
+//     on the scalar rung (ScalarGemv); only the opt-in KernelMode::kSimd
+//     sends it to the active rung.
 //
 // Raw intrinsics live ONLY under src/nn/simd/ (lint rule
 // intrinsics-only-in-simd); the rest of the tree calls through the function
@@ -112,15 +111,29 @@ void Axpby(const float* a, const float* b, float scale, float* out, size_t n);
 // out[i] = a[i] * b[i]
 void Hadamard(const float* a, const float* b, float* out, size_t n);
 
-// The scalar rung's GEMV (out = a(n x k) * b(k x 1)) and
-// AccumulateABTranspose, whatever rung is active. These are the two kernels
-// the vector rungs reduce across lanes; the scalar rung reduces in
-// sequential order, so KernelMode::kTiled (the exact mode) runs them here
-// instead of on the active rung (all but the rank-1 k == 1
-// AccumulateABTranspose, which every rung computes exactly).
+// One Adam step's scalars; bias1 and bias2 are 1 - beta1^t and 1 - beta2^t
+// at step t.
+struct AdamStepParams {
+  float beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float learning_rate = 0.0f;
+  float epsilon = 0.0f;
+  float bias1 = 1.0f;
+  float bias2 = 1.0f;
+};
+// Adam's update of n parameters, element-wise, each operation rounded
+// separately in this order:
+//   m = beta1 * m + (1 - beta1) * g
+//   v = beta2 * v + ((1 - beta2) * g) * g
+//   value -= (learning_rate * (m / bias1)) / (sqrt(v / bias2) + epsilon)
+void AdamStep(const float* grad, float* m, float* v, float* value, size_t n,
+              const AdamStepParams& params);
+
+// The scalar rung's GEMV (out = a(n x k) * b(k x 1)), whatever rung is
+// active. The vector rungs reduce it across lanes; the scalar rung reduces
+// in sequential order, so KernelMode::kTiled (the exact mode) runs it here
+// instead of on the active rung.
 void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k);
-void ScalarAccumulateABTranspose(const float* a, const float* b, float* out, size_t n,
-                                 size_t k, size_t m);
 
 }  // namespace simd
 }  // namespace deeprest

@@ -3,7 +3,10 @@
 #ifndef SRC_NN_SIMD_KERNELS_H_
 #define SRC_NN_SIMD_KERNELS_H_
 
+#include <cmath>
 #include <cstddef>
+
+#include "src/nn/simd/dispatch.h"
 
 namespace deeprest {
 namespace simd {
@@ -20,7 +23,19 @@ struct KernelTable {
   void (*add)(const float* a, const float* b, float* out, size_t n);
   void (*axpby)(const float* a, const float* b, float scale, float* out, size_t n);
   void (*hadamard)(const float* a, const float* b, float* out, size_t n);
+  void (*adam_step)(const float* grad, float* m, float* v, float* value, size_t n,
+                    const AdamStepParams& params);
 };
+
+// One element of AdamStep in the order dispatch.h documents: the scalar
+// rung's loop body and the vector rungs' tail.
+inline void AdamElement(float g, float& m, float& v, float& value, const AdamStepParams& p) {
+  m = p.beta1 * m + (1.0f - p.beta1) * g;
+  v = p.beta2 * v + (1.0f - p.beta2) * g * g;
+  const float m_hat = m / p.bias1;
+  const float v_hat = v / p.bias2;
+  value -= p.learning_rate * m_hat / (std::sqrt(v_hat) + p.epsilon);
+}
 
 // Each returns a pointer to a static table, or nullptr when the ISA was not
 // compiled in (wrong architecture). Host *runtime* support is the dispatch

@@ -3,18 +3,22 @@
 // pre-AVX2 hosts — the dispatch layer only routes here after a CPUID probe.
 //
 // Numerics per the dispatch.h contract:
-//   * mat-mat MatMul, AccumulateATransposeB, the k == 1 (rank-1)
-//     AccumulateABTranspose and all element-wise kernels use separate
-//     _mm256_mul_ps / _mm256_add_ps (never FMA): each lane is one
-//     independent output element with its k-reduction in ascending order,
-//     so results are bit-identical to plain ascending-k loops.
-//   * the m == 1 GEMV path and AccumulateABTranspose's k > 1 dot products
-//     use lane-parallel FMA reductions (ULP-bounded, not bit-exact).
+//   * every kernel but the GEMV (mat-mat MatMul, AccumulateATransposeB,
+//     AccumulateABTranspose, the element-wise kernels and AdamStep) uses
+//     separate mul / add / div / sqrt (never FMA), and each lane is one
+//     independent output element with its reduction in ascending order, so
+//     results are bit-identical to the scalar rung. AccumulateABTranspose's
+//     lanes are 4 output columns, each a double chain in ascending k.
+//   * the m == 1 GEMV path uses lane-parallel FMA reductions (ULP-bounded,
+//     not bit-exact).
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <vector>
 
 #define DEEPREST_AVX2_TARGET __attribute__((target("avx2,fma")))
 
@@ -30,14 +34,6 @@ DEEPREST_AVX2_TARGET inline float HSum256(__m256 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
   return _mm_cvtss_f32(s);
-}
-
-DEEPREST_AVX2_TARGET inline double HSum256d(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  __m128d s = _mm_add_pd(lo, hi);
-  s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-  return _mm_cvtsd_f64(s);
 }
 
 DEEPREST_AVX2_TARGET void MatMulAvx2(const float* A, const float* B, float* O, size_t n,
@@ -224,8 +220,87 @@ DEEPREST_AVX2_TARGET void AccATBAvx2(const float* A, const float* B, float* O, s
     }
     return;
   }
-  // Lanes are output columns of row r; broadcast A[i][r], stream B rows.
-  for (size_t r = 0; r < p; ++r) {
+  // Lanes are output columns; broadcast A[i][r], stream B rows. Four output
+  // rows per column tile: four independent ascending-i chains share every B
+  // load, and each element still rounds its multiplies and adds separately.
+  size_t r = 0;
+  for (; r + 4 <= p; r += 4) {
+    float* o0 = O + (r + 0) * q;
+    float* o1 = O + (r + 1) * q;
+    float* o2 = O + (r + 2) * q;
+    float* o3 = O + (r + 3) * q;
+    size_t c = 0;
+    for (; c + 16 <= q; c += 16) {
+      __m256 acc00 = _mm256_loadu_ps(o0 + c);
+      __m256 acc01 = _mm256_loadu_ps(o0 + c + 8);
+      __m256 acc10 = _mm256_loadu_ps(o1 + c);
+      __m256 acc11 = _mm256_loadu_ps(o1 + c + 8);
+      __m256 acc20 = _mm256_loadu_ps(o2 + c);
+      __m256 acc21 = _mm256_loadu_ps(o2 + c + 8);
+      __m256 acc30 = _mm256_loadu_ps(o3 + c);
+      __m256 acc31 = _mm256_loadu_ps(o3 + c + 8);
+      for (size_t i = 0; i < n; ++i) {
+        const float* arow = A + i * p + r;
+        const float* brow = B + i * q + c;
+        const __m256 bv0 = _mm256_loadu_ps(brow);
+        const __m256 bv1 = _mm256_loadu_ps(brow + 8);
+        const __m256 av0 = _mm256_set1_ps(arow[0]);
+        acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(av0, bv0));
+        acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(av0, bv1));
+        const __m256 av1 = _mm256_set1_ps(arow[1]);
+        acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(av1, bv0));
+        acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(av1, bv1));
+        const __m256 av2 = _mm256_set1_ps(arow[2]);
+        acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(av2, bv0));
+        acc21 = _mm256_add_ps(acc21, _mm256_mul_ps(av2, bv1));
+        const __m256 av3 = _mm256_set1_ps(arow[3]);
+        acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(av3, bv0));
+        acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(av3, bv1));
+      }
+      _mm256_storeu_ps(o0 + c, acc00);
+      _mm256_storeu_ps(o0 + c + 8, acc01);
+      _mm256_storeu_ps(o1 + c, acc10);
+      _mm256_storeu_ps(o1 + c + 8, acc11);
+      _mm256_storeu_ps(o2 + c, acc20);
+      _mm256_storeu_ps(o2 + c + 8, acc21);
+      _mm256_storeu_ps(o3 + c, acc30);
+      _mm256_storeu_ps(o3 + c + 8, acc31);
+    }
+    for (; c + 8 <= q; c += 8) {
+      __m256 acc0 = _mm256_loadu_ps(o0 + c);
+      __m256 acc1 = _mm256_loadu_ps(o1 + c);
+      __m256 acc2 = _mm256_loadu_ps(o2 + c);
+      __m256 acc3 = _mm256_loadu_ps(o3 + c);
+      for (size_t i = 0; i < n; ++i) {
+        const float* arow = A + i * p + r;
+        const __m256 bv = _mm256_loadu_ps(B + i * q + c);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(arow[0]), bv));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(arow[1]), bv));
+        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(arow[2]), bv));
+        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(arow[3]), bv));
+      }
+      _mm256_storeu_ps(o0 + c, acc0);
+      _mm256_storeu_ps(o1 + c, acc1);
+      _mm256_storeu_ps(o2 + c, acc2);
+      _mm256_storeu_ps(o3 + c, acc3);
+    }
+    for (; c < q; ++c) {
+      float acc0 = o0[c], acc1 = o1[c], acc2 = o2[c], acc3 = o3[c];
+      for (size_t i = 0; i < n; ++i) {
+        const float* arow = A + i * p + r;
+        const float bv = B[i * q + c];
+        acc0 += arow[0] * bv;
+        acc1 += arow[1] * bv;
+        acc2 += arow[2] * bv;
+        acc3 += arow[3] * bv;
+      }
+      o0[c] = acc0;
+      o1[c] = acc1;
+      o2[c] = acc2;
+      o3[c] = acc3;
+    }
+  }
+  for (; r < p; ++r) {
     float* orow = O + r * q;
     size_t c = 0;
     for (; c + 16 <= q; c += 16) {
@@ -258,6 +333,27 @@ DEEPREST_AVX2_TARGET void AccATBAvx2(const float* A, const float* B, float* O, s
   }
 }
 
+// AccumulateABTranspose's transposed column tile, grown on demand. One per
+// thread, so models training in parallel never share it.
+std::vector<double>& AbtTileBuffer() {
+  thread_local std::vector<double> tile;
+  return tile;
+}
+
+// out[0, width) += acc's 4 double lanes, each rounded to float first.
+DEEPREST_AVX2_TARGET inline void AddLanesToRow(__m256d acc, float* out, size_t width) {
+  const __m128 sum = _mm256_cvtpd_ps(acc);
+  if (width == 4) {
+    _mm_storeu_ps(out, _mm_add_ps(_mm_loadu_ps(out), sum));
+    return;
+  }
+  float lanes[4];
+  _mm_storeu_ps(lanes, sum);
+  for (size_t jj = 0; jj < width; ++jj) {
+    out[jj] += lanes[jj];
+  }
+}
+
 DEEPREST_AVX2_TARGET void AccABTAvx2(const float* A, const float* B, float* O, size_t n,
                                      size_t k, size_t m) {
   if (k == 1) {
@@ -281,25 +377,58 @@ DEEPREST_AVX2_TARGET void AccABTAvx2(const float* A, const float* B, float* O, s
     }
     return;
   }
-  // Double-accumulated row-dot-row products, like the reference — but the
-  // 4-wide double lanes reassociate the sum, so this is ULP-bounded.
-  for (size_t i = 0; i < n; ++i) {
-    const float* arow = A + i * k;
-    float* orow = O + i * m;
-    for (size_t j = 0; j < m; ++j) {
-      const float* brow = B + j * k;
+  // Lanes are 4 output columns j. Each lane's double chain starts at +0 and
+  // adds its float x float products, which are exact in double, in
+  // ascending c with a separate multiply and add: each add is the only
+  // rounding, in the scalar rung's order. B's column tile is transposed once
+  // per call into a k x 4 double tile, zero past column m, and four rows of
+  // A share each tile load.
+  std::vector<double>& buffer = AbtTileBuffer();
+  if (buffer.size() < k * 4) {
+    buffer.resize(k * 4);
+  }
+  double* tile = buffer.data();
+  for (size_t j = 0; j < m; j += 4) {
+    const size_t width = std::min<size_t>(4, m - j);
+    if (width < 4) {
+      std::fill(tile, tile + k * 4, 0.0);
+    }
+    for (size_t jj = 0; jj < width; ++jj) {
+      const float* brow = B + (j + jj) * k;
+      for (size_t c = 0; c < k; ++c) {
+        tile[c * 4 + jj] = brow[c];
+      }
+    }
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const float* a0 = A + (i + 0) * k;
+      const float* a1 = A + (i + 1) * k;
+      const float* a2 = A + (i + 2) * k;
+      const float* a3 = A + (i + 3) * k;
+      __m256d acc0 = _mm256_setzero_pd();
+      __m256d acc1 = _mm256_setzero_pd();
+      __m256d acc2 = _mm256_setzero_pd();
+      __m256d acc3 = _mm256_setzero_pd();
+      for (size_t c = 0; c < k; ++c) {
+        const __m256d bt = _mm256_loadu_pd(tile + c * 4);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(a0[c]), bt));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(a1[c]), bt));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(a2[c]), bt));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(a3[c]), bt));
+      }
+      AddLanesToRow(acc0, O + (i + 0) * m + j, width);
+      AddLanesToRow(acc1, O + (i + 1) * m + j, width);
+      AddLanesToRow(acc2, O + (i + 2) * m + j, width);
+      AddLanesToRow(acc3, O + (i + 3) * m + j, width);
+    }
+    for (; i < n; ++i) {
+      const float* arow = A + i * k;
       __m256d acc = _mm256_setzero_pd();
-      size_t c = 0;
-      for (; c + 4 <= k; c += 4) {
-        const __m256d av = _mm256_cvtps_pd(_mm_loadu_ps(arow + c));
-        const __m256d bv = _mm256_cvtps_pd(_mm_loadu_ps(brow + c));
-        acc = _mm256_fmadd_pd(av, bv, acc);
+      for (size_t c = 0; c < k; ++c) {
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[c]),
+                                               _mm256_loadu_pd(tile + c * 4)));
       }
-      double sum = HSum256d(acc);
-      for (; c < k; ++c) {
-        sum += static_cast<double>(arow[c]) * brow[c];
-      }
-      orow[j] += static_cast<float>(sum);
+      AddLanesToRow(acc, O + i * m + j, width);
     }
   }
 }
@@ -337,8 +466,38 @@ DEEPREST_AVX2_TARGET void HadamardAvx2(const float* a, const float* b, float* ou
   }
 }
 
+DEEPREST_AVX2_TARGET void AdamStepAvx2(const float* g, float* m, float* v, float* value,
+                                       size_t n, const AdamStepParams& params) {
+  const __m256 beta1 = _mm256_set1_ps(params.beta1);
+  const __m256 beta2 = _mm256_set1_ps(params.beta2);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(1.0f - params.beta1);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(1.0f - params.beta2);
+  const __m256 bias1 = _mm256_set1_ps(params.bias1);
+  const __m256 bias2 = _mm256_set1_ps(params.bias2);
+  const __m256 lr = _mm256_set1_ps(params.learning_rate);
+  const __m256 eps = _mm256_set1_ps(params.epsilon);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 mv = _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(one_minus_beta1, gv));
+    const __m256 vv = _mm256_add_ps(_mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+                                    _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, gv), gv));
+    const __m256 m_hat = _mm256_div_ps(mv, bias1);
+    const __m256 v_hat = _mm256_div_ps(vv, bias2);
+    const __m256 step = _mm256_div_ps(_mm256_mul_ps(lr, m_hat),
+                                      _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps));
+    _mm256_storeu_ps(m + i, mv);
+    _mm256_storeu_ps(v + i, vv);
+    _mm256_storeu_ps(value + i, _mm256_sub_ps(_mm256_loadu_ps(value + i), step));
+  }
+  for (; i < n; ++i) {
+    AdamElement(g[i], m[i], v[i], value[i], params);
+  }
+}
+
 const KernelTable kAvx2Table = {
-    MatMulAvx2, AccATBAvx2, AccABTAvx2, AddAvx2, AxpbyAvx2, HadamardAvx2,
+    MatMulAvx2, AccATBAvx2, AccABTAvx2, AddAvx2, AxpbyAvx2, HadamardAvx2, AdamStepAvx2,
 };
 
 }  // namespace

@@ -1,13 +1,16 @@
 // AVX-512F kernels (16-lane zmm). Same numerics contract as the AVX2 TU:
-// mat-mat / AccumulateATransposeB / element-wise paths and the k == 1
-// (rank-1) AccumulateABTranspose use separate mul+add per lane (bit-identical
-// to plain loops); the GEMV path and AccumulateABTranspose's k > 1 dot
-// products use FMA lane reductions (ULP-bounded).
+// every kernel but the GEMV uses separate mul+add per lane and is
+// bit-identical to the scalar rung (AccumulateABTranspose with 8 double
+// lanes, one output column each); the GEMV path uses FMA lane reductions
+// (ULP-bounded).
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <vector>
 
 // GCC 12 flags the _mm512_undefined_pd() pass-through operand inside the
 // header's own _mm512_cvtps_pd / _mm512_extractf64x4_pd as
@@ -31,13 +34,6 @@ DEEPREST_AVX512_TARGET inline float HSum512(__m512 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
   return _mm_cvtss_f32(s);
-}
-
-DEEPREST_AVX512_TARGET inline double HSum512d(__m512d v) {
-  const __m256d s256 = _mm256_add_pd(_mm512_castpd512_pd256(v), _mm512_extractf64x4_pd(v, 1));
-  __m128d s = _mm_add_pd(_mm256_castpd256_pd128(s256), _mm256_extractf128_pd(s256, 1));
-  s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-  return _mm_cvtsd_f64(s);
 }
 
 DEEPREST_AVX512_TARGET void MatMulAvx512(const float* A, const float* B, float* O, size_t n,
@@ -158,6 +154,33 @@ DEEPREST_AVX512_TARGET void MatMulAvx512(const float* A, const float* B, float* 
   }
 }
 
+// out rows r..r+3, the columns [c, c + 16) that `lanes` selects, += a^T b:
+// four independent ascending-i chains share every B load.
+DEEPREST_AVX512_TARGET inline void AtbRowBlock(const float* A, const float* B, float* O,
+                                               size_t n, size_t p, size_t q, size_t r, size_t c,
+                                               __mmask16 lanes) {
+  float* o0 = O + (r + 0) * q + c;
+  float* o1 = O + (r + 1) * q + c;
+  float* o2 = O + (r + 2) * q + c;
+  float* o3 = O + (r + 3) * q + c;
+  __m512 acc0 = _mm512_maskz_loadu_ps(lanes, o0);
+  __m512 acc1 = _mm512_maskz_loadu_ps(lanes, o1);
+  __m512 acc2 = _mm512_maskz_loadu_ps(lanes, o2);
+  __m512 acc3 = _mm512_maskz_loadu_ps(lanes, o3);
+  for (size_t i = 0; i < n; ++i) {
+    const float* arow = A + i * p + r;
+    const __m512 bv = _mm512_maskz_loadu_ps(lanes, B + i * q + c);
+    acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(arow[0]), bv));
+    acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(arow[1]), bv));
+    acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(arow[2]), bv));
+    acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(arow[3]), bv));
+  }
+  _mm512_mask_storeu_ps(o0, lanes, acc0);
+  _mm512_mask_storeu_ps(o1, lanes, acc1);
+  _mm512_mask_storeu_ps(o2, lanes, acc2);
+  _mm512_mask_storeu_ps(o3, lanes, acc3);
+}
+
 DEEPREST_AVX512_TARGET void AccATBAvx512(const float* A, const float* B, float* O, size_t n,
                                          size_t p, size_t q) {
   if (q == 1) {
@@ -181,7 +204,20 @@ DEEPREST_AVX512_TARGET void AccATBAvx512(const float* A, const float* B, float* 
     }
     return;
   }
-  for (size_t r = 0; r < p; ++r) {
+  // Four output rows per column tile: four independent ascending-i chains
+  // share every B load, and each element still rounds its multiplies and
+  // adds separately in ascending i.
+  size_t r = 0;
+  for (; r + 4 <= p; r += 4) {
+    size_t c = 0;
+    for (; c + 16 <= q; c += 16) {
+      AtbRowBlock(A, B, O, n, p, q, r, c, static_cast<__mmask16>(0xFFFF));
+    }
+    if (c < q) {
+      AtbRowBlock(A, B, O, n, p, q, r, c, static_cast<__mmask16>((1u << (q - c)) - 1u));
+    }
+  }
+  for (; r < p; ++r) {
     float* orow = O + r * q;
     size_t c = 0;
     for (; c + 16 <= q; c += 16) {
@@ -201,6 +237,28 @@ DEEPREST_AVX512_TARGET void AccATBAvx512(const float* A, const float* B, float* 
       }
       _mm512_mask_storeu_ps(orow + c, tail, acc);
     }
+  }
+}
+
+// AccumulateABTranspose's transposed column tile, grown on demand. One per
+// thread, so models training in parallel never share it.
+std::vector<double>& AbtTileBuffer() {
+  thread_local std::vector<double> tile;
+  return tile;
+}
+
+// out[0, width) += acc's 8 double lanes, each rounded to float first. The
+// tail is scalar: a masked 256-bit load would need AVX512VL.
+DEEPREST_AVX512_TARGET inline void AddLanesToRow(__m512d acc, float* out, size_t width) {
+  const __m256 sum = _mm512_cvtpd_ps(acc);
+  if (width == 8) {
+    _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), sum));
+    return;
+  }
+  float lanes[8];
+  _mm256_storeu_ps(lanes, sum);
+  for (size_t jj = 0; jj < width; ++jj) {
+    out[jj] += lanes[jj];
   }
 }
 
@@ -227,23 +285,58 @@ DEEPREST_AVX512_TARGET void AccABTAvx512(const float* A, const float* B, float* 
     }
     return;
   }
-  for (size_t i = 0; i < n; ++i) {
-    const float* arow = A + i * k;
-    float* orow = O + i * m;
-    for (size_t j = 0; j < m; ++j) {
-      const float* brow = B + j * k;
+  // Lanes are 8 output columns j. Each lane's double chain starts at +0 and
+  // adds its float x float products, which are exact in double, in
+  // ascending c with a separate multiply and add: each add is the only
+  // rounding, in the scalar rung's order. B's column tile is transposed once
+  // per call into a k x 8 double tile, zero past column m, and four rows of
+  // A share each tile load.
+  std::vector<double>& buffer = AbtTileBuffer();
+  if (buffer.size() < k * 8) {
+    buffer.resize(k * 8);
+  }
+  double* tile = buffer.data();
+  for (size_t j = 0; j < m; j += 8) {
+    const size_t width = std::min<size_t>(8, m - j);
+    if (width < 8) {
+      std::fill(tile, tile + k * 8, 0.0);
+    }
+    for (size_t jj = 0; jj < width; ++jj) {
+      const float* brow = B + (j + jj) * k;
+      for (size_t c = 0; c < k; ++c) {
+        tile[c * 8 + jj] = brow[c];
+      }
+    }
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const float* a0 = A + (i + 0) * k;
+      const float* a1 = A + (i + 1) * k;
+      const float* a2 = A + (i + 2) * k;
+      const float* a3 = A + (i + 3) * k;
+      __m512d acc0 = _mm512_setzero_pd();
+      __m512d acc1 = _mm512_setzero_pd();
+      __m512d acc2 = _mm512_setzero_pd();
+      __m512d acc3 = _mm512_setzero_pd();
+      for (size_t c = 0; c < k; ++c) {
+        const __m512d bt = _mm512_loadu_pd(tile + c * 8);
+        acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(_mm512_set1_pd(a0[c]), bt));
+        acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(_mm512_set1_pd(a1[c]), bt));
+        acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(_mm512_set1_pd(a2[c]), bt));
+        acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(_mm512_set1_pd(a3[c]), bt));
+      }
+      AddLanesToRow(acc0, O + (i + 0) * m + j, width);
+      AddLanesToRow(acc1, O + (i + 1) * m + j, width);
+      AddLanesToRow(acc2, O + (i + 2) * m + j, width);
+      AddLanesToRow(acc3, O + (i + 3) * m + j, width);
+    }
+    for (; i < n; ++i) {
+      const float* arow = A + i * k;
       __m512d acc = _mm512_setzero_pd();
-      size_t c = 0;
-      for (; c + 8 <= k; c += 8) {
-        const __m512d av = _mm512_cvtps_pd(_mm256_loadu_ps(arow + c));
-        const __m512d bv = _mm512_cvtps_pd(_mm256_loadu_ps(brow + c));
-        acc = _mm512_fmadd_pd(av, bv, acc);
+      for (size_t c = 0; c < k; ++c) {
+        acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(arow[c]),
+                                               _mm512_loadu_pd(tile + c * 8)));
       }
-      double sum = HSum512d(acc);
-      for (; c < k; ++c) {
-        sum += static_cast<double>(arow[c]) * brow[c];
-      }
-      orow[j] += static_cast<float>(sum);
+      AddLanesToRow(acc, O + i * m + j, width);
     }
   }
 }
@@ -282,8 +375,39 @@ DEEPREST_AVX512_TARGET void HadamardAvx512(const float* a, const float* b, float
   }
 }
 
+DEEPREST_AVX512_TARGET void AdamStepAvx512(const float* g, float* m, float* v, float* value,
+                                           size_t n, const AdamStepParams& params) {
+  const __m512 beta1 = _mm512_set1_ps(params.beta1);
+  const __m512 beta2 = _mm512_set1_ps(params.beta2);
+  const __m512 one_minus_beta1 = _mm512_set1_ps(1.0f - params.beta1);
+  const __m512 one_minus_beta2 = _mm512_set1_ps(1.0f - params.beta2);
+  const __m512 bias1 = _mm512_set1_ps(params.bias1);
+  const __m512 bias2 = _mm512_set1_ps(params.bias2);
+  const __m512 lr = _mm512_set1_ps(params.learning_rate);
+  const __m512 eps = _mm512_set1_ps(params.epsilon);
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 lanes = n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
+                                        : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 gv = _mm512_maskz_loadu_ps(lanes, g + i);
+    const __m512 mv = _mm512_add_ps(_mm512_mul_ps(beta1, _mm512_maskz_loadu_ps(lanes, m + i)),
+                                    _mm512_mul_ps(one_minus_beta1, gv));
+    const __m512 vv =
+        _mm512_add_ps(_mm512_mul_ps(beta2, _mm512_maskz_loadu_ps(lanes, v + i)),
+                      _mm512_mul_ps(_mm512_mul_ps(one_minus_beta2, gv), gv));
+    const __m512 m_hat = _mm512_div_ps(mv, bias1);
+    const __m512 v_hat = _mm512_div_ps(vv, bias2);
+    const __m512 step = _mm512_div_ps(_mm512_mul_ps(lr, m_hat),
+                                      _mm512_add_ps(_mm512_sqrt_ps(v_hat), eps));
+    _mm512_mask_storeu_ps(m + i, lanes, mv);
+    _mm512_mask_storeu_ps(v + i, lanes, vv);
+    _mm512_mask_storeu_ps(value + i, lanes,
+                          _mm512_sub_ps(_mm512_maskz_loadu_ps(lanes, value + i), step));
+  }
+}
+
 const KernelTable kAvx512Table = {
     MatMulAvx512, AccATBAvx512, AccABTAvx512, AddAvx512, AxpbyAvx512, HadamardAvx512,
+    AdamStepAvx512,
 };
 
 }  // namespace

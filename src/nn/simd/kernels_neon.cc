@@ -1,10 +1,9 @@
 // NEON/ASIMD kernels for aarch64. Same numerics contract as the x86 TUs:
 // mat-mat / AccumulateATransposeB / element-wise paths use separate
-// vmulq+vaddq (bit-identical to plain loops); the GEMV path and
-// AccumulateABTranspose's k > 1 dot products use fused-multiply lane
-// reductions (ULP-bounded). A k == 1 (rank-1) AccumulateABTranspose never
-// enters the vector body: its scalar tail reduces exactly like the scalar
-// rung.
+// vmulq+vaddq (bit-identical to plain loops); the GEMV path uses
+// fused-multiply lane reductions (ULP-bounded). AccumulateABTranspose and
+// AdamStep are the scalar rung's plain per-element loops, so they are exact
+// too.
 // On non-ARM builds this TU contributes only a null table.
 #include "src/nn/simd/kernels.h"
 
@@ -125,18 +124,11 @@ void AccABTNeon(const float* A, const float* B, float* O, size_t n, size_t k, si
     float* orow = O + i * m;
     for (size_t j = 0; j < m; ++j) {
       const float* brow = B + j * k;
-      float64x2_t acc = vdupq_n_f64(0.0);
-      size_t c = 0;
-      for (; c + 2 <= k; c += 2) {
-        const float64x2_t av = vcvt_f64_f32(vld1_f32(arow + c));
-        const float64x2_t bv = vcvt_f64_f32(vld1_f32(brow + c));
-        acc = vfmaq_f64(acc, av, bv);
+      double acc = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        acc += static_cast<double>(arow[c]) * brow[c];
       }
-      double sum = vaddvq_f64(acc);
-      for (; c < k; ++c) {
-        sum += static_cast<double>(arow[c]) * brow[c];
-      }
-      orow[j] += static_cast<float>(sum);
+      orow[j] += static_cast<float>(acc);
     }
   }
 }
@@ -173,8 +165,15 @@ void HadamardNeon(const float* a, const float* b, float* out, size_t n) {
   }
 }
 
+void AdamStepNeon(const float* g, float* m, float* v, float* value, size_t n,
+                  const AdamStepParams& params) {
+  for (size_t i = 0; i < n; ++i) {
+    AdamElement(g[i], m[i], v[i], value[i], params);
+  }
+}
+
 const KernelTable kNeonTable = {
-    MatMulNeon, AccATBNeon, AccABTNeon, AddNeon, AxpbyNeon, HadamardNeon,
+    MatMulNeon, AccATBNeon, AccABTNeon, AddNeon, AxpbyNeon, HadamardNeon, AdamStepNeon,
 };
 
 }  // namespace

@@ -1,17 +1,14 @@
 // Portable fallback kernels — the kScalar rung of the dispatch ladder.
 //
 // Plain C++ over raw pointers: blocking only over independent output
-// elements, every element's k-reduction in ascending order, one rounding per
-// multiply and add. On this rung even the GEMV and AccumulateABTranspose
-// paths keep the sequential reduction order, so these two are the only
-// copies of the exact GEMV and k > 1 AccumulateABTranspose:
-// KernelMode::kTiled runs them whatever rung is active (dispatch.h
-// ScalarGemv, ScalarAccumulateABTranspose). The rest of the table is the exact path of
-// every host without AVX2 (and of DEEPREST_SIMD=scalar, which the ci.sh
-// simd-off leg pins so the fallback path cannot rot).
+// elements, every element's reduction in ascending order, one rounding per
+// multiply and add. Every other rung reproduces these kernels bit for bit,
+// except the GEMV, which the vector rungs reduce across lanes: this rung's
+// GEMV is the only copy of the exact one, and KernelMode::kTiled runs it
+// whatever rung is active (dispatch.h ScalarGemv). The whole table is the
+// exact path of every host without AVX2 (and of DEEPREST_SIMD=scalar, which
+// the ci.sh simd-off leg pins so the fallback path cannot rot).
 #include "src/nn/simd/kernels.h"
-
-#include <cmath>
 
 namespace deeprest {
 namespace simd {
@@ -206,8 +203,16 @@ void HadamardScalar(const float* a, const float* b, float* out, size_t n) {
   }
 }
 
+void AdamStepScalar(const float* g, float* m, float* v, float* value, size_t n,
+                    const AdamStepParams& params) {
+  for (size_t i = 0; i < n; ++i) {
+    AdamElement(g[i], m[i], v[i], value[i], params);
+  }
+}
+
 const KernelTable kScalarTable = {
     MatMulScalar, AccATBScalar, AccABTScalar, AddScalar, AxpbyScalar, HadamardScalar,
+    AdamStepScalar,
 };
 
 }  // namespace

@@ -3,21 +3,24 @@
 // The dispatch layer (src/nn/simd/dispatch.h) promises two tiers of numeric
 // fidelity, and these tests pin both on EVERY rung the host can execute:
 //
-//   * BIT-IDENTICAL to plain C++: the mat-mat MatMul path,
-//     AccumulateATransposeB, and all element-wise kernels (Add, Axpby,
-//     Hadamard) keep each output element's reduction in ascending-k
-//     order with one rounding per multiply and per add — vector width changes
-//     which elements compute together, never how one element rounds.
-//   * ULP-BOUNDED: the m == 1 GEMV path and AccumulateABTranspose's k > 1
-//     dot products reassociate across lanes, so they are compared against an
-//     exact double-precision oracle under the standard reassociation bound
-//     |simd - exact| <= (k + 8) * eps * sum|terms|. The rank-1 (k == 1)
-//     AccumulateABTranspose has no reduction and is bit-identical to the
-//     scalar rung on every rung.
+//   * BIT-IDENTICAL to plain C++: every kernel but the GEMV. The mat-mat
+//     MatMul path, AccumulateATransposeB (every remainder of its 4-row
+//     blocks and column tiles), AccumulateABTranspose (k == 1 and k > 1,
+//     including the attention backward's per-window d_alpha shapes, every
+//     column tail and row-block remainder, and -0 products), the
+//     element-wise kernels (Add, Axpby, Hadamard) and AdamStep (five
+//     consecutive steps with zero and negative gradients) keep each output
+//     element's operations in the order of a plain loop written in this
+//     file, with one rounding per multiply, add, divide and square root —
+//     vector width changes which elements compute together, never how one
+//     element rounds. Each is compared with memcmp.
+//   * ULP-BOUNDED: the m == 1 GEMV path reassociates across lanes, so it is
+//     compared against an exact double-precision oracle under the standard
+//     reassociation bound |simd - exact| <= (k + 8) * eps * sum|terms|.
 //
-// kScalar is held to the stricter standard everywhere — its GEMV and
-// AccumulateABTranspose reduce sequentially too, and the default (kTiled)
-// mode runs exactly those two kernels whatever rung is active.
+// kScalar is held to the stricter standard for the GEMV too — it reduces
+// sequentially, and the default (kTiled) mode runs exactly that kernel
+// whatever rung is active.
 //
 // Every bit-exactness oracle is a loop written out in this file: the
 // default-mode Matrix entry points themselves run the ladder, so comparing a
@@ -108,8 +111,8 @@ Matrix AscendingATransposeB(const Matrix& a, const Matrix& b, const Matrix& seed
 }
 
 // out(n x m) = seed + a(n x k) * b(m x k)^T with each dot product summed in
-// double in ascending-k order, then rounded once and added: the scalar
-// rung's (and the default mode's) AccumulateABTranspose.
+// double in ascending-k order from +0, then rounded once and added: what
+// every rung's AccumulateABTranspose must reproduce.
 Matrix SequentialABTranspose(const Matrix& a, const Matrix& b, const Matrix& seed) {
   Matrix out = seed;
   for (size_t i = 0; i < a.rows(); ++i) {
@@ -193,12 +196,25 @@ TEST_F(SimdKernelsTest, GemvUlpBoundedOnEveryIsa) {
   }
 }
 
+// Shapes: the grid above as n = k, p = n, q = m, then p = 1..7 against
+// q in {1, 15, 16, 17, 69} at n = 1 and 13: every remainder of the 4-row
+// blocks, of the 8- and 16-wide column tiles and of the masked tail.
 TEST_F(SimdKernelsTest, AccumulateATransposeBBitIdenticalToAscendingLoopOnEveryIsa) {
   Rng rng(303);
   SetKernelMode(KernelMode::kTiled);
+  std::vector<Shape> shapes;  // (n, p, q): out(p x q) += a(n x p)^T * b(n x q)
   for (const Shape& s : kMatShapes) {
-    // out(p x q) += a(n x p)^T * b(n x q): reuse the grid as n=k, p=n, q=m.
-    const size_t n = s.k, p = s.n, q = s.m;
+    shapes.push_back({s.k, s.n, s.m});
+  }
+  for (size_t n : {1u, 13u}) {
+    for (size_t p = 1; p <= 7; ++p) {
+      for (size_t q : {1u, 15u, 16u, 17u, 69u}) {
+        shapes.push_back({n, p, q});
+      }
+    }
+  }
+  for (const Shape& s : shapes) {
+    const size_t n = s.n, p = s.k, q = s.m;
     Matrix a(n, p), b(n, q), seed(p, q);
     a.FillUniform(rng, 1.0f);
     b.FillUniform(rng, 1.0f);
@@ -220,49 +236,78 @@ TEST_F(SimdKernelsTest, AccumulateATransposeBBitIdenticalToAscendingLoopOnEveryI
   }
 }
 
-TEST_F(SimdKernelsTest, AccumulateABTransposeUlpBoundedOnEveryIsa) {
+// Every rung's k > 1 AccumulateABTranspose must reproduce the sequential
+// double chain bit for bit, and the default mode runs it on the active rung.
+// Shapes: the grid above, the attention backward's per-window d_alpha
+// (E x H times E x H transposed, E = 76, H = 8 and 12), and column tails
+// m in {1, 7, 9, 17} against row counts n in {1, 3, 5}. Random terms rarely
+// show a reassociated double sum once it is rounded to float, so two
+// elements pin the order instead:
+//   * row 0 of A is -0, row 0 of B is positive and out(0, 0) is seeded -0,
+//     so that element adds only -0 products to -0: it lands on +0 only if
+//     its chain starts at +0;
+//   * the first three terms of out(n-1, m-1) are 2^60, 1 and -2^60: the
+//     ascending chain loses the 1 (2^60 + 1 rounds back to 2^60), while a
+//     sum that pairs the two large terms first keeps it.
+TEST_F(SimdKernelsTest, AccumulateABTransposeBitIdenticalToSequentialLoopOnEveryIsa) {
   Rng rng(304);
+  SetKernelMode(KernelMode::kTiled);
+  std::vector<Shape> shapes;  // (n, k, m): out(n x m) += a(n x k) * b(m x k)^T
   for (const Shape& s : kMatShapes) {
-    // out(n x m) += a(n x k') * b(m x k')^T with k' = reduction length.
-    const size_t n = s.n, red = s.m == 1 ? s.k : s.m, m = s.k;
-    Matrix a(n, red), b(m, red), seed(n, m);
+    shapes.push_back({s.n, s.m == 1 ? s.k : s.m, s.k});
+  }
+  shapes.push_back({76, 8, 76});
+  shapes.push_back({76, 12, 76});
+  for (size_t n : {1u, 3u, 5u}) {
+    for (size_t m : {1u, 7u, 9u, 17u}) {
+      shapes.push_back({n, 2, m});
+      shapes.push_back({n, 12, m});
+    }
+  }
+  for (const Shape& s : shapes) {
+    Matrix a(s.n, s.k), b(s.m, s.k), seed(s.n, s.m);
     a.FillUniform(rng, 1.0f);
     b.FillUniform(rng, 1.0f);
     seed.FillUniform(rng, 1.0f);
-    std::vector<double> exact(n * m), term_mass(n * m);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        double acc = seed[i * m + j];
-        double mass = std::fabs(acc);
-        for (size_t c = 0; c < red; ++c) {
-          const double t = static_cast<double>(a[i * red + c]) * b[j * red + c];
-          acc += t;
-          mass += std::fabs(t);
-        }
-        exact[i * m + j] = acc;
-        term_mass[i * m + j] = mass;
-      }
+    for (size_t c = 0; c < s.k; ++c) {
+      a.At(0, c) = -0.0f;
+      b.At(0, c) = std::fabs(b.At(0, c));
     }
-    const double eps = 1.1920929e-7;
+    for (size_t j = 0; j < s.m; j += 2) {
+      seed.At(0, j) = -0.0f;
+    }
+    if (s.n > 1 && s.k >= 3) {
+      const float big = std::ldexp(1.0f, 30);
+      const size_t i = s.n - 1, j = s.m - 1;
+      a.At(i, 0) = big;
+      a.At(i, 1) = 1.0f;
+      a.At(i, 2) = -big;
+      b.At(j, 0) = big;
+      b.At(j, 1) = 1.0f;
+      b.At(j, 2) = big;
+    }
+    const Matrix exact = SequentialABTranspose(a, b, seed);
     for (simd::Isa isa : SupportedIsas()) {
       ASSERT_EQ(simd::ForceIsa(isa), isa);
       Matrix out = seed;
-      simd::AccumulateABTranspose(a.data(), b.data(), out.data(), n, red, m);
-      for (size_t i = 0; i < out.size(); ++i) {
-        const double bound = (static_cast<double>(red) + 8.0) * eps * term_mass[i] + 1e-12;
-        EXPECT_LE(std::fabs(out[i] - exact[i]), bound)
-            << simd::IsaName(isa) << " element " << i;
-      }
+      simd::AccumulateABTranspose(a.data(), b.data(), out.data(), s.n, s.k, s.m);
+      EXPECT_TRUE(BitIdentical(out, exact))
+          << simd::IsaName(isa) << " " << s.n << "x" << s.k << " * (" << s.m << "x" << s.k
+          << ")^T";
+      Matrix via_mode = seed;
+      AccumulateABTranspose(a, b, via_mode);
+      EXPECT_TRUE(BitIdentical(via_mode, exact))
+          << "AccumulateABTranspose on " << simd::IsaName(isa) << " " << s.n << "x" << s.k
+          << " * (" << s.m << "x" << s.k << ")^T";
     }
   }
 }
 
-// The portable fallback reduces sequentially on the REASSOCIATING paths too
-// (GEMV, AccumulateABTranspose), and the default mode runs exactly those
-// kernels whatever rung is active: both must match the sequential loops
-// above bit for bit. The ci.sh simd-off leg (DEEPREST_SIMD=scalar) relies on
-// the first half, training determinism on the second.
-TEST_F(SimdKernelsTest, ScalarIsaAndDefaultModeBitIdenticalOnReassociatingPaths) {
+// The portable fallback reduces the GEMV sequentially, and the default mode
+// runs exactly that kernel whatever rung is active: both must match the
+// ascending loop bit for bit. The ci.sh simd-off leg (DEEPREST_SIMD=scalar)
+// relies on the first half, training determinism on the second.
+TEST_F(SimdKernelsTest, ScalarIsaAndDefaultModeGemvBitIdenticalToSequentialLoop) {
   Rng rng(305);
   SetKernelMode(KernelMode::kTiled);
   for (const Shape& s : kMatShapes) {
@@ -271,20 +316,10 @@ TEST_F(SimdKernelsTest, ScalarIsaAndDefaultModeBitIdenticalOnReassociatingPaths)
     b.FillUniform(rng, 1.0f);
     const Matrix gemv = AscendingKProduct(a, b);
 
-    Matrix g(s.n, s.m), w(s.k, s.m), seed(s.n, s.k);
-    g.FillUniform(rng, 1.0f);
-    w.FillUniform(rng, 1.0f);
-    seed.FillUniform(rng, 1.0f);
-    const Matrix accabt = SequentialABTranspose(g, w, seed);
-
     ASSERT_EQ(simd::ForceIsa(simd::Isa::kScalar), simd::Isa::kScalar);
     Matrix out(s.n, 1);
     simd::MatMul(a.data(), b.data(), out.data(), s.n, s.k, 1);
     EXPECT_TRUE(BitIdentical(out, gemv)) << "scalar gemv " << s.n << "x" << s.k;
-    Matrix scalar_acc = seed;
-    simd::AccumulateABTranspose(g.data(), w.data(), scalar_acc.data(), s.n, s.m, s.k);
-    EXPECT_TRUE(BitIdentical(scalar_acc, accabt))
-        << "scalar accabt " << s.n << "x" << s.m << " * (" << s.k << "x" << s.m << ")^T";
 
     for (simd::Isa isa : SupportedIsas()) {
       ASSERT_EQ(simd::ForceIsa(isa), isa);
@@ -292,10 +327,6 @@ TEST_F(SimdKernelsTest, ScalarIsaAndDefaultModeBitIdenticalOnReassociatingPaths)
       MatMulInto(a, b, via_mode);
       EXPECT_TRUE(BitIdentical(via_mode, gemv))
           << "MatMulInto gemv on " << simd::IsaName(isa) << " " << s.n << "x" << s.k;
-      Matrix mode_acc = seed;
-      AccumulateABTranspose(g, w, mode_acc);
-      EXPECT_TRUE(BitIdentical(mode_acc, accabt))
-          << "AccumulateABTranspose on " << simd::IsaName(isa) << " " << s.n << "x" << s.m;
     }
   }
 }
@@ -361,6 +392,57 @@ TEST_F(SimdKernelsTest, ElementwiseKernelsBitExactOnEveryIsa) {
       simd::Hadamard(a.data(), b.data(), out.data(), n);
       EXPECT_EQ(std::memcmp(out.data(), had.data(), n * sizeof(float)), 0)
           << simd::IsaName(isa) << " Hadamard n=" << n;
+    }
+  }
+}
+
+// One Adam step as a plain loop, in AdamOptimizer's order.
+void PlainAdamStep(const std::vector<float>& g, std::vector<float>& m, std::vector<float>& v,
+                   std::vector<float>& value, const simd::AdamStepParams& p) {
+  for (size_t i = 0; i < g.size(); ++i) {
+    m[i] = p.beta1 * m[i] + (1.0f - p.beta1) * g[i];
+    v[i] = p.beta2 * v[i] + (1.0f - p.beta2) * g[i] * g[i];
+    const float m_hat = m[i] / p.bias1;
+    const float v_hat = v[i] / p.bias2;
+    value[i] -= p.learning_rate * m_hat / (std::sqrt(v_hat) + p.epsilon);
+  }
+}
+
+// Five consecutive steps from zeroed moments, at sizes straddling the 8- and
+// 16-lane boundaries. Every fourth gradient is zero (half of them -0) and the
+// rest span both signs and three orders of magnitude, so the update sees
+// zeros, sign flips and tiny second moments.
+TEST_F(SimdKernelsTest, AdamStepBitIdenticalToPlainLoopOnEveryIsa) {
+  for (size_t n : {1u, 7u, 15u, 16u, 17u, 69u, 1000u}) {
+    for (simd::Isa isa : SupportedIsas()) {
+      ASSERT_EQ(simd::ForceIsa(isa), isa);
+      Rng rng(312 + n);
+      std::vector<float> value(n);
+      for (size_t i = 0; i < n; ++i) {
+        value[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      }
+      std::vector<float> expected_value = value;
+      std::vector<float> m(n, 0.0f), v(n, 0.0f), expected_m(n, 0.0f), expected_v(n, 0.0f);
+      std::vector<float> g(n);
+      simd::AdamStepParams params = {
+          .beta1 = 0.9f, .beta2 = 0.999f, .learning_rate = 0.01f, .epsilon = 1e-8f};
+      for (int step = 1; step <= 5; ++step) {
+        for (size_t i = 0; i < n; ++i) {
+          const float scale = i % 3 == 0 ? 1e-3f : 1.0f;
+          g[i] = i % 4 == 0 ? (i % 8 == 0 ? 0.0f : -0.0f)
+                            : scale * static_cast<float>(rng.Uniform(-1.0, 1.0));
+        }
+        params.bias1 = 1.0f - std::pow(params.beta1, static_cast<float>(step));
+        params.bias2 = 1.0f - std::pow(params.beta2, static_cast<float>(step));
+        PlainAdamStep(g, expected_m, expected_v, expected_value, params);
+        simd::AdamStep(g.data(), m.data(), v.data(), value.data(), n, params);
+        EXPECT_EQ(std::memcmp(m.data(), expected_m.data(), n * sizeof(float)), 0)
+            << simd::IsaName(isa) << " m, n=" << n << " step " << step;
+        EXPECT_EQ(std::memcmp(v.data(), expected_v.data(), n * sizeof(float)), 0)
+            << simd::IsaName(isa) << " v, n=" << n << " step " << step;
+        EXPECT_EQ(std::memcmp(value.data(), expected_value.data(), n * sizeof(float)), 0)
+            << simd::IsaName(isa) << " value, n=" << n << " step " << step;
+      }
     }
   }
 }

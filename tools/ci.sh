@@ -14,7 +14,9 @@
 #                    force-disabled (DEEPREST_SIMD=scalar): the portable
 #                    fallback path can't rot; then the nn and core suites
 #                    pinned to the AVX2 rung (DEEPREST_SIMD=avx2), which an
-#                    AVX-512 host otherwise never executes
+#                    AVX-512 host otherwise never executes; then both
+#                    reference models trained on the default, AVX2 and
+#                    scalar rungs must come out byte-identical
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
 #                    registry, watchdog restarts, breakers, the steal sweep
 #                    around a wedged worker, chaos schedules; rides the chaos
@@ -95,6 +97,28 @@ DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
 # ladder clamps the request down on a host without AVX2, so this pass is the
 # scalar one again there.
 DEEPREST_SIMD=avx2 ctest --test-dir build --output-on-failure -R 'nn_tests|core_tests'
+# Training is exact on every rung, so each reference model must be the same
+# bytes whichever rung trained it (the small one hashes to eaf5b30f..., the
+# paper-size one to 3e1ef920...). The tests above check the trainer against
+# its oracle at the tests' own shapes; this checks the shipped model sizes.
+# The paper-size model takes a few seconds on the scalar rung.
+check_model_across_rungs() {
+  local name="$1"
+  shift
+  local sums=() rung model
+  for rung in auto avx2 scalar; do
+    model="build/ci_model_${name}_${rung}.bin"
+    DEEPREST_SIMD="$rung" build/tools/deeprest train --model="$model" "$@" >/dev/null
+    sums+=("$(sha256sum "$model" | cut -d' ' -f1)")
+    echo "    $name model, DEEPREST_SIMD=$rung: ${sums[-1]}"
+  done
+  if [[ "${sums[0]}" != "${sums[1]}" || "${sums[0]}" != "${sums[2]}" ]]; then
+    echo "    $name model: sha256 differs across rungs"
+    exit 1
+  fi
+}
+check_model_across_rungs small --days=2 --wpd=24 --hidden=8 --epochs=4
+check_model_across_rungs paper --days=7 --wpd=48 --hidden=12 --epochs=12
 
 echo "==> [4/10] resilience: self-healing suite by label"
 # Supported entry point for the supervision layer (watchdog restarts, the
