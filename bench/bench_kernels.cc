@@ -1,7 +1,9 @@
 // Hot-path benchmark: tiled GEMM kernels vs the preserved reference kernels,
-// one Adam step on the active and the scalar rung, the fused GRU step (the
-// tape-trained baseline's cell), end-to-end training/inference wall-clock,
-// and the parallel training harness. Writes every measurement to a JSON file
+// one Adam step on the active and the scalar rung, the owned sigmoid and tanh
+// against glibc, one all-expert GRU window in the lane layout against
+// per-expert GEMMs, the fused GRU step (the tape-trained baseline's cell),
+// end-to-end training/inference wall-clock, and the parallel training
+// harness. Writes every measurement to a JSON file
 // (default BENCH_kernels.json) so tools/bench_diff can compare runs.
 //
 // Usage: bench_kernels [--smoke] [--out <path>]
@@ -11,10 +13,14 @@
 //
 // The "reference" training and inference legs differ from the optimized legs
 // only in SetKernelMode(kReference): the same tape-free chunk trainer and
-// packed forward on the same binary, run on the preserved reference kernels.
-// Their epoch losses must match bit for bit (losses_bit_identical gates the
-// exit code).
+// packed forward on the same binary, with the Matrix-level GEMMs (the input
+// block, attention, heads and gradients) on the preserved reference kernels.
+// Both legs share the lane step: every expert's recurrence runs on
+// simd::LaneAccumulate, simd::Sigmoid and simd::Tanh in either mode. Their
+// epoch losses must match bit for bit (losses_bit_identical gates the exit
+// code).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -24,6 +30,7 @@
 #include "bench/common.h"
 #include "src/core/estimator.h"
 #include "src/eval/parallel.h"
+#include "src/nn/batched.h"
 #include "src/nn/layers.h"
 #include "src/nn/matrix.h"
 #include "src/nn/ops.h"
@@ -301,6 +308,116 @@ AdamResult BenchAdamStep(int iters, Rng& rng) {
   return result;
 }
 
+// ---- Owned nonlinearities ----
+
+// ns per element of simd::Sigmoid and simd::Tanh over one window's E·H
+// gates (E = 76, H = 8), on the active rung and the kScalar rung (the scalar
+// bodies), against glibc's expressions, which the bodies reproduce bit for
+// bit.
+struct NonlinearityResult {
+  size_t elements = 608;
+  double sigmoid_active_ns = 0, sigmoid_scalar_ns = 0, sigmoid_glibc_ns = 0;
+  double tanh_active_ns = 0, tanh_scalar_ns = 0, tanh_glibc_ns = 0;
+};
+
+NonlinearityResult BenchNonlinearity(int iters, Rng& rng) {
+  NonlinearityResult result;
+  const size_t n = result.elements;
+  std::vector<float> in(n), out(n);
+  for (float& v : in) {
+    v = static_cast<float>(rng.Uniform(-4.0, 4.0));  // gate pre-activations
+  }
+  const auto per_element = [&](auto&& fn) { return TimeNs(iters, fn) / n; };
+  const auto sigmoid = [&] { simd::Sigmoid(in.data(), out.data(), n); };
+  const auto tanh = [&] { simd::Tanh(in.data(), out.data(), n); };
+  simd::ResetIsa();
+  result.sigmoid_active_ns = per_element(sigmoid);
+  result.tanh_active_ns = per_element(tanh);
+  simd::ForceIsa(simd::Isa::kScalar);
+  result.sigmoid_scalar_ns = per_element(sigmoid);
+  result.tanh_scalar_ns = per_element(tanh);
+  simd::ResetIsa();
+  result.sigmoid_glibc_ns = per_element([&] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = 1.0f / (1.0f + std::exp(-in[i]));
+    }
+  });
+  result.tanh_glibc_ns = per_element([&] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = std::tanh(in[i]);
+    }
+  });
+  return result;
+}
+
+// ---- One all-expert GRU window ----
+
+// One window of every expert's recurrence at E = 76 for one row: the whole
+// LaneCoreStep, and its two simd::LaneAccumulate calls alone, against the
+// per-expert layout's E pairs of MatMulInto (h · [Uz;Uk]^T, then
+// (k.h) · Uh^T) that the lane layout replaced.
+struct LaneStepResult {
+  size_t hidden = 0;
+  size_t experts = 76;
+  double lane_step_ns = 0;
+  double lane_accumulate_ns = 0;
+  double per_expert_matmul_ns = 0;
+  double speedup() const {
+    return lane_accumulate_ns > 0 ? per_expert_matmul_ns / lane_accumulate_ns : 0;
+  }
+};
+
+LaneStepResult BenchLaneStep(size_t hidden, int iters, Rng& rng) {
+  LaneStepResult result;
+  result.hidden = hidden;
+  const size_t e = result.experts;
+  LaneCores cores;
+  cores.experts = e;
+  cores.lanes = LaneCount(e);
+  cores.hidden = hidden;
+  cores.u_zk = Matrix(hidden * 2 * hidden, cores.lanes);
+  cores.u_h = Matrix(hidden * hidden, cores.lanes);
+  cores.bias = Matrix(cores.gates(), cores.lanes);
+  for (Matrix* m : {&cores.u_zk, &cores.u_h, &cores.bias}) {
+    m->FillUniform(rng, 0.5f);
+  }
+  Matrix gates(cores.gates(), cores.lanes), state(hidden, cores.lanes);
+  gates.FillUniform(rng, 1.0f);
+  state.FillUniform(rng, 0.5f);
+  LaneStep step;
+  // Each call restarts from the same state, so the timed work never drifts.
+  Matrix h = state;
+  result.lane_step_ns = TimeNs(iters, [&] {
+    std::copy(state.data(), state.data() + state.size(), h.data());
+    LaneCoreStep(cores, gates.data(), h.data(), step);
+  });
+  // Zeroed with memset before each call, as LaneCoreStep does.
+  Matrix rec(2 * hidden, cores.lanes), cand(hidden, cores.lanes);
+  result.lane_accumulate_ns = TimeNs(iters, [&] {
+    std::memset(rec.data(), 0, rec.size() * sizeof(float));
+    simd::LaneAccumulate(state.data(), cores.u_zk.data(), rec.data(), hidden, 2 * hidden,
+                         cores.lanes);
+    std::memset(cand.data(), 0, cand.size() * sizeof(float));
+    simd::LaneAccumulate(state.data(), cores.u_h.data(), cand.data(), hidden, hidden,
+                         cores.lanes);
+  });
+  std::vector<Matrix> u_zk(e, Matrix(hidden, 2 * hidden)), u_h(e, Matrix(hidden, hidden));
+  std::vector<Matrix> hs(e, Matrix(1, hidden));
+  for (size_t i = 0; i < e; ++i) {
+    u_zk[i].FillUniform(rng, 0.5f);
+    u_h[i].FillUniform(rng, 0.5f);
+    hs[i].FillUniform(rng, 0.5f);
+  }
+  Matrix rec_row, cand_row;
+  result.per_expert_matmul_ns = TimeNs(iters, [&] {
+    for (size_t i = 0; i < e; ++i) {
+      MatMulInto(hs[i], u_zk[i], rec_row);
+      MatMulInto(hs[i], u_h[i], cand_row);
+    }
+  });
+  return result;
+}
+
 // ---- Single GRU step forward + backward ----
 
 struct StepResult {
@@ -455,8 +572,9 @@ ParallelResult BenchParallelTraining(const KernelFixture& fixture,
 void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
                const std::vector<GemmResult>& gemm, const BatchedGemmResult& batched,
                const std::vector<SimdResult>& simd_rows, const SimdGemmCheck& simd_check,
-               const AdamResult& adam, const StepResult& step, const TrainResult& train,
-               const ParallelResult& par) {
+               const AdamResult& adam, const NonlinearityResult& nonlinear,
+               const std::vector<LaneStepResult>& lane_steps, const StepResult& step,
+               const TrainResult& train, const ParallelResult& par) {
   std::FILE* f = std::fopen(options.out.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s for writing\n", options.out.c_str());
@@ -507,6 +625,25 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
                "  \"adam_step\": {\"floats\": %zu, \"active_ns\": %.1f, \"scalar_ns\": %.1f, "
                "\"speedup\": %.3f},\n",
                adam.floats, adam.active_ns, adam.scalar_ns, adam.speedup());
+  std::fprintf(f,
+               "  \"nonlinearity\": {\"elements\": %zu, \"sigmoid_active_ns\": %.2f, "
+               "\"sigmoid_scalar_ns\": %.2f, \"sigmoid_glibc_ns\": %.2f, "
+               "\"tanh_active_ns\": %.2f, \"tanh_scalar_ns\": %.2f, "
+               "\"tanh_glibc_ns\": %.2f},\n",
+               nonlinear.elements, nonlinear.sigmoid_active_ns, nonlinear.sigmoid_scalar_ns,
+               nonlinear.sigmoid_glibc_ns, nonlinear.tanh_active_ns, nonlinear.tanh_scalar_ns,
+               nonlinear.tanh_glibc_ns);
+  std::fprintf(f, "  \"lane_step\": [\n");
+  for (size_t i = 0; i < lane_steps.size(); ++i) {
+    const LaneStepResult& r = lane_steps[i];
+    std::fprintf(f,
+                 "    {\"name\": \"E=%zu H=%zu\", \"lane_step_ns\": %.1f, "
+                 "\"lane_accumulate_ns\": %.1f, \"per_expert_matmul_ns\": %.1f, "
+                 "\"speedup\": %.3f}%s\n",
+                 r.experts, r.hidden, r.lane_step_ns, r.lane_accumulate_ns,
+                 r.per_expert_matmul_ns, r.speedup(), i + 1 < lane_steps.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"gru_step\": {\"fused_ns\": %.1f, \"fused_nodes\": %llu},\n",
                step.fused_ns, static_cast<unsigned long long>(step.fused_nodes));
   std::fprintf(f,
@@ -607,6 +744,27 @@ int Run(const BenchOptions& options) {
   std::printf("  active %10.1f ns    scalar %10.1f ns    speedup %5.2fx\n", adam.active_ns,
               adam.scalar_ns, adam.speedup());
 
+  const NonlinearityResult nonlinear = BenchNonlinearity(options.smoke ? 50 : 20000, rng);
+  std::printf("\nOwned nonlinearities, ns per element over %zu (active: %s):\n",
+              nonlinear.elements, simd::IsaName(simd::ActiveIsa()));
+  std::printf("  sigmoid  active %6.2f    scalar %6.2f    glibc %6.2f\n",
+              nonlinear.sigmoid_active_ns, nonlinear.sigmoid_scalar_ns,
+              nonlinear.sigmoid_glibc_ns);
+  std::printf("  tanh     active %6.2f    scalar %6.2f    glibc %6.2f\n",
+              nonlinear.tanh_active_ns, nonlinear.tanh_scalar_ns, nonlinear.tanh_glibc_ns);
+
+  std::vector<LaneStepResult> lane_steps;
+  for (size_t hidden : {8u, 12u}) {
+    lane_steps.push_back(BenchLaneStep(hidden, options.smoke ? 50 : 20000, rng));
+  }
+  std::printf("\nOne all-expert GRU window (lane layout) vs per-expert MatMulInto pairs:\n");
+  for (const LaneStepResult& r : lane_steps) {
+    std::printf("  E=%zu H=%-3zu lane step %9.1f ns    LaneAccumulate x2 %9.1f ns    "
+                "%zu MatMulInto pairs %9.1f ns    speedup %5.2fx\n",
+                r.experts, r.hidden, r.lane_step_ns, r.lane_accumulate_ns, r.experts,
+                r.per_expert_matmul_ns, r.speedup());
+  }
+
   const StepResult step =
       BenchGruStep(/*in_dim=*/64, /*hidden=*/16, /*unroll=*/48, options.smoke ? 20 : 400);
   std::printf("\nGRU step fwd+bwd (64->16, unroll 48):\n");
@@ -637,7 +795,8 @@ int Run(const BenchOptions& options) {
     std::printf("  speedup %.2fx\n", par.speedup());
   }
 
-  WriteJson(options, fixture, gemm, batched, simd_rows, simd_check, adam, step, train, par);
+  WriteJson(options, fixture, gemm, batched, simd_rows, simd_check, adam, nonlinear, lane_steps,
+            step, train, par);
   std::printf("\nwrote %s\n", options.out.c_str());
   // Exit nonzero on a bit-exactness break always; on a failed SIMD gemm
   // check only in full mode (smoke iteration counts are too noisy to gate).

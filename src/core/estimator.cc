@@ -9,6 +9,7 @@
 
 #include "src/nn/quant.h"
 #include "src/nn/serialize.h"
+#include "src/nn/simd/dispatch.h"
 
 namespace deeprest {
 
@@ -217,32 +218,41 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     width[t] = w;
   }
 
-  // Expert i's rows x H hidden block is row i of `state` (state(i, b*hd + r)
-  // is row r of batch row b's state). Every row starts from the warm-start
-  // hidden state cached at train / load time — no per-call replay of
-  // learn_features_ — unless the query carries a continuation cursor, which
-  // seeds it with the stream's saved hidden state instead (raw float bits,
-  // so a resumed series is bit-identical to an unsplit one). A row whose
-  // query has ended is never stepped again, so it keeps its final state.
-  Matrix state(e, rows * hd);
+  // Row b's state is row b of `state`, in the lane layout of cores_
+  // (state(b, r·L + i) is row r of expert i's state). Every row starts from
+  // the warm-start hidden state cached at train / load time — no per-call
+  // replay of learn_features_ — unless the query carries a continuation
+  // cursor, which seeds it with the stream's saved hidden state instead (raw
+  // float bits, so a resumed series is bit-identical to an unsplit one). A
+  // row whose query has ended is never stepped again, so it keeps its final
+  // state.
+  const size_t lanes = cores_.lanes;
+  const size_t gate_rows = cores_.gates();
+  Matrix state(rows, hd * lanes);
   for (size_t b = 0; b < rows; ++b) {
     const StreamCursor* cursor = cursor_for(b);
     const bool resume = cursor != nullptr && cursor->hidden.size() == e * hd;
     const float* seed = resume ? cursor->hidden.data() : warm_hidden_.data();
-    for (size_t i = 0; i < e; ++i) {
-      std::copy(seed + i * hd, seed + (i + 1) * hd, state.data() + i * rows * hd + b * hd);
-    }
+    StateToLanes(seed, hd, cores_, state.data() + b * hd * lanes);
   }
 
   // The windows run in blocks of consecutive windows holding at most
   // kBlockPairs (row, window) pairs, or one window when it alone is wider.
   // A block's pairs are window-major: the width[t] rows of window t, then
   // those of t + 1. Each expert runs its input block as one GEMM over every
-  // pair and steps only U·h per window; attention and the heads then run
-  // once per block over the experts' state trajectories.
+  // pair, whose gate columns then move into the lane layout; every expert's
+  // core steps together per window and row. Attention and the heads then
+  // run once per block over the experts' state trajectories.
   const bool bypass = config_.use_linear_bypass;
   const bool attention = config_.use_attention;
   PackedScratch scratch;
+  LaneStep step;
+  std::vector<Matrix> gates(e);  // per expert, pairs x G (+3 bypass columns)
+  std::vector<const Matrix*> gate_blocks(e);
+  for (size_t i = 0; i < e; ++i) {
+    gate_blocks[i] = &gates[i];
+  }
+  Matrix lane_gates;  // pairs x G·L
   Matrix x;           // pairs x dim scaled inputs
   Matrix trajectory;  // e x (pairs * hd): each pair's state after its window
   Matrix attended;    // like trajectory
@@ -265,17 +275,17 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
       skip.SetShape(e, pairs * 3);
     }
     for (size_t i = 0; i < e; ++i) {
-      const PackedExpert& packed = packed_[i];
-      PackedInputBlock(packed, x, scratch.xm, scratch.gates);
-      const size_t g = scratch.gates.cols();
-      float* h = state.data() + i * rows * hd;
-      float* out = trajectory.data() + i * block;
-      for (size_t t = begin, first = 0; t < end; first += width[t], ++t) {
-        PackedCoreStep(packed, scratch.gates.data() + first * g, h, width[t], scratch);
-        std::copy(h, h + width[t] * hd, out + first * hd);
-      }
+      PackedInputBlock(packed_[i], x, scratch.xm, gates[i]);
       if (bypass) {
-        PackedBypass(packed, scratch.gates.data(), pairs, skip.data() + i * pairs * 3);
+        PackedBypass(packed_[i], gates[i].data(), pairs, skip.data() + i * pairs * 3);
+      }
+    }
+    GatesToLanes(gate_blocks, gate_rows, lanes, lane_gates);
+    for (size_t t = begin, pair = 0; t < end; ++t) {
+      for (size_t b = 0; b < width[t]; ++b, ++pair) {
+        float* h = state.data() + b * hd * lanes;
+        LaneCoreStep(cores_, lane_gates.data() + pair * gate_rows * lanes, h, step);
+        StateFromLanes(h, cores_, trajectory.data() + pair * hd, block);
       }
     }
     if (attention) {
@@ -312,10 +322,7 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
       continue;
     }
     cursor->hidden.resize(e * hd);
-    for (size_t i = 0; i < e; ++i) {
-      const float* row = state.data() + i * rows * hd + b * hd;
-      std::copy(row, row + hd, cursor->hidden.data() + i * hd);
-    }
+    StateFromLanes(state.data() + b * hd * lanes, cores_, cursor->hidden.data(), hd);
     cursor->steps += series(b).size();
   }
   return results;
@@ -348,18 +355,34 @@ void DeepRestEstimator::RefreshWarmStartCache() {
 
 void DeepRestEstimator::RefreshInferencePack() {
   // Packs in place: the chunk trainer repacks after every optimizer step.
-  packed_.resize(experts_.size());
-  for (size_t i = 0; i < experts_.size(); ++i) {
+  const size_t e = experts_.size();
+  const size_t hd = config_.hidden_dim;
+  packed_.resize(e);
+  cores_.experts = e;
+  cores_.lanes = LaneCount(e);
+  cores_.hidden = hd;
+  cores_.recurrent = config_.use_recurrence;
+  // Padded lanes keep zero weights and bias.
+  cores_.bias.SetShape(cores_.gates(), cores_.lanes);
+  cores_.bias.Zero();
+  if (config_.use_recurrence) {
+    cores_.u_zk.SetShape(hd * 2 * hd, cores_.lanes);
+    cores_.u_zk.Zero();
+    cores_.u_h.SetShape(hd * hd, cores_.lanes);
+    cores_.u_h.Zero();
+  } else {
+    cores_.u_zk = Matrix();
+    cores_.u_h = Matrix();
+  }
+  Matrix stacked;
+  for (size_t i = 0; i < e; ++i) {
     const Expert& expert = experts_[i];
     PackedExpert& p = packed_[i];
-    p.hidden = config_.hidden_dim;
-    p.recurrent = config_.use_recurrence;
+    p.hidden = hd;
     if (config_.use_api_mask) {
       const Matrix& logits = expert.mask.value();
       p.mask.SetShape(1, logits.size());
-      for (size_t d = 0; d < logits.size(); ++d) {
-        p.mask[d] = 1.0f / (1.0f + std::exp(-logits[d]));
-      }
+      simd::Sigmoid(logits.data(), p.mask.data(), logits.size());
     } else {
       p.mask = Matrix();
     }
@@ -367,14 +390,16 @@ void DeepRestEstimator::RefreshInferencePack() {
     if (config_.use_recurrence) {
       const GruCell& gru = expert.gru;
       in_blocks = {&gru.wz().value(), &gru.wk().value(), &gru.wh().value()};
-      StackRowsInto({&gru.bz().value(), &gru.bk().value(), &gru.bh().value()}, p.bias);
-      StackTransposedInto({&gru.uz().value(), &gru.uk().value()}, p.u_zk);
-      StackTransposedInto({&gru.uh().value()}, p.u_h);
+      // Lane i holds this expert's [Uz;Uk]^T, Uh^T and [bz;bk;bh].
+      StackTransposedInto({&gru.uz().value(), &gru.uk().value()}, stacked);
+      PackLane(stacked, i, cores_.u_zk);
+      StackTransposedInto({&gru.uh().value()}, stacked);
+      PackLane(stacked, i, cores_.u_h);
+      StackRowsInto({&gru.bz().value(), &gru.bk().value(), &gru.bh().value()}, stacked);
+      PackLane(stacked, i, cores_.bias);
     } else {
       in_blocks = {&expert.ff.weight().value()};
-      p.bias = expert.ff.bias().value();
-      p.u_zk = Matrix();
-      p.u_h = Matrix();
+      PackLane(expert.ff.bias().value(), i, cores_.bias);
     }
     if (config_.use_linear_bypass) {
       in_blocks.push_back(&expert.skip.weight().value());
@@ -435,6 +460,9 @@ std::vector<double> DeepRestEstimator::FeatureMask(const MetricKey& key) const {
   const Matrix& logits = experts_[index].mask.value();
   std::vector<double> mask(logits.size());
   for (size_t d = 0; d < logits.size(); ++d) {
+    // Introspection in double (ApiInfluence, Fig. 22); the model's own mask
+    // is the float simd::Sigmoid of RefreshInferencePack.
+    // deeprest-lint: allow(owned-nonlinearities)
     mask[d] = 1.0 / (1.0 + std::exp(-static_cast<double>(logits[d])));
   }
   return mask;

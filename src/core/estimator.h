@@ -272,8 +272,8 @@ class DeepRestEstimator {
   // TransferRecurrentWeightsFrom, LoadFromStream, CompressParametersToFp16)
   // so the const inference surface can read both caches lock-free.
   void RefreshWarmStartCache();
-  // Rebuilds packed_ and packed_attention_ from the current parameters and
-  // config_.
+  // Rebuilds packed_, cores_ and packed_attention_ from the current
+  // parameters and config_.
   void RefreshInferencePack();
 
   EstimatorConfig config_;
@@ -291,9 +291,11 @@ class DeepRestEstimator {
   std::vector<float> warm_hidden_;
   // Derived weights of the batch-row-major forward (src/nn/batched.h) that
   // inference and the chunk trainer run on, parallel to experts_:
-  // sigmoid(mask), the stacked transposed input block [Wz;Wk;Wh;skip]^T,
-  // [Uz;Uk]^T, Uh^T and head^T. Not serialized; see RefreshInferencePack.
+  // sigmoid(mask), the stacked transposed input block [Wz;Wk;Wh;skip]^T and
+  // head^T. Not serialized; see RefreshInferencePack.
   std::vector<PackedExpert> packed_;
+  // Every expert's [Uz;Uk]^T, Uh^T and gate bias in the lane layout.
+  LaneCores cores_;
   Matrix packed_attention_;  // alpha . diag mask (E x E); empty without attention
   double train_seconds_ = 0.0;
   std::vector<float> epoch_losses_;

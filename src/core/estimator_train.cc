@@ -3,8 +3,10 @@
 // Each truncated-BPTT chunk of T windows runs forward on the packed
 // batch-row-major layout inference uses (src/nn/batched.h): the windows are
 // scaled once, every h-independent term of an expert is one T x D · D x G
-// GEMM on its packed w_in, and only U·h steps per window. Attention and the
-// heads do not feed the recurrence, so they run once per chunk too.
+// GEMM on its packed w_in, and only the recurrent core steps per window,
+// every expert at once in the lane layout (LaneCoreStep), filling each
+// expert's tape rows from the lane buffers. Attention and the heads do not
+// feed the recurrence, so they run once per chunk too.
 //
 // The backward is written by hand and writes each parameter's gradient with
 // the same kernels, and in the same per-buffer order, as the reverse sweep
@@ -148,32 +150,47 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
   for (size_t r = 0; r < steps; ++r) {
     ScaleWindow(features[end - 1 - r], s.x.data() + r * dim);
   }
-  s.state.SetShape(e, block);
+  const size_t lanes = cores_.lanes;
+  const size_t gate_rows = cores_.gates();
+  s.gate_blocks.resize(e);
   for (size_t i = 0; i < e; ++i) {
-    const PackedExpert& p = packed_[i];
     TrainScratch::ExpertTape& tape = s.tapes[i];
-    PackedInputBlock(p, s.x, tape.xm, tape.gates);
-    const size_t g = tape.gates.cols();
+    PackedInputBlock(packed_[i], s.x, tape.xm, tape.gates);
+    s.gate_blocks[i] = &tape.gates;
     if (recurrent) {
       for (Matrix* m : {&tape.h_prev, &tape.z, &tape.k, &tape.hc, &tape.kh}) {
         m->SetShape(steps, hd);
       }
     }
-    float* h = hidden.data() + i * hd;
-    float* trajectory = s.state.data() + i * block;
-    for (size_t r = steps; r-- > 0;) {  // oldest window first
-      PackedCoreStep(p, tape.gates.data() + r * g, h, 1, s.step);
-      if (recurrent) {
-        const size_t at = r * hd;
-        std::memcpy(tape.h_prev.data() + at, s.step.h.data(), hd * sizeof(float));
-        std::memcpy(tape.z.data() + at, s.step.z.data(), hd * sizeof(float));
-        std::memcpy(tape.k.data() + at, s.step.k.data(), hd * sizeof(float));
-        std::memcpy(tape.hc.data() + at, s.step.hc.data(), hd * sizeof(float));
-        std::memcpy(tape.kh.data() + at, s.step.kh.data(), hd * sizeof(float));
+  }
+  GatesToLanes(s.gate_blocks, gate_rows, lanes, s.lane_gates);
+  // Every expert's core steps together, in the lane layout (state(r·L + i)
+  // is row r of expert i's state); each window's internals then go to the
+  // experts' tapes and its state to the trajectory.
+  s.lane_state.SetShape(hd, lanes);
+  s.lane_state.Zero();
+  StateToLanes(hidden.data(), hd, cores_, s.lane_state.data());
+  s.state.SetShape(e, block);
+  const LaneStep& step = s.step;
+  const size_t n = hd * lanes;
+  for (size_t r = steps; r-- > 0;) {  // oldest window first
+    LaneCoreStep(cores_, s.lane_gates.data() + r * gate_rows * lanes, s.lane_state.data(),
+                 s.step);
+    const size_t at = r * hd;
+    StateFromLanes(s.lane_state.data(), cores_, s.state.data() + at, block);
+    for (size_t i = 0; recurrent && i < e; ++i) {
+      TrainScratch::ExpertTape& tape = s.tapes[i];
+      for (size_t c = 0; c < hd; ++c) {
+        const size_t lane = c * lanes + i;
+        tape.h_prev[at + c] = step.h[lane];
+        tape.z[at + c] = step.zk[lane];
+        tape.k[at + c] = step.zk[n + lane];
+        tape.hc[at + c] = step.hc[lane];
+        tape.kh[at + c] = step.kh[lane];
       }
-      std::memcpy(trajectory + r * hd, h, hd * sizeof(float));
     }
   }
+  StateFromLanes(s.lane_state.data(), cores_, hidden.data(), hd);
   if (attention) {
     MatMulInto(packed_attention_, s.state, s.attended);
   }
@@ -194,9 +211,9 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     }
     PackedExpertHead(p, attention ? s.attended.data() + i * block : nullptr,
                      s.state.data() + i * block, bypass ? s.bypass.data() : nullptr, steps,
-                     s.step);
-    std::swap(tape.concat, s.step.concat);
-    const Matrix& y = s.step.y;
+                     s.head);
+    std::swap(tape.concat, s.head.concat);
+    const Matrix& y = s.head.y;
     tape.head_grad.SetShape(steps, 3);
     for (size_t r = 0; r < steps; ++r) {
       const float target = targets[i][end - 1 - r];

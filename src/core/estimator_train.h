@@ -35,7 +35,11 @@ struct DeepRestEstimator::TrainScratch {
 
   std::vector<ExpertTape> tapes;        // one per expert
   std::vector<Matrix> x_grad_weights;   // per expert C x D, e.g. [skip; Wk; Wh; Wz]
-  PackedScratch step;                   // packed-step temporaries
+  std::vector<const Matrix*> gate_blocks;  // each expert's tape.gates
+  Matrix lane_gates;                    // T x G·L: the gates in lane layout
+  Matrix lane_state;                    // H x L: every expert's state
+  LaneStep step;                        // one all-expert step's internals
+  PackedScratch head;                   // head temporaries
   Matrix x;                             // T x D scaled windows
   Matrix bypass;                        // T x 3
   Matrix state, attended;               // E x T·H: block r of row i is

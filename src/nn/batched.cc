@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
+
+#include "src/nn/simd/dispatch.h"
 
 namespace deeprest {
 
@@ -30,59 +31,96 @@ void PackedInputBlock(const PackedExpert& p, const Matrix& x, Matrix& xm, Matrix
   MatMulInto(*masked, p.w_in, gates);
 }
 
-void PackedCoreStep(const PackedExpert& p, const float* gates, float* state, size_t batch,
-                    PackedScratch& s) {
-  const size_t hd = p.hidden;
-  const size_t g = p.w_in.cols();
-  const float* bias = p.bias.data();
-  if (!p.recurrent) {
-    // Feed-forward core (use_recurrence ablation): h' = tanh(Wff x + bff).
-    for (size_t b = 0; b < batch; ++b) {
-      const float* grow = gates + b * g;
-      float* out = state + b * hd;
-      for (size_t r = 0; r < hd; ++r) {
-        out[r] = std::tanh(grow[r] + bias[r]);
+size_t LaneCount(size_t experts) { return (experts + 15) / 16 * 16; }
+
+void PackLane(const Matrix& block, size_t i, Matrix& lanes) {
+  assert(block.size() == lanes.rows() && i < lanes.cols());
+  for (size_t f = 0; f < block.size(); ++f) {
+    lanes.At(f, i) = block[f];
+  }
+}
+
+void GatesToLanes(const std::vector<const Matrix*>& gates, size_t g, size_t lanes, Matrix& out) {
+  const size_t experts = gates.size();
+  const size_t pairs = gates.front()->rows();
+  const size_t stride = gates.front()->cols();
+  out.SetShape(pairs, g * lanes);
+  std::vector<const float*> src(experts);
+  for (size_t i = 0; i < experts; ++i) {
+    src[i] = gates[i]->data();
+  }
+  // Expert-innermost: each output row is written in order, and the E source
+  // rows it reads stay in L1 across the g rows of a pair.
+  for (size_t p = 0; p < pairs; ++p) {
+    for (size_t j = 0; j < g; ++j) {
+      float* row = out.data() + (p * g + j) * lanes;
+      const size_t at = p * stride + j;
+      for (size_t i = 0; i < experts; ++i) {
+        row[i] = src[i][at];
       }
+      std::fill(row + experts, row + lanes, 0.0f);
     }
+  }
+}
+
+void StateToLanes(const float* expert, size_t stride, const LaneCores& cores, float* lanes) {
+  for (size_t i = 0; i < cores.experts; ++i) {
+    for (size_t r = 0; r < cores.hidden; ++r) {
+      lanes[r * cores.lanes + i] = expert[i * stride + r];
+    }
+  }
+}
+
+void StateFromLanes(const float* lanes, const LaneCores& cores, float* expert, size_t stride) {
+  for (size_t i = 0; i < cores.experts; ++i) {
+    for (size_t r = 0; r < cores.hidden; ++r) {
+      expert[i * stride + r] = lanes[r * cores.lanes + i];
+    }
+  }
+}
+
+void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneStep& s) {
+  const size_t lanes = cores.lanes;
+  const size_t n = cores.hidden * lanes;  // one H x L block
+  const float* bias = cores.bias.data();
+  if (!cores.recurrent) {
+    // Feed-forward core (use_recurrence ablation): h' = tanh(Wff x + bff).
+    simd::Add(gates, bias, state, n);
+    simd::Tanh(state, state, n);
     return;
   }
-  // Same association as the oracle's GRU step: z = sigmoid((Wz x + Uz h) +
-  // bz), k = sigmoid((Wk x + Uk h) + bk), h~ = tanh((Wh x + Uh (k.h)) + bh),
-  // h' = (z.h) + ((-1*z + 1) . h~).
-  s.h.SetShape(batch, hd);
-  std::memcpy(s.h.data(), state, batch * hd * sizeof(float));
-  MatMulInto(s.h, p.u_zk, s.rec);
-  s.z.SetShape(batch, hd);
-  s.k.SetShape(batch, hd);
-  s.kh.SetShape(batch, hd);
-  for (size_t b = 0; b < batch; ++b) {
-    const float* grow = gates + b * g;
-    const float* rrow = s.rec.data() + b * 2 * hd;
-    const float* hrow = s.h.data() + b * hd;
-    float* zrow = s.z.data() + b * hd;
-    float* krow = s.k.data() + b * hd;
-    float* khrow = s.kh.data() + b * hd;
-    for (size_t r = 0; r < hd; ++r) {
-      zrow[r] = 1.0f / (1.0f + std::exp(-((grow[r] + rrow[r]) + bias[r])));
-      krow[r] = 1.0f / (1.0f + std::exp(-((grow[hd + r] + rrow[hd + r]) + bias[hd + r])));
-      khrow[r] = krow[r] * hrow[r];
-    }
+  const size_t hd = cores.hidden;
+  s.h.SetShape(hd, lanes);
+  std::memcpy(s.h.data(), state, n * sizeof(float));
+  // z | k = sigmoid((Wx + [Uz;Uk]·h) + b): the U·h chains start from a
+  // zeroed buffer, MatMulInto's +0 (memset writes +0 and is far cheaper
+  // here than a fill loop).
+  s.zk.SetShape(2 * hd, lanes);
+  std::memset(s.zk.data(), 0, 2 * n * sizeof(float));
+  simd::LaneAccumulate(s.h.data(), cores.u_zk.data(), s.zk.data(), hd, 2 * hd, lanes);
+  simd::Add(gates, s.zk.data(), s.zk.data(), 2 * n);
+  simd::Add(s.zk.data(), bias, s.zk.data(), 2 * n);
+  simd::Sigmoid(s.zk.data(), s.zk.data(), 2 * n);
+  const float* z = s.zk.data();
+  const float* k = s.zk.data() + n;
+  // h~ = tanh((Wh x + Uh·(k.h)) + bh).
+  s.kh.SetShape(hd, lanes);
+  simd::Hadamard(k, s.h.data(), s.kh.data(), n);
+  s.hc.SetShape(hd, lanes);
+  std::memset(s.hc.data(), 0, n * sizeof(float));
+  simd::LaneAccumulate(s.kh.data(), cores.u_h.data(), s.hc.data(), hd, hd, lanes);
+  simd::Add(gates + 2 * n, s.hc.data(), s.hc.data(), n);
+  simd::Add(s.hc.data(), bias + 2 * n, s.hc.data(), n);
+  simd::Tanh(s.hc.data(), s.hc.data(), n);
+  // h' = (z.h) + ((-1·z + 1).h~), with 1 + (-1·z) == (-1·z) + 1.
+  if (s.ones.size() != n) {
+    s.ones = Matrix(hd, lanes, 1.0f);
   }
-  MatMulInto(s.kh, p.u_h, s.cand);
-  s.hc.SetShape(batch, hd);
-  for (size_t b = 0; b < batch; ++b) {
-    const float* grow = gates + b * g + 2 * hd;
-    const float* crow = s.cand.data() + b * hd;
-    const float* hrow = s.h.data() + b * hd;
-    const float* zrow = s.z.data() + b * hd;
-    float* hcrow = s.hc.data() + b * hd;
-    float* out = state + b * hd;
-    for (size_t r = 0; r < hd; ++r) {
-      hcrow[r] = std::tanh((grow[r] + crow[r]) + bias[2 * hd + r]);
-      const float omz = -1.0f * zrow[r] + 1.0f;
-      out[r] = (zrow[r] * hrow[r]) + (omz * hcrow[r]);
-    }
-  }
+  s.omz.SetShape(hd, lanes);
+  simd::Axpby(s.ones.data(), z, -1.0f, s.omz.data(), n);
+  simd::Hadamard(s.omz.data(), s.hc.data(), s.omz.data(), n);
+  simd::Hadamard(z, s.h.data(), state, n);
+  simd::Add(state, s.omz.data(), state, n);
 }
 
 void PackedBypass(const PackedExpert& p, const float* gates, size_t batch, float* bypass) {

@@ -2,19 +2,21 @@
 // weights.
 //
 // Every activation is a row-major matrix with one row per (query, window)
-// pair, and each expert's weights are packed once per model, transposed and
-// stacked (PackedExpert), so an expert's work over a block of pairs is four
-// mat-mat GEMMs:
+// pair, and each expert's input block and heads are packed once per model,
+// transposed and stacked (PackedExpert), so an expert's work over a block of
+// pairs is two mat-mat GEMMs:
 //
 //   gates = xm · [Wz;Wk;Wh;skip]^T   (P x D)  * (D x (3H+3))  once per block
-//   rec   = h  · [Uz;Uk]^T           (B x H)  * (H x 2H)      per window
-//   cand  = (k.h) · Uh^T             (B x H)  * (H x H)       per window
 //   y     = [a ; h] · head^T         (P x 2H) * (2H x 3)      once per block
 //
 // Only the recurrent core depends on the previous window, so only it steps
-// per window, over the B rows still running. Cross-expert attention over
-// every expert's state is one more GEMM on the stacked state trajectory
-// S (E x P·H, expert i's hidden row r at pair p at S(i, p·H + r)):
+// per window. It steps every expert at once (LaneCoreStep), one row at a
+// time, in the lane layout of LaneCores: the gate columns move into that
+// layout once per block (GatesToLanes), and each window makes one
+// simd::LaneAccumulate call for every expert's [Uz;Uk]·h, one for Uh·(k.h)
+// and one simd::Sigmoid / simd::Tanh call over E·2H / E·H gates. Cross-expert
+// attention over every expert's state is one more GEMM on the stacked state
+// trajectory S (E x P·H, expert i's hidden row r at pair p at S(i, p·H + r)):
 // attended = masked_alpha (E x E) · S. The weights stream through the cache
 // once per block instead of once per query and window. These kernels
 // operate on plain Matrix values (no autograd graph, no TensorNode
@@ -27,15 +29,17 @@
 // (the tests' oracle, tests/testing/reference_graph.h) performs for that
 // query alone. Every GEMM output element is an ascending-k chain of
 // separately rounded multiplies and adds starting from 0 — the order
-// MatMulInto keeps on both its GEMV and its mat-mat paths — and IEEE
+// MatMulInto keeps on both its GEMV and its mat-mat paths, and the order
+// simd::LaneAccumulate keeps in every lane on a zeroed buffer — and IEEE
 // multiplication is commutative, so (x · W^T)(b, j) equals (W · x)(j) bit
-// for bit. Stacking gates, stacking rows from several windows, or padding
-// the head input with a zero attended half changes which elements compute
-// together, never how one rounds. The
+// for bit. Stacking gates, stacking rows from several windows, padding the
+// head input with a zero attended half, or giving each expert a lane
+// changes which elements compute together, never how one rounds. The
 // element-wise arithmetic copies the oracle's association term for term
-// (e.g. sigmoid((Wx + Uh) + b) and (head + hb) + (skip + sb)). Rows never
-// interact, so a width-B batch returns, per query, the exact bits the
-// width-1 path returns. batched_inference_test.cc enforces this.
+// (e.g. sigmoid((Wx + Uh) + b) and (head + hb) + (skip + sb)), and every
+// sigmoid and tanh, the oracle's included, is simd::Sigmoid / simd::Tanh.
+// Rows never interact, so a width-B batch returns, per query, the exact bits
+// the width-1 path returns. batched_inference_test.cc enforces this.
 #ifndef SRC_NN_BATCHED_H_
 #define SRC_NN_BATCHED_H_
 
@@ -47,31 +51,65 @@
 namespace deeprest {
 
 // One expert's inference weights, packed (transposed and stacked) for the
-// batch-row-major step. Derived from the trained parameters, never
-// serialized.
+// batch-row-major input block and heads. Derived from the trained
+// parameters, never serialized. The recurrent cores of all experts are
+// packed together in LaneCores.
 struct PackedExpert {
-  size_t hidden = 0;     // H
-  bool recurrent = true;  // GRU core; false = feed-forward tanh core
-  Matrix mask;      // 1 x D sigmoid(mask logits); empty = no API mask
-  // Input block, G = 3H (GRU: z, k, h~ gates) or H (feed-forward core),
-  // plus 3 bypass columns when skip_b is non-empty.
-  Matrix w_in;      // D x G
-  Matrix bias;      // 3H x 1 [bz;bk;bh], or H x 1 feed-forward bias
-  Matrix u_zk;      // H x 2H [Uz;Uk]^T (GRU only)
-  Matrix u_h;       // H x H Uh^T (GRU only)
-  Matrix head;      // 2H x 3 head^T
-  Matrix head_b;    // 3 x 1
-  Matrix skip_b;    // 3 x 1; empty = no linear bypass
+  size_t hidden = 0;  // H
+  Matrix mask;        // 1 x D sigmoid(mask logits); empty = no API mask
+  // Input block: the G gate columns (G = 3H, the GRU's z, k and h~ gates, or
+  // H for the feed-forward core), plus 3 bypass columns when skip_b is
+  // non-empty.
+  Matrix w_in;    // D x (G or G + 3)
+  Matrix head;    // 2H x 3 head^T
+  Matrix head_b;  // 3 x 1
+  Matrix skip_b;  // 3 x 1; empty = no linear bypass
 };
 
-// Scratch buffers reused across steps so the steady-state step makes no
+// Every expert's recurrent core in the lane layout: element r of expert i's
+// state, gates or bias sits at r·L + i, where the lane count L is E rounded
+// up to a multiple of 16 (LaneCount). One call of each kernel then steps all
+// E experts: simd::LaneAccumulate computes U·h with one lane per expert, and
+// the gate math runs on rows of E·H. The padded lanes E..L-1 carry zero
+// weights, zero bias and zero gates, so their state stays exactly 0:
+// sigmoid(0)·0 + (1 - sigmoid(0))·tanh(0) = 0. Derived from the trained
+// parameters, never serialized.
+struct LaneCores {
+  size_t experts = 0;      // E
+  size_t lanes = 0;        // L
+  size_t hidden = 0;       // H
+  bool recurrent = true;   // GRU core; false = feed-forward tanh core
+  Matrix u_zk;  // (H·2H) x L: [Uz;Uk]^T, entry (c, j) of expert i at (c·2H + j, i)
+  Matrix u_h;   // (H·H) x L: Uh^T, entry (c, j) of expert i at (c·H + j, i)
+  Matrix bias;  // gates() x L: [bz;bk;bh], or the feed-forward bias
+
+  // Gate rows per lane: 3H for the GRU, H for the feed-forward core.
+  size_t gates() const { return recurrent ? 3 * hidden : hidden; }
+};
+
+// E rounded up to a multiple of 16: one AVX-512 register of lanes.
+size_t LaneCount(size_t experts);
+
+// Puts one expert's block into its lane: lanes(f, i) = block[f] for every
+// entry f of the row-major block, e.g. [Uz;Uk]^T (c, j) into row c·2H + j.
+void PackLane(const Matrix& block, size_t i, Matrix& lanes);
+
+// Scratch buffers reused across calls so the steady state makes no
 // allocator calls. One instance per estimation call; not thread-safe.
 struct PackedScratch {
-  Matrix xm;                // P x D masked input
-  Matrix gates;             // P x G input-block products
-  Matrix h, rec, z, k, hc, kh, cand;  // GRU internals (B x H, rec is B x 2H)
-  Matrix concat;            // P x 2H head input [attended ; hidden]
-  Matrix y;                 // P x 3 head output
+  Matrix xm;      // P x D masked input
+  Matrix concat;  // P x 2H head input [attended ; hidden]
+  Matrix y;       // P x 3 head output
+};
+
+// One all-expert step's buffers, each in lane layout. After a GRU step they
+// hold its internals, which the trainer saves for its backward pass: h (the
+// previous state, H x L), zk (z, then k: 2H x L), hc (h~, H x L) and kh
+// (k . h, H x L).
+struct LaneStep {
+  Matrix h, zk, hc, kh;
+  Matrix omz;   // H x L: 1 - z, then (1 - z) . h~
+  Matrix ones;  // H x L of 1
 };
 
 // The h-independent half of a step, for any number of rows: x~ = sigmoid(m)
@@ -80,13 +118,25 @@ struct PackedScratch {
 // windows, the trainer once per BPTT chunk.
 void PackedInputBlock(const PackedExpert& p, const Matrix& x, Matrix& xm, Matrix& gates);
 
-// The recurrent half: advances the core one window for B rows whose
-// input-block products are `gates` (B rows of w_in.cols() floats). `state`
-// (B x H) is read and overwritten. A GRU core leaves the step's internals in
-// `s` — h (the previous state), z, k, hc (h~) and kh (k . h), each B x H —
-// which the trainer saves for its backward pass.
-void PackedCoreStep(const PackedExpert& p, const float* gates, float* state, size_t batch,
-                    PackedScratch& s);
+// Moves the gate columns of every expert into the lane layout:
+// out(p, j·L + i) = gates[i](p, j) for the first g columns of every row p
+// (the bypass columns stay behind), zero in the padded lanes. gates[i] is
+// expert i's P x (g or g + 3) input-block product.
+void GatesToLanes(const std::vector<const Matrix*>& gates, size_t g, size_t lanes, Matrix& out);
+
+// Moves one row's state between the expert-major layout (expert i's H
+// floats at expert[i·stride, i·stride + H)) and the lane layout (H x L,
+// row r of expert i at lanes[r·L + i]). The padded lanes are left as they
+// are.
+void StateToLanes(const float* expert, size_t stride, const LaneCores& cores, float* lanes);
+void StateFromLanes(const float* lanes, const LaneCores& cores, float* expert, size_t stride);
+
+// Advances every expert's core one window for one row whose input-block
+// products are `gates` (cores.gates() x L, lane layout). `state` (H x L) is
+// read and overwritten. The association of every operation is the oracle's
+// GRU step's: z | k = sigmoid((Wx + U·h) + b), h~ = tanh((Wx + Uh·(k.h)) +
+// bh), h' = (z.h) + ((-1·z + 1).h~); the feed-forward core is tanh(Wx + b).
+void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneStep& s);
 
 // bypass(b, j) = (skip · x~)(b, j) + skip_b[j], read from the bypass columns
 // of `gates` (B rows of w_in.cols() floats) into `bypass` (B x 3).

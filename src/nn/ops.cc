@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/nn/simd/dispatch.h"
+
 namespace deeprest {
 
 namespace {
@@ -269,21 +271,13 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
 Tensor Sigmoid(const Tensor& a) {
   Tensor out = Tensor::NewOp(a.rows(), a.cols(), "sigmoid", SigmoidBackward, a);
-  const Matrix& av = a.value();
-  Matrix& ov = out.mutable_value();
-  for (size_t i = 0; i < av.size(); ++i) {
-    ov[i] = 1.0f / (1.0f + std::exp(-av[i]));
-  }
+  simd::Sigmoid(a.value().data(), out.mutable_value().data(), a.value().size());
   return out;
 }
 
 Tensor Tanh(const Tensor& a) {
   Tensor out = Tensor::NewOp(a.rows(), a.cols(), "tanh", TanhBackward, a);
-  const Matrix& av = a.value();
-  Matrix& ov = out.mutable_value();
-  for (size_t i = 0; i < av.size(); ++i) {
-    ov[i] = std::tanh(av[i]);
-  }
+  simd::Tanh(a.value().data(), out.mutable_value().data(), a.value().size());
   return out;
 }
 
@@ -302,7 +296,8 @@ Tensor Exp(const Tensor& a) {
   const Matrix& av = a.value();
   Matrix& ov = out.mutable_value();
   for (size_t i = 0; i < av.size(); ++i) {
-    ov[i] = std::exp(av[i]);
+    // Test-only op: no model path takes an exp outside the sigmoid.
+    ov[i] = std::exp(av[i]);  // deeprest-lint: allow(owned-nonlinearities)
   }
   return out;
 }
@@ -606,16 +601,18 @@ Tensor FusedGruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wz,
   {
     const Matrix& b = bz.value();
     for (size_t i = 0; i < hd; ++i) {
-      z[i] = 1.0f / (1.0f + std::exp(-((s.ta[i] + s.tb[i]) + b[i])));
+      z[i] = (s.ta[i] + s.tb[i]) + b[i];
     }
+    simd::Sigmoid(z.data(), z.data(), hd);
   }
   MatMulInto(wk.value(), x.value(), s.ta);
   MatMulInto(uk.value(), hv, s.tb);
   {
     const Matrix& b = bk.value();
     for (size_t i = 0; i < hd; ++i) {
-      k[i] = 1.0f / (1.0f + std::exp(-((s.ta[i] + s.tb[i]) + b[i])));
+      k[i] = (s.ta[i] + s.tb[i]) + b[i];
     }
+    simd::Sigmoid(k.data(), k.data(), hd);
   }
   for (size_t i = 0; i < hd; ++i) {
     kh[i] = k[i] * hv[i];
@@ -625,8 +622,9 @@ Tensor FusedGruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wz,
   {
     const Matrix& b = bh.value();
     for (size_t i = 0; i < hd; ++i) {
-      hc[i] = std::tanh((s.ta[i] + s.tb[i]) + b[i]);
+      hc[i] = (s.ta[i] + s.tb[i]) + b[i];
     }
+    simd::Tanh(hc.data(), hc.data(), hd);
   }
   Matrix& ov = out.mutable_value();
   for (size_t i = 0; i < hd; ++i) {

@@ -72,7 +72,8 @@ int Rng::NextPoisson(double lambda) {
     return 0;
   }
   if (lambda < 30.0) {
-    const double limit = std::exp(-lambda);
+    // The simulator's Poisson sampler, in double: not a model nonlinearity.
+    const double limit = std::exp(-lambda);  // deeprest-lint: allow(owned-nonlinearities)
     double product = NextDouble();
     int count = 0;
     while (product > limit) {

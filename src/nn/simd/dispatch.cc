@@ -203,6 +203,15 @@ void AdamStep(const float* grad, float* m, float* v, float* value, size_t n,
   ActiveTable().adam_step(grad, m, v, value, n, params);
 }
 
+void Sigmoid(const float* a, float* out, size_t n) { ActiveTable().sigmoid(a, out, n); }
+
+void Tanh(const float* a, float* out, size_t n) { ActiveTable().tanh(a, out, n); }
+
+void LaneAccumulate(const float* a, const float* w, float* out, size_t k, size_t m,
+                    size_t lanes) {
+  ActiveTable().lane_accumulate(a, w, out, k, m, lanes);
+}
+
 void ScalarGemv(const float* a, const float* b, float* out, size_t n, size_t k) {
   detail::ScalarTable()->matmul(a, b, out, n, k, 1);
 }

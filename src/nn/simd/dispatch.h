@@ -29,7 +29,17 @@
 //     lanes hold output columns, and each lane's double chain starts at +0
 //     and adds the exact float x float products in ascending k, the scalar
 //     rung's order, so each add is its only rounding (a rank-1 k == 1 update
-//     multiplies, adds +0 and adds).
+//     multiplies, adds +0 and adds). LaneAccumulate's lanes are independent
+//     problems, each a chain in ascending c from out's value.
+//   * Sigmoid and Tanh are EXACT against owned scalar bodies
+//     (src/nn/simd/nonlinear.h), which reproduce glibc 2.36's expf and tanhf
+//     on every input. The vector rungs evaluate the bodies' operations lane
+//     by lane. The exp body is the one place where multiplies and adds are
+//     fused on purpose: explicitly, with std::fma and fmadd, exactly where
+//     glibc's FMA build fuses them (-ffp-contract=off stays global). So the
+//     model's nonlinearities no longer depend on the host's libm or on
+//     which ifunc variant it picks. At baseline x86-64 std::fma is a libm
+//     call, which makes the scalar rung's sigmoid ~3x slower than glibc's.
 //   * The GEMV (MatMul with m == 1) is the one kernel that reduces across
 //     lanes: the vector rungs reassociate its dot products with FMA and are
 //     ULP-BOUNDED against the reference, not bit-exact. The scalar rung
@@ -128,6 +138,22 @@ struct AdamStepParams {
 //   value -= (learning_rate * (m / bias1)) / (sqrt(v / bias2) + epsilon)
 void AdamStep(const float* grad, float* m, float* v, float* value, size_t n,
               const AdamStepParams& params);
+
+// Every float sigmoid and tanh of the model, with the bits of the scalar
+// bodies in nonlinear.h (glibc 2.36's expf and tanhf) on every rung:
+// out[i] = 1 / (1 + exp(-a[i])) and out[i] = tanh(a[i]). out may be a.
+void Sigmoid(const float* a, float* out, size_t n);
+void Tanh(const float* a, float* out, size_t n);
+
+// One GEMV per lane, for `lanes` independent problems stored lane-minor:
+//   out[j·L + l] += sum over c ascending of a[c·L + l] · w[(c·m + j)·L + l]
+// for j < m and l < L = lanes. Each lane's chain starts from out's value and
+// rounds every multiply and add separately, so on a zeroed out it is
+// MatMulInto's ascending-k chain from +0 (a 1 x k row times a k x m matrix),
+// and otherwise AccumulateATransposeB's with q = 1. The packed forward's
+// lanes are experts (src/nn/batched.h).
+void LaneAccumulate(const float* a, const float* w, float* out, size_t k, size_t m,
+                    size_t lanes);
 
 // The scalar rung's GEMV (out = a(n x k) * b(k x 1)), whatever rung is
 // active. The vector rungs reduce it across lanes; the scalar rung reduces

@@ -11,6 +11,13 @@
 //     lanes are 4 output columns, each a double chain in ascending k.
 //   * the m == 1 GEMV path uses lane-parallel FMA reductions (ULP-bounded,
 //     not bit-exact).
+//   * LaneAccumulate's lanes are 8 consecutive l of one output row, each a
+//     chain in ascending c.
+//   * Sigmoid and Tanh evaluate the scalar bodies of nonlinear.h in every
+//     lane: exp in double, 4 lanes per ymm, fused where the body calls
+//     std::fma, and tanh's expm1 with every branch computed and selected per
+//     lane. Lanes off the bodies' main path (|x| >= 88 or NaN for exp, +-inf
+//     or NaN for tanh) take the body itself.
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -496,8 +503,246 @@ DEEPREST_AVX2_TARGET void AdamStepAvx2(const float* g, float* m, float* v, float
   }
 }
 
+// Lanes are 8 consecutive l of one output row. Four rows share every load
+// of a, and each lane adds its k products in ascending c with a separate
+// multiply and add, from out's value; the lanes past the last full group of
+// 8 run the plain loop.
+DEEPREST_AVX2_TARGET void LaneAccumulateAvx2(const float* a, const float* w, float* out,
+                                             size_t k, size_t m, size_t lanes) {
+  size_t l = 0;
+  for (; l + 8 <= lanes; l += 8) {
+    size_t j = 0;
+    for (; j + 4 <= m; j += 4) {
+      float* o = out + j * lanes + l;
+      __m256 acc0 = _mm256_loadu_ps(o);
+      __m256 acc1 = _mm256_loadu_ps(o + lanes);
+      __m256 acc2 = _mm256_loadu_ps(o + 2 * lanes);
+      __m256 acc3 = _mm256_loadu_ps(o + 3 * lanes);
+      for (size_t c = 0; c < k; ++c) {
+        const __m256 av = _mm256_loadu_ps(a + c * lanes + l);
+        const float* wc = w + (c * m + j) * lanes + l;
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(wc)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(wc + lanes)));
+        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(av, _mm256_loadu_ps(wc + 2 * lanes)));
+        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(av, _mm256_loadu_ps(wc + 3 * lanes)));
+      }
+      _mm256_storeu_ps(o, acc0);
+      _mm256_storeu_ps(o + lanes, acc1);
+      _mm256_storeu_ps(o + 2 * lanes, acc2);
+      _mm256_storeu_ps(o + 3 * lanes, acc3);
+    }
+    for (; j < m; ++j) {
+      float* o = out + j * lanes + l;
+      __m256 acc = _mm256_loadu_ps(o);
+      for (size_t c = 0; c < k; ++c) {
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_loadu_ps(a + c * lanes + l),
+                                               _mm256_loadu_ps(w + (c * m + j) * lanes + l)));
+      }
+      _mm256_storeu_ps(o, acc);
+    }
+  }
+  if (l < lanes) {
+    LaneAccumulateLoop(a, w, out, k, m, lanes, l);
+  }
+}
+
+// ---- Sigmoid and Tanh: the scalar bodies of nonlinear.h, lane by lane ----
+
+DEEPREST_AVX2_TARGET inline __m256 Bits256(__m256i v) { return _mm256_castsi256_ps(v); }
+DEEPREST_AVX2_TARGET inline __m256i Int256(__m256 v) { return _mm256_castps_si256(v); }
+
+// ExpfBody's main path for 4 floats, in double: the argument reduction and
+// the polynomial fused exactly where the body calls std::fma.
+DEEPREST_AVX2_TARGET inline __m128 ExpMainPath(__m128 x) {
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d inv_ln2_n = _mm256_set1_pd(kExpInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  __m256d kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+  __m256i t = _mm256_i64gather_epi64(reinterpret_cast<const long long*>(kExp2Table),
+                                     _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  t = _mm256_add_epi64(t, _mm256_slli_epi64(ki, 47));
+  const __m256d s = _mm256_castsi256_pd(t);
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  y = _mm256_mul_pd(y, s);
+  return _mm256_cvtpd_ps(y);
+}
+
+// The main path for 8 floats, 4 double lanes at a time.
+DEEPREST_AVX2_TARGET inline __m256 ExpMainPath(__m256 x) {
+  const __m128 lo = ExpMainPath(_mm256_castps256_ps128(x));
+  const __m128 hi = ExpMainPath(_mm256_extractf128_ps(x, 1));
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+}
+
+// Replaces the lanes whose bit `special` sets with body(x) lane by lane.
+template <float (*Body)(float)>
+DEEPREST_AVX2_TARGET inline __m256 PatchLanes(__m256 x, __m256 y, int special) {
+  alignas(32) float xs[8];
+  alignas(32) float ys[8];
+  _mm256_store_ps(xs, x);
+  _mm256_store_ps(ys, y);
+  for (unsigned bits = static_cast<unsigned>(special); bits != 0; bits &= bits - 1) {
+    const int lane = __builtin_ctz(bits);
+    ys[lane] = Body(xs[lane]);
+  }
+  return _mm256_load_ps(ys);
+}
+
+// a > b per 32-bit lane (signed), as a float select mask.
+DEEPREST_AVX2_TARGET inline __m256 Greater(__m256i a, __m256i b) {
+  return Bits256(_mm256_cmpgt_epi32(a, b));
+}
+
+// 1 / (1 + exp(-x)). Lanes whose exp argument has |x| >= 88 or is NaN leave
+// the body's main path and take the body.
+DEEPREST_AVX2_TARGET inline __m256 Sigmoid8(__m256 x) {
+  const __m256 sign = Bits256(_mm256_set1_epi32(static_cast<int>(0x80000000u)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 y =
+      _mm256_div_ps(one, _mm256_add_ps(one, ExpMainPath(_mm256_xor_ps(x, sign))));
+  const __m256i abs_bits = Int256(_mm256_andnot_ps(sign, x));
+  const int special = _mm256_movemask_ps(
+      Greater(abs_bits, _mm256_set1_epi32(static_cast<int>(kExpSpecialAbsBits) - 1)));
+  return special == 0 ? y : PatchLanes<SigmoidBody>(x, y, special);
+}
+
+// Runs `op` over 8 lanes at a time; a tail of fewer than 8 goes through a
+// zero-padded copy, so every element takes the vector path.
+template <__m256 (*Op)(__m256)>
+DEEPREST_AVX2_TARGET inline void Map8(const float* a, float* out, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, Op(_mm256_loadu_ps(a + i)));
+  }
+  if (i < n) {
+    alignas(32) float tail[8] = {};
+    std::copy(a + i, a + n, tail);
+    _mm256_store_ps(tail, Op(_mm256_load_ps(tail)));
+    std::copy(tail, tail + (n - i), out + i);
+  }
+}
+
+DEEPREST_AVX2_TARGET void SigmoidAvx2(const float* a, float* out, size_t n) {
+  Map8<Sigmoid8>(a, out, n);
+}
+
+// Expm1fBody for the arguments TanhfBody passes it: 2|x| in [2, 44) and
+// -2|x| in (-2, -2^-54]. Every branch runs in every lane and each lane
+// selects its own. Below 44 the huge-argument filter never returns early,
+// and a positive argument (>= 2) never takes the k == 1 branch.
+DEEPREST_AVX2_TARGET inline __m256 Expm1ForTanh(__m256 x) {
+  const __m256 sign = Bits256(_mm256_set1_epi32(static_cast<int>(0x80000000u)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256i hx = Int256(_mm256_andnot_ps(sign, x));
+  // k: 0 up to 0.5 ln2, +-1 below 1.5 ln2, else trunc(x / ln2 +- 0.5). The
+  // +-1 branch's hi and lo are x - k ln2_hi and k ln2_lo with k = +-1, and
+  // k = 0 leaves x and c unchanged, so one reduction serves every k.
+  const __m256 signed_half = _mm256_or_ps(half, _mm256_and_ps(x, sign));
+  const __m256i k_general = _mm256_cvttps_epi32(
+      _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kExpm1InvLn2), x), signed_half));
+  const __m256i k_one =
+      _mm256_or_si256(_mm256_set1_epi32(1), _mm256_srai_epi32(Int256(x), 31));  // +-1
+  const __m256i reduced = _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3eb17218));
+  const __m256i near = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3F851592), hx);
+  const __m256i k = _mm256_and_si256(reduced, _mm256_blendv_epi8(k_general, k_one, near));
+  const __m256 t = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(x, _mm256_mul_ps(t, _mm256_set1_ps(kExpm1Ln2Hi)));
+  const __m256 lo = _mm256_mul_ps(t, _mm256_set1_ps(kExpm1Ln2Lo));
+  const __m256 xr = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+  const __m256 hfx = _mm256_mul_ps(half, xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 poly = _mm256_add_ps(_mm256_set1_ps(kExpm1Q4),
+                              _mm256_mul_ps(hxs, _mm256_set1_ps(kExpm1Q5)));
+  poly = _mm256_add_ps(_mm256_set1_ps(kExpm1Q3), _mm256_mul_ps(hxs, poly));
+  poly = _mm256_add_ps(_mm256_set1_ps(kExpm1Q2), _mm256_mul_ps(hxs, poly));
+  poly = _mm256_add_ps(_mm256_set1_ps(kExpm1Q1), _mm256_mul_ps(hxs, poly));
+  const __m256 r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, poly));
+  const __m256 tt = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, tt),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f), _mm256_mul_ps(xr, tt))));
+  // k == 0.
+  __m256 result = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  const __m256 ek = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  const __m256i k_exp = _mm256_slli_epi32(k, 23);
+  // k == -1.
+  const __m256 minus_one =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, ek)), half);
+  // k <= -2 or k > 56.
+  const __m256 y_far = Bits256(
+      _mm256_add_epi32(Int256(_mm256_sub_ps(one, _mm256_sub_ps(ek, xr))), k_exp));
+  const __m256 far = _mm256_sub_ps(y_far, one);
+  // 2 <= k < 23: t = 1 - 2^-k.
+  const __m256 t_low = Bits256(_mm256_sub_epi32(
+      _mm256_set1_epi32(0x3f800000), _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)));
+  const __m256 low = Bits256(
+      _mm256_add_epi32(Int256(_mm256_sub_ps(t_low, _mm256_sub_ps(ek, xr))), k_exp));
+  // 23 <= k <= 56: t = 2^-k.
+  const __m256 t_high =
+      Bits256(_mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 high = Bits256(_mm256_add_epi32(
+      Int256(_mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(ek, t_high)), one)), k_exp));
+  const __m256 is_minus_one = Bits256(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)));
+  const __m256 is_far = _mm256_or_ps(Greater(_mm256_set1_epi32(-1), k),
+                                     Greater(k, _mm256_set1_epi32(56)));
+  const __m256 is_low =
+      _mm256_and_ps(Greater(k, _mm256_set1_epi32(1)), Greater(_mm256_set1_epi32(23), k));
+  const __m256 is_high =
+      _mm256_and_ps(Greater(k, _mm256_set1_epi32(22)), Greater(_mm256_set1_epi32(57), k));
+  result = _mm256_blendv_ps(result, minus_one, is_minus_one);
+  result = _mm256_blendv_ps(result, far, is_far);
+  result = _mm256_blendv_ps(result, low, is_low);
+  result = _mm256_blendv_ps(result, high, is_high);
+  // |x| < 2^-25: x, via the body's x - ((huge + x) - (huge + x)).
+  const __m256 big = _mm256_add_ps(_mm256_set1_ps(kExpm1Huge), x);
+  const __m256 tiny_result = _mm256_sub_ps(x, _mm256_sub_ps(big, big));
+  return _mm256_blendv_ps(result, tiny_result, Greater(_mm256_set1_epi32(0x33000000), hx));
+}
+
+// tanh; +-inf and NaN take the body.
+DEEPREST_AVX2_TARGET inline __m256 Tanh8(__m256 x) {
+  const __m256 sign = Bits256(_mm256_set1_epi32(static_cast<int>(0x80000000u)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 ax = _mm256_andnot_ps(sign, x);
+  const __m256i ix = Int256(ax);
+  // |x| >= 1: expm1(2|x|) and 1 - 2 / (t + 2); else expm1(-2|x|) and
+  // -t / (t + 2).
+  const __m256 ge_one = Greater(ix, _mm256_set1_epi32(0x3f800000 - 1));
+  const __m256 twice = _mm256_mul_ps(two, ax);
+  const __m256 arg = _mm256_blendv_ps(_mm256_or_ps(twice, sign), twice, ge_one);
+  const __m256 t = Expm1ForTanh(arg);
+  // One divide per lane: the numerator is 2 or -t.
+  const __m256 q = _mm256_div_ps(_mm256_blendv_ps(_mm256_xor_ps(t, sign), two, ge_one),
+                                 _mm256_add_ps(t, two));
+  __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), ge_one);
+  // |x| >= 22: 1 - tiny, which rounds to 1.
+  z = _mm256_blendv_ps(z, one, Greater(ix, _mm256_set1_epi32(0x41b00000 - 1)));
+  __m256 y = _mm256_xor_ps(z, _mm256_and_ps(x, sign));
+  // |x| < 2^-55, +-0 included: x * (1 + x).
+  y = _mm256_blendv_ps(y, _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+                       Greater(_mm256_set1_epi32(0x24000000), ix));
+  const int special = _mm256_movemask_ps(Greater(ix, _mm256_set1_epi32(0x7f800000 - 1)));
+  return special == 0 ? y : PatchLanes<TanhfBody>(x, y, special);
+}
+
+DEEPREST_AVX2_TARGET void TanhAvx2(const float* a, float* out, size_t n) {
+  Map8<Tanh8>(a, out, n);
+}
+
 const KernelTable kAvx2Table = {
-    MatMulAvx2, AccATBAvx2, AccABTAvx2, AddAvx2, AxpbyAvx2, HadamardAvx2, AdamStepAvx2,
+    MatMulAvx2,   AccATBAvx2,   AccABTAvx2,  AddAvx2,  AxpbyAvx2,
+    HadamardAvx2, AdamStepAvx2, SigmoidAvx2, TanhAvx2, LaneAccumulateAvx2,
 };
 
 }  // namespace

@@ -1,8 +1,13 @@
 // AVX-512F kernels (16-lane zmm). Same numerics contract as the AVX2 TU:
 // every kernel but the GEMV uses separate mul+add per lane and is
 // bit-identical to the scalar rung (AccumulateABTranspose with 8 double
-// lanes, one output column each); the GEMV path uses FMA lane reductions
-// (ULP-bounded).
+// lanes, one output column each; LaneAccumulate with 16 lanes of one output
+// row); the GEMV path uses FMA lane reductions (ULP-bounded). Sigmoid and
+// Tanh evaluate the scalar bodies of nonlinear.h in every lane: exp in
+// double, 8 lanes per zmm, fused where the body calls std::fma, and tanh's
+// expm1 with every branch computed and selected per lane. Lanes off the
+// bodies' main path (|x| >= 88 or NaN for exp, +-inf or NaN for tanh) take
+// the body itself.
 #include "src/nn/simd/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -405,9 +410,241 @@ DEEPREST_AVX512_TARGET void AdamStepAvx512(const float* g, float* m, float* v, f
   }
 }
 
+// Lanes are 16 consecutive l of one output row, `mask` selecting the live
+// ones. Four rows share every load of a, and each lane still adds its k
+// products in ascending c with a separate multiply and add, from out's value.
+DEEPREST_AVX512_TARGET void LaneAccumulateAvx512(const float* a, const float* w, float* out,
+                                                 size_t k, size_t m, size_t lanes) {
+  for (size_t l = 0; l < lanes; l += 16) {
+    const __mmask16 mask = lanes - l >= 16 ? static_cast<__mmask16>(0xFFFF)
+                                           : static_cast<__mmask16>((1u << (lanes - l)) - 1u);
+    size_t j = 0;
+    for (; j + 4 <= m; j += 4) {
+      float* o = out + j * lanes + l;
+      __m512 acc0 = _mm512_maskz_loadu_ps(mask, o);
+      __m512 acc1 = _mm512_maskz_loadu_ps(mask, o + lanes);
+      __m512 acc2 = _mm512_maskz_loadu_ps(mask, o + 2 * lanes);
+      __m512 acc3 = _mm512_maskz_loadu_ps(mask, o + 3 * lanes);
+      for (size_t c = 0; c < k; ++c) {
+        const __m512 av = _mm512_maskz_loadu_ps(mask, a + c * lanes + l);
+        const float* wc = w + (c * m + j) * lanes + l;
+        acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(av, _mm512_maskz_loadu_ps(mask, wc)));
+        acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(av, _mm512_maskz_loadu_ps(mask, wc + lanes)));
+        acc2 =
+            _mm512_add_ps(acc2, _mm512_mul_ps(av, _mm512_maskz_loadu_ps(mask, wc + 2 * lanes)));
+        acc3 =
+            _mm512_add_ps(acc3, _mm512_mul_ps(av, _mm512_maskz_loadu_ps(mask, wc + 3 * lanes)));
+      }
+      _mm512_mask_storeu_ps(o, mask, acc0);
+      _mm512_mask_storeu_ps(o + lanes, mask, acc1);
+      _mm512_mask_storeu_ps(o + 2 * lanes, mask, acc2);
+      _mm512_mask_storeu_ps(o + 3 * lanes, mask, acc3);
+    }
+    for (; j < m; ++j) {
+      float* o = out + j * lanes + l;
+      __m512 acc = _mm512_maskz_loadu_ps(mask, o);
+      for (size_t c = 0; c < k; ++c) {
+        const __m512 av = _mm512_maskz_loadu_ps(mask, a + c * lanes + l);
+        acc = _mm512_add_ps(
+            acc, _mm512_mul_ps(av, _mm512_maskz_loadu_ps(mask, w + (c * m + j) * lanes + l)));
+      }
+      _mm512_mask_storeu_ps(o, mask, acc);
+    }
+  }
+}
+
+// ---- Sigmoid and Tanh: the scalar bodies of nonlinear.h, lane by lane ----
+
+DEEPREST_AVX512_TARGET inline __m512 Bits512(__m512i v) { return _mm512_castsi512_ps(v); }
+DEEPREST_AVX512_TARGET inline __m512i Int512(__m512 v) { return _mm512_castps_si512(v); }
+
+// ExpfBody's main path for 8 floats, in double: the argument reduction and
+// the polynomial fused exactly where the body calls std::fma.
+DEEPREST_AVX512_TARGET inline __m256 ExpMainPath(__m256 x) {
+  const __m512d xd = _mm512_cvtps_pd(x);
+  const __m512d inv_ln2_n = _mm512_set1_pd(kExpInvLn2N);
+  const __m512d shift = _mm512_set1_pd(kExpShift);
+  __m512d kd = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd);
+  kd = _mm512_sub_pd(kd, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
+  __m512i t = _mm512_i64gather_epi64(_mm512_and_si512(ki, _mm512_set1_epi64(31)), kExp2Table, 8);
+  t = _mm512_add_epi64(t, _mm512_slli_epi64(ki, 47));
+  const __m512d s = _mm512_castsi512_pd(t);
+  const __m512d z = _mm512_fmadd_pd(_mm512_set1_pd(kExpC0), r, _mm512_set1_pd(kExpC1));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(kExpC2), r, _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  y = _mm512_mul_pd(y, s);
+  return _mm512_cvtpd_ps(y);
+}
+
+// The main path for 16 floats, 8 double lanes at a time.
+DEEPREST_AVX512_TARGET inline __m512 ExpMainPath(__m512 x) {
+  const __m256 lo = ExpMainPath(_mm512_castps512_ps256(x));
+  const __m256 hi =
+      ExpMainPath(_mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1)));
+  return _mm512_castpd_ps(_mm512_insertf64x4(_mm512_castps_pd(_mm512_castps256_ps512(lo)),
+                                             _mm256_castps_pd(hi), 1));
+}
+
+// Replaces the lanes `special` selects with body(x) lane by lane.
+template <float (*Body)(float)>
+DEEPREST_AVX512_TARGET inline __m512 PatchLanes(__m512 x, __m512 y, __mmask16 special) {
+  alignas(64) float xs[16];
+  alignas(64) float ys[16];
+  _mm512_store_ps(xs, x);
+  _mm512_store_ps(ys, y);
+  for (unsigned bits = special; bits != 0; bits &= bits - 1) {
+    const int lane = __builtin_ctz(bits);
+    ys[lane] = Body(xs[lane]);
+  }
+  return _mm512_load_ps(ys);
+}
+
+// 1 / (1 + exp(-x)) for the lanes `valid` selects. Lanes whose exp argument
+// has |x| >= 88 or is NaN leave the body's main path and take the body.
+DEEPREST_AVX512_TARGET inline __m512 Sigmoid16(__m512 x, __mmask16 valid) {
+  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 neg = Bits512(_mm512_xor_si512(Int512(x), sign));
+  const __m512 y = _mm512_div_ps(one, _mm512_add_ps(one, ExpMainPath(neg)));
+  const __m512i abs_bits = _mm512_andnot_si512(sign, Int512(x));
+  const __mmask16 special = _mm512_mask_cmpge_epi32_mask(
+      valid, abs_bits, _mm512_set1_epi32(static_cast<int>(kExpSpecialAbsBits)));
+  return special == 0 ? y : PatchLanes<SigmoidBody>(x, y, special);
+}
+
+DEEPREST_AVX512_TARGET void SigmoidAvx512(const float* a, float* out, size_t n) {
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 valid = n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
+                                        : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(out + i, valid, Sigmoid16(_mm512_maskz_loadu_ps(valid, a + i), valid));
+  }
+}
+
+// Expm1fBody for the arguments TanhfBody passes it: 2|x| in [2, 44) and
+// -2|x| in (-2, -2^-54]. Every branch runs in every lane and each lane
+// selects its own. Below 44 the huge-argument filter never returns early,
+// and a positive argument (>= 2) never takes the k == 1 branch.
+DEEPREST_AVX512_TARGET inline __m512 Expm1ForTanh(__m512 x) {
+  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512i xsb = _mm512_and_si512(Int512(x), sign);
+  const __m512i hx = _mm512_andnot_si512(sign, Int512(x));
+  // k: 0 up to 0.5 ln2, +-1 below 1.5 ln2, else trunc(x / ln2 +- 0.5). The
+  // +-1 branch's hi and lo are x - k ln2_hi and k ln2_lo with k = +-1, and
+  // k = 0 leaves x and c unchanged, so one reduction serves every k.
+  const __m512 signed_half = Bits512(_mm512_or_si512(Int512(half), xsb));
+  const __m512i k_general = _mm512_cvttps_epi32(
+      _mm512_add_ps(_mm512_mul_ps(_mm512_set1_ps(kExpm1InvLn2), x), signed_half));
+  const __m512i k_one =
+      _mm512_or_si512(_mm512_set1_epi32(1), _mm512_srai_epi32(Int512(x), 31));  // +-1
+  const __mmask16 reduced = _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3eb17218));
+  const __mmask16 near = _mm512_cmplt_epi32_mask(hx, _mm512_set1_epi32(0x3F851592));
+  __m512i k = _mm512_mask_mov_epi32(k_general, near, k_one);
+  k = _mm512_maskz_mov_epi32(reduced, k);
+  const __m512 t = _mm512_cvtepi32_ps(k);
+  const __m512 hi = _mm512_sub_ps(x, _mm512_mul_ps(t, _mm512_set1_ps(kExpm1Ln2Hi)));
+  const __m512 lo = _mm512_mul_ps(t, _mm512_set1_ps(kExpm1Ln2Lo));
+  const __m512 xr = _mm512_sub_ps(hi, lo);
+  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, xr), lo);
+
+  const __m512 hfx = _mm512_mul_ps(half, xr);
+  const __m512 hxs = _mm512_mul_ps(xr, hfx);
+  __m512 poly = _mm512_add_ps(_mm512_set1_ps(kExpm1Q4),
+                              _mm512_mul_ps(hxs, _mm512_set1_ps(kExpm1Q5)));
+  poly = _mm512_add_ps(_mm512_set1_ps(kExpm1Q3), _mm512_mul_ps(hxs, poly));
+  poly = _mm512_add_ps(_mm512_set1_ps(kExpm1Q2), _mm512_mul_ps(hxs, poly));
+  poly = _mm512_add_ps(_mm512_set1_ps(kExpm1Q1), _mm512_mul_ps(hxs, poly));
+  const __m512 r1 = _mm512_add_ps(one, _mm512_mul_ps(hxs, poly));
+  const __m512 tt = _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
+  const __m512 e = _mm512_mul_ps(
+      hxs, _mm512_div_ps(_mm512_sub_ps(r1, tt),
+                         _mm512_sub_ps(_mm512_set1_ps(6.0f), _mm512_mul_ps(xr, tt))));
+  // k == 0.
+  __m512 result = _mm512_sub_ps(xr, _mm512_sub_ps(_mm512_mul_ps(xr, e), hxs));
+  const __m512 ek = _mm512_sub_ps(
+      _mm512_sub_ps(_mm512_mul_ps(xr, _mm512_sub_ps(e, c)), c), hxs);
+  const __m512i k_exp = _mm512_slli_epi32(k, 23);
+  // k == -1.
+  const __m512 minus_one =
+      _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(xr, ek)), half);
+  // k <= -2 or k > 56.
+  const __m512 y_far = Bits512(
+      _mm512_add_epi32(Int512(_mm512_sub_ps(one, _mm512_sub_ps(ek, xr))), k_exp));
+  const __m512 far = _mm512_sub_ps(y_far, one);
+  // 2 <= k < 23: t = 1 - 2^-k.
+  const __m512 t_low = Bits512(_mm512_sub_epi32(
+      _mm512_set1_epi32(0x3f800000), _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)));
+  const __m512 low = Bits512(
+      _mm512_add_epi32(Int512(_mm512_sub_ps(t_low, _mm512_sub_ps(ek, xr))), k_exp));
+  // 23 <= k <= 56: t = 2^-k.
+  const __m512 t_high =
+      Bits512(_mm512_slli_epi32(_mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
+  const __m512 high = Bits512(_mm512_add_epi32(
+      Int512(_mm512_add_ps(_mm512_sub_ps(xr, _mm512_add_ps(ek, t_high)), one)), k_exp));
+  const __mmask16 is_minus_one = _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1));
+  const __mmask16 is_far = _mm512_cmplt_epi32_mask(k, _mm512_set1_epi32(-1)) |
+                           _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56));
+  const __mmask16 is_low = _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(1)) &
+                           _mm512_cmplt_epi32_mask(k, _mm512_set1_epi32(23));
+  const __mmask16 is_high = _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(22)) &
+                            _mm512_cmplt_epi32_mask(k, _mm512_set1_epi32(57));
+  result = _mm512_mask_mov_ps(result, is_minus_one, minus_one);
+  result = _mm512_mask_mov_ps(result, is_far, far);
+  result = _mm512_mask_mov_ps(result, is_low, low);
+  result = _mm512_mask_mov_ps(result, is_high, high);
+  // |x| < 2^-25: x, via the body's x - ((huge + x) - (huge + x)).
+  const __m512 big = _mm512_add_ps(_mm512_set1_ps(kExpm1Huge), x);
+  const __m512 tiny_result = _mm512_sub_ps(x, _mm512_sub_ps(big, big));
+  const __mmask16 tiny = _mm512_cmplt_epi32_mask(hx, _mm512_set1_epi32(0x33000000));
+  return _mm512_mask_mov_ps(result, tiny, tiny_result);
+}
+
+// tanh for the lanes `valid` selects; +-inf and NaN take the body.
+DEEPREST_AVX512_TARGET inline __m512 Tanh16(__m512 x, __mmask16 valid) {
+  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512i jsb = _mm512_and_si512(Int512(x), sign);
+  const __m512i ix = _mm512_andnot_si512(sign, Int512(x));
+  const __m512 ax = Bits512(ix);
+  // |x| >= 1: expm1(2|x|) and 1 - 2 / (t + 2); else expm1(-2|x|) and
+  // -t / (t + 2).
+  const __mmask16 ge_one = _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(0x3f800000));
+  const __m512 twice = _mm512_mul_ps(two, ax);
+  const __m512 arg = _mm512_mask_mov_ps(Bits512(_mm512_or_si512(Int512(twice), sign)),
+                                        ge_one, twice);
+  const __m512 t = Expm1ForTanh(arg);
+  // One divide per lane: the numerator is 2 or -t.
+  const __m512 q = _mm512_div_ps(
+      _mm512_mask_mov_ps(Bits512(_mm512_xor_si512(Int512(t), sign)), ge_one, two),
+      _mm512_add_ps(t, two));
+  __m512 z = _mm512_mask_mov_ps(q, ge_one, _mm512_sub_ps(one, q));
+  // |x| >= 22: 1 - tiny, which rounds to 1.
+  z = _mm512_mask_mov_ps(z, _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(0x41b00000)), one);
+  __m512 y = Bits512(_mm512_xor_si512(Int512(z), jsb));
+  // |x| < 2^-55, +-0 included: x * (1 + x).
+  y = _mm512_mask_mov_ps(y, _mm512_cmplt_epi32_mask(ix, _mm512_set1_epi32(0x24000000)),
+                         _mm512_mul_ps(x, _mm512_add_ps(one, x)));
+  const __mmask16 special =
+      _mm512_mask_cmpge_epi32_mask(valid, ix, _mm512_set1_epi32(0x7f800000));
+  return special == 0 ? y : PatchLanes<TanhfBody>(x, y, special);
+}
+
+DEEPREST_AVX512_TARGET void TanhAvx512(const float* a, float* out, size_t n) {
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 valid = n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
+                                        : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(out + i, valid, Tanh16(_mm512_maskz_loadu_ps(valid, a + i), valid));
+  }
+}
+
 const KernelTable kAvx512Table = {
-    MatMulAvx512, AccATBAvx512, AccABTAvx512, AddAvx512, AxpbyAvx512, HadamardAvx512,
-    AdamStepAvx512,
+    MatMulAvx512,   AccATBAvx512,   AccABTAvx512,  AddAvx512,  AxpbyAvx512,
+    HadamardAvx512, AdamStepAvx512, SigmoidAvx512, TanhAvx512, LaneAccumulateAvx512,
 };
 
 }  // namespace

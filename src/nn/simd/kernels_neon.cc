@@ -1,9 +1,11 @@
 // NEON/ASIMD kernels for aarch64. Same numerics contract as the x86 TUs:
 // mat-mat / AccumulateATransposeB / element-wise paths use separate
 // vmulq+vaddq (bit-identical to plain loops); the GEMV path uses
-// fused-multiply lane reductions (ULP-bounded). AccumulateABTranspose and
-// AdamStep are the scalar rung's plain per-element loops, so they are exact
-// too.
+// fused-multiply lane reductions (ULP-bounded). AccumulateABTranspose,
+// AdamStep and LaneAccumulate are the scalar rung's plain per-element loops,
+// so they are exact too. Sigmoid and Tanh loop over the scalar bodies
+// (nonlinear.h): std::fma is the fused instruction on aarch64, so the bodies
+// are cheap here; a vector version waits for ARM hardware to test it on.
 // On non-ARM builds this TU contributes only a null table.
 #include "src/nn/simd/kernels.h"
 
@@ -172,8 +174,14 @@ void AdamStepNeon(const float* g, float* m, float* v, float* value, size_t n,
   }
 }
 
+void LaneAccumulateNeon(const float* a, const float* w, float* out, size_t k, size_t m,
+                        size_t lanes) {
+  LaneAccumulateLoop(a, w, out, k, m, lanes, 0);
+}
+
 const KernelTable kNeonTable = {
-    MatMulNeon, AccATBNeon, AccABTNeon, AddNeon, AxpbyNeon, HadamardNeon, AdamStepNeon,
+    MatMulNeon,   AccATBNeon,  AccABTNeon, AddNeon,           AxpbyNeon,
+    HadamardNeon, AdamStepNeon, SigmoidLoop, TanhLoop, LaneAccumulateNeon,
 };
 
 }  // namespace

@@ -2,7 +2,8 @@
 //
 // Plain C++ over raw pointers: blocking only over independent output
 // elements, every element's reduction in ascending order, one rounding per
-// multiply and add. Every other rung reproduces these kernels bit for bit,
+// multiply and add. Sigmoid and Tanh loop over the scalar bodies
+// (nonlinear.h). Every other rung reproduces these kernels bit for bit,
 // except the GEMV, which the vector rungs reduce across lanes: this rung's
 // GEMV is the only copy of the exact one, and KernelMode::kTiled runs it
 // whatever rung is active (dispatch.h ScalarGemv). The whole table is the
@@ -210,9 +211,14 @@ void AdamStepScalar(const float* g, float* m, float* v, float* value, size_t n,
   }
 }
 
+void LaneAccumulateScalar(const float* a, const float* w, float* out, size_t k, size_t m,
+                          size_t lanes) {
+  LaneAccumulateLoop(a, w, out, k, m, lanes, 0);
+}
+
 const KernelTable kScalarTable = {
-    MatMulScalar, AccATBScalar, AccABTScalar, AddScalar, AxpbyScalar, HadamardScalar,
-    AdamStepScalar,
+    MatMulScalar,   AccATBScalar, AccABTScalar, AddScalar,           AxpbyScalar,
+    HadamardScalar, AdamStepScalar, SigmoidLoop, TanhLoop, LaneAccumulateScalar,
 };
 
 }  // namespace

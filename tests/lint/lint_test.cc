@@ -49,7 +49,7 @@ const char* const kAllRules[] = {
     "no-unseeded-rand",      "no-unordered-iteration", "no-raw-tensor-node-new",
     "no-fast-math-reassoc",  "mutex-needs-guarded-by", "no-detached-threads",
     "heartbeat-on-loop",     "intrinsics-only-in-simd",
-    "bounded-containers-in-serve",
+    "bounded-containers-in-serve", "owned-nonlinearities",
     "lock-graph-cycle",      "lock-graph-order",       "lock-graph-position",
     "resource-pairing",      "blocking-under-lock",    "enum-switch",
     "stale-escape"};
@@ -93,6 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
         RuleCase{"detach_violation.cc", "no-detached-threads"},
         RuleCase{"src/serve/heartbeat_violation.cc", "heartbeat-on-loop"},
         RuleCase{"src/nn/intrinsics_violation.cc", "intrinsics-only-in-simd"},
+        RuleCase{"src/nn/nonlinearity_violation.cc", "owned-nonlinearities"},
         RuleCase{"src/serve/bounded_violation.cc", "bounded-containers-in-serve"},
         RuleCase{"src/serve/lock_cycle_violation.cc", "lock-graph-cycle"},
         RuleCase{"src/serve/lock_order_violation.cc", "lock-graph-order"},
@@ -164,6 +165,19 @@ TEST(LintTest, IntrinsicsAreSanctionedInsideSimdDirectory) {
   const LintRun run = RunLint(Fixture("src/nn/simd/intrinsics_ok.cc"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_TRUE(run.output.empty()) << run.output;
+}
+
+// owned-nonlinearities passes the owned kernels, allow()-granted libm calls
+// and libm functions it does not own, and counts all four libm spellings in
+// the violating fixture.
+TEST(LintTest, OwnedNonlinearitiesAcceptsOwnedKernelsAndGrantedCalls) {
+  const LintRun ok = RunLint(Fixture("src/core/nonlinearity_ok.cc"));
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_TRUE(ok.output.empty()) << ok.output;
+  const LintRun bad = RunLint(Fixture("src/nn/nonlinearity_violation.cc"));
+  for (const char* call : {"`exp`", "`tanh`", "`expf`", "`tanhf`"}) {
+    EXPECT_NE(bad.output.find(call), std::string::npos) << call << " in:\n" << bad.output;
+  }
 }
 
 // The flow-aware passing fixtures: declared hierarchy respected, balanced

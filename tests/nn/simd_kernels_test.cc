@@ -9,11 +9,16 @@
 //     including the attention backward's per-window d_alpha shapes, every
 //     column tail and row-block remainder, and -0 products), the
 //     element-wise kernels (Add, Axpby, Hadamard) and AdamStep (five
-//     consecutive steps with zero and negative gradients) keep each output
-//     element's operations in the order of a plain loop written in this
-//     file, with one rounding per multiply, add, divide and square root —
-//     vector width changes which elements compute together, never how one
-//     element rounds. Each is compared with memcmp.
+//     consecutive steps with zero and negative gradients) and LaneAccumulate
+//     (every lane tail, +-0 seeds, a chain that reassociation would change)
+//     keep each output element's operations in the order of a plain loop
+//     written in this file, with one rounding per multiply, add, divide and
+//     square root — vector width changes which elements compute together,
+//     never how one element rounds. Each is compared with memcmp.
+//   * BIT-IDENTICAL to the scalar bodies (src/nn/simd/nonlinear.h): Sigmoid
+//     and Tanh on every 257th bit pattern plus each branch threshold of the
+//     bodies, and, in a disabled test that tools/ci.sh runs, on all 2^32
+//     inputs.
 //   * ULP-BOUNDED: the m == 1 GEMV path reassociates across lanes, so it is
 //     compared against an exact double-precision oracle under the standard
 //     reassociation bound |simd - exact| <= (k + 8) * eps * sum|terms|.
@@ -29,9 +34,11 @@
 // Also here: the KernelMode round-trip property, ForceIsa ladder clamping,
 // and SelectIsaFromSpec parsing.
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +46,7 @@
 #include "src/nn/matrix.h"
 #include "src/nn/rng.h"
 #include "src/nn/simd/dispatch.h"
+#include "src/nn/simd/nonlinear.h"
 
 namespace deeprest {
 namespace {
@@ -461,6 +469,174 @@ TEST_F(SimdKernelsTest, AxpbyIsInPlaceSafe) {
     simd::Axpby(a.data(), b.data(), 0.5f, a.data(), 100);  // in place
     EXPECT_EQ(std::memcmp(a.data(), separate.data(), 100 * sizeof(float)), 0)
         << simd::IsaName(isa);
+  }
+}
+
+// ---- owned nonlinearities ----
+
+// Bit patterns where the scalar bodies change branch, with their neighbours,
+// in both signs: tanhf's (0x24000000, 0x3f800000, 0x41b00000), expm1f's as
+// they are (0x33000000, 0x3eb17218, 0x3f851592, 0x4195b844) and halved, since
+// tanh passes expm1 2|x|, and expf's (88, its overflow and its underflow
+// bound; sigmoid passes exp -x, hence both signs). Plus +-0, the smallest
+// and largest subnormals, the smallest normal, +-inf and NaNs quiet and
+// signalling.
+std::vector<float> NonlinearityEdgeInputs() {
+  std::vector<uint32_t> bits = {0x00000001, 0x00000002, 0x007fffff, 0x00800000,
+                                0x7f800000, 0x7f800001, 0x7fc00000, 0x7fffffff};
+  const uint32_t thresholds[] = {0x24000000, 0x3f800000, 0x41b00000, 0x33000000,
+                                 0x3eb17218, 0x3f851592, 0x4195b844,
+                                 simd::FloatBits(88.0f), simd::FloatBits(0x1.62e42ep6f),
+                                 simd::FloatBits(0x1.9fe368p6f)};
+  for (uint32_t t : thresholds) {
+    for (uint32_t u : {t, t - 0x00800000}) {  // t, and t / 2 for expm1's thresholds
+      bits.insert(bits.end(), {u - 1, u, u + 1});
+    }
+  }
+  std::vector<float> out = {0.0f, -0.0f};
+  for (uint32_t u : bits) {
+    out.push_back(simd::BitsFloat(u));
+    out.push_back(simd::BitsFloat(u | 0x80000000u));
+  }
+  return out;
+}
+
+// Runs `kernel` over `in` in consecutive calls whose lengths cycle through
+// {1, 15, 16, 17, 608}: every vector width's tail and one window's E·H at
+// H = 8.
+template <typename Kernel>
+std::vector<float> RunInCalls(Kernel kernel, const std::vector<float>& in) {
+  static const size_t kLengths[] = {1, 15, 16, 17, 608};
+  std::vector<float> out(in.size());
+  for (size_t at = 0, call = 0; at < in.size(); ++call) {
+    const size_t n = std::min(kLengths[call % 5], in.size() - at);
+    kernel(in.data() + at, out.data() + at, n);
+    at += n;
+  }
+  return out;
+}
+
+// Every rung's Sigmoid and Tanh return the scalar bodies' bits (nonlinear.h)
+// on every 257th bit pattern (~16.7M floats, every exponent and sign) and
+// on the edge set, in place and out of place.
+TEST_F(SimdKernelsTest, SigmoidTanhBitIdenticalToBodiesOnEveryIsa) {
+  std::vector<float> in = NonlinearityEdgeInputs();
+  for (uint64_t u = 0; u < (uint64_t{1} << 32); u += 257) {
+    in.push_back(simd::BitsFloat(static_cast<uint32_t>(u)));
+  }
+  std::vector<float> sigmoid(in.size()), tanh(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    sigmoid[i] = simd::SigmoidBody(in[i]);
+    tanh[i] = simd::TanhfBody(in[i]);
+  }
+  const size_t bytes = in.size() * sizeof(float);
+  for (simd::Isa isa : SupportedIsas()) {
+    ASSERT_EQ(simd::ForceIsa(isa), isa);
+    EXPECT_EQ(std::memcmp(RunInCalls(simd::Sigmoid, in).data(), sigmoid.data(), bytes), 0)
+        << simd::IsaName(isa) << " Sigmoid";
+    EXPECT_EQ(std::memcmp(RunInCalls(simd::Tanh, in).data(), tanh.data(), bytes), 0)
+        << simd::IsaName(isa) << " Tanh";
+    std::vector<float> in_place(in.begin(), in.begin() + 4096);
+    simd::Sigmoid(in_place.data(), in_place.data(), in_place.size());
+    EXPECT_EQ(std::memcmp(in_place.data(), sigmoid.data(), in_place.size() * sizeof(float)), 0)
+        << simd::IsaName(isa) << " Sigmoid in place";
+    in_place.assign(in.begin(), in.begin() + 4096);
+    simd::Tanh(in_place.data(), in_place.data(), in_place.size());
+    EXPECT_EQ(std::memcmp(in_place.data(), tanh.data(), in_place.size() * sizeof(float)), 0)
+        << simd::IsaName(isa) << " Tanh in place";
+  }
+}
+
+// The same check over all 2^32 inputs on 4 threads, per vector rung (the
+// scalar rung is the bodies' own loop). Disabled in tier-1 (tens of seconds
+// per rung); tools/ci.sh leg 3 runs it.
+TEST_F(SimdKernelsTest, DISABLED_SigmoidTanhExhaustiveOnEveryIsa) {
+  constexpr unsigned kThreads = 4;
+  constexpr size_t kChunk = size_t{1} << 16;
+  for (simd::Isa isa : SupportedIsas()) {
+    if (isa == simd::Isa::kScalar) {
+      continue;
+    }
+    ASSERT_EQ(simd::ForceIsa(isa), isa);
+    std::vector<uint64_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < kThreads; ++w) {
+      threads.emplace_back([&, w] {
+        std::vector<float> in(kChunk), sigmoid(kChunk), tanh(kChunk);
+        for (uint64_t base = w * kChunk; base < (uint64_t{1} << 32); base += kThreads * kChunk) {
+          for (size_t i = 0; i < kChunk; ++i) {
+            in[i] = simd::BitsFloat(static_cast<uint32_t>(base + i));
+          }
+          simd::Sigmoid(in.data(), sigmoid.data(), kChunk);
+          simd::Tanh(in.data(), tanh.data(), kChunk);
+          for (size_t i = 0; i < kChunk; ++i) {
+            const float x = in[i];
+            mismatches[w] += simd::FloatBits(sigmoid[i]) != simd::FloatBits(simd::SigmoidBody(x));
+            mismatches[w] += simd::FloatBits(tanh[i]) != simd::FloatBits(simd::TanhfBody(x));
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    uint64_t total = 0;
+    for (uint64_t count : mismatches) {
+      total += count;
+    }
+    EXPECT_EQ(total, 0u) << simd::IsaName(isa);
+  }
+}
+
+// LaneAccumulate against a per-lane loop written here: out(j, l) seeded
+// with +0, -0 or a random value, then a[c][l] * w[c][j][l] added in
+// ascending c. In every (j, l) with l % 5 == 4 and k >= 3, the first three
+// products are 2^24, 1 and -2^24: the ascending chain loses the 1, a
+// reassociated one keeps it. The random products are inexact, so a fused
+// multiply-add rounds them differently. k, m and L cover the forward's
+// shapes (k = H in {8, 12}, m in {H, 2H}) and every lane tail.
+TEST_F(SimdKernelsTest, LaneAccumulateBitIdenticalToPerLaneLoopOnEveryIsa) {
+  Rng rng(313);
+  for (size_t k : {1u, 8u, 12u}) {
+    for (size_t m : {1u, 3u, 16u, 24u, 36u}) {
+      for (size_t lanes : {16u, 80u, 7u, 21u}) {
+        std::vector<float> a(k * lanes), w(k * m * lanes), seed(m * lanes);
+        for (float& v : a) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        for (float& v : w) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        for (size_t i = 0; i < seed.size(); ++i) {
+          seed[i] = i % 3 == 0 ? 0.0f
+                               : (i % 3 == 1 ? -0.0f : static_cast<float>(rng.Uniform(-1.0, 1.0)));
+        }
+        for (size_t l = 4; k >= 3 && l < lanes; l += 5) {
+          const float big = std::ldexp(1.0f, 12);
+          a[0 * lanes + l] = big;
+          a[1 * lanes + l] = 1.0f;
+          a[2 * lanes + l] = -big;
+          for (size_t j = 0; j < m; ++j) {
+            w[(0 * m + j) * lanes + l] = big;
+            w[(1 * m + j) * lanes + l] = 1.0f;
+            w[(2 * m + j) * lanes + l] = big;
+          }
+        }
+        std::vector<float> exact = seed;
+        for (size_t j = 0; j < m; ++j) {
+          for (size_t l = 0; l < lanes; ++l) {
+            float acc = seed[j * lanes + l];
+            for (size_t c = 0; c < k; ++c) {
+              acc += a[c * lanes + l] * w[(c * m + j) * lanes + l];
+            }
+            exact[j * lanes + l] = acc;
+          }
+        }
+        for (simd::Isa isa : SupportedIsas()) {
+          ASSERT_EQ(simd::ForceIsa(isa), isa);
+          std::vector<float> out = seed;
+          simd::LaneAccumulate(a.data(), w.data(), out.data(), k, m, lanes);
+          EXPECT_EQ(std::memcmp(out.data(), exact.data(), out.size() * sizeof(float)), 0)
+              << simd::IsaName(isa) << " k=" << k << " m=" << m << " lanes=" << lanes;
+        }
+      }
+    }
   }
 }
 

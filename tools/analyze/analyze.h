@@ -12,6 +12,9 @@
 //                       cross-file passes.
 //   * rules.cc/flow.cc/lockgraph.cc — the rule passes:
 //       - the nine legacy token rules (ids unchanged, see rules.cc);
+//       - owned-nonlinearities: no libm exp / tanh in src/nn or src/core
+//         outside src/nn/simd (the model's sigmoid and tanh are
+//         simd::Sigmoid / simd::Tanh);
 //       - lock-graph-{cycle,order,position}: global lock graph from the
 //         annotations, cycle detection, intra-procedural acquisition-order
 //         checking, hierarchy-position coverage, DOT export;
@@ -40,7 +43,7 @@
 namespace deeprest_analyze {
 
 // Bump when rule semantics change: invalidates every incremental cache.
-inline constexpr const char* kEngineVersion = "deeprest-analyze-v1";
+inline constexpr const char* kEngineVersion = "deeprest-analyze-v2";
 
 // ---------------------------------------------------------------------------
 // Lexing
@@ -176,7 +179,8 @@ std::string LockGraphDot(const LockGraph& graph);
 // Rule passes
 // ---------------------------------------------------------------------------
 
-// The nine legacy token rules (ids unchanged from deeprest_lint).
+// The nine legacy token rules (ids unchanged from deeprest_lint) and
+// owned-nonlinearities.
 void RunTokenRules(const std::string& path, const FileScan& scan, Sink& sink);
 
 // enum-switch exhaustiveness. `global_enums` maps enum name -> enumerators;

@@ -1,7 +1,7 @@
 // Token-level rule passes: the nine legacy deeprest_lint rules (ids, scopes
 // and message text unchanged — fixtures, allowlists and allow-comments keep
-// working), plus enum-switch exhaustiveness which needs the cross-file enum
-// index. See tools/analyze/analyze.h for the rule inventory.
+// working), owned-nonlinearities, plus enum-switch exhaustiveness which needs
+// the cross-file enum index. See tools/analyze/analyze.h for the rule inventory.
 #include <cctype>
 #include <filesystem>
 
@@ -518,6 +518,38 @@ void CheckIntrinsicsOnlyInSimd(const std::string& path, const FileScan& scan,
   }
 }
 
+// --------------------------------------------------------------------------
+// Rule: owned-nonlinearities
+// --------------------------------------------------------------------------
+// Every float sigmoid and tanh of the model is simd::Sigmoid / simd::Tanh:
+// owned bodies (src/nn/simd/nonlinear.h) whose bits do not depend on the
+// host's libm or on which of its ifunc variants runs. A libm exp or tanh in
+// the model's code would bring that dependence back.
+bool IsModelMathPath(const std::string& path) {
+  const bool core = path.find("src/core/") != std::string::npos ||
+                    path.find("src\\core\\") != std::string::npos;
+  return (IsNnPath(path) || core) && !IsSimdPath(path);
+}
+
+void CheckOwnedNonlinearities(const std::string& path, const FileScan& scan, Sink& sink) {
+  if (!IsModelMathPath(path)) {
+    return;
+  }
+  const auto& t = scan.tokens;
+  for (size_t i = 0; i < t.size(); ++i) {
+    const std::string& s = t[i].text;
+    const bool std_call = (s == "exp" || s == "tanh") && PrecededByStd(t, i);
+    const bool libm_call = (s == "expf" || s == "tanhf") && TokenIs(t, i + 1, "(");
+    if (std_call || libm_call) {
+      sink.Report("owned-nonlinearities", path, t[i].line,
+                  "libm `" + s + "` in the model's code — use simd::Sigmoid / "
+                  "simd::Tanh (src/nn/simd/dispatch.h), whose bits do not depend "
+                  "on the host's libm",
+                  scan);
+    }
+  }
+}
+
 }  // namespace
 
 void RunTokenRules(const std::string& path, const FileScan& scan, Sink& sink) {
@@ -530,6 +562,7 @@ void RunTokenRules(const std::string& path, const FileScan& scan, Sink& sink) {
   CheckHeartbeatOnLoop(path, scan, sink);
   CheckBoundedContainersInServe(path, scan, sink);
   CheckIntrinsicsOnlyInSimd(path, scan, sink);
+  CheckOwnedNonlinearities(path, scan, sink);
 }
 
 // --------------------------------------------------------------------------

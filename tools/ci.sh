@@ -14,9 +14,11 @@
 #                    force-disabled (DEEPREST_SIMD=scalar): the portable
 #                    fallback path can't rot; then the nn and core suites
 #                    pinned to the AVX2 rung (DEEPREST_SIMD=avx2), which an
-#                    AVX-512 host otherwise never executes; then both
-#                    reference models trained on the default, AVX2 and
-#                    scalar rungs must come out byte-identical
+#                    AVX-512 host otherwise never executes; then every
+#                    vector rung's sigmoid and tanh against the scalar bodies
+#                    on all 2^32 inputs; then both reference models trained
+#                    on the default, AVX2 and scalar rungs must hash to their
+#                    pinned sha256
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
 #                    registry, watchdog restarts, breakers, the steal sweep
 #                    around a wedged worker, chaos schedules; rides the chaos
@@ -97,28 +99,40 @@ DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
 # ladder clamps the request down on a host without AVX2, so this pass is the
 # scalar one again there.
 DEEPREST_SIMD=avx2 ctest --test-dir build --output-on-failure -R 'nn_tests|core_tests'
+# Every float sigmoid and tanh of the model is simd::Sigmoid / simd::Tanh.
+# The tier-1 suite checks every rung against the scalar bodies on every 257th
+# input; this sweeps all 2^32 inputs on 4 threads (tens of seconds per
+# rung). The test forces each vector rung itself, so one run covers AVX2 and
+# AVX-512 whatever DEEPREST_SIMD says.
+build/tests/nn_tests --gtest_also_run_disabled_tests \
+  --gtest_filter='SimdKernelsTest.DISABLED_SigmoidTanhExhaustiveOnEveryIsa'
 # Training is exact on every rung, so each reference model must be the same
-# bytes whichever rung trained it (the small one hashes to eaf5b30f..., the
-# paper-size one to 3e1ef920...). The tests above check the trainer against
-# its oracle at the tests' own shapes; this checks the shipped model sizes.
+# bytes whichever rung trained it, and those bytes are pinned: a change that
+# moves every rung's bits the same way fails here too. The tests above check
+# the trainer against its oracle at the tests' own shapes; this checks the
+# shipped model sizes. The pin holds on this CI host: the model's own math
+# (its sigmoid and tanh included) no longer depends on the host's libm, but
+# its training data comes from the simulator's double-precision libm calls.
 # The paper-size model takes a few seconds on the scalar rung.
 check_model_across_rungs() {
-  local name="$1"
-  shift
-  local sums=() rung model
+  local name="$1" expected="$2"
+  shift 2
+  local rung model sum
   for rung in auto avx2 scalar; do
     model="build/ci_model_${name}_${rung}.bin"
     DEEPREST_SIMD="$rung" build/tools/deeprest train --model="$model" "$@" >/dev/null
-    sums+=("$(sha256sum "$model" | cut -d' ' -f1)")
-    echo "    $name model, DEEPREST_SIMD=$rung: ${sums[-1]}"
+    sum="$(sha256sum "$model" | cut -d' ' -f1)"
+    echo "    $name model, DEEPREST_SIMD=$rung: $sum"
+    if [[ "$sum" != "$expected" ]]; then
+      echo "    $name model: sha256 is not the pinned $expected"
+      exit 1
+    fi
   done
-  if [[ "${sums[0]}" != "${sums[1]}" || "${sums[0]}" != "${sums[2]}" ]]; then
-    echo "    $name model: sha256 differs across rungs"
-    exit 1
-  fi
 }
-check_model_across_rungs small --days=2 --wpd=24 --hidden=8 --epochs=4
-check_model_across_rungs paper --days=7 --wpd=48 --hidden=12 --epochs=12
+check_model_across_rungs small eaf5b30fb40b51081cf7ba73ed3879c13e8f075903f7842150c8e67036a6852f \
+  --days=2 --wpd=24 --hidden=8 --epochs=4
+check_model_across_rungs paper 3e1ef92073817c7ab2ea9bfc8dcbaacb48c544a08341aafbdef709fe0d7da725 \
+  --days=7 --wpd=48 --hidden=12 --epochs=12
 
 echo "==> [4/10] resilience: self-healing suite by label"
 # Supported entry point for the supervision layer (watchdog restarts, the
