@@ -1,9 +1,8 @@
 // Hot-path benchmark: tiled GEMM kernels vs the preserved reference kernels,
 // one Adam step on the active and the scalar rung, the owned sigmoid and tanh
 // against glibc, one all-expert GRU window in the lane layout against
-// per-expert GEMMs, the fused GRU step (the tape-trained baseline's cell),
-// end-to-end training/inference wall-clock, and the parallel training
-// harness. Writes every measurement to a JSON file
+// per-expert GEMMs, end-to-end training/inference wall-clock, and the
+// parallel training harness. Writes every measurement to a JSON file
 // (default BENCH_kernels.json) so tools/bench_diff can compare runs.
 //
 // Usage: bench_kernels [--smoke] [--out <path>]
@@ -31,9 +30,7 @@
 #include "src/core/estimator.h"
 #include "src/eval/parallel.h"
 #include "src/nn/batched.h"
-#include "src/nn/layers.h"
 #include "src/nn/matrix.h"
-#include "src/nn/ops.h"
 #include "src/nn/rng.h"
 #include "src/nn/simd/dispatch.h"
 #include "src/telemetry/metrics.h"
@@ -372,12 +369,7 @@ LaneStepResult BenchLaneStep(size_t hidden, int iters, Rng& rng) {
   result.hidden = hidden;
   const size_t e = result.experts;
   LaneCores cores;
-  cores.experts = e;
-  cores.lanes = LaneCount(e);
-  cores.hidden = hidden;
-  cores.u_zk = Matrix(hidden * 2 * hidden, cores.lanes);
-  cores.u_h = Matrix(hidden * hidden, cores.lanes);
-  cores.bias = Matrix(cores.gates(), cores.lanes);
+  ResetLaneCores(e, LaneCount(e), hidden, /*recurrent=*/true, cores);
   for (Matrix* m : {&cores.u_zk, &cores.u_h, &cores.bias}) {
     m->FillUniform(rng, 0.5f);
   }
@@ -415,39 +407,6 @@ LaneStepResult BenchLaneStep(size_t hidden, int iters, Rng& rng) {
       MatMulInto(hs[i], u_h[i], cand_row);
     }
   });
-  return result;
-}
-
-// ---- Single GRU step forward + backward ----
-
-struct StepResult {
-  double fused_ns = 0;
-  uint64_t fused_nodes = 0;  // graph nodes per step
-};
-
-StepResult BenchGruStep(size_t in_dim, size_t hidden, size_t unroll, int iters) {
-  Rng rng(11);
-  ParameterStore store;
-  GruCell gru(store, "bench_gru", in_dim, hidden, rng);
-  Matrix x_value(in_dim, 1);
-  x_value.FillUniform(rng, 1.0f);
-  const Tensor x = Tensor::Constant(x_value);
-
-  const auto run = [&] {
-    Tensor h = gru.InitialState();
-    for (size_t t = 0; t < unroll; ++t) {
-      h = gru.Step(x, h);
-    }
-    Tensor loss = SumAll(h);
-    loss.Backward();
-    store.ZeroGrad();
-  };
-
-  StepResult result;
-  const uint64_t before = TensorNodesCreated();
-  run();
-  result.fused_nodes = (TensorNodesCreated() - before) / unroll;
-  result.fused_ns = TimeNs(iters, run) / unroll;
   return result;
 }
 
@@ -573,8 +532,8 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
                const std::vector<GemmResult>& gemm, const BatchedGemmResult& batched,
                const std::vector<SimdResult>& simd_rows, const SimdGemmCheck& simd_check,
                const AdamResult& adam, const NonlinearityResult& nonlinear,
-               const std::vector<LaneStepResult>& lane_steps, const StepResult& step,
-               const TrainResult& train, const ParallelResult& par) {
+               const std::vector<LaneStepResult>& lane_steps, const TrainResult& train,
+               const ParallelResult& par) {
   std::FILE* f = std::fopen(options.out.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s for writing\n", options.out.c_str());
@@ -644,8 +603,6 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
                  r.per_expert_matmul_ns, r.speedup(), i + 1 < lane_steps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gru_step\": {\"fused_ns\": %.1f, \"fused_nodes\": %llu},\n",
-               step.fused_ns, static_cast<unsigned long long>(step.fused_nodes));
   std::fprintf(f,
                "  \"train\": {\"optimized_s\": %.4f, \"reference_s\": %.4f, "
                "\"speedup\": %.3f, \"optimized_ns_per_window\": %.0f},\n",
@@ -679,7 +636,7 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
 
 int Run(const BenchOptions& options) {
   PrintBenchHeader("hot-path kernels (perf)",
-                   "tiled GEMM / fused GRU / arena vs the preserved reference kernels");
+                   "tiled GEMM / lane GRU step vs the preserved reference kernels");
 
   // GEMM shapes from the actual model hot loops: the input projection
   // (hidden x feature_dim matvec), the recurrent matvec, the attention
@@ -765,12 +722,6 @@ int Run(const BenchOptions& options) {
                 r.per_expert_matmul_ns, r.speedup());
   }
 
-  const StepResult step =
-      BenchGruStep(/*in_dim=*/64, /*hidden=*/16, /*unroll=*/48, options.smoke ? 20 : 400);
-  std::printf("\nGRU step fwd+bwd (64->16, unroll 48):\n");
-  std::printf("  fused %10.1f ns/step  (%llu graph nodes)\n", step.fused_ns,
-              static_cast<unsigned long long>(step.fused_nodes));
-
   const KernelFixture fixture(options.smoke ? 4 : 12, options.smoke ? 12 : 48);
   const TrainResult train = BenchTraining(fixture, options);
   std::printf("\nEnd-to-end (%zu windows, %zu epochs, best of %d):\n", fixture.windows,
@@ -796,7 +747,7 @@ int Run(const BenchOptions& options) {
   }
 
   WriteJson(options, fixture, gemm, batched, simd_rows, simd_check, adam, nonlinear, lane_steps,
-            step, train, par);
+            train, par);
   std::printf("\nwrote %s\n", options.out.c_str());
   // Exit nonzero on a bit-exactness break always; on a failed SIMD gemm
   // check only in full mode (smoke iteration counts are too noisy to gate).

@@ -4,21 +4,28 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/nn/batched.h"
 #include "src/nn/optimizer.h"
-#include "src/nn/ops.h"
+#include "src/nn/simd/dispatch.h"
 
 namespace deeprest {
 
 // ---- ResourceAwareDl ----
 
-ResourceAwareDl::ResourceAwareDl(const ResourceAwareDlConfig& config) : config_(config) {}
+namespace {
 
-Tensor ResourceAwareDl::InputAt(float prev_day_value, size_t window_of_day) const {
+// The time-of-day half of an expert's input: sin and cos of the window's
+// phase in the day.
+void TimeOfDay(size_t window_of_day, size_t windows_per_day, float& sine, float& cosine) {
   const float phase = 2.0f * static_cast<float>(M_PI) * static_cast<float>(window_of_day) /
-                      static_cast<float>(windows_per_day_);
-  return Tensor::Constant(
-      Matrix::Column({prev_day_value, std::sin(phase), std::cos(phase)}));
+                      static_cast<float>(windows_per_day);
+  sine = std::sin(phase);
+  cosine = std::cos(phase);
 }
+
+}  // namespace
+
+ResourceAwareDl::ResourceAwareDl(const ResourceAwareDlConfig& config) : config_(config) {}
 
 void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
                             size_t windows_per_day, const std::vector<MetricKey>& resources) {
@@ -28,8 +35,8 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
          "resource-aware DL needs at least two days of history");
 
   Rng rng(config_.seed);
-  store_ = ParameterStore();
   experts_.clear();
+  store_ = ParameterStore();
   experts_.reserve(resources.size());
   std::vector<std::vector<float>> scaled_series(resources.size());
   for (size_t i = 0; i < resources.size(); ++i) {
@@ -56,29 +63,81 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
 
   const float lo_q = (1.0f - config_.delta) / 2.0f;
   const float up_q = config_.delta + (1.0f - config_.delta) / 2.0f;
-  const std::vector<float> deltas = {0.5f, lo_q, up_q};
+  const float deltas[3] = {0.5f, lo_q, up_q};
   AdamOptimizer optimizer(store_, config_.learning_rate);
 
-  // Training sequence: predict day d window w from day d-1 window w.
+  // One pass predicts day d window w from day d-1 window w, for every window
+  // after the first day. Row r of every per-window matrix is window
+  // total_windows - 1 - r, so the backward's sums run newest first.
+  const size_t hd = config_.hidden_dim;
+  const size_t steps = total_windows - windows_per_day;
+  const size_t detach_every = windows_per_day / 2 + 1;
+  const float inv = 1.0f / static_cast<float>(steps);
+  Matrix x(steps, 3);
+  for (size_t r = 0; r < steps; ++r) {
+    TimeOfDay((total_windows - 1 - r) % windows_per_day, windows_per_day, x.At(r, 1),
+              x.At(r, 2));
+  }
+  LaneCores cores;
+  LaneStep step;
+  GruTape tape;
+  Matrix w_in, gates, states, head_t, y, d_y(steps, 3), d_y_row(3, 1), stacked;
   for (size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     for (size_t i = 0; i < experts_.size(); ++i) {
       Expert& expert = experts_[i];
+      const GruCell& gru = expert.gru;
       const auto& scaled = scaled_series[i];
       optimizer.ZeroGrad();
-      Tensor h = expert.gru.InitialState();
-      std::vector<Tensor> losses;
-      losses.reserve(total_windows - windows_per_day);
-      for (size_t t = windows_per_day; t < total_windows; ++t) {
-        Tensor x = InputAt(scaled[t - windows_per_day], t % windows_per_day);
-        h = expert.gru.Step(x, h);
-        losses.push_back(PinballLoss(expert.head.Forward(h), scaled[t], deltas));
-        // Keep the graph bounded: detach every half-day.
-        if (t % (windows_per_day / 2 + 1) == 0) {
-          h = h.Detach();
+
+      // Forward: every input projection as one GEMM, then one lane step per
+      // window, oldest first, then the heads as one more GEMM. In a one-lane
+      // core the lane layout is the row layout, so a row of `gates` is a
+      // step's gates and a row of `states` its state.
+      for (size_t r = 0; r < steps; ++r) {
+        x.At(r, 0) = scaled[total_windows - 1 - r - windows_per_day];
+      }
+      StackTransposedInto({&gru.wz().value, &gru.wk().value, &gru.wh().value}, w_in);
+      MatMulInto(x, w_in, gates);
+      ResetLaneCores(1, /*lanes=*/1, hd, /*recurrent=*/true, cores);
+      PackGruLane(gru, 0, cores, stacked);
+      tape.Resize(steps, hd);
+      states.SetShape(steps, hd);
+      std::fill(states.data() + (steps - 1) * hd, states.data() + steps * hd, 0.0f);
+      for (size_t r = steps; r-- > 0;) {
+        float* h = states.data() + r * hd;
+        if (r + 1 < steps) {
+          std::copy(h + hd, h + 2 * hd, h);
+        }
+        LaneCoreStep(cores, gates.data() + r * cores.gates(), h, step);
+        SaveLaneStep(step, /*lanes=*/1, 0, r, tape);
+      }
+      const Parameter& head_w = expert.head.weight();
+      const Matrix& head_b = expert.head.bias().value;
+      StackTransposedInto({&head_w.value}, head_t);
+      MatMulInto(states, head_t, y);
+      // The mean pinball loss's gradient: (1 / T) (u >= 0 ? -q : 1 - q), with
+      // u = target - (head + b).
+      for (size_t r = 0; r < steps; ++r) {
+        const float target = scaled[total_windows - 1 - r];
+        for (size_t j = 0; j < 3; ++j) {
+          const float u = target - (y.At(r, j) + head_b[j]);
+          d_y.At(r, j) = inv * (u >= 0.0f ? -deltas[j] : 1.0f - deltas[j]);
         }
       }
-      Tensor loss = Affine(AddN(losses), 1.0f / static_cast<float>(losses.size()), 0.0f);
-      loss.Backward();
+
+      // Backward, newest window first. tape.dh enters row r holding the
+      // terms of the next window's step (none for the newest window, or when
+      // this window's state was detached), then takes the head's.
+      for (size_t r = 0; r < steps; ++r) {
+        std::copy(d_y.data() + r * 3, d_y.data() + r * 3 + 3, d_y_row.data());
+        AccumulateATransposeB(head_w.value, d_y_row, tape.dh);
+        const size_t t = total_windows - 1 - r;
+        const bool chain = t > windows_per_day && (t - 1) % detach_every != 0;
+        GruStepBackward(gru, r, chain, tape);
+      }
+      AccumulateGruGradients(tape, x, gru);
+      AccumulateATransposeB(d_y, states, expert.head.weight().grad);
+      AccumulateRows(d_y, expert.head.bias().grad);
       ClipGradNorm(store_, config_.grad_clip);
       optimizer.Step();
     }
@@ -87,36 +146,80 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
 
 EstimateMap ResourceAwareDl::Forecast(size_t horizon) const {
   assert(trained());
-  NoGradGuard no_grad;
-  EstimateMap out;
-  for (const auto& expert : experts_) {
-    std::vector<float> prev_day = expert.last_day;
-    std::vector<float> next_day;
-    next_day.reserve(windows_per_day_);
-    Tensor h = expert.gru.InitialState();
-    ResourceEstimate estimate;
-    for (size_t t = 0; t < horizon; ++t) {
-      const size_t window_of_day = t % windows_per_day_;
-      Tensor x = InputAt(prev_day[window_of_day], window_of_day);
-      h = expert.gru.Step(x, h);
-      const Tensor output = expert.head.Forward(h);
-      const Matrix& y = output.value();
-      const double expected = std::max(0.0, static_cast<double>(y.At(0, 0)));
-      double lower = std::max(0.0, static_cast<double>(y.At(1, 0)));
-      double upper = std::max(0.0, static_cast<double>(y.At(2, 0)));
+  // Every expert steps at once, one per lane: per window, one LaneAccumulate
+  // for the input projection, one LaneCoreStep and one LaneAccumulate for
+  // the heads, plus their bias.
+  const size_t e = experts_.size();
+  const size_t hd = config_.hidden_dim;
+  LaneCores cores;
+  ResetLaneCores(e, LaneCount(e), hd, /*recurrent=*/true, cores);
+  const size_t lanes = cores.lanes;
+  Matrix w_in(3 * cores.gates(), lanes);  // [Wz;Wk;Wh]^T per lane
+  Matrix head_w(hd * 3, lanes);           // head^T per lane
+  Matrix head_b(3, lanes);
+  Matrix stacked;
+  for (size_t i = 0; i < e; ++i) {
+    const Expert& expert = experts_[i];
+    const GruCell& gru = expert.gru;
+    PackGruLane(gru, i, cores, stacked);
+    StackTransposedInto({&gru.wz().value, &gru.wk().value, &gru.wh().value}, stacked);
+    PackLane(stacked, i, w_in);
+    StackTransposedInto({&expert.head.weight().value}, stacked);
+    PackLane(stacked, i, head_w);
+    PackLane(expert.head.bias().value, i, head_b);
+  }
+
+  std::vector<std::vector<float>> prev_day(e);
+  std::vector<std::vector<float>> next_day(e);
+  std::vector<ResourceEstimate> estimates(e);
+  for (size_t i = 0; i < e; ++i) {
+    prev_day[i] = experts_[i].last_day;
+    next_day[i].reserve(windows_per_day_);
+  }
+  Matrix x(3, lanes);  // the padded lanes stay 0
+  Matrix gates(cores.gates(), lanes);
+  Matrix state(hd, lanes);
+  Matrix y(3, lanes);
+  LaneStep step;
+  for (size_t t = 0; t < horizon; ++t) {
+    const size_t window_of_day = t % windows_per_day_;
+    float sine = 0.0f;
+    float cosine = 0.0f;
+    TimeOfDay(window_of_day, windows_per_day_, sine, cosine);
+    for (size_t i = 0; i < e; ++i) {
+      x[i] = prev_day[i][window_of_day];
+      x[lanes + i] = sine;
+      x[2 * lanes + i] = cosine;
+    }
+    gates.Zero();
+    simd::LaneAccumulate(x.data(), w_in.data(), gates.data(), 3, cores.gates(), lanes);
+    LaneCoreStep(cores, gates.data(), state.data(), step);
+    y.Zero();
+    simd::LaneAccumulate(state.data(), head_w.data(), y.data(), hd, 3, lanes);
+    simd::Add(y.data(), head_b.data(), y.data(), y.size());
+    for (size_t i = 0; i < e; ++i) {
+      const double expected = std::max(0.0, static_cast<double>(y[i]));
+      double lower = std::max(0.0, static_cast<double>(y[lanes + i]));
+      double upper = std::max(0.0, static_cast<double>(y[2 * lanes + i]));
       lower = std::min(lower, expected);
       upper = std::max(upper, expected);
-      estimate.expected.push_back(expected * expert.y_scale);
-      estimate.lower.push_back(lower * expert.y_scale);
-      estimate.upper.push_back(upper * expert.y_scale);
-      next_day.push_back(static_cast<float>(expected));
-      if (window_of_day + 1 == windows_per_day_) {
-        // Roll into the following day on our own predictions.
-        prev_day = next_day;
-        next_day.clear();
+      const double scale = experts_[i].y_scale;
+      estimates[i].expected.push_back(expected * scale);
+      estimates[i].lower.push_back(lower * scale);
+      estimates[i].upper.push_back(upper * scale);
+      next_day[i].push_back(static_cast<float>(expected));
+    }
+    if (window_of_day + 1 == windows_per_day_) {
+      // Roll into the following day on our own predictions.
+      prev_day.swap(next_day);
+      for (auto& day : next_day) {
+        day.clear();
       }
     }
-    out.emplace(expert.key, std::move(estimate));
+  }
+  EstimateMap out;
+  for (size_t i = 0; i < e; ++i) {
+    out.emplace(experts_[i].key, std::move(estimates[i]));
   }
   return out;
 }

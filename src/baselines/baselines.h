@@ -34,9 +34,30 @@ struct ResourceAwareDlConfig {
 
 // Forecasts next-day utilization from the previous day's utilization of the
 // same resource plus a time-of-day encoding.
+//
+// Training schedule (it fixes the baseline columns of Figs. 10-18). Each
+// epoch visits the experts in order; per expert it zeroes every gradient,
+// makes one pass over windows [wpd, total) with x_t = [previous-day value,
+// sin, cos], detaches the state after each window t with
+// t % (wpd / 2 + 1) == 0, takes the mean pinball loss over the whole pass,
+// and runs ClipGradNorm and one AdamOptimizer::Step over the whole store. So
+// that step also moves every other expert's parameters by their Adam
+// moments, and the step count grows by E per epoch.
+//
+// The passes run on the code DeepRest trains on (src/nn/batched.h): the
+// forward steps the expert's GRU on LaneCoreStep, in a one-lane core (a lone
+// expert gains nothing from padded lanes, whose sigmoid and tanh would cost
+// 16 times the work), with every input projection one GEMM and the heads one
+// more; the backward is a hand-written BPTT on GruStepBackward. Gradients and
+// parameters are bit-identical to the elementary-op graph of the same
+// schedule, which the tests keep as the oracle. Forecast steps every expert
+// at once in the lane layout.
 class ResourceAwareDl {
  public:
   explicit ResourceAwareDl(const ResourceAwareDlConfig& config = {});
+  // The layers hold handles into this model's own parameters.
+  ResourceAwareDl(const ResourceAwareDl&) = delete;
+  ResourceAwareDl& operator=(const ResourceAwareDl&) = delete;
 
   void Learn(const MetricsStore& metrics, size_t from, size_t to, size_t windows_per_day,
              const std::vector<MetricKey>& resources);
@@ -48,6 +69,10 @@ class ResourceAwareDl {
   bool trained() const { return !experts_.empty(); }
 
  private:
+  // The test-side oracle (tests/testing/reference_baseline.h) reruns Learn
+  // and Forecast on the tape over these parameters.
+  friend class ReferenceBaseline;
+
   struct Expert {
     MetricKey key;
     GruCell gru;
@@ -55,8 +80,6 @@ class ResourceAwareDl {
     double y_scale = 1.0;
     std::vector<float> last_day;  // scaled utilization of the final learn day
   };
-
-  Tensor InputAt(float prev_day_value, size_t window_of_day) const;
 
   ResourceAwareDlConfig config_;
   ParameterStore store_;

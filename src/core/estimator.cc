@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -43,7 +44,7 @@ void DeepRestEstimator::BuildModel(size_t feature_dim,
     const std::string name = ExpertName(i);
     // Mask logits start at +1 so sigmoid ~ 0.73: features begin mostly "on"
     // and irrelevant ones are learned away.
-    expert.mask = store_.Create(name + ".mask", Matrix(feature_dim, 1, 1.0f));
+    expert.mask = &store_.Create(name + ".mask", Matrix(feature_dim, 1, 1.0f));
     expert.gru = GruCell(store_, name + ".gru", feature_dim, h, rng);
     expert.ff = Linear(store_, name + ".ff", feature_dim, h, rng);
     expert.head = Linear(store_, name + ".head", 2 * h, 3, rng);
@@ -57,12 +58,11 @@ void DeepRestEstimator::BuildModel(size_t feature_dim,
   }
   const size_t e = experts_.size();
   // Attention starts at zero: experts begin independent and learn to listen.
-  alpha_ = store_.Create("attention.alpha", Matrix(e, e));
-  Matrix diag_mask(e, e, 1.0f);
+  alpha_ = &store_.Create("attention.alpha", Matrix(e, e));
+  diag_mask_ = Matrix(e, e, 1.0f);
   for (size_t i = 0; i < e; ++i) {
-    diag_mask.At(i, i) = 0.0f;
+    diag_mask_.At(i, i) = 0.0f;
   }
-  diag_mask_tensor_ = Tensor::Constant(std::move(diag_mask));
 }
 
 void DeepRestEstimator::Learn(const TraceCollector& traces, const MetricsStore& metrics,
@@ -358,29 +358,14 @@ void DeepRestEstimator::RefreshInferencePack() {
   const size_t e = experts_.size();
   const size_t hd = config_.hidden_dim;
   packed_.resize(e);
-  cores_.experts = e;
-  cores_.lanes = LaneCount(e);
-  cores_.hidden = hd;
-  cores_.recurrent = config_.use_recurrence;
-  // Padded lanes keep zero weights and bias.
-  cores_.bias.SetShape(cores_.gates(), cores_.lanes);
-  cores_.bias.Zero();
-  if (config_.use_recurrence) {
-    cores_.u_zk.SetShape(hd * 2 * hd, cores_.lanes);
-    cores_.u_zk.Zero();
-    cores_.u_h.SetShape(hd * hd, cores_.lanes);
-    cores_.u_h.Zero();
-  } else {
-    cores_.u_zk = Matrix();
-    cores_.u_h = Matrix();
-  }
+  ResetLaneCores(e, LaneCount(e), hd, config_.use_recurrence, cores_);
   Matrix stacked;
   for (size_t i = 0; i < e; ++i) {
     const Expert& expert = experts_[i];
     PackedExpert& p = packed_[i];
     p.hidden = hd;
     if (config_.use_api_mask) {
-      const Matrix& logits = expert.mask.value();
+      const Matrix& logits = expert.mask->value;
       p.mask.SetShape(1, logits.size());
       simd::Sigmoid(logits.data(), p.mask.data(), logits.size());
     } else {
@@ -389,30 +374,24 @@ void DeepRestEstimator::RefreshInferencePack() {
     std::vector<const Matrix*> in_blocks;
     if (config_.use_recurrence) {
       const GruCell& gru = expert.gru;
-      in_blocks = {&gru.wz().value(), &gru.wk().value(), &gru.wh().value()};
-      // Lane i holds this expert's [Uz;Uk]^T, Uh^T and [bz;bk;bh].
-      StackTransposedInto({&gru.uz().value(), &gru.uk().value()}, stacked);
-      PackLane(stacked, i, cores_.u_zk);
-      StackTransposedInto({&gru.uh().value()}, stacked);
-      PackLane(stacked, i, cores_.u_h);
-      StackRowsInto({&gru.bz().value(), &gru.bk().value(), &gru.bh().value()}, stacked);
-      PackLane(stacked, i, cores_.bias);
+      in_blocks = {&gru.wz().value, &gru.wk().value, &gru.wh().value};
+      PackGruLane(gru, i, cores_, stacked);
     } else {
-      in_blocks = {&expert.ff.weight().value()};
-      PackLane(expert.ff.bias().value(), i, cores_.bias);
+      in_blocks = {&expert.ff.weight().value};
+      PackLane(expert.ff.bias().value, i, cores_.bias);
     }
     if (config_.use_linear_bypass) {
-      in_blocks.push_back(&expert.skip.weight().value());
-      p.skip_b = expert.skip.bias().value();
+      in_blocks.push_back(&expert.skip.weight().value);
+      p.skip_b = expert.skip.bias().value;
     } else {
       p.skip_b = Matrix();
     }
     StackTransposedInto(in_blocks, p.w_in);
-    p.head_b = expert.head.bias().value();
-    StackTransposedInto({&expert.head.weight().value()}, p.head);
+    p.head_b = expert.head.bias().value;
+    StackTransposedInto({&expert.head.weight().value}, p.head);
   }
   if (config_.use_attention && !experts_.empty()) {
-    HadamardInto(alpha_.value(), diag_mask_tensor_.value(), packed_attention_);
+    HadamardInto(alpha_->value, diag_mask_, packed_attention_);
   } else {
     packed_attention_ = Matrix();
   }
@@ -420,7 +399,7 @@ void DeepRestEstimator::RefreshInferencePack() {
 
 void DeepRestEstimator::CompressParametersToFp16() {
   for (auto& e : store_.entries()) {
-    RoundMatrixToHalf(e.tensor.mutable_value());
+    RoundMatrixToHalf(e.value);
   }
   // The rounded weights shift the warm-start trajectory and the packed
   // weights; rebuild both so inference sees a consistent model.
@@ -457,7 +436,7 @@ std::vector<double> DeepRestEstimator::FeatureMask(const MetricKey& key) const {
   if (index < 0) {
     return {};
   }
-  const Matrix& logits = experts_[index].mask.value();
+  const Matrix& logits = experts_[index].mask->value;
   std::vector<double> mask(logits.size());
   for (size_t d = 0; d < logits.size(); ++d) {
     // Introspection in double (ApiInfluence, Fig. 22); the model's own mask
@@ -483,11 +462,8 @@ std::map<std::string, double> DeepRestEstimator::ApiInfluence(const MetricKey& k
   // the network routes through near-zero weights; the product measures what
   // the expert actually uses.
   std::vector<double> weight_mass(mask.size(), 0.0);
-  auto accumulate_columns = [&](const Tensor& weight) {
-    if (!weight.defined()) {
-      return;
-    }
-    const Matrix& w = weight.value();
+  auto accumulate_columns = [&](const Parameter& weight) {
+    const Matrix& w = weight.value;
     if (w.cols() != mask.size()) {
       return;
     }
@@ -501,8 +477,8 @@ std::map<std::string, double> DeepRestEstimator::ApiInfluence(const MetricKey& k
     accumulate_columns(expert.skip.weight());
   }
   if (config_.use_recurrence) {
-    for (const char* gate : {".gru.Wz", ".gru.Wk", ".gru.Wh"}) {
-      accumulate_columns(store_.Find(ExpertName(static_cast<size_t>(index)) + gate));
+    for (const Parameter* gate : {&expert.gru.wz(), &expert.gru.wk(), &expert.gru.wh()}) {
+      accumulate_columns(*gate);
     }
   } else {
     accumulate_columns(expert.ff.weight());
@@ -550,7 +526,7 @@ double DeepRestEstimator::AttentionWeight(const MetricKey& to, const MetricKey& 
   if (i < 0 || j < 0 || i == j) {
     return 0.0;
   }
-  return alpha_.value().At(static_cast<size_t>(i), static_cast<size_t>(j));
+  return alpha_->value.At(static_cast<size_t>(i), static_cast<size_t>(j));
 }
 
 namespace {
@@ -604,12 +580,11 @@ size_t DeepRestEstimator::TransferRecurrentWeightsFrom(const DeepRestEstimator& 
       continue;
     }
     for (const char* block : kRecurrentBlocks) {
-      Tensor mine = store_.Find(ExpertName(i) + block);
-      Tensor theirs =
+      Parameter* mine = store_.Find(ExpertName(i) + block);
+      const Parameter* theirs =
           donor.store_.Find(ExpertName(static_cast<size_t>(best)) + block);
-      if (mine.defined() && theirs.defined() &&
-          mine.value().SameShape(theirs.value())) {
-        mine.mutable_value() = theirs.value();
+      if (mine != nullptr && theirs != nullptr && mine->value.SameShape(theirs->value)) {
+        mine->value = theirs->value;
       }
     }
     ++transferred;
@@ -656,7 +631,22 @@ std::map<MetricKey, std::vector<float>> DeepRestEstimator::HiddenTrajectoriesOnL
 // ---- Persistence ----
 
 namespace {
+
 constexpr uint32_t kEstimatorMagic = 0x44455245;  // "DERE"
+
+// Bytes after the read position of a file or string stream, the only kinds
+// a model is loaded from; unbounded when the stream cannot seek.
+uint64_t BytesLeft(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here < 0 || !in.seekg(0, std::ios::end)) {
+    in.clear();
+    return UINT64_MAX;
+  }
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return end > here ? static_cast<uint64_t>(end - here) : 0;
+}
+
 }  // namespace
 
 bool DeepRestEstimator::Save(const std::string& path) const {
@@ -785,19 +775,29 @@ bool DeepRestEstimator::LoadFromStream(std::istream& in) {
     }
     v = static_cast<float>(value);
   }
+  // From here on a corrupt size field must fail the load before it sizes
+  // anything: the history grows as its windows arrive, and the model is
+  // built only once the stream can hold its parameters.
   uint64_t learn_windows = 0;
   if (!read_u64(learn_windows) || learn_windows > (1u << 24)) {
     return false;
   }
-  learn_features_.assign(learn_windows, std::vector<float>(dim));
-  for (auto& x : learn_features_) {
-    for (auto& v : x) {
+  learn_features_.clear();
+  for (uint64_t w = 0; w < learn_windows; ++w) {
+    for (auto& v : learn_features_.emplace_back(dim)) {
       double value = 0.0;
       if (!read_f64(value)) {
         return false;
       }
       v = static_cast<float>(value);
     }
+  }
+  // Every expert stores its GRU's three H x D input and three H x H recurrent
+  // blocks, at two bytes a value or more (fp16 parameter streams).
+  const double h = static_cast<double>(hidden);
+  if (2.0 * 3.0 * static_cast<double>(expert_count) * (h * h + h * static_cast<double>(dim)) >
+      static_cast<double>(BytesLeft(in))) {
+    return false;
   }
   BuildModel(dim, resources);
   for (uint64_t i = 0; i < expert_count; ++i) {

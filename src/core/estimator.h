@@ -70,7 +70,7 @@ using EstimateMap = std::map<MetricKey, ResourceEstimate>;
 // Threading contract: all const member functions (the whole inference and
 // introspection surface — EstimateFrom*, FeatureMask, HiddenTrajectories,
 // Save, Clone, ...) only read model state and are safe to call from any
-// number of threads concurrently, per the src/nn contract (see tensor.h).
+// number of threads concurrently, per the src/nn contract (see layers.h).
 // Learn / ContinueLearning / Load / TransferRecurrentWeightsFrom mutate the
 // model and must be externally serialized against every other call. The
 // serving layer (src/serve) never mutates a published model: ContinualLearner
@@ -78,6 +78,14 @@ using EstimateMap = std::map<MetricKey, ResourceEstimate>;
 class DeepRestEstimator {
  public:
   explicit DeepRestEstimator(const EstimatorConfig& config = {});
+  // The layers hold handles into this model's own parameters, so a copy
+  // would train the original's; Clone() is the way to copy a model. A move
+  // keeps the handles valid: the store hands over its parameters' storage
+  // without moving the parameters.
+  DeepRestEstimator(const DeepRestEstimator&) = delete;
+  DeepRestEstimator& operator=(const DeepRestEstimator&) = delete;
+  DeepRestEstimator(DeepRestEstimator&&) = default;
+  DeepRestEstimator& operator=(DeepRestEstimator&&) = default;
 
   // Application learning phase: consumes the telemetry server's traces and
   // utilization for windows [from, to) and trains all experts jointly.
@@ -230,11 +238,11 @@ class DeepRestEstimator {
 
   struct Expert {
     MetricKey key;
-    Tensor mask;   // D x 1 learnable API-aware mask logits
-    GruCell gru;   // recurrent core (use_recurrence)
-    Linear ff;     // feed-forward core (ablation)
-    Linear head;   // (2H -> 3) output projection
-    Linear skip;   // (D -> 3) linear bypass (use_linear_bypass)
+    Parameter* mask = nullptr;  // D x 1 learnable API-aware mask logits
+    GruCell gru;                // recurrent core (use_recurrence)
+    Linear ff;                  // feed-forward core (ablation)
+    Linear head;                // (2H -> 3) output projection
+    Linear skip;                // (D -> 3) linear bypass (use_linear_bypass)
     std::vector<float> initial_gru;  // snapshot at initialization (Fig. 21)
     double y_scale = 1.0;
   };
@@ -282,8 +290,8 @@ class DeepRestEstimator {
   ParameterStore store_;
   std::vector<Expert> experts_;
   std::map<MetricKey, int> expert_index_;  // key -> experts_ position
-  Tensor alpha_;             // E x E attention weights
-  Tensor diag_mask_tensor_;  // constant 0-diagonal / 1-elsewhere mask
+  Parameter* alpha_ = nullptr;  // E x E attention weights
+  Matrix diag_mask_;            // constant 0-diagonal / 1-elsewhere mask
   std::vector<float> feature_scale_;
   std::vector<std::vector<float>> learn_features_;  // raw, for warm start
   // Warm-start hidden state after learn_features_, in StreamCursor::hidden's

@@ -30,7 +30,10 @@
 //     whose ascending-k chain is that order; mask.grad then takes it newest
 //     first.
 // The loss sums t ascending, then experts ascending, in float, like the
-// graph's AddN. DESIGN.md section 6 has the argument in full.
+// graph's AddN. The GRU step's backward and its weight sums are the helpers
+// the resource-aware DL baseline shares (GruStepBackward and
+// AccumulateGruGradients, src/nn/batched.h). DESIGN.md section 6 has the
+// argument in full.
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -44,21 +47,6 @@
 namespace deeprest {
 
 namespace {
-
-// A parameter's gradient buffer, shaped and zeroed by ParameterStore::ZeroGrad.
-Matrix& Grad(const Tensor& parameter) { return parameter.node()->grad; }
-
-// grad[c] += rows(r, c) for every row r in order: a bias gradient summed
-// newest first.
-void AccumulateRows(const Matrix& rows, Matrix& grad) {
-  assert(grad.size() == rows.cols());
-  for (size_t r = 0; r < rows.rows(); ++r) {
-    const float* row = rows.data() + r * rows.cols();
-    for (size_t c = 0; c < rows.cols(); ++c) {
-      grad[c] += row[c];
-    }
-  }
-}
 
 // Appends `block`'s row r to dst (dst += block.cols()).
 float* AppendRow(const Matrix& block, size_t r, float* dst) {
@@ -90,7 +78,7 @@ void DeepRestEstimator::RunTraining(const std::vector<std::vector<float>>& featu
       optimizer.Step();
       if (decay_masks && config_.use_api_mask && config_.mask_decay > 0.0f) {
         for (auto& expert : experts_) {
-          Matrix& logits = expert.mask.mutable_value();
+          Matrix& logits = expert.mask->value;
           for (size_t d = 0; d < logits.size(); ++d) {
             logits[d] -= config_.mask_decay;
           }
@@ -133,13 +121,13 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     const Expert& expert = experts_[i];
     std::vector<const Matrix*> rows;
     if (bypass) {
-      rows.push_back(&expert.skip.weight().value());
+      rows.push_back(&expert.skip.weight().value);
     }
     if (recurrent) {
-      rows.insert(rows.end(), {&expert.gru.wk().value(), &expert.gru.wh().value(),
-                               &expert.gru.wz().value()});
+      rows.insert(rows.end(), {&expert.gru.wk().value, &expert.gru.wh().value,
+                               &expert.gru.wz().value});
     } else {
-      rows.push_back(&expert.ff.weight().value());
+      rows.push_back(&expert.ff.weight().value);
     }
     StackRowsInto(rows, s.x_grad_weights[i]);
   }
@@ -157,11 +145,7 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     TrainScratch::ExpertTape& tape = s.tapes[i];
     PackedInputBlock(packed_[i], s.x, tape.xm, tape.gates);
     s.gate_blocks[i] = &tape.gates;
-    if (recurrent) {
-      for (Matrix* m : {&tape.h_prev, &tape.z, &tape.k, &tape.hc, &tape.kh}) {
-        m->SetShape(steps, hd);
-      }
-    }
+    tape.gru.Resize(steps, hd);
   }
   GatesToLanes(s.gate_blocks, gate_rows, lanes, s.lane_gates);
   // Every expert's core steps together, in the lane layout (state(r·L + i)
@@ -171,23 +155,12 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
   s.lane_state.Zero();
   StateToLanes(hidden.data(), hd, cores_, s.lane_state.data());
   s.state.SetShape(e, block);
-  const LaneStep& step = s.step;
-  const size_t n = hd * lanes;
   for (size_t r = steps; r-- > 0;) {  // oldest window first
     LaneCoreStep(cores_, s.lane_gates.data() + r * gate_rows * lanes, s.lane_state.data(),
                  s.step);
-    const size_t at = r * hd;
-    StateFromLanes(s.lane_state.data(), cores_, s.state.data() + at, block);
+    StateFromLanes(s.lane_state.data(), cores_, s.state.data() + r * hd, block);
     for (size_t i = 0; recurrent && i < e; ++i) {
-      TrainScratch::ExpertTape& tape = s.tapes[i];
-      for (size_t c = 0; c < hd; ++c) {
-        const size_t lane = c * lanes + i;
-        tape.h_prev[at + c] = step.h[lane];
-        tape.z[at + c] = step.zk[lane];
-        tape.k[at + c] = step.zk[n + lane];
-        tape.hc[at + c] = step.hc[lane];
-        tape.kh[at + c] = step.kh[lane];
-      }
+      SaveLaneStep(s.step, lanes, i, r, s.tapes[i].gru);
     }
   }
   StateFromLanes(s.lane_state.data(), cores_, hidden.data(), hd);
@@ -239,7 +212,7 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
   // and alpha.grad takes one d_alpha . diag per window.
   for (size_t i = 0; i < e; ++i) {
     TrainScratch::ExpertTape& tape = s.tapes[i];
-    MatMulInto(tape.head_grad, experts_[i].head.weight().value(), tape.d_concat);
+    MatMulInto(tape.head_grad, experts_[i].head.weight().value, tape.d_concat);
   }
   if (attention) {
     s.d_attended.SetShape(e, block);
@@ -253,8 +226,8 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     s.d_state.SetShape(e, block);
     s.d_state.Zero();
     AccumulateATransposeB(packed_attention_, s.d_attended, s.d_state);
-    Matrix& alpha_grad = Grad(alpha_);
-    const Matrix& diag = diag_mask_tensor_.value();
+    Matrix& alpha_grad = alpha_->grad;
+    const Matrix& diag = diag_mask_;
     s.attended_block.SetShape(e, hd);
     s.state_block.SetShape(e, hd);
     for (size_t r = 0; r < steps; ++r) {
@@ -275,19 +248,13 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
   for (size_t i = 0; i < e; ++i) {
     Expert& expert = experts_[i];
     TrainScratch::ExpertTape& tape = s.tapes[i];
+    GruTape& core = tape.gru;
     const float* trajectory = s.state.data() + i * block;
     const float* d_state = attention ? s.d_state.data() + i * block : nullptr;
-    tape.d_pre.SetShape(steps, hd);
-    if (recurrent) {
-      tape.d_z.SetShape(steps, hd);
-      tape.d_k.SetShape(steps, hd);
-    }
-    // The dh chain, newest window first. s.dh enters row r holding the core
-    // terms of window end - r (zero for the newest window).
-    s.dh.SetShape(hd, 1);
-    s.dh.Zero();
+    // The dh chain, newest window first. core.dh enters row r holding the
+    // core terms of window end - r (zero for the newest window).
     for (size_t r = 0; r < steps; ++r) {
-      float* dh = s.dh.data();
+      float* dh = core.dh.data();
       const float* head_half = tape.d_concat.data() + r * 2 * hd + hd;
       for (size_t c = 0; c < hd; ++c) {
         dh[c] += head_half[c];
@@ -297,84 +264,32 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
           dh[c] += d_state[r * hd + c];
         }
       }
-      const size_t at = r * hd;
       if (!recurrent) {
         // h = tanh(Wff x~ + bff): d_pre = dh . (1 - h^2).
-        const float* h = trajectory + at;
+        const float* h = trajectory + r * hd;
         for (size_t c = 0; c < hd; ++c) {
-          tape.d_pre[at + c] = dh[c] * (1.0f - h[c] * h[c]);
+          core.d_pre[r * hd + c] = dh[c] * (1.0f - h[c] * h[c]);
         }
-        s.dh.Zero();
+        core.dh.Zero();
         continue;
       }
-      // The GRU step's backward with g = dh, in the graph's order.
-      const float* z = tape.z.data() + at;
-      const float* k = tape.k.data() + at;
-      const float* hc = tape.hc.data() + at;
-      const float* h_prev = tape.h_prev.data() + at;
-      s.d_pre.SetShape(hd, 1);
-      for (size_t c = 0; c < hd; ++c) {
-        const float omz = -1.0f * z[c] + 1.0f;
-        s.d_pre[c] = (dh[c] * omz) * (1.0f - hc[c] * hc[c]);
-      }
-      s.d_kh.SetShape(hd, 1);
-      s.d_kh.Zero();
-      AccumulateATransposeB(expert.gru.uh().value(), s.d_pre, s.d_kh);
       // The oldest window's previous state is a constant: no dh_prev.
-      const bool chain = r + 1 < steps;
-      s.dh_prev.SetShape(hd, 1);
-      s.dh_prev.Zero();
-      s.d_k.SetShape(hd, 1);
-      for (size_t c = 0; c < hd; ++c) {
-        s.d_k[c] = s.d_kh[c] * h_prev[c];
-        if (chain) {
-          s.dh_prev[c] += s.d_kh[c] * k[c];
-        }
-        s.d_k[c] = s.d_k[c] * k[c] * (1.0f - k[c]);
-      }
-      if (chain) {
-        AccumulateATransposeB(expert.gru.uk().value(), s.d_k, s.dh_prev);
-      }
-      s.d_z.SetShape(hd, 1);
-      for (size_t c = 0; c < hd; ++c) {
-        s.d_z[c] = -1.0f * (dh[c] * hc[c]);
-        s.d_z[c] += dh[c] * h_prev[c];
-        if (chain) {
-          s.dh_prev[c] += dh[c] * z[c];
-        }
-        s.d_z[c] = s.d_z[c] * z[c] * (1.0f - z[c]);
-      }
-      if (chain) {
-        AccumulateATransposeB(expert.gru.uz().value(), s.d_z, s.dh_prev);
-      }
-      std::memcpy(tape.d_pre.data() + at, s.d_pre.data(), hd * sizeof(float));
-      std::memcpy(tape.d_k.data() + at, s.d_k.data(), hd * sizeof(float));
-      std::memcpy(tape.d_z.data() + at, s.d_z.data(), hd * sizeof(float));
-      std::swap(s.dh, s.dh_prev);
+      GruStepBackward(expert.gru, r, r + 1 < steps, core);
     }
 
     // Everything else is a newest-first sum over the chunk's rows.
     const Matrix& xm = masked ? tape.xm : s.x;
-    AccumulateATransposeB(tape.head_grad, tape.concat, Grad(expert.head.weight()));
-    AccumulateRows(tape.head_grad, Grad(expert.head.bias()));
+    AccumulateATransposeB(tape.head_grad, tape.concat, expert.head.weight().grad);
+    AccumulateRows(tape.head_grad, expert.head.bias().grad);
     if (bypass) {
-      AccumulateATransposeB(tape.head_grad, xm, Grad(expert.skip.weight()));
-      AccumulateRows(tape.head_grad, Grad(expert.skip.bias()));
+      AccumulateATransposeB(tape.head_grad, xm, expert.skip.weight().grad);
+      AccumulateRows(tape.head_grad, expert.skip.bias().grad);
     }
     if (recurrent) {
-      const GruCell& gru = expert.gru;
-      AccumulateATransposeB(tape.d_z, xm, Grad(gru.wz()));
-      AccumulateATransposeB(tape.d_k, xm, Grad(gru.wk()));
-      AccumulateATransposeB(tape.d_pre, xm, Grad(gru.wh()));
-      AccumulateATransposeB(tape.d_z, tape.h_prev, Grad(gru.uz()));
-      AccumulateATransposeB(tape.d_k, tape.h_prev, Grad(gru.uk()));
-      AccumulateATransposeB(tape.d_pre, tape.kh, Grad(gru.uh()));
-      AccumulateRows(tape.d_z, Grad(gru.bz()));
-      AccumulateRows(tape.d_k, Grad(gru.bk()));
-      AccumulateRows(tape.d_pre, Grad(gru.bh()));
+      AccumulateGruGradients(core, xm, expert.gru);
     } else {
-      AccumulateATransposeB(tape.d_pre, xm, Grad(expert.ff.weight()));
-      AccumulateRows(tape.d_pre, Grad(expert.ff.bias()));
+      AccumulateATransposeB(core.d_pre, xm, expert.ff.weight().grad);
+      AccumulateRows(core.d_pre, expert.ff.bias().grad);
     }
     if (!masked) {
       continue;  // x~ is the constant input: no x~.grad, no mask
@@ -389,11 +304,11 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
         dst = AppendRow(tape.head_grad, r, dst);
       }
       if (recurrent) {
-        dst = AppendRow(tape.d_k, r, dst);
-        dst = AppendRow(tape.d_pre, r, dst);
-        AppendRow(tape.d_z, r, dst);
+        dst = AppendRow(core.d_k, r, dst);
+        dst = AppendRow(core.d_pre, r, dst);
+        AppendRow(core.d_z, r, dst);
       } else {
-        AppendRow(tape.d_pre, r, dst);
+        AppendRow(core.d_pre, r, dst);
       }
     }
     MatMulInto(tape.d_cat, weights, tape.d_x);
@@ -404,7 +319,7 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     }
     s.mask_term.SetShape(1, dim);
     float* term = s.mask_term.data();
-    float* mask_grad = Grad(expert.mask).data();
+    float* mask_grad = expert.mask->grad.data();
     for (size_t r = 0; r < steps; ++r) {
       simd::Hadamard(tape.d_x.data() + r * dim, s.x.data() + r * dim, term, dim);
       simd::Hadamard(term, sig.data(), term, dim);

@@ -21,16 +21,14 @@ struct DeepRestEstimator::TrainScratch {
   // one row per window of the chunk, newest window first, so each sum over
   // t the backward forms runs newest first by walking rows in order.
   struct ExpertTape {
-    Matrix xm;                    // T x D masked input (API mask only)
-    Matrix gates;                 // T x G input-block products (x~ · w_in)
-    Matrix h_prev, z, k, hc, kh;  // T x H GRU step internals
-    Matrix concat;                // T x 2H head input [attended ; h]
-    Matrix head_grad;             // T x 3 loss gradient of the head output
-    Matrix d_concat;              // T x 2H head input gradient
-    Matrix d_z, d_k, d_pre;       // T x H gate pre-activation gradients;
-                                  // d_pre is the feed-forward core's too
-    Matrix d_cat;                 // T x C: x~.grad's GEMM operand
-    Matrix d_x;                   // T x D: x~.grad
+    Matrix xm;         // T x D masked input (API mask only)
+    Matrix gates;      // T x G input-block products (x~ · w_in)
+    GruTape gru;       // the core's steps and gate gradients
+    Matrix concat;     // T x 2H head input [attended ; h]
+    Matrix head_grad;  // T x 3 loss gradient of the head output
+    Matrix d_concat;   // T x 2H head input gradient
+    Matrix d_cat;      // T x C: x~.grad's GEMM operand
+    Matrix d_x;        // T x D: x~.grad
   };
 
   std::vector<ExpertTape> tapes;        // one per expert
@@ -47,7 +45,6 @@ struct DeepRestEstimator::TrainScratch {
   Matrix attended_block, state_block;   // E x H, one window's blocks
   Matrix d_alpha;                       // E x E, then d_alpha . diag
   Matrix one_minus_sig, mask_term;      // 1 x D mask-gradient factors
-  Matrix dh, dh_prev, d_kh, d_pre, d_k, d_z;  // H x 1 per-window chain
   std::vector<float> loss_terms;        // T x E pinball losses
 };
 

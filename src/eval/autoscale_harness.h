@@ -22,9 +22,9 @@
 //
 // Determinism: every cell is self-contained (own simulator copy, own
 // controller, seeded fault injector; what-if queries against a shared
-// immutable model are bit-exact under concurrency per the src/nn contract),
-// so N cells run across N threads produce byte-identical results to a
-// sequential run.
+// immutable model are bit-exact under concurrency per the src/nn contract
+// in src/nn/layers.h), so N cells run across N threads produce
+// byte-identical results to a sequential run.
 #ifndef SRC_EVAL_AUTOSCALE_HARNESS_H_
 #define SRC_EVAL_AUTOSCALE_HARNESS_H_
 

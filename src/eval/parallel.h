@@ -1,8 +1,8 @@
 // Parallel training utilities.
 //
-// The src/nn threading contract (tensor.h) allows DISTINCT models — disjoint
-// parameter sets — to train concurrently: all autograd cross-thread state is
-// thread-local or atomic, and training touches only the model's own nodes.
+// The src/nn threading contract (layers.h) allows DISTINCT models — disjoint
+// parameter sets — to train concurrently: a model's parameters are plain
+// matrices of its own, and training touches nothing else that is shared.
 // This file provides the worker pool that exploits that: benchmarks and the
 // eval harness train independent estimators (different seeds, configs, or
 // resource subsets) across threads.

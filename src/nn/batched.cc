@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "src/nn/simd/dispatch.h"
 
@@ -32,6 +33,35 @@ void PackedInputBlock(const PackedExpert& p, const Matrix& x, Matrix& xm, Matrix
 }
 
 size_t LaneCount(size_t experts) { return (experts + 15) / 16 * 16; }
+
+void ResetLaneCores(size_t experts, size_t lanes, size_t hidden, bool recurrent,
+                    LaneCores& cores) {
+  assert(lanes >= experts);
+  cores.experts = experts;
+  cores.lanes = lanes;
+  cores.hidden = hidden;
+  cores.recurrent = recurrent;
+  cores.bias.SetShape(cores.gates(), cores.lanes);
+  cores.bias.Zero();
+  if (recurrent) {
+    cores.u_zk.SetShape(hidden * 2 * hidden, cores.lanes);
+    cores.u_zk.Zero();
+    cores.u_h.SetShape(hidden * hidden, cores.lanes);
+    cores.u_h.Zero();
+  } else {
+    cores.u_zk = Matrix();
+    cores.u_h = Matrix();
+  }
+}
+
+void PackGruLane(const GruCell& gru, size_t i, LaneCores& cores, Matrix& stacked) {
+  StackTransposedInto({&gru.uz().value, &gru.uk().value}, stacked);
+  PackLane(stacked, i, cores.u_zk);
+  StackTransposedInto({&gru.uh().value}, stacked);
+  PackLane(stacked, i, cores.u_h);
+  StackRowsInto({&gru.bz().value, &gru.bk().value, &gru.bh().value}, stacked);
+  PackLane(stacked, i, cores.bias);
+}
 
 void PackLane(const Matrix& block, size_t i, Matrix& lanes) {
   assert(block.size() == lanes.rows() && i < lanes.cols());
@@ -121,6 +151,103 @@ void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, Lane
   simd::Hadamard(s.omz.data(), s.hc.data(), s.omz.data(), n);
   simd::Hadamard(z, s.h.data(), state, n);
   simd::Add(state, s.omz.data(), state, n);
+}
+
+void GruTape::Resize(size_t steps, size_t hidden) {
+  for (Matrix* m : {&h_prev, &z, &k, &hc, &kh, &d_z, &d_k, &d_pre}) {
+    m->SetShape(steps, hidden);
+  }
+  for (Matrix* m : {&dh, &dh_prev, &d_kh, &row_pre, &row_k, &row_z}) {
+    m->SetShape(hidden, 1);
+  }
+  dh.Zero();
+}
+
+void SaveLaneStep(const LaneStep& step, size_t lanes, size_t i, size_t r, GruTape& tape) {
+  const size_t hd = tape.z.cols();
+  const size_t n = hd * lanes;
+  const size_t at = r * hd;
+  for (size_t c = 0; c < hd; ++c) {
+    const size_t lane = c * lanes + i;
+    tape.h_prev[at + c] = step.h[lane];
+    tape.z[at + c] = step.zk[lane];
+    tape.k[at + c] = step.zk[n + lane];
+    tape.hc[at + c] = step.hc[lane];
+    tape.kh[at + c] = step.kh[lane];
+  }
+}
+
+void GruStepBackward(const GruCell& gru, size_t r, bool chain, GruTape& tape) {
+  const size_t hd = tape.z.cols();
+  const size_t at = r * hd;
+  const float* dh = tape.dh.data();
+  const float* z = tape.z.data() + at;
+  const float* k = tape.k.data() + at;
+  const float* hc = tape.hc.data() + at;
+  const float* h_prev = tape.h_prev.data() + at;
+  Matrix& d_pre = tape.row_pre;
+  Matrix& d_k = tape.row_k;
+  Matrix& d_z = tape.row_z;
+  Matrix& dh_prev = tape.dh_prev;
+  // h' = z.h + (1 - z).h~, h~ = tanh(pre): d_pre = (dh . (1 - z)) . (1 - h~^2).
+  for (size_t c = 0; c < hd; ++c) {
+    const float omz = -1.0f * z[c] + 1.0f;
+    d_pre[c] = (dh[c] * omz) * (1.0f - hc[c] * hc[c]);
+  }
+  // pre = Wh x + Uh (k.h) + bh: d_kh = Uh^T d_pre.
+  tape.d_kh.Zero();
+  AccumulateATransposeB(gru.uh().value, d_pre, tape.d_kh);
+  const float* d_kh = tape.d_kh.data();
+  dh_prev.Zero();
+  // k = sigmoid(...): d_k = (d_kh . h) . k . (1 - k).
+  for (size_t c = 0; c < hd; ++c) {
+    d_k[c] = d_kh[c] * h_prev[c];
+    if (chain) {
+      dh_prev[c] += d_kh[c] * k[c];
+    }
+    d_k[c] = d_k[c] * k[c] * (1.0f - k[c]);
+  }
+  if (chain) {
+    AccumulateATransposeB(gru.uk().value, d_k, dh_prev);
+  }
+  // z = sigmoid(...): d_z = (-(dh . h~) + dh . h) . z . (1 - z).
+  for (size_t c = 0; c < hd; ++c) {
+    d_z[c] = -1.0f * (dh[c] * hc[c]);
+    d_z[c] += dh[c] * h_prev[c];
+    if (chain) {
+      dh_prev[c] += dh[c] * z[c];
+    }
+    d_z[c] = d_z[c] * z[c] * (1.0f - z[c]);
+  }
+  if (chain) {
+    AccumulateATransposeB(gru.uz().value, d_z, dh_prev);
+  }
+  std::memcpy(tape.d_pre.data() + at, d_pre.data(), hd * sizeof(float));
+  std::memcpy(tape.d_k.data() + at, d_k.data(), hd * sizeof(float));
+  std::memcpy(tape.d_z.data() + at, d_z.data(), hd * sizeof(float));
+  std::swap(tape.dh, tape.dh_prev);
+}
+
+void AccumulateGruGradients(const GruTape& tape, const Matrix& x, const GruCell& gru) {
+  AccumulateATransposeB(tape.d_z, x, gru.wz().grad);
+  AccumulateATransposeB(tape.d_k, x, gru.wk().grad);
+  AccumulateATransposeB(tape.d_pre, x, gru.wh().grad);
+  AccumulateATransposeB(tape.d_z, tape.h_prev, gru.uz().grad);
+  AccumulateATransposeB(tape.d_k, tape.h_prev, gru.uk().grad);
+  AccumulateATransposeB(tape.d_pre, tape.kh, gru.uh().grad);
+  AccumulateRows(tape.d_z, gru.bz().grad);
+  AccumulateRows(tape.d_k, gru.bk().grad);
+  AccumulateRows(tape.d_pre, gru.bh().grad);
+}
+
+void AccumulateRows(const Matrix& rows, Matrix& grad) {
+  assert(grad.size() == rows.cols());
+  for (size_t r = 0; r < rows.rows(); ++r) {
+    const float* row = rows.data() + r * rows.cols();
+    for (size_t c = 0; c < rows.cols(); ++c) {
+      grad[c] += row[c];
+    }
+  }
 }
 
 void PackedBypass(const PackedExpert& p, const float* gates, size_t batch, float* bypass) {

@@ -1,5 +1,5 @@
-// Batch-row-major, forward-only DeepRest kernels over packed inference
-// weights.
+// Batch-row-major DeepRest kernels over packed weights, and the GRU step's
+// hand-written backward every trainer shares.
 //
 // Every activation is a row-major matrix with one row per (query, window)
 // pair, and each expert's input block and heads are packed once per model,
@@ -19,10 +19,11 @@
 // trajectory S (E x P·H, expert i's hidden row r at pair p at S(i, p·H + r)):
 // attended = masked_alpha (E x E) · S. The weights stream through the cache
 // once per block instead of once per query and window. These kernels
-// operate on plain Matrix values (no autograd graph, no TensorNode
-// allocation). DeepRestEstimator::EstimateFromFeaturesBatchResume runs them
-// over blocks of windows for a batch of queries; the chunk trainer
-// (src/core/estimator_train.cc) runs them over a BPTT chunk of one series.
+// operate on plain Matrix values. DeepRestEstimator::
+// EstimateFromFeaturesBatchResume runs them over blocks of windows for a
+// batch of queries; the chunk trainer (src/core/estimator_train.cc) runs
+// them over a BPTT chunk of one series, and the resource-aware DL baseline
+// (src/baselines) steps its GRUs on LaneCoreStep too.
 //
 // Bit-exactness contract: every scalar these kernels produce for query b is
 // computed by the SAME sequence of float operations the elementary-op step
@@ -46,6 +47,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/nn/layers.h"
 #include "src/nn/matrix.h"
 
 namespace deeprest {
@@ -89,6 +91,16 @@ struct LaneCores {
 
 // E rounded up to a multiple of 16: one AVX-512 register of lanes.
 size_t LaneCount(size_t experts);
+
+// Sizes `cores` for E experts of H units on `lanes` lanes (LaneCount(E), or
+// any count from E up: the kernels mask a partial register) and zeroes every
+// weight and bias, so the lanes no expert is packed into stay 0.
+void ResetLaneCores(size_t experts, size_t lanes, size_t hidden, bool recurrent,
+                    LaneCores& cores);
+
+// Puts a GRU's [Uz;Uk]^T, Uh^T and [bz;bk;bh] into lane i of `cores`.
+// `stacked` is scratch.
+void PackGruLane(const GruCell& gru, size_t i, LaneCores& cores, Matrix& stacked);
 
 // Puts one expert's block into its lane: lanes(f, i) = block[f] for every
 // entry f of the row-major block, e.g. [Uz;Uk]^T (c, j) into row c·2H + j.
@@ -137,6 +149,51 @@ void StateFromLanes(const float* lanes, const LaneCores& cores, float* expert, s
 // GRU step's: z | k = sigmoid((Wx + U·h) + b), h~ = tanh((Wx + Uh·(k.h)) +
 // bh), h' = (z.h) + ((-1·z + 1).h~); the feed-forward core is tanh(Wx + b).
 void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneStep& s);
+
+// ---- The GRU step's backward, shared by every trainer ----
+//
+// BPTT by hand, after the cuDNN RNN recipe (Appleyard et al., 2016): the
+// forward saves each step's internals, the backward runs the steps newest
+// first and carries only dh between them, and every weight gradient is one
+// sum over the pass's rows. The arithmetic is the reverse sweep of the
+// elementary-op GRU step (the tests' oracle, tests/testing/reference_graph.h)
+// under a loss every step feeds, so the gradients are bit-identical to it:
+// each buffer starts at +0, takes the graph's contributions in the graph's
+// order, and rounds them where the graph stored them.
+
+// One GRU's steps over a pass of T windows, saved by the forward, and the
+// gate pre-activation gradients the backward derives. Every T x H matrix
+// holds one row per window, newest window first, so each sum over windows
+// runs newest first by walking rows in order.
+struct GruTape {
+  Matrix h_prev, z, k, hc, kh;  // T x H step internals
+  Matrix d_z, d_k, d_pre;       // T x H; d_pre is a feed-forward core's too
+  // H x 1: dh is d loss / d state of the row being run back, the rest the
+  // step's scratch.
+  Matrix dh, dh_prev, d_kh, row_pre, row_k, row_z;
+
+  // Shapes every matrix for T windows of H units and zeroes dh.
+  void Resize(size_t steps, size_t hidden);
+};
+
+// Copies lane i of one LaneCoreStep's internals into tape row r.
+void SaveLaneStep(const LaneStep& step, size_t lanes, size_t i, size_t r, GruTape& tape);
+
+// Runs tape row r's step backward from dh = tape.dh, writing row r of d_pre,
+// d_k and d_z. With `chain` (the step's previous state is not a constant),
+// tape.dh then becomes d loss / d previous state, whose terms arrive in the
+// order d_kh.k, Uk^T d_k, dh.z, Uz^T d_z; without, it becomes zero.
+void GruStepBackward(const GruCell& gru, size_t r, bool chain, GruTape& tape);
+
+// Adds the GRU's nine weight and bias gradients over every tape row, newest
+// first: one AccumulateATransposeB per weight (the graph's per-step rank-1
+// updates round each product the same way) and AccumulateRows per bias.
+// `x` holds the steps' inputs, T x D in the tape's row order.
+void AccumulateGruGradients(const GruTape& tape, const Matrix& x, const GruCell& gru);
+
+// grad[c] += rows(r, c) for every row r in order: a bias gradient summed over
+// a pass's rows.
+void AccumulateRows(const Matrix& rows, Matrix& grad);
 
 // bypass(b, j) = (skip · x~)(b, j) + skip_b[j], read from the bypass columns
 // of `gates` (B rows of w_in.cols() floats) into `bypass` (B x 3).

@@ -1,4 +1,5 @@
-// Dense row-major float matrix: the value type underneath autograd tensors.
+// Dense row-major float matrix: the value type of every parameter, gradient
+// and activation of the model.
 //
 // Deliberately minimal — just what the DeepRest model needs. All shapes are
 // checked with assertions in debug builds; shape mismatches are programming
@@ -62,7 +63,7 @@ class Matrix {
   // Reshapes in place, reusing the existing allocation when capacity allows.
   // Entry values after the call are unspecified (retained prefix keeps old
   // contents; any grown suffix is zero) — callers must overwrite or zero.
-  // This is what lets recycled tensor nodes run a training step with O(1)
+  // This is what lets reused scratch buffers run a training step with O(1)
   // allocator calls.
   void SetShape(size_t rows, size_t cols) {
     rows_ = rows;

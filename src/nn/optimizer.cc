@@ -9,9 +9,8 @@ namespace deeprest {
 
 float ClipGradNorm(ParameterStore& store, float max_norm) {
   double total = 0.0;
-  for (auto& e : store.entries()) {
-    e.tensor.node()->EnsureGrad();
-    const Matrix& g = e.tensor.grad();
+  for (const auto& e : store.entries()) {
+    const Matrix& g = e.grad;
     for (size_t i = 0; i < g.size(); ++i) {
       total += static_cast<double>(g[i]) * g[i];
     }
@@ -20,37 +19,10 @@ float ClipGradNorm(ParameterStore& store, float max_norm) {
   if (norm > max_norm && norm > 0.0f) {
     const float scale = max_norm / norm;
     for (auto& e : store.entries()) {
-      e.tensor.mutable_grad().Scale(scale);
+      e.grad.Scale(scale);
     }
   }
   return norm;
-}
-
-SgdOptimizer::SgdOptimizer(ParameterStore& store, float learning_rate, float momentum)
-    : store_(&store), learning_rate_(learning_rate), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(store.entries().size());
-    for (const auto& e : store.entries()) {
-      velocity_.emplace_back(e.tensor.value().rows(), e.tensor.value().cols());
-    }
-  }
-}
-
-void SgdOptimizer::Step() {
-  auto& entries = store_->entries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    Tensor& t = entries[i].tensor;
-    t.node()->EnsureGrad();
-    if (momentum_ != 0.0f) {
-      // velocity = momentum * velocity + grad; param -= lr * velocity.
-      Matrix& vel = velocity_[i];
-      vel.Scale(momentum_);
-      vel.Add(t.grad());
-      t.mutable_value().AddScaled(vel, -learning_rate_);
-    } else {
-      t.mutable_value().AddScaled(t.grad(), -learning_rate_);
-    }
-  }
 }
 
 AdamOptimizer::AdamOptimizer(ParameterStore& store, float learning_rate, float beta1,
@@ -63,8 +35,8 @@ AdamOptimizer::AdamOptimizer(ParameterStore& store, float learning_rate, float b
   m_.reserve(store.entries().size());
   v_.reserve(store.entries().size());
   for (const auto& e : store.entries()) {
-    m_.emplace_back(e.tensor.value().rows(), e.tensor.value().cols());
-    v_.emplace_back(e.tensor.value().rows(), e.tensor.value().cols());
+    m_.emplace_back(e.value.rows(), e.value.cols());
+    v_.emplace_back(e.value.rows(), e.value.cols());
   }
 }
 
@@ -83,10 +55,8 @@ void AdamOptimizer::Step() {
   // must exist by then: every caller builds its model first.
   assert(entries.size() == m_.size());
   for (size_t i = 0; i < entries.size(); ++i) {
-    Tensor& t = entries[i].tensor;
-    t.node()->EnsureGrad();
-    Matrix& value = t.mutable_value();
-    simd::AdamStep(t.grad().data(), m_[i].data(), v_[i].data(), value.data(), value.size(),
+    Parameter& p = entries[i];
+    simd::AdamStep(p.grad.data(), m_[i].data(), v_[i].data(), p.value.data(), p.value.size(),
                    params);
   }
 }

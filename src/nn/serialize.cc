@@ -1,5 +1,6 @@
 #include "src/nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -34,7 +35,7 @@ bool SaveParameters(const ParameterStore& store, std::ostream& out) {
   for (const auto& e : store.entries()) {
     WriteU32(out, static_cast<uint32_t>(e.name.size()));
     out.write(e.name.data(), static_cast<std::streamsize>(e.name.size()));
-    const Matrix& m = e.tensor.value();
+    const Matrix& m = e.value;
     WriteU32(out, static_cast<uint32_t>(m.rows()));
     WriteU32(out, static_cast<uint32_t>(m.cols()));
     out.write(reinterpret_cast<const char*>(m.data()),
@@ -55,7 +56,7 @@ bool SaveParametersFp16(const ParameterStore& store, std::ostream& out) {
   for (const auto& e : store.entries()) {
     WriteU32(out, static_cast<uint32_t>(e.name.size()));
     out.write(e.name.data(), static_cast<std::streamsize>(e.name.size()));
-    const HalfMatrix h = ToHalf(e.tensor.value());
+    const HalfMatrix h = ToHalf(e.value);
     WriteU32(out, static_cast<uint32_t>(h.rows));
     WriteU32(out, static_cast<uint32_t>(h.cols));
     out.write(reinterpret_cast<const char*>(h.data.data()),
@@ -78,7 +79,18 @@ bool LoadParameters(ParameterStore& store, std::istream& in) {
     return false;
   }
   const bool fp16 = version == kVersionFp16;
-  std::map<std::string, Matrix> loaded;
+  auto& entries = store.entries();
+  std::map<std::string, size_t> index;
+  for (size_t p = 0; p < entries.size(); ++p) {
+    index.emplace(entries[p].name, p);
+  }
+  // Nothing is sized from a header field: an entry's shape must be its
+  // parameter's before its data is read, and an entry the store does not
+  // know (or a repeat, where the first one wins) is skipped unread. The store
+  // changes only once every parameter has arrived.
+  std::vector<Matrix> values(entries.size());
+  std::vector<bool> found(entries.size(), false);
+  HalfMatrix half;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t name_len = 0;
     if (!ReadU32(in, name_len) || name_len > (1u << 20)) {
@@ -91,34 +103,48 @@ bool LoadParameters(ParameterStore& store, std::istream& in) {
     if (!ReadU32(in, rows) || !ReadU32(in, cols)) {
       return false;
     }
-    Matrix m;
-    if (fp16) {
-      HalfMatrix h;
-      h.rows = rows;
-      h.cols = cols;
-      h.data.resize(static_cast<size_t>(rows) * cols);
-      in.read(reinterpret_cast<char*>(h.data.data()),
-              static_cast<std::streamsize>(h.data.size() * sizeof(uint16_t)));
-      if (!in) {
+    const auto it = index.find(name);
+    if (it == index.end() || found[it->second]) {
+      // No stream holds 2^60 values; below that the byte count fits a
+      // streamsize.
+      const uint64_t elements = uint64_t{rows} * cols;
+      if (elements > (uint64_t{1} << 60)) {
         return false;
       }
-      m = FromHalf(h);
+      const auto bytes = static_cast<std::streamsize>(
+          elements * (fp16 ? sizeof(uint16_t) : sizeof(float)));
+      if (!in.ignore(bytes) || in.gcount() != bytes) {
+        return false;
+      }
+      continue;
+    }
+    const Matrix& shape = entries[it->second].value;
+    if (rows != shape.rows() || cols != shape.cols()) {
+      return false;
+    }
+    Matrix& m = values[it->second];
+    if (fp16) {
+      half.rows = rows;
+      half.cols = cols;
+      half.data.resize(shape.size());
+      in.read(reinterpret_cast<char*>(half.data.data()),
+              static_cast<std::streamsize>(half.data.size() * sizeof(uint16_t)));
+      m = FromHalf(half);
     } else {
       m.SetShape(rows, cols);
       in.read(reinterpret_cast<char*>(m.data()),
               static_cast<std::streamsize>(m.size() * sizeof(float)));
-      if (!in) {
-        return false;
-      }
     }
-    loaded.emplace(std::move(name), std::move(m));
-  }
-  for (auto& e : store.entries()) {
-    auto it = loaded.find(e.name);
-    if (it == loaded.end() || !it->second.SameShape(e.tensor.value())) {
+    if (!in) {
       return false;
     }
-    e.tensor.mutable_value() = it->second;
+    found[it->second] = true;
+  }
+  if (std::find(found.begin(), found.end(), false) != found.end()) {
+    return false;
+  }
+  for (size_t p = 0; p < entries.size(); ++p) {
+    entries[p].value = std::move(values[p]);
   }
   return true;
 }
@@ -131,7 +157,7 @@ bool LoadParametersFromFile(ParameterStore& store, const std::string& path) {
 size_t SerializedSize(const ParameterStore& store) {
   size_t bytes = 12;  // magic + version + count
   for (const auto& e : store.entries()) {
-    bytes += 4 + e.name.size() + 8 + e.tensor.value().size() * sizeof(float);
+    bytes += 4 + e.name.size() + 8 + e.value.size() * sizeof(float);
   }
   return bytes;
 }

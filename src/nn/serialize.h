@@ -24,9 +24,10 @@ bool SaveParametersFp16ToFile(const ParameterStore& store, const std::string& pa
 
 // Restores parameter values by name into an already-constructed store. Every
 // parameter present in the store must be found in the stream with a matching
-// shape; extra entries in the stream are ignored. Accepts both format v1
+// shape; extra entries in the stream are skipped. Accepts both format v1
 // (fp32) and v2 (fp16; entries are widened back to fp32 on load). Returns
-// false on mismatch or I/O failure.
+// false on mismatch or I/O failure, and then leaves the store unchanged;
+// no header field sizes an allocation, so a corrupt stream fails closed.
 bool LoadParameters(ParameterStore& store, std::istream& in);
 bool LoadParametersFromFile(ParameterStore& store, const std::string& path);
 

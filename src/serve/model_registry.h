@@ -5,9 +5,10 @@
 // for as long as they like; writers build a complete replacement model off
 // to the side and publish it with one pointer swap. A snapshot is never
 // mutated after publication — the const DeepRestEstimator inference surface
-// is multi-thread safe (see tensor.h) — so a request that captured version N
-// keeps computing against version N even while N+1 is being served to new
-// requests, and N is freed when its last in-flight reader drops the pointer.
+// is multi-thread safe (see src/nn/layers.h) — so a request that captured
+// version N keeps computing against version N even while N+1 is being served
+// to new requests, and N is freed when its last in-flight reader drops the
+// pointer.
 // This is what guarantees no request ever mixes weights from two versions.
 #ifndef SRC_SERVE_MODEL_REGISTRY_H_
 #define SRC_SERVE_MODEL_REGISTRY_H_

@@ -1,8 +1,12 @@
 #include "src/baselines/baselines.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "tests/testing/reference_baseline.h"
 
 namespace deeprest {
 namespace {
@@ -252,6 +256,66 @@ TEST(ResourceAwareDlTest, IntervalsOrdered) {
   for (size_t w = 0; w < 24; ++w) {
     EXPECT_LE(estimate.lower[w], estimate.expected[w]);
     EXPECT_LE(estimate.expected[w], estimate.upper[w]);
+  }
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Learn and Forecast against the same schedule on the tape
+// (tests/testing/reference_baseline.h): the parameters after Learn and every
+// forecast value, bit for bit.
+TEST(ResourceAwareDlTest, MatchesTapeOracleBitForBit) {
+  // Three experts over three days of eight windows: each pass detaches the
+  // state after windows 10, 15 and 20.
+  constexpr size_t kWindowsPerDay = 8;
+  constexpr size_t kWindows = 3 * kWindowsPerDay;
+  MetricsStore metrics;
+  std::vector<MetricKey> resources;
+  for (size_t c = 0; c < 3; ++c) {
+    resources.push_back({"Svc" + std::to_string(c), ResourceKind::kCpu});
+    for (size_t w = 0; w < kWindows; ++w) {
+      metrics.Record(resources[c], w,
+                     10.0 + 5.0 * std::sin(0.4 * static_cast<double>(w + c)) + 0.3 * c);
+    }
+  }
+  ResourceAwareDlConfig config;
+  config.hidden_dim = 5;
+  config.epochs = 3;
+  config.seed = 11;
+  ResourceAwareDl production(config);
+  production.Learn(metrics, 0, kWindows, kWindowsPerDay, resources);
+
+  // The oracle model skips every production epoch and trains on the tape.
+  ResourceAwareDlConfig untrained = config;
+  untrained.epochs = 0;
+  ResourceAwareDl oracle(untrained);
+  oracle.Learn(metrics, 0, kWindows, kWindowsPerDay, resources);
+  ReferenceBaseline::Learn(oracle, metrics, 0, kWindows, config.epochs);
+
+  const auto& trained = ReferenceBaseline::Parameters(production).entries();
+  const auto& reference = ReferenceBaseline::Parameters(oracle).entries();
+  ASSERT_EQ(trained.size(), reference.size());
+  for (size_t p = 0; p < trained.size(); ++p) {
+    const Matrix& a = trained[p].value;
+    const Matrix& b = reference[p].value;
+    ASSERT_TRUE(a.SameShape(b)) << trained[p].name;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0) << trained[p].name;
+  }
+
+  // Two and a half days: the forecast rolls forward on its own predictions
+  // twice.
+  constexpr size_t kHorizon = 2 * kWindowsPerDay + 4;
+  const EstimateMap forecast = production.Forecast(kHorizon);
+  const EstimateMap expected = ReferenceBaseline::Forecast(production, kHorizon);
+  ASSERT_EQ(forecast.size(), expected.size());
+  for (const auto& [key, estimate] : expected) {
+    const ResourceEstimate& got = forecast.at(key);
+    ASSERT_EQ(got.expected.size(), kHorizon);
+    EXPECT_TRUE(BitIdentical(got.expected, estimate.expected)) << key.component;
+    EXPECT_TRUE(BitIdentical(got.lower, estimate.lower)) << key.component;
+    EXPECT_TRUE(BitIdentical(got.upper, estimate.upper)) << key.component;
   }
 }
 

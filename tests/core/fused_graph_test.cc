@@ -2,14 +2,17 @@
 // elementary-op oracle, plus serialize -> deserialize -> Clone round trips.
 //
 // TrainChunk runs a BPTT chunk forward on the packed layout and backward by
-// hand, where the oracle (tests/testing/reference_graph.h) builds ~a dozen
-// elementary ops per expert and window and runs Tensor::Backward. The
+// hand, where the oracle (tests/testing/reference_graph.h) binds the model's
+// parameters to tape leaves, builds ~a dozen elementary ops per expert and
+// window and runs Tensor::Backward. The
 // arithmetic per gradient buffer is identical, so every chunk must produce a
 // bit-identical loss, bit-identical parameter gradients and a bit-identical
 // carried state either way, and whole training runs must write the same
 // model bytes.
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -17,6 +20,7 @@
 
 #include "src/core/estimator.h"
 #include "src/nn/rng.h"
+#include "src/nn/serialize.h"
 #include "src/telemetry/metrics.h"
 #include "src/trace/collector.h"
 #include "tests/testing/reference_graph.h"
@@ -103,19 +107,20 @@ void ExpectChunksMatchReferenceGraph(DeepRestEstimator& model, const Fixture& fi
         ReferenceGraph::TrainerChunk(model, features, targets, begin, end, trainer_hidden);
     std::vector<Matrix> trainer_grads;
     for (const auto& entry : store.entries()) {
-      trainer_grads.push_back(entry.tensor.grad());
+      trainer_grads.push_back(entry.grad);
     }
 
-    store.ZeroGrad();
+    const TapeLeaves leaves(store);
     const Tensor ref_loss =
-        ReferenceGraph::ChunkLoss(model, features, targets, begin, end, hidden);
+        ReferenceGraph::ChunkLoss(model, leaves, features, targets, begin, end, hidden);
     ref_loss.Backward();
+    leaves.CopyGradients(store);
 
     EXPECT_TRUE(BitIdentical(trainer_loss, ref_loss.scalar()))
         << trainer_loss << " vs " << ref_loss.scalar();
     const auto& entries = store.entries();
     for (size_t p = 0; p < entries.size(); ++p) {
-      EXPECT_TRUE(BitIdentical(trainer_grads[p], entries[p].tensor.grad())) << entries[p].name;
+      EXPECT_TRUE(BitIdentical(trainer_grads[p], entries[p].grad)) << entries[p].name;
     }
     for (size_t i = 0; i < hidden.size(); ++i) {
       ASSERT_EQ(std::memcmp(trainer_hidden.data() + i * hd, hidden[i].value().data(),
@@ -188,22 +193,6 @@ TEST(FusedGraphTest, TrainingWritesModelBytesOfReferenceTrainingLoop) {
   }
 }
 
-// Training builds no autograd graph: Learn creates the same number of tensor
-// nodes (the parameters and the constant attention mask) whatever the epoch
-// count.
-TEST(FusedGraphTest, TrainingCreatesNoTensorNodes) {
-  const Fixture fixture;
-  const auto nodes_for_learn = [&](size_t epochs) {
-    EstimatorConfig config = SmallConfig();
-    config.epochs = epochs;
-    DeepRestEstimator model(config);
-    const uint64_t before = TensorNodesCreated();
-    model.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
-    return TensorNodesCreated() - before;
-  };
-  EXPECT_EQ(nodes_for_learn(3), nodes_for_learn(0));
-}
-
 TEST(FusedGraphTest, SerializeRoundTripPreservesEstimates) {
   const Fixture fixture;
   DeepRestEstimator original(SmallConfig());
@@ -222,6 +211,55 @@ TEST(FusedGraphTest, SerializeRoundTripPreservesEstimates) {
   // save -> load -> clone chain must stay bit-identical.
   std::unique_ptr<DeepRestEstimator> clone = loaded.Clone();
   ExpectEstimatesIdentical(expected, clone->EstimateFromFeatures(features));
+}
+
+// A truncated or corrupt model file fails the load: no exception, and no
+// header field sizes an allocation before the bytes behind it are known to
+// exist. The two corruptions claim 2^40 and ~2^64 values, so a loader that
+// trusted them would throw at once instead of allocating.
+TEST(ModelFileTest, TruncatedOrCorruptFilesFailClosed) {
+  const Fixture fixture(/*components=*/2, /*fan=*/3);
+  EstimatorConfig config = SmallConfig();
+  config.hidden_dim = 2;
+  config.epochs = 1;
+  DeepRestEstimator model(config);
+  model.Learn(fixture.traces, fixture.metrics, 0, fixture.windows, fixture.resources);
+  const std::string bytes = Bytes(model);
+  ASSERT_LT(bytes.size(), 8192u);
+  const auto loads = [](const std::string& file) {
+    std::istringstream in(file);
+    DeepRestEstimator loaded;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = loaded.LoadFromStream(in));
+    return ok;
+  };
+  ASSERT_TRUE(loads(bytes));
+  for (size_t size = 0; size < bytes.size(); ++size) {
+    ASSERT_FALSE(loads(bytes.substr(0, size))) << "truncated to " << size << " bytes";
+  }
+
+  const std::string path = ::testing::TempDir() + "/deeprest_corrupt_model.bin";
+  const auto load_file = [&](const std::string& file) {
+    std::ofstream(path, std::ios::binary) << file;
+    DeepRestEstimator loaded;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = loaded.Load(path));
+    return ok;
+  };
+  // hidden_dim, the second u64 of the header.
+  std::string corrupt = bytes;
+  const uint64_t huge_hidden = uint64_t{1} << 40;
+  std::memcpy(corrupt.data() + 8, &huge_hidden, sizeof(huge_hidden));
+  EXPECT_FALSE(load_file(corrupt));
+  // The first parameter's rows and cols, after the parameter section's
+  // magic, version and count and the entry's name.
+  const ParameterStore& store = ReferenceGraph::Parameters(model);
+  const size_t shape = bytes.size() - SerializedSize(store) + 12 + 4 +
+                       store.entries().front().name.size();
+  corrupt = bytes;
+  std::memset(corrupt.data() + shape, 0xFF, 2 * sizeof(uint32_t));
+  EXPECT_FALSE(load_file(corrupt));
+  std::remove(path.c_str());
 }
 
 }  // namespace

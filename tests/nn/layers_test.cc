@@ -1,9 +1,10 @@
 #include "src/nn/layers.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/nn/rng.h"
-#include "tests/testing/gradcheck.h"
 
 namespace deeprest {
 namespace {
@@ -19,36 +20,31 @@ TEST(ParameterStoreTest, CreateRegistersAndCounts) {
 TEST(ParameterStoreTest, FindByName) {
   ParameterStore store;
   store.Create("x", Matrix(1, 1, 5.0f));
-  Tensor found = store.Find("x");
-  ASSERT_TRUE(found.defined());
-  EXPECT_FLOAT_EQ(found.value().At(0, 0), 5.0f);
-  EXPECT_FALSE(store.Find("missing").defined());
+  const Parameter* found = store.Find("x");
+  ASSERT_NE(found, nullptr);
+  EXPECT_FLOAT_EQ(found->value.At(0, 0), 5.0f);
+  EXPECT_EQ(store.Find("missing"), nullptr);
 }
 
-TEST(ParameterStoreTest, ZeroGradClearsGradients) {
+TEST(ParameterStoreTest, GradientIsShapedAtCreationAndZeroGradClearsIt) {
   ParameterStore store;
-  Tensor t = store.Create("p", Matrix(1, 1, 1.0f));
-  Tensor loss = Hadamard(t, t);
-  loss.Backward();
-  EXPECT_NE(t.grad().At(0, 0), 0.0f);
+  Parameter& p = store.Create("p", Matrix(2, 3, 1.0f));
+  ASSERT_TRUE(p.grad.SameShape(p.value));
+  EXPECT_EQ(p.grad, Matrix(2, 3));
+  p.grad.Fill(4.0f);
   store.ZeroGrad();
-  EXPECT_FLOAT_EQ(t.grad().At(0, 0), 0.0f);
+  EXPECT_EQ(p.grad, Matrix(2, 3));
 }
 
-TEST(LinearTest, ForwardComputesAffineMap) {
+TEST(ParameterStoreTest, HandlesSurviveGrowth) {
+  // Layers keep handles into the store while it grows.
   ParameterStore store;
-  Rng rng(1);
-  Linear layer(store, "fc", 2, 3, rng);
-  // Overwrite with known weights.
-  Tensor w = store.Find("fc.W");
-  Tensor b = store.Find("fc.b");
-  w.mutable_value() = Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}});
-  b.mutable_value() = Matrix::Column({0.5f, -0.5f, 0.0f});
-  Tensor x = Tensor::Constant(Matrix::Column({2.0f, 3.0f}));
-  Tensor y = layer.Forward(x);
-  EXPECT_FLOAT_EQ(y.value().At(0, 0), 2.5f);
-  EXPECT_FLOAT_EQ(y.value().At(1, 0), 2.5f);
-  EXPECT_FLOAT_EQ(y.value().At(2, 0), 5.0f);
+  Parameter& first = store.Create("first", Matrix(1, 1, 7.0f));
+  for (int i = 0; i < 1000; ++i) {
+    store.Create("p" + std::to_string(i), Matrix(3, 3));
+  }
+  EXPECT_EQ(&first, store.Find("first"));
+  EXPECT_FLOAT_EQ(first.value.At(0, 0), 7.0f);
 }
 
 TEST(LinearTest, RegistersTwoParameters) {
@@ -59,21 +55,8 @@ TEST(LinearTest, RegistersTwoParameters) {
   EXPECT_EQ(store.TotalParameters(), 4u * 2u + 2u);
   EXPECT_EQ(layer.in_dim(), 4u);
   EXPECT_EQ(layer.out_dim(), 2u);
-}
-
-TEST(LinearTest, GradientFlowsToWeights) {
-  ParameterStore store;
-  Rng rng(3);
-  Linear layer(store, "fc", 3, 2, rng);
-  Tensor x = Tensor::Constant(Matrix::Column({1.0f, -1.0f, 0.5f}));
-  std::vector<Tensor> params;
-  for (const auto& e : store.entries()) {
-    params.push_back(e.tensor);
-  }
-  ExpectGradientsMatch(params, [&] {
-    Tensor y = layer.Forward(x);
-    return SumAll(Hadamard(y, y));
-  });
+  EXPECT_EQ(&layer.weight(), store.Find("fc.W"));
+  EXPECT_EQ(&layer.bias(), store.Find("fc.b"));
 }
 
 TEST(GruCellTest, ShapesAndParameterCount) {
@@ -84,64 +67,10 @@ TEST(GruCellTest, ShapesAndParameterCount) {
   EXPECT_EQ(cell.hidden_dim(), 3u);
   // 3 gates x (W: 3x5, U: 3x3, b: 3x1) = 3 * (15 + 9 + 3) = 81.
   EXPECT_EQ(store.TotalParameters(), 81u);
-  Tensor h = cell.InitialState();
-  EXPECT_EQ(h.rows(), 3u);
-  EXPECT_EQ(h.cols(), 1u);
-  Tensor x = Tensor::Constant(Matrix::Column({1, 2, 3, 4, 5}));
-  Tensor h1 = cell.Step(x, h);
-  EXPECT_EQ(h1.rows(), 3u);
-  EXPECT_EQ(h1.cols(), 1u);
-}
-
-TEST(GruCellTest, InitialStateIsZero) {
-  ParameterStore store;
-  Rng rng(5);
-  GruCell cell(store, "gru", 2, 4, rng);
-  Tensor h = cell.InitialState();
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_FLOAT_EQ(h.value().At(i, 0), 0.0f);
-  }
-}
-
-TEST(GruCellTest, HiddenStateBounded) {
-  // GRU hidden state is a convex combination of tanh outputs and previous
-  // state, so it must stay inside (-1, 1) from a zero start.
-  ParameterStore store;
-  Rng rng(6);
-  GruCell cell(store, "gru", 3, 4, rng);
-  Tensor h = cell.InitialState();
-  for (int t = 0; t < 50; ++t) {
-    Matrix x(3, 1);
-    x.FillUniform(rng, 5.0f);
-    h = cell.Step(Tensor::Constant(x), h);
-    for (size_t i = 0; i < 4; ++i) {
-      EXPECT_GT(h.value().At(i, 0), -1.0f);
-      EXPECT_LT(h.value().At(i, 0), 1.0f);
-    }
-  }
-}
-
-TEST(GruCellTest, GradientThroughThreeSteps) {
-  ParameterStore store;
-  Rng rng(7);
-  GruCell cell(store, "gru", 2, 2, rng);
-  std::vector<Matrix> inputs;
-  for (int t = 0; t < 3; ++t) {
-    Matrix x(2, 1);
-    x.FillUniform(rng, 1.0f);
-    inputs.push_back(x);
-  }
-  std::vector<Tensor> params;
-  for (const auto& e : store.entries()) {
-    params.push_back(e.tensor);
-  }
-  ExpectGradientsMatch(params, [&] {
-    Tensor h = cell.InitialState();
-    for (const auto& x : inputs) {
-      h = cell.Step(Tensor::Constant(x), h);
-    }
-    return SumAll(Hadamard(h, h));
-  });
+  EXPECT_EQ(cell.wz().value.rows(), 3u);
+  EXPECT_EQ(cell.wz().value.cols(), 5u);
+  EXPECT_EQ(cell.uh().value.cols(), 3u);
+  EXPECT_EQ(cell.bk().value.cols(), 1u);
 }
 
 TEST(GruCellTest, FlattenedParametersSizeMatches) {
@@ -149,19 +78,6 @@ TEST(GruCellTest, FlattenedParametersSizeMatches) {
   Rng rng(8);
   GruCell cell(store, "gru", 5, 3, rng);
   EXPECT_EQ(cell.FlattenedParameters().size(), 81u);
-}
-
-TEST(GruCellTest, ZeroInputZeroStateGivesDeterministicOutput) {
-  ParameterStore store_a;
-  ParameterStore store_b;
-  Rng rng_a(9);
-  Rng rng_b(9);
-  GruCell cell_a(store_a, "g", 2, 3, rng_a);
-  GruCell cell_b(store_b, "g", 2, 3, rng_b);
-  Tensor x = Tensor::Constant(Matrix::Column({0.3f, -0.2f}));
-  Tensor ha = cell_a.Step(x, cell_a.InitialState());
-  Tensor hb = cell_b.Step(x, cell_b.InitialState());
-  EXPECT_EQ(ha.value(), hb.value());
 }
 
 }  // namespace

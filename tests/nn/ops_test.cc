@@ -1,4 +1,4 @@
-#include "src/nn/ops.h"
+#include "tests/testing/ops.h"
 
 #include <cmath>
 #include <vector>

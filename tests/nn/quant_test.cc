@@ -123,8 +123,8 @@ TEST(QuantTest, Fp16CheckpointRoundTripsWithinHalfPrecision) {
   ParameterStore dest = MakeStore(12);
   ASSERT_TRUE(LoadParameters(dest, buffer));
   for (size_t e = 0; e < source.entries().size(); ++e) {
-    const Matrix& src = source.entries()[e].tensor.value();
-    const Matrix& got = dest.entries()[e].tensor.value();
+    const Matrix& src = source.entries()[e].value;
+    const Matrix& got = dest.entries()[e].value;
     ASSERT_TRUE(src.SameShape(got));
     for (size_t i = 0; i < src.size(); ++i) {
       // Loaded value is exactly the half-rounded source value.
@@ -138,14 +138,14 @@ TEST(QuantTest, Fp16CheckpointIsExactForHalfRoundedModels) {
   // v2 checkpoint of such a model round-trips BIT-EXACTLY.
   ParameterStore source = MakeStore(13);
   for (auto& entry : source.entries()) {
-    RoundMatrixToHalf(entry.tensor.mutable_value());
+    RoundMatrixToHalf(entry.value);
   }
   std::stringstream buffer;
   ASSERT_TRUE(SaveParametersFp16(source, buffer));
   ParameterStore dest = MakeStore(14);
   ASSERT_TRUE(LoadParameters(dest, buffer));
   for (size_t e = 0; e < source.entries().size(); ++e) {
-    EXPECT_EQ(source.entries()[e].tensor.value(), dest.entries()[e].tensor.value());
+    EXPECT_EQ(source.entries()[e].value, dest.entries()[e].value);
   }
 }
 
@@ -165,7 +165,7 @@ TEST(QuantTest, V1CheckpointsStillLoad) {
   ParameterStore dest = MakeStore(17);
   ASSERT_TRUE(LoadParameters(dest, buffer));
   for (size_t e = 0; e < source.entries().size(); ++e) {
-    EXPECT_EQ(source.entries()[e].tensor.value(), dest.entries()[e].tensor.value());
+    EXPECT_EQ(source.entries()[e].value, dest.entries()[e].value);
   }
 }
 

@@ -30,7 +30,7 @@ TEST(SerializeTest, RoundTripRestoresValues) {
   ParameterStore dest = MakeStore(2);  // Different values, same shapes.
   ASSERT_TRUE(LoadParameters(dest, buffer));
   for (size_t i = 0; i < source.entries().size(); ++i) {
-    EXPECT_EQ(source.entries()[i].tensor.value(), dest.entries()[i].tensor.value());
+    EXPECT_EQ(source.entries()[i].value, dest.entries()[i].value);
   }
 }
 
@@ -71,7 +71,7 @@ TEST(SerializeTest, IgnoresExtraStreamEntries) {
   ParameterStore dest;
   dest.Create("layer.b", Matrix(2, 1));  // Subset of what was saved.
   EXPECT_TRUE(LoadParameters(dest, buffer));
-  EXPECT_EQ(dest.entries()[0].tensor.value(), source.entries()[1].tensor.value());
+  EXPECT_EQ(dest.entries()[0].value, source.entries()[1].value);
 }
 
 TEST(SerializeTest, SerializedSizeMatchesStream) {
@@ -88,7 +88,7 @@ TEST(SerializeTest, FileRoundTrip) {
   ParameterStore dest = MakeStore(5);
   ASSERT_TRUE(LoadParametersFromFile(dest, path));
   for (size_t i = 0; i < source.entries().size(); ++i) {
-    EXPECT_EQ(source.entries()[i].tensor.value(), dest.entries()[i].tensor.value());
+    EXPECT_EQ(source.entries()[i].value, dest.entries()[i].value);
   }
   std::remove(path.c_str());
 }

@@ -1,4 +1,4 @@
-#include "src/nn/tensor.h"
+#include "tests/testing/tensor.h"
 
 #include <thread>
 #include <vector>
@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "src/nn/layers.h"
-#include "src/nn/ops.h"
 #include "src/nn/optimizer.h"
 #include "src/nn/rng.h"
+#include "tests/testing/ops.h"
+#include "tests/testing/reference_graph.h"
 
 namespace deeprest {
 namespace {
@@ -148,11 +149,11 @@ TEST(TensorTest, BackwardTwiceOnSameGraphResetsVisitedFlags) {
   EXPECT_FLOAT_EQ(b.grad().At(0, 0), 1.0f);
 }
 
-// One model's life on a long-lived thread: build it, train it over a few
-// truncated-BPTT chunks, drop it. The wide input projection stands in for
-// the weight and attention matrices whose nodes, pooled and then reused by
-// small ops, kept their capacity and let a node-count cap pin more memory
-// every cycle.
+// One model's life on a long-lived thread: build it, train it on the tape
+// over a few truncated-BPTT chunks, drop it. The wide input projection's
+// leaf stands in for the weight and attention matrices whose nodes, pooled
+// and then reused by small ops, kept their capacity and let a node-count cap
+// pin more memory every cycle.
 void LearnAndDestroyModel(uint64_t seed) {
   ParameterStore store;
   Rng rng(seed);
@@ -160,17 +161,19 @@ void LearnAndDestroyModel(uint64_t seed) {
   GruCell gru(store, "gru", 32, 16, rng);
   Linear head(store, "head", 16, 1, rng);
   AdamOptimizer optimizer(store, 0.01f);
-  Tensor h = gru.InitialState();
+  Tensor h = Tensor::Constant(Matrix(16, 1));
   for (int chunk = 0; chunk < 3; ++chunk) {
-    optimizer.ZeroGrad();
+    const TapeLeaves leaves(store);
     std::vector<Tensor> losses;
     for (int t = 0; t < 24; ++t) {
       Matrix x(4096, 1);
       x.FillUniform(rng, 1.0f);
-      h = gru.Step(wide.Forward(Tensor::Constant(std::move(x))), h);
-      losses.push_back(SquaredError(head.Forward(h), Matrix(1, 1, 0.5f)));
+      const Tensor projected = LinearReference(leaves, wide, Tensor::Constant(std::move(x)));
+      h = GruStepReference(leaves, gru, projected, h);
+      losses.push_back(SquaredError(LinearReference(leaves, head, h), Matrix(1, 1, 0.5f)));
     }
     AddN(losses).Backward();
+    leaves.CopyGradients(store);
     optimizer.Step();
     h = h.Detach();
   }
@@ -180,9 +183,8 @@ TEST(TensorTest, FreelistStaysUnderByteCapAcrossLearnDestroyCycles) {
   // A fresh thread starts with an empty freelist, like a learner thread.
   std::thread([] {
     LearnAndDestroyModel(1);
-    // The last chunk's graph stays pooled for reuse, but the destroyed
-    // model's 512 KB wide weight does not: an oversized node is freed. (A
-    // node-count cap pins 2.2 MB here and 4.2 MB by cycle 8.)
+    // The last chunk's graph stays pooled for reuse, but the 512 KB wide
+    // weight's leaf does not: an oversized node is freed.
     const size_t first = TensorPoolBytes();
     EXPECT_GT(first, 0u);
     EXPECT_LT(first, 4096 * 32 * sizeof(float));

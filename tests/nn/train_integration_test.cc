@@ -1,5 +1,6 @@
-// End-to-end learning sanity checks: small recurrent models trained with the
-// same machinery the DeepRest estimator uses must actually fit simple
+// End-to-end learning sanity checks for the tests' oracle: small recurrent
+// models composed on the tape (GruStepReference, LinearReference) and trained
+// with the production optimizer must actually fit simple
 // sequence-to-sequence tasks. These protect against subtle autograd bugs that
 // per-op gradient checks can miss (e.g. hidden-state wiring across steps).
 #include <cmath>
@@ -10,6 +11,8 @@
 #include "src/nn/layers.h"
 #include "src/nn/optimizer.h"
 #include "src/nn/rng.h"
+#include "tests/testing/ops.h"
+#include "tests/testing/reference_graph.h"
 
 namespace deeprest {
 namespace {
@@ -43,17 +46,18 @@ TEST(TrainIntegrationTest, GruLearnsRunningMean) {
   auto epoch_loss = [&]() {
     float total = 0.0f;
     for (size_t s = 0; s < inputs.size(); ++s) {
-      opt.ZeroGrad();
-      Tensor h = cell.InitialState();
+      const TapeLeaves leaves(store);
+      Tensor h = Tensor::Constant(Matrix(8, 1));
       std::vector<Tensor> losses;
       for (int t = 0; t < kSteps; ++t) {
         Tensor x = Tensor::Constant(Matrix::Column({inputs[s][t]}));
-        h = cell.Step(x, h);
-        Tensor y = head.Forward(h);
+        h = GruStepReference(leaves, cell, x, h);
+        Tensor y = LinearReference(leaves, head, h);
         losses.push_back(SquaredError(y, Matrix::Column({targets[s][t]})));
       }
       Tensor loss = AddN(losses);
       loss.Backward();
+      leaves.CopyGradients(store);
       ClipGradNorm(store, 5.0f);
       opt.Step();
       total += loss.scalar();
@@ -102,16 +106,18 @@ TEST(TrainIntegrationTest, GruLearnsCumulativeSum) {
   for (int e = 0; e < 80; ++e) {
     final_loss = 0.0f;
     for (size_t s = 0; s < inputs.size(); ++s) {
-      opt.ZeroGrad();
-      Tensor h = cell.InitialState();
+      const TapeLeaves leaves(store);
+      Tensor h = Tensor::Constant(Matrix(12, 1));
       std::vector<Tensor> losses;
       for (int t = 0; t < kSteps; ++t) {
         Tensor x = Tensor::Constant(Matrix::Column({inputs[s][t]}));
-        h = cell.Step(x, h);
-        losses.push_back(SquaredError(head.Forward(h), Matrix::Column({targets[s][t]})));
+        h = GruStepReference(leaves, cell, x, h);
+        losses.push_back(
+            SquaredError(LinearReference(leaves, head, h), Matrix::Column({targets[s][t]})));
       }
       Tensor loss = AddN(losses);
       loss.Backward();
+      leaves.CopyGradients(store);
       ClipGradNorm(store, 5.0f);
       opt.Step();
       final_loss += loss.scalar();
@@ -135,18 +141,20 @@ TEST(TrainIntegrationTest, QuantileHeadsBracketNoisyTarget) {
   for (int step = 0; step < 3000; ++step) {
     const float x = static_cast<float>(data_rng.Uniform(0.0, 1.0));
     const float y = 2.0f * x + static_cast<float>(data_rng.Gaussian(0.0, 0.2));
-    opt.ZeroGrad();
-    Tensor pred = head.Forward(Tensor::Constant(Matrix::Column({x})));
+    const TapeLeaves leaves(store);
+    Tensor pred = LinearReference(leaves, head, Tensor::Constant(Matrix::Column({x})));
     PinballLoss(pred, y, deltas).Backward();
+    leaves.CopyGradients(store);
     opt.Step();
   }
 
   int covered = 0;
   const int kEval = 2000;
+  const TapeLeaves leaves(store);
   for (int i = 0; i < kEval; ++i) {
     const float x = static_cast<float>(data_rng.Uniform(0.0, 1.0));
     const float y = 2.0f * x + static_cast<float>(data_rng.Gaussian(0.0, 0.2));
-    Tensor pred = head.Forward(Tensor::Constant(Matrix::Column({x})));
+    Tensor pred = LinearReference(leaves, head, Tensor::Constant(Matrix::Column({x})));
     const float lo = pred.value().At(1, 0);
     const float hi = pred.value().At(2, 0);
     EXPECT_LE(lo, hi);

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/nn/tensor.h"
+#include "tests/testing/tensor.h"
 
 namespace deeprest {
 

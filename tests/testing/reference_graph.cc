@@ -4,19 +4,46 @@
 #include <utility>
 
 #include "src/core/estimator_train.h"
-#include "src/nn/ops.h"
 #include "src/nn/optimizer.h"
+#include "tests/testing/ops.h"
 
 namespace deeprest {
 
-Tensor GruStepReference(const GruCell& gru, const Tensor& x, const Tensor& h_prev) {
-  Tensor z = Sigmoid(Add(Add(MatMul(gru.wz(), x), MatMul(gru.uz(), h_prev)), gru.bz()));
-  Tensor k = Sigmoid(Add(Add(MatMul(gru.wk(), x), MatMul(gru.uk(), h_prev)), gru.bk()));
-  Tensor h_candidate =
-      Tanh(Add(Add(MatMul(gru.wh(), x), MatMul(gru.uh(), Hadamard(k, h_prev))), gru.bh()));
+TapeLeaves::TapeLeaves(const ParameterStore& store) {
+  for (const Parameter& p : store.entries()) {
+    Tensor leaf = Tensor::Parameter(p.value);
+    leaf.node()->EnsureGrad();
+    leaves_.emplace(&p, std::move(leaf));
+  }
+}
+
+const Tensor& TapeLeaves::operator[](const Parameter& parameter) const {
+  return leaves_.at(&parameter);
+}
+
+void TapeLeaves::CopyGradients(ParameterStore& store) const {
+  for (Parameter& p : store.entries()) {
+    p.grad = (*this)[p].grad();
+  }
+}
+
+Tensor GruStepReference(const TapeLeaves& leaves, const GruCell& gru, const Tensor& x,
+                        const Tensor& h_prev) {
+  const auto leaf = [&](const Parameter& p) -> const Tensor& { return leaves[p]; };
+  Tensor z = Sigmoid(
+      Add(Add(MatMul(leaf(gru.wz()), x), MatMul(leaf(gru.uz()), h_prev)), leaf(gru.bz())));
+  Tensor k = Sigmoid(
+      Add(Add(MatMul(leaf(gru.wk()), x), MatMul(leaf(gru.uk()), h_prev)), leaf(gru.bk())));
+  Tensor h_candidate = Tanh(Add(
+      Add(MatMul(leaf(gru.wh()), x), MatMul(leaf(gru.uh()), Hadamard(k, h_prev))),
+      leaf(gru.bh())));
   // h = z . h_prev + (1 - z) . h_candidate
   Tensor one_minus_z = Affine(z, -1.0f, 1.0f);
   return Add(Hadamard(z, h_prev), Hadamard(one_minus_z, h_candidate));
+}
+
+Tensor LinearReference(const TapeLeaves& leaves, const Linear& layer, const Tensor& x) {
+  return Add(MatMul(leaves[layer.weight()], x), leaves[layer.bias()]);
 }
 
 Tensor AttentionReference(const Tensor& alpha, const Tensor& diag_mask,
@@ -24,12 +51,13 @@ Tensor AttentionReference(const Tensor& alpha, const Tensor& diag_mask,
   return MatMul(Hadamard(alpha, diag_mask), StackColumns(hidden));
 }
 
-Tensor ExpertHeadReference(const Tensor& attended, size_t row, const Tensor& h,
-                           const Linear& head, const Linear* skip, const Tensor& xm) {
+Tensor ExpertHeadReference(const TapeLeaves& leaves, const Tensor& attended, size_t row,
+                           const Tensor& h, const Linear& head, const Linear* skip,
+                           const Tensor& xm) {
   const Tensor a = attended.defined() ? RowAsColumn(attended, row)
                                       : Tensor::Constant(Matrix(head.in_dim() - h.rows(), 1));
-  const Tensor head_out = head.Forward(ConcatRows(a, h));
-  return skip != nullptr ? Add(head_out, skip->Forward(xm)) : head_out;
+  const Tensor head_out = LinearReference(leaves, head, ConcatRows(a, h));
+  return skip != nullptr ? Add(head_out, LinearReference(leaves, *skip, xm)) : head_out;
 }
 
 std::vector<std::pair<std::string, EstimatorConfig>> AblationGrid(const EstimatorConfig& base) {
@@ -51,7 +79,7 @@ std::vector<std::pair<std::string, EstimatorConfig>> AblationGrid(const Estimato
 }
 
 std::vector<Tensor> ReferenceGraph::StepAllReference(const DeepRestEstimator& model,
-                                                     const Tensor& x,
+                                                     const TapeLeaves& leaves, const Tensor& x,
                                                      std::vector<Tensor>& hidden) {
   const EstimatorConfig& config = model.config_;
   const size_t e = model.experts_.size();
@@ -59,18 +87,20 @@ std::vector<Tensor> ReferenceGraph::StepAllReference(const DeepRestEstimator& mo
   std::vector<Tensor> masked(e);
   for (size_t i = 0; i < e; ++i) {
     const DeepRestEstimator::Expert& expert = model.experts_[i];
-    masked[i] = config.use_api_mask ? Hadamard(Sigmoid(expert.mask), x) : x;
-    new_hidden[i] = config.use_recurrence ? GruStepReference(expert.gru, masked[i], hidden[i])
-                                          : Tanh(expert.ff.Forward(masked[i]));
+    masked[i] = config.use_api_mask ? Hadamard(Sigmoid(leaves[*expert.mask]), x) : x;
+    new_hidden[i] = config.use_recurrence
+                        ? GruStepReference(leaves, expert.gru, masked[i], hidden[i])
+                        : Tanh(LinearReference(leaves, expert.ff, masked[i]));
   }
   Tensor attended;  // Stays undefined under the attention ablation.
   if (config.use_attention) {
-    attended = AttentionReference(model.alpha_, model.diag_mask_tensor_, new_hidden);
+    attended = AttentionReference(leaves[*model.alpha_], Tensor::Constant(model.diag_mask_),
+                                  new_hidden);
   }
   std::vector<Tensor> outputs(e);
   for (size_t i = 0; i < e; ++i) {
     const DeepRestEstimator::Expert& expert = model.experts_[i];
-    outputs[i] = ExpertHeadReference(attended, i, new_hidden[i], expert.head,
+    outputs[i] = ExpertHeadReference(leaves, attended, i, new_hidden[i], expert.head,
                                      config.use_linear_bypass ? &expert.skip : nullptr,
                                      masked[i]);
   }
@@ -86,12 +116,13 @@ std::vector<Tensor> ReferenceGraph::ZeroState(const DeepRestEstimator& model) {
   return hidden;
 }
 
-std::vector<Tensor> ReferenceGraph::WarmState(const DeepRestEstimator& model) {
+std::vector<Tensor> ReferenceGraph::WarmState(const DeepRestEstimator& model,
+                                              const TapeLeaves& leaves) {
   NoGradGuard no_grad;
   std::vector<Tensor> hidden = ZeroState(model);
   if (model.config_.warm_start) {
     for (const auto& raw : model.learn_features_) {
-      StepAllReference(model, ScaledInput(model, raw), hidden);
+      StepAllReference(model, leaves, ScaledInput(model, raw), hidden);
     }
   }
   return hidden;
@@ -99,7 +130,7 @@ std::vector<Tensor> ReferenceGraph::WarmState(const DeepRestEstimator& model) {
 
 std::vector<float> ReferenceGraph::ReplayWarmStart(const DeepRestEstimator& model) {
   std::vector<float> flat;
-  for (const Tensor& h : WarmState(model)) {
+  for (const Tensor& h : WarmState(model, TapeLeaves(model.store_))) {
     flat.insert(flat.end(), h.value().data(), h.value().data() + h.value().size());
   }
   return flat;
@@ -112,13 +143,15 @@ const std::vector<float>& ReferenceGraph::WarmStartCache(const DeepRestEstimator
 EstimateMap ReferenceGraph::EstimateFromFeaturesReference(const DeepRestEstimator& model,
                                                           const FeatureSeries& features) {
   NoGradGuard no_grad;
-  std::vector<Tensor> hidden = WarmState(model);
+  const TapeLeaves leaves(model.store_);
+  std::vector<Tensor> hidden = WarmState(model, leaves);
   EstimateMap out;
   for (const auto& expert : model.experts_) {
     out.emplace(expert.key, ResourceEstimate());
   }
   for (const auto& raw : features) {
-    const std::vector<Tensor> outputs = StepAllReference(model, ScaledInput(model, raw), hidden);
+    const std::vector<Tensor> outputs =
+        StepAllReference(model, leaves, ScaledInput(model, raw), hidden);
     for (size_t i = 0; i < outputs.size(); ++i) {
       const Matrix& y = outputs[i].value();
       const double scale = model.experts_[i].y_scale;
@@ -137,13 +170,14 @@ EstimateMap ReferenceGraph::EstimateFromFeaturesReference(const DeepRestEstimato
 std::map<MetricKey, std::vector<float>> ReferenceGraph::HiddenTrajectoriesReference(
     const DeepRestEstimator& model, const FeatureSeries& features) {
   NoGradGuard no_grad;
+  const TapeLeaves leaves(model.store_);
   std::vector<Tensor> hidden = ZeroState(model);
   std::map<MetricKey, std::vector<float>> trajectories;
   for (const auto& expert : model.experts_) {
     trajectories[expert.key];
   }
   for (const auto& raw : features) {
-    StepAllReference(model, ScaledInput(model, raw), hidden);
+    StepAllReference(model, leaves, ScaledInput(model, raw), hidden);
     for (size_t i = 0; i < hidden.size(); ++i) {
       const Matrix& h = hidden[i].value();
       auto& out = trajectories[model.experts_[i].key];
@@ -173,7 +207,8 @@ std::vector<std::vector<float>> ReferenceGraph::ScaledTargets(const DeepRestEsti
   return targets;
 }
 
-Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, const FeatureSeries& features,
+Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, const TapeLeaves& leaves,
+                                 const FeatureSeries& features,
                                  const std::vector<std::vector<float>>& targets, size_t begin,
                                  size_t end, std::vector<Tensor>& hidden) {
   const float delta = model.config_.delta;
@@ -182,7 +217,7 @@ Tensor ReferenceGraph::ChunkLoss(const DeepRestEstimator& model, const FeatureSe
   std::vector<Tensor> losses;
   for (size_t t = begin; t < end; ++t) {
     const std::vector<Tensor> outputs =
-        StepAllReference(model, ScaledInput(model, features[t]), hidden);
+        StepAllReference(model, leaves, ScaledInput(model, features[t]), hidden);
     for (size_t i = 0; i < outputs.size(); ++i) {
       losses.push_back(PinballLoss(outputs[i], targets[i][t], deltas));
     }
@@ -210,14 +245,15 @@ void ReferenceGraph::RunTrainingReference(DeepRestEstimator& model,
     size_t loss_terms = 0;
     for (size_t begin = 0; begin < features.size(); begin += config.bptt_chunk) {
       const size_t end = std::min(features.size(), begin + config.bptt_chunk);
-      optimizer.ZeroGrad();
-      const Tensor loss = ChunkLoss(model, features, targets, begin, end, hidden);
+      const TapeLeaves leaves(model.store_);
+      const Tensor loss = ChunkLoss(model, leaves, features, targets, begin, end, hidden);
       loss.Backward();
+      leaves.CopyGradients(model.store_);
       ClipGradNorm(model.store_, config.grad_clip);
       optimizer.Step();
       if (decay_masks && config.use_api_mask && config.mask_decay > 0.0f) {
         for (auto& expert : model.experts_) {
-          Matrix& logits = expert.mask.mutable_value();
+          Matrix& logits = expert.mask->value;
           for (size_t d = 0; d < logits.size(); ++d) {
             logits[d] -= config.mask_decay;
           }

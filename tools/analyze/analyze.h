@@ -11,7 +11,9 @@
 //                       tables. Facts are cheap, serializable, and feed the
 //                       cross-file passes.
 //   * rules.cc/flow.cc/lockgraph.cc — the rule passes:
-//       - the nine legacy token rules (ids unchanged, see rules.cc);
+//       - the nine legacy token rules (ids unchanged, see rules.cc),
+//         no-raw-tensor-node-new among them: it keeps TensorNode allocation
+//         inside the arena of the tests' tape (tests/testing/tensor.cc);
 //       - owned-nonlinearities: no libm exp / tanh in src/nn or src/core
 //         outside src/nn/simd (the model's sigmoid and tanh are
 //         simd::Sigmoid / simd::Tanh);

@@ -76,6 +76,9 @@ void CheckUnorderedIteration(const std::string& path, const FileScan& scan, Sink
 // --------------------------------------------------------------------------
 // Rule: no-raw-tensor-node-new
 // --------------------------------------------------------------------------
+// The arena it guards is the node pool of the tests' tape
+// (tests/testing/tensor.cc, the oracle's engine): every TensorNode comes from
+// its freelist, which is the one allowlisted allocation site.
 void CheckRawTensorNodeNew(const std::string& path, const FileScan& scan, Sink& sink) {
   const auto& t = scan.tokens;
   std::set<std::string> tensor_node_pointers;  // identifiers declared TensorNode*
