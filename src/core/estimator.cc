@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/nn/quant.h"
 #include "src/nn/serialize.h"
 #include "src/nn/simd/dispatch.h"
 
@@ -395,15 +394,6 @@ void DeepRestEstimator::RefreshInferencePack() {
   } else {
     packed_attention_ = Matrix();
   }
-}
-
-void DeepRestEstimator::CompressParametersToFp16() {
-  for (auto& e : store_.entries()) {
-    RoundMatrixToHalf(e.value);
-  }
-  // The rounded weights shift the warm-start trajectory and the packed
-  // weights; rebuild both so inference sees a consistent model.
-  RefreshWarmStartCache();
 }
 
 EstimateMap DeepRestEstimator::EstimateFromTraces(const TraceCollector& traces, size_t from,
@@ -793,9 +783,9 @@ bool DeepRestEstimator::LoadFromStream(std::istream& in) {
     }
   }
   // Every expert stores its GRU's three H x D input and three H x H recurrent
-  // blocks, at two bytes a value or more (fp16 parameter streams).
+  // blocks, at four bytes a value.
   const double h = static_cast<double>(hidden);
-  if (2.0 * 3.0 * static_cast<double>(expert_count) * (h * h + h * static_cast<double>(dim)) >
+  if (4.0 * 3.0 * static_cast<double>(expert_count) * (h * h + h * static_cast<double>(dim)) >
       static_cast<double>(BytesLeft(in))) {
     return false;
   }

@@ -209,14 +209,6 @@ class DeepRestEstimator {
   double train_seconds() const { return train_seconds_; }
   const std::vector<float>& epoch_losses() const { return epoch_losses_; }
 
-  // --- Reduced-precision storage ---
-  // Rounds every parameter to the nearest IEEE binary16 value in place
-  // (ModelRegistry fp16 storage policy). Compute stays fp32; the warm-start
-  // cache and the packed inference weights are refreshed against the
-  // rounded weights.
-  // Mutating call, serialize like Learn.
-  void CompressParametersToFp16();
-
   // --- Persistence ---
   bool Save(const std::string& path) const;
   bool Load(const std::string& path);
@@ -277,8 +269,8 @@ class DeepRestEstimator {
   // Rebuilds the packed inference weights, then recomputes warm_hidden_ by
   // running learn_features_ through the packed forward from a zero state.
   // Called by every mutation point (Learn, ContinueLearning,
-  // TransferRecurrentWeightsFrom, LoadFromStream, CompressParametersToFp16)
-  // so the const inference surface can read both caches lock-free.
+  // TransferRecurrentWeightsFrom, LoadFromStream) so the const inference
+  // surface can read both caches lock-free.
   void RefreshWarmStartCache();
   // Rebuilds packed_, cores_ and packed_attention_ from the current
   // parameters and config_.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <sstream>
 
 #include "src/nn/rng.h"
 #include "src/nn/simd/dispatch.h"
@@ -28,14 +26,6 @@ Matrix Matrix::Column(const std::vector<float>& values) {
   Matrix m(values.size(), 1);
   for (size_t i = 0; i < values.size(); ++i) {
     m[i] = values[i];
-  }
-  return m;
-}
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    m.At(i, i) = 1.0f;
   }
   return m;
 }
@@ -68,20 +58,6 @@ void Matrix::FillUniform(Rng& rng, float bound) {
   }
 }
 
-void Matrix::FillGaussian(Rng& rng, float stddev) {
-  for (auto& v : data_) {
-    v = static_cast<float>(rng.Gaussian(0.0, stddev));
-  }
-}
-
-float Matrix::Norm() const {
-  double acc = 0.0;
-  for (float v : data_) {
-    acc += static_cast<double>(v) * v;
-  }
-  return static_cast<float>(std::sqrt(acc));
-}
-
 float Matrix::Sum() const {
   double acc = 0.0;
   for (float v : data_) {
@@ -90,54 +66,10 @@ float Matrix::Sum() const {
   return static_cast<float>(acc);
 }
 
-float Matrix::Max() const {
-  float best = data_.empty() ? 0.0f : data_[0];
-  for (float v : data_) {
-    best = std::max(best, v);
-  }
-  return best;
-}
-
-float Matrix::Min() const {
-  float best = data_.empty() ? 0.0f : data_[0];
-  for (float v : data_) {
-    best = std::min(best, v);
-  }
-  return best;
-}
-
 Matrix Matrix::MatMul(const Matrix& other) const {
   Matrix out;
   MatMulInto(*this, other, out);
   return out;
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) {
-      out.At(c, r) = At(r, c);
-    }
-  }
-  return out;
-}
-
-std::string Matrix::DebugString() const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_ << " [";
-  for (size_t r = 0; r < rows_; ++r) {
-    if (r > 0) {
-      os << "; ";
-    }
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c > 0) {
-        os << " ";
-      }
-      os << At(r, c);
-    }
-  }
-  os << "]";
-  return os.str();
 }
 
 // ---- Kernel backend selection ----

@@ -9,7 +9,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace deeprest {
@@ -26,8 +25,6 @@ class Matrix {
   static Matrix FromRows(const std::vector<std::vector<float>>& rows);
   // Builds an n x 1 column vector.
   static Matrix Column(const std::vector<float>& values);
-  // Identity matrix of size n.
-  static Matrix Identity(size_t n);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -83,21 +80,12 @@ class Matrix {
 
   // Fills with samples from U(-bound, bound).
   void FillUniform(Rng& rng, float bound);
-  // Fills with N(0, stddev) samples.
-  void FillGaussian(Rng& rng, float stddev);
 
-  // Frobenius / L2 norm of all entries.
-  float Norm() const;
+  // Sum of all entries, accumulated in double.
   float Sum() const;
-  float Max() const;
-  float Min() const;
 
   // Matrix product (rows_ x cols_) * (other.rows_ x other.cols_).
   Matrix MatMul(const Matrix& other) const;
-  // Transpose copy.
-  Matrix Transposed() const;
-
-  std::string DebugString() const;
 
   bool operator==(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_ && data_ == other.data_;

@@ -73,32 +73,4 @@ float HalfToFloat(uint16_t bits) {
   return value;
 }
 
-HalfMatrix ToHalf(const Matrix& m) {
-  HalfMatrix h;
-  h.rows = m.rows();
-  h.cols = m.cols();
-  h.data.resize(m.size());
-  const float* src = m.data();
-  for (size_t i = 0; i < h.data.size(); ++i) {
-    h.data[i] = FloatToHalf(src[i]);
-  }
-  return h;
-}
-
-Matrix FromHalf(const HalfMatrix& h) {
-  Matrix m(h.rows, h.cols);
-  float* dst = m.data();
-  for (size_t i = 0; i < h.data.size(); ++i) {
-    dst[i] = HalfToFloat(h.data[i]);
-  }
-  return m;
-}
-
-void RoundMatrixToHalf(Matrix& m) {
-  float* d = m.data();
-  for (size_t i = 0, e = m.size(); i < e; ++i) {
-    d[i] = HalfToFloat(FloatToHalf(d[i]));
-  }
-}
-
 }  // namespace deeprest

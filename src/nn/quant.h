@@ -1,18 +1,12 @@
-// Reduced-precision (fp16) storage for model parameters.
+// IEEE binary16 (fp16) scalar conversions.
 //
-// IEEE binary16 is used two ways: in-place rounding of a cloned model's
-// parameters (ModelRegistry fp16 storage policy — compute stays fp32,
-// storage precision drops to 11 significand bits), and half-width checkpoint
-// serialization (serialize.h format v2). Its accuracy budget is enforced
-// end-to-end by the quantized_tests suite (quantile-loss delta vs fp32 under
-// the bound documented in DESIGN.md §6).
+// The state cache's fp16 cold tier (src/serve/state_cache.h) stores evicted
+// stream hidden states as binary16 bits and widens them back on promotion;
+// these are its two conversions. Model parameters are always fp32.
 #ifndef SRC_NN_QUANT_H_
 #define SRC_NN_QUANT_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "src/nn/matrix.h"
 
 namespace deeprest {
 
@@ -22,24 +16,6 @@ namespace deeprest {
 // +/-inf; subnormal halves are produced for tiny magnitudes.
 uint16_t FloatToHalf(float value);
 float HalfToFloat(uint16_t bits);
-
-// ---- fp16 matrices ----
-
-struct HalfMatrix {
-  size_t rows = 0;
-  size_t cols = 0;
-  std::vector<uint16_t> data;  // row-major binary16 bits
-
-  bool empty() const { return data.empty(); }
-};
-
-HalfMatrix ToHalf(const Matrix& m);
-Matrix FromHalf(const HalfMatrix& h);
-
-// In-place fp16 round-trip: every entry becomes the nearest binary16 value.
-// This is the ModelRegistry storage policy — the matrix stays fp32 in
-// memory layout but carries only half precision.
-void RoundMatrixToHalf(Matrix& m);
 
 }  // namespace deeprest
 

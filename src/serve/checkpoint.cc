@@ -82,17 +82,6 @@ bool WriteFileAtomic(const std::string& path, const std::string& bytes) {
   return true;
 }
 
-bool ReadFileAll(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
 const char* RecoverySourceName(RecoverySource source) {
   switch (source) {
     case RecoverySource::kNone:

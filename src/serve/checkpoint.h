@@ -48,11 +48,8 @@ uint64_t Fnv1a64(const void* data, size_t size);
 // the same discipline WriteCheckpoint uses (minus the .prev rotation). At
 // every instant `path` is either absent, the old contents, or the complete
 // new contents — never a torn write. Exported for the state-cache disk slab
-// superblock and the DiskSnapshotStore (state_cache.h).
+// superblock (state_cache.h).
 bool WriteFileAtomic(const std::string& path, const std::string& bytes);
-
-// Reads the whole file into *out; false when it cannot be opened.
-bool ReadFileAll(const std::string& path, std::string* out);
 
 // Atomically replaces the checkpoint at `path` (rotating any existing one to
 // `<path>.prev`). Returns false — leaving the previous checkpoint intact —

@@ -135,9 +135,7 @@ uint64_t ContinualLearner::RefreshOnce() {
     }
   }
 
-  // Last point where the clone is still mutable: apply the registry's fp16
-  // storage policy (no-op when off) before it becomes an immutable snapshot.
-  registry_.ApplyStoragePolicy(*next);
+  // Publish exactly the model the breaker validated.
   std::shared_ptr<const DeepRestEstimator> published(std::move(next));
   const uint64_t version = registry_.Publish(published);
   trained_through_.store(watermark, std::memory_order_release);

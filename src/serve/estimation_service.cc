@@ -681,9 +681,6 @@ ServiceCounters EstimationService::Counters() const {
       counters.memory_budget_bytes = budget->budget();
       counters.memory_used_bytes = budget->used();
     }
-    const ModelRegistry::RetentionCounters retention = registry_.retention_counters();
-    counters.retained_clones = retention.retained;
-    counters.retained_clone_bytes = retention.retained_bytes;
   }
   return counters;
 }

@@ -1,65 +1,24 @@
 #include "src/serve/model_registry.h"
 
-#include <sstream>
-#include <utility>
-
 namespace deeprest {
 
+// Publish and Restore swap the new model into place instead of assigning it:
+// the displaced model leaves in the by-value parameter, which is destroyed
+// after the lock, so a model whose last reference this was is freed outside
+// mu_ and never stalls Current() readers.
 uint64_t ModelRegistry::Publish(std::shared_ptr<const DeepRestEstimator> model) {
-  ModelSnapshot replaced;
-  uint64_t version = 0;
-  {
-    MutexLock lock(mu_);
-    replaced = current_;
-    current_.model = std::move(model);
-    version = ++current_.version;
-  }
-  // Retain the model this publish displaced — outside mu_, so serializing a
-  // multi-megabyte clone never stalls Current() readers.
-  if (replaced.valid()) {
-    RetainClone(replaced.model, replaced.version);
-  }
-  return version;
-}
-
-void ModelRegistry::SetFp16Storage(bool enabled) {
   MutexLock lock(mu_);
-  fp16_storage_ = enabled;
-}
-
-bool ModelRegistry::fp16_storage() const {
-  MutexLock lock(mu_);
-  return fp16_storage_;
-}
-
-void ModelRegistry::ApplyStoragePolicy(DeepRestEstimator& model) const {
-  if (fp16_storage()) {
-    model.CompressParametersToFp16();
-  }
+  current_.model.swap(model);
+  return ++current_.version;
 }
 
 bool ModelRegistry::Restore(std::shared_ptr<const DeepRestEstimator> model, uint64_t version) {
-  {
-    MutexLock lock(mu_);
-    if (model == nullptr || version == 0 || version <= current_.version) {
-      return false;
-    }
-    current_.model = std::move(model);
-    current_.version = version;
+  MutexLock lock(mu_);
+  if (model == nullptr || version == 0 || version <= current_.version) {
+    return false;
   }
-  // Purge every retained pre-restore clone: a restored registry must not be
-  // able to rematerialize stale experts, and the store's budget charge is
-  // released here exactly once (Clear is idempotent; the version index is
-  // cleared with it). The barrier closes the race with an in-flight
-  // Publish's RetainClone: every pre-restore version is <= version - 1.
-  MutexLock lock(retain_mu_);
-  if (restore_barrier_ < version - 1) {
-    restore_barrier_ = version - 1;
-  }
-  if (store_ != nullptr) {
-    store_->Clear();
-  }
-  retained_versions_.clear();
+  current_.model.swap(model);
+  current_.version = version;
   return true;
 }
 
@@ -74,88 +33,5 @@ uint64_t ModelRegistry::version() const {
 }
 
 uint64_t ModelRegistry::publish_count() const { return version(); }
-
-void ModelRegistry::SetRetention(SnapshotStore* store, size_t max_retained) {
-  MutexLock lock(retain_mu_);
-  if (store_ != nullptr && store_ != store) {
-    store_->Clear();
-  }
-  retained_versions_.clear();
-  store_ = store;
-  max_retained_ = max_retained;
-}
-
-void ModelRegistry::RetainClone(const std::shared_ptr<const DeepRestEstimator>& model,
-                                uint64_t version) {
-  {
-    MutexLock lock(retain_mu_);
-    if (store_ == nullptr || max_retained_ == 0 || version <= restore_barrier_) {
-      return;
-    }
-  }
-  std::ostringstream out;
-  if (!model->SaveToStream(out)) {
-    return;
-  }
-  std::string bytes = out.str();
-  MutexLock lock(retain_mu_);
-  // Re-check after the unlocked serialization: a Restore may have raised
-  // the barrier (this clone is now stale) or retention was reconfigured.
-  if (store_ == nullptr || max_retained_ == 0 || version <= restore_barrier_) {
-    return;
-  }
-  if (!store_->Put(version, std::move(bytes))) {
-    return;
-  }
-  retained_versions_.push_back(version);
-  while (retained_versions_.size() > max_retained_) {
-    store_->Erase(retained_versions_.front());
-    retained_versions_.pop_front();
-    ++retain_evictions_;
-  }
-}
-
-ModelSnapshot ModelRegistry::Snapshot(uint64_t version) const {
-  ModelSnapshot current = Current();
-  if (version == 0 || version == current.version) {
-    return version == current.version ? current : ModelSnapshot{};
-  }
-  std::string bytes;
-  {
-    MutexLock lock(retain_mu_);
-    if (store_ == nullptr || !store_->Get(version, &bytes)) {
-      ++retain_misses_;
-      return {};
-    }
-  }
-  // Deserialize outside retain_mu_ — rematerializing a clone is the slow
-  // part and must not block Publish/Restore bookkeeping.
-  std::istringstream in(bytes);
-  auto model = std::make_unique<DeepRestEstimator>();
-  if (!model->LoadFromStream(in)) {
-    MutexLock lock(retain_mu_);
-    ++retain_misses_;
-    return {};
-  }
-  {
-    MutexLock lock(retain_mu_);
-    ++retain_hits_;
-  }
-  ModelSnapshot snapshot;
-  snapshot.version = version;
-  snapshot.model = std::shared_ptr<const DeepRestEstimator>(std::move(model));
-  return snapshot;
-}
-
-ModelRegistry::RetentionCounters ModelRegistry::retention_counters() const {
-  MutexLock lock(retain_mu_);
-  RetentionCounters counters;
-  counters.retained = retained_versions_.size();
-  counters.retain_hits = retain_hits_;
-  counters.retain_misses = retain_misses_;
-  counters.retain_evictions = retain_evictions_;
-  counters.retained_bytes = store_ != nullptr ? store_->resident_bytes() : 0;
-  return counters;
-}
 
 }  // namespace deeprest

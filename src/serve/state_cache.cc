@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "src/nn/quant.h"
@@ -17,7 +16,6 @@ namespace deeprest {
 namespace {
 
 constexpr uint64_t kSlotMagic = 0x44525354534C4231ULL;  // "DRSTSLB1"
-constexpr uint64_t kSnapMagic = 0x4452534E41503031ULL;  // "DRSNAP01"
 
 // Slab superblock region: one page holding {magic, slot payload bytes, slot
 // count}; slots start right after it.
@@ -761,206 +759,6 @@ StateCacheCounters StateCache::Counters() const {
   counters.hot_resident_bytes = hot_resident_;
   counters.cold_resident_bytes = cold_resident_;
   return counters;
-}
-
-// ---------------------------------------------------------------------------
-// InMemorySnapshotStore
-// ---------------------------------------------------------------------------
-
-InMemorySnapshotStore::InMemorySnapshotStore(size_t max_bytes, MemoryBudget* budget)
-    : max_bytes_(max_bytes), budget_(budget) {
-  if (budget_ != nullptr) {
-    pressure_callback_id_ = budget_->RegisterPressure([this](size_t bytes) {
-      MutexLock lock(mu_);
-      size_t freed = 0;
-      while (freed < bytes && !blobs_.empty()) {
-        freed += DropOldestLocked();
-      }
-      if (freed > 0) {
-        budget_->Release(freed);
-      }
-      return freed;
-    });
-  }
-}
-
-InMemorySnapshotStore::~InMemorySnapshotStore() {
-  if (budget_ != nullptr) {
-    budget_->UnregisterPressure(pressure_callback_id_);
-    MutexLock lock(mu_);
-    budget_->Release(resident_);
-  }
-}
-
-size_t InMemorySnapshotStore::DropOldestLocked() {
-  if (blobs_.empty()) {
-    return 0;
-  }
-  auto oldest = blobs_.begin();
-  const size_t bytes = oldest->second.size();
-  resident_ -= bytes;
-  blobs_.erase(oldest);
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-  return bytes;
-}
-
-bool InMemorySnapshotStore::Put(uint64_t version, std::string bytes) {
-  if (bytes.size() > max_bytes_) {
-    return false;
-  }
-  size_t charge = 0;
-  size_t release = 0;
-  {
-    MutexLock lock(mu_);
-    auto it = blobs_.find(version);
-    if (it != blobs_.end()) {
-      release += it->second.size();
-      resident_ -= it->second.size();
-      blobs_.erase(it);
-    }
-    while (resident_ + bytes.size() > max_bytes_ && !blobs_.empty()) {
-      release += DropOldestLocked();
-    }
-    resident_ += bytes.size();
-    charge = bytes.size();
-    blobs_.emplace(version, std::move(bytes));
-  }
-  if (budget_ != nullptr) {
-    if (release > 0) {
-      budget_->Release(release);
-    }
-    budget_->Reserve(charge);
-  }
-  return true;
-}
-
-bool InMemorySnapshotStore::Get(uint64_t version, std::string* bytes) {
-  MutexLock lock(mu_);
-  auto it = blobs_.find(version);
-  if (it == blobs_.end()) {
-    return false;
-  }
-  *bytes = it->second;
-  return true;
-}
-
-void InMemorySnapshotStore::Erase(uint64_t version) {
-  size_t release = 0;
-  {
-    MutexLock lock(mu_);
-    auto it = blobs_.find(version);
-    if (it == blobs_.end()) {
-      return;
-    }
-    release = it->second.size();
-    resident_ -= release;
-    blobs_.erase(it);
-  }
-  if (budget_ != nullptr && release > 0) {
-    budget_->Release(release);
-  }
-}
-
-void InMemorySnapshotStore::Clear() {
-  size_t release = 0;
-  {
-    MutexLock lock(mu_);
-    release = resident_;
-    resident_ = 0;
-    blobs_.clear();
-  }
-  if (budget_ != nullptr && release > 0) {
-    budget_->Release(release);
-  }
-}
-
-size_t InMemorySnapshotStore::resident_bytes() const {
-  MutexLock lock(mu_);
-  return resident_;
-}
-
-// ---------------------------------------------------------------------------
-// DiskSnapshotStore
-// ---------------------------------------------------------------------------
-
-DiskSnapshotStore::DiskSnapshotStore(std::string dir) : dir_(std::move(dir)) {}
-
-DiskSnapshotStore::~DiskSnapshotStore() { Clear(); }
-
-std::string DiskSnapshotStore::PathFor(uint64_t version) const {
-  return dir_ + "/clone-" + std::to_string(version) + ".bin";
-}
-
-bool DiskSnapshotStore::Put(uint64_t version, std::string bytes) {
-  std::string file;
-  file.reserve(3 * sizeof(uint64_t) + bytes.size());
-  const uint64_t words[3] = {kSnapMagic, version,
-                             Fnv1a64(bytes.data(), bytes.size())};
-  file.append(reinterpret_cast<const char*>(words), sizeof(words));
-  file += bytes;
-  if (!WriteFileAtomic(PathFor(version), file)) {
-    return false;
-  }
-  MutexLock lock(mu_);
-  sizes_[version] = file.size();
-  return true;
-}
-
-bool DiskSnapshotStore::Get(uint64_t version, std::string* bytes) {
-  {
-    MutexLock lock(mu_);
-    if (sizes_.find(version) == sizes_.end()) {
-      return false;
-    }
-  }
-  std::string file;
-  if (!ReadFileAll(PathFor(version), &file) || file.size() < 3 * sizeof(uint64_t)) {
-    return false;
-  }
-  uint64_t words[3];
-  std::memcpy(words, file.data(), sizeof(words));
-  const char* payload = file.data() + sizeof(words);
-  const size_t payload_bytes = file.size() - sizeof(words);
-  if (words[0] != kSnapMagic || words[1] != version ||
-      Fnv1a64(payload, payload_bytes) != words[2]) {
-    return false;  // torn or mismatched file: a miss, never wrong bytes
-  }
-  bytes->assign(payload, payload_bytes);
-  return true;
-}
-
-void DiskSnapshotStore::Erase(uint64_t version) {
-  {
-    MutexLock lock(mu_);
-    if (sizes_.erase(version) == 0) {
-      return;
-    }
-  }
-  std::remove(PathFor(version).c_str());
-}
-
-void DiskSnapshotStore::Clear() {
-  std::vector<uint64_t> versions;
-  {
-    MutexLock lock(mu_);
-    versions.reserve(sizes_.size());
-    for (const auto& entry : sizes_) {
-      versions.push_back(entry.first);
-    }
-    sizes_.clear();
-  }
-  for (uint64_t version : versions) {
-    std::remove(PathFor(version).c_str());
-  }
-}
-
-size_t DiskSnapshotStore::resident_bytes() const {
-  MutexLock lock(mu_);
-  size_t total = 0;
-  for (const auto& entry : sizes_) {
-    total += entry.second;
-  }
-  return total;
 }
 
 }  // namespace deeprest

@@ -1,14 +1,13 @@
-// Soft-memory tiered state: bounded-RAM caching of per-stream hidden states
-// and retained model clones.
+// Soft-memory tiered state: bounded-RAM caching of per-stream hidden states.
 //
 // Serving millions of concurrent streams means millions of per-API-context
-// GRU hidden states (and several retained expert-model clones) that cannot
-// all stay hot in RAM. This file provides the reclaimable cache layer
-// (ROADMAP item 3, in the spirit of Midas soft memory): caches that shrink
-// under pressure without correctness loss, because every tier transition is
-// either lossless (disk spill stores raw float bits), precision-bounded
-// (fp16 round-to-nearest-even via src/nn/quant.h), or recoverable
-// (recompute-on-miss / warm-restart). Eviction is never a correctness event.
+// GRU hidden states that cannot all stay hot in RAM. This file provides the
+// reclaimable cache layer (in the spirit of Midas soft memory): a cache
+// that shrinks under pressure without correctness loss, because every tier
+// transition is either lossless (disk spill stores raw float bits),
+// precision-bounded (fp16 round-to-nearest-even via src/nn/quant.h), or
+// recoverable (recompute-on-miss / warm-restart). Eviction is never a
+// correctness event.
 //
 // Components:
 //
@@ -35,15 +34,9 @@
 //    state a reader still borrows. A second Acquire of the same key blocks
 //    until the lease returns.
 //
-//  * SnapshotStore — pluggable cold storage for ModelRegistry's retained
-//    model clones (the ROADMAP "make ModelRegistry storage pluggable"
-//    refactor hook): InMemorySnapshotStore (budget-charged, FIFO-evicting)
-//    or DiskSnapshotStore (one checksummed file per version, written with
-//    the checkpoint.h atomic-replace discipline).
-//
 // Lock hierarchy (TSA-annotated; see DESIGN.md "Soft-memory tiered state"):
 //
-//   MemoryBudget::mu_  →  StateCache::mu_ / InMemorySnapshotStore::mu_
+//   MemoryBudget::mu_  →  StateCache::mu_
 //
 //   * Pressure callbacks run WITH MemoryBudget::mu_ held and take the
 //     cache's own mutex inside — so no component may call Reserve(),
@@ -65,7 +58,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -125,10 +117,10 @@ class MemoryBudget {
   std::atomic<size_t> budget_;
   std::atomic<size_t> used_{0};
   std::atomic<uint64_t> pressure_events_{0};
-  // Pressure callbacks run under this mutex and take the stores' mutexes
-  // (drop-oldest / evict paths) — hence the acquired-before edges, and hence
-  // why Reserve() while holding a cache or store mutex is a deadlock.
-  // deeprest-lint: lock-level(before StateCache::mu_, InMemorySnapshotStore::mu_)
+  // Pressure callbacks run under this mutex and take the cache's mutex
+  // (the evict path) — hence the acquired-before edge, and hence why
+  // Reserve() while holding a cache mutex is a deadlock.
+  // deeprest-lint: lock-level(before StateCache::mu_)
   mutable Mutex mu_;
   std::vector<std::pair<size_t, PressureFn>> callbacks_ DEEPREST_GUARDED_BY(mu_);
   size_t next_callback_id_ DEEPREST_GUARDED_BY(mu_) = 1;
@@ -390,74 +382,6 @@ class StateCache {
   std::atomic<uint64_t> hot_hits_{0}, cold_hits_{0}, misses_{0}, recomputes_{0};
   std::atomic<uint64_t> evictions_{0}, compressions_{0}, spills_{0}, drops_{0};
   std::atomic<uint64_t> pressure_shrinks_{0};
-};
-
-// ---------------------------------------------------------------------------
-// SnapshotStore — pluggable cold storage for retained ModelRegistry clones.
-// ---------------------------------------------------------------------------
-class SnapshotStore {
- public:
-  virtual ~SnapshotStore() = default;
-  // Stores the serialized model for `version` (replacing any previous
-  // bytes). False when the store could not hold it.
-  virtual bool Put(uint64_t version, std::string bytes) = 0;
-  // Copies the bytes out. False on miss — including entries the store
-  // silently dropped under pressure (it is a cache, not a log).
-  virtual bool Get(uint64_t version, std::string* bytes) = 0;
-  virtual void Erase(uint64_t version) = 0;
-  virtual void Clear() = 0;
-  virtual size_t resident_bytes() const = 0;
-};
-
-// Serialized clones kept in RAM, charged against an optional MemoryBudget;
-// oldest-version entries drop under pressure or past max_bytes.
-class InMemorySnapshotStore : public SnapshotStore {
- public:
-  explicit InMemorySnapshotStore(size_t max_bytes = size_t{256} << 20,
-                                 MemoryBudget* budget = nullptr);
-  ~InMemorySnapshotStore() override;
-
-  bool Put(uint64_t version, std::string bytes) override DEEPREST_EXCLUDES(mu_);
-  bool Get(uint64_t version, std::string* bytes) override DEEPREST_EXCLUDES(mu_);
-  void Erase(uint64_t version) override DEEPREST_EXCLUDES(mu_);
-  void Clear() override DEEPREST_EXCLUDES(mu_);
-  size_t resident_bytes() const override DEEPREST_EXCLUDES(mu_);
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-
- private:
-  size_t DropOldestLocked() DEEPREST_REQUIRES(mu_);  // returns bytes freed
-
-  const size_t max_bytes_;
-  MemoryBudget* const budget_;
-  size_t pressure_callback_id_ = 0;
-  std::atomic<uint64_t> dropped_{0};
-  mutable Mutex mu_;  // deeprest-lint: lock-level(after MemoryBudget::mu_)
-  // deeprest-lint: bounded(capped at max_bytes_: Put/pressure drop oldest versions FIFO)
-  std::map<uint64_t, std::string> blobs_ DEEPREST_GUARDED_BY(mu_);
-  size_t resident_ DEEPREST_GUARDED_BY(mu_) = 0;
-};
-
-// One checksummed file per retained version under `dir`, written with the
-// checkpoint.h atomic-replace discipline; Get validates magic + FNV-1a, so
-// a torn file reads as a miss. Holds no RAM beyond the index.
-class DiskSnapshotStore : public SnapshotStore {
- public:
-  explicit DiskSnapshotStore(std::string dir);
-  ~DiskSnapshotStore() override;
-
-  bool Put(uint64_t version, std::string bytes) override DEEPREST_EXCLUDES(mu_);
-  bool Get(uint64_t version, std::string* bytes) override DEEPREST_EXCLUDES(mu_);
-  void Erase(uint64_t version) override DEEPREST_EXCLUDES(mu_);
-  void Clear() override DEEPREST_EXCLUDES(mu_);
-  size_t resident_bytes() const override DEEPREST_EXCLUDES(mu_);  // disk bytes
-
- private:
-  std::string PathFor(uint64_t version) const;
-
-  const std::string dir_;
-  mutable Mutex mu_;  // deeprest-lint: lock-level(leaf)
-  // deeprest-lint: bounded(capped by ModelRegistry retention (max_retained); Restore clears it)
-  std::map<uint64_t, size_t> sizes_ DEEPREST_GUARDED_BY(mu_);
 };
 
 }  // namespace deeprest

@@ -174,8 +174,6 @@ std::vector<std::pair<std::string, std::string>> ServiceCounters::Rows() const {
                       FormatBytes(memory_used_bytes) + " / " +
                           (memory_budget_bytes == 0 ? std::string("unlimited")
                                                     : FormatBytes(memory_budget_bytes)));
-    rows.emplace_back("retained model clones", FormatCount(retained_clones));
-    rows.emplace_back("retained clone bytes", FormatBytes(retained_clone_bytes));
   }
   return rows;
 }

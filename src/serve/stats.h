@@ -58,11 +58,9 @@ struct ServiceCounters {
   uint64_t state_drops = 0;        // states lost entirely (cold overflow etc.)
   uint64_t state_resets = 0;       // model-version-mismatch warm restarts
   size_t state_resident_bytes = 0; // hot + cold RAM held by the cache
-  // Global soft-memory gauge (0 budget = unlimited) and retained-clone tier.
+  // Global soft-memory gauge (0 budget = unlimited).
   size_t memory_budget_bytes = 0;
   size_t memory_used_bytes = 0;
-  uint64_t retained_clones = 0;       // model versions in the snapshot store
-  uint64_t retained_clone_bytes = 0;  // bytes the store holds for them
 
   // Two-column "counter | value" table (rendered with eval/ascii elsewhere).
   std::vector<std::pair<std::string, std::string>> Rows() const;

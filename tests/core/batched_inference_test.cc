@@ -334,9 +334,6 @@ TEST(BatchedInferenceTest, BitExactAfterEveryMutationPoint) {
   ASSERT_GT(model.TransferRecurrentWeightsFrom(donor), 0u);
   expect_fresh(model, "TransferRecurrentWeightsFrom");
 
-  model.CompressParametersToFp16();
-  expect_fresh(model, "CompressParametersToFp16");
-
   // LoadFromStream over an already-trained model: the donor's weights must
   // replace the pack, not just the parameters.
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);

@@ -251,11 +251,23 @@ TEST(ModelFileTest, TruncatedOrCorruptFilesFailClosed) {
   const uint64_t huge_hidden = uint64_t{1} << 40;
   std::memcpy(corrupt.data() + 8, &huge_hidden, sizeof(huge_hidden));
   EXPECT_FALSE(load_file(corrupt));
-  // The first parameter's rows and cols, after the parameter section's
-  // magic, version and count and the entry's name.
+  // The parameter section closes the file; find it by saving the store on
+  // its own.
   const ParameterStore& store = ReferenceGraph::Parameters(model);
-  const size_t shape = bytes.size() - SerializedSize(store) + 12 + 4 +
-                       store.entries().front().name.size();
+  std::ostringstream section_stream;
+  ASSERT_TRUE(SaveParameters(store, section_stream));
+  const std::string section = section_stream.str();
+  ASSERT_GE(bytes.size(), section.size());
+  const size_t section_at = bytes.size() - section.size();
+  ASSERT_EQ(bytes.compare(section_at, section.size(), section), 0);
+  // The section's version field, after its magic: only version 1 loads.
+  corrupt = bytes;
+  const uint32_t version_two = 2;
+  std::memcpy(corrupt.data() + section_at + 4, &version_two, sizeof(version_two));
+  EXPECT_FALSE(load_file(corrupt));
+  // The first parameter's rows and cols, after the section's magic, version
+  // and count and the entry's name.
+  const size_t shape = section_at + 12 + 4 + store.entries().front().name.size();
   corrupt = bytes;
   std::memset(corrupt.data() + shape, 0xFF, 2 * sizeof(uint32_t));
   EXPECT_FALSE(load_file(corrupt));

@@ -1,7 +1,5 @@
 #include "src/nn/matrix.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "src/nn/rng.h"
@@ -50,15 +48,6 @@ TEST(MatrixTest, ColumnVector) {
   EXPECT_EQ(v.At(1, 0), 8.0f);
 }
 
-TEST(MatrixTest, Identity) {
-  Matrix id = Matrix::Identity(3);
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(id.At(r, c), r == c ? 1.0f : 0.0f);
-    }
-  }
-}
-
 TEST(MatrixTest, AddAndAddScaled) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
   Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
@@ -98,25 +87,17 @@ TEST(MatrixTest, MatMulRectangular) {
 
 TEST(MatrixTest, MatMulByIdentityIsNoop) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  EXPECT_EQ(a.MatMul(Matrix::Identity(2)), a);
-  EXPECT_EQ(Matrix::Identity(2).MatMul(a), a);
+  const Matrix id = Matrix::FromRows({{1, 0}, {0, 1}});
+  EXPECT_EQ(a.MatMul(id), a);
+  EXPECT_EQ(id.MatMul(a), a);
 }
 
 TEST(MatrixTest, MatMulIntoReusesStorage) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix b = Matrix::Identity(2);
+  Matrix b = Matrix::FromRows({{1, 0}, {0, 1}});
   Matrix out(2, 2, 99.0f);
   MatMulInto(a, b, out);
   EXPECT_EQ(out, a);
-}
-
-TEST(MatrixTest, Transposed) {
-  Matrix a = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
-  Matrix t = a.Transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_EQ(t.At(0, 1), 4.0f);
-  EXPECT_EQ(t.At(2, 0), 3.0f);
 }
 
 TEST(MatrixTest, AccumulateATransposeB) {
@@ -125,7 +106,7 @@ TEST(MatrixTest, AccumulateATransposeB) {
   Matrix b = Matrix::FromRows({{1, 0, 1}, {0, 1, 1}});
   Matrix out(2, 3);
   AccumulateATransposeB(a, b, out);
-  Matrix expected = a.Transposed().MatMul(b);
+  Matrix expected = Matrix::FromRows({{1, 3, 4}, {2, 4, 6}});
   EXPECT_EQ(out, expected);
   // Accumulation: calling again doubles.
   AccumulateATransposeB(a, b, out);
@@ -138,16 +119,12 @@ TEST(MatrixTest, AccumulateABTranspose) {
   Matrix b = Matrix::FromRows({{4, 5, 6}, {1, 1, 1}});  // 2x3
   Matrix out(1, 2);
   AccumulateABTranspose(a, b, out);
-  Matrix expected = a.MatMul(b.Transposed());
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(out, Matrix::FromRows({{32, 6}}));
 }
 
-TEST(MatrixTest, NormSumMaxMin) {
+TEST(MatrixTest, SumAddsEveryEntry) {
   Matrix a = Matrix::FromRows({{3, -4}});
-  EXPECT_FLOAT_EQ(a.Norm(), 5.0f);
   EXPECT_FLOAT_EQ(a.Sum(), -1.0f);
-  EXPECT_FLOAT_EQ(a.Max(), 3.0f);
-  EXPECT_FLOAT_EQ(a.Min(), -4.0f);
 }
 
 TEST(MatrixTest, FillUniformWithinBounds) {
@@ -160,31 +137,12 @@ TEST(MatrixTest, FillUniformWithinBounds) {
   }
 }
 
-TEST(MatrixTest, FillGaussianHasRoughMoments) {
-  Rng rng(2);
-  Matrix m(100, 100);
-  m.FillGaussian(rng, 2.0f);
-  double sum = 0.0;
-  double sq = 0.0;
-  for (size_t i = 0; i < m.size(); ++i) {
-    sum += m[i];
-    sq += static_cast<double>(m[i]) * m[i];
-  }
-  EXPECT_NEAR(sum / m.size(), 0.0, 0.1);
-  EXPECT_NEAR(std::sqrt(sq / m.size()), 2.0, 0.1);
-}
-
 TEST(MatrixTest, EqualityComparesShapeAndData) {
   Matrix a = Matrix::FromRows({{1, 2}});
   Matrix b = Matrix::FromRows({{1}, {2}});
   EXPECT_FALSE(a == b);
   Matrix c = Matrix::FromRows({{1, 2}});
   EXPECT_TRUE(a == c);
-}
-
-TEST(MatrixTest, DebugStringContainsShape) {
-  Matrix a = Matrix::FromRows({{1, 2}});
-  EXPECT_NE(a.DebugString().find("1x2"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "src/nn/serialize.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -72,30 +71,6 @@ TEST(SerializeTest, IgnoresExtraStreamEntries) {
   dest.Create("layer.b", Matrix(2, 1));  // Subset of what was saved.
   EXPECT_TRUE(LoadParameters(dest, buffer));
   EXPECT_EQ(dest.entries()[0].value, source.entries()[1].value);
-}
-
-TEST(SerializeTest, SerializedSizeMatchesStream) {
-  ParameterStore source = MakeStore(3);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveParameters(source, buffer));
-  EXPECT_EQ(buffer.str().size(), SerializedSize(source));
-}
-
-TEST(SerializeTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/deeprest_params.bin";
-  ParameterStore source = MakeStore(4);
-  ASSERT_TRUE(SaveParametersToFile(source, path));
-  ParameterStore dest = MakeStore(5);
-  ASSERT_TRUE(LoadParametersFromFile(dest, path));
-  for (size_t i = 0; i < source.entries().size(); ++i) {
-    EXPECT_EQ(source.entries()[i].value, dest.entries()[i].value);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, LoadFromMissingFileFails) {
-  ParameterStore store = MakeStore(1);
-  EXPECT_FALSE(LoadParametersFromFile(store, "/nonexistent/deeprest.bin"));
 }
 
 }  // namespace

@@ -315,7 +315,11 @@ TEST(ChaosTest, ConcurrentChaosServingIsStable) {
   std::thread client([&] {
     Rng rng(99);
     size_t round = 0;
-    while (producing.load(std::memory_order_acquire)) {
+    // Runs until the producers are done AND at least one response came back:
+    // producers that finish before the client's first check must not leave
+    // the run without a single request.
+    while (producing.load(std::memory_order_acquire) ||
+           responses.load(std::memory_order_relaxed) == 0) {
       if (++round % 3 == 0 && pipeline.featured_windows() > s.learn_windows + 4) {
         const auto result =
             service.SubmitSanityCheck(s.learn_windows, pipeline.featured_windows()).get();

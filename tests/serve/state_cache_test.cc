@@ -421,55 +421,5 @@ TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
   EXPECT_EQ(budget.used(), counters.hot_resident_bytes + counters.cold_resident_bytes);
 }
 
-TEST(InMemorySnapshotStoreTest, PutGetEraseAndFifoDrop) {
-  MemoryBudget budget(1 << 20);
-  InMemorySnapshotStore store(/*max_bytes=*/100, &budget);
-  EXPECT_TRUE(store.Put(1, std::string(40, 'a')));
-  EXPECT_TRUE(store.Put(2, std::string(40, 'b')));
-  EXPECT_EQ(store.resident_bytes(), 80u);
-  EXPECT_EQ(budget.used(), 80u);
-  // A third blob overflows max_bytes: version 1 (oldest) drops.
-  EXPECT_TRUE(store.Put(3, std::string(40, 'c')));
-  std::string bytes;
-  EXPECT_FALSE(store.Get(1, &bytes));
-  ASSERT_TRUE(store.Get(2, &bytes));
-  EXPECT_EQ(bytes, std::string(40, 'b'));
-  EXPECT_EQ(store.dropped(), 1u);
-  store.Erase(2);
-  EXPECT_FALSE(store.Get(2, &bytes));
-  store.Clear();
-  EXPECT_EQ(store.resident_bytes(), 0u);
-  EXPECT_EQ(budget.used(), 0u);
-}
-
-TEST(InMemorySnapshotStoreTest, OversizedBlobIsRefused) {
-  InMemorySnapshotStore store(/*max_bytes=*/10);
-  EXPECT_FALSE(store.Put(1, std::string(11, 'x')));
-  EXPECT_EQ(store.resident_bytes(), 0u);
-}
-
-TEST(DiskSnapshotStoreTest, RoundTripAndTornFileFailsClosed) {
-  const std::string dir = ::testing::TempDir();
-  DiskSnapshotStore store(dir);
-  const std::string payload = "serialized-model-bytes";
-  ASSERT_TRUE(store.Put(5, payload));
-  std::string bytes;
-  ASSERT_TRUE(store.Get(5, &bytes));
-  EXPECT_EQ(bytes, payload);
-  EXPECT_GT(store.resident_bytes(), payload.size());
-  // Tear the file: flip a payload byte. The checksum must fail it closed.
-  {
-    const std::string path = dir + "/clone-5.bin";
-    FILE* file = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(file, nullptr);
-    std::fseek(file, -1, SEEK_END);
-    std::fputc('!', file);
-    std::fclose(file);
-  }
-  EXPECT_FALSE(store.Get(5, &bytes));
-  store.Erase(5);
-  EXPECT_FALSE(store.Get(5, &bytes));
-}
-
 }  // namespace
 }  // namespace deeprest

@@ -1,7 +1,6 @@
-// Streamful serving through the tiered state cache, and the ModelRegistry
-// retained-clone tier: split-vs-unsplit bit-exactness (including states that
-// round-trip through the disk slab between requests), model-version warm
-// restarts, and the Restore-vs-retention purge invariants.
+// Streamful serving through the tiered state cache: split-vs-unsplit
+// bit-exactness (including states that round-trip through the disk slab
+// between requests) and model-version warm restarts.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,99 +33,6 @@ std::vector<std::vector<std::vector<float>>> SplitSeries(
     out[std::min(i / per, chunks - 1)].push_back(series[i]);
   }
   return out;
-}
-
-TEST(RegistryRetentionTest, DisplacedClonesAreRetainedAndRematerialized) {
-  const TinySetup s = MakeSetup();
-  std::shared_ptr<const DeepRestEstimator> m1(TrainModel(s).release());
-  std::shared_ptr<const DeepRestEstimator> m2(TrainModel(s).release());
-  std::shared_ptr<const DeepRestEstimator> m3(TrainModel(s).release());
-
-  InMemorySnapshotStore store;
-  ModelRegistry registry;
-  registry.SetRetention(&store, /*max_retained=*/2);
-  EXPECT_EQ(registry.Publish(m1), 1u);  // nothing displaced yet
-  EXPECT_EQ(registry.Publish(m2), 2u);  // retains v1
-  EXPECT_EQ(registry.Publish(m3), 3u);  // retains v2
-  const auto counters = registry.retention_counters();
-  EXPECT_EQ(counters.retained, 2u);
-  EXPECT_GT(counters.retained_bytes, 0u);
-
-  // A retained clone rematerializes to the same estimates, bit for bit
-  // (fp32 serialization round trip).
-  const ModelSnapshot old_snapshot = registry.Snapshot(1);
-  ASSERT_TRUE(old_snapshot.valid());
-  EXPECT_EQ(old_snapshot.version, 1u);
-  const auto features =
-      m1->features().ExtractSeries(s.traces, s.learn_windows, s.total());
-  ExpectSameEstimates(m1->EstimateFromFeatures(features),
-                      old_snapshot.model->EstimateFromFeatures(features));
-  EXPECT_EQ(registry.retention_counters().retain_hits, 1u);
-
-  // Snapshot(current) is the live model, no store involved.
-  EXPECT_EQ(registry.Snapshot(3).model.get(), m3.get());
-  // An unretained version is a counted miss, never wrong data.
-  EXPECT_FALSE(registry.Snapshot(99).valid());
-  EXPECT_EQ(registry.retention_counters().retain_misses, 1u);
-}
-
-TEST(RegistryRetentionTest, MaxRetainedEvictsOldestVersion) {
-  const TinySetup s = MakeSetup();
-  InMemorySnapshotStore store;
-  ModelRegistry registry;
-  registry.SetRetention(&store, /*max_retained=*/1);
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  const auto counters = registry.retention_counters();
-  EXPECT_EQ(counters.retained, 1u);
-  EXPECT_EQ(counters.retain_evictions, 1u);
-  EXPECT_FALSE(registry.Snapshot(1).valid());
-  EXPECT_TRUE(registry.Snapshot(2).valid());
-}
-
-// Satellite invariant: a checkpoint Restore while clones sit in the cold
-// tier must purge them (no stale-expert resurrection) and release the
-// store's budget charge exactly once (no double count).
-TEST(RegistryRetentionTest, RestorePurgesColdTieredClonesWithoutDoubleCount) {
-  const TinySetup s = MakeSetup();
-  MemoryBudget budget(size_t{64} << 20);
-  InMemorySnapshotStore store(size_t{64} << 20, &budget);
-  ModelRegistry registry;
-  registry.SetRetention(&store, /*max_retained=*/4);
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  ASSERT_EQ(registry.retention_counters().retained, 2u);
-  ASSERT_GT(budget.used(), 0u);
-
-  // Restore a newer checkpointed model: every pre-restore clone is purged.
-  std::shared_ptr<const DeepRestEstimator> restored(TrainModel(s).release());
-  ASSERT_TRUE(registry.Restore(restored, /*version=*/10));
-  EXPECT_EQ(registry.retention_counters().retained, 0u);
-  EXPECT_EQ(store.resident_bytes(), 0u);
-  EXPECT_EQ(budget.used(), 0u);  // released exactly once, not twice
-  EXPECT_FALSE(registry.Snapshot(1).valid());  // stale experts stay dead
-  EXPECT_FALSE(registry.Snapshot(2).valid());
-
-  // Retention keeps working after the restore: the next publish retains the
-  // restored model under its own (restored) version.
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  EXPECT_EQ(registry.version(), 11u);
-  EXPECT_TRUE(registry.Snapshot(10).valid());
-  EXPECT_EQ(registry.retention_counters().retained, 1u);
-}
-
-TEST(RegistryRetentionTest, RestoreBelowCurrentVersionStillFails) {
-  const TinySetup s = MakeSetup();
-  InMemorySnapshotStore store;
-  ModelRegistry registry;
-  registry.SetRetention(&store, 4);
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  registry.Publish(std::shared_ptr<const DeepRestEstimator>(TrainModel(s).release()));
-  std::shared_ptr<const DeepRestEstimator> stale(TrainModel(s).release());
-  EXPECT_FALSE(registry.Restore(stale, 1));
-  EXPECT_EQ(registry.retention_counters().retained, 1u);  // untouched
 }
 
 // A series split across N stream requests must produce, chunk by chunk,
@@ -270,9 +176,10 @@ TEST(StreamServingTest, DuplicateStreamRequestsInOneBatchRunSequentially) {
 TEST(StreamServingTest, ModelSwapWarmRestartsStream) {
   const TinySetup s = MakeSetup();
   std::shared_ptr<const DeepRestEstimator> v1(TrainModel(s).release());
-  auto v2_mutable = TrainModel(s);
-  v2_mutable->CompressParametersToFp16();  // make v2 observably different
-  std::shared_ptr<const DeepRestEstimator> v2(v2_mutable.release());
+  // v2 is v1 fine-tuned on the query windows, so its weights differ.
+  auto v2_mutable = v1->Clone();
+  v2_mutable->ContinueLearning(s.traces, s.metrics, s.learn_windows, s.total(), /*epochs=*/1);
+  std::shared_ptr<const DeepRestEstimator> v2(std::move(v2_mutable));
   const auto features =
       v1->features().ExtractSeries(s.traces, s.learn_windows, s.total());
   const auto chunks = SplitSeries(features, 2);

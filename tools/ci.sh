@@ -10,7 +10,7 @@
 #                    EstimateFromFeaturesBatchResume on the model version that
 #                    served them, across live publishes) must pass; SKIP on a
 #                    host with fewer than 4 CPUs
-#   3. simd-off    — kernel, fp16-storage, core and property suites with SIMD
+#   3. simd-off    — kernel, core and property suites with SIMD
 #                    force-disabled (DEEPREST_SIMD=scalar): the portable
 #                    fallback path can't rot; then the nn and core suites
 #                    pinned to the AVX2 rung (DEEPREST_SIMD=avx2), which an
@@ -23,15 +23,16 @@
 #                    registry, watchdog restarts, breakers, the steal sweep
 #                    around a wedged worker, chaos schedules; rides the chaos
 #                    label into the sanitizer legs), then the README's chaos
-#                    quickstart, which must recover every incident it opens
+#                    quickstart, which must recover every incident it opens,
+#                    and its budgeted-serving quickstart, whose Memory: row
+#                    must match the README
 #   5. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
 #                    fixtures (ctest -L lint)
 #   6. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
 #                    into build/, plus a warm-cache rerun assertion
 #   7. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
 #   8. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
-#   9. asan        — chaos suite + the nn, fp16-storage and core suites under
-#                    ASan+UBSan
+#   9. asan        — chaos suite + the nn and core suites under ASan+UBSan
 #  10. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
 #                    budget (DEEPREST_STATECACHE_STRESS=1): concurrent leases
 #                    vs CLOCK eviction, fp16 demotion, and budget pressure
@@ -87,13 +88,13 @@ for workload in features_open traffic_plan learn_estimate live_monitor; do
   fi
 done
 
-echo "==> [3/10] simd-off: kernel, fp16-storage, core and property suites on the portable fallback"
+echo "==> [3/10] simd-off: kernel, core and property suites on the portable fallback"
 # DEEPREST_SIMD=scalar pins the dispatch ladder to the portable rung, so the
 # scalar kernel table (the path every non-x86/pre-AVX2 host runs) is executed
 # by the same tests that gate the vector paths. The simd tests themselves
 # verify the forced-rung semantics (ResetIsa honors the env var).
 DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
-  -R 'nn_tests|quantized_tests|core_tests|property_tests'
+  -R 'nn_tests|core_tests|property_tests'
 # The AVX2 rung runs the trainer's GEMMs and rank-1 updates on every
 # AVX2-only host, but the default build picks AVX-512 where it exists. The
 # ladder clamps the request down on a host without AVX2, so this pass is the
@@ -152,6 +153,19 @@ if [[ -z "$opened" || "$opened" != "$recovered" ]]; then
   echo "    chaos quickstart: incidents recovered != incidents opened"
   exit 1
 fi
+# The README's budgeted-serving quickstart must exit 0 and print the Memory:
+# row the README shows under it: the budget goes to the stream cache, half
+# hot and half cold.
+budgeted="$(build/tools/deeprest serve --days=2 --wpd=24 --serve-days=1 --clients=4 \
+  --memory-budget-mb=64 --state-cold-tier=fp16)" \
+  || { echo "    budgeted-serving quickstart exited nonzero"; exit 1; }
+memory_row="$(grep -m1 '^Memory:' <<<"$budgeted" || true)"
+readme_row="$(grep -m1 '^# Memory: budget=64MB' README.md | sed 's/^# //' || true)"
+echo "    budgeted-serving quickstart: ${memory_row:-no Memory: row}"
+if [[ -z "$readme_row" || "$memory_row" != "$readme_row" ]]; then
+  echo "    budgeted-serving quickstart: Memory: row differs from README's '${readme_row}'"
+  exit 1
+fi
 
 echo "==> [5/10] lint: flow-aware analyzer over the tree + rule fixtures"
 ctest --preset lint -j "$JOBS"
@@ -190,17 +204,17 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset chaos-tsan -j "$JOBS"
 
-echo "==> [9/10] asan: chaos suite + nn, fp16-storage and core suites under ASan+UBSan"
+echo "==> [9/10] asan: chaos suite + nn and core suites under ASan+UBSan"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
 ctest --preset chaos-asan -j "$JOBS"
-# The kernel suites drive every simd dispatch table at ragged shapes; the fp16
-# storage budget runs the packed batch-row-major forward pass; and core_tests
-# (batched_inference_test above all) drives that forward's window blocks,
-# across block boundaries and as rows finish mid-block, over the whole learn
-# history at every mutation point, where it computes the warm-start state:
-# exactly where an out-of-bounds load or store would hide.
-ctest --test-dir build-asan --output-on-failure -R 'quantized_tests|nn_tests|core_tests'
+# The kernel suites drive every simd dispatch table at ragged shapes, and
+# core_tests (batched_inference_test above all) drives the packed
+# batch-row-major forward's window blocks, across block boundaries and as
+# rows finish mid-block, over the whole learn history at every mutation point,
+# where it computes the warm-start state: exactly where an out-of-bounds load
+# or store would hide.
+ctest --test-dir build-asan --output-on-failure -R 'nn_tests|core_tests'
 
 echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"
 # The stress flag multiplies the storm test's iteration count; the tiny

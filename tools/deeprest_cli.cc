@@ -44,13 +44,11 @@
 //       exponential backoff + jitter (--retries). --checkpoint enables
 //       atomic model checkpoints after every refresh and crash recovery at
 //       startup (falls back to FILE.prev if FILE is torn).
-//       --memory-budget-mb caps the soft-memory gauge and wires the tiered
-//       state subsystem under BOTH serving-state consumers: the per-stream
-//       warm-start cache (half the budget hot, half cold) and the registry's
-//       displaced-clone retention store. --state-cold-tier picks what
-//       eviction demotes to: fp16 (RNE-compressed in RAM, default), disk (a
-//       checksummed slab file, bit-exact), or recompute (drop and rebuild on
-//       the next miss).
+//       --memory-budget-mb caps the soft-memory gauge and gives all of it to
+//       the tiered per-stream warm-start cache (half the budget hot, half
+//       cold). --state-cold-tier picks what eviction demotes to: fp16
+//       (RNE-compressed in RAM, default), disk (a checksummed slab file,
+//       bit-exact), or recompute (drop and rebuild on the next miss).
 //
 //   deeprest autoscale [--app=social|hotel] [--days=N] [--wpd=N] [--seed=N]
 //                      [--policy=reactive|predictive|oracle|all]
@@ -146,7 +144,7 @@ CliArgs Parse(int argc, char** argv) {
 // retired flag fails loudly instead of running the command on defaults.
 const char* const kKnownFlags[] = {
     "app", "attack", "batch", "capacity", "chaos", "chaos-schedule", "checkpoint", "clients",
-    "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "fp16-registry", "gap", "hidden",
+    "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "gap", "hidden",
     "interval", "isa", "kernel-mode", "max-queue", "memory-budget-mb", "model", "policy",
     "query-days", "refresh-windows", "replicas-for", "retries", "scale", "scenario",
     "scenario-days", "seed", "serve-days", "shape", "shed-policy", "state-cold-tier",
@@ -416,10 +414,10 @@ int CmdServe(const CliArgs& args) {
   std::printf("Preparing initial model...\n");
   const std::string checkpoint_path = args.Get("checkpoint", "");
 
-  // Soft-memory tiered state: one gauge, two consumers (the per-stream
-  // warm-start cache and the registry's displaced-clone store). Declared
-  // before the registry and service so both consumers die first and return
-  // their charges to the gauge.
+  // Soft-memory tiered state: one gauge over the per-stream warm-start
+  // cache. The gauge is declared before the cache and both before the
+  // service, so the service stops leasing before the cache dies and the
+  // cache returns its charges to a live gauge.
   const size_t memory_budget_mb = args.GetSize("memory-budget-mb", 0);
   ColdTier cold_tier = ColdTier::kFp16;
   const std::string cold_tier_flag = args.Get("state-cold-tier", "fp16");
@@ -431,31 +429,20 @@ int CmdServe(const CliArgs& args) {
   const size_t memory_budget_bytes = memory_budget_mb << 20;
   MemoryBudget memory_budget(memory_budget_bytes);
   std::unique_ptr<StateCache> stream_states;
-  std::unique_ptr<InMemorySnapshotStore> retained_store;
   const std::string slab_path = "deeprest_state.slab";
   if (memory_budget_mb > 0) {
     StateCacheConfig cache_config;
     cache_config.hot_bytes = memory_budget_bytes / 2;
     cache_config.cold_tier = cold_tier;
-    cache_config.cold_bytes = memory_budget_bytes / 4;
+    cache_config.cold_bytes = memory_budget_bytes / 2;
     cache_config.budget = &memory_budget;
     if (cold_tier == ColdTier::kDisk) {
       cache_config.slab_path = slab_path;
     }
     stream_states = std::make_unique<StateCache>(cache_config);
-    retained_store = std::make_unique<InMemorySnapshotStore>(memory_budget_bytes / 4,
-                                                             &memory_budget);
   }
 
   ModelRegistry registry;
-  if (retained_store != nullptr) {
-    registry.SetRetention(retained_store.get(), /*max_retained=*/2);
-  }
-  // fp16 storage applies to every model that passes through a mutable
-  // publication path (the initial fresh model and each continual-learner
-  // refresh). A recovered checkpoint is already immutable and keeps the
-  // precision it was saved with.
-  registry.SetFp16Storage(args.Get("fp16-registry", "") == "1");
   std::shared_ptr<const DeepRestEstimator> initial;
   size_t start_window = live.from;
   if (!checkpoint_path.empty()) {
@@ -483,8 +470,7 @@ int CmdServe(const CliArgs& args) {
     } else {
       fresh = harness.deeprest().Clone();
     }
-    registry.ApplyStoragePolicy(*fresh);
-    initial = std::shared_ptr<const DeepRestEstimator>(std::move(fresh));
+    initial = std::move(fresh);
     registry.Publish(initial);
   }
   // Chaos implies an at-least-once transport, so trace dedup goes on.
@@ -561,21 +547,18 @@ int CmdServe(const CliArgs& args) {
   // Deployment verification row: what this process actually selected, not
   // what was requested (a forced ISA clamps down the ladder when the host
   // lacks it).
-  std::printf("Kernels: mode=%s isa=%s (host best: %s)%s\n",
+  std::printf("Kernels: mode=%s isa=%s (host best: %s)\n",
               KernelModeName(GetKernelMode()), simd::IsaName(simd::ActiveIsa()),
-              simd::IsaName(simd::BestSupportedIsa()),
-              registry.fp16_storage() ? " fp16-storage" : "");
+              simd::IsaName(simd::BestSupportedIsa()));
   // Same discipline as the Kernels row: what this process actually wired,
   // not what was requested (a disk tier that failed to open its slab serves
   // recompute-on-miss semantics and says so).
   if (memory_budget_mb > 0) {
     const bool disk_degraded = cold_tier == ColdTier::kDisk && !stream_states->disk_ok();
-    std::printf("Memory: budget=%zuMB cold-tier=%s%s "
-                "(stream cache hot %zuMB + cold %zuMB, clone store %zuMB)\n",
+    std::printf("Memory: budget=%zuMB cold-tier=%s%s (stream cache hot %zuMB + cold %zuMB)\n",
                 memory_budget_mb, ColdTierName(cold_tier),
                 disk_degraded ? " [slab open FAILED: miss=recompute]" : "",
-                memory_budget_bytes / 2 >> 20, memory_budget_bytes / 4 >> 20,
-                memory_budget_bytes / 4 >> 20);
+                memory_budget_bytes / 2 >> 20, memory_budget_bytes / 2 >> 20);
   } else {
     std::printf("Memory: budget=unlimited state-cache=off (pass --memory-budget-mb=N "
                 "to bound resident serving state)\n");
@@ -891,7 +874,6 @@ int Usage() {
                "           [--max-queue=N] [--shed-policy=reject-new|drop-oldest]\n"
                "           [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]\n"
                "           [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]\n"
-               "           [--fp16-registry=1]\n"
                "  autoscale [--policy=reactive|predictive|oracle|all]\n"
                "           [--scenario=diurnal|flash_crowd|api_mix_drift|all]\n"
                "           [--scenario-days=N] [--scale=X] [--capacity=CPU]\n"
