@@ -10,7 +10,8 @@
 //               rest of the run.
 //   supervised  the same service wired into a HealthRegistry, scanned by a
 //               Watchdog-driven Supervisor (capped-exponential restarts,
-//               budget 8, escalation to degraded mode).
+//               budget 8; an exhausted budget escalates and stops
+//               restarting).
 //
 // In both, an idle worker's steal sweep serves the queue of a wedged one.
 // The driver advances a logical window every window_len of wall time and
@@ -210,7 +211,6 @@ struct CellResult {
   uint64_t mttr_max_us = 0;
   uint64_t mttr_sum_us = 0;
   uint64_t detect_max_us = 0;
-  bool degraded = false;
 
   double AvailabilityFault() const {
     return submitted_fault > 0 ? static_cast<double>(ok_fault) / submitted_fault : 1.0;
@@ -261,8 +261,6 @@ CellResult RunCell(const DeepRestEstimator& model,
   Supervisor supervisor(health, sup_config);
   Watchdog watchdog(supervisor, health, {});
   if (supervised) {
-    supervisor.SetEscalationHandler(
-        [&service](const std::string&) { service.SetDegraded(true); });
     for (size_t i = 0; i < config.workers; ++i) {
       const size_t id =
           health.Register("estimation-worker-" + std::to_string(i), 1).id();
@@ -322,7 +320,6 @@ CellResult RunCell(const DeepRestEstimator& model,
   cell.service = service.Counters();
   cell.faults = chaos.injector.counters();
   cell.sup = supervisor.counters();
-  cell.degraded = supervisor.degraded();
   for (const RecoveryIncident& incident : supervisor.Incidents()) {
     if (!incident.recovered()) {
       continue;
@@ -561,7 +558,6 @@ int main(int argc, char** argv) {
                        ? cell.mttr_sum_us / cell.sup.incidents_recovered
                        : 0)
                << ", \"detect_max_us\": " << cell.detect_max_us << ",\n";
-          json << "        \"degraded\": " << (cell.degraded ? 1 : 0) << ",\n";
         }
         WriteFaultCounters(json, cell.faults, "        ");
         json << "\n      }" << (++mi < 2 ? "," : "") << "\n";

@@ -1,4 +1,4 @@
-// Scaling policies for the closed-loop autoscale controller (ROADMAP item 1).
+// Scaling policies for the closed-loop autoscale controller.
 //
 // A policy answers one question per component per control tick: "what should
 // this component's deployment be for the coming interval?" The three

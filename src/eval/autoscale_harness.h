@@ -1,4 +1,4 @@
-// Closed-loop autoscaling evaluation (ROADMAP item 1).
+// Closed-loop autoscaling evaluation.
 //
 // RunClosedLoop forks a learned-state simulator (warm caches, grown disks —
 // exactly the deployment the estimator was trained against), installs the

@@ -169,84 +169,33 @@ void EstimationService::Enqueue(Request request, std::chrono::milliseconds deadl
   const size_t index = next_shard_.fetch_add(1, std::memory_order_relaxed) % shard_count;
   Shard& target = *shards_[index];
 
-  for (;;) {
-    if (stopping_.load()) {
-      FinishUnserved(request, RequestStatus::kRejectedStopped);
-      return;
-    }
-    // Reserve a slot under the global bound before touching any shard: the
-    // compare-exchange makes max_queue an exact cap — N submitters racing
-    // into different shards cannot all slip past a near-full bound.
-    bool reserved = true;
-    if (config_.max_queue > 0) {
-      size_t depth = queued_.load();
-      reserved = false;
-      while (depth < config_.max_queue) {
-        if (queued_.compare_exchange_weak(depth, depth + 1)) {
-          reserved = true;
-          break;
-        }
-      }
-    } else {
-      queued_.fetch_add(1);
-    }
-    if (reserved) {
-      size_t backlog = 0;
-      if (!TryPush(target, request, backlog)) {
-        // Stop() won the race for this shard; hand the slot back.
-        queued_.fetch_sub(1);
-        FinishUnserved(request, RequestStatus::kRejectedStopped);
-        return;
-      }
-      NotifyAfterPush(target, index, backlog);
-      return;
-    }
-
-    // Bound is full. Degraded mode (supervisor escalation) forces the
-    // reject-new policy: under a fault storm the service protects in-flight
-    // work instead of churning the queue.
-    const ShedPolicy policy = degraded_.load(std::memory_order_acquire)
-                                  ? ShedPolicy::kRejectNew
-                                  : config_.shed_policy;
-    if (policy == ShedPolicy::kRejectNew) {
-      FinishUnserved(request, RequestStatus::kShed);
-      return;
-    }
-    // kDropOldest: evict one queued request and hand its reserved slot to the
-    // newcomer — no counter traffic, so the bound is never overshot. With
-    // several shards "oldest" is shard-local: this shard's front if it has
-    // one, else the front of the first non-empty sibling (see the ShedPolicy
-    // comment in the header).
-    Request evicted;
-    bool have_evicted = false;
-    for (size_t off = 0; off < shard_count && !have_evicted; ++off) {
-      Shard& victim = *shards_[(index + off) % shard_count];
-      MutexLock lock(victim.mu);
-      if (victim.queue.empty()) {
-        continue;
-      }
-      evicted = std::move(victim.queue.front());
-      victim.queue.pop_front();
-      have_evicted = true;
-    }
-    if (!have_evicted) {
-      // Every shard drained between the failed reservation and the scan, so
-      // the depth is back under the bound: retry the reservation.
-      continue;
-    }
-    size_t backlog = 0;
-    const bool pushed = TryPush(target, request, backlog);
-    // The evicted promise resolves after the locks are released: fulfilling
-    // it can run arbitrary continuation code.
-    FinishUnserved(evicted, RequestStatus::kShed);
-    if (!pushed) {
-      queued_.fetch_sub(1);  // the slot inherited from the evicted request
-      FinishUnserved(request, RequestStatus::kRejectedStopped);
-      return;
-    }
-    NotifyAfterPush(target, index, backlog);
+  if (stopping_.load()) {
+    FinishUnserved(request, RequestStatus::kRejectedStopped);
     return;
   }
+  // Reserve a slot under the global bound before touching any shard: the
+  // compare-exchange makes max_queue an exact cap — N submitters racing into
+  // different shards cannot all slip past a near-full bound. A full queue
+  // sheds the newcomer, so queued work is never churned.
+  if (config_.max_queue > 0) {
+    size_t depth = queued_.load();
+    do {
+      if (depth >= config_.max_queue) {
+        FinishUnserved(request, RequestStatus::kShed);
+        return;
+      }
+    } while (!queued_.compare_exchange_weak(depth, depth + 1));
+  } else {
+    queued_.fetch_add(1);
+  }
+  size_t backlog = 0;
+  if (!TryPush(target, request, backlog)) {
+    // Stop() won the race for this shard; hand the slot back.
+    queued_.fetch_sub(1);
+    FinishUnserved(request, RequestStatus::kRejectedStopped);
+    return;
+  }
+  NotifyAfterPush(target, index, backlog);
 }
 
 void EstimationService::Stop() {
@@ -314,10 +263,6 @@ bool EstimationService::RestartWorker(size_t index) {
 bool EstimationService::WorkerExited(size_t index) const {
   return index < worker_state_.size() &&
          worker_state_[index]->exited.load(std::memory_order_acquire);
-}
-
-void EstimationService::SetDegraded(bool degraded) {
-  degraded_.store(degraded, std::memory_order_release);
 }
 
 void EstimationService::WorkerLoop(size_t self) {
@@ -664,7 +609,6 @@ ServiceCounters EstimationService::Counters() const {
   counters.imputed_metrics = pipeline_.imputed_metrics();
   counters.models_published = registry_.publish_count();
   counters.model_version = registry_.version();
-  counters.degraded_mode = degraded_.load(std::memory_order_acquire) ? 1 : 0;
   if (config_.stream_states != nullptr) {
     counters.state_cache_attached = true;
     const StateCacheCounters cache_counters = config_.stream_states->Counters();
@@ -676,11 +620,6 @@ ServiceCounters EstimationService::Counters() const {
     counters.state_drops = cache_counters.drops;
     counters.state_resident_bytes =
         cache_counters.hot_resident_bytes + cache_counters.cold_resident_bytes;
-    const MemoryBudget* budget = config_.stream_states->budget();
-    if (budget != nullptr) {
-      counters.memory_budget_bytes = budget->budget();
-      counters.memory_used_bytes = budget->used();
-    }
   }
   return counters;
 }

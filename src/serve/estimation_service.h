@@ -33,8 +33,8 @@
 //
 // Overload protection (DESIGN.md "Failure model"): the request queue is
 // bounded (max_queue) and sheds under pressure instead of growing without
-// limit — either the new arrival (kRejectNew) or the oldest queued request
-// (kDropOldest) resolves immediately with status kShed. Requests may carry a
+// limit — a request that finds the queue full resolves immediately with
+// status kShed, so in-flight work is never churned. Requests may carry a
 // deadline; a request whose deadline passed before a worker reached it
 // resolves with kExpired without paying for a forward pass. Every result
 // carries a RequestStatus, and a request submitted after Stop() resolves with
@@ -44,8 +44,7 @@
 // HealthRegistry wired in, every worker heartbeats at the top of each sweep
 // so a watchdog (supervisor.h) can spot a stalled or dead worker by
 // staleness alone. A worker that "crashes" (its thread exits, e.g. via the
-// chaos hook) is revived by RestartWorker on the same shard; SetDegraded is
-// the supervisor's escalation lever, forcing reject-new shedding. The steal
+// chaos hook) is revived by RestartWorker on the same shard. The steal
 // sweep is what routes around a slow or wedged worker: the requests queued
 // in its shard are served by an idle sibling, without waiting for the
 // watchdog. It cannot rescue a request already inside the wedged worker's
@@ -82,7 +81,7 @@ namespace deeprest {
 // did not run a forward pass and its payload fields are empty.
 enum class RequestStatus {
   kOk = 0,
-  kShed,             // bounded queue was full; load-shedding policy dropped it
+  kShed,             // bounded queue was full when it arrived
   kExpired,          // deadline passed before a worker served it
   kRejectedStopped,  // submitted after Stop()
   kHedgedDuplicate,  // produced by no path; kept while e2ebench names it
@@ -94,19 +93,6 @@ enum class RequestStatus {
 inline constexpr size_t kRequestStatusCount = 5;
 
 const char* RequestStatusName(RequestStatus status);
-
-// What to evict when the bounded queue is full. max_queue is an exact cap:
-// submission reserves a slot with a compare-exchange on the global depth
-// counter before touching any shard, so concurrent submitters to different
-// shards cannot collectively overshoot the bound. With several shards,
-// kDropOldest's "oldest" is approximate — the victim is the front of the
-// submission's target shard if it has one, else the front of the first
-// non-empty sibling — so a strictly older request parked in another shard
-// may outlive a younger victim.
-enum class ShedPolicy {
-  kRejectNew,   // newest arrival is shed (favors in-flight work)
-  kDropOldest,  // oldest queued request is shed (favors fresh requests)
-};
 
 // Chaos hook outcome, consulted by each worker at the top of every sweep
 // (estimation_service is fault-injection-agnostic: the sim layer's chaos
@@ -123,9 +109,12 @@ struct EstimationServiceConfig {
   // of the requests queued when it wakes; it never waits for more to
   // arrive. 1 disables micro-batching.
   size_t max_batch = 8;
-  // Queue bound; 0 = unbounded (the pre-overload-protection behavior).
+  // Queue bound; 0 = unbounded (the pre-overload-protection behavior). An
+  // exact cap: submission reserves a slot with a compare-exchange on the
+  // global depth counter before touching any shard, so concurrent
+  // submitters to different shards cannot collectively overshoot it. A
+  // request that finds every slot taken resolves kShed at once.
   size_t max_queue = 0;
-  ShedPolicy shed_policy = ShedPolicy::kRejectNew;
   // Deadline applied to requests submitted without one; 0 = no deadline.
   std::chrono::milliseconds default_deadline{0};
   SanityConfig sanity;
@@ -222,12 +211,6 @@ class EstimationService {
   // True once worker `index`'s thread has exited (crash fault or Stop).
   bool WorkerExited(size_t index) const;
 
-  // Escalation target: degraded mode forces kRejectNew shedding (newest
-  // arrivals resolve kShed immediately when the bounded queue is full)
-  // regardless of the configured policy. Sticky until cleared.
-  void SetDegraded(bool degraded);
-  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
-
   // Live counters (queue depth, ingest lag, pipeline admission-control
   // tallies, and registry state filled in).
   ServiceCounters Counters() const;
@@ -261,7 +244,7 @@ class EstimationService {
   // One worker's private slice of the request queue. Submissions round-robin
   // across shards; only batch assembly for the same shard ever contends on
   // its mutex. Lock hierarchy: at most ONE Shard::mu is ever held at a time
-  // (enqueue, eviction scan, steal sweep and drain all go shard-by-shard);
+  // (enqueue, steal sweep and drain all go shard-by-shard);
   // the global depth counter queued_ is atomic and never sits under a lock.
   struct Shard {
     Mutex mu;  // deeprest-lint: lock-level(leaf)
@@ -320,9 +303,6 @@ class EstimationService {
   // seq_cst on purpose: the shutdown-safety argument in the header comment
   // leans on a single total order of the flag's loads and stores.
   std::atomic<bool> stopping_{false};
-
-  // Forced reject-new shedding; flipped by the supervisor's escalation.
-  std::atomic<bool> degraded_{false};
 
   ServiceStats stats_;
   // Serializes Stop() against concurrent Stop()/destruction: joining and

@@ -21,8 +21,8 @@ constexpr uint64_t kSlotMagic = 0x44525354534C4231ULL;  // "DRSTSLB1"
 // count}; slots start right after it.
 constexpr size_t kSuperblockBytes = 4096;
 
-// Fixed per-entry overhead charged on top of the payload: map node, Entry
-// struct, ring slot. An estimate, not an exact malloc audit — the gauge is
+// Fixed per-entry overhead counted on top of the payload: map node, Entry
+// struct, ring slot. An estimate, not an exact malloc audit — the caps are
 // soft memory, what matters is that 10^6 entries register as ~10^6 * (128 +
 // overhead) bytes, not as zero.
 constexpr size_t kHotEntryOverhead = 112;
@@ -57,67 +57,6 @@ bool DeserializeState(const std::string& bytes, StreamState* out) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// MemoryBudget
-// ---------------------------------------------------------------------------
-
-size_t MemoryBudget::overage() const {
-  const size_t budget = budget_.load(std::memory_order_relaxed);
-  if (budget == 0) {
-    return 0;
-  }
-  const size_t used = used_.load(std::memory_order_relaxed);
-  return used > budget ? used - budget : 0;
-}
-
-void MemoryBudget::CheckPressure() {
-  if (overage() == 0) {
-    return;
-  }
-  MutexLock lock(mu_);
-  // Re-check under the lock: a concurrent CheckPressure may already have
-  // shrunk the tiers below budget.
-  // Bounded passes: each pass asks every callback to cover the remaining
-  // overage; a pass that frees nothing means everything left is pinned and
-  // the gauge is allowed to overshoot (soft memory).
-  for (int pass = 0; pass < 8; ++pass) {
-    size_t need = overage();
-    if (need == 0) {
-      return;
-    }
-    pressure_events_.fetch_add(1, std::memory_order_relaxed);
-    size_t freed_this_pass = 0;
-    for (const auto& entry : callbacks_) {
-      const size_t freed = entry.second(need);
-      freed_this_pass += freed;
-      need = overage();
-      if (need == 0) {
-        return;
-      }
-    }
-    if (freed_this_pass == 0) {
-      return;
-    }
-  }
-}
-
-size_t MemoryBudget::RegisterPressure(PressureFn fn) {
-  MutexLock lock(mu_);
-  const size_t id = next_callback_id_++;
-  callbacks_.emplace_back(id, std::move(fn));
-  return id;
-}
-
-void MemoryBudget::UnregisterPressure(size_t id) {
-  MutexLock lock(mu_);
-  for (size_t i = 0; i < callbacks_.size(); ++i) {
-    if (callbacks_[i].first == id) {
-      callbacks_.erase(callbacks_.begin() + static_cast<ptrdiff_t>(i));
-      return;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // ColdTier names
@@ -295,19 +234,6 @@ StateCache::StateCache(const StateCacheConfig& config) : config_(config) {
       }
     }
   }
-  if (config_.budget != nullptr) {
-    pressure_callback_id_ = config_.budget->RegisterPressure(
-        [this](size_t bytes) { return ShrinkHot(bytes); });
-  }
-}
-
-StateCache::~StateCache() {
-  if (config_.budget != nullptr) {
-    config_.budget->UnregisterPressure(pressure_callback_id_);
-    // Return everything this cache still holds against the gauge.
-    MutexLock lock(mu_);
-    config_.budget->Release(hot_resident_ + cold_resident_);
-  }
 }
 
 void StateCache::SetRecompute(RecomputeFn fn) { recompute_ = std::move(fn); }
@@ -323,8 +249,6 @@ StateCache::Lease StateCache::AcquireOrCreate(uint64_t key) {
 }
 
 StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
-  size_t charge = 0;   // applied to the gauge after unlock
-  size_t release = 0;  // cold-tier RAM freed by promotion, ditto
   Lease lease;
   bool try_recompute = false;
   {
@@ -367,13 +291,11 @@ StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
           drops_.fetch_add(1, std::memory_order_relaxed);  // torn slot
         }
       }
-      release += EraseColdLocked(key);
+      EraseColdLocked(key);
       if (ok) {
         cold_hits_.fetch_add(1, std::memory_order_relaxed);
         InsertHotLocked(key, std::move(state), /*pinned=*/true);
-        Entry* entry = hot_.find(key)->second.get();
-        charge = entry->charged_bytes;
-        lease = Lease(this, key, &entry->state);
+        lease = Lease(this, key, &hot_.find(key)->second->state);
       }
     }
     if (!lease.valid()) {
@@ -381,9 +303,7 @@ StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
       try_recompute = recompute_ != nullptr;
       if (!try_recompute && create) {
         InsertHotLocked(key, StreamState{}, /*pinned=*/true);
-        Entry* entry = hot_.find(key)->second.get();
-        charge = entry->charged_bytes;
-        lease = Lease(this, key, &entry->state);
+        lease = Lease(this, key, &hot_.find(key)->second->state);
       }
     }
   }
@@ -416,47 +336,25 @@ StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
         recomputes_.fetch_add(1, std::memory_order_relaxed);
       }
       InsertHotLocked(key, ok ? std::move(rebuilt) : StreamState{}, /*pinned=*/true);
-      Entry* entry = hot_.find(key)->second.get();
-      charge = entry->charged_bytes;
-      lease = Lease(this, key, &entry->state);
-    }
-  }
-  if (config_.budget != nullptr) {
-    if (release > 0) {
-      config_.budget->Release(release);
-    }
-    if (charge > 0) {
-      config_.budget->Reserve(charge);
+      lease = Lease(this, key, &hot_.find(key)->second->state);
     }
   }
   if (lease.valid()) {
-    // Enforce the local hot cap outside the budget path too (a cache can
-    // run without a global gauge).
     ShrinkHotToCap();
   }
   return lease;
 }
 
 void StateCache::ShrinkHotToCap() {
-  size_t released = 0;
-  {
-    MutexLock lock(mu_);
-    while (hot_resident_ > config_.hot_bytes) {
-      const size_t freed = EvictOneLocked();
-      if (freed == 0) {
-        break;  // everything unpinned is gone; pinned overshoot allowed
-      }
-      released += freed;
+  MutexLock lock(mu_);
+  while (hot_resident_ > config_.hot_bytes) {
+    if (!EvictOneLocked()) {
+      break;  // everything unpinned is gone; pinned overshoot allowed
     }
-  }
-  if (released > 0 && config_.budget != nullptr) {
-    config_.budget->Release(released);
   }
 }
 
 void StateCache::ReleaseLease(uint64_t key) {
-  size_t charge = 0;
-  size_t release = 0;
   {
     MutexLock lock(mu_);
     auto it = hot_.find(key);
@@ -466,24 +364,10 @@ void StateCache::ReleaseLease(uint64_t key) {
     // Re-account: the state may have grown (fresh stream's first pass) or
     // shrunk while leased.
     const size_t now = EntryBytes(entry->state);
-    if (now > entry->charged_bytes) {
-      charge = now - entry->charged_bytes;
-      hot_resident_ += charge;
-    } else {
-      release = entry->charged_bytes - now;
-      hot_resident_ -= release;
-    }
-    entry->charged_bytes = now;
+    hot_resident_ = hot_resident_ - entry->resident_bytes + now;
+    entry->resident_bytes = now;
   }
   lease_cv_.notify_all();
-  if (config_.budget != nullptr) {
-    if (release > 0) {
-      config_.budget->Release(release);
-    }
-    if (charge > 0) {
-      config_.budget->Reserve(charge);
-    }
-  }
   ShrinkHotToCap();
 }
 
@@ -491,11 +375,11 @@ void StateCache::InsertHotLocked(uint64_t key, StreamState state, bool pinned) {
   auto entry = std::make_unique<Entry>();
   entry->key = key;
   entry->state = std::move(state);
-  entry->charged_bytes = EntryBytes(entry->state);
+  entry->resident_bytes = EntryBytes(entry->state);
   entry->pinned = pinned;
   entry->ref = true;
   entry->ring_pos = ring_.size();
-  hot_resident_ += entry->charged_bytes;
+  hot_resident_ += entry->resident_bytes;
   ring_.push_back(entry.get());
   hot_.emplace(key, std::move(entry));
 }
@@ -511,9 +395,9 @@ void StateCache::RemoveFromRingLocked(Entry* entry) {
   }
 }
 
-size_t StateCache::EvictOneLocked() {
+bool StateCache::EvictOneLocked() {
   if (ring_.empty()) {
-    return 0;
+    return false;
   }
   // CLOCK: give every referenced entry a second chance; two full sweeps
   // guarantee either a victim or proof that everything left is pinned.
@@ -532,20 +416,17 @@ size_t StateCache::EvictOneLocked() {
       continue;
     }
     const uint64_t victim_key = candidate->key;  // copied: erase frees the entry
-    const size_t hot_freed = candidate->charged_bytes;
-    size_t cold_freed = 0;
-    const size_t cold_charged = DemoteLocked(*candidate, &cold_freed);
+    DemoteLocked(*candidate);
     RemoveFromRingLocked(candidate);
-    hot_resident_ -= hot_freed;
+    hot_resident_ -= candidate->resident_bytes;
     hot_.erase(victim_key);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    const size_t gained = hot_freed + cold_freed;
-    return gained > cold_charged ? gained - cold_charged : 0;
+    return true;
   }
-  return 0;
+  return false;
 }
 
-size_t StateCache::DemoteLocked(Entry& entry, size_t* cold_freed) {
+void StateCache::DemoteLocked(Entry& entry) {
   switch (config_.cold_tier) {
     case ColdTier::kFp16: {
       ColdEntry cold;
@@ -555,29 +436,28 @@ size_t StateCache::DemoteLocked(Entry& entry, size_t* cold_freed) {
       for (size_t i = 0; i < cold.half.size(); ++i) {
         cold.half[i] = FloatToHalf(entry.state.hidden[i]);
       }
-      cold.charged_bytes = kColdEntryOverhead + cold.half.size() * sizeof(uint16_t);
+      cold.resident_bytes = kColdEntryOverhead + cold.half.size() * sizeof(uint16_t);
       cold.seq = ++cold_seq_;
-      const size_t charged = cold.charged_bytes;
       const uint64_t seq = cold.seq;
-      cold_resident_ += charged;
-      *cold_freed += EraseColdLocked(entry.key);  // replace any stale cold copy
+      cold_resident_ += cold.resident_bytes;
+      EraseColdLocked(entry.key);  // replace any stale cold copy
       cold_.emplace(entry.key, std::move(cold));
       cold_fifo_.emplace_back(entry.key, seq);
       CompactColdFifoLocked();
       compressions_.fetch_add(1, std::memory_order_relaxed);
-      *cold_freed += EnforceColdCapLocked();
-      return charged;
+      EnforceColdCapLocked();
+      return;
     }
     case ColdTier::kDisk: {
       if (!slab_.is_open()) {
         drops_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
+        return;
       }
       std::string bytes;
       SerializeState(entry.state, &bytes);
       if (bytes.size() > slab_.slot_payload_bytes()) {
         drops_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
+        return;
       }
       size_t slot;
       uint64_t victim = 0;
@@ -590,17 +470,17 @@ size_t StateCache::DemoteLocked(Entry& entry, size_t* cold_freed) {
         auto victim_it = cold_.find(victim);
         assert(victim_it != cold_.end());
         slot = victim_it->second.slot;
-        *cold_freed += EraseColdLocked(victim);  // 0: disk entries hold no RAM
+        EraseColdLocked(victim);
         free_slots_.pop_back();  // EraseColdLocked pushed the slot back
         drops_.fetch_add(1, std::memory_order_relaxed);
       } else {
         drops_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
+        return;
       }
       if (!slab_.WriteSlot(slot, entry.key, bytes.data(), bytes.size())) {
         free_slots_.push_back(slot);
         drops_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
+        return;
       }
       ColdEntry cold;
       cold.slot = slot;
@@ -608,37 +488,33 @@ size_t StateCache::DemoteLocked(Entry& entry, size_t* cold_freed) {
       cold.model_version = entry.state.model_version;
       cold.seq = ++cold_seq_;
       const uint64_t seq = cold.seq;
-      *cold_freed += EraseColdLocked(entry.key);
+      EraseColdLocked(entry.key);
       cold_.emplace(entry.key, std::move(cold));
       cold_fifo_.emplace_back(entry.key, seq);
       CompactColdFifoLocked();
       spills_.fetch_add(1, std::memory_order_relaxed);
-      return 0;  // disk holds the bytes; no RAM charge
+      return;  // disk holds the bytes; no RAM
     }
     case ColdTier::kRecompute:
       drops_.fetch_add(1, std::memory_order_relaxed);
-      return 0;
+      return;
   }
-  return 0;
 }
 
-size_t StateCache::EnforceColdCapLocked() {
-  size_t freed = 0;
+void StateCache::EnforceColdCapLocked() {
   uint64_t victim = 0;
   while (cold_resident_ > config_.cold_bytes && PopColdVictimLocked(&victim)) {
-    freed += EraseColdLocked(victim);
+    EraseColdLocked(victim);
     drops_.fetch_add(1, std::memory_order_relaxed);
   }
-  return freed;
 }
 
-size_t StateCache::EraseColdLocked(uint64_t key) {
+void StateCache::EraseColdLocked(uint64_t key) {
   auto it = cold_.find(key);
   if (it == cold_.end()) {
-    return 0;
+    return;
   }
-  const size_t freed = it->second.charged_bytes;
-  cold_resident_ -= freed;
+  cold_resident_ -= it->second.resident_bytes;
   if (config_.cold_tier == ColdTier::kDisk) {
     free_slots_.push_back(it->second.slot);
   }
@@ -646,7 +522,6 @@ size_t StateCache::EraseColdLocked(uint64_t key) {
   // PopColdVictimLocked / CompactColdFifoLocked discard it later. Scanning
   // the deque here would make every promotion O(cold entries).
   cold_.erase(it);
-  return freed;
 }
 
 bool StateCache::PopColdVictimLocked(uint64_t* key) {
@@ -678,68 +553,33 @@ void StateCache::CompactColdFifoLocked() {
   cold_fifo_.swap(live);
 }
 
-size_t StateCache::ShrinkHot(size_t bytes) {
-  pressure_shrinks_.fetch_add(1, std::memory_order_relaxed);
-  size_t released = 0;
-  {
-    MutexLock lock(mu_);
-    while (released < bytes) {
-      const size_t freed = EvictOneLocked();
-      if (freed == 0 && ring_.empty()) {
-        break;
-      }
-      if (freed == 0) {
-        // Either everything unpinned is gone or the eviction net-charged
-        // the cold tier as much as it freed; stop rather than spin.
-        break;
-      }
-      released += freed;
-    }
-  }
-  // Called from the budget's pressure chain (atomic-only accounting there):
-  // report the release to the gauge ourselves.
-  if (released > 0 && config_.budget != nullptr) {
-    config_.budget->Release(released);
-  }
-  return released;
-}
-
 void StateCache::Clear() {
-  size_t released = 0;
-  {
-    MutexLock lock(mu_);
-    // Drop every unpinned hot entry straight out (no demotion) plus the
-    // whole cold tier. Pinned entries survive — their leases still point at
-    // them.
-    std::vector<uint64_t> victims;
-    victims.reserve(hot_.size());
-    for (const auto& entry : hot_) {
-      if (!entry.second->pinned) {
-        victims.push_back(entry.first);
-      }
+  MutexLock lock(mu_);
+  // Drop every unpinned hot entry straight out (no demotion) plus the whole
+  // cold tier. Pinned entries survive — their leases still point at them.
+  std::vector<uint64_t> victims;
+  victims.reserve(hot_.size());
+  for (const auto& entry : hot_) {
+    if (!entry.second->pinned) {
+      victims.push_back(entry.first);
     }
-    for (uint64_t key : victims) {
-      Entry* entry = hot_.find(key)->second.get();
-      RemoveFromRingLocked(entry);
-      hot_resident_ -= entry->charged_bytes;
-      released += entry->charged_bytes;
-      hot_.erase(key);
-      drops_.fetch_add(1, std::memory_order_relaxed);
-    }
-    released += cold_resident_;
-    cold_resident_ = 0;
-    if (config_.cold_tier == ColdTier::kDisk) {
-      for (const auto& cold : cold_) {
-        free_slots_.push_back(cold.second.slot);
-      }
-    }
-    drops_.fetch_add(cold_.size(), std::memory_order_relaxed);
-    cold_.clear();
-    cold_fifo_.clear();
   }
-  if (released > 0 && config_.budget != nullptr) {
-    config_.budget->Release(released);
+  for (uint64_t key : victims) {
+    Entry* entry = hot_.find(key)->second.get();
+    RemoveFromRingLocked(entry);
+    hot_resident_ -= entry->resident_bytes;
+    hot_.erase(key);
+    drops_.fetch_add(1, std::memory_order_relaxed);
   }
+  cold_resident_ = 0;
+  if (config_.cold_tier == ColdTier::kDisk) {
+    for (const auto& cold : cold_) {
+      free_slots_.push_back(cold.second.slot);
+    }
+  }
+  drops_.fetch_add(cold_.size(), std::memory_order_relaxed);
+  cold_.clear();
+  cold_fifo_.clear();
 }
 
 StateCacheCounters StateCache::Counters() const {
@@ -752,7 +592,6 @@ StateCacheCounters StateCache::Counters() const {
   counters.compressions = compressions_.load(std::memory_order_relaxed);
   counters.spills = spills_.load(std::memory_order_relaxed);
   counters.drops = drops_.load(std::memory_order_relaxed);
-  counters.pressure_shrinks = pressure_shrinks_.load(std::memory_order_relaxed);
   MutexLock lock(mu_);
   counters.hot_entries = hot_.size();
   counters.cold_entries = cold_.size();

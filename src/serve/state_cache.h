@@ -11,18 +11,15 @@
 //
 // Components:
 //
-//  * MemoryBudget — process-wide soft-memory gauge. Consumers Charge/Release
-//    bytes as they allocate and free; Reserve additionally runs registered
-//    pressure callbacks until usage is back under budget (or every callback
-//    declines). The gauge is what lets several caches share one bound.
-//
-//  * StateCache — the two-tier per-stream state cache:
-//      hot tier:  live StreamState entries (fp32), byte-budgeted, CLOCK
+//  * StateCache — the two-tier per-stream state cache; its byte caps
+//    (hot_bytes + cold_bytes) are its memory budget:
+//      hot tier:  live StreamState entries (fp32), byte-capped, CLOCK
 //                 eviction with reference bits; pinned (leased) entries are
 //                 never evicted.
 //      cold tier: one of
 //        kFp16      — evicted states compressed in place to binary16
-//                     (round-to-nearest-even; promotion decompresses).
+//                     (round-to-nearest-even; promotion decompresses),
+//                     byte-capped, oldest dropped first.
 //        kDisk      — evicted states spilled to a fixed-slot slab file with
 //                     per-slot FNV-1a checksums (bit-exact round trip; a
 //                     torn slot reads as a miss, never as wrong data).
@@ -34,18 +31,12 @@
 //    state a reader still borrows. A second Acquire of the same key blocks
 //    until the lease returns.
 //
-// Lock hierarchy (TSA-annotated; see DESIGN.md "Soft-memory tiered state"):
+// Locking (TSA-annotated; see DESIGN.md "Soft-memory tiered state"):
 //
-//   MemoryBudget::mu_  →  StateCache::mu_
-//
-//   * Pressure callbacks run WITH MemoryBudget::mu_ held and take the
-//     cache's own mutex inside — so no component may call Reserve(),
-//     CheckPressure(), RegisterPressure() or UnregisterPressure() while
-//     holding a cache mutex (that is the cycle). Charge()/Release() are
-//     atomic-only and safe anywhere.
-//   * StateCache public entry points do their map work under mu_, then
-//     charge the budget AFTER unlocking; the gauge lags an in-flight
-//     operation by at most one entry (soft memory, soft accounting).
+//   * StateCache::mu_ is a leaf lock. Every entry point that can grow the
+//     hot tier (an acquire that inserts, a lease release that re-measures)
+//     evicts back under hot_bytes before it returns; what stays pinned may
+//     overshoot until its lease goes (soft memory).
 //   * Consumers holding several leases at once (EstimationService batches)
 //     must acquire them in ascending key order — the documented
 //     deadlock-free order for the blocking exclusive lease.
@@ -67,64 +58,6 @@
 #include "src/core/thread_annotations.h"
 
 namespace deeprest {
-
-// ---------------------------------------------------------------------------
-// MemoryBudget — process-wide soft-memory gauge with pressure callbacks.
-// ---------------------------------------------------------------------------
-class MemoryBudget {
- public:
-  // budget_bytes == 0 means unlimited (the gauge still counts usage).
-  explicit MemoryBudget(size_t budget_bytes = 0) : budget_(budget_bytes) {}
-
-  void SetBudget(size_t bytes) { budget_.store(bytes, std::memory_order_relaxed); }
-  size_t budget() const { return budget_.load(std::memory_order_relaxed); }
-  size_t used() const { return used_.load(std::memory_order_relaxed); }
-  // Bytes over budget right now (0 when unlimited or under).
-  size_t overage() const;
-
-  // Atomic-only accounting; never runs callbacks, safe to call anywhere
-  // (including from inside a pressure callback).
-  void Charge(size_t bytes) { used_.fetch_add(bytes, std::memory_order_relaxed); }
-  void Release(size_t bytes) { used_.fetch_sub(bytes, std::memory_order_relaxed); }
-
-  // Charge + CheckPressure: the normal allocation path. Must NOT be called
-  // while holding any cache mutex (see the lock hierarchy above).
-  void Reserve(size_t bytes) DEEPREST_EXCLUDES(mu_) {
-    Charge(bytes);
-    CheckPressure();
-  }
-
-  // Runs pressure callbacks while usage exceeds the budget. Stops when a
-  // full pass frees nothing (everything evictable is pinned — soft
-  // overshoot is allowed by design) or after a bounded number of passes.
-  void CheckPressure() DEEPREST_EXCLUDES(mu_);
-
-  // A pressure callback frees up to `bytes_to_free` bytes (by shrinking its
-  // tier) and returns how many it actually released from the gauge. Runs
-  // with MemoryBudget::mu_ held; it may Charge/Release but must not call
-  // Reserve/CheckPressure/Register/Unregister (lock cycle).
-  using PressureFn = std::function<size_t(size_t bytes_to_free)>;
-  size_t RegisterPressure(PressureFn fn) DEEPREST_EXCLUDES(mu_);
-  void UnregisterPressure(size_t id) DEEPREST_EXCLUDES(mu_);
-
-  // How many times CheckPressure found the gauge over budget and ran the
-  // callback chain.
-  uint64_t pressure_events() const {
-    return pressure_events_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<size_t> budget_;
-  std::atomic<size_t> used_{0};
-  std::atomic<uint64_t> pressure_events_{0};
-  // Pressure callbacks run under this mutex and take the cache's mutex
-  // (the evict path) — hence the acquired-before edge, and hence why
-  // Reserve() while holding a cache mutex is a deadlock.
-  // deeprest-lint: lock-level(before StateCache::mu_)
-  mutable Mutex mu_;
-  std::vector<std::pair<size_t, PressureFn>> callbacks_ DEEPREST_GUARDED_BY(mu_);
-  size_t next_callback_id_ DEEPREST_GUARDED_BY(mu_) = 1;
-};
 
 // ---------------------------------------------------------------------------
 // StateCache — two-tier cache of per-stream estimator continuation state.
@@ -153,7 +86,7 @@ bool ParseColdTier(const std::string& name, ColdTier* out);
 
 struct StateCacheConfig {
   // Hot-tier byte cap: CLOCK eviction starts when resident fp32 state
-  // exceeds this. Always enforced, independent of the global gauge.
+  // exceeds this.
   size_t hot_bytes = size_t{64} << 20;
   ColdTier cold_tier = ColdTier::kFp16;
   // kFp16: byte cap of the compressed tier (oldest entries drop past it).
@@ -164,10 +97,6 @@ struct StateCacheConfig {
   std::string slab_path;
   size_t slab_slot_payload_bytes = 256;
   size_t slab_slots = 1 << 16;
-  // Optional process gauge. The cache Charges/Releases its resident bytes
-  // against it and registers a pressure callback that shrinks the hot tier.
-  // Must outlive the cache.
-  MemoryBudget* budget = nullptr;
 };
 
 // Per-tier activity counters (monotonic except the resident/entry gauges).
@@ -181,7 +110,6 @@ struct StateCacheCounters {
   uint64_t spills = 0;         // demotions written to a disk slab slot
   uint64_t drops = 0;          // states lost entirely (cold overflow, torn
                                // slot, oversized entry, kRecompute demotion)
-  uint64_t pressure_shrinks = 0;  // pressure-callback invocations
   size_t hot_entries = 0;
   size_t cold_entries = 0;
   size_t hot_resident_bytes = 0;
@@ -263,7 +191,6 @@ class StateCache {
   };
 
   explicit StateCache(const StateCacheConfig& config);
-  ~StateCache();
   StateCache(const StateCache&) = delete;
   StateCache& operator=(const StateCache&) = delete;
 
@@ -281,18 +208,11 @@ class StateCache {
   // warm-start state". Always returns a valid lease.
   Lease AcquireOrCreate(uint64_t key) DEEPREST_EXCLUDES(mu_);
 
-  // Pressure hook (also directly testable): demotes unpinned hot entries in
-  // CLOCK order until `bytes` have left the hot tier or nothing unpinned
-  // remains. Returns the RAM actually released from the gauge's view (hot
-  // bytes freed minus cold bytes newly occupied).
-  size_t ShrinkHot(size_t bytes) DEEPREST_EXCLUDES(mu_);
-
   // Drops every unpinned entry in both tiers (leased entries survive).
   void Clear() DEEPREST_EXCLUDES(mu_);
 
   StateCacheCounters Counters() const DEEPREST_EXCLUDES(mu_);
   const StateCacheConfig& config() const { return config_; }
-  const MemoryBudget* budget() const { return config_.budget; }
   // False when kDisk was configured but the slab failed to open (the cache
   // then behaves like kRecompute and counts demotions as drops).
   bool disk_ok() const { return disk_ok_.load(std::memory_order_relaxed); }
@@ -301,7 +221,7 @@ class StateCache {
   struct Entry {
     uint64_t key = 0;
     StreamState state;
-    size_t charged_bytes = 0;  // what this entry holds against the gauge
+    size_t resident_bytes = 0;  // what this entry counts against hot_bytes
     bool pinned = false;
     bool ref = false;    // CLOCK reference bit
     size_t ring_pos = 0;  // position in ring_
@@ -312,7 +232,7 @@ class StateCache {
     size_t slot = 0;             // kDisk
     uint64_t steps = 0;
     uint64_t model_version = 0;
-    size_t charged_bytes = 0;  // RAM charge (0 for disk entries)
+    size_t resident_bytes = 0;  // RAM held (0 for disk entries)
     // Matches this entry's cold_fifo_ record; a fifo record whose seq no
     // longer matches is stale (the key was promoted or re-demoted since)
     // and is skipped lazily — erasure never scans the fifo.
@@ -323,28 +243,24 @@ class StateCache {
   void ReleaseLease(uint64_t key) DEEPREST_EXCLUDES(mu_);
 
   // Shared Acquire/AcquireOrCreate body. Map bookkeeping happens under mu_;
-  // budget charges are applied after unlock (see the hierarchy note on top).
+  // a recompute runs outside it.
   Lease AcquireImpl(uint64_t key, bool create) DEEPREST_EXCLUDES(mu_);
   // Evicts until the hot tier fits config_.hot_bytes (pinned overshoot
-  // allowed); reports freed RAM to the gauge.
+  // allowed).
   void ShrinkHotToCap() DEEPREST_EXCLUDES(mu_);
   void InsertHotLocked(uint64_t key, StreamState state, bool pinned)
       DEEPREST_REQUIRES(mu_);
   void RemoveFromRingLocked(Entry* entry) DEEPREST_REQUIRES(mu_);
   // One CLOCK eviction: demotes the first unpinned hand candidate to the
-  // cold tier. Returns net RAM released (0 when everything is pinned).
-  size_t EvictOneLocked() DEEPREST_REQUIRES(mu_);
-  // Demotion into the configured cold tier; returns RAM newly charged by
-  // the cold side (fp16 bytes; 0 for disk/recompute) and adds any RAM it
-  // freed cold-side (stale copies, FIFO cap drops) to *cold_freed — both
-  // flow back to the gauge through the caller.
-  size_t DemoteLocked(Entry& entry, size_t* cold_freed) DEEPREST_REQUIRES(mu_);
-  // Drops cold entries (FIFO) until the fp16 tier fits its cap; returns the
-  // RAM freed.
-  size_t EnforceColdCapLocked() DEEPREST_REQUIRES(mu_);
-  // Returns the erased entry's RAM charge (0 on miss / disk entries) so the
-  // caller can return it to the gauge.
-  size_t EraseColdLocked(uint64_t key) DEEPREST_REQUIRES(mu_);
+  // cold tier. False when everything left is pinned.
+  bool EvictOneLocked() DEEPREST_REQUIRES(mu_);
+  // Demotion into the configured cold tier (fp16 copy, slab slot, or a
+  // counted drop).
+  void DemoteLocked(Entry& entry) DEEPREST_REQUIRES(mu_);
+  // Drops cold entries (FIFO) until the fp16 tier fits its cap.
+  void EnforceColdCapLocked() DEEPREST_REQUIRES(mu_);
+  // No-op on a miss; a disk entry's slot returns to free_slots_.
+  void EraseColdLocked(uint64_t key) DEEPREST_REQUIRES(mu_);
   // Pops fifo records until one matches a live cold entry; that key is the
   // FIFO victim. False when the cold tier is empty.
   bool PopColdVictimLocked(uint64_t* key) DEEPREST_REQUIRES(mu_);
@@ -355,9 +271,8 @@ class StateCache {
   const StateCacheConfig config_;
   RecomputeFn recompute_;  // set before serving starts; then read-only
   std::atomic<bool> disk_ok_{false};
-  size_t pressure_callback_id_ = 0;  // registration with config_.budget
 
-  mutable Mutex mu_;  // deeprest-lint: lock-level(after MemoryBudget::mu_)
+  mutable Mutex mu_;  // deeprest-lint: lock-level(leaf)
   std::condition_variable lease_cv_;
   // Hot tier. Byte-budgeted via hot_resident_ + CLOCK over ring_; never
   // grows past config_.hot_bytes except by pinned-entry overshoot.
@@ -381,7 +296,6 @@ class StateCache {
   // serving path for long.
   std::atomic<uint64_t> hot_hits_{0}, cold_hits_{0}, misses_{0}, recomputes_{0};
   std::atomic<uint64_t> evictions_{0}, compressions_{0}, spills_{0}, drops_{0};
-  std::atomic<uint64_t> pressure_shrinks_{0};
 };
 
 }  // namespace deeprest

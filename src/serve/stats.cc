@@ -159,7 +159,6 @@ std::vector<std::pair<std::string, std::string>> ServiceCounters::Rows() const {
       {"worker stalls", FormatCount(worker_stalls)},
       {"worker crashes", FormatCount(worker_crashes)},
       {"worker restarts", FormatCount(worker_restarts)},
-      {"degraded mode", FormatCount(degraded_mode)},
   };
   if (state_cache_attached) {
     rows.emplace_back("stream-state hot hits", FormatCount(state_hot_hits));
@@ -170,10 +169,6 @@ std::vector<std::pair<std::string, std::string>> ServiceCounters::Rows() const {
     rows.emplace_back("stream-state drops", FormatCount(state_drops));
     rows.emplace_back("stream-state version resets", FormatCount(state_resets));
     rows.emplace_back("stream-state resident", FormatBytes(state_resident_bytes));
-    rows.emplace_back("memory gauge",
-                      FormatBytes(memory_used_bytes) + " / " +
-                          (memory_budget_bytes == 0 ? std::string("unlimited")
-                                                    : FormatBytes(memory_budget_bytes)));
   }
   return rows;
 }

@@ -46,7 +46,6 @@ struct ServiceCounters {
   uint64_t worker_stalls = 0;    // injected stalls observed by workers
   uint64_t worker_crashes = 0;   // worker threads that exited on a fault
   uint64_t worker_restarts = 0;  // successful RestartWorker revivals
-  uint64_t degraded_mode = 0;    // 1 while escalated to reject-new shedding
   // Soft-memory tiered stream-state cache (state_cache.h). Rows render only
   // when a StateCache is wired into the service.
   bool state_cache_attached = false;
@@ -58,9 +57,6 @@ struct ServiceCounters {
   uint64_t state_drops = 0;        // states lost entirely (cold overflow etc.)
   uint64_t state_resets = 0;       // model-version-mismatch warm restarts
   size_t state_resident_bytes = 0; // hot + cold RAM held by the cache
-  // Global soft-memory gauge (0 budget = unlimited).
-  size_t memory_budget_bytes = 0;
-  size_t memory_used_bytes = 0;
 
   // Two-column "counter | value" table (rendered with eval/ascii elsewhere).
   std::vector<std::pair<std::string, std::string>> Rows() const;

@@ -17,11 +17,6 @@ void Supervisor::Watch(size_t id, std::function<bool()> restart, size_t restart_
   watched_.push_back(std::move(w));
 }
 
-void Supervisor::SetEscalationHandler(std::function<void(const std::string&)> handler) {
-  MutexLock lock(mu_);
-  escalate_ = std::move(handler);
-}
-
 size_t Supervisor::ScanOnce() {
   MutexLock scan_lock(scan_mu_);
   // Pass 1 (under mu_): read health, advance per-incident state machines,
@@ -29,7 +24,6 @@ size_t Supervisor::ScanOnce() {
   // Restarts take component locks (EstimationService::stop_mu_, learner
   // lifecycle_mu_), which must never nest under the supervision tables.
   std::vector<std::function<bool()>> restarts;
-  std::vector<std::pair<std::function<void(const std::string&)>, std::string>> escalations;
   {
     MutexLock lock(mu_);
     const uint64_t now = registry_.NowMicros();
@@ -73,16 +67,12 @@ size_t Supervisor::ScanOnce() {
         continue;
       }
       if (w.escalated) {
-        continue;  // budget burned; degraded mode owns this now
+        continue;  // budget burned: no more attempts until it recovers
       }
       if (w.attempts >= w.budget) {
         w.escalated = true;
         incidents_[w.incident].escalated = true;
         ++counters_.escalations;
-        degraded_.store(true, std::memory_order_release);
-        if (escalate_) {
-          escalations.emplace_back(escalate_, health.name);
-        }
         continue;
       }
       if (now >= w.next_attempt_us && w.restart) {
@@ -109,9 +99,6 @@ size_t Supervisor::ScanOnce() {
     } else {
       ++counters_.restarts_failed;
     }
-  }
-  for (auto& [handler, name] : escalations) {
-    handler(name);
   }
   return attempted;
 }

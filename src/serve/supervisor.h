@@ -12,10 +12,10 @@
 //     base_backoff * 2^n capped at max_backoff, until the component
 //     heartbeats again (incident closed, budget restored) or the per-
 //     incident budget is exhausted;
-//   * on budget exhaustion escalates exactly once: the escalation handler
-//     runs (wired to degraded mode — EstimationService::SetDegraded's
-//     reject-new shedding) and the supervisor turns sticky-degraded until
-//     ClearDegraded().
+//   * on budget exhaustion escalates exactly once: the incident is marked
+//     escalated and counted, and no further restart is attempted until the
+//     component heartbeats again (which still closes the incident as
+//     recovered).
 //
 // Restart semantics are honest about what C++ threads allow: a CRASHED
 // worker (thread exited) can be respawned, so its restart callback returns
@@ -23,6 +23,8 @@
 // callback returns false and the incident closes only when the stall ends
 // and heartbeats resume — the attempts meanwhile burn budget, which is what
 // eventually escalates a permanent livelock instead of restarting forever.
+// Meanwhile the steal sweep (estimation_service.h) serves the wedged
+// worker's queue.
 //
 // The Watchdog is the thread that turns scans into a loop: it heartbeats
 // itself into the same registry it scans (a stuck watchdog is visible in
@@ -32,9 +34,9 @@
 //
 // Lock hierarchy (DESIGN.md "Concurrency invariants & lock hierarchy"):
 //   Supervisor::scan_mu_ -> Supervisor::mu_ -> HealthRegistry::mu_.
-// Restart and escalation callbacks run with only scan_mu_ held, so they may
-// freely take component locks (EstimationService::stop_mu_, learner
-// lifecycle_mu_, ...); nothing in this module is acquired inside them.
+// Restart callbacks run with only scan_mu_ held, so they may freely take
+// component locks (EstimationService::stop_mu_, learner lifecycle_mu_, ...);
+// nothing in this module is acquired inside them.
 #ifndef SRC_SERVE_SUPERVISOR_H_
 #define SRC_SERVE_SUPERVISOR_H_
 
@@ -58,8 +60,9 @@ struct SupervisorConfig {
   // scan itself.
   std::chrono::milliseconds base_backoff{10};
   std::chrono::milliseconds max_backoff{500};
-  // Restart attempts per incident before escalating to degraded mode.
-  // Recovery restores the full budget for the next incident.
+  // Restart attempts per incident before escalating (no more attempts
+  // until the component recovers). Recovery restores the full budget for
+  // the next incident.
   size_t restart_budget = 4;
 };
 
@@ -104,16 +107,9 @@ class Supervisor {
   // the config default.
   void Watch(size_t id, std::function<bool()> restart, size_t restart_budget = 0);
 
-  // Runs once per exhausted budget; wired to degraded mode by the caller.
-  void SetEscalationHandler(std::function<void(const std::string&)> handler);
-
   // One deterministic scan over every watched component (what the Watchdog
   // thread runs). Returns the number of restart attempts driven.
   size_t ScanOnce();
-
-  // Sticky once any budget has been exhausted; cleared by the operator.
-  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
-  void ClearDegraded() { degraded_.store(false, std::memory_order_release); }
 
   SupervisorCounters counters() const;
   std::vector<RecoveryIncident> Incidents() const;
@@ -139,16 +135,13 @@ class Supervisor {
   // ScanOnce callers cannot double-fire a restart between each other's
   // passes. Guards no field of its own; the scan state lives under mu_.
   Mutex scan_mu_;  // deeprest-lint: allow(mutex-needs-guarded-by)
-  // Guards the supervision tables. Held only for state passes — restart and
-  // escalation callbacks run outside it (they take component locks).
+  // Guards the supervision tables. Held only for state passes — restart
+  // callbacks run outside it (they take component locks).
   // Acquired after scan_mu_, before HealthRegistry::mu_.
   mutable Mutex mu_ DEEPREST_ACQUIRED_AFTER(scan_mu_);
   std::vector<Watched> watched_ DEEPREST_GUARDED_BY(mu_);
   std::vector<RecoveryIncident> incidents_ DEEPREST_GUARDED_BY(mu_);
-  std::function<void(const std::string&)> escalate_ DEEPREST_GUARDED_BY(mu_);
   SupervisorCounters counters_ DEEPREST_GUARDED_BY(mu_);
-
-  std::atomic<bool> degraded_{false};
 };
 
 struct WatchdogConfig {

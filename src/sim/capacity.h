@@ -1,4 +1,4 @@
-// Pluggable capacity / SLO model for closed-loop autoscaling (ROADMAP item 1).
+// Pluggable capacity / SLO model for closed-loop autoscaling.
 //
 // The base simulator emits per-component *demand*: the CPU percentage points
 // (of one core-equivalent) the offered load wants in a window. A

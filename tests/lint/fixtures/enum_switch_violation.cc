@@ -1,15 +1,18 @@
-// Fixture: must trip enum-switch — ShedPolicy is one of the enforced
-// enums, and this switch handles only one of its two enumerators with no
-// default arm, so adding a policy would silently fall through.
-enum class ShedPolicy {
-  kRejectNew,
-  kDropOldest,
+// Fixture: must trip enum-switch — ColdTier is one of the enforced enums,
+// and this switch handles only two of its three enumerators with no default
+// arm, so adding a tier would silently fall through.
+enum class ColdTier {
+  kFp16,
+  kDisk,
+  kRecompute,
 };
 
-int Describe(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kRejectNew:
+int Describe(ColdTier tier) {
+  switch (tier) {
+    case ColdTier::kFp16:
       return 1;
+    case ColdTier::kDisk:
+      return 2;
   }
   return 0;
 }

@@ -1,9 +1,12 @@
 // Crash-safety tests for the atomic model checkpoint (src/serve/checkpoint.h)
 // and startup recovery: torn writes fall back to the rotated previous
-// snapshot bit-exactly, corruption is detected by checksum, and a restarted
-// learner resumes from the recovered version instead of retraining.
+// snapshot bit-exactly (at every truncation length), corruption is detected
+// by checksum, and a restarted learner resumes from the recovered version
+// instead of retraining.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -37,13 +40,6 @@ std::string FileBytes(const std::string& path) {
   return out.str();
 }
 
-void TruncateFile(const std::string& path, size_t keep) {
-  const std::string bytes = FileBytes(path);
-  ASSERT_LT(keep, bytes.size());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(keep));
-}
-
 TEST(CheckpointTest, RoundTripIsBitExact) {
   TinySetup s = MakeSetup();
   std::shared_ptr<const DeepRestEstimator> model = TrainModel(s);
@@ -72,10 +68,13 @@ TEST(CheckpointTest, MissingFileRecoversNothing) {
   EXPECT_FALSE(ReadCheckpoint(TempPath("ckpt_never_written.bin"), &recovered));
 }
 
-// The kill-mid-write scenario: the second checkpoint's primary file is torn
-// (truncated partway through the payload, as a crash between write and fsync
-// leaves it). Recovery must reject it and return the rotated previous
-// snapshot, bit for bit.
+// The kill-mid-write scenario: the second checkpoint's primary file is torn,
+// and a crash can cut it at any byte. Every proper prefix of a valid
+// checkpoint must be rejected, and recovery from a cut primary must return
+// the rotated previous snapshot, bit for bit. Recovery loads the .prev model
+// each time, so it is checked at a few representative lengths only: empty,
+// inside the header, at the header's end, mid-payload (half and 60%, as a
+// crash between write and fsync leaves it) and one byte short.
 TEST(CheckpointTest, TruncatedPrimaryFallsBackToPreviousBitExact) {
   TinySetup s = MakeSetup();
   std::shared_ptr<const DeepRestEstimator> v1 = TrainModel(s);
@@ -98,14 +97,25 @@ TEST(CheckpointTest, TruncatedPrimaryFallsBackToPreviousBitExact) {
   ASSERT_TRUE(WriteCheckpoint(path, second));  // rotates v1 to <path>.prev
 
   const size_t full = FileBytes(path).size();
-  TruncateFile(path, full * 6 / 10);
-
-  CheckpointData recovered;
-  EXPECT_EQ(RecoverCheckpoint(path, &recovered), RecoverySource::kPrevious);
-  EXPECT_EQ(recovered.version, 1u);
-  EXPECT_EQ(recovered.trained_through, s.learn_windows);
-  ASSERT_NE(recovered.model, nullptr);
-  EXPECT_EQ(SerializedBytes(*recovered.model), v1_bytes);
+  constexpr size_t kHeaderBytes = 24;  // magic, payload size, checksum
+  ASSERT_GT(full, kHeaderBytes);
+  const std::set<size_t> recover_at = {0,        kHeaderBytes / 2, kHeaderBytes,
+                                       full / 2, full * 6 / 10,    full - 1};
+  for (size_t length = full; length-- > 0;) {
+    std::filesystem::resize_file(path, length);
+    CheckpointData read;
+    ASSERT_FALSE(ReadCheckpoint(path, &read))
+        << "accepted a checkpoint cut to " << length << " of " << full << " bytes";
+    if (recover_at.count(length) > 0) {
+      CheckpointData recovered;
+      ASSERT_EQ(RecoverCheckpoint(path, &recovered), RecoverySource::kPrevious)
+          << "cut to " << length << " bytes";
+      EXPECT_EQ(recovered.version, 1u);
+      EXPECT_EQ(recovered.trained_through, s.learn_windows);
+      ASSERT_NE(recovered.model, nullptr);
+      EXPECT_EQ(SerializedBytes(*recovered.model), v1_bytes);
+    }
+  }
   std::remove(path.c_str());
   std::remove((path + ".prev").c_str());
 }

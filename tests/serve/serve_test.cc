@@ -856,45 +856,42 @@ TEST(EstimationServiceTest, BoundedQueueShedsUnderOverload) {
   IngestPipeline pipeline(model->features(), {.shards = 2});
   registry.Publish(std::move(model));
 
-  for (const ShedPolicy policy : {ShedPolicy::kRejectNew, ShedPolicy::kDropOldest}) {
-    EstimationServiceConfig config;
-    config.workers = 1;  // submissions far outpace serving
-    config.max_batch = 1;
-    config.max_queue = 2;
-    config.shed_policy = policy;
-    EstimationService service(registry, pipeline, config);
+  EstimationServiceConfig config;
+  config.workers = 1;  // submissions far outpace serving
+  config.max_batch = 1;
+  config.max_queue = 2;
+  EstimationService service(registry, pipeline, config);
 
-    constexpr size_t kRequests = 48;
-    std::vector<std::future<EstimationService::EstimateResult>> futures;
-    futures.reserve(kRequests);
-    for (size_t i = 0; i < kRequests; ++i) {
-      futures.push_back(service.SubmitFeatures(features));
-    }
-    size_t ok = 0;
-    size_t shed = 0;
-    for (auto& future : futures) {
-      const auto result = future.get();
-      if (result.status == RequestStatus::kOk) {
-        ++ok;
-        // Shedding must not perturb accepted results: bit-exact vs. the
-        // single-threaded reference.
-        ExpectSameEstimates(result.estimates, reference);
-      } else {
-        ASSERT_EQ(result.status, RequestStatus::kShed);
-        ++shed;
-      }
-    }
-    // The queue stayed bounded: some requests were shed, none were lost, and
-    // every future resolved.
-    EXPECT_GT(shed, 0u) << RequestStatusName(RequestStatus::kShed);
-    EXPECT_GT(ok, 0u);
-    EXPECT_EQ(ok + shed, kRequests);
-    const ServiceCounters counters = service.Counters();
-    EXPECT_EQ(counters.requests_submitted, kRequests);
-    EXPECT_EQ(counters.requests_served, ok);
-    EXPECT_EQ(counters.requests_shed, shed);
-    EXPECT_EQ(counters.queue_depth, 0u);
+  constexpr size_t kRequests = 48;
+  std::vector<std::future<EstimationService::EstimateResult>> futures;
+  futures.reserve(kRequests);
+  for (size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(service.SubmitFeatures(features));
   }
+  size_t ok = 0;
+  size_t shed = 0;
+  for (auto& future : futures) {
+    const auto result = future.get();
+    if (result.status == RequestStatus::kOk) {
+      ++ok;
+      // Shedding must not perturb accepted results: bit-exact vs. the
+      // single-threaded reference.
+      ExpectSameEstimates(result.estimates, reference);
+    } else {
+      ASSERT_EQ(result.status, RequestStatus::kShed);
+      ++shed;
+    }
+  }
+  // The queue stayed bounded: some requests were shed, none were lost, and
+  // every future resolved.
+  EXPECT_GT(shed, 0u) << RequestStatusName(RequestStatus::kShed);
+  EXPECT_GT(ok, 0u);
+  EXPECT_EQ(ok + shed, kRequests);
+  const ServiceCounters counters = service.Counters();
+  EXPECT_EQ(counters.requests_submitted, kRequests);
+  EXPECT_EQ(counters.requests_served, ok);
+  EXPECT_EQ(counters.requests_shed, shed);
+  EXPECT_EQ(counters.queue_depth, 0u);
 }
 
 TEST(EstimationServiceTest, DeadlineExpiresQueuedRequests) {

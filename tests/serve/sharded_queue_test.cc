@@ -1,7 +1,7 @@
 // Sharded-queue semantics under concurrency (run under TSan via the
 // chaos-tsan preset): the per-worker shards with round-robin submission and
-// work stealing must preserve the PR-2 service contract exactly — bounded
-// capacity with both shed policies, per-request deadlines, kRejectedStopped
+// work stealing must preserve the service contract exactly — bounded
+// capacity that sheds the newcomer, per-request deadlines, kRejectedStopped
 // after Stop, drain-on-Stop — and must never lose a request: every submitted
 // future resolves with a terminal status and the counters balance.
 #include <atomic>
@@ -123,67 +123,63 @@ TEST(ShardedQueueTest, BoundedQueueShedsUnderConcurrentBurst) {
   std::shared_ptr<const DeepRestEstimator> model = TrainModel(s);
   const auto features = model->features().ExtractSeries(s.traces, s.learn_windows,
                                                         s.learn_windows + 4);
-  for (const ShedPolicy policy : {ShedPolicy::kRejectNew, ShedPolicy::kDropOldest}) {
-    SCOPED_TRACE(policy == ShedPolicy::kRejectNew ? "kRejectNew" : "kDropOldest");
-    ModelRegistry registry;
-    IngestPipeline pipeline(model->features(), {.shards = 2});
-    registry.Publish(model);
-    EstimationServiceConfig config;
-    config.workers = 2;
-    config.max_batch = 2;
-    config.max_queue = 4;
-    config.shed_policy = policy;
-    EstimationService service(registry, pipeline, config);
+  ModelRegistry registry;
+  IngestPipeline pipeline(model->features(), {.shards = 2});
+  registry.Publish(model);
+  EstimationServiceConfig config;
+  config.workers = 2;
+  config.max_batch = 2;
+  config.max_queue = 4;
+  EstimationService service(registry, pipeline, config);
 
-    constexpr size_t kThreads = 4;
-    constexpr size_t kPerThread = 32;
-    std::vector<std::vector<std::future<EstimationService::EstimateResult>>> futures(kThreads);
-    std::vector<std::thread> submitters;
-    // The bound is exact (slot reservation before any push), so a sampler
-    // racing the burst must never observe depth above max_queue.
-    std::atomic<bool> sampling{true};
-    size_t max_depth_seen = 0;
-    std::thread sampler([&] {
-      while (sampling.load()) {
-        max_depth_seen = std::max(max_depth_seen, service.Counters().queue_depth);
-        std::this_thread::yield();
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 32;
+  std::vector<std::vector<std::future<EstimationService::EstimateResult>>> futures(kThreads);
+  std::vector<std::thread> submitters;
+  // The bound is exact (slot reservation before any push), so a sampler
+  // racing the burst must never observe depth above max_queue.
+  std::atomic<bool> sampling{true};
+  size_t max_depth_seen = 0;
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      max_depth_seen = std::max(max_depth_seen, service.Counters().queue_depth);
+      std::this_thread::yield();
+    }
+  });
+  for (size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        // Every third request carries a tight deadline so expiry interleaves
+        // with shedding on the sharded queues.
+        const auto deadline = i % 3 == 2 ? std::chrono::milliseconds(1)
+                                         : std::chrono::milliseconds(0);
+        futures[t].push_back(service.SubmitFeatures(features, deadline));
       }
     });
-    for (size_t t = 0; t < kThreads; ++t) {
-      submitters.emplace_back([&, t] {
-        for (size_t i = 0; i < kPerThread; ++i) {
-          // Every third request carries a tight deadline so expiry interleaves
-          // with shedding on the sharded queues.
-          const auto deadline = i % 3 == 2 ? std::chrono::milliseconds(1)
-                                           : std::chrono::milliseconds(0);
-          futures[t].push_back(service.SubmitFeatures(features, deadline));
-        }
-      });
-    }
-    for (auto& submitter : submitters) {
-      submitter.join();
-    }
-    sampling.store(false);
-    sampler.join();
-    EXPECT_LE(max_depth_seen, config.max_queue);
-    Tally tally;
-    for (auto& per_thread : futures) {
-      const Tally t = Resolve(per_thread);
-      tally.ok += t.ok;
-      tally.shed += t.shed;
-      tally.expired += t.expired;
-      tally.rejected += t.rejected;
-    }
-    // Every request resolved with a terminal status; the burst far exceeds
-    // the bound, so some were shed; nothing was rejected (no Stop yet).
-    EXPECT_EQ(tally.total(), kThreads * kPerThread);
-    EXPECT_GT(tally.ok, 0u);
-    EXPECT_GT(tally.shed, 0u);
-    EXPECT_EQ(tally.rejected, 0u);
-    service.Stop();
-    ExpectBalanced(service.Counters());
-    EXPECT_EQ(service.Counters().queue_depth, 0u);
   }
+  for (auto& submitter : submitters) {
+    submitter.join();
+  }
+  sampling.store(false);
+  sampler.join();
+  EXPECT_LE(max_depth_seen, config.max_queue);
+  Tally tally;
+  for (auto& per_thread : futures) {
+    const Tally t = Resolve(per_thread);
+    tally.ok += t.ok;
+    tally.shed += t.shed;
+    tally.expired += t.expired;
+    tally.rejected += t.rejected;
+  }
+  // Every request resolved with a terminal status; the burst far exceeds
+  // the bound, so some were shed; nothing was rejected (no Stop yet).
+  EXPECT_EQ(tally.total(), kThreads * kPerThread);
+  EXPECT_GT(tally.ok, 0u);
+  EXPECT_GT(tally.shed, 0u);
+  EXPECT_EQ(tally.rejected, 0u);
+  service.Stop();
+  ExpectBalanced(service.Counters());
+  EXPECT_EQ(service.Counters().queue_depth, 0u);
 }
 
 TEST(ShardedQueueTest, StopRacingSubmitsResolvesEveryFuture) {

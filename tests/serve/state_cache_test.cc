@@ -1,14 +1,15 @@
-// Soft-memory tiered state cache: budget gauge, CLOCK eviction, cold-tier
-// round trips, pin/lease semantics, and the eviction-storm stress test the
-// ci.sh ASan leg runs with DEEPREST_STATECACHE_STRESS=1.
+// Soft-memory tiered state cache: byte caps and pinned overshoot, CLOCK
+// eviction, cold-tier round trips, slab truncation, pin/lease semantics, and
+// the eviction-storm stress test the ci.sh ASan leg runs with
+// DEEPREST_STATECACHE_STRESS=1.
 #include "src/serve/state_cache.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,61 +37,6 @@ void FillState(StateCache& cache, uint64_t key, size_t floats = 32) {
   lease.state().hidden = PayloadFor(key, floats);
   lease.state().steps = key;
   lease.state().model_version = 1;
-}
-
-TEST(MemoryBudgetTest, GaugeTracksChargeAndRelease) {
-  MemoryBudget budget(1000);
-  EXPECT_EQ(budget.budget(), 1000u);
-  EXPECT_EQ(budget.used(), 0u);
-  EXPECT_EQ(budget.overage(), 0u);
-  // deeprest-lint: allow(resource-pairing) — unbalanced by design: clamp test
-  budget.Charge(600);
-  EXPECT_EQ(budget.used(), 600u);
-  EXPECT_EQ(budget.overage(), 0u);
-  budget.Charge(600);
-  EXPECT_EQ(budget.overage(), 200u);
-  budget.Release(600);
-  EXPECT_EQ(budget.used(), 600u);
-  EXPECT_EQ(budget.overage(), 0u);
-}
-
-TEST(MemoryBudgetTest, UnlimitedBudgetNeverReportsOverage) {
-  MemoryBudget budget(0);
-  budget.Charge(size_t{1} << 30);
-  EXPECT_EQ(budget.overage(), 0u);
-  budget.Release(size_t{1} << 30);
-}
-
-TEST(MemoryBudgetTest, ReserveRunsPressureCallbacksUntilUnderBudget) {
-  MemoryBudget budget(1000);
-  size_t calls = 0;
-  const size_t id = budget.RegisterPressure([&](size_t bytes_to_free) {
-    ++calls;
-    const size_t freed = std::min<size_t>(bytes_to_free, 400);
-    budget.Release(freed);
-    return freed;
-  });
-  budget.Reserve(1600);  // 600 over: two 400-byte shrinks get back under
-  EXPECT_GE(calls, 2u);
-  EXPECT_EQ(budget.overage(), 0u);
-  EXPECT_GE(budget.pressure_events(), 1u);
-  budget.UnregisterPressure(id);
-  budget.Release(budget.used());
-}
-
-TEST(MemoryBudgetTest, PressurePassThatFreesNothingStops) {
-  MemoryBudget budget(100);
-  size_t calls = 0;
-  const size_t id = budget.RegisterPressure([&](size_t) {
-    ++calls;
-    return size_t{0};  // everything "pinned": soft overshoot allowed
-  });
-  budget.Reserve(500);
-  EXPECT_GE(calls, 1u);
-  EXPECT_LE(calls, 8u);  // bounded passes, no spin
-  EXPECT_EQ(budget.overage(), 400u);
-  budget.UnregisterPressure(id);
-  budget.Release(budget.used());
 }
 
 TEST(ColdTierTest, NamesRoundTrip) {
@@ -238,6 +184,45 @@ TEST(StateCacheTest, TornSlabSlotFailsClosedAsMiss) {
   std::remove(config.slab_path.c_str());
 }
 
+// A crash can cut the slab file at any byte. At every length from full down
+// to empty, each slot read returns false or the exact payload, and the exact
+// payload whenever the slot lies wholly inside the file.
+TEST(SlabFileTest, TruncationAtEveryOffsetFailsClosed) {
+  const std::string path = ::testing::TempDir() + "slab_truncate.bin";
+  constexpr size_t kSlots = 4;
+  constexpr size_t kPayloadBytes = 256;
+  // Layout: a 4096-byte superblock, then per slot a 32-byte header and the
+  // payload area.
+  constexpr size_t kSuperblockBytes = 4096;
+  constexpr size_t kStride = 32 + kPayloadBytes;
+  SlabFile slab;
+  ASSERT_TRUE(slab.Open(path, kPayloadBytes, kSlots));
+  std::vector<std::string> payloads(kSlots);
+  for (size_t slot = 0; slot < kSlots; ++slot) {
+    payloads[slot].resize(kPayloadBytes - 40 * slot);  // full and partial slots
+    for (size_t i = 0; i < payloads[slot].size(); ++i) {
+      payloads[slot][i] = static_cast<char>(slot * 31 + i * 7);
+    }
+    ASSERT_TRUE(slab.WriteSlot(slot, 100 + slot, payloads[slot].data(), payloads[slot].size()));
+  }
+  const size_t full = std::filesystem::file_size(path);
+  ASSERT_EQ(full, kSuperblockBytes + kSlots * kStride);
+
+  for (size_t length = full + 1; length-- > 0;) {
+    std::filesystem::resize_file(path, length);
+    for (size_t slot = 0; slot < kSlots; ++slot) {
+      std::string out;
+      const bool ok = slab.ReadSlot(slot, 100 + slot, &out);
+      const bool whole = kSuperblockBytes + (slot + 1) * kStride <= length;
+      ASSERT_TRUE(ok ? out == payloads[slot] : !whole)
+          << "slot " << slot << " in a " << length << "-byte file: "
+          << (ok ? "wrong bytes" : "lies wholly inside but did not read back");
+    }
+  }
+  slab.Close();
+  std::remove(path.c_str());
+}
+
 TEST(StateCacheTest, RecomputeRebuildsDroppedEntries) {
   StateCacheConfig config;
   config.hot_bytes = 600;
@@ -285,16 +270,6 @@ TEST(StateCacheTest, PinnedEntriesAreNeverEvicted) {
   EXPECT_EQ(back.state().hidden, PayloadFor(1));
 }
 
-TEST(StateCacheTest, ShrinkHotOnAllPinnedFreesNothing) {
-  StateCacheConfig config;
-  config.hot_bytes = 1 << 20;
-  StateCache cache(config);
-  StateCache::Lease lease = cache.AcquireOrCreate(1);
-  lease.state().hidden = PayloadFor(1);
-  EXPECT_EQ(cache.ShrinkHot(1 << 20), 0u);
-  EXPECT_EQ(cache.Counters().hot_entries, 1u);
-}
-
 TEST(StateCacheTest, ClearDropsUnpinnedButKeepsLeased) {
   StateCacheConfig config;
   config.hot_bytes = 1 << 20;
@@ -331,40 +306,36 @@ TEST(StateCacheTest, LeaseIsExclusiveAndBlocksSecondAcquirer) {
   EXPECT_TRUE(second_got.load());
 }
 
-TEST(StateCacheTest, BudgetPressureShrinksHotTier) {
-  MemoryBudget budget(4096);
+// Every entry is leased past the hot cap, so eviction can free nothing:
+// AcquireOrCreate still returns, with the hot tier over its cap (soft
+// overshoot). Once the leases are released the hot tier settles under the
+// cap, even though no state grew while leased.
+TEST(StateCacheTest, PinnedOvershootSettlesUnderHotCapOnRelease) {
   StateCacheConfig config;
-  config.hot_bytes = 1 << 20;  // local cap far above the global budget
+  config.hot_bytes = 512;  // well under eight fresh entries
   config.cold_tier = ColdTier::kRecompute;
-  config.budget = &budget;
   StateCache cache(config);
-  for (uint64_t key = 1; key <= 64; ++key) {
-    FillState(cache, key);
+  std::vector<StateCache::Lease> leases;
+  for (uint64_t key = 1; key <= 8; ++key) {
+    leases.push_back(cache.AcquireOrCreate(key));
+    ASSERT_TRUE(leases.back().valid());
   }
-  const StateCacheCounters counters = cache.Counters();
-  EXPECT_GT(counters.pressure_shrinks, 0u);
+  StateCacheCounters counters = cache.Counters();
+  EXPECT_GT(counters.hot_resident_bytes, config.hot_bytes);
+  EXPECT_EQ(counters.evictions, 0u);
+  EXPECT_EQ(counters.hot_entries, 8u);
+
+  for (StateCache::Lease& lease : leases) {
+    lease.Release();
+  }
+  counters = cache.Counters();
+  EXPECT_LE(counters.hot_resident_bytes, config.hot_bytes);
   EXPECT_GT(counters.evictions, 0u);
-  // The gauge settled under budget (nothing is pinned between fills).
-  EXPECT_EQ(budget.overage(), 0u);
-  EXPECT_EQ(budget.used(), counters.hot_resident_bytes + counters.cold_resident_bytes);
+  EXPECT_LT(counters.hot_entries, 8u);
 }
 
-TEST(StateCacheTest, DestructorReturnsResidentBytesToGauge) {
-  MemoryBudget budget(1 << 20);
-  {
-    StateCacheConfig config;
-    config.budget = &budget;
-    StateCache cache(config);
-    for (uint64_t key = 1; key <= 8; ++key) {
-      FillState(cache, key);
-    }
-    EXPECT_GT(budget.used(), 0u);
-  }
-  EXPECT_EQ(budget.used(), 0u);
-}
-
-// The ci.sh ASan leg runs this with DEEPREST_STATECACHE_STRESS=1 and a
-// deliberately tiny budget: continuous eviction under concurrent leases is
+// The ci.sh ASan leg runs this with DEEPREST_STATECACHE_STRESS=1 and
+// deliberately tiny caps: continuous eviction under concurrent leases is
 // exactly where a use-after-free or double-account would surface.
 TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
   const bool stress = std::getenv("DEEPREST_STATECACHE_STRESS") != nullptr;
@@ -372,12 +343,10 @@ TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
   const size_t iterations = stress ? 4000 : 400;
   const uint64_t key_space = 64;
 
-  MemoryBudget budget(8192);  // tiny on purpose: constant pressure
   StateCacheConfig config;
-  config.hot_bytes = 4096;
+  config.hot_bytes = 4096;  // tiny on purpose: constant eviction
   config.cold_tier = ColdTier::kFp16;
   config.cold_bytes = 4096;
-  config.budget = &budget;
   StateCache cache(config);
 
   std::vector<std::thread> workers;
@@ -417,8 +386,13 @@ TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
   const StateCacheCounters counters = cache.Counters();
   EXPECT_GT(counters.evictions, 0u);
   EXPECT_LE(counters.hot_resident_bytes, config.hot_bytes);
-  // Accounting stayed consistent through the storm.
-  EXPECT_EQ(budget.used(), counters.hot_resident_bytes + counters.cold_resident_bytes);
+  EXPECT_LE(counters.cold_resident_bytes, config.cold_bytes);
+  // Accounting stayed consistent through the storm: with no lease held,
+  // Clear drops every hot entry and the hot resident count returns to zero.
+  cache.Clear();
+  const StateCacheCounters cleared = cache.Counters();
+  EXPECT_EQ(cleared.hot_entries, 0u);
+  EXPECT_EQ(cleared.hot_resident_bytes, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // reusable CircuitBreaker, Supervisor incident/backoff/budget/escalation
 // state machine (driven deterministically with a ManualHealthClock), the
 // Watchdog thread, and worker recovery through the real EstimationService:
-// a crashed worker restarts and serves bit-exact, and a wedged worker's
-// queue is served by its sibling's steal sweep.
+// a crashed worker restarts and serves bit-exact, a wedged worker's queue is
+// served by its sibling's steal sweep, and a permanent stall escalates once
+// and stops being restarted.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -295,32 +296,28 @@ TEST(SupervisorTest, RestartsSpaceOutWithCappedExponentialBackoff) {
 TEST(SupervisorTest, BudgetExhaustionEscalatesExactlyOnce) {
   SupervisedHarness h(/*budget=*/2);
   h.restart_result = false;  // a stall cannot be restarted
-  std::vector<std::string> escalated;
-  h.supervisor->SetEscalationHandler(
-      [&escalated](const std::string& name) { escalated.push_back(name); });
 
   h.clock.Set(5000);
   h.supervisor->ScanOnce();  // attempt 1
   h.clock.Set(100000);
   h.supervisor->ScanOnce();  // attempt 2 — budget spent
-  EXPECT_FALSE(h.supervisor->degraded());
+  EXPECT_EQ(h.supervisor->counters().escalations, 0u);
+  ASSERT_EQ(h.supervisor->Incidents().size(), 1u);
+  EXPECT_FALSE(h.supervisor->Incidents()[0].escalated);
   h.clock.Set(200000);
-  h.supervisor->ScanOnce();  // out of budget: escalate
-  EXPECT_TRUE(h.supervisor->degraded());
-  ASSERT_EQ(escalated.size(), 1u);
-  EXPECT_EQ(escalated[0], "victim");
+  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);  // out of budget: escalate
+  EXPECT_EQ(h.supervisor->counters().escalations, 1u);
+  ASSERT_EQ(h.supervisor->Incidents().size(), 1u);
+  EXPECT_EQ(h.supervisor->Incidents()[0].component, "victim");
+  EXPECT_TRUE(h.supervisor->Incidents()[0].escalated);
 
   h.clock.Set(300000);
-  h.supervisor->ScanOnce();  // still out of budget: no double escalation
-  EXPECT_EQ(escalated.size(), 1u);
+  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);  // still out of budget: no double escalation
   const SupervisorCounters counters = h.supervisor->counters();
   EXPECT_EQ(counters.escalations, 1u);
   EXPECT_EQ(counters.restarts_attempted, 2u);
   EXPECT_EQ(counters.restarts_failed, 2u);
-
-  // Degraded is sticky until the operator clears it.
-  h.supervisor->ClearDegraded();
-  EXPECT_FALSE(h.supervisor->degraded());
+  EXPECT_EQ(h.restarts.load(), 2);
 
   // Recovery after escalation still closes the incident and restores budget.
   h.clock.Set(400000);
@@ -350,8 +347,12 @@ TEST(SupervisorTest, RecoveryRestoresBudgetForTheNextIncident) {
   // Second incident gets a fresh budget: attempt fires, no escalation.
   h.clock.Set(10000);
   EXPECT_EQ(h.supervisor->ScanOnce(), 1u);
-  EXPECT_FALSE(h.supervisor->degraded());
+  EXPECT_EQ(h.supervisor->counters().escalations, 0u);
   EXPECT_EQ(h.supervisor->counters().incidents_opened, 2u);
+  const auto incidents = h.supervisor->Incidents();
+  ASSERT_EQ(incidents.size(), 2u);
+  EXPECT_FALSE(incidents[0].escalated);
+  EXPECT_FALSE(incidents[1].escalated);
 }
 
 TEST(WatchdogTest, ThreadScansAndRecoversARealStall) {
@@ -388,7 +389,7 @@ TEST(WatchdogTest, ThreadScansAndRecoversARealStall) {
 }
 
 // ---------------------------------------------------------------------------
-// EstimationService integration: crash, restart, degraded mode
+// EstimationService integration: crash, restart, wedge, escalation
 // ---------------------------------------------------------------------------
 
 TEST(ServiceSupervisionTest, CrashedWorkerRestartsAndServesBitExact) {
@@ -569,44 +570,130 @@ TEST(ServiceSupervisionTest, WatchdogAutoRestartsACrashedWorker) {
   ExpectSameEstimates(result.estimates, oracle);
 }
 
-TEST(ServiceSupervisionTest, DegradedModeForcesRejectNewShedding) {
+// A permanent stall: worker 0 stays wedged in its fault hook, so every
+// restart attempt fails (a live thread cannot be restarted). The supervisor
+// spends its budget, escalates exactly once and then stops attempting, while
+// the sibling's steal sweep keeps serving. When the wedge ends and worker 0
+// heartbeats again, the escalated incident closes as recovered. The health
+// clock is manual and the scans are driven by hand, so every transition is
+// exact.
+TEST(ServiceSupervisionTest, PermanentStallEscalatesAndStopsRestarting) {
   TinySetup s = MakeSetup();
   auto model = TrainModel(s);
   const auto features =
       model->features().ExtractSeries(s.traces, s.learn_windows, s.total());
+  const EstimateMap oracle = model->EstimateFromFeatures(features);
   ModelRegistry registry;
-  IngestPipeline pipeline(model->features(), {.shards = 1});
+  IngestPipeline pipeline(model->features(), {.shards = 2});
   registry.Publish(std::move(model));
 
-  // One worker, permanently stalled by the chaos hook, so nothing drains.
+  ManualHealthClock clock(1000);
+  HealthRegistry health(&clock);
+  std::atomic<bool> wedged{false};
   std::atomic<bool> release{false};
   EstimationServiceConfig config;
-  config.workers = 1;
-  config.max_queue = 1;
-  config.shed_policy = ShedPolicy::kDropOldest;
-  config.worker_fault_hook = [&release](size_t) {
+  config.workers = 2;
+  config.health = &health;
+  config.worker_stall_threshold_us = 100000;
+  config.worker_fault_hook = [&wedged, &release](size_t worker) {
+    if (worker != 0 || release.load()) {
+      return WorkerFault::kNone;
+    }
+    wedged.store(true);
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return WorkerFault::kNone;
+    return WorkerFault::kStall;
   };
   EstimationService service(registry, pipeline, config);
-  service.SetDegraded(true);
-  EXPECT_TRUE(service.degraded());
-  EXPECT_EQ(service.Counters().degraded_mode, 1u);
+  struct ReleaseOnExit {
+    std::atomic<bool>& release;
+    ~ReleaseOnExit() { release.store(true); }
+  } release_on_exit{release};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(wedged.load());
 
-  auto first = service.SubmitFeatures(features);   // takes the only slot
-  auto second = service.SubmitFeatures(features);  // queue full
-  // Degraded overrides kDropOldest: the NEW arrival is shed immediately;
-  // the queued request survives.
-  ASSERT_EQ(second.wait_for(std::chrono::seconds(5)), std::future_status::ready);
-  EXPECT_EQ(second.get().status, RequestStatus::kShed);
-  EXPECT_EQ(first.wait_for(std::chrono::milliseconds(0)), std::future_status::timeout);
+  Supervisor supervisor(health, {.base_backoff = std::chrono::milliseconds(10),
+                                 .max_backoff = std::chrono::milliseconds(40),
+                                 .restart_budget = 2});
+  const size_t worker0 = health.Register("estimation-worker-0", 1).id();
+  std::atomic<int> restart_calls{0};
+  supervisor.Watch(worker0, [&service, &restart_calls] {
+    restart_calls.fetch_add(1);
+    return service.RestartWorker(0);
+  });
 
+  // Worker 0 last heartbeat at t = 1000 us, at the top of the sweep it is
+  // wedged in.
+  clock.Set(200000);
+  EXPECT_EQ(supervisor.ScanOnce(), 1u);  // detection scan: attempt 1
+  clock.Set(210000);
+  EXPECT_EQ(supervisor.ScanOnce(), 1u);  // after the 10 ms backoff: attempt 2
+  EXPECT_EQ(supervisor.counters().escalations, 0u);
+  clock.Set(250000);
+  EXPECT_EQ(supervisor.ScanOnce(), 0u);  // budget spent: escalate
+  SupervisorCounters counters = supervisor.counters();
+  EXPECT_EQ(restart_calls.load(), 2);
+  EXPECT_EQ(counters.restarts_attempted, 2u);
+  EXPECT_EQ(counters.restarts_failed, 2u);
+  EXPECT_EQ(counters.restarts_succeeded, 0u);
+  EXPECT_EQ(counters.escalations, 1u);
+  std::vector<RecoveryIncident> incidents = supervisor.Incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_EQ(incidents[0].component, "estimation-worker-0");
+  EXPECT_EQ(incidents[0].restart_attempts, 2u);
+  EXPECT_TRUE(incidents[0].escalated);
+  EXPECT_FALSE(incidents[0].recovered());
+
+  // Later scans, long past every backoff, make no third attempt.
+  for (uint64_t t = 1000000; t <= 10000000; t += 1000000) {
+    clock.Set(t);
+    EXPECT_EQ(supervisor.ScanOnce(), 0u);
+  }
+  counters = supervisor.counters();
+  EXPECT_EQ(restart_calls.load(), 2);
+  EXPECT_EQ(counters.restarts_attempted, 2u);
+  EXPECT_EQ(counters.escalations, 1u);
+  EXPECT_EQ(counters.incidents_opened, 1u);
+
+  // The service keeps serving, bit-exact, through the sibling's steal sweep.
+  constexpr size_t kRequests = 8;
+  std::vector<std::future<EstimationService::EstimateResult>> futures;
+  for (size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(service.SubmitFeatures(features));
+  }
+  for (size_t i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "request " << i << " is stranded behind the wedged worker";
+    const auto result = futures[i].get();
+    ASSERT_EQ(result.status, RequestStatus::kOk) << "request " << i;
+    ExpectSameEstimates(result.estimates, oracle);
+  }
+  EXPECT_EQ(service.Counters().worker_stalls, 0u);  // worker 0 is still wedged
+  EXPECT_EQ(service.Counters().worker_restarts, 0u);
+
+  // The wedge ends; worker 0's next sweep heartbeats at the manual clock's
+  // current time, and the next scan closes the escalated incident.
   release.store(true);
-  EXPECT_EQ(first.get().status, RequestStatus::kOk);
-  service.SetDegraded(false);
-  EXPECT_EQ(service.Counters().degraded_mode, 0u);
+  const auto heartbeat_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (health.Health(worker0).staleness_us > config.worker_stall_threshold_us &&
+         std::chrono::steady_clock::now() < heartbeat_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_LE(health.Health(worker0).staleness_us, config.worker_stall_threshold_us);
+  EXPECT_EQ(supervisor.ScanOnce(), 0u);
+  incidents = supervisor.Incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_TRUE(incidents[0].recovered());
+  EXPECT_TRUE(incidents[0].escalated);
+  EXPECT_EQ(incidents[0].recovered_at_us, 10000000u);
+  counters = supervisor.counters();
+  EXPECT_EQ(counters.incidents_recovered, 1u);
+  EXPECT_EQ(counters.restarts_attempted, 2u);
+  EXPECT_EQ(restart_calls.load(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@
 //         leases;
 //       - blocking-under-lock: cv waits / slab I/O / MemoryBudget::Reserve
 //         while a MutexLock scope is live (or under DEEPREST_REQUIRES);
-//       - enum-switch: exhaustiveness for RequestStatus / ShedPolicy /
-//         KernelMode / ColdTier switches;
+//       - enum-switch: exhaustiveness for RequestStatus / KernelMode /
+//         ColdTier switches;
 //       - stale-escape: allow()/bounded() comments and allowlist entries
 //         that no longer suppress anything.
 //

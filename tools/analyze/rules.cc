@@ -579,8 +579,8 @@ void RunTokenRules(const std::string& path, const FileScan& scan, Sink& sink) {
 void CheckEnumSwitch(const std::string& path, const FileScan& scan,
                      const std::map<std::string, std::vector<std::string>>& global_enums,
                      Sink& sink) {
-  static const std::set<std::string> kEnforced = {"RequestStatus", "ShedPolicy",
-                                                  "KernelMode", "ColdTier"};
+  static const std::set<std::string> kEnforced = {"RequestStatus", "KernelMode",
+                                                  "ColdTier"};
   const auto& t = scan.tokens;
   // Local enum definitions win over the global table.
   std::map<std::string, std::vector<std::string>> local_enums;

@@ -21,11 +21,12 @@
 #                    pinned sha256
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
 #                    registry, watchdog restarts, breakers, the steal sweep
-#                    around a wedged worker, chaos schedules; rides the chaos
-#                    label into the sanitizer legs), then the README's chaos
-#                    quickstart, which must recover every incident it opens,
-#                    and its budgeted-serving quickstart, whose Memory: row
-#                    must match the README
+#                    around a wedged worker, a permanent stall's escalation,
+#                    chaos schedules; rides the chaos label into the
+#                    sanitizer legs), then the README's chaos quickstart,
+#                    which must recover every incident it opens and escalate
+#                    none, and its budgeted-serving quickstart, whose Memory:
+#                    row must match the README
 #   5. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
 #                    fixtures (ctest -L lint)
 #   6. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
@@ -33,9 +34,10 @@
 #   7. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
 #   8. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
 #   9. asan        — chaos suite + the nn and core suites under ASan+UBSan
-#  10. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
-#                    budget (DEEPREST_STATECACHE_STRESS=1): concurrent leases
-#                    vs CLOCK eviction, fp16 demotion, and budget pressure
+#  10. asan-storm  — state-cache eviction storm under ASan+UBSan with tiny
+#                    hot and cold caps (DEEPREST_STATECACHE_STRESS=1):
+#                    concurrent leases vs CLOCK eviction, fp16 demotion and
+#                    the fp16 tier's FIFO overflow drops
 #
 # Usage: tools/ci.sh [--quick]
 #   --quick stops before the sanitizer legs (pre-push sanity; tsan/asan are
@@ -142,15 +144,24 @@ echo "==> [4/10] resilience: self-healing suite by label"
 # below re-run them under TSan and ASan.
 ctest --test-dir build --output-on-failure -L resilience
 # The README's chaos quickstart is the documented supervised entry point of
-# `deeprest serve`: it must exit 0 and recover every incident it opens.
+# `deeprest serve`: it must exit 0 and recover every incident it opens. Its
+# crash and 50 ms stalls end by themselves, so it must also escalate
+# nothing: an escalation would mean supervision gave up on a worker that was
+# about to recover.
 quickstart="$(build/tools/deeprest serve --days=2 --wpd=24 --serve-days=1 \
   --chaos-schedule='worker_crash@2:0;worker_stall@4-6:1*50')" \
   || { echo "    chaos quickstart exited nonzero"; exit 1; }
 opened="$(awk '/incidents opened/ {print $3}' <<<"$quickstart")"
 recovered="$(awk '/incidents recovered/ {print $3}' <<<"$quickstart")"
-echo "    chaos quickstart: ${opened:-no} incident(s) opened, ${recovered:-no} recovered"
+escalations="$(awk '$1 == "escalations" {print $2}' <<<"$quickstart")"
+echo "    chaos quickstart: ${opened:-no} incident(s) opened, ${recovered:-no} recovered," \
+  "${escalations:-no} escalation(s)"
 if [[ -z "$opened" || "$opened" != "$recovered" ]]; then
   echo "    chaos quickstart: incidents recovered != incidents opened"
+  exit 1
+fi
+if [[ "$escalations" != "0" ]]; then
+  echo "    chaos quickstart: escalations is '${escalations:-missing}', not 0"
   exit 1
 fi
 # The README's budgeted-serving quickstart must exit 0 and print the Memory:
@@ -218,9 +229,9 @@ ctest --test-dir build-asan --output-on-failure -R 'nn_tests|core_tests'
 
 echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"
 # The stress flag multiplies the storm test's iteration count; the tiny
-# budget in the test forces constant eviction/demotion/promotion churn while
+# caps in the test force constant eviction/demotion/promotion churn while
 # four threads hold exclusive leases — the exact interleavings where a
-# use-after-evict or gauge double-release would hide.
+# use-after-evict or a resident-byte miscount would hide.
 DEEPREST_STATECACHE_STRESS=1 ctest --test-dir build-asan --output-on-failure \
   -R 'state_cache_tests'
 

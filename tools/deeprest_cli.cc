@@ -19,8 +19,7 @@
 //                    [--target=COMPONENT]
 //                    [--chaos] [--drop=P] [--dup=P] [--corrupt=P] [--gap=P]
 //                    [--chaos-schedule=SPEC] [--supervise=0|1]
-//                    [--max-queue=N] [--shed-policy=reject-new|drop-oldest]
-//                    [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]
+//                    [--max-queue=N] [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]
 //                    [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]
 //       Online serving demo: train (or load with --model), then stream a
 //       simulated live workload through the ingest pipeline while client
@@ -35,20 +34,20 @@
 //       turns on supervision by default: every worker and the learner
 //       heartbeat into a HealthRegistry scanned by a watchdog-driven
 //       Supervisor that restarts crashed workers with capped-exponential
-//       backoff and escalates to degraded (reject-new) mode when a restart
+//       backoff and escalates (stops restarting, counted) when a restart
 //       budget is exhausted (--supervise=0 opts out, --supervise=1 opts in
 //       without a schedule). An idle worker's steal sweep serves the queue
-//       of a stalled one. --max-queue bounds the request
-//       queue (overload sheds instead of growing), --deadline-ms expires
+//       of a stalled one. --max-queue bounds the request queue (a request
+//       that finds it full is shed at once), --deadline-ms expires
 //       stale queued requests, and clients retry non-ok results with
 //       exponential backoff + jitter (--retries). --checkpoint enables
 //       atomic model checkpoints after every refresh and crash recovery at
 //       startup (falls back to FILE.prev if FILE is torn).
-//       --memory-budget-mb caps the soft-memory gauge and gives all of it to
-//       the tiered per-stream warm-start cache (half the budget hot, half
-//       cold). --state-cold-tier picks what eviction demotes to: fp16
-//       (RNE-compressed in RAM, default), disk (a checksummed slab file,
-//       bit-exact), or recompute (drop and rebuild on the next miss).
+//       --memory-budget-mb turns on the tiered per-stream warm-start cache
+//       and sizes it (half the budget hot, half cold). --state-cold-tier
+//       picks what eviction demotes to: fp16 (RNE-compressed in RAM,
+//       default), disk (a checksummed slab file, bit-exact), or recompute
+//       (drop and rebuild on the next miss).
 //
 //   deeprest autoscale [--app=social|hotel] [--days=N] [--wpd=N] [--seed=N]
 //                      [--policy=reactive|predictive|oracle|all]
@@ -147,7 +146,7 @@ const char* const kKnownFlags[] = {
     "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "gap", "hidden",
     "interval", "isa", "kernel-mode", "max-queue", "memory-budget-mb", "model", "policy",
     "query-days", "refresh-windows", "replicas-for", "retries", "scale", "scenario",
-    "scenario-days", "seed", "serve-days", "shape", "shed-policy", "state-cold-tier",
+    "scenario-days", "seed", "serve-days", "shape", "state-cold-tier",
     "supervise", "target", "workers", "wpd",
 };
 
@@ -403,7 +402,7 @@ int CmdServe(const CliArgs& args) {
 
   // Supervision tree: a skew-able health clock (the clock_skew fault), the
   // registry every long-lived actor heartbeats into, and a watchdog-driven
-  // supervisor that restarts crashed workers and escalates to degraded mode.
+  // supervisor that restarts crashed workers and escalates exhausted budgets.
   // Declared before the supervised components so it outlives them all.
   SteadyHealthClock steady_clock;
   SkewedHealthClock health_clock(steady_clock);
@@ -414,10 +413,9 @@ int CmdServe(const CliArgs& args) {
   std::printf("Preparing initial model...\n");
   const std::string checkpoint_path = args.Get("checkpoint", "");
 
-  // Soft-memory tiered state: one gauge over the per-stream warm-start
-  // cache. The gauge is declared before the cache and both before the
-  // service, so the service stops leasing before the cache dies and the
-  // cache returns its charges to a live gauge.
+  // Soft-memory tiered state: the per-stream warm-start cache, sized by the
+  // budget. It is declared before the service, so the service stops leasing
+  // before the cache dies.
   const size_t memory_budget_mb = args.GetSize("memory-budget-mb", 0);
   ColdTier cold_tier = ColdTier::kFp16;
   const std::string cold_tier_flag = args.Get("state-cold-tier", "fp16");
@@ -427,7 +425,6 @@ int CmdServe(const CliArgs& args) {
     return 2;
   }
   const size_t memory_budget_bytes = memory_budget_mb << 20;
-  MemoryBudget memory_budget(memory_budget_bytes);
   std::unique_ptr<StateCache> stream_states;
   const std::string slab_path = "deeprest_state.slab";
   if (memory_budget_mb > 0) {
@@ -435,7 +432,6 @@ int CmdServe(const CliArgs& args) {
     cache_config.hot_bytes = memory_budget_bytes / 2;
     cache_config.cold_tier = cold_tier;
     cache_config.cold_bytes = memory_budget_bytes / 2;
-    cache_config.budget = &memory_budget;
     if (cold_tier == ColdTier::kDisk) {
       cache_config.slab_path = slab_path;
     }
@@ -500,9 +496,6 @@ int CmdServe(const CliArgs& args) {
   service_config.workers = args.GetSize("workers", 4);
   service_config.max_batch = args.GetSize("batch", 8);
   service_config.max_queue = args.GetSize("max-queue", 0);
-  service_config.shed_policy = args.Get("shed-policy", "reject-new") == "drop-oldest"
-                                   ? ShedPolicy::kDropOldest
-                                   : ShedPolicy::kRejectNew;
   service_config.default_deadline =
       std::chrono::milliseconds(args.GetSize("deadline-ms", 0));
   if (supervise) {
@@ -530,8 +523,6 @@ int CmdServe(const CliArgs& args) {
   Supervisor supervisor(health);
   Watchdog watchdog(supervisor, health, {});
   if (supervise) {
-    supervisor.SetEscalationHandler(
-        [&service](const std::string&) { service.SetDegraded(true); });
     for (size_t i = 0; i < service_config.workers; ++i) {
       const size_t id =
           health.Register("estimation-worker-" + std::to_string(i), 1).id();
@@ -539,7 +530,7 @@ int CmdServe(const CliArgs& args) {
     }
     // The learner cannot be force-restarted (a wedged fine-tune is a live
     // thread); watching it still opens incidents, and a budget-exhausting
-    // livelock escalates to degraded mode.
+    // livelock escalates.
     supervisor.Watch(health.Register("continual-learner", 1).id(), [] { return false; });
     watchdog.Start();
   }
@@ -871,8 +862,7 @@ int Usage() {
                "           [--chaos] [--drop=P] [--dup=P] [--corrupt=P] [--gap=P]\n"
                "           [--chaos-schedule=kind@start[-end][:target][*mag];...]\n"
                "           [--supervise=0|1]\n"
-               "           [--max-queue=N] [--shed-policy=reject-new|drop-oldest]\n"
-               "           [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]\n"
+               "           [--max-queue=N] [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]\n"
                "           [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]\n"
                "  autoscale [--policy=reactive|predictive|oracle|all]\n"
                "           [--scenario=diurnal|flash_crowd|api_mix_drift|all]\n"
