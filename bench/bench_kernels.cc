@@ -352,17 +352,59 @@ NonlinearityResult BenchNonlinearity(int iters, Rng& rng) {
 // One window of every expert's recurrence at E = 76 for one row: the whole
 // LaneCoreStep, and its two simd::LaneAccumulate calls alone, against the
 // per-expert layout's E pairs of MatMulInto (h · [Uz;Uk]^T, then
-// (k.h) · Uh^T) that the lane layout replaced.
+// (k.h) · Uh^T) that the lane layout replaced. Then the same window's
+// backward with its dh chain: LaneCoreStepBackward against the per-expert
+// step backward it replaced (PerExpertStepBackward below).
 struct LaneStepResult {
   size_t hidden = 0;
   size_t experts = 76;
   double lane_step_ns = 0;
   double lane_accumulate_ns = 0;
   double per_expert_matmul_ns = 0;
+  double lane_backward_ns = 0;
+  double per_expert_backward_ns = 0;
   double speedup() const {
     return lane_accumulate_ns > 0 ? per_expert_matmul_ns / lane_accumulate_ns : 0;
   }
+  double backward_speedup() const {
+    return lane_backward_ns > 0 ? per_expert_backward_ns / lane_backward_ns : 0;
+  }
 };
+
+// One expert's GRU step and its backward's buffers, in the expert layout.
+struct ExpertStep {
+  Matrix uz, uk, uh;                  // H x H
+  std::vector<float> h, z, k, hc;     // H: the step's internals
+  Matrix dh, dh_prev, d_kh, d_pre, d_k, d_z;  // H x 1
+};
+
+// The GRU step's backward one expert at a time, as the trainers ran it
+// before the lane layout: scalar loops for the element-wise terms and one
+// AccumulateATransposeB per U^T d, in the contract's order (dh_prev takes
+// d_kh.k, Uk^T d_k, dh.z, Uz^T d_z).
+void PerExpertStepBackward(ExpertStep& s) {
+  const size_t hd = s.h.size();
+  for (size_t c = 0; c < hd; ++c) {
+    const float omz = -1.0f * s.z[c] + 1.0f;
+    s.d_pre[c] = (s.dh[c] * omz) * (1.0f - s.hc[c] * s.hc[c]);
+  }
+  s.d_kh.Zero();
+  AccumulateATransposeB(s.uh, s.d_pre, s.d_kh);
+  s.dh_prev.Zero();
+  for (size_t c = 0; c < hd; ++c) {
+    s.d_k[c] = s.d_kh[c] * s.h[c];
+    s.dh_prev[c] += s.d_kh[c] * s.k[c];
+    s.d_k[c] = s.d_k[c] * s.k[c] * (1.0f - s.k[c]);
+  }
+  AccumulateATransposeB(s.uk, s.d_k, s.dh_prev);
+  for (size_t c = 0; c < hd; ++c) {
+    s.d_z[c] = -1.0f * (s.dh[c] * s.hc[c]);
+    s.d_z[c] += s.dh[c] * s.h[c];
+    s.dh_prev[c] += s.dh[c] * s.z[c];
+    s.d_z[c] = s.d_z[c] * s.z[c] * (1.0f - s.z[c]);
+  }
+  AccumulateATransposeB(s.uz, s.d_z, s.dh_prev);
+}
 
 LaneStepResult BenchLaneStep(size_t hidden, int iters, Rng& rng) {
   LaneStepResult result;
@@ -376,12 +418,13 @@ LaneStepResult BenchLaneStep(size_t hidden, int iters, Rng& rng) {
   Matrix gates(cores.gates(), cores.lanes), state(hidden, cores.lanes);
   gates.FillUniform(rng, 1.0f);
   state.FillUniform(rng, 0.5f);
-  LaneStep step;
+  LaneTape step;
+  step.Resize(1, cores);
   // Each call restarts from the same state, so the timed work never drifts.
   Matrix h = state;
   result.lane_step_ns = TimeNs(iters, [&] {
     std::copy(state.data(), state.data() + state.size(), h.data());
-    LaneCoreStep(cores, gates.data(), h.data(), step);
+    LaneCoreStep(cores, gates.data(), h.data(), step, 0);
   });
   // Zeroed with memset before each call, as LaneCoreStep does.
   Matrix rec(2 * hidden, cores.lanes), cand(hidden, cores.lanes);
@@ -405,6 +448,53 @@ LaneStepResult BenchLaneStep(size_t hidden, int iters, Rng& rng) {
     for (size_t i = 0; i < e; ++i) {
       MatMulInto(hs[i], u_zk[i], rec_row);
       MatMulInto(hs[i], u_h[i], cand_row);
+    }
+  });
+
+  // The backward of the window the forward timing ran, chained into its
+  // previous state, from the same dh each call.
+  std::copy(state.data(), state.data() + state.size(), h.data());
+  LaneCoreStep(cores, gates.data(), h.data(), step, 0);
+  LaneBackward back;
+  back.Resize(1, cores);
+  for (Matrix* m : {&back.u_z, &back.u_k, &back.u_h}) {
+    m->FillUniform(rng, 0.5f);
+  }
+  Matrix dh(hidden, cores.lanes);
+  dh.FillUniform(rng, 0.1f);
+  result.lane_backward_ns = TimeNs(iters, [&] {
+    std::copy(dh.data(), dh.data() + dh.size(), back.dh.data());
+    LaneCoreStepBackward(cores, step, 0, /*chain=*/true, back);
+  });
+  std::vector<ExpertStep> experts(e);
+  for (size_t i = 0; i < e; ++i) {
+    ExpertStep& x = experts[i];
+    for (Matrix* m : {&x.uz, &x.uk, &x.uh}) {
+      *m = Matrix(hidden, hidden);
+      m->FillUniform(rng, 0.5f);
+    }
+    for (Matrix* m : {&x.dh, &x.dh_prev, &x.d_kh, &x.d_pre, &x.d_k, &x.d_z}) {
+      *m = Matrix(hidden, 1);
+    }
+    x.h.resize(hidden);
+    x.z.resize(hidden);
+    x.k.resize(hidden);
+    x.hc.resize(hidden);
+    for (size_t c = 0; c < hidden; ++c) {
+      const size_t lane = c * cores.lanes + i;
+      x.h[c] = step.h[lane];
+      x.z[c] = step.zk[lane];
+      x.k[c] = step.zk[hidden * cores.lanes + lane];
+      x.hc[c] = step.hc[lane];
+    }
+  }
+  result.per_expert_backward_ns = TimeNs(iters, [&] {
+    for (size_t i = 0; i < e; ++i) {
+      ExpertStep& x = experts[i];
+      for (size_t c = 0; c < hidden; ++c) {
+        x.dh[c] = dh[c * cores.lanes + i];
+      }
+      PerExpertStepBackward(x);
     }
   });
   return result;
@@ -598,9 +688,12 @@ void WriteJson(const BenchOptions& options, const KernelFixture& fixture,
     std::fprintf(f,
                  "    {\"name\": \"E=%zu H=%zu\", \"lane_step_ns\": %.1f, "
                  "\"lane_accumulate_ns\": %.1f, \"per_expert_matmul_ns\": %.1f, "
-                 "\"speedup\": %.3f}%s\n",
+                 "\"speedup\": %.3f, \"lane_backward_ns\": %.1f, "
+                 "\"per_expert_backward_ns\": %.1f, \"backward_speedup\": %.3f}%s\n",
                  r.experts, r.hidden, r.lane_step_ns, r.lane_accumulate_ns,
-                 r.per_expert_matmul_ns, r.speedup(), i + 1 < lane_steps.size() ? "," : "");
+                 r.per_expert_matmul_ns, r.speedup(), r.lane_backward_ns,
+                 r.per_expert_backward_ns, r.backward_speedup(),
+                 i + 1 < lane_steps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
@@ -714,12 +807,17 @@ int Run(const BenchOptions& options) {
   for (size_t hidden : {8u, 12u}) {
     lane_steps.push_back(BenchLaneStep(hidden, options.smoke ? 50 : 20000, rng));
   }
-  std::printf("\nOne all-expert GRU window (lane layout) vs per-expert MatMulInto pairs:\n");
+  std::printf("\nOne all-expert GRU window and its backward (lane layout) vs per-expert "
+              "MatMulInto pairs and step backwards:\n");
   for (const LaneStepResult& r : lane_steps) {
     std::printf("  E=%zu H=%-3zu lane step %9.1f ns    LaneAccumulate x2 %9.1f ns    "
                 "%zu MatMulInto pairs %9.1f ns    speedup %5.2fx\n",
                 r.experts, r.hidden, r.lane_step_ns, r.lane_accumulate_ns, r.experts,
                 r.per_expert_matmul_ns, r.speedup());
+    std::printf("  E=%zu H=%-3zu lane backward %9.1f ns    %zu per-expert backwards %9.1f ns"
+                "    speedup %5.2fx\n",
+                r.experts, r.hidden, r.lane_backward_ns, r.experts, r.per_expert_backward_ns,
+                r.backward_speedup());
   }
 
   const KernelFixture fixture(options.smoke ? 4 : 12, options.smoke ? 12 : 48);

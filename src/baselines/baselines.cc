@@ -79,8 +79,8 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
               x.At(r, 2));
   }
   LaneCores cores;
-  LaneStep step;
-  GruTape tape;
+  LaneTape tape;
+  LaneBackward back;
   Matrix w_in, gates, states, head_t, y, d_y(steps, 3), d_y_row(3, 1), stacked;
   for (size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     for (size_t i = 0; i < experts_.size(); ++i) {
@@ -100,7 +100,7 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
       MatMulInto(x, w_in, gates);
       ResetLaneCores(1, /*lanes=*/1, hd, /*recurrent=*/true, cores);
       PackGruLane(gru, 0, cores, stacked);
-      tape.Resize(steps, hd);
+      tape.Resize(steps, cores);
       states.SetShape(steps, hd);
       std::fill(states.data() + (steps - 1) * hd, states.data() + steps * hd, 0.0f);
       for (size_t r = steps; r-- > 0;) {
@@ -108,8 +108,7 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
         if (r + 1 < steps) {
           std::copy(h + hd, h + 2 * hd, h);
         }
-        LaneCoreStep(cores, gates.data() + r * cores.gates(), h, step);
-        SaveLaneStep(step, /*lanes=*/1, 0, r, tape);
+        LaneCoreStep(cores, gates.data() + r * cores.gates(), h, tape, r);
       }
       const Parameter& head_w = expert.head.weight();
       const Matrix& head_b = expert.head.bias().value;
@@ -125,17 +124,21 @@ void ResourceAwareDl::Learn(const MetricsStore& metrics, size_t from, size_t to,
         }
       }
 
-      // Backward, newest window first. tape.dh enters row r holding the
-      // terms of the next window's step (none for the newest window, or when
-      // this window's state was detached), then takes the head's.
+      // Backward, newest window first, on the trainers' shared lane
+      // backward. back.dh enters row r holding the terms of the next
+      // window's step (none for the newest window, or when this window's
+      // state was detached), then takes the head's. With one lane, the lane
+      // tape's rows are the expert's T x H matrices.
+      back.Resize(steps, cores);
+      PackGruBackwardLane(gru, 0, back);
       for (size_t r = 0; r < steps; ++r) {
         std::copy(d_y.data() + r * 3, d_y.data() + r * 3 + 3, d_y_row.data());
-        AccumulateATransposeB(head_w.value, d_y_row, tape.dh);
+        AccumulateATransposeB(head_w.value, d_y_row, back.dh);
         const size_t t = total_windows - 1 - r;
         const bool chain = t > windows_per_day && (t - 1) % detach_every != 0;
-        GruStepBackward(gru, r, chain, tape);
+        LaneCoreStepBackward(cores, tape, r, chain, back);
       }
-      AccumulateGruGradients(tape, x, gru);
+      AccumulateGruGradients({tape.h, tape.kh, back.d_z, back.d_k, back.d_pre}, x, gru);
       AccumulateATransposeB(d_y, states, expert.head.weight().grad);
       AccumulateRows(d_y, expert.head.bias().grad);
       ClipGradNorm(store_, config_.grad_clip);
@@ -180,7 +183,8 @@ EstimateMap ResourceAwareDl::Forecast(size_t horizon) const {
   Matrix gates(cores.gates(), lanes);
   Matrix state(hd, lanes);
   Matrix y(3, lanes);
-  LaneStep step;
+  LaneTape step;  // one row: the step's scratch
+  step.Resize(1, cores);
   for (size_t t = 0; t < horizon; ++t) {
     const size_t window_of_day = t % windows_per_day_;
     float sine = 0.0f;
@@ -193,7 +197,7 @@ EstimateMap ResourceAwareDl::Forecast(size_t horizon) const {
     }
     gates.Zero();
     simd::LaneAccumulate(x.data(), w_in.data(), gates.data(), 3, cores.gates(), lanes);
-    LaneCoreStep(cores, gates.data(), state.data(), step);
+    LaneCoreStep(cores, gates.data(), state.data(), step, 0);
     y.Zero();
     simd::LaneAccumulate(state.data(), head_w.data(), y.data(), hd, 3, lanes);
     simd::Add(y.data(), head_b.data(), y.data(), y.size());

@@ -48,7 +48,8 @@ struct ResourceAwareDlConfig {
 // forward steps the expert's GRU on LaneCoreStep, in a one-lane core (a lone
 // expert gains nothing from padded lanes, whose sigmoid and tanh would cost
 // 16 times the work), with every input projection one GEMM and the heads one
-// more; the backward is a hand-written BPTT on GruStepBackward. Gradients and
+// more; the backward is a hand-written BPTT on the chunk trainer's
+// LaneCoreStepBackward in the same one-lane layout. Gradients and
 // parameters are bit-identical to the elementary-op graph of the same
 // schedule, which the tests keep as the oracle. Forecast steps every expert
 // at once in the lane layout.

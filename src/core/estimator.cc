@@ -232,7 +232,7 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     const StreamCursor* cursor = cursor_for(b);
     const bool resume = cursor != nullptr && cursor->hidden.size() == e * hd;
     const float* seed = resume ? cursor->hidden.data() : warm_hidden_.data();
-    StateToLanes(seed, hd, cores_, state.data() + b * hd * lanes);
+    ExpertsToLanes(seed, hd, hd, cores_, state.data() + b * hd * lanes);
   }
 
   // The windows run in blocks of consecutive windows holding at most
@@ -245,7 +245,8 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
   const bool bypass = config_.use_linear_bypass;
   const bool attention = config_.use_attention;
   PackedScratch scratch;
-  LaneStep step;
+  LaneTape step;  // one row: the step's scratch
+  step.Resize(1, cores_);
   std::vector<Matrix> gates(e);  // per expert, pairs x G (+3 bypass columns)
   std::vector<const Matrix*> gate_blocks(e);
   for (size_t i = 0; i < e; ++i) {
@@ -283,8 +284,8 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
     for (size_t t = begin, pair = 0; t < end; ++t) {
       for (size_t b = 0; b < width[t]; ++b, ++pair) {
         float* h = state.data() + b * hd * lanes;
-        LaneCoreStep(cores_, lane_gates.data() + pair * gate_rows * lanes, h, step);
-        StateFromLanes(h, cores_, trajectory.data() + pair * hd, block);
+        LaneCoreStep(cores_, lane_gates.data() + pair * gate_rows * lanes, h, step, 0);
+        LanesToExperts(h, hd, cores_, trajectory.data() + pair * hd, block);
       }
     }
     if (attention) {
@@ -321,7 +322,7 @@ std::vector<EstimateMap> DeepRestEstimator::EstimateFromFeaturesBatchResume(
       continue;
     }
     cursor->hidden.resize(e * hd);
-    StateFromLanes(state.data() + b * hd * lanes, cores_, cursor->hidden.data(), hd);
+    LanesToExperts(state.data() + b * hd * lanes, hd, cores_, cursor->hidden.data(), hd);
     cursor->steps += series(b).size();
   }
   return results;

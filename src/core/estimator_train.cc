@@ -4,9 +4,9 @@
 // batch-row-major layout inference uses (src/nn/batched.h): the windows are
 // scaled once, every h-independent term of an expert is one T x D · D x G
 // GEMM on its packed w_in, and only the recurrent core steps per window,
-// every expert at once in the lane layout (LaneCoreStep), filling each
-// expert's tape rows from the lane buffers. Attention and the heads do not
-// feed the recurrence, so they run once per chunk too.
+// every expert at once in the lane layout (LaneCoreStep), each window's
+// internals going straight into its row of the lane tape. Attention and the
+// heads do not feed the recurrence, so they run once per chunk too.
 //
 // The backward is written by hand and writes each parameter's gradient with
 // the same kernels, and in the same per-buffer order, as the reverse sweep
@@ -18,20 +18,26 @@
 // can never hold -0 and the order of its contributions is all that matters:
 //   * dh_t (per expert) takes GRU(t+1)'s terms in the order the step
 //     computes them (dkh.k, Uk^T dk, g.z, Uz^T dz), then the head's lower
-//     d_concat half, then attention's d_state row: the only sequential part;
+//     d_concat half, then attention's d_state row: the only sequential part.
+//     It runs for every expert at once, newest window first, in the lane
+//     layout (LaneCoreStepBackward): element-wise passes over H·L floats and
+//     one LaneAccumulate per U^T d, each adding to the running buffer; the
+//     head and attention terms move into the lane layout once per chunk;
 //   * alpha.grad takes d_alpha . diag once per window, newest first, where
 //     d_alpha is a double-accumulated k = H AccumulateABTranspose;
 //   * every other gradient is a newest-first sum over t from the zeroed
 //     grad: one AccumulateATransposeB over rows stored newest first (the
 //     rank-1 updates of the graph rounded each product the same way), or a
-//     row loop for the biases;
+//     row loop for the biases. These read each expert's T x H matrices,
+//     which one transpose per matrix per chunk moves out of the lane tape
+//     (LanesToExperts);
 //   * x~.grad takes the head's skip term, then the GRU's Wk, Wh and Wz
 //     terms, as one GEMM [head_grad | dk | d_pre | dz] · [skip; Wk; Wh; Wz]
 //     whose ascending-k chain is that order; mask.grad then takes it newest
 //     first.
 // The loss sums t ascending, then experts ascending, in float, like the
 // graph's AddN. The GRU step's backward and its weight sums are the helpers
-// the resource-aware DL baseline shares (GruStepBackward and
+// the resource-aware DL baseline shares (LaneCoreStepBackward and
 // AccumulateGruGradients, src/nn/batched.h). DESIGN.md section 6 has the
 // argument in full.
 #include <algorithm>
@@ -139,31 +145,54 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     ScaleWindow(features[end - 1 - r], s.x.data() + r * dim);
   }
   const size_t lanes = cores_.lanes;
+  const size_t n = hd * lanes;  // one window's H x L block
   const size_t gate_rows = cores_.gates();
   s.gate_blocks.resize(e);
+  s.expert_rows.resize(e);
   for (size_t i = 0; i < e; ++i) {
     TrainScratch::ExpertTape& tape = s.tapes[i];
     PackedInputBlock(packed_[i], s.x, tape.xm, tape.gates);
     s.gate_blocks[i] = &tape.gates;
-    tape.gru.Resize(steps, hd);
-  }
-  GatesToLanes(s.gate_blocks, gate_rows, lanes, s.lane_gates);
-  // Every expert's core steps together, in the lane layout (state(r·L + i)
-  // is row r of expert i's state); each window's internals then go to the
-  // experts' tapes and its state to the trajectory.
-  s.lane_state.SetShape(hd, lanes);
-  s.lane_state.Zero();
-  StateToLanes(hidden.data(), hd, cores_, s.lane_state.data());
-  s.state.SetShape(e, block);
-  for (size_t r = steps; r-- > 0;) {  // oldest window first
-    LaneCoreStep(cores_, s.lane_gates.data() + r * gate_rows * lanes, s.lane_state.data(),
-                 s.step);
-    StateFromLanes(s.lane_state.data(), cores_, s.state.data() + r * hd, block);
-    for (size_t i = 0; recurrent && i < e; ++i) {
-      SaveLaneStep(s.step, lanes, i, r, s.tapes[i].gru);
+    for (Matrix* m : {&tape.h_prev, &tape.kh, &tape.d_z, &tape.d_k, &tape.d_pre}) {
+      m->SetShape(steps, hd);
     }
   }
-  StateFromLanes(s.lane_state.data(), cores_, hidden.data(), hd);
+  // Every expert's T x H tape matrix `m`, as LanesToExperts' destinations.
+  const auto per_expert = [&](Matrix TrainScratch::ExpertTape::*m) -> const std::vector<float*>& {
+    for (size_t i = 0; i < e; ++i) {
+      s.expert_rows[i] = (s.tapes[i].*m).data();
+    }
+    return s.expert_rows;
+  };
+  GatesToLanes(s.gate_blocks, gate_rows, lanes, s.lane_gates);
+  // Every expert's core steps together, in the lane layout (state(r·L + i)
+  // is row r of expert i's state), each window's internals going straight
+  // into its row of the lane tape.
+  s.lane_state.SetShape(hd, lanes);
+  s.lane_state.Zero();
+  ExpertsToLanes(hidden.data(), hd, hd, cores_, s.lane_state.data());
+  s.lane_tape.Resize(steps, cores_);
+  for (size_t r = steps; r-- > 0;) {  // oldest window first
+    LaneCoreStep(cores_, s.lane_gates.data() + r * gate_rows * lanes, s.lane_state.data(),
+                 s.lane_tape, r);
+  }
+  // The state trajectory, expert-major. Window r's state is the feed-forward
+  // core's output row r, or the GRU's previous state of row r - 1 (the last
+  // state for the newest window): one transpose moves every previous state
+  // to the experts' h_prev, whose rows 0..T-2 are the trajectory's 1..T-1.
+  s.state.SetShape(e, block);
+  if (recurrent) {
+    LanesToExperts(s.lane_tape.h.data(), block, cores_,
+                   per_expert(&TrainScratch::ExpertTape::h_prev));
+    for (size_t i = 0; i < e; ++i) {
+      std::memcpy(s.state.data() + i * block + hd, s.tapes[i].h_prev.data(),
+                  (block - hd) * sizeof(float));
+    }
+    LanesToExperts(s.lane_state.data(), hd, cores_, s.state.data(), block);
+  } else {
+    LanesToExperts(s.lane_tape.hc.data(), block, cores_, s.state.data(), block);
+  }
+  LanesToExperts(s.lane_state.data(), hd, cores_, hidden.data(), hd);
   if (attention) {
     MatMulInto(packed_attention_, s.state, s.attended);
   }
@@ -208,24 +237,34 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
   }
 
   // ---- Backward ----
-  // The heads' input gradients, then attention: its d_state rows feed dh,
-  // and alpha.grad takes one d_alpha . diag per window.
+  // The heads' input gradients: the lower d_concat halves are dh's head
+  // terms, the upper ones attention's input gradient. Then attention: its
+  // d_state rows feed dh, and alpha.grad takes one d_alpha . diag per
+  // window.
+  s.d_head.SetShape(e, block);
+  if (attention) {
+    s.d_attended.SetShape(e, block);
+  }
   for (size_t i = 0; i < e; ++i) {
     TrainScratch::ExpertTape& tape = s.tapes[i];
     MatMulInto(tape.head_grad, experts_[i].head.weight().value, tape.d_concat);
-  }
-  if (attention) {
-    s.d_attended.SetShape(e, block);
-    for (size_t i = 0; i < e; ++i) {
-      const Matrix& d_concat = s.tapes[i].d_concat;
-      float* row = s.d_attended.data() + i * block;
-      for (size_t r = 0; r < steps; ++r) {
-        std::memcpy(row + r * hd, d_concat.data() + r * 2 * hd, hd * sizeof(float));
+    for (size_t r = 0; r < steps; ++r) {
+      const float* d_concat = tape.d_concat.data() + r * 2 * hd;
+      const size_t at = i * block + r * hd;
+      if (attention) {
+        std::memcpy(s.d_attended.data() + at, d_concat, hd * sizeof(float));
       }
+      std::memcpy(s.d_head.data() + at, d_concat + hd, hd * sizeof(float));
     }
+  }
+  s.lane_d_head.SetShape(steps, n);
+  ExpertsToLanes(s.d_head.data(), block, block, cores_, s.lane_d_head.data());
+  if (attention) {
     s.d_state.SetShape(e, block);
     s.d_state.Zero();
     AccumulateATransposeB(packed_attention_, s.d_attended, s.d_state);
+    s.lane_d_state.SetShape(steps, n);
+    ExpertsToLanes(s.d_state.data(), block, block, cores_, s.lane_d_state.data());
     Matrix& alpha_grad = alpha_->grad;
     const Matrix& diag = diag_mask_;
     s.attended_block.SetShape(e, hd);
@@ -245,38 +284,33 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
     }
   }
 
+  // The dh chain, every expert at once, newest window first. dh enters row
+  // r holding the core terms of window end - r (zero for the newest
+  // window), then takes the head's and attention's. The oldest window's
+  // previous state is a constant: no dh_prev.
+  LaneBackward& back = s.lane_back;
+  back.Resize(steps, cores_);
+  for (size_t i = 0; recurrent && i < e; ++i) {
+    PackGruBackwardLane(experts_[i].gru, i, back);
+  }
+  for (size_t r = 0; r < steps; ++r) {
+    simd::Add(back.dh.data(), s.lane_d_head.data() + r * n, back.dh.data(), n);
+    if (attention) {
+      simd::Add(back.dh.data(), s.lane_d_state.data() + r * n, back.dh.data(), n);
+    }
+    LaneCoreStepBackward(cores_, s.lane_tape, r, recurrent && r + 1 < steps, back);
+  }
+  LanesToExperts(back.d_pre.data(), block, cores_, per_expert(&TrainScratch::ExpertTape::d_pre));
+  if (recurrent) {
+    LanesToExperts(back.d_k.data(), block, cores_, per_expert(&TrainScratch::ExpertTape::d_k));
+    LanesToExperts(back.d_z.data(), block, cores_, per_expert(&TrainScratch::ExpertTape::d_z));
+    LanesToExperts(s.lane_tape.kh.data(), block, cores_,
+                   per_expert(&TrainScratch::ExpertTape::kh));
+  }
+
   for (size_t i = 0; i < e; ++i) {
     Expert& expert = experts_[i];
     TrainScratch::ExpertTape& tape = s.tapes[i];
-    GruTape& core = tape.gru;
-    const float* trajectory = s.state.data() + i * block;
-    const float* d_state = attention ? s.d_state.data() + i * block : nullptr;
-    // The dh chain, newest window first. core.dh enters row r holding the
-    // core terms of window end - r (zero for the newest window).
-    for (size_t r = 0; r < steps; ++r) {
-      float* dh = core.dh.data();
-      const float* head_half = tape.d_concat.data() + r * 2 * hd + hd;
-      for (size_t c = 0; c < hd; ++c) {
-        dh[c] += head_half[c];
-      }
-      if (d_state != nullptr) {
-        for (size_t c = 0; c < hd; ++c) {
-          dh[c] += d_state[r * hd + c];
-        }
-      }
-      if (!recurrent) {
-        // h = tanh(Wff x~ + bff): d_pre = dh . (1 - h^2).
-        const float* h = trajectory + r * hd;
-        for (size_t c = 0; c < hd; ++c) {
-          core.d_pre[r * hd + c] = dh[c] * (1.0f - h[c] * h[c]);
-        }
-        core.dh.Zero();
-        continue;
-      }
-      // The oldest window's previous state is a constant: no dh_prev.
-      GruStepBackward(expert.gru, r, r + 1 < steps, core);
-    }
-
     // Everything else is a newest-first sum over the chunk's rows.
     const Matrix& xm = masked ? tape.xm : s.x;
     AccumulateATransposeB(tape.head_grad, tape.concat, expert.head.weight().grad);
@@ -286,10 +320,11 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
       AccumulateRows(tape.head_grad, expert.skip.bias().grad);
     }
     if (recurrent) {
-      AccumulateGruGradients(core, xm, expert.gru);
+      AccumulateGruGradients({tape.h_prev, tape.kh, tape.d_z, tape.d_k, tape.d_pre}, xm,
+                             expert.gru);
     } else {
-      AccumulateATransposeB(core.d_pre, xm, expert.ff.weight().grad);
-      AccumulateRows(core.d_pre, expert.ff.bias().grad);
+      AccumulateATransposeB(tape.d_pre, xm, expert.ff.weight().grad);
+      AccumulateRows(tape.d_pre, expert.ff.bias().grad);
     }
     if (!masked) {
       continue;  // x~ is the constant input: no x~.grad, no mask
@@ -304,11 +339,11 @@ float DeepRestEstimator::TrainChunk(const std::vector<std::vector<float>>& featu
         dst = AppendRow(tape.head_grad, r, dst);
       }
       if (recurrent) {
-        dst = AppendRow(core.d_k, r, dst);
-        dst = AppendRow(core.d_pre, r, dst);
-        AppendRow(core.d_z, r, dst);
+        dst = AppendRow(tape.d_k, r, dst);
+        dst = AppendRow(tape.d_pre, r, dst);
+        AppendRow(tape.d_z, r, dst);
       } else {
-        AppendRow(core.d_pre, r, dst);
+        AppendRow(tape.d_pre, r, dst);
       }
     }
     MatMulInto(tape.d_cat, weights, tape.d_x);

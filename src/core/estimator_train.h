@@ -23,7 +23,10 @@ struct DeepRestEstimator::TrainScratch {
   struct ExpertTape {
     Matrix xm;         // T x D masked input (API mask only)
     Matrix gates;      // T x G input-block products (x~ · w_in)
-    GruTape gru;       // the core's steps and gate gradients
+    // T x H, moved out of the lane tape for the weight sums: the GRU steps'
+    // previous states and k . h, and the gate pre-activation gradients
+    // (d_pre alone for the feed-forward core).
+    Matrix h_prev, kh, d_z, d_k, d_pre;
     Matrix concat;     // T x 2H head input [attended ; h]
     Matrix head_grad;  // T x 3 loss gradient of the head output
     Matrix d_concat;   // T x 2H head input gradient
@@ -36,12 +39,15 @@ struct DeepRestEstimator::TrainScratch {
   std::vector<const Matrix*> gate_blocks;  // each expert's tape.gates
   Matrix lane_gates;                    // T x G·L: the gates in lane layout
   Matrix lane_state;                    // H x L: every expert's state
-  LaneStep step;                        // one all-expert step's internals
+  LaneTape lane_tape;                   // every expert's steps
+  LaneBackward lane_back;               // and their backward
+  Matrix lane_d_head, lane_d_state;     // T x H·L: dh's outside terms
+  std::vector<float*> expert_rows;      // LanesToExperts destinations
   PackedScratch head;                   // head temporaries
   Matrix x;                             // T x D scaled windows
   Matrix bypass;                        // T x 3
   Matrix state, attended;               // E x T·H: block r of row i is
-  Matrix d_attended, d_state;           // expert i at chunk row r
+  Matrix d_head, d_attended, d_state;   // expert i at chunk row r
   Matrix attended_block, state_block;   // E x H, one window's blocks
   Matrix d_alpha;                       // E x E, then d_alpha . diag
   Matrix one_minus_sig, mask_term;      // 1 x D mask-gradient factors

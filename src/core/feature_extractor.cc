@@ -108,8 +108,7 @@ void FeatureExtractor::LearnTrace(const Trace& trace) {
   if (trace.empty()) {
     return;
   }
-  topology_.Observe(trace);
-  const std::vector<TopologyNodeId> ids = topology_.NodeIdsFor(trace);
+  const std::vector<TopologyNodeId> ids = topology_.Observe(trace);
   ForEachPrefix(trace, ids, [&](const InvocationPath& path) {
     const size_t feature = InternPath(path);
     ++api_counts_[feature][trace.api_name()];

@@ -2,21 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "src/core/feature_extractor.h"
 
 namespace deeprest {
 
 std::string TraceSynthesizer::ShapeKey(const Trace& trace) {
-  std::ostringstream os;
+  // "parent|component|operation;" per span, the parent in decimal.
+  size_t size = 0;
   for (const Span& s : trace.spans()) {
-    os << s.parent << '|' << s.component << '|' << s.operation << ';';
+    size += 13 + s.component.size() + s.operation.size();  // 10 digits at most
   }
-  return os.str();
+  std::string key;
+  key.reserve(size);
+  for (const Span& s : trace.spans()) {
+    char digits[16];
+    const auto printed = std::to_chars(digits, digits + sizeof(digits), s.parent);
+    key.append(digits, printed.ptr);
+    key += '|';
+    key += s.component;
+    key += '|';
+    key += s.operation;
+    key += ';';
+  }
+  return key;
 }
 
 void TraceSynthesizer::LearnTrace(const Trace& trace) {

@@ -93,151 +93,201 @@ void GatesToLanes(const std::vector<const Matrix*>& gates, size_t g, size_t lane
   }
 }
 
-void StateToLanes(const float* expert, size_t stride, const LaneCores& cores, float* lanes) {
-  for (size_t i = 0; i < cores.experts; ++i) {
-    for (size_t r = 0; r < cores.hidden; ++r) {
-      lanes[r * cores.lanes + i] = expert[i * stride + r];
+// Each transpose walks its destination in order: a strided source stays
+// in the cache, where a stream of stores to scattered cold lines would not.
+void ExpertsToLanes(const float* expert, size_t stride, size_t rows, const LaneCores& cores,
+                    float* lanes) {
+  for (size_t q = 0; q < rows; ++q) {
+    float* dst = lanes + q * cores.lanes;
+    for (size_t i = 0; i < cores.experts; ++i) {
+      dst[i] = expert[i * stride + q];
     }
   }
 }
 
-void StateFromLanes(const float* lanes, const LaneCores& cores, float* expert, size_t stride) {
+void LanesToExperts(const float* lanes, size_t rows, const LaneCores& cores, float* expert,
+                    size_t stride) {
   for (size_t i = 0; i < cores.experts; ++i) {
-    for (size_t r = 0; r < cores.hidden; ++r) {
-      expert[i * stride + r] = lanes[r * cores.lanes + i];
+    float* dst = expert + i * stride;
+    for (size_t q = 0; q < rows; ++q) {
+      dst[q] = lanes[q * cores.lanes + i];
     }
   }
 }
 
-void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneStep& s) {
+void LanesToExperts(const float* lanes, size_t rows, const LaneCores& cores,
+                    const std::vector<float*>& experts) {
+  assert(experts.size() == cores.experts);
+  for (size_t i = 0; i < cores.experts; ++i) {
+    float* dst = experts[i];
+    for (size_t q = 0; q < rows; ++q) {
+      dst[q] = lanes[q * cores.lanes + i];
+    }
+  }
+}
+
+void LaneTape::Resize(size_t steps, const LaneCores& cores) {
+  const size_t n = cores.hidden * cores.lanes;  // one H x L block
+  hc.SetShape(steps, n);
+  if (ones.size() != n) {
+    ones = Matrix(cores.hidden, cores.lanes, 1.0f);
+  }
+  if (!cores.recurrent) {
+    return;
+  }
+  h.SetShape(steps, n);
+  zk.SetShape(steps, 2 * n);
+  kh.SetShape(steps, n);
+  omz.SetShape(cores.hidden, cores.lanes);
+}
+
+void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneTape& tape,
+                  size_t r) {
   const size_t lanes = cores.lanes;
   const size_t n = cores.hidden * lanes;  // one H x L block
   const float* bias = cores.bias.data();
+  float* hc = tape.hc.data() + r * n;
   if (!cores.recurrent) {
     // Feed-forward core (use_recurrence ablation): h' = tanh(Wff x + bff).
-    simd::Add(gates, bias, state, n);
-    simd::Tanh(state, state, n);
+    simd::Add(gates, bias, hc, n);
+    simd::Tanh(hc, hc, n);
+    std::memcpy(state, hc, n * sizeof(float));
     return;
   }
   const size_t hd = cores.hidden;
-  s.h.SetShape(hd, lanes);
-  std::memcpy(s.h.data(), state, n * sizeof(float));
+  float* h = tape.h.data() + r * n;
+  float* zk = tape.zk.data() + r * 2 * n;
+  float* kh = tape.kh.data() + r * n;
+  std::memcpy(h, state, n * sizeof(float));
   // z | k = sigmoid((Wx + [Uz;Uk]·h) + b): the U·h chains start from a
   // zeroed buffer, MatMulInto's +0 (memset writes +0 and is far cheaper
   // here than a fill loop).
-  s.zk.SetShape(2 * hd, lanes);
-  std::memset(s.zk.data(), 0, 2 * n * sizeof(float));
-  simd::LaneAccumulate(s.h.data(), cores.u_zk.data(), s.zk.data(), hd, 2 * hd, lanes);
-  simd::Add(gates, s.zk.data(), s.zk.data(), 2 * n);
-  simd::Add(s.zk.data(), bias, s.zk.data(), 2 * n);
-  simd::Sigmoid(s.zk.data(), s.zk.data(), 2 * n);
-  const float* z = s.zk.data();
-  const float* k = s.zk.data() + n;
+  std::memset(zk, 0, 2 * n * sizeof(float));
+  simd::LaneAccumulate(h, cores.u_zk.data(), zk, hd, 2 * hd, lanes);
+  simd::Add(gates, zk, zk, 2 * n);
+  simd::Add(zk, bias, zk, 2 * n);
+  simd::Sigmoid(zk, zk, 2 * n);
+  const float* z = zk;
+  const float* k = zk + n;
   // h~ = tanh((Wh x + Uh·(k.h)) + bh).
-  s.kh.SetShape(hd, lanes);
-  simd::Hadamard(k, s.h.data(), s.kh.data(), n);
-  s.hc.SetShape(hd, lanes);
-  std::memset(s.hc.data(), 0, n * sizeof(float));
-  simd::LaneAccumulate(s.kh.data(), cores.u_h.data(), s.hc.data(), hd, hd, lanes);
-  simd::Add(gates + 2 * n, s.hc.data(), s.hc.data(), n);
-  simd::Add(s.hc.data(), bias + 2 * n, s.hc.data(), n);
-  simd::Tanh(s.hc.data(), s.hc.data(), n);
+  simd::Hadamard(k, h, kh, n);
+  std::memset(hc, 0, n * sizeof(float));
+  simd::LaneAccumulate(kh, cores.u_h.data(), hc, hd, hd, lanes);
+  simd::Add(gates + 2 * n, hc, hc, n);
+  simd::Add(hc, bias + 2 * n, hc, n);
+  simd::Tanh(hc, hc, n);
   // h' = (z.h) + ((-1·z + 1).h~), with 1 + (-1·z) == (-1·z) + 1.
-  if (s.ones.size() != n) {
-    s.ones = Matrix(hd, lanes, 1.0f);
-  }
-  s.omz.SetShape(hd, lanes);
-  simd::Axpby(s.ones.data(), z, -1.0f, s.omz.data(), n);
-  simd::Hadamard(s.omz.data(), s.hc.data(), s.omz.data(), n);
-  simd::Hadamard(z, s.h.data(), state, n);
-  simd::Add(state, s.omz.data(), state, n);
+  float* omz = tape.omz.data();
+  simd::Axpby(tape.ones.data(), z, -1.0f, omz, n);
+  simd::Hadamard(omz, hc, omz, n);
+  simd::Hadamard(z, h, state, n);
+  simd::Add(state, omz, state, n);
 }
 
-void GruTape::Resize(size_t steps, size_t hidden) {
-  for (Matrix* m : {&h_prev, &z, &k, &hc, &kh, &d_z, &d_k, &d_pre}) {
-    m->SetShape(steps, hidden);
-  }
-  for (Matrix* m : {&dh, &dh_prev, &d_kh, &row_pre, &row_k, &row_z}) {
-    m->SetShape(hidden, 1);
-  }
+void LaneBackward::Resize(size_t steps, const LaneCores& cores) {
+  const size_t hd = cores.hidden;
+  const size_t n = hd * cores.lanes;
+  d_pre.SetShape(steps, n);
+  dh.SetShape(hd, cores.lanes);
   dh.Zero();
-}
-
-void SaveLaneStep(const LaneStep& step, size_t lanes, size_t i, size_t r, GruTape& tape) {
-  const size_t hd = tape.z.cols();
-  const size_t n = hd * lanes;
-  const size_t at = r * hd;
-  for (size_t c = 0; c < hd; ++c) {
-    const size_t lane = c * lanes + i;
-    tape.h_prev[at + c] = step.h[lane];
-    tape.z[at + c] = step.zk[lane];
-    tape.k[at + c] = step.zk[n + lane];
-    tape.hc[at + c] = step.hc[lane];
-    tape.kh[at + c] = step.kh[lane];
+  tmp.SetShape(hd, cores.lanes);
+  if (!cores.recurrent) {
+    return;
+  }
+  for (Matrix* u : {&u_z, &u_k, &u_h}) {
+    u->SetShape(hd * hd, cores.lanes);
+    u->Zero();
+  }
+  d_k.SetShape(steps, n);
+  d_z.SetShape(steps, n);
+  for (Matrix* m : {&dh_prev, &d_kh, &omz}) {
+    m->SetShape(hd, cores.lanes);
+  }
+  if (minus_ones.size() != n) {
+    minus_ones = Matrix(hd, cores.lanes, -1.0f);
   }
 }
 
-void GruStepBackward(const GruCell& gru, size_t r, bool chain, GruTape& tape) {
-  const size_t hd = tape.z.cols();
-  const size_t at = r * hd;
-  const float* dh = tape.dh.data();
-  const float* z = tape.z.data() + at;
-  const float* k = tape.k.data() + at;
-  const float* hc = tape.hc.data() + at;
-  const float* h_prev = tape.h_prev.data() + at;
-  Matrix& d_pre = tape.row_pre;
-  Matrix& d_k = tape.row_k;
-  Matrix& d_z = tape.row_z;
-  Matrix& dh_prev = tape.dh_prev;
-  // h' = z.h + (1 - z).h~, h~ = tanh(pre): d_pre = (dh . (1 - z)) . (1 - h~^2).
-  for (size_t c = 0; c < hd; ++c) {
-    const float omz = -1.0f * z[c] + 1.0f;
-    d_pre[c] = (dh[c] * omz) * (1.0f - hc[c] * hc[c]);
-  }
-  // pre = Wh x + Uh (k.h) + bh: d_kh = Uh^T d_pre.
-  tape.d_kh.Zero();
-  AccumulateATransposeB(gru.uh().value, d_pre, tape.d_kh);
-  const float* d_kh = tape.d_kh.data();
-  dh_prev.Zero();
-  // k = sigmoid(...): d_k = (d_kh . h) . k . (1 - k).
-  for (size_t c = 0; c < hd; ++c) {
-    d_k[c] = d_kh[c] * h_prev[c];
-    if (chain) {
-      dh_prev[c] += d_kh[c] * k[c];
-    }
-    d_k[c] = d_k[c] * k[c] * (1.0f - k[c]);
-  }
-  if (chain) {
-    AccumulateATransposeB(gru.uk().value, d_k, dh_prev);
-  }
-  // z = sigmoid(...): d_z = (-(dh . h~) + dh . h) . z . (1 - z).
-  for (size_t c = 0; c < hd; ++c) {
-    d_z[c] = -1.0f * (dh[c] * hc[c]);
-    d_z[c] += dh[c] * h_prev[c];
-    if (chain) {
-      dh_prev[c] += dh[c] * z[c];
-    }
-    d_z[c] = d_z[c] * z[c] * (1.0f - z[c]);
-  }
-  if (chain) {
-    AccumulateATransposeB(gru.uz().value, d_z, dh_prev);
-  }
-  std::memcpy(tape.d_pre.data() + at, d_pre.data(), hd * sizeof(float));
-  std::memcpy(tape.d_k.data() + at, d_k.data(), hd * sizeof(float));
-  std::memcpy(tape.d_z.data() + at, d_z.data(), hd * sizeof(float));
-  std::swap(tape.dh, tape.dh_prev);
+void PackGruBackwardLane(const GruCell& gru, size_t i, LaneBackward& back) {
+  PackLane(gru.uz().value, i, back.u_z);
+  PackLane(gru.uk().value, i, back.u_k);
+  PackLane(gru.uh().value, i, back.u_h);
 }
 
-void AccumulateGruGradients(const GruTape& tape, const Matrix& x, const GruCell& gru) {
-  AccumulateATransposeB(tape.d_z, x, gru.wz().grad);
-  AccumulateATransposeB(tape.d_k, x, gru.wk().grad);
-  AccumulateATransposeB(tape.d_pre, x, gru.wh().grad);
-  AccumulateATransposeB(tape.d_z, tape.h_prev, gru.uz().grad);
-  AccumulateATransposeB(tape.d_k, tape.h_prev, gru.uk().grad);
-  AccumulateATransposeB(tape.d_pre, tape.kh, gru.uh().grad);
-  AccumulateRows(tape.d_z, gru.bz().grad);
-  AccumulateRows(tape.d_k, gru.bk().grad);
-  AccumulateRows(tape.d_pre, gru.bh().grad);
+void LaneCoreStepBackward(const LaneCores& cores, const LaneTape& tape, size_t r, bool chain,
+                          LaneBackward& back) {
+  const size_t hd = cores.hidden;
+  const size_t lanes = cores.lanes;
+  const size_t n = hd * lanes;  // one H x L block
+  const float* ones = tape.ones.data();
+  const float* hc = tape.hc.data() + r * n;
+  float* dh = back.dh.data();
+  float* d_pre = back.d_pre.data() + r * n;
+  float* t = back.tmp.data();
+  // h~ = tanh(pre), the feed-forward core's output too: 1 - h~^2, as
+  // 1 + (-1·h~^2).
+  simd::Hadamard(hc, hc, t, n);
+  simd::Axpby(ones, t, -1.0f, t, n);
+  if (!cores.recurrent) {
+    // h = tanh(Wff x~ + bff): d_pre = dh . (1 - h^2), and no dh to carry.
+    simd::Hadamard(dh, t, d_pre, n);
+    std::memset(dh, 0, n * sizeof(float));
+    return;
+  }
+  const float* h = tape.h.data() + r * n;
+  const float* z = tape.zk.data() + r * 2 * n;
+  const float* k = z + n;
+  float* d_k = back.d_k.data() + r * n;
+  float* d_z = back.d_z.data() + r * n;
+  float* d_kh = back.d_kh.data();
+  float* dh_prev = back.dh_prev.data();
+  // h' = z.h + (1 - z).h~: d_pre = (dh . (1 - z)) . (1 - h~^2), with
+  // 1 - z == -1·z + 1.
+  float* omz = back.omz.data();
+  simd::Axpby(ones, z, -1.0f, omz, n);
+  simd::Hadamard(dh, omz, d_pre, n);
+  simd::Hadamard(d_pre, t, d_pre, n);
+  // pre = Wh x + Uh (k.h) + bh: d_kh = Uh^T d_pre, from +0.
+  std::memset(d_kh, 0, n * sizeof(float));
+  simd::LaneAccumulate(d_pre, back.u_h.data(), d_kh, hd, hd, lanes);
+  // k = sigmoid(...): d_k = ((d_kh . h) . k) . (1 - k).
+  simd::Hadamard(d_kh, h, d_k, n);
+  simd::Hadamard(d_k, k, d_k, n);
+  simd::Axpby(ones, k, -1.0f, t, n);
+  simd::Hadamard(d_k, t, d_k, n);
+  // z = sigmoid(...): d_z = ((-1·(dh . h~) + dh . h) . z) . (1 - z).
+  simd::Hadamard(dh, hc, d_z, n);
+  simd::Hadamard(d_z, back.minus_ones.data(), d_z, n);
+  simd::Hadamard(dh, h, t, n);
+  simd::Add(d_z, t, d_z, n);
+  simd::Hadamard(d_z, z, d_z, n);
+  simd::Hadamard(d_z, omz, d_z, n);
+  if (!chain) {
+    std::memset(dh, 0, n * sizeof(float));
+    return;
+  }
+  // dh_prev = ((+0 + d_kh.k) + Uk^T d_k) + dh.z) + Uz^T d_z: the +0 seed
+  // makes a -0 first product +0, as the zeroed buffer of the graph does.
+  simd::Hadamard(d_kh, k, t, n);
+  std::memset(dh_prev, 0, n * sizeof(float));
+  simd::Add(dh_prev, t, dh_prev, n);
+  simd::LaneAccumulate(d_k, back.u_k.data(), dh_prev, hd, hd, lanes);
+  simd::Hadamard(dh, z, t, n);
+  simd::Add(dh_prev, t, dh_prev, n);
+  simd::LaneAccumulate(d_z, back.u_z.data(), dh_prev, hd, hd, lanes);
+  std::swap(back.dh, back.dh_prev);
+}
+
+void AccumulateGruGradients(const GruPass& pass, const Matrix& x, const GruCell& gru) {
+  AccumulateATransposeB(pass.d_z, x, gru.wz().grad);
+  AccumulateATransposeB(pass.d_k, x, gru.wk().grad);
+  AccumulateATransposeB(pass.d_pre, x, gru.wh().grad);
+  AccumulateATransposeB(pass.d_z, pass.h_prev, gru.uz().grad);
+  AccumulateATransposeB(pass.d_k, pass.h_prev, gru.uk().grad);
+  AccumulateATransposeB(pass.d_pre, pass.kh, gru.uh().grad);
+  AccumulateRows(pass.d_z, gru.bz().grad);
+  AccumulateRows(pass.d_k, gru.bk().grad);
+  AccumulateRows(pass.d_pre, gru.bh().grad);
 }
 
 void AccumulateRows(const Matrix& rows, Matrix& grad) {

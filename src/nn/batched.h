@@ -23,7 +23,15 @@
 // EstimateFromFeaturesBatchResume runs them over blocks of windows for a
 // batch of queries; the chunk trainer (src/core/estimator_train.cc) runs
 // them over a BPTT chunk of one series, and the resource-aware DL baseline
-// (src/baselines) steps its GRUs on LaneCoreStep too.
+// (src/baselines) steps its GRUs on LaneCoreStep too, in a one-lane core.
+//
+// Training keeps the whole pass in the lane layout. The forward writes each
+// window's internals straight into its row of a LaneTape, and the backward
+// (LaneCoreStepBackward) runs each window newest first for every expert at
+// once: element-wise simd passes over H·L floats for the gate gradients and
+// one LaneAccumulate per recurrent weight for dh's chain. Only the weight
+// sums, which are GEMMs over the pass's rows, read the tape in the expert
+// layout, after one bulk transpose per matrix per pass (LanesToExperts).
 //
 // Bit-exactness contract: every scalar these kernels produce for query b is
 // computed by the SAME sequence of float operations the elementary-op step
@@ -114,14 +122,23 @@ struct PackedScratch {
   Matrix y;       // P x 3 head output
 };
 
-// One all-expert step's buffers, each in lane layout. After a GRU step they
-// hold its internals, which the trainer saves for its backward pass: h (the
-// previous state, H x L), zk (z, then k: 2H x L), hc (h~, H x L) and kh
-// (k . h, H x L).
-struct LaneStep {
-  Matrix h, zk, hc, kh;
+// Every expert's core over a pass of T windows, in the lane layout, as
+// LaneCoreStep leaves it: row r of each matrix is one window's step (a
+// trainer's rows run newest first, so its sums over windows walk rows in
+// order), and element c of expert i sits at c·L + i of the row. The GRU's
+// rows are h (the step's previous state), z | k, h~ and k . h; the
+// feed-forward core's output is its h~ row. The backward reads the rows
+// in place. Inference keeps a one-row tape as the step's scratch.
+struct LaneTape {
+  Matrix h;     // T x H·L
+  Matrix zk;    // T x 2H·L: z, then k
+  Matrix hc;    // T x H·L
+  Matrix kh;    // T x H·L
   Matrix omz;   // H x L: 1 - z, then (1 - z) . h~
-  Matrix ones;  // H x L of 1
+  Matrix ones;  // H x L of 1, which the backward reads too
+
+  // Shapes the rows for T windows of `cores`' step.
+  void Resize(size_t steps, const LaneCores& cores);
 };
 
 // The h-independent half of a step, for any number of rows: x~ = sigmoid(m)
@@ -136,60 +153,87 @@ void PackedInputBlock(const PackedExpert& p, const Matrix& x, Matrix& xm, Matrix
 // expert i's P x (g or g + 3) input-block product.
 void GatesToLanes(const std::vector<const Matrix*>& gates, size_t g, size_t lanes, Matrix& out);
 
-// Moves one row's state between the expert-major layout (expert i's H
-// floats at expert[i·stride, i·stride + H)) and the lane layout (H x L,
-// row r of expert i at lanes[r·L + i]). The padded lanes are left as they
-// are.
-void StateToLanes(const float* expert, size_t stride, const LaneCores& cores, float* lanes);
-void StateFromLanes(const float* lanes, const LaneCores& cores, float* expert, size_t stride);
+// Moves `rows` floats of every expert between the expert layout (expert i's
+// floats at expert[i·stride, i·stride + rows)) and the lane layout (float q
+// of expert i at lanes[q·L + i]): one H-row state, or a pass's T·H rows.
+// The padded lanes are left as they are.
+void ExpertsToLanes(const float* expert, size_t stride, size_t rows, const LaneCores& cores,
+                    float* lanes);
+void LanesToExperts(const float* lanes, size_t rows, const LaneCores& cores, float* expert,
+                    size_t stride);
+// The same move out of the lane layout, expert i's floats at experts[i].
+void LanesToExperts(const float* lanes, size_t rows, const LaneCores& cores,
+                    const std::vector<float*>& experts);
 
 // Advances every expert's core one window for one row whose input-block
-// products are `gates` (cores.gates() x L, lane layout). `state` (H x L) is
-// read and overwritten. The association of every operation is the oracle's
-// GRU step's: z | k = sigmoid((Wx + U·h) + b), h~ = tanh((Wx + Uh·(k.h)) +
-// bh), h' = (z.h) + ((-1·z + 1).h~); the feed-forward core is tanh(Wx + b).
-void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneStep& s);
+// products are `gates` (cores.gates() x L, lane layout), saving the step's
+// internals in row r of `tape`. `state` (H x L) is read and overwritten.
+// The association of every operation is the oracle's GRU step's:
+// z | k = sigmoid((Wx + U·h) + b), h~ = tanh((Wx + Uh·(k.h)) + bh),
+// h' = (z.h) + ((-1·z + 1).h~); the feed-forward core is tanh(Wx + b).
+void LaneCoreStep(const LaneCores& cores, const float* gates, float* state, LaneTape& tape,
+                  size_t r);
 
-// ---- The GRU step's backward, shared by every trainer ----
+// ---- The core's backward, shared by every trainer ----
 //
 // BPTT by hand, after the cuDNN RNN recipe (Appleyard et al., 2016): the
-// forward saves each step's internals, the backward runs the steps newest
-// first and carries only dh between them, and every weight gradient is one
-// sum over the pass's rows. The arithmetic is the reverse sweep of the
-// elementary-op GRU step (the tests' oracle, tests/testing/reference_graph.h)
-// under a loss every step feeds, so the gradients are bit-identical to it:
-// each buffer starts at +0, takes the graph's contributions in the graph's
-// order, and rounds them where the graph stored them.
+// forward saves each step's internals (LaneTape), the backward runs the
+// steps newest first and carries only dh between them, and every weight
+// gradient is one sum over the pass's rows. Like the forward, the backward
+// steps every expert at once in the lane layout: each lane is one expert's
+// problem, and each element-wise pass and simd::LaneAccumulate call spans
+// all of them. The arithmetic is the reverse sweep of the elementary-op GRU
+// step (the tests' oracle, tests/testing/reference_graph.h) under a loss
+// every step feeds, so the gradients are bit-identical to it: each buffer
+// starts at +0, takes the graph's contributions in the graph's order, and
+// rounds them where the graph stored them.
 
-// One GRU's steps over a pass of T windows, saved by the forward, and the
-// gate pre-activation gradients the backward derives. Every T x H matrix
-// holds one row per window, newest window first, so each sum over windows
-// runs newest first by walking rows in order.
-struct GruTape {
-  Matrix h_prev, z, k, hc, kh;  // T x H step internals
-  Matrix d_z, d_k, d_pre;       // T x H; d_pre is a feed-forward core's too
-  // H x 1: dh is d loss / d state of the row being run back, the rest the
-  // step's scratch.
-  Matrix dh, dh_prev, d_kh, row_pre, row_k, row_z;
+// The backward's state over a pass of T windows, in the lane layout of
+// LaneTape: the recurrent weights packed for U^T d, each row's gate
+// pre-activation gradients, and the dh carried between rows.
+struct LaneBackward {
+  // H·H x L: entry (c, j) of expert i's U at ((c·H + j), i), so one
+  // LaneAccumulate over d forms every expert's U^T d. GRU only.
+  Matrix u_z, u_k, u_h;
+  Matrix d_pre;       // T x H·L; a feed-forward core's too
+  Matrix d_k, d_z;    // T x H·L
+  // H x L: d loss / d state of the row being run back. The caller adds
+  // the row's outside terms (heads, attention) before each step.
+  Matrix dh;
+  Matrix dh_prev, d_kh, omz, tmp, minus_ones;  // H x L scratch
 
-  // Shapes every matrix for T windows of H units and zeroes dh.
-  void Resize(size_t steps, size_t hidden);
+  // Shapes every matrix for T windows of `cores`, zeroes the packs (so the
+  // padded lanes stay 0) and dh.
+  void Resize(size_t steps, const LaneCores& cores);
 };
 
-// Copies lane i of one LaneCoreStep's internals into tape row r.
-void SaveLaneStep(const LaneStep& step, size_t lanes, size_t i, size_t r, GruTape& tape);
+// Puts a GRU's Uz, Uk and Uh into lane i of `back`'s packs.
+void PackGruBackwardLane(const GruCell& gru, size_t i, LaneBackward& back);
 
-// Runs tape row r's step backward from dh = tape.dh, writing row r of d_pre,
-// d_k and d_z. With `chain` (the step's previous state is not a constant),
-// tape.dh then becomes d loss / d previous state, whose terms arrive in the
-// order d_kh.k, Uk^T d_k, dh.z, Uz^T d_z; without, it becomes zero.
-void GruStepBackward(const GruCell& gru, size_t r, bool chain, GruTape& tape);
+// Runs tape row r's step backward for every expert from dh = back.dh,
+// writing row r of d_pre, d_k and d_z (d_pre alone for the feed-forward
+// core). With `chain` (the step's previous state is not a constant; a GRU
+// only), back.dh then becomes d loss / d previous state, whose terms
+// arrive in the order d_kh.k, Uk^T d_k, dh.z, Uz^T d_z, each LaneAccumulate
+// adding to the running buffer; without, it becomes zero.
+void LaneCoreStepBackward(const LaneCores& cores, const LaneTape& tape, size_t r, bool chain,
+                          LaneBackward& back);
 
-// Adds the GRU's nine weight and bias gradients over every tape row, newest
-// first: one AccumulateATransposeB per weight (the graph's per-step rank-1
-// updates round each product the same way) and AccumulateRows per bias.
-// `x` holds the steps' inputs, T x D in the tape's row order.
-void AccumulateGruGradients(const GruTape& tape, const Matrix& x, const GruCell& gru);
+// One GRU's pass in the expert layout: T x H matrices, one row per window
+// in the backward's row order.
+struct GruPass {
+  const Matrix& h_prev;
+  const Matrix& kh;
+  const Matrix& d_z;
+  const Matrix& d_k;
+  const Matrix& d_pre;
+};
+
+// Adds the GRU's nine weight and bias gradients over every row of `pass`,
+// in row order: one AccumulateATransposeB per weight (the graph's per-step
+// rank-1 updates round each product the same way) and AccumulateRows per
+// bias. `x` holds the steps' inputs, T x D in the pass's row order.
+void AccumulateGruGradients(const GruPass& pass, const Matrix& x, const GruCell& gru);
 
 // grad[c] += rows(r, c) for every row r in order: a bias gradient summed over
 // a pass's rows.

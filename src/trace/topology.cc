@@ -5,9 +5,22 @@
 namespace deeprest {
 
 uint64_t TopologyGraph::Key(const std::string& component, const std::string& operation) {
-  // Combine the two FNV hashes; the ':' separator prevents ambiguity between
-  // ("ab", "c") and ("a", "bc") before hashing.
-  return HashName(component + ":" + operation);
+  // HashName(component + ":" + operation), fed byte by byte without building
+  // the string; the ':' separator prevents ambiguity between ("ab", "c") and
+  // ("a", "bc").
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto feed = [&hash](unsigned char c) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  };
+  for (unsigned char c : component) {
+    feed(c);
+  }
+  feed(':');
+  for (unsigned char c : operation) {
+    feed(c);
+  }
+  return hash;
 }
 
 TopologyNodeId TopologyGraph::Intern(const std::string& component,
@@ -33,7 +46,7 @@ bool TopologyGraph::Lookup(const std::string& component, const std::string& oper
   return true;
 }
 
-void TopologyGraph::Observe(const Trace& trace) {
+std::vector<TopologyNodeId> TopologyGraph::Observe(const Trace& trace) {
   std::vector<TopologyNodeId> ids = NodeIdsFor(trace);
   for (SpanIndex i = 0; i < trace.spans().size(); ++i) {
     const SpanIndex parent = trace.spans()[i].parent;
@@ -41,6 +54,7 @@ void TopologyGraph::Observe(const Trace& trace) {
       edges_.emplace(ids[parent], ids[i]);
     }
   }
+  return ids;
 }
 
 bool TopologyGraph::HasEdge(TopologyNodeId parent, TopologyNodeId child) const {

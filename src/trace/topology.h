@@ -29,8 +29,9 @@ class TopologyGraph {
   bool Lookup(const std::string& component, const std::string& operation,
               TopologyNodeId& out) const;
 
-  // Records every span of the trace and the parent->child edges it implies.
-  void Observe(const Trace& trace);
+  // Records every span of the trace and the parent->child edges it implies,
+  // and returns the trace's node ids, as NodeIdsFor does.
+  std::vector<TopologyNodeId> Observe(const Trace& trace);
 
   size_t node_count() const { return labels_.size(); }
   size_t edge_count() const { return edges_.size(); }

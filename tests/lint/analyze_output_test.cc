@@ -46,7 +46,7 @@ std::string Fixture(const std::string& name) {
 // A violating fixture per rule class — exercises every renderer path.
 std::string ViolatingFixtures() {
   return Fixture("rand_violation.cc") + " " + Fixture("detach_violation.cc") + " " +
-         Fixture("resource_leak_violation.cc") + " " +
+         Fixture("resource_discarded_lease_violation.cc") + " " +
          Fixture("blocking_violation.cc") + " " + Fixture("enum_switch_violation.cc") +
          " " + Fixture("src/serve/lock_order_violation.cc");
 }

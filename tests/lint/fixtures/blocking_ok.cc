@@ -1,11 +1,12 @@
-// Fixture: lock-safe blocking — the budget call happens after the lock
-// scope closes, and the only wait is the sanctioned capital-W
-// MutexLock::Wait wrapper (which releases the lock while parked).
-// blocking-under-lock must stay silent.
+// Fixture: lock-safe blocking — the disk write happens after the lock scope
+// closes, and the only wait is the sanctioned capital-W MutexLock::Wait
+// wrapper (which releases the lock while parked). blocking-under-lock must
+// stay silent.
 #include "src/core/thread_annotations.h"
 
-struct MemoryBudget {
-  bool Reserve(long bytes);
+struct SlabFile {
+  bool WriteSlot(unsigned long slot, unsigned long key, const void* payload,
+                 unsigned long bytes);
 };
 
 struct CondVar {};
@@ -14,20 +15,20 @@ namespace deeprest {
 
 class Polite {
  public:
-  void Tick() {
+  void Tick(unsigned long key) {
     {
       MutexLock lock(polite_mu_);
       pending_ = true;
       lock.Wait(wake_);
     }
-    budget_->Reserve(1024);
+    slab_->WriteSlot(0, key, &key, sizeof(key));
   }
 
  private:
   Mutex polite_mu_;
   CondVar wake_;
   bool pending_ DEEPREST_GUARDED_BY(polite_mu_);
-  MemoryBudget* budget_;
+  SlabFile* slab_;
 };
 
 }  // namespace deeprest

@@ -1,25 +1,25 @@
-// Fixture: must trip blocking-under-lock — MemoryBudget::Reserve() runs
-// pressure callbacks under the budget mutex, so calling it while holding
-// mu_ is exactly the lock-inversion hazard src/serve/state_cache.h warns
-// about ("never Reserve() while holding a cache mutex").
+// Fixture: must trip blocking-under-lock — SlabFile::WriteSlot() is disk
+// I/O, so calling it while holding spill_mu_ stalls every thread waiting on
+// that lock for as long as the write takes.
 #include "src/core/thread_annotations.h"
 
-struct MemoryBudget {
-  bool Reserve(long bytes);
+struct SlabFile {
+  bool WriteSlot(unsigned long slot, unsigned long key, const void* payload,
+                 unsigned long bytes);
 };
 
 namespace deeprest {
 
-class Pressured {
+class Spiller {
  public:
-  void Tick() {
-    MutexLock lock(press_mu_);
-    budget_->Reserve(1024);
+  void Spill(unsigned long key) {
+    MutexLock lock(spill_mu_);
+    slab_->WriteSlot(0, key, &key, sizeof(key));
   }
 
  private:
-  Mutex press_mu_;
-  MemoryBudget* budget_ DEEPREST_GUARDED_BY(press_mu_);
+  Mutex spill_mu_;
+  SlabFile* slab_ DEEPREST_GUARDED_BY(spill_mu_);
 };
 
 }  // namespace deeprest

@@ -1,31 +1,29 @@
-// Fixture: balanced Charge/Release pairing on every path — including the
-// early-return arm — plus the sanctioned `if (!Reserve())` guard idiom
-// (the charge only lands on the success path). resource-pairing must stay
-// silent.
-struct MemoryBudget {
-  void Charge(long bytes);
-  void Release(long bytes);
-  bool Reserve(long bytes);
+// Fixture: every lease is bound — to a named local, through a pointer, in a
+// condition, in a loop body, or handed to the caller — so each pin lasts as
+// long as its holder. resource-pairing must stay silent.
+struct Lease {
+  bool valid() const;
 };
 
-void Use(long bytes);
+struct StateCache {
+  Lease Acquire(unsigned long key);
+  Lease AcquireOrCreate(unsigned long key);
+};
 
-bool BalancedPaths(MemoryBudget& budget, long bytes, bool flaky) {
-  budget.Charge(bytes);
-  if (flaky) {
-    budget.Release(bytes);
-    return false;
+void Use(const Lease& lease);
+
+void BoundLeases(StateCache& cache, StateCache* shared, unsigned long key, int n) {
+  Lease lease = cache.Acquire(key);
+  Use(lease);
+  if (cache.Acquire(key).valid()) {
+    return;
   }
-  Use(bytes);
-  budget.Release(bytes);
-  return true;
+  for (int i = 0; i < n; ++i) {
+    const Lease pinned = shared->AcquireOrCreate(key + i);
+    Use(pinned);
+  }
 }
 
-bool GuardedReserve(MemoryBudget& budget, long bytes) {
-  if (!budget.Reserve(bytes)) {
-    return false;  // Reserve failed: nothing to release on this path
-  }
-  Use(bytes);
-  budget.Release(bytes);
-  return true;
+Lease HandedOn(StateCache& cache, unsigned long key) {
+  return cache.AcquireOrCreate(key);
 }

@@ -98,14 +98,12 @@ INSTANTIATE_TEST_SUITE_P(
         RuleCase{"src/serve/lock_cycle_violation.cc", "lock-graph-cycle"},
         RuleCase{"src/serve/lock_order_violation.cc", "lock-graph-order"},
         RuleCase{"src/serve/lock_position_violation.cc", "lock-graph-position"},
-        RuleCase{"resource_leak_violation.cc", "resource-pairing"},
-        RuleCase{"resource_double_release_violation.cc", "resource-pairing"},
+        RuleCase{"resource_discarded_lease_violation.cc", "resource-pairing"},
         RuleCase{"blocking_violation.cc", "blocking-under-lock"},
         RuleCase{"enum_switch_violation.cc", "enum-switch"},
         RuleCase{"stale_escape_violation.cc", "stale-escape"}),
     [](const ::testing::TestParamInfo<RuleCase>& param_info) {
-      // Two fixtures share the resource-pairing rule, so names derive from
-      // the fixture file, not the rule.
+      // Names derive from the fixture file, not the rule.
       std::string name = param_info.param.fixture;
       const size_t slash = name.rfind('/');
       if (slash != std::string::npos) {
@@ -189,7 +187,7 @@ TEST(LintTest, ConsistentLockHierarchyPasses) {
   EXPECT_TRUE(run.output.empty()) << run.output;
 }
 
-TEST(LintTest, BalancedResourcePairingPasses) {
+TEST(LintTest, BoundLeasesPass) {
   const LintRun run = RunLint(Fixture("resource_pairing_ok.cc"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
 }

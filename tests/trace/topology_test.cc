@@ -1,5 +1,8 @@
 #include "src/trace/topology.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace deeprest {
@@ -46,6 +49,39 @@ TEST(TopologyGraphTest, LookupFindsOnlyInterned) {
   TopologyNodeId id = 0;
   EXPECT_TRUE(g.Lookup("A", "op", id));
   EXPECT_FALSE(g.Lookup("A", "other", id));
+}
+
+// Both hash the pair without building "component:operation", so names
+// past the string's in-object buffer and empty names must key alike.
+TEST(TopologyGraphTest, InternAndLookupAgreeOnLongAndEmptyNames) {
+  TopologyGraph g;
+  const std::string component(40, 'c');
+  const std::string operation = "operation-name-longer-than-sso-" + std::string(20, 'o');
+  const TopologyNodeId long_id = g.Intern(component, operation);
+  const TopologyNodeId empty_id = g.Intern("", "");
+  const TopologyNodeId empty_op = g.Intern(component, "");
+  EXPECT_NE(long_id, empty_id);
+  EXPECT_NE(long_id, empty_op);
+  EXPECT_NE(empty_id, empty_op);
+  TopologyNodeId id = kUnknownNode;
+  ASSERT_TRUE(g.Lookup(component, operation, id));
+  EXPECT_EQ(id, long_id);
+  ASSERT_TRUE(g.Lookup("", "", id));
+  EXPECT_EQ(id, empty_id);
+  ASSERT_TRUE(g.Lookup(component, "", id));
+  EXPECT_EQ(id, empty_op);
+  EXPECT_FALSE(g.Lookup("", operation, id));
+  EXPECT_EQ(g.Intern(component, operation), long_id);
+  EXPECT_EQ(g.label(long_id), component + ":" + operation);
+  EXPECT_EQ(g.label(empty_id), ":");
+}
+
+TEST(TopologyGraphTest, ObserveReturnsNodeIdsFor) {
+  TopologyGraph g;
+  const Trace t = MakeComposeTrace();
+  const std::vector<TopologyNodeId> observed = g.Observe(t);
+  EXPECT_EQ(observed, g.NodeIdsFor(t));
+  EXPECT_EQ(observed, g.FrozenNodeIdsFor(t));
 }
 
 TEST(TopologyGraphTest, ObserveRecordsEdges) {

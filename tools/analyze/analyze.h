@@ -20,11 +20,10 @@
 //       - lock-graph-{cycle,order,position}: global lock graph from the
 //         annotations, cycle detection, intra-procedural acquisition-order
 //         checking, hierarchy-position coverage, DOT export;
-//       - resource-pairing: path-sensitive Charge/Reserve vs Release
-//         matching along early-return paths, double-release, discarded
-//         leases;
-//       - blocking-under-lock: cv waits / slab I/O / MemoryBudget::Reserve
-//         while a MutexLock scope is live (or under DEEPREST_REQUIRES);
+//       - resource-pairing: a discarded `x.Acquire*(...)` lease, whose pin
+//         is released before the statement ends;
+//       - blocking-under-lock: cv waits / thread sleeps / slab I/O while a
+//         MutexLock scope is live (or under DEEPREST_REQUIRES);
 //       - enum-switch: exhaustiveness for RequestStatus / KernelMode /
 //         ColdTier switches;
 //       - stale-escape: allow()/bounded() comments and allowlist entries

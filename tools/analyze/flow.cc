@@ -7,21 +7,14 @@
 //     locks held via DEEPREST_REQUIRES on the signature:
 //       - blocking-under-lock: cv waits (.wait/.wait_for/.wait_until —
 //         MutexLock's capital Wait* wrappers release the lock and are
-//         sanctioned), thread sleeps, SlabFile WriteSlot/ReadSlot disk I/O,
-//         and MemoryBudget Reserve/CheckPressure while any lock is held;
+//         sanctioned), thread sleeps and SlabFile WriteSlot/ReadSlot disk
+//         I/O while any lock is held;
 //       - lock-graph-order: acquiring B while holding A when the global
 //         graph orders B before A (or B == A, or A is lock-level(leaf)).
 //
-//   * a statement-tree parse (if/else branching; loops and switches inlined
-//     once) enumerating early-return paths for resource-pairing:
-//       - a Charge/Reserve with a matching Release on one path but a net
-//         positive balance on another is a leak on that other path;
-//       - two Releases of the same amount with no intervening Charge on one
-//         path is a double-release;
-//       - a discarded `x.Acquire*(...)` statement destroys its lease
-//         immediately — the pin never existed.
-//     `if (!x.Reserve(n))` guards are modeled path-sensitively: the charge
-//     lands on the success arm only.
+//   * a statement walk for resource-pairing: a discarded `x.Acquire*(...)`
+//     statement destroys its lease (the state cache's pin) immediately —
+//     the pin never existed.
 #include <string>
 
 #include "tools/analyze/analyze.h"
@@ -242,11 +235,7 @@ void WalkLockScopes(const std::string& path, const FileScan& scan,
         i >= 1 && (t[i - 1].text == "." ||
                    (t[i - 1].text == ">" && i >= 2 && t[i - 2].text == "-"));
     std::string what;
-    if ((s == "Reserve" || s == "CheckPressure") && member_call &&
-        TokenIs(t, i + 1, "(")) {
-      what = "MemoryBudget::" + s + "() takes the budget mutex and may run "
-             "pressure callbacks";
-    } else if ((s == "WriteSlot" || s == "ReadSlot") && member_call &&
+    if ((s == "WriteSlot" || s == "ReadSlot") && member_call &&
                TokenIs(t, i + 1, "(")) {
       what = "SlabFile::" + s + "() is disk I/O";
     } else if ((s == "sleep_for" || s == "sleep_until") && TokenIs(t, i + 1, "(")) {
@@ -267,169 +256,42 @@ void WalkLockScopes(const std::string& path, const FileScan& scan,
 }
 
 // ---------------------------------------------------------------------------
-// Resource-pairing: statement tree + path enumeration
+// Resource-pairing: discarded leases
 // ---------------------------------------------------------------------------
 
-struct Event {
-  enum Kind { kCharge, kRelease, kReturn } kind = kCharge;
-  std::string recv;
-  std::string arg;
-  int line = 0;
-};
-
-struct Node {
-  bool is_branch = false;
-  std::vector<Event> events;           // linear node
-  std::vector<Node> then_arm, else_arm;  // branch node
-};
-
-// Records Charge/Reserve/Release member calls in [b, e). Reserve events are
-// diverted to `reserves` with their negation context when it is non-null
-// (condition parsing); otherwise they count as plain charges.
-void CollectEvents(const std::vector<Token>& t, size_t b, size_t e,
-                   std::vector<Event>* events,
-                   std::vector<std::pair<Event, bool>>* reserves) {
-  for (size_t i = b; i < e; ++i) {
-    const std::string& s = t[i].text;
-    const bool member_call =
-        i >= 1 && (t[i - 1].text == "." ||
-                   (t[i - 1].text == ">" && i >= 2 && t[i - 2].text == "-"));
-    if (!member_call || !TokenIs(t, i + 1, "(")) {
-      continue;
-    }
-    if (s != "Charge" && s != "Release" && s != "Reserve") {
-      continue;
-    }
-    Event event;
-    event.kind = s == "Release" ? Event::kRelease : Event::kCharge;
-    event.line = t[i].line;
-    const size_t recv_last = t[i - 1].text == "." ? i - 2 : i - 3;
-    size_t chain_first = recv_last;
-    event.recv = ChainEndingAt(t, recv_last, &chain_first);
-    for (size_t j = i + 2; j < e; ++j) {
-      if (t[j].text == ")") {
-        break;
-      }
-      event.arg += t[j].text;
-    }
-    if (s == "Reserve" && reserves != nullptr) {
-      const bool negated = chain_first >= 1 && t[chain_first - 1].text == "!";
-      reserves->push_back({event, negated});
-    } else {
-      events->push_back(event);
-    }
-  }
-}
-
-class TreeParser {
+// Walks a body's statements — nested blocks, control-statement arms — and
+// reports every statement whose top-level expression is a bare
+// `x.Acquire*(...)` call: the returned lease is destroyed before the
+// statement ends, so the pin it took is released at once. Conditions and
+// returns use their value, so they are skipped.
+class LeaseWalker {
  public:
-  TreeParser(const std::string& path, const std::vector<Token>& t,
-             const FileScan& scan, Sink& sink)
+  LeaseWalker(const std::string& path, const std::vector<Token>& t, const FileScan& scan,
+              Sink& sink)
       : path_(path), t_(t), scan_(scan), sink_(sink) {}
 
-  std::vector<Node> ParseBlock(size_t b, size_t e) {
-    std::vector<Node> nodes;
+  void WalkBlock(size_t b, size_t e) {
     size_t i = b;
     while (i < e) {
       const std::string& s = t_[i].text;
-      if (s == ";" || s == "}") {
-        ++i;
+      if (s == ";" || s == "}" || s == "{" || s == "else" || s == "do") {
+        ++i;  // a block's statements and a control statement's arm follow
         continue;
       }
-      if (s == "{") {
-        const size_t close = MatchBrace(i, e);
-        auto inner = ParseBlock(i + 1, close);
-        nodes.insert(nodes.end(), inner.begin(), inner.end());
-        i = close + 1;
+      if ((s == "if" || s == "for" || s == "while" || s == "switch") &&
+          TokenIs(t_, i + 1, "(")) {
+        i = SkipParens(t_, i + 1, e);
         continue;
       }
-      if (s == "if" && TokenIs(t_, i + 1, "(")) {
-        const size_t cond_end = SkipParens(t_, i + 1, e);
-        Node linear;
-        std::vector<std::pair<Event, bool>> reserves;
-        CollectEvents(t_, i + 1, cond_end, &linear.events, &reserves);
-        if (!linear.events.empty()) {
-          nodes.push_back(linear);  // unconditional side effects of the cond
-        }
-        Node branch;
-        branch.is_branch = true;
-        size_t next = ParseArm(cond_end, e, &branch.then_arm);
-        if (next < e && TokenIs(t_, next, "else")) {
-          next = ParseArm(next + 1, e, &branch.else_arm);
-        }
-        // `if (!x.Reserve(n))` charges only on the success (else/continuation)
-        // arm; un-negated Reserve charges on the then arm.
-        for (const auto& [event, negated] : reserves) {
-          Node charge;
-          charge.events.push_back(event);
-          if (negated) {
-            branch.else_arm.insert(branch.else_arm.begin(), charge);
-          } else {
-            branch.then_arm.insert(branch.then_arm.begin(), charge);
-          }
-        }
-        nodes.push_back(branch);
-        i = next;
-        continue;
-      }
-      if ((s == "for" || s == "while" || s == "switch") && TokenIs(t_, i + 1, "(")) {
-        const size_t cond_end = SkipParens(t_, i + 1, e);
-        Node linear;
-        CollectEvents(t_, i + 1, cond_end, &linear.events, nullptr);
-        if (!linear.events.empty()) {
-          nodes.push_back(linear);
-        }
-        // Loop/switch bodies are inlined once: enough for pairing, and a
-        // 0-iteration leak report would be noise on every drain loop.
-        std::vector<Node> body;
-        i = ParseArm(cond_end, e, &body);
-        nodes.insert(nodes.end(), body.begin(), body.end());
-        continue;
-      }
-      if (s == "do") {
-        std::vector<Node> body;
-        i = ParseArm(i + 1, e, &body);
-        nodes.insert(nodes.end(), body.begin(), body.end());
-        continue;
-      }
-      if (s == "return") {
-        size_t stmt_end = StatementEnd(i + 1, e);
-        Node linear;
-        CollectEvents(t_, i + 1, stmt_end, &linear.events, nullptr);
-        Event ret;
-        ret.kind = Event::kReturn;
-        ret.line = t_[i].line;
-        linear.events.push_back(ret);
-        nodes.push_back(linear);
-        i = stmt_end + 1;
-        continue;
-      }
-      // Plain statement.
       const size_t stmt_end = StatementEnd(i, e);
-      Node linear;
-      CollectEvents(t_, i, stmt_end, &linear.events, nullptr);
-      CheckDiscardedAcquire(i, stmt_end);
-      if (!linear.events.empty()) {
-        nodes.push_back(linear);
+      if (s != "return") {
+        CheckDiscardedAcquire(i, stmt_end);
       }
       i = stmt_end + 1;
     }
-    return nodes;
   }
 
  private:
-  size_t MatchBrace(size_t open, size_t e) const {
-    int braces = 0;
-    for (size_t j = open; j < e; ++j) {
-      if (t_[j].text == "{") {
-        ++braces;
-      } else if (t_[j].text == "}" && --braces == 0) {
-        return j;
-      }
-    }
-    return e;
-  }
-
   // End (the `;`) of the statement starting at `b`, skipping nested parens
   // and braces (lambda bodies, brace-init).
   size_t StatementEnd(size_t b, size_t e) const {
@@ -451,53 +313,6 @@ class TreeParser {
       } else if (s == ";" && parens <= 0 && braces == 0) {
         return j;
       }
-    }
-    return e;
-  }
-
-  // Parses one arm: a braced block or a single statement (possibly a nested
-  // `if`). Returns the index just past the arm.
-  size_t ParseArm(size_t b, size_t e, std::vector<Node>* arm) {
-    if (b >= e) {
-      return e;
-    }
-    if (TokenIs(t_, b, "{")) {
-      const size_t close = MatchBrace(b, e);
-      *arm = ParseBlock(b + 1, close);
-      return close + 1;
-    }
-    // Single statement — reuse the block parser on its token range.
-    if (TokenIs(t_, b, "if") || TokenIs(t_, b, "for") || TokenIs(t_, b, "while") ||
-        TokenIs(t_, b, "do") || TokenIs(t_, b, "switch")) {
-      // Control statement as an arm: parse greedily from here; ParseBlock
-      // handles the structure, StatementEnd below would not.
-      std::vector<Node> sub = ParseBlock(b, ArmEnd(b, e));
-      *arm = sub;
-      return ArmEnd(b, e);
-    }
-    const size_t stmt_end = StatementEnd(b, e);
-    *arm = ParseBlock(b, stmt_end + 1 > e ? e : stmt_end + 1);
-    return stmt_end + 1 > e ? e : stmt_end + 1;
-  }
-
-  // End of a brace-less control-statement arm (`if (...) if (...) x;`):
-  // the end of its first full statement after the control header chain.
-  size_t ArmEnd(size_t b, size_t e) const {
-    size_t j = b;
-    while (j < e) {
-      const std::string& s = t_[j].text;
-      if (s == "if" || s == "for" || s == "while" || s == "switch") {
-        j = SkipParens(t_, j + 1, e);
-        continue;
-      }
-      if (s == "do" || s == "else") {
-        ++j;
-        continue;
-      }
-      if (s == "{") {
-        return MatchBrace(j, e) + 1;
-      }
-      return StatementEnd(j, e) + 1;
     }
     return e;
   }
@@ -538,120 +353,6 @@ class TreeParser {
   const FileScan& scan_;
   Sink& sink_;
 };
-
-// Enumerates early-return paths. `nodes[idx..]` continues an in-progress
-// path; closed paths land in `out`. `budget` caps the path count.
-void WalkPaths(const std::vector<Node>& nodes, size_t idx, std::vector<Event> current,
-               std::vector<std::vector<Event>>* out, int* budget, bool* overflow) {
-  if (*budget <= 0) {
-    *overflow = true;
-    return;
-  }
-  for (size_t k = idx; k < nodes.size(); ++k) {
-    const Node& node = nodes[k];
-    if (!node.is_branch) {
-      for (const Event& event : node.events) {
-        current.push_back(event);
-        if (event.kind == Event::kReturn) {
-          out->push_back(current);
-          --*budget;
-          return;
-        }
-      }
-      continue;
-    }
-    for (const std::vector<Node>* arm : {&node.then_arm, &node.else_arm}) {
-      std::vector<Node> joined = *arm;
-      joined.insert(joined.end(), nodes.begin() + k + 1, nodes.end());
-      WalkPaths(joined, 0, current, out, budget, overflow);
-    }
-    return;
-  }
-  out->push_back(current);
-  --*budget;
-}
-
-void CheckResourcePairing(const std::string& path, const FileScan& scan,
-                          size_t begin, size_t end, Sink& sink) {
-  TreeParser parser(path, scan.tokens, scan, sink);
-  const std::vector<Node> tree = parser.ParseBlock(begin, end);
-  std::vector<std::vector<Event>> paths;
-  int budget = 256;
-  bool overflow = false;
-  WalkPaths(tree, 0, {}, &paths, &budget, &overflow);
-  if (overflow) {
-    return;  // too many paths to reason about soundly — stay silent
-  }
-  // Receivers that ever get charged in this function.
-  std::set<std::string> receivers;
-  for (const auto& p : paths) {
-    for (const Event& event : p) {
-      if (event.kind == Event::kCharge) {
-        receivers.insert(event.recv);
-      }
-    }
-  }
-  for (const std::string& recv : receivers) {
-    // Anchor: some path both charges and later releases this receiver —
-    // the function "owns" the pairing, so an unbalanced sibling path leaks.
-    bool anchored = false;
-    for (const auto& p : paths) {
-      bool charged = false;
-      for (const Event& event : p) {
-        if (event.recv != recv) {
-          continue;
-        }
-        if (event.kind == Event::kCharge) {
-          charged = true;
-        } else if (event.kind == Event::kRelease && charged) {
-          anchored = true;
-        }
-      }
-    }
-    std::set<int> leak_lines;
-    std::set<int> double_release_lines;
-    for (const auto& p : paths) {
-      std::vector<const Event*> open;  // unmatched charges, in order
-      const Event* last_release = nullptr;
-      for (const Event& event : p) {
-        if (event.recv != recv) {
-          continue;
-        }
-        if (event.kind == Event::kCharge) {
-          open.push_back(&event);
-          last_release = nullptr;
-        } else if (event.kind == Event::kRelease) {
-          if (!open.empty()) {
-            open.pop_back();
-          } else if (last_release != nullptr && !event.arg.empty() &&
-                     last_release->arg == event.arg) {
-            double_release_lines.insert(event.line);
-          }
-          last_release = &event;
-        }
-      }
-      if (anchored) {
-        for (const Event* unmatched : open) {
-          leak_lines.insert(unmatched->line);
-        }
-      }
-    }
-    for (int line : leak_lines) {
-      sink.Report("resource-pairing", path, line,
-                  "`" + recv + "` is charged here but an early-return path "
-                  "exits without the matching Release — the budget leaks on "
-                  "that path",
-                  scan);
-    }
-    for (int line : double_release_lines) {
-      sink.Report("resource-pairing", path, line,
-                  "`" + recv + "` released twice with the same amount and no "
-                  "intervening charge on this path — double-release corrupts "
-                  "the budget gauge",
-                  scan);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Function discovery
@@ -801,7 +502,7 @@ void RunFlowRules(const std::string& path, const FileScan& scan,
     }
     WalkLockScopes(path, scan, graph, owner, requires_args, body_open + 1,
                    body_close, sink);
-    CheckResourcePairing(path, scan, body_open + 1, body_close, sink);
+    LeaseWalker(path, scan.tokens, scan, sink).WalkBlock(body_open + 1, body_close);
     skip_function_scan_until = body_close;
   }
 }

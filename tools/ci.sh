@@ -10,11 +10,12 @@
 #                    EstimateFromFeaturesBatchResume on the model version that
 #                    served them, across live publishes) must pass; SKIP on a
 #                    host with fewer than 4 CPUs
-#   3. simd-off    — kernel, core and property suites with SIMD
+#   3. simd-off    — kernel, core, baselines and property suites with SIMD
 #                    force-disabled (DEEPREST_SIMD=scalar): the portable
-#                    fallback path can't rot; then the nn and core suites
-#                    pinned to the AVX2 rung (DEEPREST_SIMD=avx2), which an
-#                    AVX-512 host otherwise never executes; then every
+#                    fallback path can't rot; then the nn, core and
+#                    baselines suites pinned to the AVX2 rung
+#                    (DEEPREST_SIMD=avx2), which an AVX-512 host otherwise
+#                    never executes; then every
 #                    vector rung's sigmoid and tanh against the scalar bodies
 #                    on all 2^32 inputs; then both reference models trained
 #                    on the default, AVX2 and scalar rungs must hash to their
@@ -90,18 +91,23 @@ for workload in features_open traffic_plan learn_estimate live_monitor; do
   fi
 done
 
-echo "==> [3/10] simd-off: kernel, core and property suites on the portable fallback"
+echo "==> [3/10] simd-off: kernel, core, baselines and property suites on the portable fallback"
 # DEEPREST_SIMD=scalar pins the dispatch ladder to the portable rung, so the
 # scalar kernel table (the path every non-x86/pre-AVX2 host runs) is executed
 # by the same tests that gate the vector paths. The simd tests themselves
 # verify the forced-rung semantics (ResetIsa honors the env var).
+# baselines_tests rides along: the resource-aware DL baseline trains on the
+# chunk trainer's lane backward with one lane, and
+# ResourceAwareDlTest.MatchesTapeOracleBitForBit is that backward's check at
+# L = 1.
 DEEPREST_SIMD=scalar ctest --test-dir build --output-on-failure \
-  -R 'nn_tests|core_tests|property_tests'
+  -R 'nn_tests|core_tests|baselines_tests|property_tests'
 # The AVX2 rung runs the trainer's GEMMs and rank-1 updates on every
 # AVX2-only host, but the default build picks AVX-512 where it exists. The
 # ladder clamps the request down on a host without AVX2, so this pass is the
 # scalar one again there.
-DEEPREST_SIMD=avx2 ctest --test-dir build --output-on-failure -R 'nn_tests|core_tests'
+DEEPREST_SIMD=avx2 ctest --test-dir build --output-on-failure \
+  -R 'nn_tests|core_tests|baselines_tests'
 # Every float sigmoid and tanh of the model is simd::Sigmoid / simd::Tanh.
 # The tier-1 suite checks every rung against the scalar bodies on every 257th
 # input; this sweeps all 2^32 inputs on 4 threads (tens of seconds per
