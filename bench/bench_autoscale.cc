@@ -23,7 +23,6 @@
 #include "bench/common.h"
 #include "src/autoscale/scenario.h"
 #include "src/eval/autoscale_harness.h"
-#include "src/serve/whatif.h"
 
 using namespace deeprest;  // NOLINT(build/namespaces)
 
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
   }
   ExperimentHarness harness(config);
   std::printf("Training the estimator (%zu learn windows)...\n\n", harness.learn_windows());
-  EstimatorWhatIf whatif(harness.deeprest());
+  const DeepRestEstimator& model = harness.deeprest();
 
   ScenarioSpec base_scenario;
   base_scenario.days = smoke ? 1 : 2;
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
       cell.policy = policy_kind;
       const ClosedLoopResult r =
           RunClosedLoop(harness.app(), harness.simulator(), harness.learn_windows(),
-                        traffic, &whatif, cell, scenario_name);
+                        traffic, &model, cell, scenario_name);
       rows.push_back({scenario_name, r.policy,
                       FormatDouble(100.0 * r.slo_violation_rate, 2),
                       FormatDouble(r.provisioned_core_hours, 1),

@@ -9,9 +9,8 @@
 //               pre-supervision stack. A crashed worker stays dead for the
 //               rest of the run.
 //   supervised  the same service wired into a HealthRegistry, scanned by a
-//               Watchdog-driven Supervisor (capped-exponential restarts,
-//               budget 8; an exhausted budget escalates and stops
-//               restarting).
+//               Watchdog-driven Supervisor that tries to restart each stale
+//               worker on every scan (only an exited worker restarts).
 //
 // In both, an idle worker's steal sweep serves the queue of a wedged one.
 // The driver advances a logical window every window_len of wall time and
@@ -46,7 +45,7 @@
 // The clock_skew schedule has its own gate, because a skew makes live
 // workers look stale without harming them: the supervised cell's
 // availability and bit-exactness equal the baseline's, no worker is
-// restarted, nothing escalates, and every incident the skew opens recovers.
+// restarted, and every incident the skew opens recovers.
 // It does not require an incident to open: workers that heartbeat again
 // before the watchdog's next scan never look stale.
 //
@@ -251,14 +250,7 @@ CellResult RunCell(const DeepRestEstimator& model,
   }
   EstimationService service(registry, pipeline, config);
 
-  // Budget 8 rides out a full scheduled stall (restart attempts against a
-  // live-but-wedged thread fail by design and burn budget) without
-  // escalating; a permanent livelock would still exhaust it.
-  SupervisorConfig sup_config;
-  sup_config.base_backoff = std::chrono::milliseconds(10);
-  sup_config.max_backoff = std::chrono::milliseconds(200);
-  sup_config.restart_budget = 8;
-  Supervisor supervisor(health, sup_config);
+  Supervisor supervisor(health);
   Watchdog watchdog(supervisor, health, {});
   if (supervised) {
     for (size_t i = 0; i < config.workers; ++i) {
@@ -491,7 +483,7 @@ int main(int argc, char** argv) {
                 sup.AvailabilityOverall() == base.AvailabilityOverall() &&
                 sup.served_bit_exact == base.served_bit_exact &&
                 sup.post_recovery_ok == base.post_recovery_ok &&
-                sup.service.worker_restarts == 0 && sup.sup.escalations == 0 &&
+                sup.service.worker_restarts == 0 &&
                 sup.sup.incidents_recovered == sup.sup.incidents_opened;
       continue;
     }
@@ -548,10 +540,7 @@ int main(int argc, char** argv) {
         if (supervised) {
           json << "        \"incidents\": {\"opened\": " << cell.sup.incidents_opened
                << ", \"recovered\": " << cell.sup.incidents_recovered
-               << ", \"restarts_attempted\": " << cell.sup.restarts_attempted
-               << ", \"restarts_succeeded\": " << cell.sup.restarts_succeeded
-               << ", \"restarts_failed\": " << cell.sup.restarts_failed
-               << ", \"escalations\": " << cell.sup.escalations << "},\n";
+               << ", \"restarts_succeeded\": " << cell.sup.restarts_succeeded << "},\n";
           json << "        \"mttr_max_us\": " << cell.mttr_max_us
                << ", \"mttr_mean_us\": "
                << (cell.sup.incidents_recovered > 0

@@ -24,10 +24,9 @@
 // concurrently.
 //
 // Thread-safety: Tick / CurrentScale / counters / ActionLog are safe to call
-// from any thread; one mutex guards all controller state (see DESIGN.md
-// "Concurrency invariants & lock hierarchy": AutoscaleLoop::tick_mu_ ->
-// AutoscaleController::mu_, and mu_ is terminal — no lock is acquired while
-// holding it).
+// from any thread; one mutex guards all controller state, and it is a leaf
+// (DESIGN.md "Concurrency invariants & lock hierarchy": no lock is acquired
+// while holding it).
 #ifndef SRC_AUTOSCALE_CONTROLLER_H_
 #define SRC_AUTOSCALE_CONTROLLER_H_
 
@@ -129,8 +128,7 @@ class AutoscaleController {
   const ScalingPolicy* policy_;
   AutoscaleControllerConfig config_;
 
-  // deeprest-lint: lock-level(after AutoscaleLoop::tick_mu_)
-  mutable Mutex mu_;
+  mutable Mutex mu_;  // deeprest-lint: lock-level(leaf)
   std::map<std::string, ComponentState> state_ DEEPREST_GUARDED_BY(mu_);
   std::vector<std::string> log_ DEEPREST_GUARDED_BY(mu_);
   ControllerCounters counters_ DEEPREST_GUARDED_BY(mu_);

@@ -11,12 +11,16 @@
 // the declared capability. Under GCC every macro expands to nothing, so
 // tier-1 builds are unaffected.
 //
-// Project rules enforced on top of the compiler analysis by
-// tools/lint/deeprest_lint.cc (ctest label `lint`):
+// Project rules enforced on top of the compiler analysis by the project
+// analyzer, tools/analyze (deeprest_analyze; ctest label `lint`):
 //   * every std::mutex / deeprest::Mutex member must have a matching
 //     DEEPREST_GUARDED_BY field in the same class (rule
 //     mutex-needs-guarded-by) — a mutex that guards nothing is either dead
 //     or, worse, believed to guard something it does not;
+//   * mutexes declare their lock-hierarchy position (DEEPREST_ACQUIRED_AFTER
+//     or `deeprest-lint: lock-level(...)`; rule lock-graph-position), nested
+//     acquisitions must follow it (lock-graph-order, lock-graph-cycle), and
+//     no cv wait, sleep or slab I/O runs under a lock (blocking-under-lock);
 //   * fields shared across threads without a guard must be std::atomic
 //     (convention, checked by review + TSan; the analysis treats atomics as
 //     unguarded by design).

@@ -8,7 +8,8 @@ namespace deeprest {
 
 ClosedLoopResult RunClosedLoop(const Application& app, const Simulator& base_sim,
                                size_t start_window, const TrafficSeries& traffic,
-                               WhatIfSource* whatif, const ClosedLoopConfig& config,
+                               const DeepRestEstimator* estimator,
+                               const ClosedLoopConfig& config,
                                const std::string& scenario_name) {
   ClosedLoopResult result;
   result.policy = PolicyKindName(config.policy);
@@ -44,8 +45,8 @@ ClosedLoopResult RunClosedLoop(const Application& app, const Simulator& base_sim
   // of exactly this map.
   DemandSeries forecast;
   bool have_forecast = false;
-  if (config.policy == PolicyKind::kPredictive && whatif != nullptr) {
-    const EstimateMap estimates = whatif->Estimate(traffic, config.whatif_seed);
+  if (config.policy == PolicyKind::kPredictive && estimator != nullptr) {
+    const EstimateMap estimates = estimator->EstimateFromTraffic(traffic, config.whatif_seed);
     if (!estimates.empty()) {
       forecast = ForecastFromEstimates(estimates, start_window,
                                        config.forecast_upper_weight);

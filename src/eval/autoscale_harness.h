@@ -35,7 +35,7 @@
 #include "src/autoscale/controller.h"
 #include "src/autoscale/policy.h"
 #include "src/autoscale/scenario.h"
-#include "src/serve/whatif.h"
+#include "src/core/estimator.h"
 #include "src/sim/capacity.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
@@ -80,13 +80,16 @@ struct ClosedLoopResult {
 
 // Runs one (policy, scenario) cell. `base_sim` is copied — the caller's
 // simulator (typically ExperimentHarness::simulator() after the learning
-// phase) is not advanced. `whatif` may be null for the reactive and oracle
-// policies; the predictive policy falls back to reactive behaviour without
-// it. `start_window` is the absolute window the scenario begins at (the
-// learning phase length), matching the simulator's window axis.
+// phase) is not advanced. `estimator` answers the predictive policy's
+// what-if query and may be null for the reactive and oracle policies; the
+// predictive policy falls back to reactive behaviour without it. It must not
+// be mutated while cells run. `start_window` is the absolute window the
+// scenario begins at (the learning phase length), matching the simulator's
+// window axis.
 ClosedLoopResult RunClosedLoop(const Application& app, const Simulator& base_sim,
                                size_t start_window, const TrafficSeries& traffic,
-                               WhatIfSource* whatif, const ClosedLoopConfig& config,
+                               const DeepRestEstimator* estimator,
+                               const ClosedLoopConfig& config,
                                const std::string& scenario_name);
 
 }  // namespace deeprest

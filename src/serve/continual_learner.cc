@@ -38,10 +38,14 @@ double ValidationError(const DeepRestEstimator& model,
   return resource_count == 0 ? 0.0 : error_sum / static_cast<double>(resource_count);
 }
 
+bool ValidationRegressed(double base_error, double candidate_error, double factor) {
+  return factor > 0.0 && candidate_error > factor * base_error + 1e-12;
+}
+
 ContinualLearner::ContinualLearner(ModelRegistry& registry, IngestPipeline& pipeline,
                                    size_t start_window, const ContinualLearnerConfig& config)
     : registry_(registry), pipeline_(pipeline), config_(config),
-      trained_through_(start_window), breaker_(config.breaker) {
+      trained_through_(start_window) {
   if (config_.health != nullptr) {
     health_ = config_.health->Register(config_.health_name, config_.stall_threshold_us);
   }
@@ -94,13 +98,6 @@ uint64_t ContinualLearner::RefreshOnce() {
     return 0;
   }
 
-  // Breaker open: skip the expensive clone+train without consuming the
-  // stretch — the windows stay pending for the half-open probe.
-  if (!breaker_.Allow()) {
-    suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-
   // Stable copies: training must not hold pipeline locks (it is slow) and
   // must not race with producers appending to the live stores.
   const TraceCollector traces = pipeline_.TracesCopy(from, watermark);
@@ -108,18 +105,16 @@ uint64_t ContinualLearner::RefreshOnce() {
 
   if (config_.alloc_fail_hook && config_.alloc_fail_hook()) {
     alloc_failures_.fetch_add(1, std::memory_order_relaxed);
-    breaker_.AbandonProbe();
     return 0;
   }
   std::unique_ptr<DeepRestEstimator> next = base.model->Clone();
   if (next == nullptr) {
     alloc_failures_.fetch_add(1, std::memory_order_relaxed);
-    breaker_.AbandonProbe();
     return 0;
   }
   next->ContinueLearning(traces, metrics, from, watermark, config_.epochs);
 
-  // Circuit breaker: a fine-tune trained on a degraded stretch must not
+  // Validation gate: a fine-tune trained on a degraded stretch must not
   // replace a model that fits the same windows better. Either way the
   // stretch counts as consumed — retraining deterministically on the same
   // windows would loop forever.
@@ -127,20 +122,18 @@ uint64_t ContinualLearner::RefreshOnce() {
     const std::vector<std::vector<float>> features = pipeline_.FeatureSlice(from, watermark);
     const double base_error = ValidationError(*base.model, features, metrics, from, watermark);
     const double next_error = ValidationError(*next, features, metrics, from, watermark);
-    if (CircuitBreaker::ValidationRegressed(base_error, next_error,
-                                            config_.validation_regression_factor)) {
-      breaker_.RecordFailure();
+    if (ValidationRegressed(base_error, next_error, config_.validation_regression_factor)) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
       trained_through_.store(watermark, std::memory_order_release);
       return 0;
     }
   }
 
-  // Publish exactly the model the breaker validated.
+  // Publish exactly the model the gate validated.
   std::shared_ptr<const DeepRestEstimator> published(std::move(next));
   const uint64_t version = registry_.Publish(published);
   trained_through_.store(watermark, std::memory_order_release);
   refreshes_.fetch_add(1, std::memory_order_relaxed);
-  breaker_.RecordSuccess();
 
   if (!config_.checkpoint_path.empty()) {
     CheckpointData data;

@@ -9,12 +9,13 @@
 // reading their snapshot while the swap happens (zero-downtime refresh).
 //
 // Robustness (DESIGN.md "Failure model"):
-//   * Circuit breaker — before publishing, the candidate's validation error
+//   * Validation gate — before publishing, the candidate's validation error
 //     over the new windows is compared against the base model's; a candidate
 //     that regressed past validation_regression_factor is rejected (the old
 //     model keeps serving, `models_rejected()` counts it). Fine-tuning on a
 //     degraded telemetry stretch must never replace a good model with a
-//     worse one.
+//     worse one. The gate never stops refreshes: every new stretch is
+//     trained and validated.
 //   * Checkpointing — every successful publish is atomically checkpointed
 //     (see checkpoint.h) when checkpoint_path is set, so a crashed service
 //     recovers the last published version instead of retraining.
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "src/core/thread_annotations.h"
-#include "src/serve/circuit_breaker.h"
 #include "src/serve/health.h"
 #include "src/serve/ingest_pipeline.h"
 #include "src/serve/model_registry.h"
@@ -45,18 +45,10 @@ struct ContinualLearnerConfig {
   size_t epochs = 4;
   // How often the background thread polls the pipeline.
   std::chrono::milliseconds poll_interval{20};
-  // Circuit breaker: reject a fine-tuned candidate whose validation error
+  // Validation gate: reject a fine-tuned candidate whose validation error
   // over the new windows exceeds base_error * validation_regression_factor.
   // <= 0 disables validation (always publish).
   double validation_regression_factor = 1.5;
-  // Breaker trip/recovery shape (CircuitBreaker). The default trip_failures
-  // of 0 is gate-only — every stretch is validated but refreshes never stop,
-  // the historical behavior. >0 trips the breaker after that many
-  // CONSECUTIVE rejected fine-tunes: RefreshOnce then skips the expensive
-  // clone+train entirely (without advancing trained_through) until the
-  // half-open probe, so a telemetry stream gone persistently bad stops
-  // burning train cycles on candidates that keep failing validation.
-  CircuitBreakerConfig breaker;
   // Atomic checkpoint written after every successful publish; empty disables.
   std::string checkpoint_path;
   // Supervision: when set, the background loop heartbeats into the registry
@@ -72,10 +64,16 @@ struct ContinualLearnerConfig {
 
 // Mean absolute error normalized by mean actual magnitude (WAPE), averaged
 // over the model's resources, for windows [from, to) of the feature series.
-// The circuit breaker's fitness measure; exposed for tests.
+// The validation gate's fitness measure; exposed for tests.
 double ValidationError(const DeepRestEstimator& model,
                        const std::vector<std::vector<float>>& features,
                        const MetricsStore& metrics, size_t from, size_t to);
+
+// The validation gate's decision: did the candidate regress past `factor`
+// times the base model's error? factor <= 0 disables the gate. The epsilon
+// keeps a bit-equal candidate (base_error == candidate_error == 0) from
+// failing on rounding.
+bool ValidationRegressed(double base_error, double candidate_error, double factor);
 
 class ContinualLearner {
  public:
@@ -96,30 +94,23 @@ class ContinualLearner {
   // One synchronous refresh attempt (also what the background thread runs):
   // folds the pipeline and retrains if enough new windows are sealed.
   // Returns the newly published version, or 0 when skipped or rejected by
-  // the circuit breaker.
+  // the validation gate.
   uint64_t RefreshOnce();
 
   size_t trained_through() const { return trained_through_.load(std::memory_order_acquire); }
   uint64_t refreshes_published() const {
     return refreshes_.load(std::memory_order_relaxed);
   }
-  // Fine-tunes rejected by the validation circuit breaker. A rejected
-  // stretch still advances trained_through (retraining deterministically on
-  // the same bad windows would loop forever). Counted by the breaker: every
-  // rejection is a recorded failure, every publish a recorded success.
-  uint64_t models_rejected() const { return breaker_.failures(); }
+  // Fine-tunes rejected by the validation gate. A rejected stretch still
+  // advances trained_through (retraining deterministically on the same bad
+  // windows would loop forever).
+  uint64_t models_rejected() const { return rejected_.load(std::memory_order_relaxed); }
   uint64_t checkpoints_written() const { return checkpoints_.load(std::memory_order_relaxed); }
   uint64_t checkpoint_failures() const {
     return checkpoint_failures_.load(std::memory_order_relaxed);
   }
-  // Refreshes skipped because the breaker was open (trip_failures > 0 only).
-  uint64_t refreshes_suppressed() const {
-    return suppressed_.load(std::memory_order_relaxed);
-  }
   // Refreshes skipped by the alloc_fail chaos hook or a failed Clone.
   uint64_t alloc_failures() const { return alloc_failures_.load(std::memory_order_relaxed); }
-  // The validation breaker guarding the fine-tune path (read-only view).
-  const CircuitBreaker& validation_breaker() const { return breaker_; }
 
  private:
   void Loop();
@@ -141,15 +132,11 @@ class ContinualLearner {
   std::thread thread_ DEEPREST_GUARDED_BY(lifecycle_mu_);
   std::atomic<size_t> trained_through_;
   std::atomic<uint64_t> refreshes_{0};
-  std::atomic<uint64_t> suppressed_{0};
+  std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> alloc_failures_{0};
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> checkpoint_failures_{0};
   std::atomic<bool> stop_{false};
-  // The extracted validation gate (src/serve/circuit_breaker.h). Gate-only
-  // by default: identical accept/reject decisions and counts as the
-  // pre-extraction inline breaker, bit for bit.
-  CircuitBreaker breaker_;
   HealthHandle health_;
 };
 

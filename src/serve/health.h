@@ -1,9 +1,9 @@
 // Process-wide liveness registry for the serving stack's long-lived actors.
 //
 // Every background thread that is supposed to keep making progress — the
-// estimation workers, the ContinualLearner, the AutoscaleLoop, the watchdog
-// itself — registers a named component and then stamps a heartbeat at the
-// top of each work cycle. The registry turns those stamps into
+// estimation workers, the ContinualLearner, the watchdog itself — registers
+// a named component and then stamps a heartbeat at the top of each work
+// cycle. The registry turns those stamps into
 // staleness-tagged status: a component whose last heartbeat is older than
 // its declared stall threshold is kSuspect, which is what the Watchdog
 // (supervisor.h) keys recovery off.
@@ -16,8 +16,8 @@
 // Time is injectable: SteadyHealthClock for production, ManualHealthClock
 // for deterministic tests, and SkewedHealthClock layered on either to model
 // the `clock_skew` chaos fault (a supervisor reading a skewed clock sees
-// phantom staleness — exactly the false-positive storm the restart budget
-// has to absorb).
+// phantom staleness: it opens incidents and calls restart callbacks that
+// find every worker alive and so restart nothing).
 //
 // Lock hierarchy (DESIGN.md "Concurrency invariants & lock hierarchy"):
 // HealthRegistry::mu_ is a leaf — nothing is acquired under it, and

@@ -285,6 +285,10 @@ StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
         ok = true;
       } else if (config_.cold_tier == ColdTier::kDisk) {
         std::string bytes;
+        // The slab read stays under mu_ on purpose: the lease protocol pins
+        // the entry and the CLOCK hand advances under the same mutex, so
+        // reading outside it would race eviction.
+        // deeprest-lint: allow(blocking-under-lock)
         ok = slab_.ReadSlot(cold_it->second.slot, key, &bytes) &&
              DeserializeState(bytes, &state);
         if (!ok) {

@@ -1,28 +1,25 @@
 #include "src/serve/supervisor.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace deeprest {
 
-Supervisor::Supervisor(HealthRegistry& registry, const SupervisorConfig& config)
-    : registry_(registry), config_(config) {}
+Supervisor::Supervisor(HealthRegistry& registry) : registry_(registry) {}
 
-void Supervisor::Watch(size_t id, std::function<bool()> restart, size_t restart_budget) {
+void Supervisor::Watch(size_t id, std::function<bool()> restart) {
   MutexLock lock(mu_);
   Watched w;
   w.id = id;
   w.restart = std::move(restart);
-  w.budget = restart_budget > 0 ? restart_budget : config_.restart_budget;
   watched_.push_back(std::move(w));
 }
 
 size_t Supervisor::ScanOnce() {
   MutexLock scan_lock(scan_mu_);
-  // Pass 1 (under mu_): read health, advance per-incident state machines,
-  // and COLLECT the callbacks that are due. Pass 2 (outside mu_): run them.
-  // Restarts take component locks (EstimationService::stop_mu_, learner
-  // lifecycle_mu_), which must never nest under the supervision tables.
+  // Pass 1 (under mu_): read health, open and close incidents, and COLLECT
+  // the callbacks of the stale components. Pass 2 (outside mu_): run them.
+  // Restarts take component locks (EstimationService::stop_mu_), which must
+  // never nest under the supervision tables.
   std::vector<std::function<bool()>> restarts;
   {
     MutexLock lock(mu_);
@@ -33,19 +30,21 @@ size_t Supervisor::ScanOnce() {
         // Deliberate shutdown mid-incident: stop chasing it. The incident
         // stays on record unrecovered.
         w.unhealthy = false;
-        w.escalated = false;
-        w.attempts = 0;
         continue;
       }
-      const bool fresh = health.staleness_us <= health.stall_threshold_us;
-      if (!w.unhealthy && !fresh) {
+      if (health.staleness_us <= health.stall_threshold_us) {
+        if (w.unhealthy) {
+          // Heartbeats resumed: incident closed.
+          incidents_[w.incident].recovered_at_us = now;
+          ++counters_.incidents_recovered;
+          w.unhealthy = false;
+        }
+        continue;
+      }
+      if (!w.unhealthy) {
         // New incident. The MTTR clock starts at the last heartbeat — the
         // moment the component actually went quiet — not at detection.
         w.unhealthy = true;
-        w.escalated = false;
-        w.attempts = 0;
-        w.backoff = std::chrono::duration_cast<std::chrono::microseconds>(config_.base_backoff);
-        w.next_attempt_us = now;  // first attempt on this very scan
         w.incident = incidents_.size();
         RecoveryIncident incident;
         incident.component = health.name;
@@ -54,53 +53,20 @@ size_t Supervisor::ScanOnce() {
         incidents_.push_back(std::move(incident));
         ++counters_.incidents_opened;
       }
-      if (!w.unhealthy) {
-        continue;
-      }
-      if (fresh) {
-        // Heartbeats resumed: incident closed, budget restored.
-        incidents_[w.incident].recovered_at_us = now;
-        ++counters_.incidents_recovered;
-        w.unhealthy = false;
-        w.escalated = false;
-        w.attempts = 0;
-        continue;
-      }
-      if (w.escalated) {
-        continue;  // budget burned: no more attempts until it recovers
-      }
-      if (w.attempts >= w.budget) {
-        w.escalated = true;
-        incidents_[w.incident].escalated = true;
-        ++counters_.escalations;
-        continue;
-      }
-      if (now >= w.next_attempt_us && w.restart) {
-        ++w.attempts;
-        incidents_[w.incident].restart_attempts = w.attempts;
-        ++counters_.restarts_attempted;
+      if (w.restart) {
         registry_.MarkRestarting(w.id);
         restarts.push_back(w.restart);
-        w.next_attempt_us =
-            now + static_cast<uint64_t>(w.backoff.count());
-        w.backoff = std::min(
-            w.backoff * 2,
-            std::chrono::duration_cast<std::chrono::microseconds>(config_.max_backoff));
       }
     }
   }
 
-  const size_t attempted = restarts.size();
   for (auto& restart : restarts) {
-    const bool ok = restart();
-    MutexLock lock(mu_);
-    if (ok) {
+    if (restart()) {
+      MutexLock lock(mu_);
       ++counters_.restarts_succeeded;
-    } else {
-      ++counters_.restarts_failed;
     }
   }
-  return attempted;
+  return restarts.size();
 }
 
 SupervisorCounters Supervisor::counters() const {

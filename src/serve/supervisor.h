@@ -2,29 +2,27 @@
 //
 // The HealthRegistry (health.h) says who is alive; this layer decides what
 // to do about the ones that are not. A Supervisor holds, per watched
-// component, a restart callback, a restart budget, and capped-exponential
-// backoff state. Each ScanOnce() pass:
+// component, an optional restart callback and the open incident, if any.
+// Each ScanOnce() pass:
 //
 //   * opens an incident the first time a component's staleness crosses its
 //     stall threshold (recording when it went quiet — the MTTR clock starts
 //     at the FAULT, not at detection);
-//   * drives restart attempts through the callback, spacing them by
-//     base_backoff * 2^n capped at max_backoff, until the component
-//     heartbeats again (incident closed, budget restored) or the per-
-//     incident budget is exhausted;
-//   * on budget exhaustion escalates exactly once: the incident is marked
-//     escalated and counted, and no further restart is attempted until the
-//     component heartbeats again (which still closes the incident as
-//     recovered).
+//   * calls the component's restart callback on every scan while it stays
+//     stale, so a worker that dies at any point of an incident is revived on
+//     the next scan;
+//   * closes the incident as recovered on the first scan that sees the
+//     component heartbeat again.
 //
 // Restart semantics are honest about what C++ threads allow: a CRASHED
 // worker (thread exited) can be respawned, so its restart callback returns
 // true and recovery is fast; a STALLED worker cannot be killed, so its
-// callback returns false and the incident closes only when the stall ends
-// and heartbeats resume — the attempts meanwhile burn budget, which is what
-// eventually escalates a permanent livelock instead of restarting forever.
-// Meanwhile the steal sweep (estimation_service.h) serves the wedged
-// worker's queue.
+// callback returns false (EstimationService::RestartWorker takes one
+// uncontended lock to find that out) and the incident closes only when the
+// stall ends and heartbeats resume. Meanwhile the steal sweep
+// (estimation_service.h) serves the wedged worker's queue. A component
+// watched without a callback (the continual learner) only has its
+// incidents recorded.
 //
 // The Watchdog is the thread that turns scans into a loop: it heartbeats
 // itself into the same registry it scans (a stuck watchdog is visible in
@@ -35,8 +33,8 @@
 // Lock hierarchy (DESIGN.md "Concurrency invariants & lock hierarchy"):
 //   Supervisor::scan_mu_ -> Supervisor::mu_ -> HealthRegistry::mu_.
 // Restart callbacks run with only scan_mu_ held, so they may freely take
-// component locks (EstimationService::stop_mu_, learner lifecycle_mu_, ...);
-// nothing in this module is acquired inside them.
+// component locks (EstimationService::stop_mu_, ...); nothing in this module
+// is acquired inside them.
 #ifndef SRC_SERVE_SUPERVISOR_H_
 #define SRC_SERVE_SUPERVISOR_H_
 
@@ -54,26 +52,12 @@
 
 namespace deeprest {
 
-struct SupervisorConfig {
-  // Delay before the second restart attempt of an incident; doubles per
-  // attempt up to max_backoff. The first attempt fires on the detection
-  // scan itself.
-  std::chrono::milliseconds base_backoff{10};
-  std::chrono::milliseconds max_backoff{500};
-  // Restart attempts per incident before escalating (no more attempts
-  // until the component recovers). Recovery restores the full budget for
-  // the next incident.
-  size_t restart_budget = 4;
-};
-
 // One detected-fault-to-recovery episode of one component.
 struct RecoveryIncident {
   std::string component;
   uint64_t quiet_since_us = 0;   // last heartbeat before the fault
   uint64_t detected_at_us = 0;   // scan that crossed the stall threshold
   uint64_t recovered_at_us = 0;  // 0 while the incident is open
-  size_t restart_attempts = 0;
-  bool escalated = false;
 
   bool recovered() const { return recovered_at_us != 0; }
   // Detection latency: fault (heartbeats stop) -> watchdog notices.
@@ -87,28 +71,25 @@ struct RecoveryIncident {
 struct SupervisorCounters {
   uint64_t incidents_opened = 0;
   uint64_t incidents_recovered = 0;
-  uint64_t restarts_attempted = 0;
-  uint64_t restarts_succeeded = 0;
-  uint64_t restarts_failed = 0;
-  uint64_t escalations = 0;
+  uint64_t restarts_succeeded = 0;  // restart callbacks that returned true
 };
 
 class Supervisor {
  public:
   // The registry must outlive the supervisor.
-  explicit Supervisor(HealthRegistry& registry, const SupervisorConfig& config = {});
+  explicit Supervisor(HealthRegistry& registry);
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
   // Puts a registered component (by registry id) under supervision.
-  // `restart` attempts recovery and reports whether it did anything (a
-  // stalled-but-alive thread cannot be restarted -> false). budget 0 uses
-  // the config default.
-  void Watch(size_t id, std::function<bool()> restart, size_t restart_budget = 0);
+  // `restart`, if set, is called on every scan that finds the component
+  // stale, and reports whether it revived it (a stalled-but-alive thread
+  // cannot be restarted -> false).
+  void Watch(size_t id, std::function<bool()> restart = nullptr);
 
   // One deterministic scan over every watched component (what the Watchdog
-  // thread runs). Returns the number of restart attempts driven.
+  // thread runs). Returns the number of restart callbacks called.
   size_t ScanOnce();
 
   SupervisorCounters counters() const;
@@ -118,18 +99,11 @@ class Supervisor {
   struct Watched {
     size_t id = 0;
     std::function<bool()> restart;
-    size_t budget = 0;
-    // Per-incident state, reset when the incident closes.
-    bool unhealthy = false;
-    bool escalated = false;
-    size_t attempts = 0;
-    uint64_t next_attempt_us = 0;
-    std::chrono::microseconds backoff{0};
-    size_t incident = 0;  // index into incidents_ while unhealthy
+    bool unhealthy = false;  // an incident is open
+    size_t incident = 0;     // index into incidents_ while unhealthy
   };
 
   HealthRegistry& registry_;
-  const SupervisorConfig config_;
 
   // Serializes whole scans (state pass + callbacks + result pass) so two
   // ScanOnce callers cannot double-fire a restart between each other's

@@ -11,7 +11,7 @@ namespace deeprest {
 namespace {
 
 // The reactive policy needs no model, so chaos cells skip training entirely
-// (whatif = nullptr).
+// (estimator = nullptr).
 struct ChaosFixture {
   static constexpr size_t kLearnWindows = 48;
   Application app = testutil::TinyApp();
@@ -91,9 +91,8 @@ TEST(AutoscaleChaos, ChaosRunsAreReproducible) {
 
 TEST(AutoscaleChaos, PredictiveWithoutForecastDegradesGracefully) {
   ChaosFixture f;
-  // No what-if source at all (no model published, service down): the
-  // predictive policy must degrade to observational sizing, not crash or
-  // treat "no forecast" as zero demand.
+  // No model to ask the what-if query: the predictive policy must degrade to
+  // observational sizing, not crash or treat "no forecast" as zero demand.
   const ClosedLoopResult r =
       RunClosedLoop(f.app, f.sim, ChaosFixture::kLearnWindows, ChaosTraffic(), nullptr,
                     ChaosConfig(PolicyKind::kPredictive, 0.2), "no-forecast");

@@ -1,22 +1,14 @@
 // End-to-end closed-loop autoscaling: the evaluation harness over a trained
-// estimator, determinism across evaluation threads, and the serving-side
-// AutoscaleLoop lifecycle.
+// estimator and its determinism across evaluation threads.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <map>
 #include <memory>
-#include <thread>
+#include <string>
 #include <vector>
 
-#include "src/autoscale/controller.h"
-#include "src/autoscale/loop.h"
 #include "src/autoscale/policy.h"
 #include "src/eval/autoscale_harness.h"
 #include "src/eval/parallel.h"
-#include "src/serve/estimation_service.h"
-#include "src/serve/model_registry.h"
-#include "src/serve/whatif.h"
 #include "tests/serve/test_app.h"
 
 namespace deeprest {
@@ -66,11 +58,10 @@ ClosedLoopConfig TestConfig(PolicyKind policy) {
 }
 
 TEST(ClosedLoop, AllPoliciesRunAndAccount) {
-  EstimatorWhatIf whatif(*F().model);
   const TrafficSeries traffic = SurgeTraffic();
   for (PolicyKind kind : AllPolicyKinds()) {
     const ClosedLoopResult r = RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows,
-                                             traffic, &whatif, TestConfig(kind), "surge");
+                                             traffic, F().model.get(), TestConfig(kind), "surge");
     SCOPED_TRACE(r.policy);
     EXPECT_EQ(r.scenario, "surge");
     EXPECT_EQ(r.windows, traffic.windows());
@@ -86,13 +77,12 @@ TEST(ClosedLoop, AllPoliciesRunAndAccount) {
 }
 
 TEST(ClosedLoop, OracleIsTheUpperBound) {
-  EstimatorWhatIf whatif(*F().model);
   const TrafficSeries traffic = SurgeTraffic();
   const ClosedLoopResult oracle =
-      RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows, traffic, &whatif,
+      RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows, traffic, F().model.get(),
                     TestConfig(PolicyKind::kOracle), "surge");
   const ClosedLoopResult reactive =
-      RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows, traffic, &whatif,
+      RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows, traffic, F().model.get(),
                     TestConfig(PolicyKind::kReactive), "surge");
   // The oracle sizes true demand to just under the knee: it never does worse
   // than the threshold baseline on violations.
@@ -102,7 +92,6 @@ TEST(ClosedLoop, OracleIsTheUpperBound) {
 // ISSUE acceptance: same seed + scenario => byte-identical action log whether
 // cells run on one thread or N.
 TEST(ClosedLoop, DeterministicAcrossEvalThreads) {
-  EstimatorWhatIf whatif(*F().model);
   const TrafficSeries traffic = SurgeTraffic();
 
   std::vector<ClosedLoopConfig> cells;
@@ -115,7 +104,7 @@ TEST(ClosedLoop, DeterministicAcrossEvalThreads) {
   }
 
   auto run_cell = [&](size_t i) {
-    return RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows, traffic, &whatif,
+    return RunClosedLoop(F().app, F().sim, Fixture::kLearnWindows, traffic, F().model.get(),
                          cells[i], "surge");
   };
 
@@ -133,99 +122,6 @@ TEST(ClosedLoop, DeterministicAcrossEvalThreads) {
     EXPECT_EQ(serial[i].provisioned_core_hours, parallel[i].provisioned_core_hours);
     EXPECT_EQ(serial[i].demand_core_hours, parallel[i].demand_core_hours);
   }
-}
-
-TEST(AutoscaleLoopTest, TicksWhenEnoughWindowsAreFeatured) {
-  Fixture& f = F();
-  IngestPipeline pipeline(f.model->features(), {.shards = 2});
-  EstimatorWhatIf whatif(*f.model);
-
-  PolicyConfig policy_config;
-  const auto policy = MakePolicy(PolicyKind::kPredictive, policy_config);
-  AutoscaleControllerConfig ctrl_config;
-  ctrl_config.control_interval = 4;
-  AutoscaleController controller(*policy, ctrl_config);
-  for (const auto& spec : f.app.components()) {
-    controller.AddComponent(spec.name, spec.stateful, 1, 50.0);
-  }
-
-  const size_t plan_base = 32;
-  AutoscaleLoopConfig loop_config;
-  loop_config.control_interval = 4;
-  std::vector<ScalingAction> sunk;
-  AutoscaleLoop loop(controller, whatif, pipeline, f.app,
-                     testutil::RandomTraffic(16, 21), plan_base, loop_config,
-                     [&](const std::vector<ScalingAction>& actions) {
-                       sunk.insert(sunk.end(), actions.begin(), actions.end());
-                     });
-
-  // Nothing ingested: no tick.
-  EXPECT_FALSE(loop.TickOnce());
-  EXPECT_EQ(loop.ticks(), 0u);
-
-  // Stream the learned phase in; the frontier reaches 40, the live watermark
-  // seals 39 >= plan_base + interval, so exactly one decision is due.
-  const auto keys = f.metrics.Keys();
-  for (size_t w = 0; w < 40; ++w) {
-    for (const Trace& trace : f.traces.TracesAt(w)) {
-      pipeline.IngestTrace(w, trace);
-    }
-    for (const MetricKey& key : keys) {
-      pipeline.IngestMetric(key, w, f.metrics.At(key, w));
-    }
-  }
-  EXPECT_TRUE(loop.TickOnce());
-  EXPECT_EQ(loop.ticks(), 1u);
-  EXPECT_EQ(loop.controlled_through(), 39u + ctrl_config.control_interval);
-  EXPECT_FALSE(loop.TickOnce());  // next decision not due yet
-  EXPECT_EQ(controller.counters().ticks, 1u);
-}
-
-TEST(AutoscaleLoopTest, StartStopLifecycleIsIdempotent) {
-  Fixture& f = F();
-  IngestPipeline pipeline(f.model->features(), {.shards = 2});
-  EstimatorWhatIf whatif(*f.model);
-  PolicyConfig policy_config;
-  const auto policy = MakePolicy(PolicyKind::kReactive, policy_config);
-  AutoscaleControllerConfig ctrl_config;
-  AutoscaleController controller(*policy, ctrl_config);
-  controller.AddComponent("Frontend", false, 1, 50.0);
-
-  AutoscaleLoopConfig loop_config;
-  loop_config.poll_interval = std::chrono::milliseconds(1);
-  AutoscaleLoop loop(controller, whatif, pipeline, f.app,
-                     testutil::RandomTraffic(8, 22), 0, loop_config);
-  loop.Start();
-  loop.Start();  // second Start is a no-op, not a second thread
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  loop.Stop();
-  loop.Stop();
-  loop.Start();  // restartable after Stop
-  loop.Stop();
-}
-
-TEST(ServiceWhatIfTest, RoutesThroughTheFrontDoorAndDegradesWhenStopped) {
-  Fixture& f = F();
-  // The service takes ownership of its model; train a private one.
-  auto model = std::make_unique<DeepRestEstimator>(testutil::FastConfig());
-  model->Learn(f.traces, f.metrics, 0, Fixture::kLearnWindows, f.app.MetricCatalog());
-  const EstimateMap direct =
-      model->EstimateFromTraffic(testutil::RandomTraffic(8, 31), 5);
-
-  ModelRegistry registry;
-  IngestPipeline pipeline(model->features(), {.shards = 2});
-  registry.Publish(std::move(model));
-  EstimationServiceConfig service_config;
-  service_config.workers = 2;
-  EstimationService service(registry, pipeline, service_config);
-  ServiceWhatIf whatif(service);
-
-  const EstimateMap via_service = whatif.Estimate(testutil::RandomTraffic(8, 31), 5);
-  testutil::ExpectSameEstimates(via_service, direct);
-
-  service.Stop();
-  // A rejected request is "no forecast", never zeros.
-  EXPECT_TRUE(whatif.Estimate(testutil::RandomTraffic(8, 31), 5).empty());
 }
 
 }  // namespace

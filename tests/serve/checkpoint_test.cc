@@ -210,7 +210,7 @@ TEST(CheckpointTest, KillAndRestartRecoversLastCheckpointedVersion) {
   std::remove((path + ".prev").c_str());
 }
 
-TEST(ContinualLearnerTest, CircuitBreakerRejectsRegressingFineTune) {
+TEST(ContinualLearnerTest, ValidationGateRejectsRegressingFineTune) {
   TinySetup s = MakeSetup();
   auto model = TrainModel(s);
   ModelRegistry registry;
@@ -218,7 +218,7 @@ TEST(ContinualLearnerTest, CircuitBreakerRejectsRegressingFineTune) {
   registry.Publish(std::move(model));
 
   // An absurdly strict factor: any measurable regression (and in practice
-  // any nonzero validation delta) trips the breaker.
+  // any nonzero validation delta) fails the validation gate.
   ContinualLearnerConfig config;
   config.min_new_windows = 16;
   config.epochs = 1;

@@ -1,21 +1,22 @@
 // Self-healing supervision layer: HealthRegistry staleness accounting, the
-// reusable CircuitBreaker, Supervisor incident/backoff/budget/escalation
-// state machine (driven deterministically with a ManualHealthClock), the
-// Watchdog thread, and worker recovery through the real EstimationService:
-// a crashed worker restarts and serves bit-exact, a wedged worker's queue is
-// served by its sibling's steal sweep, and a permanent stall escalates once
-// and stops being restarted.
+// learner's validation gate, Supervisor incident tracking (driven
+// deterministically with a ManualHealthClock), the Watchdog thread, and
+// worker recovery through the real EstimationService: a crashed worker
+// restarts and serves bit-exact, a wedged worker's queue is served by its
+// sibling's steal sweep, a long stall restarts nothing and recovers on the
+// next heartbeat, and a worker that dies after a long wedge restarts on the
+// next scan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/serve/circuit_breaker.h"
 #include "src/serve/continual_learner.h"
 #include "src/serve/estimation_service.h"
 #include "src/serve/health.h"
@@ -124,87 +125,16 @@ TEST(HealthStatusTest, NamesAreDistinctAndKnown) {
 }
 
 // ---------------------------------------------------------------------------
-// CircuitBreaker
+// ContinualLearner validation gate
 // ---------------------------------------------------------------------------
 
-TEST(CircuitBreakerTest, GateOnlyModeNeverOpens) {
-  CircuitBreaker breaker;  // trip_failures = 0
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(breaker.Allow());
-    breaker.RecordFailure();
-  }
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_EQ(breaker.failures(), 50u);
-  EXPECT_EQ(breaker.counters().trips, 0u);
-}
-
-TEST(CircuitBreakerTest, ConsecutiveFailuresTripAndProbeRecovers) {
-  CircuitBreakerConfig config;
-  config.trip_failures = 3;
-  config.open_rejections = 2;
-  CircuitBreaker breaker(config);
-
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  breaker.RecordSuccess();  // resets the streak
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.RecordFailure();  // third consecutive: trips
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.counters().trips, 1u);
-
-  // Two rejected attempts move open -> half-open.
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-
-  // Exactly one probe; racing callers are rejected.
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, FailedProbeReopensForAFullRound) {
-  CircuitBreakerConfig config;
-  config.trip_failures = 1;
-  config.open_rejections = 2;
-  CircuitBreaker breaker(config);
-  breaker.RecordFailure();  // trips immediately
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_TRUE(breaker.Allow());  // half-open probe
-  breaker.RecordFailure();       // probe failed: re-open
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.counters().trips, 2u);
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_TRUE(breaker.Allow());  // next probe after another full round
-}
-
-TEST(CircuitBreakerTest, AbandonedProbeFreesTheSlot) {
-  CircuitBreakerConfig config;
-  config.trip_failures = 1;
-  config.open_rejections = 1;
-  CircuitBreaker breaker(config);
-  breaker.RecordFailure();
-  EXPECT_FALSE(breaker.Allow());  // -> half-open
-  EXPECT_TRUE(breaker.Allow());   // probe slot taken
-  EXPECT_FALSE(breaker.Allow());  // slot busy
-  breaker.AbandonProbe();         // the probe never actually ran
-  EXPECT_TRUE(breaker.Allow());   // slot available again — no wedge
-}
-
-TEST(CircuitBreakerTest, ValidationRegressedMatchesLegacyGate) {
-  // The exact decision the learner's inline breaker used to make.
-  EXPECT_FALSE(CircuitBreaker::ValidationRegressed(1.0, 1.0, 1.5));
-  EXPECT_FALSE(CircuitBreaker::ValidationRegressed(1.0, 1.5, 1.5));  // at the line
-  EXPECT_TRUE(CircuitBreaker::ValidationRegressed(1.0, 1.51, 1.5));
-  EXPECT_FALSE(CircuitBreaker::ValidationRegressed(0.0, 0.0, 1.5));  // epsilon guard
-  EXPECT_FALSE(CircuitBreaker::ValidationRegressed(1.0, 9.0, 0.0));  // disabled
+TEST(ValidationGateTest, ValidationRegressedMatchesLegacyGate) {
+  // The learner rejects a candidate only past factor x the base error.
+  EXPECT_FALSE(ValidationRegressed(1.0, 1.0, 1.5));
+  EXPECT_FALSE(ValidationRegressed(1.0, 1.5, 1.5));  // at the line
+  EXPECT_TRUE(ValidationRegressed(1.0, 1.51, 1.5));
+  EXPECT_FALSE(ValidationRegressed(0.0, 0.0, 1.5));  // epsilon guard
+  EXPECT_FALSE(ValidationRegressed(1.0, 9.0, 0.0));  // disabled
 }
 
 // ---------------------------------------------------------------------------
@@ -214,19 +144,13 @@ TEST(CircuitBreakerTest, ValidationRegressedMatchesLegacyGate) {
 struct SupervisedHarness {
   ManualHealthClock clock{1000};
   HealthRegistry registry{&clock};
-  SupervisorConfig config;
-  std::unique_ptr<Supervisor> supervisor;
-  HealthHandle handle;
+  Supervisor supervisor{registry};
+  HealthHandle handle = registry.Register("victim", 1000);
   std::atomic<int> restarts{0};
   bool restart_result = true;
 
-  explicit SupervisedHarness(size_t budget = 4, uint64_t threshold_us = 1000) {
-    config.base_backoff = std::chrono::milliseconds(10);
-    config.max_backoff = std::chrono::milliseconds(40);
-    config.restart_budget = budget;
-    supervisor = std::make_unique<Supervisor>(registry, config);
-    handle = registry.Register("victim", threshold_us);
-    supervisor->Watch(handle.id(), [this] {
+  SupervisedHarness() {
+    supervisor.Watch(handle.id(), [this] {
       restarts.fetch_add(1);
       return restart_result;
     });
@@ -238,11 +162,11 @@ TEST(SupervisorTest, HealthyComponentNeverTriggersAnything) {
   for (int i = 0; i < 5; ++i) {
     h.clock.Advance(500);
     h.handle.Heartbeat();
-    EXPECT_EQ(h.supervisor->ScanOnce(), 0u);
+    EXPECT_EQ(h.supervisor.ScanOnce(), 0u);
   }
   EXPECT_EQ(h.restarts.load(), 0);
-  EXPECT_EQ(h.supervisor->counters().incidents_opened, 0u);
-  EXPECT_TRUE(h.supervisor->Incidents().empty());
+  EXPECT_EQ(h.supervisor.counters().incidents_opened, 0u);
+  EXPECT_TRUE(h.supervisor.Incidents().empty());
 }
 
 TEST(SupervisorTest, StallOpensIncidentAndMttrClockStartsAtTheFault) {
@@ -250,10 +174,10 @@ TEST(SupervisorTest, StallOpensIncidentAndMttrClockStartsAtTheFault) {
   // Heartbeats stop at t=1000 (registration stamp). Staleness crosses the
   // 1000us threshold at t=2001.
   h.clock.Set(2500);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 1u);  // detection scan restarts immediately
+  EXPECT_EQ(h.supervisor.ScanOnce(), 1u);  // detection scan restarts immediately
   EXPECT_EQ(h.restarts.load(), 1);
 
-  auto incidents = h.supervisor->Incidents();
+  auto incidents = h.supervisor.Incidents();
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].component, "victim");
   EXPECT_EQ(incidents[0].quiet_since_us, 1000u);  // the FAULT, not detection
@@ -264,95 +188,65 @@ TEST(SupervisorTest, StallOpensIncidentAndMttrClockStartsAtTheFault) {
   // Recovery: heartbeats resume, the next scan closes the incident.
   h.clock.Set(4000);
   h.handle.Heartbeat();
-  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);
-  incidents = h.supervisor->Incidents();
+  EXPECT_EQ(h.supervisor.ScanOnce(), 0u);
+  incidents = h.supervisor.Incidents();
   ASSERT_TRUE(incidents[0].recovered());
   EXPECT_EQ(incidents[0].recovered_at_us, 4000u);
   EXPECT_EQ(incidents[0].mttr_us(), 3000u);  // fault at 1000 -> recovered at 4000
-  const SupervisorCounters counters = h.supervisor->counters();
+  const SupervisorCounters counters = h.supervisor.counters();
   EXPECT_EQ(counters.incidents_opened, 1u);
   EXPECT_EQ(counters.incidents_recovered, 1u);
 }
 
-TEST(SupervisorTest, RestartsSpaceOutWithCappedExponentialBackoff) {
+// A stale component's callback runs on every scan until it heartbeats
+// again: no scan gives up on it, however many callbacks failed before.
+TEST(SupervisorTest, StaleComponentGetsItsCallbackOnEveryScan) {
   SupervisedHarness h;
-  h.clock.Set(3000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 1u);  // attempt 1 at 3000
-  // Backoff 10ms: scans before 13000us drive nothing.
-  h.clock.Set(9000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);
-  h.clock.Set(13000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 1u);  // attempt 2
-  // Backoff doubles to 20ms.
-  h.clock.Set(25000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);
-  h.clock.Set(33000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 1u);  // attempt 3
-  EXPECT_EQ(h.restarts.load(), 3);
-  EXPECT_EQ(h.supervisor->counters().restarts_attempted, 3u);
-  EXPECT_EQ(h.supervisor->counters().restarts_succeeded, 3u);
+  h.restart_result = false;  // a stall cannot be restarted
+  for (uint64_t t = 5000; t <= 105000; t += 10000) {
+    h.clock.Set(t);
+    EXPECT_EQ(h.supervisor.ScanOnce(), 1u);
+  }
+  EXPECT_EQ(h.restarts.load(), 11);
+  SupervisorCounters counters = h.supervisor.counters();
+  EXPECT_EQ(counters.incidents_opened, 1u);
+  EXPECT_EQ(counters.restarts_succeeded, 0u);
+
+  h.clock.Set(200000);
+  h.handle.Heartbeat();
+  EXPECT_EQ(h.supervisor.ScanOnce(), 0u);
+  EXPECT_EQ(h.restarts.load(), 11);
+  const auto incidents = h.supervisor.Incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_EQ(incidents[0].recovered_at_us, 200000u);
+  counters = h.supervisor.counters();
+  EXPECT_EQ(counters.incidents_recovered, 1u);
 }
 
-TEST(SupervisorTest, BudgetExhaustionEscalatesExactlyOnce) {
-  SupervisedHarness h(/*budget=*/2);
-  h.restart_result = false;  // a stall cannot be restarted
-
-  h.clock.Set(5000);
-  h.supervisor->ScanOnce();  // attempt 1
-  h.clock.Set(100000);
-  h.supervisor->ScanOnce();  // attempt 2 — budget spent
-  EXPECT_EQ(h.supervisor->counters().escalations, 0u);
-  ASSERT_EQ(h.supervisor->Incidents().size(), 1u);
-  EXPECT_FALSE(h.supervisor->Incidents()[0].escalated);
-  h.clock.Set(200000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);  // out of budget: escalate
-  EXPECT_EQ(h.supervisor->counters().escalations, 1u);
-  ASSERT_EQ(h.supervisor->Incidents().size(), 1u);
-  EXPECT_EQ(h.supervisor->Incidents()[0].component, "victim");
-  EXPECT_TRUE(h.supervisor->Incidents()[0].escalated);
-
-  h.clock.Set(300000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);  // still out of budget: no double escalation
-  const SupervisorCounters counters = h.supervisor->counters();
-  EXPECT_EQ(counters.escalations, 1u);
-  EXPECT_EQ(counters.restarts_attempted, 2u);
-  EXPECT_EQ(counters.restarts_failed, 2u);
-  EXPECT_EQ(h.restarts.load(), 2);
-
-  // Recovery after escalation still closes the incident and restores budget.
-  h.clock.Set(400000);
-  h.handle.Heartbeat();
-  h.supervisor->ScanOnce();
-  auto incidents = h.supervisor->Incidents();
-  ASSERT_EQ(incidents.size(), 1u);
-  EXPECT_TRUE(incidents[0].recovered());
-  EXPECT_TRUE(incidents[0].escalated);
+TEST(SupervisorTest, ComponentWatchedWithoutCallbackOnlyRecordsIncidents) {
+  ManualHealthClock clock(1000);
+  HealthRegistry registry(&clock);
+  Supervisor supervisor(registry);
+  HealthHandle handle = registry.Register("learner", 1000);
+  supervisor.Watch(handle.id());
+  clock.Set(5000);
+  EXPECT_EQ(supervisor.ScanOnce(), 0u);
+  EXPECT_EQ(registry.Health(handle.id()).status, HealthStatus::kSuspect);
+  clock.Set(6000);
+  handle.Heartbeat();
+  EXPECT_EQ(supervisor.ScanOnce(), 0u);
+  const SupervisorCounters counters = supervisor.counters();
+  EXPECT_EQ(counters.incidents_opened, 1u);
+  EXPECT_EQ(counters.incidents_recovered, 1u);
+  EXPECT_EQ(counters.restarts_succeeded, 0u);
 }
 
 TEST(SupervisorTest, StoppedComponentsAreExemptFromScans) {
   SupervisedHarness h;
   h.handle.MarkStopped();
   h.clock.Set(10000000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 0u);
-  EXPECT_EQ(h.supervisor->counters().incidents_opened, 0u);
-}
-
-TEST(SupervisorTest, RecoveryRestoresBudgetForTheNextIncident) {
-  SupervisedHarness h(/*budget=*/1);
-  h.clock.Set(3000);
-  h.supervisor->ScanOnce();  // incident 1, attempt 1 (budget spent)
-  h.clock.Set(4000);
-  h.handle.Heartbeat();
-  h.supervisor->ScanOnce();  // recovered
-  // Second incident gets a fresh budget: attempt fires, no escalation.
-  h.clock.Set(10000);
-  EXPECT_EQ(h.supervisor->ScanOnce(), 1u);
-  EXPECT_EQ(h.supervisor->counters().escalations, 0u);
-  EXPECT_EQ(h.supervisor->counters().incidents_opened, 2u);
-  const auto incidents = h.supervisor->Incidents();
-  ASSERT_EQ(incidents.size(), 2u);
-  EXPECT_FALSE(incidents[0].escalated);
-  EXPECT_FALSE(incidents[1].escalated);
+  EXPECT_EQ(h.supervisor.ScanOnce(), 0u);
+  EXPECT_EQ(h.supervisor.counters().incidents_opened, 0u);
 }
 
 TEST(WatchdogTest, ThreadScansAndRecoversARealStall) {
@@ -360,9 +254,7 @@ TEST(WatchdogTest, ThreadScansAndRecoversARealStall) {
   // threshold, a watchdog polling every 1ms, and a restart callback that
   // "revives" it by heartbeating on its behalf.
   HealthRegistry registry;
-  Supervisor supervisor(registry, {.base_backoff = std::chrono::milliseconds(1),
-                                   .max_backoff = std::chrono::milliseconds(4),
-                                   .restart_budget = 100});
+  Supervisor supervisor(registry);
   HealthHandle handle = registry.Register("sleeper", 2000);
   supervisor.Watch(handle.id(), [&handle] {
     handle.Heartbeat();
@@ -389,8 +281,51 @@ TEST(WatchdogTest, ThreadScansAndRecoversARealStall) {
 }
 
 // ---------------------------------------------------------------------------
-// EstimationService integration: crash, restart, wedge, escalation
+// EstimationService integration: crash, restart, wedge
 // ---------------------------------------------------------------------------
+
+// Set-up shared by the manual-clock wedge scenarios below: a trained model
+// published behind a two-worker service whose health clock is manual, so the
+// scans are driven by hand and every transition is exact.
+struct WedgeSetup {
+  TinySetup s = MakeSetup();
+  std::unique_ptr<DeepRestEstimator> model = TrainModel(s);
+  std::vector<std::vector<float>> features =
+      model->features().ExtractSeries(s.traces, s.learn_windows, s.total());
+  EstimateMap oracle = model->EstimateFromFeatures(features);
+  ModelRegistry registry;
+  IngestPipeline pipeline{model->features(), {.shards = 2}};
+  ManualHealthClock clock{1000};
+  HealthRegistry health{&clock};
+
+  WedgeSetup() { registry.Publish(std::move(model)); }
+
+  EstimationServiceConfig Config(std::function<WorkerFault(size_t)> hook) {
+    EstimationServiceConfig config;
+    config.workers = 2;
+    config.health = &health;
+    config.worker_stall_threshold_us = 100000;
+    config.worker_fault_hook = std::move(hook);
+    return config;
+  }
+};
+
+// Releases a wedge on scope exit, so an assertion that returns early does not
+// leave the service's destructor joining a worker that never returns. Declare
+// it after the service: it is destroyed first.
+struct ReleaseOnExit {
+  std::atomic<bool>& release;
+  ~ReleaseOnExit() { release.store(true); }
+};
+
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
 
 TEST(ServiceSupervisionTest, CrashedWorkerRestartsAndServesBitExact) {
   TinySetup s = MakeSetup();
@@ -474,17 +409,8 @@ TEST(ServiceSupervisionTest, StealServesRequestsQueuedBehindAWedgedWorker) {
     return WorkerFault::kStall;
   };
   EstimationService service(registry, pipeline, config);
-  // Destroyed before the service: an assertion that returns early releases
-  // the wedge, so the service's destructor can join worker 0.
-  struct ReleaseOnExit {
-    std::atomic<bool>& release;
-    ~ReleaseOnExit() { release.store(true); }
-  } release_on_exit{release};
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(wedged.load());
+  ReleaseOnExit release_on_exit{release};
+  ASSERT_TRUE(WaitFor([&wedged] { return wedged.load(); }));
 
   constexpr size_t kRequests = 8;
   std::vector<std::future<EstimationService::EstimateResult>> futures;
@@ -538,9 +464,7 @@ TEST(ServiceSupervisionTest, WatchdogAutoRestartsACrashedWorker) {
   };
   EstimationService service(registry, pipeline, config);
 
-  Supervisor supervisor(health, {.base_backoff = std::chrono::milliseconds(5),
-                                 .max_backoff = std::chrono::milliseconds(50),
-                                 .restart_budget = 50});
+  Supervisor supervisor(health);
   const size_t worker0 = health.Register("estimation-worker-0", 1).id();
   supervisor.Watch(worker0, [&service] { return service.RestartWorker(0); });
   Watchdog watchdog(supervisor, health,
@@ -571,31 +495,14 @@ TEST(ServiceSupervisionTest, WatchdogAutoRestartsACrashedWorker) {
 }
 
 // A permanent stall: worker 0 stays wedged in its fault hook, so every
-// restart attempt fails (a live thread cannot be restarted). The supervisor
-// spends its budget, escalates exactly once and then stops attempting, while
-// the sibling's steal sweep keeps serving. When the wedge ends and worker 0
-// heartbeats again, the escalated incident closes as recovered. The health
-// clock is manual and the scans are driven by hand, so every transition is
-// exact.
-TEST(ServiceSupervisionTest, PermanentStallEscalatesAndStopsRestarting) {
-  TinySetup s = MakeSetup();
-  auto model = TrainModel(s);
-  const auto features =
-      model->features().ExtractSeries(s.traces, s.learn_windows, s.total());
-  const EstimateMap oracle = model->EstimateFromFeatures(features);
-  ModelRegistry registry;
-  IngestPipeline pipeline(model->features(), {.shards = 2});
-  registry.Publish(std::move(model));
-
-  ManualHealthClock clock(1000);
-  HealthRegistry health(&clock);
+// restart callback finds a live thread and restarts nothing, while the
+// sibling's steal sweep keeps serving. When the wedge ends and worker 0
+// heartbeats again, the next scan closes the incident as recovered.
+TEST(ServiceSupervisionTest, PermanentStallRestartsNothingAndRecoversOnTheNextHeartbeat) {
+  WedgeSetup w;
   std::atomic<bool> wedged{false};
   std::atomic<bool> release{false};
-  EstimationServiceConfig config;
-  config.workers = 2;
-  config.health = &health;
-  config.worker_stall_threshold_us = 100000;
-  config.worker_fault_hook = [&wedged, &release](size_t worker) {
+  const EstimationServiceConfig config = w.Config([&wedged, &release](size_t worker) {
     if (worker != 0 || release.load()) {
       return WorkerFault::kNone;
     }
@@ -604,22 +511,13 @@ TEST(ServiceSupervisionTest, PermanentStallEscalatesAndStopsRestarting) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return WorkerFault::kStall;
-  };
-  EstimationService service(registry, pipeline, config);
-  struct ReleaseOnExit {
-    std::atomic<bool>& release;
-    ~ReleaseOnExit() { release.store(true); }
-  } release_on_exit{release};
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(wedged.load());
+  });
+  EstimationService service(w.registry, w.pipeline, config);
+  ReleaseOnExit release_on_exit{release};
+  ASSERT_TRUE(WaitFor([&wedged] { return wedged.load(); }));
 
-  Supervisor supervisor(health, {.base_backoff = std::chrono::milliseconds(10),
-                                 .max_backoff = std::chrono::milliseconds(40),
-                                 .restart_budget = 2});
-  const size_t worker0 = health.Register("estimation-worker-0", 1).id();
+  Supervisor supervisor(w.health);
+  const size_t worker0 = w.health.Register("estimation-worker-0", 1).id();
   std::atomic<int> restart_calls{0};
   supervisor.Watch(worker0, [&service, &restart_calls] {
     restart_calls.fetch_add(1);
@@ -627,73 +525,117 @@ TEST(ServiceSupervisionTest, PermanentStallEscalatesAndStopsRestarting) {
   });
 
   // Worker 0 last heartbeat at t = 1000 us, at the top of the sweep it is
-  // wedged in.
-  clock.Set(200000);
-  EXPECT_EQ(supervisor.ScanOnce(), 1u);  // detection scan: attempt 1
-  clock.Set(210000);
-  EXPECT_EQ(supervisor.ScanOnce(), 1u);  // after the 10 ms backoff: attempt 2
-  EXPECT_EQ(supervisor.counters().escalations, 0u);
-  clock.Set(250000);
-  EXPECT_EQ(supervisor.ScanOnce(), 0u);  // budget spent: escalate
+  // wedged in. Every scan while it stays stale calls the callback, and every
+  // call finds a live thread.
+  for (uint64_t t = 1000000; t <= 10000000; t += 1000000) {
+    w.clock.Set(t);
+    EXPECT_EQ(supervisor.ScanOnce(), 1u);
+  }
   SupervisorCounters counters = supervisor.counters();
-  EXPECT_EQ(restart_calls.load(), 2);
-  EXPECT_EQ(counters.restarts_attempted, 2u);
-  EXPECT_EQ(counters.restarts_failed, 2u);
+  EXPECT_EQ(restart_calls.load(), 10);
   EXPECT_EQ(counters.restarts_succeeded, 0u);
-  EXPECT_EQ(counters.escalations, 1u);
+  EXPECT_EQ(counters.incidents_opened, 1u);
   std::vector<RecoveryIncident> incidents = supervisor.Incidents();
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].component, "estimation-worker-0");
-  EXPECT_EQ(incidents[0].restart_attempts, 2u);
-  EXPECT_TRUE(incidents[0].escalated);
   EXPECT_FALSE(incidents[0].recovered());
-
-  // Later scans, long past every backoff, make no third attempt.
-  for (uint64_t t = 1000000; t <= 10000000; t += 1000000) {
-    clock.Set(t);
-    EXPECT_EQ(supervisor.ScanOnce(), 0u);
-  }
-  counters = supervisor.counters();
-  EXPECT_EQ(restart_calls.load(), 2);
-  EXPECT_EQ(counters.restarts_attempted, 2u);
-  EXPECT_EQ(counters.escalations, 1u);
-  EXPECT_EQ(counters.incidents_opened, 1u);
 
   // The service keeps serving, bit-exact, through the sibling's steal sweep.
   constexpr size_t kRequests = 8;
   std::vector<std::future<EstimationService::EstimateResult>> futures;
   for (size_t i = 0; i < kRequests; ++i) {
-    futures.push_back(service.SubmitFeatures(features));
+    futures.push_back(service.SubmitFeatures(w.features));
   }
   for (size_t i = 0; i < kRequests; ++i) {
     ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)), std::future_status::ready)
         << "request " << i << " is stranded behind the wedged worker";
     const auto result = futures[i].get();
     ASSERT_EQ(result.status, RequestStatus::kOk) << "request " << i;
-    ExpectSameEstimates(result.estimates, oracle);
+    ExpectSameEstimates(result.estimates, w.oracle);
   }
   EXPECT_EQ(service.Counters().worker_stalls, 0u);  // worker 0 is still wedged
   EXPECT_EQ(service.Counters().worker_restarts, 0u);
 
   // The wedge ends; worker 0's next sweep heartbeats at the manual clock's
-  // current time, and the next scan closes the escalated incident.
+  // current time, and the next scan closes the incident.
   release.store(true);
-  const auto heartbeat_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (health.Health(worker0).staleness_us > config.worker_stall_threshold_us &&
-         std::chrono::steady_clock::now() < heartbeat_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_LE(health.Health(worker0).staleness_us, config.worker_stall_threshold_us);
+  ASSERT_TRUE(WaitFor([&] {
+    return w.health.Health(worker0).staleness_us <= config.worker_stall_threshold_us;
+  }));
   EXPECT_EQ(supervisor.ScanOnce(), 0u);
   incidents = supervisor.Incidents();
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_TRUE(incidents[0].recovered());
-  EXPECT_TRUE(incidents[0].escalated);
   EXPECT_EQ(incidents[0].recovered_at_us, 10000000u);
   counters = supervisor.counters();
   EXPECT_EQ(counters.incidents_recovered, 1u);
-  EXPECT_EQ(counters.restarts_attempted, 2u);
-  EXPECT_EQ(restart_calls.load(), 2);
+  EXPECT_EQ(restart_calls.load(), 10);
+  EXPECT_EQ(service.Counters().worker_restarts, 0u);
+}
+
+// A worker wedged through many scans that then dies, with no heartbeat in
+// between, is restarted by the first scan after it exits: however many
+// callbacks the wedge made fail, the scans never stop calling it.
+TEST(ServiceSupervisionTest, WorkerThatDiesAfterALongWedgeRestartsOnTheNextScan) {
+  WedgeSetup w;
+  std::atomic<bool> wedged{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> crashed{false};
+  const EstimationServiceConfig config =
+      w.Config([&wedged, &release, &crashed](size_t worker) {
+        if (worker != 0 || crashed.load()) {
+          return WorkerFault::kNone;
+        }
+        wedged.store(true);
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        crashed.store(true);
+        return WorkerFault::kCrash;
+      });
+  EstimationService service(w.registry, w.pipeline, config);
+  ReleaseOnExit release_on_exit{release};
+  ASSERT_TRUE(WaitFor([&wedged] { return wedged.load(); }));
+
+  Supervisor supervisor(w.health);
+  const size_t worker0 = w.health.Register("estimation-worker-0", 1).id();
+  supervisor.Watch(worker0, [&service] { return service.RestartWorker(0); });
+
+  // Five scans a second apart while worker 0 is wedged (it last heartbeat
+  // at t = 1000 us): each one's callback finds a live thread.
+  for (uint64_t t = 1000000; t <= 5000000; t += 1000000) {
+    w.clock.Set(t);
+    supervisor.ScanOnce();
+  }
+  EXPECT_EQ(supervisor.counters().restarts_succeeded, 0u);
+  EXPECT_FALSE(service.WorkerExited(0));
+
+  // The wedge ends in a crash: the worker exits without a heartbeat.
+  release.store(true);
+  ASSERT_TRUE(WaitFor([&service] { return service.WorkerExited(0); }));
+  EXPECT_GT(w.health.Health(worker0).staleness_us, config.worker_stall_threshold_us);
+
+  // The first scan after the exit restarts the worker, whose revival
+  // heartbeat lands at the manual clock's current time.
+  w.clock.Set(6000000);
+  supervisor.ScanOnce();
+  EXPECT_EQ(supervisor.counters().restarts_succeeded, 1u);
+  EXPECT_EQ(service.Counters().worker_crashes, 1u);
+  EXPECT_EQ(service.Counters().worker_restarts, 1u);
+  EXPECT_FALSE(service.WorkerExited(0));
+
+  // The next scan closes the incident.
+  EXPECT_EQ(supervisor.ScanOnce(), 0u);
+  const std::vector<RecoveryIncident> incidents = supervisor.Incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_TRUE(incidents[0].recovered());
+  EXPECT_EQ(incidents[0].recovered_at_us, 6000000u);
+  EXPECT_EQ(supervisor.counters().incidents_recovered, 1u);
+
+  // The revived worker serves bit-exact.
+  const auto result = service.SubmitFeatures(w.features).get();
+  ASSERT_EQ(result.status, RequestStatus::kOk);
+  ExpectSameEstimates(result.estimates, w.oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -733,41 +675,6 @@ TEST(LearnerSupervisionTest, AllocFailSkipsRefreshWithoutConsumingWindows) {
     registered |= h.name == "continual-learner";
   }
   EXPECT_TRUE(registered);
-}
-
-TEST(LearnerSupervisionTest, TrippedBreakerSuppressesTrainingUntilProbe) {
-  TinySetup s = MakeSetup();
-  auto model = TrainModel(s);
-  ModelRegistry registry;
-  IngestPipeline pipeline(model->features(), {.shards = 1});
-  registry.Publish(std::move(model));
-  // Two stretches: the first trains (and gets rejected), the second arrives
-  // while the breaker is open, proving suppression skips training entirely.
-  testutil::IngestRange(pipeline, s, 0, s.learn_windows + 16);
-
-  ContinualLearnerConfig config;
-  config.min_new_windows = 8;
-  config.epochs = 1;
-  // Impossible validation bar: ANY candidate error beyond ~0 regresses, so
-  // every fine-tune is rejected and the breaker trips after one failure.
-  config.validation_regression_factor = 1e-9;
-  config.breaker.trip_failures = 1;
-  config.breaker.open_rejections = 2;
-  ContinualLearner learner(registry, pipeline, s.learn_windows, config);
-
-  EXPECT_EQ(learner.RefreshOnce(), 0u);  // trains, fails validation, trips
-  EXPECT_EQ(learner.models_rejected(), 1u);
-  EXPECT_EQ(learner.validation_breaker().state(), BreakerState::kOpen);
-  const size_t consumed = learner.trained_through();
-  EXPECT_GT(consumed, s.learn_windows);  // rejected stretches ARE consumed
-
-  // Open breaker: the fresh stretch is suppressed without touching training.
-  testutil::IngestRange(pipeline, s, s.learn_windows + 16, s.total());
-  EXPECT_EQ(learner.RefreshOnce(), 0u);
-  EXPECT_EQ(learner.RefreshOnce(), 0u);
-  EXPECT_EQ(learner.refreshes_suppressed(), 2u);
-  EXPECT_EQ(learner.models_rejected(), 1u);  // no training happened
-  EXPECT_EQ(learner.trained_through(), consumed);
 }
 
 }  // namespace

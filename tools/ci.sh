@@ -21,13 +21,14 @@
 #                    on the default, AVX2 and scalar rungs must hash to their
 #                    pinned sha256
 #   4. resilience  — self-healing suite by label (ctest -L resilience: health
-#                    registry, watchdog restarts, breakers, the steal sweep
-#                    around a wedged worker, a permanent stall's escalation,
-#                    chaos schedules; rides the chaos label into the
-#                    sanitizer legs), then the README's chaos quickstart,
-#                    which must recover every incident it opens and escalate
-#                    none, and its budgeted-serving quickstart, whose Memory:
-#                    row must match the README
+#                    registry, watchdog restarts, the learner's validation
+#                    gate, the steal sweep around a wedged worker, a worker
+#                    that dies after a long wedge, chaos schedules; rides the
+#                    chaos label into the sanitizer legs), then the README's
+#                    chaos quickstart, which must recover every incident it
+#                    opens and restart every worker that crashed, and its
+#                    budgeted-serving quickstart, whose Memory: row must
+#                    match the README
 #   5. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
 #                    fixtures (ctest -L lint)
 #   6. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
@@ -151,23 +152,24 @@ echo "==> [4/10] resilience: self-healing suite by label"
 ctest --test-dir build --output-on-failure -L resilience
 # The README's chaos quickstart is the documented supervised entry point of
 # `deeprest serve`: it must exit 0 and recover every incident it opens. Its
-# crash and 50 ms stalls end by themselves, so it must also escalate
-# nothing: an escalation would mean supervision gave up on a worker that was
-# about to recover.
+# service rows must also show as many worker restarts as worker crashes: a
+# crashed worker that is never revived fails here.
 quickstart="$(build/tools/deeprest serve --days=2 --wpd=24 --serve-days=1 \
   --chaos-schedule='worker_crash@2:0;worker_stall@4-6:1*50')" \
   || { echo "    chaos quickstart exited nonzero"; exit 1; }
 opened="$(awk '/incidents opened/ {print $3}' <<<"$quickstart")"
 recovered="$(awk '/incidents recovered/ {print $3}' <<<"$quickstart")"
-escalations="$(awk '$1 == "escalations" {print $2}' <<<"$quickstart")"
+crashes="$(awk '$1 == "worker" && $2 == "crashes" {print $3}' <<<"$quickstart")"
+restarts="$(awk '$1 == "worker" && $2 == "restarts" {print $3}' <<<"$quickstart")"
 echo "    chaos quickstart: ${opened:-no} incident(s) opened, ${recovered:-no} recovered," \
-  "${escalations:-no} escalation(s)"
+  "${crashes:-no} worker crash(es), ${restarts:-no} worker restart(s)"
 if [[ -z "$opened" || "$opened" != "$recovered" ]]; then
   echo "    chaos quickstart: incidents recovered != incidents opened"
   exit 1
 fi
-if [[ "$escalations" != "0" ]]; then
-  echo "    chaos quickstart: escalations is '${escalations:-missing}', not 0"
+if [[ -z "$crashes" || "$crashes" != "$restarts" ]]; then
+  echo "    chaos quickstart: worker restarts '${restarts:-missing}' !=" \
+    "worker crashes '${crashes:-missing}'"
   exit 1
 fi
 # The README's budgeted-serving quickstart must exit 0 and print the Memory:

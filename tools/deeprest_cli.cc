@@ -33,9 +33,8 @@
 //       plus the stream faults) keyed to the producer's window clock, and
 //       turns on supervision by default: every worker and the learner
 //       heartbeat into a HealthRegistry scanned by a watchdog-driven
-//       Supervisor that restarts crashed workers with capped-exponential
-//       backoff and escalates (stops restarting, counted) when a restart
-//       budget is exhausted (--supervise=0 opts out, --supervise=1 opts in
+//       Supervisor that records each incident and restarts a crashed worker
+//       on the next scan (--supervise=0 opts out, --supervise=1 opts in
 //       without a schedule). An idle worker's steal sweep serves the queue
 //       of a stalled one. --max-queue bounds the request queue (a request
 //       that finds it full is shed at once), --deadline-ms expires
@@ -402,7 +401,7 @@ int CmdServe(const CliArgs& args) {
 
   // Supervision tree: a skew-able health clock (the clock_skew fault), the
   // registry every long-lived actor heartbeats into, and a watchdog-driven
-  // supervisor that restarts crashed workers and escalates exhausted budgets.
+  // supervisor that records incidents and restarts crashed workers.
   // Declared before the supervised components so it outlives them all.
   SteadyHealthClock steady_clock;
   SkewedHealthClock health_clock(steady_clock);
@@ -529,9 +528,9 @@ int CmdServe(const CliArgs& args) {
       supervisor.Watch(id, [&service, i] { return service.RestartWorker(i); });
     }
     // The learner cannot be force-restarted (a wedged fine-tune is a live
-    // thread); watching it still opens incidents, and a budget-exhausting
-    // livelock escalates.
-    supervisor.Watch(health.Register("continual-learner", 1).id(), [] { return false; });
+    // thread), so it is watched without a callback: its stalls are recorded
+    // as incidents.
+    supervisor.Watch(health.Register("continual-learner", 1).id());
     watchdog.Start();
   }
 
@@ -708,8 +707,6 @@ int CmdServe(const CliArgs& args) {
     rows.push_back({"watchdog scans", std::to_string(watchdog.scans())});
     rows.push_back({"incidents opened", std::to_string(sup.incidents_opened)});
     rows.push_back({"incidents recovered", std::to_string(sup.incidents_recovered)});
-    rows.push_back({"worker restarts", std::to_string(sup.restarts_succeeded)});
-    rows.push_back({"escalations", std::to_string(sup.escalations)});
     rows.push_back({"max MTTR (ms)", std::to_string(mttr_max_us / 1000)});
   }
   std::printf("\nService counters:\n%s\n", RenderTable({"counter", "value"}, rows).c_str());
@@ -774,7 +771,7 @@ int CmdAutoscale(const CliArgs& args) {
 
   ExperimentHarness harness(ConfigFrom(args));
   std::printf("Training the estimator (%zu learn windows)...\n", harness.learn_windows());
-  EstimatorWhatIf whatif(harness.deeprest());
+  const DeepRestEstimator& model = harness.deeprest();
 
   const HarnessConfig config = ConfigFrom(args);
   ScenarioSpec scenario_spec;
@@ -804,7 +801,7 @@ int CmdAutoscale(const CliArgs& args) {
       cell.policy = policy_kind;
       const ClosedLoopResult r =
           RunClosedLoop(harness.app(), harness.simulator(), harness.learn_windows(),
-                        traffic, &whatif, cell, ScenarioKindName(scenario_kind));
+                        traffic, &model, cell, ScenarioKindName(scenario_kind));
       rows.push_back({r.scenario, r.policy,
                       FormatDouble(100.0 * r.slo_violation_rate, 2) + "%",
                       FormatDouble(r.provisioned_core_hours, 1),
