@@ -8,10 +8,11 @@
 // version's single-threaded reference.
 //
 // A soft-memory leg serves 10^6 distinct stream contexts through the tiered
-// StateCache inside a fixed budget that could not hold them uncompressed,
-// under Zipf-skewed popularity, and compares tail latency against an
-// unbounded cache; a streamful end-to-end leg proves budgeted serving stays
-// bit-identical to direct cursor resume.
+// StateCache (a hot tier backed by a disk slab) inside a fixed RAM budget
+// that could not hold them hot, under Zipf-skewed popularity, checks every
+// value exactly, and compares tail latency against an unbounded cache; a
+// streamful end-to-end leg proves budgeted serving stays bit-identical to
+// direct cursor resume.
 //
 // Flags: --smoke (tiny config, correctness-only exit gates, for ctest)
 //        --out <path> (JSON path; default BENCH_serving.json)
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/nn/quant.h"
 #include "src/serve/continual_learner.h"
 #include "src/serve/estimation_service.h"
 #include "src/serve/ingest_pipeline.h"
@@ -120,9 +120,8 @@ OverloadResult RunOverload(std::shared_ptr<const DeepRestEstimator> model,
 
 // --- Soft-memory tiered state leg -----------------------------------------
 
-// Deterministic per-context payload: what the recompute fallback rebuilds and
-// what every access verifies against (exact, or fp16-rounded after a
-// compressed cold round trip).
+// Deterministic per-context payload: what the consumer rebuilds on a miss and
+// what every access verifies against, exactly.
 std::vector<float> ContextPayload(uint64_t key, size_t floats) {
   std::vector<float> payload(floats);
   uint64_t x = key * 0x9E3779B97F4A7C15ULL + 0x2545F4914F6CDD1DULL;
@@ -147,18 +146,27 @@ struct TierResult {
   StateCacheCounters counters;
 };
 
-// Serves every distinct context once (first touch recomputes and installs),
-// then runs a Zipf(s=1)-skewed re-access phase via the inverse CDF
-// k = floor(exp(u ln N)), timing each access and verifying its payload.
+// One access as a serving consumer makes it: lease the context, rebuild a
+// fresh (never seen or dropped) state from its payload, and otherwise check
+// the cached state against the payload bit for bit. False on a wrong value.
+bool ServeContext(StateCache& cache, uint64_t key, size_t floats) {
+  StateCache::Lease lease = cache.AcquireOrCreate(key);
+  const std::vector<float> expected = ContextPayload(key, floats);
+  if (lease.state().hidden.empty()) {
+    lease.state().hidden = expected;
+    lease.state().steps = key;
+    return true;
+  }
+  return lease.state().hidden == expected && lease.state().steps == key;
+}
+
+// Serves every distinct context once (first touch installs), then runs a
+// Zipf(s=1)-skewed re-access phase via the inverse CDF k = floor(exp(u ln N)),
+// timing each access and verifying its payload.
 TierResult RunContextLeg(StateCache& cache, size_t contexts, size_t accesses,
                          size_t floats, uint64_t seed) {
-  cache.SetRecompute([floats](uint64_t key, StreamState* out) {
-    out->hidden = ContextPayload(key, floats);
-    out->steps = key;
-    return true;
-  });
   for (uint64_t key = 0; key < contexts; ++key) {
-    StateCache::Lease lease = cache.Acquire(key);
+    ServeContext(cache, key, floats);
   }
   const StateCacheCounters before = cache.Counters();
   Rng rng(seed);
@@ -174,22 +182,7 @@ TierResult RunContextLeg(StateCache& cache, size_t contexts, size_t accesses,
       key = contexts - 1;
     }
     const auto t0 = std::chrono::steady_clock::now();
-    bool ok;
-    {
-      StateCache::Lease lease = cache.Acquire(key);
-      ok = lease.valid() && lease.state().hidden.size() == floats;
-      if (ok) {
-        const std::vector<float> expected = ContextPayload(key, floats);
-        for (size_t j = 0; j < floats; ++j) {
-          const float exact = expected[j];
-          const float got = lease.state().hidden[j];
-          if (got != exact && got != HalfToFloat(FloatToHalf(exact))) {
-            ok = false;
-            break;
-          }
-        }
-      }
-    }
+    const bool ok = ServeContext(cache, key, floats);
     const auto t1 = std::chrono::steady_clock::now();
     r.wrong_values += ok ? 0 : 1;
     lat_us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -206,12 +199,11 @@ TierResult RunContextLeg(StateCache& cache, size_t contexts, size_t accesses,
   return r;
 }
 
-// Cold round trip with compression off (disk slab) must be bit-exact: a hot
-// tier below one entry forces every release through the slab.
+// A hot tier below one entry forces every release through the slab; every
+// state must come back bit-exact.
 bool DiskRoundTripExact(const std::string& slab_path) {
   StateCacheConfig config;
   config.hot_bytes = 64;
-  config.cold_tier = ColdTier::kDisk;
   config.slab_path = slab_path;
   config.slab_slot_payload_bytes = 1 << 12;
   config.slab_slots = 256;
@@ -228,11 +220,11 @@ bool DiskRoundTripExact(const std::string& slab_path) {
   }
   bool exact = cache.Counters().spills >= kKeys;
   for (uint64_t key = 0; key < kKeys; ++key) {
-    StateCache::Lease lease = cache.Acquire(key);
-    exact = exact && lease.valid() && lease.state().steps == key &&
+    StateCache::Lease lease = cache.AcquireOrCreate(key);
+    exact = exact && lease.state().steps == key &&
             lease.state().hidden == ContextPayload(key, kFloats);
   }
-  return exact;
+  return exact && cache.Counters().cold_hits == kKeys;
 }
 
 // --- Streamful end-to-end leg ----------------------------------------------
@@ -521,49 +513,55 @@ int main(int argc, char** argv) {
               overload_ok ? "PASS" : "FAIL");
 
   // Soft-memory tiered state: N distinct stream contexts under a fixed RAM
-  // budget that could not hold them uncompressed (hot fp32 halves, cold fp16
-  // halves), Zipf-skewed popularity, recompute on miss. The unbounded
-  // baseline holds everything hot — its resident footprint is the proof the
-  // budget is real, its latencies the regression yardstick.
+  // budget that could not hold them hot. Half the budget caps the fp32 hot
+  // tier; the other half pays for the disk slab's index, one
+  // kColdEntryOverhead record per slot. Zipf-skewed popularity; a state the
+  // slab reclaimed is rebuilt by the consumer. The unbounded baseline holds
+  // everything hot — its resident footprint is the proof the budget is real,
+  // its latencies the regression yardstick.
   const size_t kContexts = smoke ? 20000 : 1000000;
   const size_t kZipfAccesses = smoke ? 40000 : 1000000;
   const size_t kStateFloats = 32;
   const size_t budget_bytes = smoke ? (size_t{1} << 19) : (size_t{32} << 20);
   StateCacheConfig tiered_config;
   tiered_config.hot_bytes = budget_bytes / 2;
-  tiered_config.cold_tier = ColdTier::kFp16;
-  tiered_config.cold_bytes = budget_bytes / 2;
+  tiered_config.slab_path = out_path + ".context_slab";
+  tiered_config.slab_slot_payload_bytes = StatePayloadBytes(kStateFloats);
+  tiered_config.slab_slots = budget_bytes / 2 / kColdEntryOverhead;
   TierResult tier;
   {
     StateCache tiered_cache(tiered_config);  // freed before the baseline fills
     tier = RunContextLeg(tiered_cache, kContexts, kZipfAccesses, kStateFloats,
                          config.seed + 71);
   }
+  std::remove(tiered_config.slab_path.c_str());
 
   StateCacheConfig unbounded_config;
   unbounded_config.hot_bytes = ~size_t{0} / 2;
-  unbounded_config.cold_tier = ColdTier::kRecompute;
   StateCache unbounded_cache(unbounded_config);
   const TierResult baseline = RunContextLeg(unbounded_cache, kContexts, kZipfAccesses,
                                             kStateFloats, config.seed + 71);
 
   std::printf(
-      "soft-memory tiered state (%zu contexts, %zu Zipf accesses, budget %.1f MB):\n%s\n",
-      kContexts, kZipfAccesses, static_cast<double>(budget_bytes) / (1 << 20),
-      RenderTable({"cache", "resident MB", "hit rate", "p50 us", "p99 us", "evict",
-                   "recompute", "wrong"},
+      "soft-memory tiered state (%zu contexts, %zu Zipf accesses, budget %s: hot %s "
+      "+ %zu-slot disk slab index):\n%s\n",
+      kContexts, kZipfAccesses, FormatBytes(budget_bytes).c_str(),
+      FormatBytes(tiered_config.hot_bytes).c_str(), tiered_config.slab_slots,
+      RenderTable({"cache", "resident MB", "hit rate", "p50 us", "p99 us", "evict", "spill",
+                   "drop", "wrong"},
                   {{"budgeted",
                     FormatDouble(static_cast<double>(tier.resident_bytes) / (1 << 20), 2),
                     FormatDouble(tier.hit_rate, 3), FormatDouble(tier.p50_us, 1),
                     FormatDouble(tier.p99_us, 1), std::to_string(tier.counters.evictions),
-                    std::to_string(tier.counters.recomputes),
+                    std::to_string(tier.counters.spills), std::to_string(tier.counters.drops),
                     std::to_string(tier.wrong_values)},
                    {"unbounded",
                     FormatDouble(static_cast<double>(baseline.resident_bytes) / (1 << 20), 2),
                     FormatDouble(baseline.hit_rate, 3), FormatDouble(baseline.p50_us, 1),
                     FormatDouble(baseline.p99_us, 1),
                     std::to_string(baseline.counters.evictions),
-                    std::to_string(baseline.counters.recomputes),
+                    std::to_string(baseline.counters.spills),
+                    std::to_string(baseline.counters.drops),
                     std::to_string(baseline.wrong_values)}})
           .c_str());
   const bool under_budget = tier.resident_bytes <= budget_bytes;
@@ -571,14 +569,15 @@ int main(int argc, char** argv) {
   const bool disk_exact = DiskRoundTripExact(out_path + ".slab");
   std::remove((out_path + ".slab").c_str());
   const bool tier_values_ok = tier.wrong_values == 0 && baseline.wrong_values == 0;
-  // Tail regression bound: misses recompute and promotions decode fp16, so
+  // Tail regression bound: promotions read the slab and misses rebuild, so
   // the budgeted p99 may cost more than an all-hot hit — but boundedly so.
   const double p99_bound = std::max(50.0, 25.0 * baseline.p99_us);
   const bool tail_bounded = tier.p99_us <= p99_bound;
-  const bool tier_ok = under_budget && budget_is_real && tier_values_ok && disk_exact;
+  const bool tier_ok = tier.counters.spills > 0 && under_budget && budget_is_real &&
+                       tier_values_ok && disk_exact;
   std::printf(
-      "tiered-state check (under budget, baseline would not fit, values exact-or-fp16, "
-      "disk round trip bit-exact): %s\n",
+      "tiered-state check (slab spills, hot + charged cold index under budget, baseline would "
+      "not fit, values exact, disk round trip bit-exact): %s\n",
       tier_ok ? "PASS" : "FAIL");
   std::printf("tail check (budgeted p99 %.1f us <= max(50 us, 25x unbounded p99 %.1f us)): %s\n\n",
               tier.p99_us, baseline.p99_us, tail_bounded ? "PASS" : "FAIL");
@@ -589,7 +588,6 @@ int main(int argc, char** argv) {
   const size_t kStreams = smoke ? 8 : 32;
   StateCacheConfig stream_cache_config;
   stream_cache_config.hot_bytes = 1024;  // a couple of streams at most
-  stream_cache_config.cold_tier = ColdTier::kDisk;
   stream_cache_config.slab_path = out_path + ".stream_slab";
   stream_cache_config.slab_slot_payload_bytes = 1 << 14;
   stream_cache_config.slab_slots = 1024;
@@ -658,10 +656,10 @@ int main(int argc, char** argv) {
          << ", \"p99_us\": " << FormatDouble(tier.p99_us, 2)
          << ", \"baseline_p50_us\": " << FormatDouble(baseline.p50_us, 2)
          << ", \"baseline_p99_us\": " << FormatDouble(baseline.p99_us, 2)
+         << ", \"cold_index_bytes\": " << tier.counters.cold_resident_bytes
          << ", \"evictions\": " << tier.counters.evictions
-         << ", \"compressions\": " << tier.counters.compressions
-         << ", \"recomputes\": " << tier.counters.recomputes
-         << ", \"cold_drops\": " << tier.counters.drops
+         << ", \"spills\": " << tier.counters.spills
+         << ", \"drops\": " << tier.counters.drops
          << ", \"wrong_values\": " << tier.wrong_values
          << ", \"under_budget\": " << (under_budget ? 1 : 0)
          << ", \"disk_roundtrip_exact\": " << (disk_exact ? 1 : 0) << "},\n";

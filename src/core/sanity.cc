@@ -90,7 +90,7 @@ std::vector<AnomalyEvent> SanityChecker::Detect(const EstimateMap& estimates,
   }
 
   // Telemetry-quality tolerance widening: a window backed by degraded
-  // telemetry (imputed features, renormalized volume, metric gaps) must
+  // telemetry (imputed features, rejected traces, metric gaps) must
   // deviate proportionally harder before it counts as anomalous.
   if (!quality.empty() && config_.low_quality_widen > 0.0) {
     for (size_t w = 0; w < n && w < quality.size(); ++w) {

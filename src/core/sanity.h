@@ -30,7 +30,7 @@ struct SanityConfig {
   // q (in [0, 1], 1 = complete) has its anomaly score divided by
   // 1 + low_quality_widen * (1 - q): a fully degraded window needs a
   // (1 + low_quality_widen)x stronger deviation to alarm. Estimates computed
-  // from imputed or renormalized features are expected to stray — widening
+  // from imputed features or gap-filled metrics are expected to stray — widening
   // the tolerance on exactly those windows is what keeps degraded-but-honest
   // telemetry from firing false anomaly alarms (DESIGN.md "Failure model").
   double low_quality_widen = 4.0;

@@ -4,8 +4,7 @@
 // When the ingest pipeline seals a window it records how complete that
 // window's evidence was: the fraction of traces that survived admission
 // control, the fraction of metric series that actually scraped, and whether
-// the feature vector had to be imputed (carry-forward) or renormalized
-// (observed API mix rescaled to the expected volume). The composite score
+// the feature vector had to be imputed (carry-forward). The composite score
 // flows with every estimate and sanity result so downstream consumers can
 // widen tolerances on degraded windows instead of raising false anomaly
 // alarms (DESIGN.md "Failure model").
@@ -24,17 +23,14 @@ struct DataQuality {
   double score = 1.0;
   // Fraction of the window's traces that passed admission control, relative
   // to what was observed arriving (rejections are detectable; silent drops
-  // are folded in via the expected-volume ratio when renormalization is on).
+  // are not).
   double trace_coverage = 1.0;
   // Fraction of known metric series that delivered a sample this window.
   double metric_coverage = 1.0;
   // The window arrived empty and its features were carried forward.
   bool imputed = false;
-  // The window arrived partial and its features were rescaled to the
-  // expected volume (API-mix renormalization).
-  bool renormalized = false;
 
-  bool degraded() const { return score < 1.0 || imputed || renormalized; }
+  bool degraded() const { return score < 1.0 || imputed; }
 };
 
 // Composite scores of a quality slice, aligned with the windows it was taken

@@ -605,7 +605,6 @@ ServiceCounters EstimationService::Counters() const {
   counters.traces_rejected = pipeline_.rejected_traces();
   counters.traces_deduplicated = pipeline_.duplicate_traces();
   counters.imputed_windows = pipeline_.imputed_windows();
-  counters.renormalized_windows = pipeline_.renormalized_windows();
   counters.imputed_metrics = pipeline_.imputed_metrics();
   counters.models_published = registry_.publish_count();
   counters.model_version = registry_.version();

@@ -165,37 +165,18 @@ void IngestPipeline::SealWindowLocked(size_t window,
     quality.trace_coverage = accepted / (accepted + rejected);
   }
 
-  const bool expectation_known = expected_traces_ >= 1.0;
-  if (config_.impute && expectation_known && accepted <= 0.0) {
-    // Collector outage: nothing arrived for a window the volume history says
-    // should have traffic. Carry the previous window's features forward and
-    // mark the window untrustworthy.
+  if (traffic_seen_ && accepted <= 0.0) {
+    // Collector outage: nothing arrived for a window that follows traffic.
+    // Carry the previous window's features forward and mark the window
+    // untrustworthy.
     if (!features_.empty()) {
       features = features_.back();
     }
     quality.imputed = true;
     quality.trace_coverage = 0.0;
     imputed_windows_.fetch_add(1, std::memory_order_relaxed);
-  } else if (config_.impute && config_.renorm_threshold > 0.0 && expectation_known &&
-             accepted < config_.renorm_threshold * expected_traces_) {
-    // Partial window: keep the observed API mix, rescale to the expected
-    // volume. The mix is real evidence; the magnitude is not.
-    const float scale = static_cast<float>(expected_traces_ / accepted);
-    for (float& f : features) {
-      f *= scale;
-    }
-    quality.renormalized = true;
-    quality.trace_coverage = std::min(quality.trace_coverage, accepted / expected_traces_);
-    renormalized_windows_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Update the expected volume only from windows that were not repaired: a
-  // long outage must not drag the expectation toward zero.
-  if (accepted > 0.0 && !quality.imputed && !quality.renormalized) {
-    expected_traces_ = expected_traces_ <= 0.0
-                           ? accepted
-                           : config_.ewma_alpha * accepted +
-                                 (1.0 - config_.ewma_alpha) * expected_traces_;
-  }
+  traffic_seen_ = traffic_seen_ || accepted > 0.0;
 
   // Metric-gap repair: every known series either scraped this window or gets
   // the previous window's value carried forward (a missing scrape folds to a
@@ -213,7 +194,7 @@ void IngestPipeline::SealWindowLocked(size_t window,
       ++present;
       continue;
     }
-    if (config_.impute && window > 0) {
+    if (window > 0) {
       metrics_.Record(key, window, metrics_.At(key, window - 1));
       std::vector<char>& imputed = imputed_at_[key];
       if (imputed.size() <= window) {

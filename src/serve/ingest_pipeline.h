@@ -12,10 +12,9 @@
 // are structurally broken or carry absurd timestamps (ValidateTrace) and —
 // when dedupe_traces is on — duplicates re-delivered by an at-least-once
 // transport. Sealing a window additionally runs degraded-mode repair: a
-// window that arrived empty gets its features carried forward from the
-// previous window; a window far below the expected trace volume gets its
-// observed API mix renormalized up to that volume; metric series that missed
-// a scrape are carry-forward imputed. Every sealed window carries a
+// window that arrived empty, after some earlier window had traces, gets its
+// features carried forward from the previous window; metric series that
+// missed a scrape are carry-forward imputed. Every sealed window carries a
 // DataQuality record describing how much of this happened, which the service
 // propagates into estimates and the sanity checker uses to widen tolerances
 // (see DESIGN.md "Failure model").
@@ -61,18 +60,6 @@ struct IngestPipelineConfig {
   // re-ingest known traces (e.g. late-event tests); a live deployment behind
   // an at-least-once transport should turn it on.
   bool dedupe_traces = false;
-  // Degraded-mode repair at seal time. Carry-forward of fully-empty windows
-  // and metric-gap imputation are always on when true.
-  bool impute = true;
-  // A window whose accepted-trace count falls below this fraction of the
-  // expected per-window volume (EWMA over previously sealed windows) has its
-  // features renormalized: observed API mix, expected magnitude. 0 disables
-  // renormalization — the right default, because a genuine traffic dip is
-  // indistinguishable from uniform telemetry loss by volume alone; enable it
-  // for deployments whose collectors fail bursty rather than uniformly.
-  double renorm_threshold = 0.0;
-  // EWMA smoothing for the expected per-window trace volume.
-  double ewma_alpha = 0.2;
 };
 
 class IngestPipeline {
@@ -117,9 +104,6 @@ class IngestPipeline {
   uint64_t rejected_traces() const { return rejected_.load(std::memory_order_relaxed); }
   uint64_t duplicate_traces() const { return duplicates_.load(std::memory_order_relaxed); }
   uint64_t imputed_windows() const { return imputed_windows_.load(std::memory_order_relaxed); }
-  uint64_t renormalized_windows() const {
-    return renormalized_windows_.load(std::memory_order_relaxed);
-  }
   uint64_t imputed_metrics() const { return imputed_metrics_.load(std::memory_order_relaxed); }
 
   // --- Query side (any thread; copies out under the fold lock) ---
@@ -171,7 +155,6 @@ class IngestPipeline {
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> duplicates_{0};
   std::atomic<uint64_t> imputed_windows_{0};
-  std::atomic<uint64_t> renormalized_windows_{0};
   std::atomic<uint64_t> imputed_metrics_{0};
 
   // Per-window rejection tallies (producers write, folder drains). Hierarchy:
@@ -197,8 +180,9 @@ class IngestPipeline {
   // held against metric_coverage.
   // deeprest-lint: bounded(same key space as recorded_: topology x metric kinds)
   std::map<MetricKey, size_t> first_recorded_ DEEPREST_GUARDED_BY(fold_mu_);
-  // EWMA of accepted traces per sealed window.
-  double expected_traces_ DEEPREST_GUARDED_BY(fold_mu_) = 0.0;
+  // Some earlier sealed window had traces: from then on an empty window is
+  // an outage, not a deployment whose traffic has not started yet.
+  bool traffic_seen_ DEEPREST_GUARDED_BY(fold_mu_) = false;
 };
 
 }  // namespace deeprest

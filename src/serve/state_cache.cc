@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "src/nn/quant.h"
 #include "src/serve/checkpoint.h"
 
 namespace deeprest {
@@ -24,17 +23,13 @@ constexpr size_t kSuperblockBytes = 4096;
 // Fixed per-entry overhead counted on top of the payload: map node, Entry
 // struct, ring slot. An estimate, not an exact malloc audit — the caps are
 // soft memory, what matters is that 10^6 entries register as ~10^6 * (128 +
-// overhead) bytes, not as zero.
+// overhead) bytes, not as zero. kColdEntryOverhead (state_cache.h) is the
+// same kind of estimate for a spilled entry's index record.
 constexpr size_t kHotEntryOverhead = 112;
-constexpr size_t kColdEntryOverhead = 64;
-
-size_t SerializedStateBytes(const StreamState& state) {
-  return 2 * sizeof(uint64_t) + state.hidden.size() * sizeof(float);
-}
 
 void SerializeState(const StreamState& state, std::string* out) {
   out->clear();
-  out->reserve(SerializedStateBytes(state));
+  out->reserve(StatePayloadBytes(state.hidden.size()));
   uint64_t words[2] = {state.steps, state.model_version};
   out->append(reinterpret_cast<const char*>(words), sizeof(words));
   out->append(reinterpret_cast<const char*>(state.hidden.data()),
@@ -57,35 +52,6 @@ bool DeserializeState(const std::string& bytes, StreamState* out) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ColdTier names
-// ---------------------------------------------------------------------------
-
-const char* ColdTierName(ColdTier tier) {
-  switch (tier) {
-    case ColdTier::kFp16:
-      return "fp16";
-    case ColdTier::kDisk:
-      return "disk";
-    case ColdTier::kRecompute:
-      return "recompute";
-  }
-  return "unknown";
-}
-
-bool ParseColdTier(const std::string& name, ColdTier* out) {
-  if (name == "fp16") {
-    *out = ColdTier::kFp16;
-  } else if (name == "disk") {
-    *out = ColdTier::kDisk;
-  } else if (name == "recompute") {
-    *out = ColdTier::kRecompute;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // SlabFile
@@ -224,7 +190,7 @@ void StateCache::Lease::Release() {
 }
 
 StateCache::StateCache(const StateCacheConfig& config) : config_(config) {
-  if (config_.cold_tier == ColdTier::kDisk && !config_.slab_path.empty()) {
+  if (!config_.slab_path.empty()) {
     MutexLock lock(mu_);
     if (slab_.Open(config_.slab_path, config_.slab_slot_payload_bytes, config_.slab_slots)) {
       disk_ok_.store(true, std::memory_order_relaxed);
@@ -236,21 +202,12 @@ StateCache::StateCache(const StateCacheConfig& config) : config_(config) {
   }
 }
 
-void StateCache::SetRecompute(RecomputeFn fn) { recompute_ = std::move(fn); }
-
 size_t StateCache::EntryBytes(const StreamState& state) {
   return kHotEntryOverhead + state.hidden.size() * sizeof(float);
 }
 
-StateCache::Lease StateCache::Acquire(uint64_t key) { return AcquireImpl(key, false); }
-
 StateCache::Lease StateCache::AcquireOrCreate(uint64_t key) {
-  return AcquireImpl(key, true);
-}
-
-StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
   Lease lease;
-  bool try_recompute = false;
   {
     MutexLock lock(mu_);
     for (;;) {
@@ -265,87 +222,32 @@ StateCache::Lease StateCache::AcquireImpl(uint64_t key, bool create) {
         hot_hits_.fetch_add(1, std::memory_order_relaxed);
         return Lease(this, key, &entry->state);
       }
-      // Exclusive lease held elsewhere: wait, then re-find — the entry may
-      // have been released (and stayed hot; pinned entries are never
-      // evicted, but the release itself may have raced a Clear()).
+      // Exclusive lease held elsewhere: wait, then re-find — the release
+      // that wakes us may have evicted the entry on its way out.
       lock.Wait(lease_cv_);
     }
-    // Cold tier promotion.
+    // Cold tier promotion; a miss (or a torn slot) creates a fresh entry.
+    StreamState state;
+    bool promoted = false;
     auto cold_it = cold_.find(key);
     if (cold_it != cold_.end()) {
-      StreamState state;
-      bool ok = false;
-      if (config_.cold_tier == ColdTier::kFp16) {
-        state.steps = cold_it->second.steps;
-        state.model_version = cold_it->second.model_version;
-        state.hidden.resize(cold_it->second.half.size());
-        for (size_t i = 0; i < state.hidden.size(); ++i) {
-          state.hidden[i] = HalfToFloat(cold_it->second.half[i]);
-        }
-        ok = true;
-      } else if (config_.cold_tier == ColdTier::kDisk) {
-        std::string bytes;
-        // The slab read stays under mu_ on purpose: the lease protocol pins
-        // the entry and the CLOCK hand advances under the same mutex, so
-        // reading outside it would race eviction.
-        // deeprest-lint: allow(blocking-under-lock)
-        ok = slab_.ReadSlot(cold_it->second.slot, key, &bytes) &&
-             DeserializeState(bytes, &state);
-        if (!ok) {
-          drops_.fetch_add(1, std::memory_order_relaxed);  // torn slot
-        }
-      }
+      std::string bytes;
+      // The slab read stays under mu_ on purpose: the lease protocol pins
+      // the entry and the CLOCK hand advances under the same mutex, so
+      // reading outside it would race eviction.
+      // deeprest-lint: allow(blocking-under-lock)
+      promoted = slab_.ReadSlot(cold_it->second.slot, key, &bytes) &&
+                 DeserializeState(bytes, &state);
       EraseColdLocked(key);
-      if (ok) {
-        cold_hits_.fetch_add(1, std::memory_order_relaxed);
-        InsertHotLocked(key, std::move(state), /*pinned=*/true);
-        lease = Lease(this, key, &hot_.find(key)->second->state);
+      if (!promoted) {
+        drops_.fetch_add(1, std::memory_order_relaxed);  // torn slot
       }
     }
-    if (!lease.valid()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      try_recompute = recompute_ != nullptr;
-      if (!try_recompute && create) {
-        InsertHotLocked(key, StreamState{}, /*pinned=*/true);
-        lease = Lease(this, key, &hot_.find(key)->second->state);
-      }
-    }
+    (promoted ? cold_hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    InsertHotLocked(key, std::move(state), /*pinned=*/true);
+    lease = Lease(this, key, &hot_.find(key)->second->state);
   }
-  if (!lease.valid() && try_recompute) {
-    // Recompute outside the lock — the callback may be an estimator replay.
-    StreamState rebuilt;
-    const bool ok = recompute_(key, &rebuilt);
-    MutexLock lock(mu_);
-    // Re-check: a concurrent acquirer may have installed the key meanwhile.
-    auto it = hot_.find(key);
-    if (it != hot_.end()) {
-      Entry* entry = it->second.get();
-      while (entry->pinned) {
-        lock.Wait(lease_cv_);
-        it = hot_.find(key);
-        if (it == hot_.end()) {
-          break;
-        }
-        entry = it->second.get();
-      }
-      if (it != hot_.end()) {
-        entry->pinned = true;
-        entry->ref = true;
-        hot_hits_.fetch_add(1, std::memory_order_relaxed);
-        lease = Lease(this, key, &entry->state);
-      }
-    }
-    if (!lease.valid() && (ok || create)) {
-      if (ok) {
-        recomputes_.fetch_add(1, std::memory_order_relaxed);
-      }
-      InsertHotLocked(key, ok ? std::move(rebuilt) : StreamState{}, /*pinned=*/true);
-      lease = Lease(this, key, &hot_.find(key)->second->state);
-    }
-  }
-  if (lease.valid()) {
-    ShrinkHotToCap();
-  }
+  ShrinkHotToCap();
   return lease;
 }
 
@@ -431,86 +333,47 @@ bool StateCache::EvictOneLocked() {
 }
 
 void StateCache::DemoteLocked(Entry& entry) {
-  switch (config_.cold_tier) {
-    case ColdTier::kFp16: {
-      ColdEntry cold;
-      cold.steps = entry.state.steps;
-      cold.model_version = entry.state.model_version;
-      cold.half.resize(entry.state.hidden.size());
-      for (size_t i = 0; i < cold.half.size(); ++i) {
-        cold.half[i] = FloatToHalf(entry.state.hidden[i]);
-      }
-      cold.resident_bytes = kColdEntryOverhead + cold.half.size() * sizeof(uint16_t);
-      cold.seq = ++cold_seq_;
-      const uint64_t seq = cold.seq;
-      cold_resident_ += cold.resident_bytes;
-      EraseColdLocked(entry.key);  // replace any stale cold copy
-      cold_.emplace(entry.key, std::move(cold));
-      cold_fifo_.emplace_back(entry.key, seq);
-      CompactColdFifoLocked();
-      compressions_.fetch_add(1, std::memory_order_relaxed);
-      EnforceColdCapLocked();
-      return;
-    }
-    case ColdTier::kDisk: {
-      if (!slab_.is_open()) {
-        drops_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      std::string bytes;
-      SerializeState(entry.state, &bytes);
-      if (bytes.size() > slab_.slot_payload_bytes()) {
-        drops_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      size_t slot;
-      uint64_t victim = 0;
-      if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-      } else if (PopColdVictimLocked(&victim)) {
-        // Slab full: reclaim the oldest spilled entry's slot (that entry is
-        // lost — counted — and its next access recomputes or warm-restarts).
-        auto victim_it = cold_.find(victim);
-        assert(victim_it != cold_.end());
-        slot = victim_it->second.slot;
-        EraseColdLocked(victim);
-        free_slots_.pop_back();  // EraseColdLocked pushed the slot back
-        drops_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        drops_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (!slab_.WriteSlot(slot, entry.key, bytes.data(), bytes.size())) {
-        free_slots_.push_back(slot);
-        drops_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      ColdEntry cold;
-      cold.slot = slot;
-      cold.steps = entry.state.steps;
-      cold.model_version = entry.state.model_version;
-      cold.seq = ++cold_seq_;
-      const uint64_t seq = cold.seq;
-      EraseColdLocked(entry.key);
-      cold_.emplace(entry.key, std::move(cold));
-      cold_fifo_.emplace_back(entry.key, seq);
-      CompactColdFifoLocked();
-      spills_.fetch_add(1, std::memory_order_relaxed);
-      return;  // disk holds the bytes; no RAM
-    }
-    case ColdTier::kRecompute:
-      drops_.fetch_add(1, std::memory_order_relaxed);
-      return;
-  }
-}
-
-void StateCache::EnforceColdCapLocked() {
-  uint64_t victim = 0;
-  while (cold_resident_ > config_.cold_bytes && PopColdVictimLocked(&victim)) {
-    EraseColdLocked(victim);
+  if (!slab_.is_open()) {
     drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
+  std::string bytes;
+  SerializeState(entry.state, &bytes);
+  if (bytes.size() > slab_.slot_payload_bytes()) {
+    drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  size_t slot;
+  uint64_t victim = 0;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else if (PopColdVictimLocked(&victim)) {
+    // Slab full: reclaim the oldest spilled entry's slot (that entry is
+    // lost — counted — and its next access warm-restarts).
+    auto victim_it = cold_.find(victim);
+    assert(victim_it != cold_.end());
+    slot = victim_it->second.slot;
+    EraseColdLocked(victim);
+    free_slots_.pop_back();  // EraseColdLocked pushed the slot back
+    drops_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  if (!slab_.WriteSlot(slot, entry.key, bytes.data(), bytes.size())) {
+    free_slots_.push_back(slot);
+    drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  ColdEntry cold;
+  cold.slot = slot;
+  cold.seq = ++cold_seq_;
+  EraseColdLocked(entry.key);
+  cold_.emplace(entry.key, cold);
+  cold_fifo_.emplace_back(entry.key, cold.seq);
+  CompactColdFifoLocked();
+  spills_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void StateCache::EraseColdLocked(uint64_t key) {
@@ -518,10 +381,7 @@ void StateCache::EraseColdLocked(uint64_t key) {
   if (it == cold_.end()) {
     return;
   }
-  cold_resident_ -= it->second.resident_bytes;
-  if (config_.cold_tier == ColdTier::kDisk) {
-    free_slots_.push_back(it->second.slot);
-  }
+  free_slots_.push_back(it->second.slot);
   // The fifo record is left behind as stale (its seq no longer resolves);
   // PopColdVictimLocked / CompactColdFifoLocked discard it later. Scanning
   // the deque here would make every promotion O(cold entries).
@@ -557,50 +417,19 @@ void StateCache::CompactColdFifoLocked() {
   cold_fifo_.swap(live);
 }
 
-void StateCache::Clear() {
-  MutexLock lock(mu_);
-  // Drop every unpinned hot entry straight out (no demotion) plus the whole
-  // cold tier. Pinned entries survive — their leases still point at them.
-  std::vector<uint64_t> victims;
-  victims.reserve(hot_.size());
-  for (const auto& entry : hot_) {
-    if (!entry.second->pinned) {
-      victims.push_back(entry.first);
-    }
-  }
-  for (uint64_t key : victims) {
-    Entry* entry = hot_.find(key)->second.get();
-    RemoveFromRingLocked(entry);
-    hot_resident_ -= entry->resident_bytes;
-    hot_.erase(key);
-    drops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  cold_resident_ = 0;
-  if (config_.cold_tier == ColdTier::kDisk) {
-    for (const auto& cold : cold_) {
-      free_slots_.push_back(cold.second.slot);
-    }
-  }
-  drops_.fetch_add(cold_.size(), std::memory_order_relaxed);
-  cold_.clear();
-  cold_fifo_.clear();
-}
-
 StateCacheCounters StateCache::Counters() const {
   StateCacheCounters counters;
   counters.hot_hits = hot_hits_.load(std::memory_order_relaxed);
   counters.cold_hits = cold_hits_.load(std::memory_order_relaxed);
   counters.misses = misses_.load(std::memory_order_relaxed);
-  counters.recomputes = recomputes_.load(std::memory_order_relaxed);
   counters.evictions = evictions_.load(std::memory_order_relaxed);
-  counters.compressions = compressions_.load(std::memory_order_relaxed);
   counters.spills = spills_.load(std::memory_order_relaxed);
   counters.drops = drops_.load(std::memory_order_relaxed);
   MutexLock lock(mu_);
   counters.hot_entries = hot_.size();
   counters.cold_entries = cold_.size();
   counters.hot_resident_bytes = hot_resident_;
-  counters.cold_resident_bytes = cold_resident_;
+  counters.cold_resident_bytes = cold_.size() * kColdEntryOverhead;
   return counters;
 }
 

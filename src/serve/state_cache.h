@@ -3,33 +3,31 @@
 // Serving millions of concurrent streams means millions of per-API-context
 // GRU hidden states that cannot all stay hot in RAM. This file provides the
 // reclaimable cache layer (in the spirit of Midas soft memory): a cache
-// that shrinks under pressure without correctness loss, because every tier
-// transition is either lossless (disk spill stores raw float bits),
-// precision-bounded (fp16 round-to-nearest-even via src/nn/quant.h), or
-// recoverable (recompute-on-miss / warm-restart). Eviction is never a
-// correctness event.
+// that shrinks under pressure by spilling to a disk slab that stores raw
+// float bits, so a spilled state comes back bit for bit. Eviction is never a
+// correctness event when it spills. It drops the state instead when no slab
+// is open, when the state is larger than a slot, when a full slab reclaims
+// the oldest spilled entry's slot, or when a slot reads back torn; every
+// drop is counted. A dropped stream's next lease is fresh (empty hidden), so
+// its consumer warm-restarts it from the model's warm-start state, and the
+// stream's later answers no longer match one unbroken submission.
 //
 // Components:
 //
-//  * StateCache — the two-tier per-stream state cache; its byte caps
-//    (hot_bytes + cold_bytes) are its memory budget:
+//  * StateCache — the two-tier per-stream state cache; its hot byte cap and
+//    slab slot count are its memory budget:
 //      hot tier:  live StreamState entries (fp32), byte-capped, CLOCK
 //                 eviction with reference bits; pinned (leased) entries are
 //                 never evicted.
-//      cold tier: one of
-//        kFp16      — evicted states compressed in place to binary16
-//                     (round-to-nearest-even; promotion decompresses),
-//                     byte-capped, oldest dropped first.
-//        kDisk      — evicted states spilled to a fixed-slot slab file with
-//                     per-slot FNV-1a checksums (bit-exact round trip; a
-//                     torn slot reads as a miss, never as wrong data).
-//        kRecompute — evicted states are dropped; the registered recompute
-//                     callback (or the consumer's warm-restart fallback)
-//                     rebuilds them on the next access.
-//    Access is by exclusive pin/lease: Acquire/AcquireOrCreate return a
-//    Lease that pins the entry for its lifetime, so eviction can never free
-//    state a reader still borrows. A second Acquire of the same key blocks
-//    until the lease returns.
+//      cold tier: evicted states spilled to a fixed-slot slab file with
+//                 per-slot FNV-1a checksums (bit-exact round trip; a torn
+//                 slot reads as a miss, never as wrong data). A full slab
+//                 reclaims its oldest slot (FIFO). Each spilled entry costs
+//                 kColdEntryOverhead bytes of RAM for its index record.
+//    Access is by exclusive pin/lease: AcquireOrCreate returns a Lease that
+//    pins the entry for its lifetime, so eviction can never free state a
+//    reader still borrows. A second acquire of the same key blocks until
+//    the lease returns.
 //
 // Locking (TSA-annotated; see DESIGN.md "Soft-memory tiered state"):
 //
@@ -48,7 +46,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -74,26 +71,32 @@ struct StreamState {
   uint64_t model_version = 0;
 };
 
+// The disk slab is the only cold tier. StateCacheConfig::cold_tier is
+// ignored; it stays only because the benchmark harness assigns it.
 enum class ColdTier {
-  kFp16,       // compress evicted states to binary16 in RAM
-  kDisk,       // spill raw float bits to the slab file (bit-exact)
-  kRecompute,  // drop; recompute callback / consumer warm-restart rebuilds
+  kDisk,  // spill raw float bits to the slab file (bit-exact)
 };
 
-const char* ColdTierName(ColdTier tier);
-// Parses "fp16" / "disk" / "recompute"; false on anything else.
-bool ParseColdTier(const std::string& name, ColdTier* out);
+// RAM charged per spilled entry for its index record (map node and FIFO
+// record); the payload itself lives on disk. A slab of N slots can charge at
+// most N * kColdEntryOverhead bytes.
+inline constexpr size_t kColdEntryOverhead = 64;
+
+// Slot payload bytes a state of `hidden_floats` floats takes in the slab:
+// its steps and model version, then the raw float bits.
+constexpr size_t StatePayloadBytes(size_t hidden_floats) {
+  return 2 * sizeof(uint64_t) + hidden_floats * sizeof(float);
+}
 
 struct StateCacheConfig {
   // Hot-tier byte cap: CLOCK eviction starts when resident fp32 state
   // exceeds this.
   size_t hot_bytes = size_t{64} << 20;
-  ColdTier cold_tier = ColdTier::kFp16;
-  // kFp16: byte cap of the compressed tier (oldest entries drop past it).
-  size_t cold_bytes = size_t{32} << 20;
-  // kDisk: slab geometry. slot_payload_bytes must fit a serialized
-  // StreamState (16 bytes of steps/version + 4 per hidden float); entries
-  // that do not fit are dropped (counted), never truncated.
+  ColdTier cold_tier = ColdTier::kDisk;  // ignored (see ColdTier)
+  // Slab geometry. With no slab_path, or a slab that fails to open, evicted
+  // states are dropped (counted). slot_payload_bytes must fit a state's
+  // StatePayloadBytes; entries that do not fit are dropped (counted), never
+  // truncated.
   std::string slab_path;
   size_t slab_slot_payload_bytes = 256;
   size_t slab_slots = 1 << 16;
@@ -102,18 +105,16 @@ struct StateCacheConfig {
 // Per-tier activity counters (monotonic except the resident/entry gauges).
 struct StateCacheCounters {
   uint64_t hot_hits = 0;       // served straight from the hot tier
-  uint64_t cold_hits = 0;      // promoted from fp16/disk cold tier
+  uint64_t cold_hits = 0;      // promoted from the disk slab
   uint64_t misses = 0;         // not in any tier (fresh stream or dropped)
-  uint64_t recomputes = 0;     // misses rebuilt by the recompute callback
   uint64_t evictions = 0;      // hot-tier CLOCK demotions
-  uint64_t compressions = 0;   // demotions that landed in the fp16 tier
   uint64_t spills = 0;         // demotions written to a disk slab slot
-  uint64_t drops = 0;          // states lost entirely (cold overflow, torn
-                               // slot, oversized entry, kRecompute demotion)
+  uint64_t drops = 0;          // states lost entirely (no slab, oversized
+                               // entry, reclaimed or torn slot)
   size_t hot_entries = 0;
   size_t cold_entries = 0;
   size_t hot_resident_bytes = 0;
-  size_t cold_resident_bytes = 0;  // RAM held by the fp16 tier (disk is free)
+  size_t cold_resident_bytes = 0;  // cold_entries * kColdEntryOverhead
 };
 
 // Fixed-slot spill file for evicted stream states. Every slot carries a
@@ -130,7 +131,7 @@ class SlabFile {
   SlabFile(const SlabFile&) = delete;
   SlabFile& operator=(const SlabFile&) = delete;
 
-  // Creates/truncates the slab (states are recomputable; the slab never
+  // Creates/truncates the slab (a lost state warm-restarts; the slab never
   // needs to outlive the process). False on I/O failure — the cache then
   // degrades to dropping evicted entries.
   bool Open(const std::string& path, size_t slot_payload_bytes, size_t slot_count);
@@ -194,27 +195,16 @@ class StateCache {
   StateCache(const StateCache&) = delete;
   StateCache& operator=(const StateCache&) = delete;
 
-  // Rebuilds a dropped entry on miss (kRecompute tier, or any tier after a
-  // cold-side loss). Returns false when the key cannot be rebuilt. Called
-  // WITHOUT the cache mutex held; must not touch this cache.
-  using RecomputeFn = std::function<bool(uint64_t key, StreamState* out)>;
-  void SetRecompute(RecomputeFn fn);
-
-  // Looks the key up hot → cold → recompute. Invalid lease on a full miss.
-  // Blocks while another thread holds the key's lease.
-  Lease Acquire(uint64_t key) DEEPREST_EXCLUDES(mu_);
-  // Acquire, creating a fresh (empty-hidden) entry on a full miss — the
-  // serving path's entry point: a fresh entry means "start from the model's
-  // warm-start state". Always returns a valid lease.
+  // Looks the key up hot, then cold, creating a fresh (empty-hidden) entry
+  // on a full miss: a fresh entry means "start from the model's warm-start
+  // state". Always returns a valid lease. Blocks while another thread holds
+  // the key's lease.
   Lease AcquireOrCreate(uint64_t key) DEEPREST_EXCLUDES(mu_);
-
-  // Drops every unpinned entry in both tiers (leased entries survive).
-  void Clear() DEEPREST_EXCLUDES(mu_);
 
   StateCacheCounters Counters() const DEEPREST_EXCLUDES(mu_);
   const StateCacheConfig& config() const { return config_; }
-  // False when kDisk was configured but the slab failed to open (the cache
-  // then behaves like kRecompute and counts demotions as drops).
+  // False when the slab failed to open or no slab_path was given (the cache
+  // then counts every demotion as a drop).
   bool disk_ok() const { return disk_ok_.load(std::memory_order_relaxed); }
 
  private:
@@ -226,13 +216,9 @@ class StateCache {
     bool ref = false;    // CLOCK reference bit
     size_t ring_pos = 0;  // position in ring_
   };
-  // fp16-compressed cold entry (kFp16) or slab slot handle (kDisk).
+  // Slab slot handle of a spilled entry.
   struct ColdEntry {
-    std::vector<uint16_t> half;  // kFp16: RNE-rounded hidden state
-    size_t slot = 0;             // kDisk
-    uint64_t steps = 0;
-    uint64_t model_version = 0;
-    size_t resident_bytes = 0;  // RAM held (0 for disk entries)
+    size_t slot = 0;
     // Matches this entry's cold_fifo_ record; a fifo record whose seq no
     // longer matches is stale (the key was promoted or re-demoted since)
     // and is skipped lazily — erasure never scans the fifo.
@@ -242,9 +228,6 @@ class StateCache {
   friend class Lease;
   void ReleaseLease(uint64_t key) DEEPREST_EXCLUDES(mu_);
 
-  // Shared Acquire/AcquireOrCreate body. Map bookkeeping happens under mu_;
-  // a recompute runs outside it.
-  Lease AcquireImpl(uint64_t key, bool create) DEEPREST_EXCLUDES(mu_);
   // Evicts until the hot tier fits config_.hot_bytes (pinned overshoot
   // allowed).
   void ShrinkHotToCap() DEEPREST_EXCLUDES(mu_);
@@ -254,12 +237,9 @@ class StateCache {
   // One CLOCK eviction: demotes the first unpinned hand candidate to the
   // cold tier. False when everything left is pinned.
   bool EvictOneLocked() DEEPREST_REQUIRES(mu_);
-  // Demotion into the configured cold tier (fp16 copy, slab slot, or a
-  // counted drop).
+  // Demotion into a slab slot, or a counted drop.
   void DemoteLocked(Entry& entry) DEEPREST_REQUIRES(mu_);
-  // Drops cold entries (FIFO) until the fp16 tier fits its cap.
-  void EnforceColdCapLocked() DEEPREST_REQUIRES(mu_);
-  // No-op on a miss; a disk entry's slot returns to free_slots_.
+  // No-op on a miss; the entry's slot returns to free_slots_.
   void EraseColdLocked(uint64_t key) DEEPREST_REQUIRES(mu_);
   // Pops fifo records until one matches a live cold entry; that key is the
   // FIFO victim. False when the cold tier is empty.
@@ -269,7 +249,6 @@ class StateCache {
   static size_t EntryBytes(const StreamState& state);
 
   const StateCacheConfig config_;
-  RecomputeFn recompute_;  // set before serving starts; then read-only
   std::atomic<bool> disk_ok_{false};
 
   mutable Mutex mu_;  // deeprest-lint: lock-level(leaf)
@@ -280,22 +259,21 @@ class StateCache {
   std::unordered_map<uint64_t, std::unique_ptr<Entry>> hot_ DEEPREST_GUARDED_BY(mu_);
   std::vector<Entry*> ring_ DEEPREST_GUARDED_BY(mu_);  // CLOCK order
   size_t hand_ DEEPREST_GUARDED_BY(mu_) = 0;
-  // Cold tier (fp16 entries capped by cold_bytes; disk entries capped by
-  // slab slots — both enforced FIFO by cold_fifo_, which holds {key, seq}
-  // records and tolerates stale ones; see ColdEntry::seq).
-  // deeprest-lint: bounded(cold tier is capped by cold_bytes / slab slots; EnforceColdCapLocked drops FIFO overflow)
+  // Cold tier, capped by the slab's slot count: a full slab reclaims the
+  // oldest slot through cold_fifo_, which holds {key, seq} records and
+  // tolerates stale ones (see ColdEntry::seq).
+  // deeprest-lint: bounded(one entry per slab slot; DemoteLocked reclaims the oldest slot when the slab is full)
   std::unordered_map<uint64_t, ColdEntry> cold_ DEEPREST_GUARDED_BY(mu_);
   std::deque<std::pair<uint64_t, uint64_t>> cold_fifo_ DEEPREST_GUARDED_BY(mu_);
   uint64_t cold_seq_ DEEPREST_GUARDED_BY(mu_) = 0;
   std::vector<size_t> free_slots_ DEEPREST_GUARDED_BY(mu_);
   SlabFile slab_ DEEPREST_GUARDED_BY(mu_);
   size_t hot_resident_ DEEPREST_GUARDED_BY(mu_) = 0;
-  size_t cold_resident_ DEEPREST_GUARDED_BY(mu_) = 0;
 
   // Counters are atomics so Counters() mid-eviction-storm never blocks the
   // serving path for long.
-  std::atomic<uint64_t> hot_hits_{0}, cold_hits_{0}, misses_{0}, recomputes_{0};
-  std::atomic<uint64_t> evictions_{0}, compressions_{0}, spills_{0}, drops_{0};
+  std::atomic<uint64_t> hot_hits_{0}, cold_hits_{0}, misses_{0};
+  std::atomic<uint64_t> evictions_{0}, spills_{0}, drops_{0};
 };
 
 }  // namespace deeprest

@@ -152,7 +152,6 @@ std::vector<std::pair<std::string, std::string>> ServiceCounters::Rows() const {
       {"traces rejected", FormatCount(traces_rejected)},
       {"traces deduplicated", FormatCount(traces_deduplicated)},
       {"imputed windows", FormatCount(imputed_windows)},
-      {"renormalized windows", FormatCount(renormalized_windows)},
       {"imputed metric samples", FormatCount(imputed_metrics)},
       {"models published", FormatCount(models_published)},
       {"serving model version", FormatCount(model_version)},

@@ -38,7 +38,6 @@ struct ServiceCounters {
   uint64_t traces_rejected = 0;      // failed validation at the door
   uint64_t traces_deduplicated = 0;  // duplicate deliveries dropped
   uint64_t imputed_windows = 0;      // feature vectors carried forward
-  uint64_t renormalized_windows = 0; // API mix rescaled to expected volume
   uint64_t imputed_metrics = 0;      // metric gaps carry-forward filled
   uint64_t models_published = 0;  // registry swap count
   uint64_t model_version = 0;     // currently served version
@@ -50,13 +49,13 @@ struct ServiceCounters {
   // when a StateCache is wired into the service.
   bool state_cache_attached = false;
   uint64_t state_hot_hits = 0;     // streams resumed straight from the hot tier
-  uint64_t state_cold_hits = 0;    // streams promoted from the fp16/disk tier
+  uint64_t state_cold_hits = 0;    // streams promoted from the disk slab
   uint64_t state_misses = 0;       // fresh streams + states lost cold-side
   uint64_t state_evictions = 0;    // hot-tier CLOCK demotions
   uint64_t state_spills = 0;       // disk-slab slot writes
-  uint64_t state_drops = 0;        // states lost entirely (cold overflow etc.)
+  uint64_t state_drops = 0;        // states lost entirely (slab full, no slab etc.)
   uint64_t state_resets = 0;       // model-version-mismatch warm restarts
-  size_t state_resident_bytes = 0; // hot + cold RAM held by the cache
+  size_t state_resident_bytes = 0; // hot states + charged slab index RAM
 
   // Two-column "counter | value" table (rendered with eval/ascii elsewhere).
   std::vector<std::pair<std::string, std::string>> Rows() const;

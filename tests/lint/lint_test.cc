@@ -3,16 +3,14 @@
 // clean/suppressed files and per-rule passing fixtures for the flow-aware
 // rule classes). The test shells out to the real binary — the same one
 // `ctest -L lint` runs over src/, tools/ and tests/ — and asserts the exact
-// rule id fires (or doesn't), that the incremental cache reruns warm, and
-// that the lock-graph DOT export names the declared hierarchy.
+// rule id fires (or doesn't), and that the lock-graph DOT export names the
+// declared hierarchy.
 //
 // DEEPREST_LINT_BIN and DEEPREST_LINT_FIXTURES are injected by CMake.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 namespace {
@@ -242,66 +240,6 @@ TEST(LintTest, MultipleFilesAggregateViolations) {
 TEST(LintTest, MissingFileIsUsageError) {
   const LintRun run = RunLint(Fixture("does_not_exist.cc"));
   EXPECT_EQ(run.exit_code, 2) << run.output;
-}
-
-// Satellite: the content-hash incremental cache. A cold run analyzes the
-// file, a no-op rerun serves it from the cache, and an edit invalidates
-// exactly that entry.
-TEST(LintTest, CacheServesWarmRerunAndInvalidatesOnEdit) {
-  namespace fs = std::filesystem;
-  const fs::path proj = fs::path(::testing::TempDir()) / "deeprest_analyze_cache_test";
-  fs::remove_all(proj);
-  fs::create_directories(proj / "src");
-  const fs::path file = proj / "src" / "cache_probe.cc";
-  {
-    std::ofstream out(file);
-    out << "int Answer() { return 42; }\n";
-  }
-  const std::string base_args =
-      "--root " + proj.string() + " --cache " + (proj / "cache.txt").string() + " --stats";
-
-  const LintRun cold = RunLint(base_args);
-  EXPECT_EQ(cold.exit_code, 0) << cold.output;
-  EXPECT_NE(cold.output.find("1 analyzed, 0 cached"), std::string::npos) << cold.output;
-
-  const LintRun warm = RunLint(base_args);
-  EXPECT_EQ(warm.exit_code, 0) << warm.output;
-  EXPECT_NE(warm.output.find("0 analyzed, 1 cached"), std::string::npos) << warm.output;
-
-  {
-    std::ofstream out(file, std::ios::app);
-    out << "// touched: the content hash must move\n";
-  }
-  const LintRun edited = RunLint(base_args);
-  EXPECT_EQ(edited.exit_code, 0) << edited.output;
-  EXPECT_NE(edited.output.find("1 analyzed, 0 cached"), std::string::npos) << edited.output;
-
-  fs::remove_all(proj);
-}
-
-// A cached rerun must reproduce the cold run's diagnostics verbatim —
-// caching may never eat a violation.
-TEST(LintTest, CacheReplaysDiagnosticsVerbatim) {
-  namespace fs = std::filesystem;
-  const fs::path proj = fs::path(::testing::TempDir()) / "deeprest_analyze_replay_test";
-  fs::remove_all(proj);
-  fs::create_directories(proj / "src");
-  {
-    std::ofstream out(proj / "src" / "dirty_probe.cc");
-    out << "#include <cstdlib>\n"
-           "int Roll() { return std::rand(); }\n";
-  }
-  const std::string base_args =
-      "--root " + proj.string() + " --cache " + (proj / "cache.txt").string();
-
-  const LintRun cold = RunLint(base_args);
-  const LintRun warm = RunLint(base_args);
-  EXPECT_EQ(cold.exit_code, 1) << cold.output;
-  EXPECT_EQ(warm.exit_code, 1) << warm.output;
-  EXPECT_EQ(cold.output, warm.output);
-  EXPECT_NE(warm.output.find("[no-unseeded-rand]"), std::string::npos) << warm.output;
-
-  fs::remove_all(proj);
 }
 
 // The rule the whole PR hangs on: the real tree must stay lint-clean with

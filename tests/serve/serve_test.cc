@@ -750,60 +750,6 @@ TEST(IngestPipelineTest, MetricGapsAreCarriedForwardNotZero) {
   EXPECT_DOUBLE_EQ(folded.At(gapped, 2), s.metrics.At(gapped, 2));
 }
 
-TEST(IngestPipelineTest, RenormalizationRescalesPartialWindows) {
-  TinySetup s = MakeSetup();
-  FeatureExtractor fx;
-  fx.LearnRange(s.traces, 0, s.learn_windows);
-  IngestPipelineConfig config;
-  config.shards = 1;
-  config.renorm_threshold = 0.5;
-  IngestPipeline pipeline(fx, config);
-
-  // Mirror of the pipeline's expected-volume tracking: renormalized windows
-  // do not update the EWMA (a degraded stretch must not drag it down).
-  const auto keys = s.metrics.Keys();
-  double ewma = 0.0;
-  size_t warmup_renormed = 0;
-  for (size_t w = 0; w < 8; ++w) {
-    for (const Trace& trace : s.traces.TracesAt(w)) {
-      pipeline.IngestTrace(w, trace);
-    }
-    for (const MetricKey& key : keys) {
-      pipeline.IngestMetric(key, w, s.metrics.At(key, w));
-    }
-    const double count = static_cast<double>(s.traces.TracesAt(w).size());
-    ASSERT_GT(count, 0.0);
-    if (ewma >= 1.0 && count < config.renorm_threshold * ewma) {
-      ++warmup_renormed;  // natural traffic dip below threshold
-    } else {
-      ewma = ewma <= 0.0 ? count : config.ewma_alpha * count + (1.0 - config.ewma_alpha) * ewma;
-    }
-  }
-  // Window 8: only one trace survives — far below the expected volume.
-  ASSERT_GT(ewma * config.renorm_threshold, 1.0);
-  pipeline.IngestTrace(8, s.traces.TracesAt(8).front());
-  for (const MetricKey& key : keys) {
-    pipeline.IngestMetric(key, 8, s.metrics.At(key, 8));
-  }
-  pipeline.Fold(9);
-
-  const auto quality = pipeline.QualitySlice(0, 9);
-  EXPECT_TRUE(quality[8].renormalized);
-  EXPECT_LT(quality[8].trace_coverage, 1.0);
-  EXPECT_EQ(pipeline.renormalized_windows(), warmup_renormed + 1);
-
-  // The sealed features are exactly the observed partial mix rescaled to the
-  // expected volume.
-  TraceCollector partial;
-  partial.Collect(8, s.traces.TracesAt(8).front());
-  std::vector<float> expected = fx.ExtractWindow(partial, 8);
-  const float scale = static_cast<float>(ewma / 1.0);
-  for (float& f : expected) {
-    f *= scale;
-  }
-  EXPECT_EQ(pipeline.FeatureSlice(8, 9).front(), expected);
-}
-
 // --- Robustness: overload protection and lifecycle ---
 
 // Every enumerator has a distinct, non-"unknown" name, and the count

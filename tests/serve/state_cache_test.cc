@@ -1,12 +1,11 @@
 // Soft-memory tiered state cache: byte caps and pinned overshoot, CLOCK
-// eviction, cold-tier round trips, slab truncation, pin/lease semantics, and
-// the eviction-storm stress test the ci.sh ASan leg runs with
-// DEEPREST_STATECACHE_STRESS=1.
+// eviction, disk-slab round trips and drops, slab truncation, the charged
+// cold index, pin/lease semantics, and the eviction-storm stress test the
+// ci.sh ASan leg runs with DEEPREST_STATECACHE_STRESS=1.
 #include "src/serve/state_cache.h"
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -15,8 +14,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "src/nn/quant.h"
 
 namespace deeprest {
 namespace {
@@ -39,16 +36,13 @@ void FillState(StateCache& cache, uint64_t key, size_t floats = 32) {
   lease.state().model_version = 1;
 }
 
-TEST(ColdTierTest, NamesRoundTrip) {
-  ColdTier tier = ColdTier::kFp16;
-  EXPECT_TRUE(ParseColdTier("disk", &tier));
-  EXPECT_EQ(tier, ColdTier::kDisk);
-  EXPECT_TRUE(ParseColdTier("fp16", &tier));
-  EXPECT_EQ(tier, ColdTier::kFp16);
-  EXPECT_TRUE(ParseColdTier("recompute", &tier));
-  EXPECT_EQ(tier, ColdTier::kRecompute);
-  EXPECT_FALSE(ParseColdTier("ram", &tier));
-  EXPECT_STREQ(ColdTierName(ColdTier::kDisk), "disk");
+// A disk-tier config whose slab lives in the test temp dir.
+StateCacheConfig DiskConfig(size_t hot_bytes, const std::string& slab_name, size_t slots) {
+  StateCacheConfig config;
+  config.hot_bytes = hot_bytes;
+  config.slab_path = ::testing::TempDir() + slab_name;
+  config.slab_slots = slots;
+  return config;
 }
 
 TEST(StateCacheTest, FreshEntryIsMissThenHotHit) {
@@ -75,63 +69,26 @@ TEST(StateCacheTest, FreshEntryIsMissThenHotHit) {
   EXPECT_EQ(counters.hot_entries, 1u);
 }
 
-TEST(StateCacheTest, AcquireWithoutCreateMissesCleanly) {
-  StateCache cache(StateCacheConfig{});
-  StateCache::Lease lease = cache.Acquire(42);
-  EXPECT_FALSE(lease.valid());
-  EXPECT_EQ(cache.Counters().misses, 1u);
-  EXPECT_EQ(cache.Counters().hot_entries, 0u);
-}
-
-TEST(StateCacheTest, HotCapEvictsInClockOrderToFp16) {
-  StateCacheConfig config;
+TEST(StateCacheTest, HotCapEvictsInClockOrderToDisk) {
   // 32 floats + overhead is ~240 bytes per entry: cap at ~6 entries.
-  config.hot_bytes = 1500;
-  config.cold_tier = ColdTier::kFp16;
-  config.cold_bytes = 1 << 20;
+  const StateCacheConfig config = DiskConfig(1500, "state_cache_slab_clock.bin", 64);
   StateCache cache(config);
+  ASSERT_TRUE(cache.disk_ok());
   for (uint64_t key = 1; key <= 20; ++key) {
     FillState(cache, key);
   }
   const StateCacheCounters counters = cache.Counters();
   EXPECT_GT(counters.evictions, 0u);
-  EXPECT_EQ(counters.compressions, counters.evictions);
+  EXPECT_EQ(counters.spills, counters.evictions);
+  EXPECT_EQ(counters.drops, 0u);
   EXPECT_LE(counters.hot_resident_bytes, config.hot_bytes);
-  EXPECT_GT(counters.cold_entries, 0u);
-}
-
-TEST(StateCacheTest, Fp16PromotionIsWithinHalfPrecision) {
-  StateCacheConfig config;
-  config.hot_bytes = 600;  // ~2 entries: the first insert gets demoted fast
-  config.cold_tier = ColdTier::kFp16;
-  StateCache cache(config);
-  FillState(cache, 1);
-  for (uint64_t key = 2; key <= 8; ++key) {
-    FillState(cache, key);  // push key 1 out of the hot tier
-  }
-  ASSERT_GT(cache.Counters().compressions, 0u);
-  StateCache::Lease lease = cache.AcquireOrCreate(1);
-  ASSERT_TRUE(lease.valid());
-  const std::vector<float> expected = PayloadFor(1);
-  ASSERT_EQ(lease.state().hidden.size(), expected.size());
-  EXPECT_EQ(lease.state().steps, 1u);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    // Round-to-nearest-even binary16: relative error bounded by 2^-11.
-    const float bound = std::abs(expected[i]) * (1.0f / 2048.0f) + 1e-6f;
-    EXPECT_NEAR(lease.state().hidden[i], expected[i], bound) << "index " << i;
-    // And exactly the value the quantizer produces, not merely close.
-    EXPECT_EQ(lease.state().hidden[i], HalfToFloat(FloatToHalf(expected[i])));
-  }
-  EXPECT_GT(cache.Counters().cold_hits, 0u);
+  EXPECT_EQ(counters.cold_entries, counters.spills);
+  std::remove(config.slab_path.c_str());
 }
 
 TEST(StateCacheTest, DiskSpillRoundTripsBitExact) {
-  StateCacheConfig config;
-  config.hot_bytes = 600;
-  config.cold_tier = ColdTier::kDisk;
-  config.slab_path = ::testing::TempDir() + "state_cache_slab_roundtrip.bin";
+  StateCacheConfig config = DiskConfig(600, "state_cache_slab_roundtrip.bin", 64);
   config.slab_slot_payload_bytes = 256;
-  config.slab_slots = 64;
   StateCache cache(config);
   ASSERT_TRUE(cache.disk_ok());
   FillState(cache, 1);
@@ -153,11 +110,7 @@ TEST(StateCacheTest, DiskSpillRoundTripsBitExact) {
 }
 
 TEST(StateCacheTest, TornSlabSlotFailsClosedAsMiss) {
-  StateCacheConfig config;
-  config.hot_bytes = 600;
-  config.cold_tier = ColdTier::kDisk;
-  config.slab_path = ::testing::TempDir() + "state_cache_slab_torn.bin";
-  config.slab_slots = 64;
+  const StateCacheConfig config = DiskConfig(600, "state_cache_slab_torn.bin", 64);
   StateCache cache(config);
   ASSERT_TRUE(cache.disk_ok());
   FillState(cache, 1);
@@ -223,39 +176,80 @@ TEST(SlabFileTest, TruncationAtEveryOffsetFailsClosed) {
   std::remove(path.c_str());
 }
 
-TEST(StateCacheTest, RecomputeRebuildsDroppedEntries) {
+// A state whose serialized form does not fit a slot is dropped at eviction
+// and counted; it never lands truncated. A state that fits the same slab
+// spills and comes back bit for bit.
+TEST(StateCacheTest, StateLargerThanASlotIsDroppedNotTruncated) {
+  StateCacheConfig config = DiskConfig(1, "state_cache_slab_oversized.bin", 8);
+  config.slab_slot_payload_bytes = StatePayloadBytes(12);
+  StateCache cache(config);
+  ASSERT_TRUE(cache.disk_ok());
+  FillState(cache, 1, /*floats=*/13);  // one float too many
+  FillState(cache, 2, /*floats=*/12);  // fits exactly
+  StateCacheCounters counters = cache.Counters();
+  ASSERT_EQ(counters.evictions, 2u);  // a 1-byte hot cap keeps nothing
+  EXPECT_EQ(counters.drops, 1u);
+  EXPECT_EQ(counters.spills, 1u);
+  {
+    StateCache::Lease dropped = cache.AcquireOrCreate(1);
+    EXPECT_TRUE(dropped.state().hidden.empty());  // fresh: warm-restart
+    EXPECT_EQ(dropped.state().steps, 0u);
+  }
+  {
+    StateCache::Lease spilled = cache.AcquireOrCreate(2);
+    EXPECT_EQ(spilled.state().hidden, PayloadFor(2, 12));
+    EXPECT_EQ(spilled.state().steps, 2u);
+  }
+  counters = cache.Counters();
+  EXPECT_EQ(counters.cold_hits, 1u);
+  EXPECT_EQ(counters.misses, 3u);  // two fresh keys plus the dropped one
+  std::remove(config.slab_path.c_str());
+}
+
+// Without a slab every eviction drops, and the next acquire of a dropped key
+// is a fresh entry.
+TEST(StateCacheTest, NoSlabDropsEvictedStates) {
   StateCacheConfig config;
   config.hot_bytes = 600;
-  config.cold_tier = ColdTier::kRecompute;
   StateCache cache(config);
-  std::atomic<uint64_t> recompute_calls{0};
-  cache.SetRecompute([&](uint64_t key, StreamState* out) {
-    recompute_calls.fetch_add(1);
-    out->hidden = PayloadFor(key);
-    out->steps = key;
-    out->model_version = 1;
-    return true;
-  });
-  StateCache::Lease first = cache.AcquireOrCreate(1);
-  ASSERT_TRUE(first.valid());
-  EXPECT_EQ(first.state().hidden, PayloadFor(1));  // miss -> recompute
-  first.Release();
-  for (uint64_t key = 2; key <= 8; ++key) {
-    StateCache::Lease lease = cache.AcquireOrCreate(key);
+  EXPECT_FALSE(cache.disk_ok());
+  for (uint64_t key = 1; key <= 8; ++key) {
+    FillState(cache, key);
   }
-  ASSERT_GT(cache.Counters().drops, 0u);  // kRecompute demotions drop
-  StateCache::Lease again = cache.AcquireOrCreate(1);
-  ASSERT_TRUE(again.valid());
-  EXPECT_EQ(again.state().hidden, PayloadFor(1));
-  EXPECT_EQ(again.state().steps, 1u);
-  EXPECT_GE(recompute_calls.load(), 2u);
-  EXPECT_GE(cache.Counters().recomputes, 2u);
+  const StateCacheCounters counters = cache.Counters();
+  ASSERT_GT(counters.evictions, 0u);
+  EXPECT_EQ(counters.drops, counters.evictions);
+  EXPECT_EQ(counters.spills, 0u);
+  EXPECT_EQ(counters.cold_entries, 0u);
+  EXPECT_EQ(counters.cold_resident_bytes, 0u);
+  StateCache::Lease again = cache.AcquireOrCreate(1);  // evicted first
+  EXPECT_TRUE(again.state().hidden.empty());
+}
+
+// The cold index is RAM: each spilled entry is charged kColdEntryOverhead,
+// so the charge tracks the entry count and never exceeds what the slab's
+// slot count allows, even when demotions outrun the slots.
+TEST(StateCacheTest, ColdIndexIsChargedPerEntryWithinSlotBound) {
+  constexpr size_t kSlots = 8;
+  const StateCacheConfig config = DiskConfig(600, "state_cache_slab_index.bin", kSlots);
+  StateCache cache(config);
+  ASSERT_TRUE(cache.disk_ok());
+  for (uint64_t key = 1; key <= 40; ++key) {
+    FillState(cache, key);
+    const StateCacheCounters counters = cache.Counters();
+    EXPECT_EQ(counters.cold_resident_bytes, counters.cold_entries * kColdEntryOverhead)
+        << "after key " << key;
+    EXPECT_LE(counters.cold_resident_bytes, kSlots * kColdEntryOverhead) << "after key " << key;
+  }
+  const StateCacheCounters counters = cache.Counters();
+  EXPECT_EQ(counters.cold_entries, kSlots);
+  EXPECT_GT(counters.drops, 0u);  // FIFO slot reclaim
+  EXPECT_EQ(counters.spills, counters.cold_entries + counters.drops);
+  std::remove(config.slab_path.c_str());
 }
 
 TEST(StateCacheTest, PinnedEntriesAreNeverEvicted) {
-  StateCacheConfig config;
-  config.hot_bytes = 600;
-  config.cold_tier = ColdTier::kFp16;
+  const StateCacheConfig config = DiskConfig(600, "state_cache_slab_pinned.bin", 64);
   StateCache cache(config);
   StateCache::Lease pinned = cache.AcquireOrCreate(1);
   pinned.state().hidden = PayloadFor(1);
@@ -268,21 +262,7 @@ TEST(StateCacheTest, PinnedEntriesAreNeverEvicted) {
   pinned.Release();
   StateCache::Lease back = cache.AcquireOrCreate(1);
   EXPECT_EQ(back.state().hidden, PayloadFor(1));
-}
-
-TEST(StateCacheTest, ClearDropsUnpinnedButKeepsLeased) {
-  StateCacheConfig config;
-  config.hot_bytes = 1 << 20;
-  StateCache cache(config);
-  for (uint64_t key = 1; key <= 10; ++key) {
-    FillState(cache, key);
-  }
-  StateCache::Lease held = cache.AcquireOrCreate(3);
-  cache.Clear();
-  EXPECT_EQ(cache.Counters().hot_entries, 1u);
-  EXPECT_EQ(held.state().hidden, PayloadFor(3));
-  held.Release();
-  EXPECT_EQ(cache.Counters().cold_entries, 0u);
+  std::remove(config.slab_path.c_str());
 }
 
 TEST(StateCacheTest, LeaseIsExclusiveAndBlocksSecondAcquirer) {
@@ -313,7 +293,6 @@ TEST(StateCacheTest, LeaseIsExclusiveAndBlocksSecondAcquirer) {
 TEST(StateCacheTest, PinnedOvershootSettlesUnderHotCapOnRelease) {
   StateCacheConfig config;
   config.hot_bytes = 512;  // well under eight fresh entries
-  config.cold_tier = ColdTier::kRecompute;
   StateCache cache(config);
   std::vector<StateCache::Lease> leases;
   for (uint64_t key = 1; key <= 8; ++key) {
@@ -335,19 +314,22 @@ TEST(StateCacheTest, PinnedOvershootSettlesUnderHotCapOnRelease) {
 }
 
 // The ci.sh ASan leg runs this with DEEPREST_STATECACHE_STRESS=1 and
-// deliberately tiny caps: continuous eviction under concurrent leases is
-// exactly where a use-after-free or double-account would surface.
+// deliberately tiny caps: continuous eviction under concurrent leases, into a
+// slab with fewer slots than the key space (so FIFO slot reclaim and drops
+// run too), is exactly where a use-after-free or double-account would
+// surface.
 TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
   const bool stress = std::getenv("DEEPREST_STATECACHE_STRESS") != nullptr;
   const size_t threads = 4;
   const size_t iterations = stress ? 4000 : 400;
   const uint64_t key_space = 64;
 
-  StateCacheConfig config;
-  config.hot_bytes = 4096;  // tiny on purpose: constant eviction
-  config.cold_tier = ColdTier::kFp16;
-  config.cold_bytes = 4096;
+  // Tiny on purpose: constant eviction, and ~23 hot entries plus 16 slots
+  // cannot hold 64 keys.
+  StateCacheConfig config = DiskConfig(4096, "state_cache_slab_storm.bin", 16);
+  config.slab_slot_payload_bytes = 128;
   StateCache cache(config);
+  ASSERT_TRUE(cache.disk_ok());
 
   std::vector<std::thread> workers;
   workers.reserve(threads);
@@ -362,19 +344,10 @@ TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
         StateCache::Lease lease = cache.AcquireOrCreate(key);
         ASSERT_TRUE(lease.valid());
         if (lease.state().hidden.empty()) {
-          lease.state().hidden = PayloadFor(key, 16);
+          lease.state().hidden = PayloadFor(key, 16);  // fresh or dropped
         } else {
-          // Whatever tier the state came through, it is the key's payload —
-          // possibly fp16-rounded, so compare through the quantizer.
-          ASSERT_EQ(lease.state().hidden.size(), 16u);
-          const std::vector<float> expected = PayloadFor(key, 16);
-          for (size_t j = 0; j < expected.size(); ++j) {
-            const float exact = expected[j];
-            const float rounded = HalfToFloat(FloatToHalf(exact));
-            ASSERT_TRUE(lease.state().hidden[j] == exact ||
-                        lease.state().hidden[j] == rounded)
-                << "key " << key << " index " << j;
-          }
+          // Hot or spilled, the state is the key's payload, bit for bit.
+          ASSERT_EQ(lease.state().hidden, PayloadFor(key, 16)) << "key " << key;
         }
         lease.state().steps += 1;
       }
@@ -383,16 +356,20 @@ TEST(StateCacheTest, EvictionStormUnderConcurrentLeases) {
   for (std::thread& worker : workers) {
     worker.join();
   }
+  // Accounting stayed consistent through the storm: every access was a hit
+  // or a miss, every eviction spilled, and every spill was promoted, is
+  // still cold, or was dropped by slot reclaim.
   const StateCacheCounters counters = cache.Counters();
   EXPECT_GT(counters.evictions, 0u);
+  EXPECT_GT(counters.drops, 0u);
+  EXPECT_EQ(counters.hot_hits + counters.cold_hits + counters.misses, threads * iterations);
+  EXPECT_EQ(counters.spills, counters.evictions);
+  EXPECT_EQ(counters.spills, counters.cold_hits + counters.cold_entries + counters.drops);
+  EXPECT_LE(counters.hot_entries + counters.cold_entries, key_space);
   EXPECT_LE(counters.hot_resident_bytes, config.hot_bytes);
-  EXPECT_LE(counters.cold_resident_bytes, config.cold_bytes);
-  // Accounting stayed consistent through the storm: with no lease held,
-  // Clear drops every hot entry and the hot resident count returns to zero.
-  cache.Clear();
-  const StateCacheCounters cleared = cache.Counters();
-  EXPECT_EQ(cleared.hot_entries, 0u);
-  EXPECT_EQ(cleared.hot_resident_bytes, 0u);
+  EXPECT_LE(counters.cold_entries, config.slab_slots);
+  EXPECT_EQ(counters.cold_resident_bytes, counters.cold_entries * kColdEntryOverhead);
+  std::remove(config.slab_path.c_str());
 }
 
 }  // namespace

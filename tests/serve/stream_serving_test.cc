@@ -52,7 +52,6 @@ TEST(StreamServingTest, SplitSeriesMatchesDirectResumeThroughDiskTier) {
 
   StateCacheConfig cache_config;
   cache_config.hot_bytes = 64;  // smaller than one entry: evict on release
-  cache_config.cold_tier = ColdTier::kDisk;
   cache_config.slab_path = ::testing::TempDir() + "stream_serving_slab.bin";
   cache_config.slab_slot_payload_bytes = 1 << 14;
   cache_config.slab_slots = 256;

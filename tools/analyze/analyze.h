@@ -8,8 +8,7 @@
 //   * index.cc        — per-file declaration/annotation facts: mutex members
 //                       with their DEEPREST_ACQUIRED_AFTER / lock-level
 //                       hierarchy annotations, and enum-class enumerator
-//                       tables. Facts are cheap, serializable, and feed the
-//                       cross-file passes.
+//                       tables. Facts feed the cross-file passes.
 //   * rules.cc/flow.cc/lockgraph.cc — the rule passes:
 //       - the nine legacy token rules (ids unchanged, see rules.cc),
 //         no-raw-tensor-node-new among them: it keeps TensorNode allocation
@@ -29,13 +28,12 @@
 //       - stale-escape: allow()/bounded() comments and allowlist entries
 //         that no longer suppress anything.
 //
-// The engine (main.cc) adds machine-readable output (--format=sarif|github),
-// a content-hash incremental cache (--cache FILE, cache.cc) and lock-graph
-// DOT export (--dot FILE). Exit codes: 0 clean, 1 violations, 2 usage/IO.
+// The engine (main.cc) adds machine-readable output (--format=sarif|github)
+// and lock-graph DOT export (--dot FILE). Every run reads and analyzes every
+// file. Exit codes: 0 clean, 1 violations, 2 usage/IO.
 #ifndef TOOLS_ANALYZE_ANALYZE_H_
 #define TOOLS_ANALYZE_ANALYZE_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -43,7 +41,7 @@
 
 namespace deeprest_analyze {
 
-// Bump when rule semantics change: invalidates every incremental cache.
+// The tool version SARIF output reports; bump when rule semantics change.
 inline constexpr const char* kEngineVersion = "deeprest-analyze-v2";
 
 // ---------------------------------------------------------------------------
@@ -111,13 +109,13 @@ struct Sink {
   void Report(const std::string& rule, const std::string& path, int line,
               const std::string& message, const FileScan& scan);
   // Facts-level report: `inline_rules` are the rules granted at the fact's
-  // declaration line (carried through the cache for cached files).
+  // declaration line.
   void ReportFact(const std::string& rule, const std::string& path, int line,
                   const std::string& message, const std::set<std::string>& inline_rules);
 };
 
 // ---------------------------------------------------------------------------
-// Cross-file facts (the indexer's output; serialized into the cache)
+// Cross-file facts (the indexer's output)
 // ---------------------------------------------------------------------------
 
 struct MutexFact {
@@ -198,28 +196,6 @@ void RunFlowRules(const std::string& path, const FileScan& scan,
 // stale-escape for inline grants: every allow()/bounded() comment must have
 // suppressed at least one diagnostic in this run of the file.
 void CheckStaleInlineGrants(const std::string& path, const FileScan& scan, Sink& sink);
-
-// ---------------------------------------------------------------------------
-// Incremental cache (cache.cc)
-// ---------------------------------------------------------------------------
-
-struct CachedFile {
-  std::string content_hash;
-  FileFacts facts;
-  std::vector<Diagnostic> diagnostics;  // per-file diags (path omitted on disk)
-  std::set<size_t> used_allowlist;      // allowlist entries this file consumed
-};
-
-struct Cache {
-  std::string global_key;   // engine version + allowlist bytes hash
-  std::string facts_hash;   // cross-file facts fingerprint of the last run
-  std::map<std::string, CachedFile> files;
-};
-
-std::string HashBytes(const std::string& bytes);  // FNV-1a, hex
-bool LoadCache(const std::string& path, Cache& cache);
-bool SaveCache(const std::string& path, const Cache& cache);
-std::string SerializeFacts(const FileFacts& facts);  // also the facts-hash input
 
 // ---------------------------------------------------------------------------
 // Output (output.cc)

@@ -5,8 +5,6 @@
 //     annotation arguments, lock-level(...) hierarchy comments, and any
 //     inline allow() grants active on the declaration line;
 //   * enum tables (scoped and unscoped) with their enumerator lists.
-// Facts are tiny and serializable (cache.cc), so cached files contribute to
-// the lock graph and enum-switch checks without being re-lexed.
 #include <cctype>
 
 #include "tools/analyze/analyze.h"

@@ -1,7 +1,7 @@
 // deeprest_analyze driver. CLI is a superset of the old deeprest_lint:
 //
 //   deeprest_analyze [--root DIR] [--allowlist FILE] [--format=text|sarif|github]
-//                    [--out FILE] [--cache FILE] [--dot FILE] [--stats] [file...]
+//                    [--out FILE] [--dot FILE] [--stats] [file...]
 //
 // With explicit files only those are analyzed (fixture tests); otherwise
 // every .h/.cc/.cpp/.hpp under DIR/src, DIR/tools and DIR/tests is walked
@@ -25,13 +25,7 @@ using namespace deeprest_analyze;
 
 struct FileState {
   std::string path;
-  std::string bytes;
-  std::string content_hash;
-  bool cached = false;  // facts + per-file diagnostics reused from the cache
-  FileScan scan;        // populated for dirty files only
-  FileFacts facts;
-  std::vector<Diagnostic> file_diagnostics;
-  std::set<size_t> file_used_allowlist;
+  FileScan scan;
 };
 
 bool ReadFileBytes(const std::string& path, std::string* bytes) {
@@ -75,7 +69,6 @@ int main(int argc, char** argv) {
   std::string allowlist_path;
   std::string format = "text";
   std::string out_path;
-  std::string cache_path;
   std::string dot_path;
   bool stats = false;
   std::vector<std::string> files;
@@ -91,8 +84,6 @@ int main(int argc, char** argv) {
       format = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--dot" && i + 1 < argc) {
       dot_path = argv[++i];
     } else if (arg == "--stats") {
@@ -100,8 +91,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: deeprest_analyze [--root DIR] [--allowlist FILE] "
-          "[--format=text|sarif|github] [--out FILE] [--cache FILE] "
-          "[--dot FILE] [--stats] [file...]\n");
+          "[--format=text|sarif|github] [--out FILE] [--dot FILE] [--stats] "
+          "[file...]\n");
       return 0;
     } else {
       files.push_back(arg);
@@ -113,14 +104,10 @@ int main(int argc, char** argv) {
   }
 
   Sink sink;
-  std::string allowlist_bytes;
-  if (!allowlist_path.empty()) {
-    if (!LoadAllowlist(allowlist_path, sink)) {
-      std::fprintf(stderr, "deeprest_analyze: cannot read allowlist %s\n",
-                   allowlist_path.c_str());
-      return 2;
-    }
-    ReadFileBytes(allowlist_path, &allowlist_bytes);
+  if (!allowlist_path.empty() && !LoadAllowlist(allowlist_path, sink)) {
+    std::fprintf(stderr, "deeprest_analyze: cannot read allowlist %s\n",
+                 allowlist_path.c_str());
+    return 2;
   }
 
   if (files.empty()) {
@@ -147,64 +134,25 @@ int main(int argc, char** argv) {
     std::sort(files.begin(), files.end());  // deterministic diagnostic order
   }
 
-  // Phase A: read, hash, and either reuse cached facts or lex + index.
-  const std::string global_key =
-      HashBytes(std::string(kEngineVersion) + "\n" + allowlist_bytes);
-  Cache cache;
-  const bool cache_valid = !cache_path.empty() && LoadCache(cache_path, cache) &&
-                           cache.global_key == global_key;
+  // Phase A: read, lex and index every file.
   std::vector<FileState> states;
   states.reserve(files.size());
+  std::map<std::string, FileFacts> facts_by_path;
   for (const std::string& file : files) {
     FileState state;
     state.path = std::filesystem::path(file).generic_string();
-    if (!ReadFileBytes(file, &state.bytes)) {
+    std::string bytes;
+    if (!ReadFileBytes(file, &bytes)) {
       std::fprintf(stderr, "deeprest_analyze: cannot read %s\n", file.c_str());
       return 2;
     }
-    state.content_hash = HashBytes(state.bytes);
-    if (cache_valid) {
-      const auto it = cache.files.find(state.path);
-      if (it != cache.files.end() && it->second.content_hash == state.content_hash) {
-        state.cached = true;
-        state.facts = it->second.facts;
-        state.file_diagnostics = it->second.diagnostics;
-        state.file_used_allowlist = it->second.used_allowlist;
-      }
-    }
-    if (!state.cached) {
-      state.scan = ScanFile(state.bytes);
-      state.facts = ExtractFacts(state.path, state.scan);
-    }
+    state.scan = ScanFile(bytes);
+    facts_by_path[state.path] = ExtractFacts(state.path, state.scan);
     states.push_back(std::move(state));
   }
 
-  // Cross-file facts fingerprint: if it moved, per-file flow diagnostics may
-  // change even in untouched files (the lock graph is global) — re-analyze
-  // everything.
-  std::map<std::string, FileFacts> facts_by_path;
-  for (const FileState& state : states) {
-    facts_by_path[state.path] = state.facts;
-  }
-  std::string facts_blob;
-  for (const auto& [path, facts] : facts_by_path) {
-    facts_blob += path + "\n" + SerializeFacts(facts);
-  }
-  const std::string facts_hash = HashBytes(facts_blob);
-  if (cache_valid && facts_hash != cache.facts_hash) {
-    for (FileState& state : states) {
-      if (state.cached) {
-        state.cached = false;
-        state.file_diagnostics.clear();
-        state.file_used_allowlist.clear();
-        state.scan = ScanFile(state.bytes);
-      }
-    }
-  }
-
-  // Phase B: global passes, then per-file passes on dirty files.
+  // Phase B: global passes, then per-file passes.
   LockGraph graph = BuildLockGraph(facts_by_path, sink);
-  const size_t global_diag_count = sink.diagnostics.size();
   std::map<std::string, std::vector<std::string>> global_enums;
   for (const auto& [path, facts] : facts_by_path) {
     (void)path;
@@ -212,42 +160,14 @@ int main(int argc, char** argv) {
       global_enums.emplace(e.name, e.enumerators);  // first definition wins
     }
   }
-  size_t analyzed = 0;
-  for (FileState& state : states) {
-    if (state.cached) {
-      for (const Diagnostic& cached_diag : state.file_diagnostics) {
-        Diagnostic d = cached_diag;
-        d.path = state.path;
-        sink.diagnostics.push_back(d);
-      }
-      for (size_t index : state.file_used_allowlist) {
-        if (index < sink.allowlist.size()) {
-          sink.used_allowlist.insert(index);
-        }
-      }
-      continue;
-    }
-    ++analyzed;
-    const size_t diags_before = sink.diagnostics.size();
-    const std::set<size_t> used_before = sink.used_allowlist;
+  for (const FileState& state : states) {
     RunTokenRules(state.path, state.scan, sink);
     CheckEnumSwitch(state.path, state.scan, global_enums, sink);
     RunFlowRules(state.path, state.scan, graph, sink);
     CheckStaleInlineGrants(state.path, state.scan, sink);
-    for (size_t d = diags_before; d < sink.diagnostics.size(); ++d) {
-      Diagnostic stripped = sink.diagnostics[d];
-      stripped.path.clear();  // path is the cache record key
-      state.file_diagnostics.push_back(stripped);
-    }
-    for (size_t index : sink.used_allowlist) {
-      if (used_before.count(index) == 0) {
-        state.file_used_allowlist.insert(index);
-      }
-    }
   }
 
-  // Stale allowlist entries: every run re-checks these from the full
-  // diagnostic+usage picture (cached files contribute their usage sets).
+  // Stale allowlist entries, from the full diagnostic+usage picture.
   for (size_t k = 0; k < sink.allowlist.size(); ++k) {
     if (sink.used_allowlist.count(k) > 0) {
       continue;
@@ -280,7 +200,6 @@ int main(int argc, char** argv) {
                            a.rule == b.rule && a.message == b.message;
                   }),
       sink.diagnostics.end());
-  (void)global_diag_count;
 
   if (!dot_path.empty()) {
     const std::string dot = LockGraphDot(graph);
@@ -296,24 +215,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cache_path.empty()) {
-    Cache fresh;
-    fresh.global_key = global_key;
-    fresh.facts_hash = facts_hash;
-    for (const FileState& state : states) {
-      CachedFile entry;
-      entry.content_hash = state.content_hash;
-      entry.facts = state.facts;
-      entry.diagnostics = state.file_diagnostics;
-      entry.used_allowlist = state.file_used_allowlist;
-      fresh.files[state.path] = entry;
-    }
-    SaveCache(cache_path, fresh);
-  }
-
   if (stats) {
-    std::printf("deeprest_analyze: %zu files, %zu analyzed, %zu cached, %zu diagnostic(s)\n",
-                states.size(), analyzed, states.size() - analyzed,
+    std::printf("deeprest_analyze: %zu files, %zu diagnostic(s)\n", states.size(),
                 sink.diagnostics.size());
   }
 

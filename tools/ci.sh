@@ -28,18 +28,20 @@
 #                    chaos quickstart, which must recover every incident it
 #                    opens and restart every worker that crashed, and its
 #                    budgeted-serving quickstart, whose Memory: row must
-#                    match the README
+#                    match the README and whose evicted stream states must
+#                    all spill to the disk slab (spills > 0, drops = 0)
 #   5. lint        — flow-aware analyzer over src/+tools/+tests/ + rule
 #                    fixtures (ctest -L lint)
 #   6. analyze     — analyzer artifact leg: SARIF report + lock-graph DOT
-#                    into build/, plus a warm-cache rerun assertion
+#                    into build/
 #   7. tsa         — Clang Thread Safety Analysis as errors (skipped without clang++)
 #   8. tsan        — chaos/serve/resilience/parallel suite under ThreadSanitizer
 #   9. asan        — chaos suite + the nn and core suites under ASan+UBSan
-#  10. asan-storm  — state-cache eviction storm under ASan+UBSan with tiny
-#                    hot and cold caps (DEEPREST_STATECACHE_STRESS=1):
-#                    concurrent leases vs CLOCK eviction, fp16 demotion and
-#                    the fp16 tier's FIFO overflow drops
+#  10. asan-storm  — state-cache eviction storm under ASan+UBSan with a tiny
+#                    hot cap and a slab smaller than the key space
+#                    (DEEPREST_STATECACHE_STRESS=1): concurrent leases vs
+#                    CLOCK eviction, slab spills and promotions, and the
+#                    slab's FIFO slot reclaim drops
 #
 # Usage: tools/ci.sh [--quick]
 #   --quick stops before the sanitizer legs (pre-push sanity; tsan/asan are
@@ -173,36 +175,36 @@ if [[ -z "$crashes" || "$crashes" != "$restarts" ]]; then
   exit 1
 fi
 # The README's budgeted-serving quickstart must exit 0 and print the Memory:
-# row the README shows under it: the budget goes to the stream cache, half
-# hot and half cold.
-budgeted="$(build/tools/deeprest serve --days=2 --wpd=24 --serve-days=1 --clients=4 \
-  --memory-budget-mb=64 --state-cold-tier=fp16)" \
+# row the README shows under it (half the budget caps the hot tier, half pays
+# for the slab index), and its 300 streams overflow the hot tier, so every
+# eviction must spill to the slab: spills > 0 and no state dropped.
+budgeted="$(build/tools/deeprest serve --days=2 --wpd=24 --serve-days=1 --clients=300 \
+  --memory-budget-mb=1)" \
   || { echo "    budgeted-serving quickstart exited nonzero"; exit 1; }
 memory_row="$(grep -m1 '^Memory:' <<<"$budgeted" || true)"
-readme_row="$(grep -m1 '^# Memory: budget=64MB' README.md | sed 's/^# //' || true)"
-echo "    budgeted-serving quickstart: ${memory_row:-no Memory: row}"
+readme_row="$(grep -m1 '^# Memory: budget=1MB' README.md | sed 's/^# //' || true)"
+spills="$(awk '$1 == "stream-state" && $2 == "spills" {print $3}' <<<"$budgeted")"
+drops="$(awk '$1 == "stream-state" && $2 == "drops" {print $3}' <<<"$budgeted")"
+echo "    budgeted-serving quickstart: ${memory_row:-no Memory: row};" \
+  "${spills:-no} spill(s), ${drops:-no} drop(s)"
 if [[ -z "$readme_row" || "$memory_row" != "$readme_row" ]]; then
   echo "    budgeted-serving quickstart: Memory: row differs from README's '${readme_row}'"
+  exit 1
+fi
+if [[ -z "$spills" || "$spills" == "0" || "$drops" != "0" ]]; then
+  echo "    budgeted-serving quickstart: want stream-state spills > 0 and drops = 0"
   exit 1
 fi
 
 echo "==> [5/10] lint: flow-aware analyzer over the tree + rule fixtures"
 ctest --preset lint -j "$JOBS"
 
-echo "==> [6/10] analyze: SARIF + lock-graph artifacts, warm-cache assertion"
-ANALYZE_BIN=build/tools/deeprest_analyze
-ANALYZE_CACHE=build/deeprest_analyze_ci_cache.txt
-# Cold (or incremental) pass: fails the build on any violation and writes
-# the CI artifacts — machine-readable SARIF for code-scanning upload and the
-# extracted lock graph (DESIGN.md §7 is regenerated from this DOT).
-"$ANALYZE_BIN" --root . --allowlist tools/lint/allowlist.txt \
-  --cache "$ANALYZE_CACHE" --format=sarif --out build/analysis.sarif \
-  --dot build/lock_graph.dot --stats
-# No-op rerun must be served entirely from the content-hash cache; an edit
-# is covered by the lint_tests cache-invalidation fixture.
-"$ANALYZE_BIN" --root . --allowlist tools/lint/allowlist.txt \
-  --cache "$ANALYZE_CACHE" --stats | grep -q ' 0 analyzed,' \
-  || { echo "analyzer cache did not warm on a no-op rerun"; exit 1; }
+echo "==> [6/10] analyze: SARIF + lock-graph artifacts"
+# Fails the build on any violation and writes the CI artifacts —
+# machine-readable SARIF for code-scanning upload and the extracted lock
+# graph (DESIGN.md §7 is regenerated from this DOT).
+build/tools/deeprest_analyze --root . --allowlist tools/lint/allowlist.txt \
+  --format=sarif --out build/analysis.sarif --dot build/lock_graph.dot --stats
 echo "    artifacts: build/analysis.sarif, build/lock_graph.dot"
 
 echo "==> [7/10] tsa: Clang thread-safety analysis (compile-only gate)"
@@ -236,10 +238,11 @@ ctest --preset chaos-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -R 'nn_tests|core_tests'
 
 echo "==> [10/10] asan-storm: state-cache eviction storm under ASan+UBSan"
-# The stress flag multiplies the storm test's iteration count; the tiny
-# caps in the test force constant eviction/demotion/promotion churn while
-# four threads hold exclusive leases — the exact interleavings where a
-# use-after-evict or a resident-byte miscount would hide.
+# The stress flag multiplies the storm test's iteration count; the tiny hot
+# cap and the slab smaller than the key space force constant eviction,
+# spill, promotion and slot-reclaim churn while four threads hold exclusive
+# leases — the exact interleavings where a use-after-evict or a resident-byte
+# miscount would hide.
 DEEPREST_STATECACHE_STRESS=1 ctest --test-dir build-asan --output-on-failure \
   -R 'state_cache_tests'
 

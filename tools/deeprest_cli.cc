@@ -20,7 +20,7 @@
 //                    [--chaos] [--drop=P] [--dup=P] [--corrupt=P] [--gap=P]
 //                    [--chaos-schedule=SPEC] [--supervise=0|1]
 //                    [--max-queue=N] [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]
-//                    [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]
+//                    [--memory-budget-mb=N]
 //       Online serving demo: train (or load with --model), then stream a
 //       simulated live workload through the ingest pipeline while client
 //       threads hammer the estimation service and the continual learner
@@ -42,11 +42,11 @@
 //       exponential backoff + jitter (--retries). --checkpoint enables
 //       atomic model checkpoints after every refresh and crash recovery at
 //       startup (falls back to FILE.prev if FILE is torn).
-//       --memory-budget-mb turns on the tiered per-stream warm-start cache
-//       and sizes it (half the budget hot, half cold). --state-cold-tier
-//       picks what eviction demotes to: fp16 (RNE-compressed in RAM,
-//       default), disk (a checksummed slab file, bit-exact), or recompute
-//       (drop and rebuild on the next miss).
+//       --memory-budget-mb turns on the tiered per-stream warm-start cache:
+//       half the budget caps the hot tier, and the other half pays for the
+//       index of a checksummed disk slab that eviction spills to bit for bit
+//       (one kColdEntryOverhead-byte record per slot, each slot sized to the
+//       serving model's state).
 //
 //   deeprest autoscale [--app=social|hotel] [--days=N] [--wpd=N] [--seed=N]
 //                      [--policy=reactive|predictive|oracle|all]
@@ -145,8 +145,7 @@ const char* const kKnownFlags[] = {
     "corrupt", "days", "deadline-ms", "drop", "dup", "epochs", "gap", "hidden",
     "interval", "isa", "kernel-mode", "max-queue", "memory-budget-mb", "model", "policy",
     "query-days", "refresh-windows", "replicas-for", "retries", "scale", "scenario",
-    "scenario-days", "seed", "serve-days", "shape", "state-cold-tier",
-    "supervise", "target", "workers", "wpd",
+    "scenario-days", "seed", "serve-days", "shape", "supervise", "target", "workers", "wpd",
 };
 
 // The first parsed flag no command reads, or "" when every flag is known.
@@ -250,6 +249,16 @@ int CmdEstimate(const CliArgs& args) {
                  model_path.c_str());
     return 2;
   }
+  const std::string replicas_for = args.Get("replicas-for", "");
+  if (!replicas_for.empty()) {
+    const std::vector<MetricKey> resources = estimator.resources();
+    if (std::find(resources.begin(), resources.end(),
+                  MetricKey{replicas_for, ResourceKind::kCpu}) == resources.end()) {
+      std::fprintf(stderr, "estimate: unknown --replicas-for=%s (no CPU estimate in the model)\n",
+                   replicas_for.c_str());
+      return 2;
+    }
+  }
   ExperimentHarness harness(ConfigFrom(args));  // deterministic re-simulation
   TrafficSpec spec = harness.QuerySpec(args.GetSize("query-days", 1));
   spec.user_scale = args.GetDouble("scale", 1.0);
@@ -273,7 +282,6 @@ int CmdEstimate(const CliArgs& args) {
               RenderTable({"component", "peak expected", "provision (p90+10%)"}, rows)
                   .c_str());
 
-  const std::string replicas_for = args.Get("replicas-for", "");
   if (!replicas_for.empty()) {
     const ReplicaSchedule schedule = planner.PlanReplicas(estimates, replicas_for);
     std::printf("Replica schedule for %s (peak %zu, %.0f%% replica-windows saved vs static"
@@ -413,29 +421,11 @@ int CmdServe(const CliArgs& args) {
   const std::string checkpoint_path = args.Get("checkpoint", "");
 
   // Soft-memory tiered state: the per-stream warm-start cache, sized by the
-  // budget. It is declared before the service, so the service stops leasing
-  // before the cache dies.
+  // budget once the serving model is known. It is declared before the
+  // service, so the service stops leasing before the cache dies.
   const size_t memory_budget_mb = args.GetSize("memory-budget-mb", 0);
-  ColdTier cold_tier = ColdTier::kFp16;
-  const std::string cold_tier_flag = args.Get("state-cold-tier", "fp16");
-  if (!ParseColdTier(cold_tier_flag, &cold_tier)) {
-    std::fprintf(stderr, "serve: unknown --state-cold-tier=%s (fp16|disk|recompute)\n",
-                 cold_tier_flag.c_str());
-    return 2;
-  }
-  const size_t memory_budget_bytes = memory_budget_mb << 20;
   std::unique_ptr<StateCache> stream_states;
   const std::string slab_path = "deeprest_state.slab";
-  if (memory_budget_mb > 0) {
-    StateCacheConfig cache_config;
-    cache_config.hot_bytes = memory_budget_bytes / 2;
-    cache_config.cold_tier = cold_tier;
-    cache_config.cold_bytes = memory_budget_bytes / 2;
-    if (cold_tier == ColdTier::kDisk) {
-      cache_config.slab_path = slab_path;
-    }
-    stream_states = std::make_unique<StateCache>(cache_config);
-  }
 
   ModelRegistry registry;
   std::shared_ptr<const DeepRestEstimator> initial;
@@ -467,6 +457,19 @@ int CmdServe(const CliArgs& args) {
     }
     initial = std::move(fresh);
     registry.Publish(initial);
+  }
+  if (memory_budget_mb > 0) {
+    // Half the budget caps the hot tier; the other half is the slab's index
+    // RAM, one kColdEntryOverhead record per slot. A slot holds one stream's
+    // expert_count * hidden_dim hidden floats.
+    const size_t half_budget = (memory_budget_mb << 20) / 2;
+    StateCacheConfig cache_config;
+    cache_config.hot_bytes = half_budget;
+    cache_config.slab_path = slab_path;
+    cache_config.slab_slot_payload_bytes =
+        StatePayloadBytes(initial->expert_count() * initial->hidden_dim());
+    cache_config.slab_slots = half_budget / kColdEntryOverhead;
+    stream_states = std::make_unique<StateCache>(cache_config);
   }
   // Chaos implies an at-least-once transport, so trace dedup goes on.
   IngestPipelineConfig pipeline_config;
@@ -541,14 +544,15 @@ int CmdServe(const CliArgs& args) {
               KernelModeName(GetKernelMode()), simd::IsaName(simd::ActiveIsa()),
               simd::IsaName(simd::BestSupportedIsa()));
   // Same discipline as the Kernels row: what this process actually wired,
-  // not what was requested (a disk tier that failed to open its slab serves
-  // recompute-on-miss semantics and says so).
-  if (memory_budget_mb > 0) {
-    const bool disk_degraded = cold_tier == ColdTier::kDisk && !stream_states->disk_ok();
-    std::printf("Memory: budget=%zuMB cold-tier=%s%s (stream cache hot %zuMB + cold %zuMB)\n",
-                memory_budget_mb, ColdTierName(cold_tier),
-                disk_degraded ? " [slab open FAILED: miss=recompute]" : "",
-                memory_budget_bytes / 2 >> 20, memory_budget_bytes / 2 >> 20);
+  // not what was requested (a slab that failed to open drops every evicted
+  // state and says so).
+  if (stream_states != nullptr) {
+    const StateCacheConfig& wired = stream_states->config();
+    std::printf("Memory: budget=%zuMB (stream cache hot %s + disk slab %zu slots x %s = %s)%s\n",
+                memory_budget_mb, FormatBytes(wired.hot_bytes).c_str(), wired.slab_slots,
+                FormatBytes(wired.slab_slot_payload_bytes).c_str(),
+                FormatBytes(wired.slab_slots * wired.slab_slot_payload_bytes).c_str(),
+                stream_states->disk_ok() ? "" : " [slab open FAILED: evictions drop]");
   } else {
     std::printf("Memory: budget=unlimited state-cache=off (pass --memory-budget-mb=N "
                 "to bound resident serving state)\n");
@@ -736,7 +740,7 @@ int CmdServe(const CliArgs& args) {
       std::printf("%s\n", event.Describe(config.windows_per_day).c_str());
     }
   }
-  if (stream_states != nullptr && cold_tier == ColdTier::kDisk) {
+  if (stream_states != nullptr) {
     std::remove(slab_path.c_str());  // serving scratch, not a checkpoint
   }
   return 0;
@@ -860,7 +864,7 @@ int Usage() {
                "           [--chaos-schedule=kind@start[-end][:target][*mag];...]\n"
                "           [--supervise=0|1]\n"
                "           [--max-queue=N] [--deadline-ms=N] [--retries=N] [--checkpoint=FILE]\n"
-               "           [--memory-budget-mb=N] [--state-cold-tier=fp16|disk|recompute]\n"
+               "           [--memory-budget-mb=N]\n"
                "  autoscale [--policy=reactive|predictive|oracle|all]\n"
                "           [--scenario=diurnal|flash_crowd|api_mix_drift|all]\n"
                "           [--scenario-days=N] [--scale=X] [--capacity=CPU]\n"
